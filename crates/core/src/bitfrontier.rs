@@ -8,9 +8,11 @@
 //! concurrent frontier at once. A traversal hop is then:
 //!
 //! 1. **Scan**: for every tile row `v` with a non-zero `frontier` row,
-//!    OR the row into `next[t]` for each local neighbour `t`, or emit
-//!    `(t, row)` to the owner machine for remote neighbours. Shared
-//!    neighbours of shared frontiers cost a single pass — the
+//!    OR the row into `next[slot]` for each out-edge, where the shard's
+//!    slot table ([`Shard::tile_slots`]) numbers local targets first
+//!    and boundary (remote) targets after them; then walk the boundary
+//!    rows once and emit `(t, row)` for each touched remote target.
+//!    Shared neighbours of shared frontiers cost a single pass — the
 //!    "one traversal on these two vertices" sharing of Fig. 3b.
 //! 2. **Absorb**: OR remote lane masks received from peers into `next`.
 //! 3. **Advance**: `new = next & !visited`; `visited |= new`;
@@ -27,6 +29,9 @@ use cgraph_graph::VertexId;
 #[derive(Debug)]
 pub struct BitFrontier {
     frontier: LaneMatrix,
+    /// `num_local` rows for local vertices, then one row per boundary
+    /// vertex of the shard ([`Shard::num_slots`] rows in all). The
+    /// boundary rows are non-zero only inside [`BitFrontier::scan`].
     next: LaneMatrix,
     visited: LaneMatrix,
     base: VertexId,
@@ -60,7 +65,7 @@ impl BitFrontier {
         let width = LaneWidth::for_lanes(lanes);
         Self {
             frontier: LaneMatrix::with_width(num_local, width),
-            next: LaneMatrix::with_width(num_local, width),
+            next: LaneMatrix::with_width(shard.num_slots(), width),
             visited: LaneMatrix::with_width(num_local, width),
             base: shard.local_range().start,
             num_local,
@@ -136,17 +141,22 @@ impl BitFrontier {
         }
     }
 
-    /// Scan phase: walks the shard's edge-set tiles in row-major order.
-    /// Local destinations accumulate into `next`; remote destinations
-    /// are handed to `remote` as `(global_dst, lane_mask)` — the
-    /// engine coalesces them per owner into the remote task buffer.
+    /// Scan phase: walks the shard's edge-set tiles in row-major order,
+    /// ORing each live frontier row into `next[slot]` for every
+    /// out-edge — local and boundary targets alike, addressed by the
+    /// shard's slot table. Afterwards the boundary rows are walked once
+    /// and handed to `remote` as `(global_dst, lane_mask)`: **one
+    /// coalesced call per touched remote destination, in ascending
+    /// vertex order**, each row zeroed as it is emitted.
     ///
     /// When a [`DeltaOverlay`] is present the scan consults it
     /// alongside the base edge-sets: base neighbours whose edge the
-    /// overlay deletes are skipped, and a second pass emits the
-    /// overlay's inserted edges for every frontier source. Emission is
-    /// OR-idempotent, so the overlay pass needs no ordering relative to
-    /// the base pass.
+    /// overlay deletes are skipped, and a second pass accumulates the
+    /// overlay's inserted edges for every frontier source. An inserted
+    /// edge to a remote vertex no base edge of this shard reaches has
+    /// no slot; those go through a spill list that is sorted, coalesced
+    /// and merged into the emission order, so the contract above holds
+    /// with an overlay too.
     ///
     /// Returns the number of (row, tile) pairs actually scanned — the
     /// work metric the edge-set and lane-width ablations report.
@@ -156,61 +166,106 @@ impl BitFrontier {
         delta: Option<&DeltaOverlay>,
         mut remote: impl FnMut(VertexId, &LaneMask),
     ) -> u64 {
-        let mut scanned = 0u64;
-        let base = self.base;
-        let next = &mut self.next;
-        let frontier = &self.frontier;
-        for set in shard.out_sets().sets() {
-            // Restrict to rows in the frontier: iterate the tile's row
-            // range and skip zero rows early — one branch per row.
-            let row_start = set.row_range.start;
-            let row_end = set.row_range.end;
-            for v in row_start..row_end {
-                let row = frontier.row((v - base) as usize);
-                if row.iter().all(|&w| w == 0) {
-                    continue;
-                }
-                let ts = set.neighbors(v);
-                if ts.is_empty() {
-                    continue;
-                }
-                scanned += 1;
-                let dels =
-                    delta.and_then(|d| d.row(v)).map(|r| r.deletes()).filter(|d| !d.is_empty());
-                let w = LaneMask::from_words(row);
-                for &t in ts {
-                    if let Some(dels) = dels {
-                        if dels.binary_search(&t).is_ok() {
-                            continue;
-                        }
-                    }
-                    if shard.is_local(t) {
-                        next.or_row((t - base) as usize, &w);
-                    } else {
-                        remote(t, &w);
-                    }
-                }
-            }
-        }
+        let mut scanned = match self.width.words() {
+            1 => self.scan_tiles::<1>(shard, delta),
+            2 => self.scan_tiles::<2>(shard, delta),
+            4 => self.scan_tiles::<4>(shard, delta),
+            8 => self.scan_tiles::<8>(shard, delta),
+            w => unreachable!("LaneWidth admits 1, 2, 4 or 8 words, not {w}"),
+        };
         // Overlay insert pass: sources with pending inserted edges whose
         // frontier row is live. Rows iterate in arbitrary (HashMap)
-        // order — harmless, since `next` accumulation is a pure OR.
+        // order — harmless, since accumulation is a pure OR and the
+        // spill is sorted before it is emitted.
+        let mut spill: Vec<(VertexId, LaneMask)> = Vec::new();
         if let Some(d) = delta {
             for (v, drow) in d.rows() {
                 if drow.inserts().is_empty() || !shard.is_local(v) {
                     continue;
                 }
-                let row = frontier.row((v - base) as usize);
+                let row = self.frontier.row((v - self.base) as usize);
                 if row.iter().all(|&w| w == 0) {
                     continue;
                 }
                 scanned += 1;
                 let w = LaneMask::from_words(row);
                 for &(t, _) in drow.inserts() {
-                    if shard.is_local(t) {
-                        next.or_row((t - base) as usize, &w);
-                    } else {
-                        remote(t, &w);
+                    match shard.slot_of(t) {
+                        Some(slot) => {
+                            self.next.or_row(slot as usize, &w);
+                        }
+                        None => spill.push((t, w)),
+                    }
+                }
+            }
+            spill.sort_unstable_by_key(|e| e.0);
+            spill.dedup_by(|dup, kept| {
+                let same = dup.0 == kept.0;
+                if same {
+                    kept.1.or_assign(&dup.1);
+                }
+                same
+            });
+        }
+        // Emission: boundary rows ascend with their vertex ids, and a
+        // spilled target is by definition not a boundary vertex, so a
+        // two-way merge yields every destination once, in order.
+        let mut spill = spill.iter().peekable();
+        let stride = self.width.words();
+        let boundary_rows =
+            self.next.words_mut()[self.num_local * stride..].chunks_exact_mut(stride);
+        for (&t, row) in shard.boundary_vertices().iter().zip(boundary_rows) {
+            if row.iter().all(|&w| w == 0) {
+                continue;
+            }
+            while let Some((st, sw)) = spill.next_if(|e| e.0 < t) {
+                remote(*st, sw);
+            }
+            remote(t, &LaneMask::from_words(row));
+            row.fill(0);
+        }
+        for (st, sw) in spill {
+            remote(*st, sw);
+        }
+        scanned
+    }
+
+    /// The tile walk of [`BitFrontier::scan`], monomorphised over the
+    /// row stride `S` (words per vertex) so the per-edge OR is a fixed
+    /// `S`-word operation — a single `|=` at `W = 64`.
+    fn scan_tiles<const S: usize>(&mut self, shard: &Shard, delta: Option<&DeltaOverlay>) -> u64 {
+        let mut scanned = 0u64;
+        let base = self.base;
+        let (frontier, _) = self.frontier.words().as_chunks::<S>();
+        let (next, _) = self.next.words_mut().as_chunks_mut::<S>();
+        for (tile, set) in shard.out_sets().sets().iter().enumerate() {
+            let slots = shard.tile_slots(tile);
+            // Restrict to rows in the frontier: iterate the tile's row
+            // range and skip zero rows early — one branch per row.
+            for v in set.row_range.iter() {
+                let row = frontier[(v - base) as usize];
+                if row == [0; S] {
+                    continue;
+                }
+                let span = set.row_span(v);
+                if span.is_empty() {
+                    continue;
+                }
+                scanned += 1;
+                let dels =
+                    delta.and_then(|d| d.row(v)).map(|r| r.deletes()).filter(|d| !d.is_empty());
+                match dels {
+                    None => {
+                        for &slot in &slots[span] {
+                            or_words(&mut next[slot as usize], &row);
+                        }
+                    }
+                    Some(dels) => {
+                        for (t, &slot) in set.neighbors(v).iter().zip(&slots[span]) {
+                            if dels.binary_search(t).is_err() {
+                                or_words(&mut next[slot as usize], &row);
+                            }
+                        }
                     }
                 }
             }
@@ -234,6 +289,10 @@ impl BitFrontier {
         let mut frontier_vertices = 0u64;
         let frontier = self.frontier.words_mut();
         let next = self.next.words_mut();
+        debug_assert!(
+            next[self.num_local * stride..].iter().all(|&w| w == 0),
+            "boundary rows are zeroed by the scan that filled them"
+        );
         let visited = self.visited.words_mut();
         let active_words = &mut active;
         for i in 0..self.num_local {
@@ -326,9 +385,18 @@ impl BitFrontier {
         self.next.clear_all();
     }
 
-    /// Heap bytes held (3 × `width.words()` words per local vertex).
+    /// Heap bytes held (3 × `width.words()` words per local vertex, plus
+    /// one `next` row per boundary vertex).
     pub fn size_bytes(&self) -> usize {
         self.frontier.size_bytes() + self.next.size_bytes() + self.visited.size_bytes()
+    }
+}
+
+/// `dst |= src`, word for word.
+#[inline(always)]
+fn or_words<const S: usize>(dst: &mut [u64; S], src: &[u64; S]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
     }
 }
 
@@ -419,8 +487,16 @@ mod tests {
         bf.seed(1, 1);
         let mut remote = Vec::new();
         bf.scan(&shard, None, |t, w| remote.push((t, w.words()[0])));
-        remote.sort_unstable();
-        assert_eq!(remote, vec![(5, 0b01), (5, 0b10)]);
+        // Both edges land in vertex 5's boundary slot, so the scan emits
+        // it once with the lanes ORed. (Before the slot table the scan
+        // emitted once per remote *edge* — `[(5, 0b01), (5, 0b10)]` —
+        // and the engine coalesced in a hash map.)
+        assert_eq!(remote, vec![(5, 0b11)]);
+        // The boundary row was zeroed by the emission: a second scan of
+        // the same frontier emits the same thing, not an accumulation.
+        let mut again = Vec::new();
+        bf.scan(&shard, None, |t, w| again.push((t, w.words()[0])));
+        assert_eq!(again, remote);
     }
 
     #[test]

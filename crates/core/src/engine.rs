@@ -34,7 +34,6 @@ use cgraph_comm::{Cluster, ClusterError, CommHandle, MachineObs, PersistentClust
 use cgraph_graph::delta::{DeltaOverlay, EdgeUpdate};
 use cgraph_graph::{Edge, EdgeList, LaneMask, LaneWidth, VertexId, MAX_LANES};
 use cgraph_obs::{log2_edges, Counter, Histogram, TraceCtx, Tracer, COORD};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -402,6 +401,72 @@ struct MachineOut {
     pruned_sends: u64,
     /// `(superstep, partition)` messages suppressed entirely.
     pruned_partitions: u64,
+}
+
+/// Scan work and pruning tallies one machine accumulates over a batch.
+#[derive(Default)]
+struct ScanTally {
+    scans: u64,
+    pruned_sends: u64,
+    pruned_partitions: u64,
+}
+
+/// The batch's per-hop budget masks — lanes with hop budget left for
+/// the expansion out of `hop`, i.e. `k > hop` — built once per batch
+/// and indexed per superstep. A mask only changes where `hop` crosses
+/// some lane's `k`, so one mask per distinct `k` covers every hop;
+/// `u32::MAX` (full BFS) is never crossed and never retires.
+struct BudgetMasks {
+    /// Distinct hop budgets, ascending.
+    ks: Vec<u32>,
+    /// `masks[i]` = lanes with `k >= ks[i]`; one trailing all-zero mask.
+    masks: Vec<LaneMask>,
+}
+
+impl BudgetMasks {
+    fn new(ks: &[u32]) -> Self {
+        let width = LaneWidth::for_lanes(ks.len());
+        let mut by_k: Vec<(u32, usize)> = ks.iter().copied().zip(0..).collect();
+        by_k.sort_unstable();
+        let mut live = LaneMask::all(ks.len());
+        let mut out = BudgetMasks { ks: Vec::new(), masks: Vec::new() };
+        for group in by_k.chunk_by(|a, b| a.0 == b.0) {
+            out.ks.push(group[0].0);
+            out.masks.push(live);
+            let mut retired = LaneMask::zero(width);
+            for &(_, lane) in group {
+                retired.set(lane);
+            }
+            live = live.and_not(&retired);
+        }
+        out.masks.push(live);
+        out
+    }
+
+    /// Lanes with `k > hop`.
+    fn at(&self, hop: u32) -> &LaneMask {
+        &self.masks[self.ks.partition_point(|&k| k <= hop)]
+    }
+}
+
+/// Per-lane counts of visited local vertices at the end of a batch:
+/// the lane's source when this shard owns it, plus every discovery the
+/// per-level counts recorded — derived, so the batch does not end with
+/// a bit-count over the whole visited matrix.
+fn visited_local(
+    shard: &Shard,
+    sources: &[VertexId],
+    per_level_local: &[Vec<u64>],
+    bf: &BitFrontier,
+) -> Vec<u64> {
+    let mut visited: Vec<u64> = sources.iter().map(|&s| u64::from(shard.is_local(s))).collect();
+    for level in per_level_local {
+        for (v, &c) in visited.iter_mut().zip(level) {
+            *v += c;
+        }
+    }
+    debug_assert_eq!(visited, bf.visited_per_lane()[..sources.len()]);
+    visited
 }
 
 /// The C-Graph distributed engine.
@@ -850,19 +915,9 @@ impl DistributedEngine {
         let lanes = sources.len();
         let width = LaneWidth::for_lanes(lanes);
         let all_lanes = LaneMask::all(lanes);
-        // Lanes with hop budget left for the expansion out of `hop`.
-        let budget_mask = |hop: u32| {
-            let mut m = LaneMask::zero(width);
-            for (lane, &k) in ks.iter().enumerate() {
-                if k > hop {
-                    m.set(lane);
-                }
-            }
-            m
-        };
+        let budget = BudgetMasks::new(ks);
         {
             let shard = &self.shards[h.id()];
-            let delta = self.delta(h.id());
             let t0 = Instant::now();
             let mut bf = BitFrontier::new(shard, lanes);
             for (lane, &src) in sources.iter().enumerate() {
@@ -893,14 +948,10 @@ impl DistributedEngine {
             let mut per_level_local: Vec<Vec<u64>> = Vec::new();
             let mut lane_completion = vec![Duration::ZERO; lanes];
             let mut completed = LaneMask::zero(width); // lanes recorded complete
-            let mut outbox: Vec<HashMap<u64, LaneMask>> =
-                (0..h.num_machines()).map(|_| HashMap::new()).collect();
             let cpu0 = cgraph_comm::thread_cpu_time();
             let mut hop: u32 = 0;
             let mut supersteps = 0u32;
-            let mut scans = 0u64;
-            let mut pruned_sends = 0u64;
-            let mut pruned_partitions = 0u64;
+            let mut tally = ScanTally::default();
             loop {
                 // Chaos seam: a plan can schedule this machine's death
                 // at superstep `hop`. Free without an armed plan.
@@ -908,49 +959,8 @@ impl DistributedEngine {
                 if let Some(w) = &wobs {
                     w.superstep_enter(hop);
                 }
-                bf.mask_frontier(&budget_mask(hop));
-
-                scans += bf.scan(shard, delta, |t, w| {
-                    let owner = self.partition.owner(t);
-                    outbox[owner].entry(t).or_insert_with(|| LaneMask::zero(width)).or_assign(w);
-                });
-                // Deliveries emitted during the scan of `hop` land at
-                // BFS level `hop + 1`: mask each partition's buffer
-                // against the plan's keep set for that level.
-                let keep_masks = prune.map(|p| p.keep_masks(hop + 1, width));
-                for (m, buf) in outbox.iter_mut().enumerate() {
-                    if buf.is_empty() {
-                        continue;
-                    }
-                    let batch: Vec<(u64, LaneMask)> = match &keep_masks {
-                        Some(keep) => {
-                            let before = buf.len();
-                            let kept: Vec<(u64, LaneMask)> = buf
-                                .drain()
-                                .filter_map(|(t, w)| {
-                                    let w = w.and(&keep[m]);
-                                    (!w.is_zero()).then_some((t, w))
-                                })
-                                .collect();
-                            let dropped = (before - kept.len()) as u64;
-                            if dropped > 0 {
-                                pruned_sends += dropped;
-                                if kept.is_empty() {
-                                    pruned_partitions += 1;
-                                }
-                                if m != h.id() {
-                                    let bytes = dropped * (8 + 8 * width.words() as u64);
-                                    h.note_suppressed(u64::from(kept.is_empty()), bytes);
-                                }
-                            }
-                            kept
-                        }
-                        None => buf.drain().collect(),
-                    };
-                    if !batch.is_empty() {
-                        h.send(m, EngineMsg::Frontier(batch));
-                    }
-                }
+                bf.mask_frontier(budget.at(hop));
+                self.scan_and_send(&mut bf, hop, prune, None, &h, &mut tally);
                 h.barrier();
                 for env in h.drain() {
                     if let EngineMsg::Frontier(batch) = env.payload {
@@ -982,7 +992,7 @@ impl DistributedEngine {
                     &h.barrier_reduce_words(adv.active_lanes.raw())[..width.words()],
                 );
                 // Next expansion only serves lanes with hop budget left.
-                let live = global_active.and(&budget_mask(hop)).and(&all_lanes);
+                let live = global_active.and(budget.at(hop)).and(&all_lanes);
                 // Record completion for lanes that just went quiet.
                 let newly_done = all_lanes.and_not(&live).and_not(&completed);
                 if !newly_done.is_zero() {
@@ -997,15 +1007,80 @@ impl DistributedEngine {
                 }
             }
             MachineOut {
+                visited_local: visited_local(shard, sources, &per_level_local, &bf),
                 per_level_local,
-                visited_local: bf.visited_per_lane()[..lanes].to_vec(),
                 lane_completion,
                 supersteps,
-                scans,
+                scans: tally.scans,
                 busy: cgraph_comm::thread_cpu_time() - cpu0,
                 probe_levels,
-                pruned_sends,
-                pruned_partitions,
+                pruned_sends: tally.pruned_sends,
+                pruned_partitions: tally.pruned_partitions,
+            }
+        }
+    }
+
+    /// Superstep `hop`'s scan and frontier exchange on machine `h.id()`:
+    /// scans the shard, buckets the emitted remote destinations per
+    /// owner, drops what `prune` proves to be state no-ops, and sends
+    /// one `Frontier` message per non-empty owner — logging it to `log`
+    /// first on the recoverable path.
+    ///
+    /// [`BitFrontier::scan`] emits each remote destination once,
+    /// coalesced, in ascending vertex order, so bucketing is a push and
+    /// the owner (a vertex range) only ever moves forward.
+    fn scan_and_send(
+        &self,
+        bf: &mut BitFrontier,
+        hop: u32,
+        prune: Option<&PrunePlan>,
+        log: Option<&RecoveryStore>,
+        h: &CommHandle<EngineMsg>,
+        tally: &mut ScanTally,
+    ) {
+        let id = h.id();
+        let width = bf.width();
+        let ranges = self.partition.ranges();
+        let mut outbox: Vec<Vec<(u64, LaneMask)>> = vec![Vec::new(); ranges.len()];
+        let mut owner = 0;
+        tally.scans += bf.scan(&self.shards[id], self.delta(id), |t, w| {
+            while ranges[owner].end <= t {
+                owner += 1;
+            }
+            outbox[owner].push((t, *w));
+        });
+        // Deliveries emitted during the scan of `hop` land at BFS level
+        // `hop + 1`: mask each partition's buffer against the plan's
+        // keep set for that level.
+        let keep_masks = prune.map(|p| p.keep_masks(hop + 1, width));
+        for (m, mut batch) in outbox.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            if let Some(keep) = &keep_masks {
+                let before = batch.len();
+                batch.retain_mut(|(_, w)| {
+                    *w = w.and(&keep[m]);
+                    !w.is_zero()
+                });
+                let dropped = (before - batch.len()) as u64;
+                if dropped > 0 {
+                    tally.pruned_sends += dropped;
+                    tally.pruned_partitions += u64::from(batch.is_empty());
+                    let bytes = dropped * (8 + 8 * width.words() as u64);
+                    h.note_suppressed(u64::from(batch.is_empty()), bytes);
+                }
+            }
+            if !batch.is_empty() {
+                // Prune *before* logging so a replay re-absorbs exactly
+                // what the original execution delivered (suppressed
+                // deliveries were state no-ops and are never
+                // re-created), and log before sending: the log must
+                // cover anything a replay could need to re-deliver.
+                if let Some(store) = log {
+                    store.log_merge(id, hop, m, &batch);
+                }
+                h.send(m, EngineMsg::Frontier(batch));
             }
         }
     }
@@ -1364,14 +1439,9 @@ impl DistributedEngine {
                 )
             }
         };
+        let budget = BudgetMasks::new(ks);
         for hop in from..target {
-            let mut k_mask = LaneMask::zero(width);
-            for (lane, &k) in ks.iter().enumerate() {
-                if k > hop {
-                    k_mask.set(lane);
-                }
-            }
-            bf.mask_frontier(&k_mask);
+            bf.mask_frontier(budget.at(hop));
             bf.scan(shard, self.delta(f), |_, _| {}); // peers already received these
             for (v, w) in store.logged_to(f, hop) {
                 bf.absorb(v, &w);
@@ -1430,17 +1500,8 @@ impl DistributedEngine {
         let lanes = sources.len();
         let width = LaneWidth::for_lanes(lanes);
         let all_lanes = LaneMask::all(lanes);
-        let budget_mask = |hop: u32| {
-            let mut m = LaneMask::zero(width);
-            for (lane, &k) in ks.iter().enumerate() {
-                if k > hop {
-                    m.set(lane);
-                }
-            }
-            m
-        };
+        let budget = BudgetMasks::new(ks);
         let shard = &self.shards[h.id()];
-        let delta = self.delta(h.id());
         let t0 = Instant::now();
         let cpu0 = cgraph_comm::thread_cpu_time();
         let mut bf = BitFrontier::new(shard, lanes);
@@ -1498,13 +1559,9 @@ impl DistributedEngine {
                 busy,
             }
         };
-        let mut outbox: Vec<HashMap<u64, LaneMask>> =
-            (0..h.num_machines()).map(|_| HashMap::new()).collect();
         // Scan work this attempt only (a resume does not re-count the
         // scans its snapshot's supersteps already performed).
-        let mut scans = 0u64;
-        let mut pruned_sends = 0u64;
-        let mut pruned_partitions = 0u64;
+        let mut tally = ScanTally::default();
         loop {
             // Boundary `hop`: commit *before* the fault point so that
             // a machine scripted to die at a commit boundary still
@@ -1531,51 +1588,8 @@ impl DistributedEngine {
             if let Some(w) = &wobs {
                 w.superstep_enter(hop);
             }
-            bf.mask_frontier(&budget_mask(hop));
-            scans += bf.scan(shard, delta, |t, w| {
-                let owner = self.partition.owner(t);
-                outbox[owner].entry(t).or_insert_with(|| LaneMask::zero(width)).or_assign(w);
-            });
-            // Prune *before* logging so a replay re-absorbs exactly
-            // what the original execution delivered (suppressed
-            // deliveries were state no-ops and are never re-created).
-            let keep_masks = prune.map(|p| p.keep_masks(hop + 1, width));
-            for (m, buf) in outbox.iter_mut().enumerate() {
-                if buf.is_empty() {
-                    continue;
-                }
-                let batch: Vec<(u64, LaneMask)> = match &keep_masks {
-                    Some(keep) => {
-                        let before = buf.len();
-                        let kept: Vec<(u64, LaneMask)> = buf
-                            .drain()
-                            .filter_map(|(t, w)| {
-                                let w = w.and(&keep[m]);
-                                (!w.is_zero()).then_some((t, w))
-                            })
-                            .collect();
-                        let dropped = (before - kept.len()) as u64;
-                        if dropped > 0 {
-                            pruned_sends += dropped;
-                            if kept.is_empty() {
-                                pruned_partitions += 1;
-                            }
-                            if m != h.id() {
-                                let bytes = dropped * (8 + 8 * width.words() as u64);
-                                h.note_suppressed(u64::from(kept.is_empty()), bytes);
-                            }
-                        }
-                        kept
-                    }
-                    None => buf.drain().collect(),
-                };
-                if !batch.is_empty() {
-                    // Log before sending: the log must cover anything a
-                    // replay could need to re-deliver.
-                    store.log_merge(h.id(), hop, m, &batch);
-                    h.send(m, EngineMsg::Frontier(batch));
-                }
-            }
+            bf.mask_frontier(budget.at(hop));
+            self.scan_and_send(&mut bf, hop, prune, Some(store), &h, &mut tally);
             if h.try_barrier().is_err() {
                 // A peer died during this superstep. Our frontier and
                 // visited words still hold boundary `hop` (advance has
@@ -1632,7 +1646,7 @@ impl DistributedEngine {
                 }
             };
             hop += 1;
-            let live = reduced.and(&budget_mask(hop)).and(&all_lanes);
+            let live = reduced.and(budget.at(hop)).and(&all_lanes);
             // All machines record the identical post-reduce mask, so a
             // later replay can reconstruct completion bookkeeping.
             store.record_live(hop, live);
@@ -1650,14 +1664,14 @@ impl DistributedEngine {
         }
         Some(MachineOut {
             supersteps: per_level_local.len() as u32,
+            visited_local: visited_local(shard, sources, &per_level_local, &bf),
             per_level_local,
-            visited_local: bf.visited_per_lane()[..lanes].to_vec(),
             lane_completion,
-            scans,
+            scans: tally.scans,
             busy: busy_base + (cgraph_comm::thread_cpu_time() - cpu0),
             probe_levels: Vec::new(),
-            pruned_sends,
-            pruned_partitions,
+            pruned_sends: tally.pruned_sends,
+            pruned_partitions: tally.pruned_partitions,
         })
     }
 
@@ -2426,6 +2440,48 @@ mod tests {
         assert_eq!(rec.per_lane_visited, expect.per_lane_visited);
         assert_eq!(rec.per_level, expect.per_level);
         assert!(report.full_rollbacks >= 1, "lossy plans must not take the confined path");
+    }
+
+    #[test]
+    fn resumed_machine_relogs_its_superstep_entry_for_entry() {
+        // Machine 1 dies entering superstep 2. Machine 0 has logged and
+        // sent superstep 2's frontier by the time the barrier reports
+        // the death, saves boundary 2, and after the confined replay
+        // re-runs — and re-logs — that superstep. The re-log must leave
+        // the log exactly as the first attempt wrote it.
+        let n = 48u64;
+        let g: EdgeList = (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v * 5 + 2) % n)]).collect();
+        let e = engine(&g, 2);
+        let cluster = PersistentCluster::new(2);
+        let store = RecoveryStore::new(2);
+        let sources: Vec<u64> = (0..70).map(|i| (i * 11) % n).collect(); // W = 128
+        let ks: Vec<u32> = (0..70).map(|i| 3 + i % 4).collect();
+        let plan = FaultPlan::new(3).crash(1, 2).heal_after(1);
+        let attempt = |a: u32| {
+            let chaos = ChaosRun::new(plan.clone(), 0, a);
+            cluster.submit_with_chaos::<EngineMsg, Option<MachineOut>, _>(Some(&chaos), |h| {
+                e.recoverable_worker(&sources, &ks, 4, &store, None, h)
+            })
+        };
+        let Err(err) = attempt(0) else { panic!("machine 1 is scripted to die") };
+        let first: Vec<_> = (0..3).map(|s| store.logged_to(1, s)).collect();
+        assert!(!first[2].is_empty(), "machine 0 logged superstep 2 before the barrier failed");
+        assert!(first[2].windows(2).all(|w| w[0].0 < w[1].0), "one entry per vertex, ascending");
+
+        let mut report = RecoveryReport::default();
+        e.plan_recovery(&err, 0, &store, &sources, &ks, sources.len(), &mut report, None);
+        assert_eq!((report.partitions_replayed, report.full_rollbacks), (1, 0));
+        let Ok((outs, _)) = attempt(1) else { panic!("the plan heals after one attempt") };
+        for (s, logged) in first.iter().enumerate() {
+            assert_eq!(&store.logged_to(1, s as u32), logged, "superstep {s} log changed");
+        }
+        // And the resumed batch is the fault-free batch.
+        let expect = e.run_traversal_batch(&sources, &ks).unwrap();
+        let visited: Vec<u64> = (0..sources.len())
+            .map(|lane| outs.iter().map(|o| o.as_ref().unwrap().visited_local[lane]).sum())
+            .collect();
+        assert_eq!(visited, expect.per_lane_visited);
+        cluster.shutdown();
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! committed checkpoints (uniform across machines, gated on a
 //! drop-free job),
 //! poison-time saves from healthy machines, per-sender message logs
-//! keyed `(superstep, dest)` with OR-merged payloads (idempotent under
+//! keyed `(superstep, dest)` holding each batch as the sorted vector it
+//! was sent as (a re-log OR-merges, so logging is idempotent under
 //! resend, which resumption requires), and the per-boundary global
 //! live-lane masks that replay needs for completion bookkeeping.
 //!
@@ -53,7 +54,7 @@
 
 use cgraph_graph::LaneMask;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -127,9 +128,10 @@ pub(crate) struct PartitionSnapshot {
     pub busy: Duration,
 }
 
-/// One sender's message log: `(superstep, dest machine)` to the
-/// OR-merged `dst vertex -> lane mask` payload of that superstep.
-type SenderLog = HashMap<(u32, usize), HashMap<u64, LaneMask>>;
+/// One sender's message log: `(superstep, dest machine)` to that
+/// superstep's payload — `(dst vertex, lane mask)` entries, one per
+/// vertex, ascending by vertex.
+type SenderLog = HashMap<(u32, usize), Vec<(u64, LaneMask)>>;
 
 /// Shared recovery blackboard for one batch execution (all attempts).
 pub(crate) struct RecoveryStore {
@@ -142,8 +144,8 @@ pub(crate) struct RecoveryStore {
     /// Poison-time saves: a healthy machine that notices a dead peer
     /// at a barrier parks its boundary state here and returns.
     saved: Vec<Mutex<Option<PartitionSnapshot>>>,
-    /// Per-sender message logs: `(superstep, dest) -> (dst vertex ->
-    /// lane mask)`. OR-merged so a resumed machine re-logging the same
+    /// Per-sender message logs: `(superstep, dest) -> [(dst vertex,
+    /// lane mask)]`. OR-merged so a resumed machine re-logging the same
     /// superstep is idempotent.
     logs: Vec<Mutex<SenderLog>>,
     /// Global live-lane mask agreed at each boundary (all machines
@@ -203,8 +205,11 @@ impl RecoveryStore {
         self.saved[id].lock().take()
     }
 
-    /// OR-merges machine `from`'s outgoing messages for `superstep`
-    /// into its log (idempotent under resend).
+    /// Logs machine `from`'s outgoing `batch` to `dest` for `superstep`.
+    /// `batch` holds one entry per destination vertex, ascending — the
+    /// order the scan emits — and is stored as is; a re-log of the same
+    /// key (a resumed machine re-running the superstep) OR-merges per
+    /// vertex, so logging is idempotent under resend.
     pub(crate) fn log_merge(
         &self,
         from: usize,
@@ -212,10 +217,15 @@ impl RecoveryStore {
         dest: usize,
         batch: &[(u64, LaneMask)],
     ) {
-        let mut log = self.logs[from].lock();
-        let entry = log.entry((superstep, dest)).or_default();
-        for &(v, w) in batch {
-            entry.entry(v).and_modify(|m| m.or_assign(&w)).or_insert(w);
+        debug_assert!(batch.windows(2).all(|w| w[0].0 < w[1].0), "batch sorted, one per vertex");
+        match self.logs[from].lock().entry((superstep, dest)) {
+            Entry::Vacant(e) => {
+                e.insert(batch.to_vec());
+            }
+            Entry::Occupied(mut e) => {
+                let merged = or_merge_sorted(e.get(), batch);
+                e.insert(merged);
+            }
         }
     }
 
@@ -224,7 +234,7 @@ impl RecoveryStore {
         let mut out = Vec::new();
         for log in &self.logs {
             if let Some(batch) = log.lock().get(&(superstep, dest)) {
-                out.extend(batch.iter().map(|(&v, &w)| (v, w)));
+                out.extend_from_slice(batch);
             }
         }
         out
@@ -256,6 +266,36 @@ impl RecoveryStore {
         }
         self.live.lock().clear();
     }
+}
+
+/// The union of two vertex-sorted entry lists: entries of a vertex
+/// present in both are ORed into one.
+fn or_merge_sorted(a: &[(u64, LaneMask)], b: &[(u64, LaneMask)]) -> Vec<(u64, LaneMask)> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Equal => {
+                let mut e = a[i];
+                e.1.or_assign(&b[j].1);
+                out.push(e);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 #[cfg(test)]

@@ -6,8 +6,11 @@
 //! in the edge-set blocked layout (for traversal scans); in-edges in
 //! CSC over local destinations (for GAS gathers, so "all edges of a
 //! vertex are local" in the gather phase). Boundary vertices — remote
-//! vertices reachable by a local out-edge — are precomputed for
-//! boundary-traffic accounting.
+//! vertices reachable by a local out-edge — are precomputed, and every
+//! out-edge carries a *slot*: the position of its target in the dense
+//! `local ++ boundary` numbering the bit-frontier scan accumulates
+//! into, so the scan addresses remote destinations by position rather
+//! than by lookup.
 
 use crate::partition::RangePartition;
 use cgraph_graph::types::{PartitionId, VertexRange};
@@ -25,8 +28,13 @@ pub struct Shard {
     /// In-edges of local vertices (built only when GAS programs run).
     in_edges: Option<Csc>,
     /// Sorted global IDs of boundary vertices: remote endpoints of
-    /// local out-edges.
+    /// local out-edges. Partitions are vertex ranges, so each owner's
+    /// boundary vertices are one contiguous run, in partition order.
     boundary: Vec<VertexId>,
+    /// Per tile of `out_sets`, one accumulator slot per edge, aligned
+    /// with the tile's target array: `t - local.start` for a local
+    /// target `t`, `num_local + rank of t in boundary` for a remote one.
+    slots: Vec<Vec<u32>>,
     /// Global out-degree of every vertex (shared knowledge each machine
     /// keeps for GAS scatter normalisation).
     global_out_degrees: Vec<u32>,
@@ -65,12 +73,34 @@ impl Shard {
             }
         }
 
-        let mut boundary: Vec<VertexId> =
-            out_edges.iter().map(|e| e.dst).filter(|&d| !local.contains(d)).collect();
-        boundary.sort_unstable();
-        boundary.dedup();
-
         let out_sets = EdgeSetGraph::build(&out_edges, local, VertexRange::new(0, n), policy);
+
+        // Slot numbering in O(n + edges): mark the remote targets, then
+        // one ascending pass ranks them (which also yields `boundary`
+        // sorted and deduplicated) and numbers the local range.
+        assert!(n <= u64::from(u32::MAX), "slot table addresses vertices by u32");
+        const UNUSED: u32 = u32::MAX;
+        const MARKED: u32 = 0;
+        let mut slot_of = vec![UNUSED; n as usize];
+        for e in &out_edges {
+            slot_of[e.dst as usize] = MARKED;
+        }
+        let num_local = local.len() as u32;
+        let mut boundary: Vec<VertexId> = Vec::new();
+        for (v, slot) in slot_of.iter_mut().enumerate() {
+            let v = v as VertexId;
+            if local.contains(v) {
+                *slot = local.to_local(v);
+            } else if *slot == MARKED {
+                *slot = num_local + boundary.len() as u32;
+                boundary.push(v);
+            }
+        }
+        let slots = out_sets
+            .sets()
+            .iter()
+            .map(|set| set.raw_parts().1.iter().map(|&t| slot_of[t as usize]).collect())
+            .collect();
 
         // CSC over the full vertex space, but only local-dst edges are
         // inserted — in_neighbors(v) is meaningful for local v only.
@@ -85,6 +115,7 @@ impl Shard {
             out_sets,
             in_edges,
             boundary,
+            slots,
             global_out_degrees,
             dst_disjoint_groups,
         }
@@ -190,6 +221,34 @@ impl Shard {
         &self.boundary
     }
 
+    /// Rows of the scan accumulator: one per local vertex, then one
+    /// per boundary vertex.
+    #[inline]
+    pub fn num_slots(&self) -> usize {
+        self.num_local() + self.boundary.len()
+    }
+
+    /// Accumulator slots of tile `tile`'s edges, aligned with its target
+    /// array (index both by [`EdgeSet::row_span`](cgraph_graph::EdgeSet::row_span)):
+    /// a slot below [`Shard::num_local`] is the local vertex
+    /// `local_range().start + slot`, any other is
+    /// `boundary_vertices()[slot - num_local()]`.
+    #[inline]
+    pub fn tile_slots(&self, tile: usize) -> &[u32] {
+        &self.slots[tile]
+    }
+
+    /// The accumulator slot of vertex `v`, or `None` when `v` is remote
+    /// and no base out-edge of this shard reaches it (only an overlay
+    /// insert can name such a target).
+    pub fn slot_of(&self, v: VertexId) -> Option<u32> {
+        if self.is_local(v) {
+            Some(self.to_local(v))
+        } else {
+            self.boundary.binary_search(&v).ok().map(|i| (self.num_local() + i) as u32)
+        }
+    }
+
     /// Global out-degree of any vertex (local or remote).
     #[inline]
     pub fn global_out_degree(&self, v: VertexId) -> u32 {
@@ -226,6 +285,7 @@ impl Shard {
         self.out_sets.size_bytes()
             + self.in_edges.as_ref().map_or(0, |c| c.size_bytes())
             + self.boundary.len() * 8
+            + self.slots.iter().map(|s| s.len() * 4).sum::<usize>()
             + self.global_out_degrees.len() * 4
     }
 }
@@ -279,6 +339,54 @@ mod tests {
         assert!(!shards[0].is_boundary(3));
         // shard 1 = [5,10): remote neighbour is 0 (from vertex 9)
         assert_eq!(shards[1].boundary_vertices(), &[0]);
+    }
+
+    #[test]
+    fn slots_round_trip_to_targets_and_owner_runs_tile_boundary() {
+        // A ring with chords, so every shard reaches several owners.
+        let n = 40u64;
+        let g: EdgeList = (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v * 7 + 3) % n)]).collect();
+        let part = RangePartition::by_vertices(n, 4);
+        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::grid(8), false);
+        for s in &shards {
+            let base = s.local_range().start;
+            assert_eq!(s.num_slots(), s.num_local() + s.boundary_vertices().len());
+            let mut edges = 0;
+            for (tile, set) in s.out_sets().sets().iter().enumerate() {
+                let slots = s.tile_slots(tile);
+                assert_eq!(slots.len(), set.num_edges());
+                for v in set.row_range.iter() {
+                    let span = set.row_span(v);
+                    for (&t, &slot) in set.neighbors(v).iter().zip(&slots[span]) {
+                        let slot = slot as usize;
+                        let back = if slot < s.num_local() {
+                            base + slot as u64
+                        } else {
+                            s.boundary_vertices()[slot - s.num_local()]
+                        };
+                        assert_eq!(back, t, "shard {} edge {v}->{t}", s.id());
+                        assert_eq!(s.slot_of(t), Some(slot as u32));
+                        edges += 1;
+                    }
+                }
+            }
+            assert_eq!(edges, s.num_out_edges());
+            // The exchange buckets emissions with an owner cursor that
+            // only moves forward: each owner's boundary vertices must be
+            // one contiguous run, runs in partition order, none local.
+            let owners: Vec<usize> = s.boundary_vertices().iter().map(|&v| part.owner(v)).collect();
+            assert!(owners.windows(2).all(|w| w[0] <= w[1]), "owner runs out of order");
+            assert!(!owners.contains(&s.id()), "a local vertex is never boundary");
+            assert!(owners.len() > 1, "test graph must cross partitions");
+        }
+        // A remote vertex no base edge reaches has no slot.
+        let lone: EdgeList = [(0u64, 1u64)].into_iter().collect();
+        let mut lone = lone;
+        lone.set_num_vertices(10);
+        let part = RangePartition::by_vertices(10, 2);
+        let s = Shard::build(0, &part, lone.edges(), ConsolidationPolicy::default(), false);
+        assert_eq!(s.slot_of(1), Some(1));
+        assert_eq!(s.slot_of(7), None);
     }
 
     #[test]

@@ -59,25 +59,30 @@ impl EdgeSet {
         self.targets.len()
     }
 
+    /// The index range of global source `v`'s edges in this tile's edge
+    /// arrays (empty if `v` is outside the row range) — for callers that
+    /// keep per-edge data aligned with the tile, like the shard's slot
+    /// table.
+    #[inline]
+    pub fn row_span(&self, v: VertexId) -> std::ops::Range<usize> {
+        if !self.row_range.contains(v) {
+            return 0..0;
+        }
+        let r = self.row_range.to_local(v) as usize;
+        self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize
+    }
+
     /// Out-neighbours of global source `v` that land in this tile's
     /// column range. Empty if `v` is outside the row range.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        if !self.row_range.contains(v) {
-            return &[];
-        }
-        let r = self.row_range.to_local(v) as usize;
-        &self.targets[self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize]
+        &self.targets[self.row_span(v)]
     }
 
     /// Weights aligned with [`EdgeSet::neighbors`].
     #[inline]
     pub fn neighbor_weights(&self, v: VertexId) -> &[Weight] {
-        if !self.row_range.contains(v) {
-            return &[];
-        }
-        let r = self.row_range.to_local(v) as usize;
-        &self.weights[self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize]
+        &self.weights[self.row_span(v)]
     }
 
     /// Iterates `(local_row, neighbors, weights)` for non-empty rows.

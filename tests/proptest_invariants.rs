@@ -4,11 +4,13 @@
 use cgraph::core::FaultInjection;
 use cgraph::prelude::*;
 use cgraph_comm::PersistentCluster;
+use cgraph_core::bitfrontier::BitFrontier;
+use cgraph_core::shard::build_shards;
 use cgraph_core::RangePartition;
 use cgraph_graph::types::VertexRange;
-use cgraph_graph::{Bitmap, ConsolidationPolicy, EdgeSetGraph};
+use cgraph_graph::{Bitmap, ConsolidationPolicy, DeltaOverlay, EdgeSetGraph, LaneMask};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -365,6 +367,75 @@ proptest! {
                     "recovered visited diverges at wide lane {}", wl);
                 prop_assert_eq!(lane_levels(&wide, wl), lane_levels(&narrow, lane),
                     "recovered level profile diverges at wide lane {}", wl);
+            }
+        }
+    }
+
+    #[test]
+    fn scan_emits_each_remote_destination_once_in_order(
+        (n, pairs) in graph_strategy(90, 300),
+        p_pick in 0usize..3,
+        wide in 0usize..2,
+        seeds in prop::collection::vec((0u64..90, 0usize..512), 1..40),
+        updates in prop::collection::vec((0u64..3, 0u64..90, 0u64..90), 0..30),
+    ) {
+        // The scan's emission contract, against a reference built from
+        // `Shard::out_neighbors_weighted` + `DeltaOverlay::merge_row`
+        // (what a fold would materialise): every remote destination
+        // of a live frontier row comes out exactly once, with its lanes
+        // ORed, in ascending vertex order — base edges to boundary
+        // slots, overlay inserts to boundary slots, and overlay inserts
+        // to remote vertices no base edge reaches (the spill) alike.
+        // Three supersteps per shard: a boundary row left non-zero by
+        // one scan would leak into the next one's emission (and trips
+        // `advance`'s debug assertion).
+        let p = [1usize, 2, 4][p_pick];
+        let lanes = [64usize, 512][wide];
+        let edges = build_list(n, &pairs);
+        let part = RangePartition::from_edges(n, edges.edges(), p);
+        let shards = build_shards(&part, edges.edges(), ConsolidationPolicy::grid(32), false);
+        let mut deltas = vec![DeltaOverlay::new(); p];
+        for &(kind, a, b) in &updates {
+            // kind 0 deletes a base edge (when there is one to pick),
+            // anything else inserts an arbitrary pair.
+            let u = if kind == 0 && !edges.is_empty() {
+                let e = edges.edges()[(a * 90 + b) as usize % edges.len()];
+                EdgeUpdate::delete(e.src, e.dst)
+            } else {
+                EdgeUpdate::insert(a % n, b % n)
+            };
+            deltas[part.owner(u.src())].apply(&u);
+        }
+        for (shard, delta) in shards.iter().zip(&deltas) {
+            let delta = (!delta.is_empty()).then_some(delta);
+            let mut bf = BitFrontier::new(shard, lanes);
+            for &(v, lane) in &seeds {
+                if shard.is_local(v % n) {
+                    bf.seed(v % n, lane % lanes);
+                }
+            }
+            for _ in 0..3 {
+                let mut expect: BTreeMap<u64, LaneMask> = BTreeMap::new();
+                for v in shard.local_range().iter() {
+                    let mask = bf.frontier_mask(v);
+                    if mask.is_zero() {
+                        continue;
+                    }
+                    // The effective adjacency, by the fold primitive.
+                    let base = shard.out_neighbors_weighted(v);
+                    let merged = delta.map_or(base.clone(), |d| d.merge_row(v, &base));
+                    for (t, _) in merged.into_iter().filter(|e| !shard.is_local(e.0)) {
+                        expect
+                            .entry(t)
+                            .or_insert_with(|| LaneMask::zero(bf.width()))
+                            .or_assign(&mask);
+                    }
+                }
+                let mut emitted = Vec::new();
+                bf.scan(shard, delta, |t, w| emitted.push((t, *w)));
+                prop_assert_eq!(emitted, expect.into_iter().collect::<Vec<_>>(),
+                    "shard {} of {}", shard.id(), p);
+                bf.advance();
             }
         }
     }
