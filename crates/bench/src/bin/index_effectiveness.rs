@@ -11,24 +11,17 @@
 //! 1. **baseline** — every query runs as a packed batched traversal;
 //! 2. **indexed** — queries the current-epoch index can answer are
 //!    served from the distance sketches without traversing (zero
-//!    scans), and the residual traversal batches carry a
-//!    [`PrunePlan`](cgraph_core::PrunePlan) that suppresses provably
-//!    no-op frontier deliveries.
+//!    scans); the rest run as the same packed batches.
 //!
 //! Answers must be **bit-identical** between the two runs — the index
-//! may only change *whether* a traversal executes and *what the wire
-//! carries*, never a `visited` count or a per-level profile. Note the
-//! scans/query win comes entirely from index-only answers: a sound
-//! prune suppresses deliveries that could not have set a frontier
-//! bit, so the pruned batches scan exactly the rows the unpruned
-//! ones would (see INDEXING.md §4); pruning pays off in suppressed
-//! wire traffic and absorb work, reported separately.
+//! may only change *whether* a traversal executes, never a `visited`
+//! count or a per-level profile.
 //!
 //! Reported per dataset: index build wall / sources / resident bytes,
-//! index-only answer rate, queries/s and scans per query for both
-//! runs, and the suppressed-delivery counts. Shape checks assert the
-//! ISSUE-8 acceptance bar: bit-identical answers and ≥ 2× queries/s
-//! and ≥ 2× scan reduction on the hot-source stream.
+//! index-only answer rate, and queries/s and scans per query for both
+//! runs. Shape checks assert the ISSUE-8 acceptance bar: bit-identical
+//! answers and ≥ 2× queries/s and ≥ 2× scan reduction on the
+//! hot-source stream.
 
 use cgraph_bench::*;
 use cgraph_core::{DistributedEngine, EngineConfig, IndexConfig, ReachIndex};
@@ -62,8 +55,6 @@ struct RunStats {
     wall: Duration,
     scans: u64,
     index_only: u64,
-    pruned_sends: u64,
-    pruned_partitions: u64,
     answers: Vec<Answer>,
 }
 
@@ -80,18 +71,11 @@ fn run_baseline(engine: &DistributedEngine, stream: &[VertexId], k: u32, lanes: 
             answers.push(lane_answer(&br, lane));
         }
     }
-    RunStats {
-        wall: t0.elapsed(),
-        scans,
-        index_only: 0,
-        pruned_sends: 0,
-        pruned_partitions: 0,
-        answers,
-    }
+    RunStats { wall: t0.elapsed(), scans, index_only: 0, answers }
 }
 
 /// Indexed: sketch-answerable queries skip the engine entirely; the
-/// rest run as pruned batches.
+/// rest run as packed batches.
 fn run_indexed(
     engine: &DistributedEngine,
     index: &dyn ReachIndex,
@@ -103,8 +87,6 @@ fn run_indexed(
     let mut pending: Vec<usize> = Vec::new();
     let mut scans = 0u64;
     let mut index_only = 0u64;
-    let mut pruned_sends = 0u64;
-    let mut pruned_partitions = 0u64;
     let t0 = Instant::now();
     for (qid, &src) in stream.iter().enumerate() {
         match index.answer(src, k) {
@@ -118,12 +100,8 @@ fn run_indexed(
     for chunk in pending.chunks(lanes) {
         let sources: Vec<VertexId> = chunk.iter().map(|&qid| stream[qid]).collect();
         let ks = vec![k; chunk.len()];
-        let plan = index.prune_plan(&sources);
-        let br =
-            engine.run_traversal_batch_pruned(&sources, &ks, plan.as_ref()).expect("pruned batch");
+        let br = engine.run_traversal_batch(&sources, &ks).expect("residual batch");
         scans += br.scans;
-        pruned_sends += br.pruned_sends;
-        pruned_partitions += br.pruned_partitions;
         for (lane, &qid) in chunk.iter().enumerate() {
             answers[qid] = Some(lane_answer(&br, lane));
         }
@@ -132,8 +110,6 @@ fn run_indexed(
         wall: t0.elapsed(),
         scans,
         index_only,
-        pruned_sends,
-        pruned_partitions,
         answers: answers.into_iter().map(|a| a.expect("every query answered")).collect(),
     }
 }
@@ -152,7 +128,7 @@ fn main() {
     banner(
         "Index effectiveness: boundary reachability index on hot-source Zipf streams",
         "serving extension (not a paper figure): index tier of ISSUE 8",
-        "same seeded Zipf stream, batched traversals vs sketch answers + pruned batches",
+        "same seeded Zipf stream, batched traversals vs sketch answers + residual batches",
     );
 
     let mut rows = Vec::new();
@@ -171,9 +147,8 @@ fn main() {
             .expect("index build");
         let build_wall = t0.elapsed();
         eprintln!(
-            "[index] {name}: {} sources, {} labels, {} B in {}",
+            "[index] {name}: {} sources, {} B in {}",
             tier.num_sources(),
-            tier.label_entries(),
             tier.size_bytes(),
             fmt_dur(build_wall)
         );
@@ -220,7 +195,6 @@ fn main() {
             format!("{base_spq:.0}"),
             format!("{fast_spq:.0}"),
             format!("{scan_cut:.2}x"),
-            fast.pruned_sends.to_string(),
             if agree { "yes".into() } else { "NO".into() },
         ]);
         csv_rows.push(vec![
@@ -234,17 +208,14 @@ fn main() {
             format!("{speedup:.3}"),
             format!("{base_spq:.1}"),
             format!("{fast_spq:.1}"),
-            fast.pruned_sends.to_string(),
-            fast.pruned_partitions.to_string(),
             agree.to_string(),
         ]);
         md_rows.push(format!(
             "| {name} | {} | {} | {:.1}% | {base_qps:.0} | {fast_qps:.0} | {speedup:.2}× | \
-             {base_spq:.0} | {fast_spq:.0} | {} | {} |",
+             {base_spq:.0} | {fast_spq:.0} | {} |",
             fmt_dur(build_wall),
             tier.num_sources(),
             100.0 * rate,
-            fast.pruned_sends,
             if agree { "yes" } else { "NO" },
         ));
     }
@@ -262,7 +233,6 @@ fn main() {
             "scans/q",
             "scans/q ix",
             "scan cut",
-            "pruned",
             "identical",
         ],
         &rows,
@@ -292,8 +262,6 @@ fn main() {
             "speedup",
             "base_scans_per_q",
             "index_scans_per_q",
-            "pruned_sends",
-            "pruned_partitions",
             "identical",
         ],
         &csv_rows,

@@ -390,9 +390,8 @@ fn print_service_stats(service: &ServiceGroup) {
          updates_deleted={} epoch_commits={} epoch_folds={} pending_updates={} \
          delta_entries={} delta_bytes={} wal_records={} wal_bytes={} snapshots={} \
          snapshot_bytes={} wal_replayed={} snapshots_corrupt={} durable_recoveries={} \
-         last_snapshot_epoch={} index_builds={} index_only={} index_pruned_sends={} \
-         index_pruned_partitions={} index_sources={} index_bytes={} replicas={} \
-         router_locality={} router_heat={} router_balance={}",
+         last_snapshot_epoch={} index_builds={} index_only={} index_sources={} \
+         index_bytes={} replicas={} router_locality={} router_heat={} router_balance={}",
         s.queries_completed,
         s.queries_failed,
         s.queries_deadline_exceeded,
@@ -427,8 +426,6 @@ fn print_service_stats(service: &ServiceGroup) {
         s.last_snapshot_epoch,
         s.index_builds,
         s.index_only_answers,
-        s.index_pruned_sends,
-        s.index_pruned_partitions,
         s.index_sources,
         s.index_bytes,
         service.replicas(),
@@ -476,14 +473,8 @@ fn print_service_stats(service: &ServiceGroup) {
     }
     if s.index_builds > 0 {
         println!(
-            "index tier: {} builds, {} sources ({} B) resident; {} queries answered \
-             index-only, {} deliveries / {} partition rounds pruned",
-            s.index_builds,
-            s.index_sources,
-            s.index_bytes,
-            s.index_only_answers,
-            s.index_pruned_sends,
-            s.index_pruned_partitions,
+            "index tier: {} builds, {} sources ({} B) resident; {} queries answered index-only",
+            s.index_builds, s.index_sources, s.index_bytes, s.index_only_answers,
         );
     }
     if s.updates_applied + s.epoch_commits + s.pending_updates > 0 {

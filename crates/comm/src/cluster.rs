@@ -289,14 +289,6 @@ impl<M: WireSize> CommHandle<M> {
         self.obs.as_ref()
     }
 
-    /// Accounts traffic this machine *proved unnecessary and never
-    /// sent* (e.g. frontier deliveries the reachability index showed
-    /// to be state no-ops). Shows up in the job's [`TrafficReport`]
-    /// so effectiveness benches can report saved messages and bytes.
-    pub fn note_suppressed(&self, msgs: u64, bytes: u64) {
-        self.stats.record_suppressed(msgs, bytes);
-    }
-
     /// This machine's traffic counters.
     pub fn stats(&self) -> &NetStats {
         &self.stats
@@ -327,10 +319,6 @@ impl<M> Drop for CommHandle<M> {
 pub struct TrafficReport {
     /// Per-machine (msgs_sent, bytes_sent, sim_net_ns).
     pub per_machine: Vec<(u64, u64, u64)>,
-    /// Per-machine (suppressed_msgs, suppressed_bytes): traffic a
-    /// layer above proved unnecessary and never put on the wire (see
-    /// [`CommHandle::note_suppressed`]).
-    pub suppressed_per_machine: Vec<(u64, u64)>,
 }
 
 impl TrafficReport {
@@ -339,10 +327,6 @@ impl TrafficReport {
             per_machine: stats
                 .iter()
                 .map(|st| (st.msgs_sent(), st.bytes_sent(), st.sim_net_ns()))
-                .collect(),
-            suppressed_per_machine: stats
-                .iter()
-                .map(|st| (st.suppressed_msgs(), st.suppressed_bytes()))
                 .collect(),
         }
     }
@@ -360,16 +344,6 @@ impl TrafficReport {
     /// Max simulated network time across machines (the straggler).
     pub fn max_sim_net_ns(&self) -> u64 {
         self.per_machine.iter().map(|m| m.2).max().unwrap_or(0)
-    }
-
-    /// Total messages suppressed (proven unnecessary, never sent).
-    pub fn total_suppressed_msgs(&self) -> u64 {
-        self.suppressed_per_machine.iter().map(|m| m.0).sum()
-    }
-
-    /// Total payload bytes of suppressed messages.
-    pub fn total_suppressed_bytes(&self) -> u64 {
-        self.suppressed_per_machine.iter().map(|m| m.1).sum()
     }
 }
 

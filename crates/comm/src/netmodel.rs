@@ -58,8 +58,6 @@ pub struct NetStats {
     msgs_sent: AtomicU64,
     bytes_sent: AtomicU64,
     sim_net_ns: AtomicU64,
-    suppressed_msgs: AtomicU64,
-    suppressed_bytes: AtomicU64,
 }
 
 impl NetStats {
@@ -97,33 +95,11 @@ impl NetStats {
         self.sim_net_ns.load(Ordering::Relaxed)
     }
 
-    /// Records traffic a layer above *chose not to send* (e.g. the
-    /// reachability index proving a frontier delivery a no-op). The
-    /// `bytes` are what the payload would have cost on the wire, so
-    /// effectiveness reports can state saved volume, not just counts.
-    /// Suppressed traffic is never billed simulated network time.
-    pub fn record_suppressed(&self, msgs: u64, bytes: u64) {
-        self.suppressed_msgs.fetch_add(msgs, Ordering::Relaxed);
-        self.suppressed_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Messages suppressed (proven unnecessary, never sent) so far.
-    pub fn suppressed_msgs(&self) -> u64 {
-        self.suppressed_msgs.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes of suppressed messages so far.
-    pub fn suppressed_bytes(&self) -> u64 {
-        self.suppressed_bytes.load(Ordering::Relaxed)
-    }
-
     /// Zeroes all counters (between experiment repetitions).
     pub fn reset(&self) {
         self.msgs_sent.store(0, Ordering::Relaxed);
         self.bytes_sent.store(0, Ordering::Relaxed);
         self.sim_net_ns.store(0, Ordering::Relaxed);
-        self.suppressed_msgs.store(0, Ordering::Relaxed);
-        self.suppressed_bytes.store(0, Ordering::Relaxed);
     }
 }
 

@@ -19,10 +19,9 @@
 //! shared immutably, all mutable state is thread-local, and traffic is
 //! exchanged through the inbox/outbox fabric of Fig. 4/5.
 
-use crate::bitfrontier::BitFrontier;
+use crate::bitfrontier::{AdvanceResult, BitFrontier};
 use crate::config::{EngineConfig, UpdateMode};
 use crate::gas::Gas;
-use crate::index_api::PrunePlan;
 use crate::partition::RangePartition;
 use crate::pcm::{PartitionCtx, PartitionProgram};
 use crate::recovery::{PartitionSnapshot, RecoveryConfig, RecoveryReport, RecoveryStore};
@@ -30,7 +29,9 @@ use crate::shard::{build_shards, Shard};
 use crate::traverse::{QueueTraversal, ValueMode};
 use cgraph_comm::chaos::{ChaosRun, FaultPlan};
 use cgraph_comm::cluster::TrafficReport;
-use cgraph_comm::{Cluster, ClusterError, CommHandle, MachineObs, PersistentCluster, WireSize};
+use cgraph_comm::{
+    BarrierPoisoned, Cluster, ClusterError, CommHandle, MachineObs, PersistentCluster, WireSize,
+};
 use cgraph_graph::delta::{DeltaOverlay, EdgeUpdate};
 use cgraph_graph::{Edge, EdgeList, LaneMask, LaneWidth, VertexId, MAX_LANES};
 use cgraph_obs::{log2_edges, Counter, Histogram, TraceCtx, Tracer, COORD};
@@ -102,8 +103,9 @@ pub enum EngineError {
     /// The cluster failed mid-batch (machine death, poisoned barrier).
     Cluster(ClusterError),
     /// A configuration knob is degenerate (e.g. a zero checkpoint
-    /// interval) — rejected up front instead of panicking or spinning
-    /// deep inside a machine thread.
+    /// interval, or a cluster whose width differs from the engine's
+    /// machine count) — rejected up front instead of panicking or
+    /// spinning deep inside a machine thread.
     InvalidConfig(String),
 }
 
@@ -174,13 +176,6 @@ pub struct BatchResult {
     pub per_machine_busy: Vec<Duration>,
     /// Cross-machine traffic.
     pub traffic: TrafficReport,
-    /// Frontier entries (one `(vertex, lane-mask)` delivery each) the
-    /// reachability index proved to be state no-ops and suppressed.
-    /// Zero when the batch ran without a [`PrunePlan`].
-    pub pruned_sends: u64,
-    /// `(superstep, partition)` frontier messages suppressed entirely
-    /// — the skipped partition received nothing that superstep.
-    pub pruned_partitions: u64,
 }
 
 impl BatchResult {
@@ -193,24 +188,6 @@ impl BatchResult {
         let busy = self.per_machine_busy.iter().copied().max().unwrap_or_default();
         busy + Duration::from_nanos(self.traffic.max_sim_net_ns())
     }
-}
-
-/// Result of a probed traversal batch
-/// ([`DistributedEngine::run_traversal_batch_probed`]) — the raw
-/// observations reachability-index construction consumes.
-#[derive(Clone, Debug)]
-pub struct ProbedBatch {
-    /// The ordinary batch result.
-    pub result: BatchResult,
-    /// `(probe index, lane, level)` triples: probe `p` was first
-    /// reached by lane `l` at BFS level `d`. Seeds report level 0; a
-    /// probe a lane never reaches simply has no triple.
-    pub probe_levels: Vec<(u32, u32, u32)>,
-    /// `partition_gains[m][h][lane]` = vertices of partition `m`
-    /// first reached at level `h + 1` by `lane` (the per-machine rows
-    /// [`BatchResult::per_level`] is stitched from; level 0 is the
-    /// seed, owned by the source's partition).
-    pub partition_gains: Vec<Vec<Vec<u64>>>,
 }
 
 /// Result of one queue-based query.
@@ -394,21 +371,6 @@ struct MachineOut {
     supersteps: u32,
     scans: u64,
     busy: Duration,
-    /// `(probe index, lane, level)` first-visit observations for the
-    /// probe vertices local to this machine (index construction).
-    probe_levels: Vec<(u32, u32, u32)>,
-    /// Frontier entries suppressed by the batch's [`PrunePlan`].
-    pruned_sends: u64,
-    /// `(superstep, partition)` messages suppressed entirely.
-    pruned_partitions: u64,
-}
-
-/// Scan work and pruning tallies one machine accumulates over a batch.
-#[derive(Default)]
-struct ScanTally {
-    scans: u64,
-    pruned_sends: u64,
-    pruned_partitions: u64,
 }
 
 /// The batch's per-hop budget masks — lanes with hop budget left for
@@ -449,24 +411,129 @@ impl BudgetMasks {
     }
 }
 
-/// Per-lane counts of visited local vertices at the end of a batch:
-/// the lane's source when this shard owns it, plus every discovery the
-/// per-level counts recorded — derived, so the batch does not end with
-/// a bit-count over the whole visited matrix.
-fn visited_local(
-    shard: &Shard,
-    sources: &[VertexId],
-    per_level_local: &[Vec<u64>],
-    bf: &BitFrontier,
-) -> Vec<u64> {
-    let mut visited: Vec<u64> = sources.iter().map(|&s| u64::from(shard.is_local(s))).collect();
-    for level in per_level_local {
-        for (v, &c) in visited.iter_mut().zip(level) {
-            *v += c;
+/// One partition's share of a batch between supersteps: the bit state
+/// plus the bookkeeping a checkpoint captures, a resume restores and a
+/// confined replay rebuilds.
+struct PartitionRun<'e> {
+    shard: &'e Shard,
+    epoch: u64,
+    bf: BitFrontier,
+    /// Per-level discovery counts of the supersteps run so far.
+    per_level_local: Vec<Vec<u64>>,
+    lane_completion: Vec<Duration>,
+    /// Lanes already recorded complete.
+    completed: LaneMask,
+    /// Busy time carried in by the snapshot this run resumed from (so a
+    /// resumed attempt keeps the scaling-relevant busy metric additive).
+    busy_base: Duration,
+    t0: Instant,
+    cpu0: Duration,
+}
+
+impl<'e> PartitionRun<'e> {
+    /// Restores the partition from `resume`, or seeds the lanes whose
+    /// source it owns. Returns the run and the boundary it stands at.
+    fn start(
+        shard: &'e Shard,
+        epoch: u64,
+        sources: &[VertexId],
+        resume: Option<PartitionSnapshot>,
+    ) -> (Self, u32) {
+        let lanes = sources.len();
+        let mut run = Self {
+            shard,
+            epoch,
+            t0: Instant::now(),
+            cpu0: cgraph_comm::thread_cpu_time(),
+            bf: BitFrontier::new(shard, lanes),
+            per_level_local: Vec::new(),
+            lane_completion: vec![Duration::ZERO; lanes],
+            completed: LaneMask::zero(LaneWidth::for_lanes(lanes)),
+            busy_base: Duration::ZERO,
+        };
+        let Some(snap) = resume else {
+            for (lane, &src) in sources.iter().enumerate() {
+                if shard.is_local(src) {
+                    run.bf.seed(src, lane);
+                }
+            }
+            return (run, 0);
+        };
+        assert_eq!(snap.lanes, lanes, "snapshot lane count must match the batch");
+        assert_eq!(snap.epoch, epoch, "snapshot epoch must match the engine's graph epoch");
+        run.bf.restore_words(&snap.frontier, &snap.visited);
+        run.per_level_local = snap.per_level_local;
+        run.lane_completion = snap.lane_completion;
+        run.completed = snap.completed;
+        run.busy_base = snap.busy;
+        (run, snap.boundary)
+    }
+
+    /// CPU busy time up to now, across every attempt this run resumed.
+    fn busy(&self) -> Duration {
+        self.busy_base + (cgraph_comm::thread_cpu_time() - self.cpu0)
+    }
+
+    /// The partition's state at `boundary` (the caller knows whether
+    /// this superstep's advance has run).
+    fn snapshot(&self, boundary: u32) -> PartitionSnapshot {
+        let (frontier, visited) = self.bf.snapshot_words();
+        PartitionSnapshot {
+            boundary,
+            lanes: self.bf.lanes(),
+            epoch: self.epoch,
+            frontier,
+            visited,
+            per_level_local: self.per_level_local.clone(),
+            lane_completion: self.lane_completion.clone(),
+            completed: self.completed,
+            busy: self.busy(),
         }
     }
-    debug_assert_eq!(visited, bf.visited_per_lane()[..sources.len()]);
-    visited
+
+    /// Advances the bit state and records the level's per-lane
+    /// discoveries.
+    fn advance(&mut self) -> AdvanceResult {
+        let adv = self.bf.advance();
+        self.per_level_local.push(adv.new_per_lane[..self.bf.lanes()].to_vec());
+        adv
+    }
+
+    /// Stamps completion for the lanes that just left `live` — the
+    /// globally agreed set of lanes with frontier and hop budget left.
+    fn retire(&mut self, live: &LaneMask) {
+        let newly_done = LaneMask::all(self.bf.lanes()).and_not(live).and_not(&self.completed);
+        if !newly_done.is_zero() {
+            let now = self.t0.elapsed();
+            for lane in newly_done.iter_ones() {
+                self.lane_completion[lane] = now;
+            }
+            self.completed.or_assign(&newly_done);
+        }
+    }
+
+    /// The finished partition's output. Visited counts are derived —
+    /// the lane's source when this shard owns it, plus every discovery
+    /// the per-level counts recorded — so the batch does not end with a
+    /// bit-count over the whole visited matrix.
+    fn finish(self, sources: &[VertexId], scans: u64) -> MachineOut {
+        let mut visited_local: Vec<u64> =
+            sources.iter().map(|&s| u64::from(self.shard.is_local(s))).collect();
+        for level in &self.per_level_local {
+            for (v, &c) in visited_local.iter_mut().zip(level) {
+                *v += c;
+            }
+        }
+        debug_assert_eq!(visited_local, self.bf.visited_per_lane()[..sources.len()]);
+        MachineOut {
+            supersteps: self.per_level_local.len() as u32,
+            visited_local,
+            busy: self.busy(),
+            per_level_local: self.per_level_local,
+            lane_completion: self.lane_completion,
+            scans,
+        }
+    }
 }
 
 /// The C-Graph distributed engine.
@@ -770,111 +837,43 @@ impl DistributedEngine {
         sources: &[VertexId],
         ks: &[u32],
     ) -> Result<BatchResult, EngineError> {
-        self.run_traversal_batch_pruned(sources, ks, None)
-    }
-
-    /// [`DistributedEngine::run_traversal_batch`] under an optional
-    /// reachability-index [`PrunePlan`]: each superstep, frontier
-    /// deliveries the plan proves to be state no-ops are suppressed
-    /// before they reach the wire. Pruning never changes visited
-    /// state, so results are bit-identical to the unpruned run; the
-    /// savings show up in [`BatchResult::pruned_sends`],
-    /// [`BatchResult::pruned_partitions`], and the traffic report's
-    /// suppressed counters.
-    pub fn run_traversal_batch_pruned(
-        &self,
-        sources: &[VertexId],
-        ks: &[u32],
-        prune: Option<&PrunePlan>,
-    ) -> Result<BatchResult, EngineError> {
-        let lanes = self.check_batch(sources, ks)?;
+        let lanes = self.check_batch(None, sources, ks)?;
         let start = Instant::now();
-        let (outs, traffic) = self.cluster().run::<EngineMsg, MachineOut, _>(|h| {
-            self.batch_worker(sources, ks, None, prune, None, h)
-        });
+        let (outs, traffic) =
+            self.cluster().run::<EngineMsg, _, _>(|h| self.batch_worker(sources, ks, None, h));
         Ok(self.stitch_batch(outs, traffic, lanes, start.elapsed()))
     }
 
-    /// [`DistributedEngine::run_traversal_batch`] with per-superstep
-    /// probe observation — the index-construction entry point.
-    ///
-    /// `probes` lists vertices (typically partition boundary vertices)
-    /// whose first-visit levels the caller wants to learn: the worker
-    /// that owns each probe reads its frontier row right after every
-    /// advance, so the observations cost one row read per probe per
-    /// superstep and never perturb the traversal itself. Returns the
-    /// usual [`BatchResult`] plus a [`ProbedBatch`] carrying the probe
-    /// observations and the per-partition level gains.
-    pub fn run_traversal_batch_probed(
-        &self,
-        sources: &[VertexId],
-        ks: &[u32],
-        probes: &[VertexId],
-    ) -> Result<ProbedBatch, EngineError> {
-        let lanes = self.check_batch(sources, ks)?;
-        let start = Instant::now();
-        let (mut outs, traffic) = self.cluster().run::<EngineMsg, MachineOut, _>(|h| {
-            self.batch_worker(sources, ks, None, None, Some(probes), h)
-        });
-        let mut probe_levels = Vec::new();
-        for o in &mut outs {
-            probe_levels.append(&mut o.probe_levels);
-        }
-        let partition_gains = outs.iter().map(|o| o.per_level_local.clone()).collect();
-        let result = self.stitch_batch(outs, traffic, lanes, start.elapsed());
-        Ok(ProbedBatch { result, probe_levels, partition_gains })
-    }
-
     /// [`DistributedEngine::run_traversal_batch`] on a caller-provided
-    /// [`PersistentCluster`] instead of per-batch spawned threads —
-    /// the serving path: the streaming query service dispatches every
-    /// packed batch through the same long-lived machine threads.
+    /// [`PersistentCluster`] instead of per-batch spawned threads.
     ///
     /// Errors instead of panicking when a machine dies mid-batch, so a
-    /// service can fail the affected queries and keep serving.
+    /// caller can fail the affected queries and keep the cluster.
     pub fn run_traversal_batch_on(
         &self,
         cluster: &PersistentCluster,
         sources: &[VertexId],
         ks: &[u32],
     ) -> Result<BatchResult, EngineError> {
-        self.run_traversal_batch_on_hooked(cluster, sources, ks, None)
-    }
-
-    /// [`DistributedEngine::run_traversal_batch_on`] with an optional
-    /// per-machine hook invoked with the machine id at the start of
-    /// each machine's share of the batch. The hook is the
-    /// fault-injection seam: a hook that panics on a chosen machine
-    /// reproduces "a machine died mid-batch" end to end (the panic is
-    /// caught, the batch's barrier and detector are poisoned, and the
-    /// call returns [`ClusterError::MachinePanicked`] wrapped in
-    /// [`EngineError::Cluster`]).
-    pub fn run_traversal_batch_on_hooked(
-        &self,
-        cluster: &PersistentCluster,
-        sources: &[VertexId],
-        ks: &[u32],
-        hook: Option<&(dyn Fn(usize) + Sync)>,
-    ) -> Result<BatchResult, EngineError> {
-        let lanes = self.check_batch(sources, ks)?;
-        assert_eq!(
-            cluster.num_machines(),
-            self.config.num_machines,
-            "cluster width must match the engine's machine count"
-        );
+        let lanes = self.check_batch(Some(cluster), sources, ks)?;
         let start = Instant::now();
-        let (outs, traffic) = cluster.submit::<EngineMsg, MachineOut, _>(|h| {
-            self.batch_worker(sources, ks, hook, None, None, h)
-        })?;
+        let (outs, traffic) =
+            cluster.submit::<EngineMsg, _, _>(|h| self.batch_worker(sources, ks, None, h))?;
         Ok(self.stitch_batch(outs, traffic, lanes, start.elapsed()))
     }
 
-    /// Validates batch shape — lane count in `1..=MAX_LANES`, matching
-    /// hop budgets, every source inside the vertex range — and returns
-    /// the lane count. An out-of-range source would seed no shard while
-    /// the stitched result still counted it at level 0, so it is a hard
-    /// error here, before any machine thread runs.
-    fn check_batch(&self, sources: &[VertexId], ks: &[u32]) -> Result<usize, EngineError> {
+    /// Validates a batch before any machine thread runs — lane count in
+    /// `1..=MAX_LANES`, matching hop budgets, every source inside the
+    /// vertex range, and `cluster` (when the caller brings one) as wide
+    /// as the engine — and returns the lane count. An out-of-range
+    /// source would seed no shard while the stitched result still
+    /// counted it at level 0, so it is a hard error here.
+    fn check_batch(
+        &self,
+        cluster: Option<&PersistentCluster>,
+        sources: &[VertexId],
+        ks: &[u32],
+    ) -> Result<usize, EngineError> {
         let lanes = sources.len();
         if lanes == 0 || lanes > MAX_LANES {
             return Err(EngineError::BadLaneCount { lanes, max: MAX_LANES });
@@ -888,143 +887,131 @@ impl DistributedEngine {
                 return Err(EngineError::SourceOutOfRange { lane, source: src, num_vertices: n });
             }
         }
+        if let Some(c) = cluster.filter(|c| c.num_machines() != self.config.num_machines) {
+            return Err(EngineError::InvalidConfig(format!(
+                "cluster has {} machines but the engine is partitioned over {}",
+                c.num_machines(),
+                self.config.num_machines
+            )));
+        }
         Ok(lanes)
     }
 
-    /// One machine's share of a bit-frontier batch: seed local lanes,
-    /// then alternate shared edge-set scans with frontier exchange
-    /// until every lane is globally quiet or out of hop budget.
+    /// One machine's share of a bit-frontier batch — the one superstep
+    /// loop: resume or seed, then alternate shared edge-set scans with
+    /// frontier exchange until every lane is globally quiet or out of
+    /// hop budget.
     ///
-    /// `prune` suppresses provably no-op remote deliveries each
-    /// superstep (see [`PrunePlan`]); `probes` records per-lane
-    /// first-visit levels for the listed vertices.
+    /// With `recovery` — the attempt's [`RecoveryStore`] and the
+    /// checkpoint interval — the machine resumes from an installed
+    /// snapshot instead of seeding, commits a checkpoint at every
+    /// interval boundary, logs its outgoing frontier messages, records
+    /// the agreed live mask per boundary and, on a poisoned barrier (a
+    /// peer died), parks its boundary state in the store and returns
+    /// `None`, so healthy partitions survive a peer's crash with their
+    /// work intact. Without it a poisoned barrier panics like any
+    /// barrier wait, and the caller recovers by re-running the batch.
     fn batch_worker(
         &self,
         sources: &[VertexId],
         ks: &[u32],
-        hook: Option<&(dyn Fn(usize) + Sync)>,
-        prune: Option<&PrunePlan>,
-        probes: Option<&[VertexId]>,
+        recovery: Option<(&RecoveryStore, u32)>,
         h: CommHandle<EngineMsg>,
-    ) -> MachineOut {
-        if let Some(hook) = hook {
-            hook(h.id());
-        }
-        let prune = prune.filter(|p| !p.is_empty());
+    ) -> Option<MachineOut> {
+        let id = h.id();
         let wobs = self.worker_obs(&h);
         let lanes = sources.len();
         let width = LaneWidth::for_lanes(lanes);
         let all_lanes = LaneMask::all(lanes);
         let budget = BudgetMasks::new(ks);
-        {
-            let shard = &self.shards[h.id()];
-            let t0 = Instant::now();
-            let mut bf = BitFrontier::new(shard, lanes);
-            for (lane, &src) in sources.iter().enumerate() {
-                if shard.is_local(src) {
-                    bf.seed(src, lane);
+        let resume = recovery.and_then(|(store, _)| store.take_resume(id));
+        if let (Some(w), Some(snap)) = (&wobs, &resume) {
+            w.mo.tracer().instant("resume", w.mo.ctx_at(snap.boundary), 0);
+        }
+        let (mut run, mut hop) =
+            PartitionRun::start(&self.shards[id], self.graph_epoch, sources, resume);
+        // A peer died: park this partition's state at `boundary` for
+        // the recovery pass, or die with it when nothing will resume.
+        let park = |run: &PartitionRun, boundary: u32| -> Option<MachineOut> {
+            let Some((store, _)) = recovery else { panic!("{BarrierPoisoned}") };
+            if let Some(w) = &wobs {
+                w.mo.tracer().instant("save", w.mo.ctx_at(boundary), 0);
+            }
+            store.save(id, run.snapshot(boundary));
+            None
+        };
+        // Scan work of this attempt only (a resume does not re-count
+        // the scans its snapshot's supersteps already performed).
+        let mut scans = 0u64;
+        loop {
+            // Boundary `hop`: commit *before* the fault point so that
+            // a machine scripted to die at a commit boundary still
+            // leaves a uniform committed set behind. The drop-counter
+            // gate is uniform here: it is only mutated by sends, and
+            // no machine is past this superstep's sends yet.
+            if let Some((store, interval)) = recovery {
+                if hop > 0 && hop % interval == 0 && h.chaos_dropped() == 0 {
+                    let snap = run.snapshot(hop);
+                    if let Some(w) = &wobs {
+                        let bytes = ((snap.frontier.len() + snap.visited.len()) * 8) as u64;
+                        w.h.checkpoint_bytes.add(bytes);
+                        w.mo.tracer().instant("checkpoint_commit", w.mo.ctx_at(hop), bytes);
+                    }
+                    store.commit(id, snap);
                 }
             }
-            // Probe bookkeeping: the probes this machine owns, plus
-            // seed-level observations (a probe that *is* a source is
-            // first visited at level 0, before any advance runs).
-            let local_probes: Vec<(u32, VertexId)> = probes
-                .map(|ps| {
-                    ps.iter()
-                        .enumerate()
-                        .filter(|&(_, &v)| shard.is_local(v))
-                        .map(|(i, &v)| (i as u32, v))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let mut probe_levels: Vec<(u32, u32, u32)> = Vec::new();
-            for &(pi, v) in &local_probes {
-                for (lane, &src) in sources.iter().enumerate() {
-                    if src == v {
-                        probe_levels.push((pi, lane as u32, 0));
+            // Chaos seam: a plan can schedule this machine's death at
+            // superstep `hop`. Free without an armed plan.
+            h.fault_point(hop);
+            if let Some(w) = &wobs {
+                w.superstep_enter(hop);
+            }
+            run.bf.mask_frontier(budget.at(hop));
+            scans += self.scan_and_send(&mut run.bf, hop, recovery.map(|(store, _)| store), &h);
+            if h.try_barrier().is_err() {
+                // Frontier and visited words still hold boundary `hop`
+                // (advance has not run); only `next` holds partial
+                // scan results, which a resume re-derives.
+                run.bf.clear_next();
+                return park(&run, hop);
+            }
+            for env in h.drain() {
+                if let EngineMsg::Frontier(batch) = env.payload {
+                    for (v, w) in batch {
+                        run.bf.absorb(v, &w);
                     }
                 }
             }
-            let mut per_level_local: Vec<Vec<u64>> = Vec::new();
-            let mut lane_completion = vec![Duration::ZERO; lanes];
-            let mut completed = LaneMask::zero(width); // lanes recorded complete
-            let cpu0 = cgraph_comm::thread_cpu_time();
-            let mut hop: u32 = 0;
-            let mut supersteps = 0u32;
-            let mut tally = ScanTally::default();
-            loop {
-                // Chaos seam: a plan can schedule this machine's death
-                // at superstep `hop`. Free without an armed plan.
-                h.fault_point(hop);
-                if let Some(w) = &wobs {
-                    w.superstep_enter(hop);
-                }
-                bf.mask_frontier(budget.at(hop));
-                self.scan_and_send(&mut bf, hop, prune, None, &h, &mut tally);
-                h.barrier();
-                for env in h.drain() {
-                    if let EngineMsg::Frontier(batch) = env.payload {
-                        for (v, w) in batch {
-                            bf.absorb(v, &w);
-                        }
-                    }
-                }
-                let adv = bf.advance();
-                per_level_local.push(adv.new_per_lane[..lanes].to_vec());
-                // The post-advance frontier is exactly the set of
-                // (vertex, lane) first visits at level `hop + 1` —
-                // read the probes' rows before the level counter moves.
-                for &(pi, v) in &local_probes {
-                    let m = bf.frontier_mask(v);
-                    for lane in m.iter_ones() {
-                        if lane < lanes {
-                            probe_levels.push((pi, lane as u32, hop + 1));
-                        }
-                    }
-                }
-                if let Some(w) = &wobs {
-                    w.superstep_exit(hop, adv.new_per_lane[..lanes].iter().sum());
-                }
-                supersteps += 1;
-                hop += 1;
-
-                let global_active = LaneMask::from_words(
-                    &h.barrier_reduce_words(adv.active_lanes.raw())[..width.words()],
-                );
-                // Next expansion only serves lanes with hop budget left.
-                let live = global_active.and(budget.at(hop)).and(&all_lanes);
-                // Record completion for lanes that just went quiet.
-                let newly_done = all_lanes.and_not(&live).and_not(&completed);
-                if !newly_done.is_zero() {
-                    let now = t0.elapsed();
-                    for lane in newly_done.iter_ones() {
-                        lane_completion[lane] = now;
-                    }
-                    completed.or_assign(&newly_done);
-                }
-                if live.is_zero() {
-                    break;
-                }
+            let adv = run.advance();
+            if let Some(w) = &wobs {
+                w.superstep_exit(hop, adv.new_per_lane[..lanes].iter().sum());
             }
-            MachineOut {
-                visited_local: visited_local(shard, sources, &per_level_local, &bf),
-                per_level_local,
-                lane_completion,
-                supersteps,
-                scans: tally.scans,
-                busy: cgraph_comm::thread_cpu_time() - cpu0,
-                probe_levels,
-                pruned_sends: tally.pruned_sends,
-                pruned_partitions: tally.pruned_partitions,
+            let Ok(active) = h.try_barrier_reduce_words(adv.active_lanes.raw()) else {
+                // Advance already ran: this is boundary `hop + 1`.
+                return park(&run, hop + 1);
+            };
+            hop += 1;
+            // Next expansion only serves lanes with hop budget left.
+            let live =
+                LaneMask::from_words(&active[..width.words()]).and(budget.at(hop)).and(&all_lanes);
+            // All machines record the identical post-reduce mask, so a
+            // later replay can reconstruct completion bookkeeping.
+            if let Some((store, _)) = recovery {
+                store.record_live(hop, live);
+            }
+            run.retire(&live);
+            if live.is_zero() {
+                break;
             }
         }
+        Some(run.finish(sources, scans))
     }
 
     /// Superstep `hop`'s scan and frontier exchange on machine `h.id()`:
     /// scans the shard, buckets the emitted remote destinations per
-    /// owner, drops what `prune` proves to be state no-ops, and sends
-    /// one `Frontier` message per non-empty owner — logging it to `log`
-    /// first on the recoverable path.
+    /// owner, and sends one `Frontier` message per non-empty owner —
+    /// logging it to `log` first on the recoverable path. Returns the
+    /// edge-set rows scanned.
     ///
     /// [`BitFrontier::scan`] emits each remote destination once,
     /// coalesced, in ascending vertex order, so bucketing is a push and
@@ -1033,66 +1020,48 @@ impl DistributedEngine {
         &self,
         bf: &mut BitFrontier,
         hop: u32,
-        prune: Option<&PrunePlan>,
         log: Option<&RecoveryStore>,
         h: &CommHandle<EngineMsg>,
-        tally: &mut ScanTally,
-    ) {
+    ) -> u64 {
         let id = h.id();
-        let width = bf.width();
         let ranges = self.partition.ranges();
         let mut outbox: Vec<Vec<(u64, LaneMask)>> = vec![Vec::new(); ranges.len()];
         let mut owner = 0;
-        tally.scans += bf.scan(&self.shards[id], self.delta(id), |t, w| {
+        let scans = bf.scan(&self.shards[id], self.delta(id), |t, w| {
             while ranges[owner].end <= t {
                 owner += 1;
             }
             outbox[owner].push((t, *w));
         });
-        // Deliveries emitted during the scan of `hop` land at BFS level
-        // `hop + 1`: mask each partition's buffer against the plan's
-        // keep set for that level.
-        let keep_masks = prune.map(|p| p.keep_masks(hop + 1, width));
-        for (m, mut batch) in outbox.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            if let Some(keep) = &keep_masks {
-                let before = batch.len();
-                batch.retain_mut(|(_, w)| {
-                    *w = w.and(&keep[m]);
-                    !w.is_zero()
-                });
-                let dropped = (before - batch.len()) as u64;
-                if dropped > 0 {
-                    tally.pruned_sends += dropped;
-                    tally.pruned_partitions += u64::from(batch.is_empty());
-                    let bytes = dropped * (8 + 8 * width.words() as u64);
-                    h.note_suppressed(u64::from(batch.is_empty()), bytes);
-                }
-            }
+        for (m, batch) in outbox.into_iter().enumerate() {
             if !batch.is_empty() {
-                // Prune *before* logging so a replay re-absorbs exactly
-                // what the original execution delivered (suppressed
-                // deliveries were state no-ops and are never
-                // re-created), and log before sending: the log must
-                // cover anything a replay could need to re-deliver.
+                // Log before sending: the log must cover anything a
+                // replay could need to re-deliver.
                 if let Some(store) = log {
                     store.log_merge(id, hop, m, &batch);
                 }
                 h.send(m, EngineMsg::Frontier(batch));
             }
         }
+        scans
     }
 
     /// Merges per-machine batch outputs into the global [`BatchResult`].
+    ///
+    /// The worker loop only breaks on a global `live == 0` agreed at a
+    /// completed barrier, so on an `Ok` submission every machine ran to
+    /// completion and reported `Some`.
     fn stitch_batch(
         &self,
-        outs: Vec<MachineOut>,
+        outs: Vec<Option<MachineOut>>,
         traffic: TrafficReport,
         lanes: usize,
         exec_time: Duration,
     ) -> BatchResult {
+        let outs: Vec<MachineOut> = outs
+            .into_iter()
+            .map(|o| o.expect("machine parked its state on an Ok submission"))
+            .collect();
         // Stitch machine-local counts into global per-level/per-lane.
         // Supersteps are merged as a max across machines (a replayed or
         // degraded partition may report fewer locally), never taken
@@ -1135,8 +1104,6 @@ impl DistributedEngine {
             exec_time,
             per_machine_busy: outs.iter().map(|o| o.busy).collect(),
             traffic,
-            pruned_sends: outs.iter().map(|o| o.pruned_sends).sum(),
-            pruned_partitions: outs.iter().map(|o| o.pruned_partitions).sum(),
         }
     }
 
@@ -1159,14 +1126,16 @@ impl DistributedEngine {
     /// to a global rollback onto the committed checkpoint set, or a
     /// fresh restart when there is none.
     ///
-    /// **Async mode** has no barriers to checkpoint at and falls back
-    /// to whole-batch re-execution on every recoverable failure.
+    /// **Async mode** runs the same loop without a recovery store — no
+    /// checkpoints, no logs — and recovers every recoverable failure
+    /// by whole-batch re-execution.
     ///
     /// Returns the batch result plus a [`RecoveryReport`] of what
     /// recovery did. Fails with the last cluster error (wrapped in
     /// [`EngineError::Cluster`]) once `recovery.max_recoveries` is
     /// exhausted, immediately for non-recoverable errors, and with a
-    /// shape error — before running anything — for invalid batches.
+    /// shape or configuration error — before running anything — for
+    /// invalid batches.
     pub fn run_traversal_batch_recoverable(
         &self,
         cluster: &PersistentCluster,
@@ -1175,27 +1144,7 @@ impl DistributedEngine {
         recovery: &RecoveryConfig,
         fault: Option<FaultInjection<'_>>,
     ) -> Result<(BatchResult, RecoveryReport), EngineError> {
-        self.run_traversal_batch_recoverable_pruned(cluster, sources, ks, recovery, fault, None)
-    }
-
-    /// [`DistributedEngine::run_traversal_batch_recoverable`] under an
-    /// optional reachability-index [`PrunePlan`]. Pruning composes
-    /// with recovery because suppressed deliveries are dropped
-    /// *before* the message log records them: a replayed partition
-    /// re-absorbs exactly what the original execution delivered, and
-    /// since pruned deliveries were state no-ops, visited state — and
-    /// therefore every checkpoint and answer — is bit-identical to the
-    /// unpruned run.
-    pub fn run_traversal_batch_recoverable_pruned(
-        &self,
-        cluster: &PersistentCluster,
-        sources: &[VertexId],
-        ks: &[u32],
-        recovery: &RecoveryConfig,
-        fault: Option<FaultInjection<'_>>,
-        prune: Option<&PrunePlan>,
-    ) -> Result<(BatchResult, RecoveryReport), EngineError> {
-        let lanes = self.check_batch(sources, ks)?;
+        let lanes = self.check_batch(Some(cluster), sources, ks)?;
         if recovery.checkpoint_interval == 0 {
             return Err(EngineError::InvalidConfig(
                 "recovery.checkpoint_interval must be > 0 \
@@ -1204,17 +1153,8 @@ impl DistributedEngine {
                     .into(),
             ));
         }
-        assert_eq!(
-            cluster.num_machines(),
-            self.config.num_machines,
-            "cluster width must match the engine's machine count"
-        );
-        let p = self.config.num_machines;
         let mut report = RecoveryReport::default();
         let start = Instant::now();
-        let chaos_for = |attempt: u32| {
-            fault.map(|fi| ChaosRun::new(fi.plan.clone(), fi.job, fi.first_attempt + attempt))
-        };
         // Trace coordinates for coordinator-side recovery events: the
         // injected job number when a plan is in force (so engine events
         // line up with service/comm events), else the cluster
@@ -1224,68 +1164,22 @@ impl DistributedEngine {
         let obs = cluster.obs();
         let eh = obs.as_ref().map(|o| self.engine_obs(o));
         let coord = obs.as_ref().map(|o| o.trace.tracer(COORD));
-        let ctx_for = |attempt: u32| TraceCtx { job, attempt, superstep: 0, machine: COORD };
 
-        if self.config.mode == UpdateMode::Async {
-            // No superstep barriers to checkpoint at: recover by
-            // re-executing the whole batch.
-            loop {
-                report.attempts += 1;
-                let chaos = chaos_for(report.attempts - 1);
-                let res = cluster
-                    .submit_with_chaos::<EngineMsg, MachineOut, _>(chaos.as_ref(), |h| {
-                        self.batch_worker(sources, ks, None, prune, None, h)
-                    });
-                match res {
-                    Ok((outs, traffic)) => {
-                        let result = self.stitch_batch(outs, traffic, lanes, start.elapsed());
-                        if let Some(eh) = &eh {
-                            eh.record_recovery(&report, &result);
-                        }
-                        return Ok((result, report));
-                    }
-                    Err(e) if e.is_recoverable() && report.recoveries < recovery.max_recoveries => {
-                        report.recoveries += 1;
-                        report.full_rollbacks += 1;
-                        if let Some(t) = &coord {
-                            let attempt = first_attempt + report.attempts - 1;
-                            t.instant("full_rollback", ctx_for(attempt), 0);
-                        }
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
-
-        let store = RecoveryStore::new(p);
+        let store = (self.config.mode == UpdateMode::Sync)
+            .then(|| RecoveryStore::new(self.config.num_machines));
+        let worker_recovery = store.as_ref().map(|s| (s, recovery.checkpoint_interval));
         loop {
+            let attempt = first_attempt + report.attempts;
             report.attempts += 1;
-            let chaos = chaos_for(report.attempts - 1);
-            let commits_before = store.commits();
-            let res = cluster.submit_with_chaos::<EngineMsg, Option<MachineOut>, _>(
-                chaos.as_ref(),
-                |h| {
-                    self.recoverable_worker(
-                        sources,
-                        ks,
-                        recovery.checkpoint_interval,
-                        &store,
-                        prune,
-                        h,
-                    )
-                },
-            );
-            report.checkpoints_taken += store.commits() - commits_before;
-            let dropped = chaos.as_ref().map_or(0, ChaosRun::dropped);
+            let chaos = fault.map(|fi| ChaosRun::new(fi.plan.clone(), fi.job, attempt));
+            let commits_before = store.as_ref().map_or(0, RecoveryStore::commits);
+            let res = cluster.submit_with_chaos::<EngineMsg, _, _>(chaos.as_ref(), |h| {
+                self.batch_worker(sources, ks, worker_recovery, h)
+            });
+            report.checkpoints_taken +=
+                store.as_ref().map_or(0, RecoveryStore::commits) - commits_before;
             match res {
                 Ok((outs, traffic)) => {
-                    // Lockstep exit: the loop only breaks on a global
-                    // live==0 agreed at a completed barrier, so on an
-                    // Ok submission every machine ran to completion.
-                    let outs: Vec<MachineOut> = outs
-                        .into_iter()
-                        .map(|o| o.expect("machine saved state on an Ok submission"))
-                        .collect();
                     let result = self.stitch_batch(outs, traffic, lanes, start.elapsed());
                     if let Some(eh) = &eh {
                         eh.record_recovery(&report, &result);
@@ -1294,9 +1188,20 @@ impl DistributedEngine {
                 }
                 Err(e) if e.is_recoverable() && report.recoveries < recovery.max_recoveries => {
                     report.recoveries += 1;
-                    let trace =
-                        coord.as_ref().map(|t| (t, ctx_for(first_attempt + report.attempts - 1)));
-                    self.plan_recovery(&e, dropped, &store, sources, ks, lanes, &mut report, trace);
+                    let ctx = TraceCtx { job, attempt, superstep: 0, machine: COORD };
+                    let trace = coord.as_ref().map(|t| (t, ctx));
+                    match &store {
+                        Some(store) => {
+                            let dropped = chaos.as_ref().map_or(0, ChaosRun::dropped);
+                            self.plan_recovery(&e, dropped, store, sources, ks, &mut report, trace);
+                        }
+                        None => {
+                            report.full_rollbacks += 1;
+                            if let Some((t, ctx)) = trace {
+                                t.instant("full_rollback", ctx, 0);
+                            }
+                        }
+                    }
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -1314,7 +1219,6 @@ impl DistributedEngine {
         store: &RecoveryStore,
         sources: &[VertexId],
         ks: &[u32],
-        lanes: usize,
         report: &mut RecoveryReport,
         trace: Option<(&Tracer, TraceCtx)>,
     ) {
@@ -1340,8 +1244,7 @@ impl DistributedEngine {
                 if base.is_some() {
                     report.checkpoints_restored += 1;
                 }
-                let (snap, replayed) =
-                    self.replay_partition(f, base, target, store, sources, ks, lanes);
+                let (snap, replayed) = self.replay_partition(f, base, target, store, sources, ks);
                 report.partitions_replayed += 1;
                 report.supersteps_replayed += replayed;
                 if let Some((t, ctx)) = trace {
@@ -1391,7 +1294,6 @@ impl DistributedEngine {
     /// of live peers. Remote emissions are discarded — the original
     /// execution already delivered them before the crash. Returns the
     /// reconstructed boundary snapshot and the supersteps replayed.
-    #[allow(clippy::too_many_arguments)]
     fn replay_partition(
         &self,
         f: usize,
@@ -1400,279 +1302,22 @@ impl DistributedEngine {
         store: &RecoveryStore,
         sources: &[VertexId],
         ks: &[u32],
-        lanes: usize,
     ) -> (PartitionSnapshot, u64) {
-        let width = LaneWidth::for_lanes(lanes);
-        let all_lanes = LaneMask::all(lanes);
-        let shard = &self.shards[f];
-        let mut bf = BitFrontier::new(shard, lanes);
-        let t0 = Instant::now();
-        let cpu0 = cgraph_comm::thread_cpu_time();
-        let (mut per_level_local, mut lane_completion, mut completed, from, busy) = match base {
-            Some(snap) => {
-                assert_eq!(snap.lanes, lanes, "checkpoint lane count must match the batch");
-                assert_eq!(
-                    snap.epoch, self.graph_epoch,
-                    "replay base checkpoint epoch must match the engine's graph epoch"
-                );
-                bf.restore_words(&snap.frontier, &snap.visited);
-                (
-                    snap.per_level_local,
-                    snap.lane_completion,
-                    snap.completed,
-                    snap.boundary,
-                    snap.busy,
-                )
-            }
-            None => {
-                for (lane, &src) in sources.iter().enumerate() {
-                    if shard.is_local(src) {
-                        bf.seed(src, lane);
-                    }
-                }
-                (
-                    Vec::new(),
-                    vec![Duration::ZERO; lanes],
-                    LaneMask::zero(width),
-                    0u32,
-                    Duration::ZERO,
-                )
-            }
-        };
+        let (mut run, from) = PartitionRun::start(&self.shards[f], self.graph_epoch, sources, base);
         let budget = BudgetMasks::new(ks);
         for hop in from..target {
-            bf.mask_frontier(budget.at(hop));
-            bf.scan(shard, self.delta(f), |_, _| {}); // peers already received these
+            run.bf.mask_frontier(budget.at(hop));
+            run.bf.scan(run.shard, self.delta(f), |_, _| {}); // peers already received these
             for (v, w) in store.logged_to(f, hop) {
-                bf.absorb(v, &w);
+                run.bf.absorb(v, &w);
             }
-            let adv = bf.advance();
-            per_level_local.push(adv.new_per_lane[..lanes].to_vec());
+            run.advance();
             let live = store
                 .live_at(hop + 1)
                 .expect("healthy machines recorded the live mask for every replayed boundary");
-            let newly_done = all_lanes.and_not(&live).and_not(&completed);
-            if !newly_done.is_zero() {
-                let now = t0.elapsed();
-                for lane in newly_done.iter_ones() {
-                    lane_completion[lane] = now;
-                }
-                completed.or_assign(&newly_done);
-            }
+            run.retire(&live);
         }
-        let replayed = u64::from(target - from);
-        let (frontier, visited) = bf.snapshot_words();
-        (
-            PartitionSnapshot {
-                boundary: target,
-                lanes,
-                epoch: self.graph_epoch,
-                frontier,
-                visited,
-                per_level_local,
-                lane_completion,
-                completed,
-                busy: busy + (cgraph_comm::thread_cpu_time() - cpu0),
-            },
-            replayed,
-        )
-    }
-
-    /// One machine's share of a *recoverable* bit-frontier batch: like
-    /// [`DistributedEngine::batch_worker`], but it resumes from the
-    /// recovery store instead of seeding when a resume snapshot is
-    /// installed, commits checkpoints at interval boundaries, logs
-    /// outgoing frontier messages, and — on a poisoned barrier (a peer
-    /// died) — saves its boundary state and returns `None` instead of
-    /// panicking, so healthy partitions survive a peer's crash with
-    /// their work intact.
-    fn recoverable_worker(
-        &self,
-        sources: &[VertexId],
-        ks: &[u32],
-        interval: u32,
-        store: &RecoveryStore,
-        prune: Option<&PrunePlan>,
-        h: CommHandle<EngineMsg>,
-    ) -> Option<MachineOut> {
-        let prune = prune.filter(|p| !p.is_empty());
-        let wobs = self.worker_obs(&h);
-        let lanes = sources.len();
-        let width = LaneWidth::for_lanes(lanes);
-        let all_lanes = LaneMask::all(lanes);
-        let budget = BudgetMasks::new(ks);
-        let shard = &self.shards[h.id()];
-        let t0 = Instant::now();
-        let cpu0 = cgraph_comm::thread_cpu_time();
-        let mut bf = BitFrontier::new(shard, lanes);
-        let (mut per_level_local, mut lane_completion, mut completed, mut hop, busy_base) =
-            match store.take_resume(h.id()) {
-                Some(snap) => {
-                    assert_eq!(snap.lanes, lanes, "resume lane count must match the batch");
-                    assert_eq!(
-                        snap.epoch, self.graph_epoch,
-                        "resume snapshot epoch must match the engine's graph epoch"
-                    );
-                    bf.restore_words(&snap.frontier, &snap.visited);
-                    if let Some(w) = &wobs {
-                        w.mo.tracer().instant("resume", w.mo.ctx_at(snap.boundary), 0);
-                    }
-                    (
-                        snap.per_level_local,
-                        snap.lane_completion,
-                        snap.completed,
-                        snap.boundary,
-                        snap.busy,
-                    )
-                }
-                None => {
-                    for (lane, &src) in sources.iter().enumerate() {
-                        if shard.is_local(src) {
-                            bf.seed(src, lane);
-                        }
-                    }
-                    (
-                        Vec::new(),
-                        vec![Duration::ZERO; lanes],
-                        LaneMask::zero(width),
-                        0u32,
-                        Duration::ZERO,
-                    )
-                }
-            };
-        let snapshot = |bf: &BitFrontier,
-                        boundary: u32,
-                        per_level_local: &Vec<Vec<u64>>,
-                        lane_completion: &Vec<Duration>,
-                        completed: LaneMask,
-                        busy: Duration| {
-            let (frontier, visited) = bf.snapshot_words();
-            PartitionSnapshot {
-                boundary,
-                lanes,
-                epoch: self.graph_epoch,
-                frontier,
-                visited,
-                per_level_local: per_level_local.clone(),
-                lane_completion: lane_completion.clone(),
-                completed,
-                busy,
-            }
-        };
-        // Scan work this attempt only (a resume does not re-count the
-        // scans its snapshot's supersteps already performed).
-        let mut tally = ScanTally::default();
-        loop {
-            // Boundary `hop`: commit *before* the fault point so that
-            // a machine scripted to die at a commit boundary still
-            // leaves a uniform committed set behind. The drop-counter
-            // gate is uniform here: it is only mutated by sends, and
-            // no machine is past this superstep's sends yet.
-            if interval > 0 && hop > 0 && hop % interval == 0 && h.chaos_dropped() == 0 {
-                let snap = snapshot(
-                    &bf,
-                    hop,
-                    &per_level_local,
-                    &lane_completion,
-                    completed,
-                    busy_base + (cgraph_comm::thread_cpu_time() - cpu0),
-                );
-                if let Some(w) = &wobs {
-                    let bytes = ((snap.frontier.len() + snap.visited.len()) * 8) as u64;
-                    w.h.checkpoint_bytes.add(bytes);
-                    w.mo.tracer().instant("checkpoint_commit", w.mo.ctx_at(hop), bytes);
-                }
-                store.commit(h.id(), snap);
-            }
-            h.fault_point(hop);
-            if let Some(w) = &wobs {
-                w.superstep_enter(hop);
-            }
-            bf.mask_frontier(budget.at(hop));
-            self.scan_and_send(&mut bf, hop, prune, Some(store), &h, &mut tally);
-            if h.try_barrier().is_err() {
-                // A peer died during this superstep. Our frontier and
-                // visited words still hold boundary `hop` (advance has
-                // not run); only `next` holds partial scan results,
-                // which a resume re-derives.
-                bf.clear_next();
-                if let Some(w) = &wobs {
-                    w.mo.tracer().instant("save", w.mo.ctx_at(hop), 0);
-                }
-                store.save(
-                    h.id(),
-                    snapshot(
-                        &bf,
-                        hop,
-                        &per_level_local,
-                        &lane_completion,
-                        completed,
-                        busy_base + (cgraph_comm::thread_cpu_time() - cpu0),
-                    ),
-                );
-                return None;
-            }
-            for env in h.drain() {
-                if let EngineMsg::Frontier(batch) = env.payload {
-                    for (v, w) in batch {
-                        bf.absorb(v, &w);
-                    }
-                }
-            }
-            let adv = bf.advance();
-            per_level_local.push(adv.new_per_lane[..lanes].to_vec());
-            if let Some(w) = &wobs {
-                w.superstep_exit(hop, adv.new_per_lane[..lanes].iter().sum());
-            }
-            let reduced = match h.try_barrier_reduce_words(adv.active_lanes.raw()) {
-                Ok(words) => LaneMask::from_words(&words[..width.words()]),
-                Err(_) => {
-                    // Advance already ran: we are at boundary hop+1.
-                    if let Some(w) = &wobs {
-                        w.mo.tracer().instant("save", w.mo.ctx_at(hop + 1), 0);
-                    }
-                    store.save(
-                        h.id(),
-                        snapshot(
-                            &bf,
-                            hop + 1,
-                            &per_level_local,
-                            &lane_completion,
-                            completed,
-                            busy_base + (cgraph_comm::thread_cpu_time() - cpu0),
-                        ),
-                    );
-                    return None;
-                }
-            };
-            hop += 1;
-            let live = reduced.and(budget.at(hop)).and(&all_lanes);
-            // All machines record the identical post-reduce mask, so a
-            // later replay can reconstruct completion bookkeeping.
-            store.record_live(hop, live);
-            let newly_done = all_lanes.and_not(&live).and_not(&completed);
-            if !newly_done.is_zero() {
-                let now = t0.elapsed();
-                for lane in newly_done.iter_ones() {
-                    lane_completion[lane] = now;
-                }
-                completed.or_assign(&newly_done);
-            }
-            if live.is_zero() {
-                break;
-            }
-        }
-        Some(MachineOut {
-            supersteps: per_level_local.len() as u32,
-            visited_local: visited_local(shard, sources, &per_level_local, &bf),
-            per_level_local,
-            lane_completion,
-            scans: tally.scans,
-            busy: busy_base + (cgraph_comm::thread_cpu_time() - cpu0),
-            probe_levels: Vec::new(),
-            pruned_sends: tally.pruned_sends,
-            pruned_partitions: tally.pruned_partitions,
-        })
+        (run.snapshot(target), u64::from(target - from))
     }
 
     /// Rebuilds this engine's graph onto `num_machines` machines — the
@@ -2358,31 +2003,6 @@ mod tests {
     }
 
     #[test]
-    fn recoverable_matches_plain_batch_without_faults() {
-        let g = cgraph_gen::graph500(9, 8, 12);
-        let mut b = cgraph_graph::GraphBuilder::new();
-        b.add_edge_list(&g);
-        let g = b.build().edges;
-        let e = engine(&g, 3);
-        let cluster = PersistentCluster::new(3);
-        let plain = e.run_traversal_batch(&[1, 7, 100], &[3, 5, 2]).unwrap();
-        let (rec, report) = e
-            .run_traversal_batch_recoverable(
-                &cluster,
-                &[1, 7, 100],
-                &[3, 5, 2],
-                &RecoveryConfig::default(),
-                None,
-            )
-            .unwrap();
-        assert_eq!(rec.per_lane_visited, plain.per_lane_visited);
-        assert_eq!(rec.per_level, plain.per_level);
-        assert_eq!(report.attempts, 1);
-        assert_eq!(report.recoveries, 0);
-        assert!(report.checkpoints_taken > 0, "long batch must commit checkpoints");
-    }
-
-    #[test]
     fn confined_replay_recovers_crash_with_identical_result() {
         let g = ring(64);
         let e = engine(&g, 4);
@@ -2459,8 +2079,8 @@ mod tests {
         let plan = FaultPlan::new(3).crash(1, 2).heal_after(1);
         let attempt = |a: u32| {
             let chaos = ChaosRun::new(plan.clone(), 0, a);
-            cluster.submit_with_chaos::<EngineMsg, Option<MachineOut>, _>(Some(&chaos), |h| {
-                e.recoverable_worker(&sources, &ks, 4, &store, None, h)
+            cluster.submit_with_chaos::<EngineMsg, _, _>(Some(&chaos), |h| {
+                e.batch_worker(&sources, &ks, Some((&store, 4)), h)
             })
         };
         let Err(err) = attempt(0) else { panic!("machine 1 is scripted to die") };
@@ -2469,7 +2089,7 @@ mod tests {
         assert!(first[2].windows(2).all(|w| w[0].0 < w[1].0), "one entry per vertex, ascending");
 
         let mut report = RecoveryReport::default();
-        e.plan_recovery(&err, 0, &store, &sources, &ks, sources.len(), &mut report, None);
+        e.plan_recovery(&err, 0, &store, &sources, &ks, &mut report, None);
         assert_eq!((report.partitions_replayed, report.full_rollbacks), (1, 0));
         let Ok((outs, _)) = attempt(1) else { panic!("the plan heals after one attempt") };
         for (s, logged) in first.iter().enumerate() {
@@ -2585,6 +2205,24 @@ mod tests {
             EngineError::SourceOutOfRange { lane: 1, source: 99, num_vertices: 20 }
         );
         assert!(!e.run_traversal_batch(&[5, 99], &[3, 3]).unwrap_err().is_recoverable());
+    }
+
+    #[test]
+    fn cluster_width_mismatch_is_a_typed_error() {
+        let g = ring(20);
+        let e = engine(&g, 2);
+        let cluster = PersistentCluster::new(3);
+        let on = e.run_traversal_batch_on(&cluster, &[0], &[3]).unwrap_err();
+        let rec = e
+            .run_traversal_batch_recoverable(&cluster, &[0], &[3], &RecoveryConfig::default(), None)
+            .unwrap_err();
+        for err in [on, rec] {
+            assert!(matches!(&err, EngineError::InvalidConfig(m) if m.contains("3 machines")));
+            assert!(!err.is_recoverable());
+        }
+        // Rejected before any machine thread ran: no job was submitted.
+        assert_eq!(cluster.generation(), 0);
+        cluster.shutdown();
     }
 
     #[test]

@@ -4,41 +4,29 @@
 //! `cgraph-index` (the builder crate) depends on `cgraph-core`, not
 //! the other way round — this module is the inversion point: the
 //! service and scheduler consume a [`ReachIndex`] through the traits
-//! here, and the engine executes the concrete [`PrunePlan`] an index
-//! derives for a batch. See `INDEXING.md` for the full design
-//! contract (construction algorithm, epoch-invalidation protocol, and
-//! the soundness argument the pruning rule rests on).
+//! here. See `INDEXING.md` for the full design contract (construction
+//! algorithm and epoch-invalidation protocol).
 //!
-//! Two answer paths, one contract:
-//!
-//! * **Index-only answers** — [`ReachIndex::answer`] returns the exact
-//!   `(visited, per_level)` a traversal would compute, or `None` when
-//!   the index cannot answer exactly. Callers may substitute an index
-//!   answer for a traversal answer *only* when it is `Some`, so the
-//!   two paths stay bit-identical by construction.
-//! * **Superstep pruning** — [`ReachIndex::prune_plan`] compiles
-//!   per-lane, per-partition level-set masks into a [`PrunePlan`];
-//!   the engine consults it each superstep to suppress frontier
-//!   deliveries that are provably state no-ops (every target vertex
-//!   already visited at a smaller level). Pruning never changes
-//!   visited state, so answers — and recovery replays — are
-//!   unaffected.
+//! [`ReachIndex::answer`] returns the exact `(visited, per_level)` a
+//! traversal would compute, or `None` when the index cannot answer
+//! exactly. Callers may substitute an index answer for a traversal
+//! answer *only* when it is `Some`, so the two paths stay
+//! bit-identical by construction.
 
 use crate::engine::{DistributedEngine, EngineError};
-use cgraph_graph::{LaneMask, LaneWidth, VertexId};
+use cgraph_graph::VertexId;
 use std::sync::Arc;
 
 /// Construction knobs for the reachability index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndexConfig {
     /// Hop budget of the per-source distance sketches. Clamped to
-    /// `1..=`[`cgraph_graph::MAX_EXACT_LEVEL`] (the level-set masks
-    /// encode exact levels up to 62; the build BFS runs one hop past
-    /// the budget to detect completion).
+    /// `1..=`[`cgraph_graph::MAX_EXACT_LEVEL`] (the build BFS runs one
+    /// hop past the budget to detect completion).
     pub hops: u32,
     /// Cap on indexed boundary sources; the highest-out-degree
     /// boundary vertices are kept. Bounds build time and resident
-    /// label bytes on boundary-heavy partitionings.
+    /// sketch bytes on boundary-heavy partitionings.
     pub max_sources: usize,
 }
 
@@ -49,8 +37,8 @@ impl Default for IndexConfig {
 }
 
 impl IndexConfig {
-    /// The effective hop budget: `hops` clamped to the exactly
-    /// representable level range.
+    /// The effective hop budget: `hops` clamped to
+    /// `1..=`[`cgraph_graph::MAX_EXACT_LEVEL`].
     pub fn effective_hops(&self) -> u32 {
         self.hops.clamp(1, cgraph_graph::MAX_EXACT_LEVEL)
     }
@@ -65,77 +53,6 @@ pub struct IndexAnswer {
     pub visited: u64,
     /// Vertices first reached per hop; `per_level[0] == 1`.
     pub per_level: Vec<u64>,
-}
-
-/// A compiled pruning schedule for one traversal batch: per lane, the
-/// indexed source's per-partition level-set masks (or `None` for
-/// lanes whose source the index does not cover — those lanes are
-/// never pruned).
-///
-/// Mask semantics follow [`cgraph_graph::PartitionReach`]: bit `d` of
-/// a lane's mask for partition `q` means "partition `q` gains a
-/// first-visited vertex at distance exactly `d`"; bits at and above
-/// the build horizon saturate to 1 for incomplete sketches. A
-/// frontier delivery landing at level `d` is kept iff `d >= 63` or
-/// bit `d` is set.
-#[derive(Clone, Debug, Default)]
-pub struct PrunePlan {
-    num_partitions: usize,
-    /// `lane_rows[lane]` = per-partition masks for that lane's source.
-    lane_rows: Vec<Option<Vec<u64>>>,
-}
-
-impl PrunePlan {
-    /// An empty plan for `lanes` lanes over `num_partitions`
-    /// partitions (no lane covered yet).
-    pub fn new(num_partitions: usize, lanes: usize) -> Self {
-        Self { num_partitions, lane_rows: vec![None; lanes] }
-    }
-
-    /// Installs the per-partition masks for `lane` (its source is
-    /// indexed). `masks.len()` must equal the partition count.
-    pub fn set_lane(&mut self, lane: usize, masks: Vec<u64>) {
-        debug_assert_eq!(masks.len(), self.num_partitions);
-        self.lane_rows[lane] = Some(masks);
-    }
-
-    /// Number of partitions each lane row covers.
-    pub fn num_partitions(&self) -> usize {
-        self.num_partitions
-    }
-
-    /// Number of lanes the plan can actually prune.
-    pub fn covered_lanes(&self) -> usize {
-        self.lane_rows.iter().filter(|r| r.is_some()).count()
-    }
-
-    /// True when no lane is covered — the engine skips pruning
-    /// entirely.
-    pub fn is_empty(&self) -> bool {
-        self.covered_lanes() == 0
-    }
-
-    /// The per-partition keep masks for deliveries landing at BFS
-    /// level `level`: bit `lane` of `keep[q]` is set when that lane's
-    /// frontier bits may still need to reach partition `q`. Uncovered
-    /// lanes are always kept.
-    pub fn keep_masks(&self, level: u32, width: LaneWidth) -> Vec<LaneMask> {
-        let all = LaneMask::all(width.bits());
-        (0..self.num_partitions)
-            .map(|q| {
-                let mut drop = LaneMask::zero(width);
-                for (lane, row) in self.lane_rows.iter().enumerate() {
-                    if let Some(masks) = row {
-                        let keep = level >= 63 || (masks[q] >> level) & 1 == 1;
-                        if !keep {
-                            drop.set(lane);
-                        }
-                    }
-                }
-                all.and_not(&drop)
-            })
-            .collect()
-    }
 }
 
 /// An immutable reachability index over one graph epoch.
@@ -155,18 +72,7 @@ pub trait ReachIndex: Send + Sync {
     /// bit-identical to what a traversal would return.
     fn answer(&self, source: VertexId, k: u32) -> Option<IndexAnswer>;
 
-    /// Compiles a pruning plan for a batch with the given per-lane
-    /// sources. Returns `None` when no lane's source is indexed.
-    fn prune_plan(&self, sources: &[VertexId]) -> Option<PrunePlan>;
-
-    /// Boundary-to-boundary reachability through the condensed
-    /// boundary graph: `Some(true)` when the 2-hop labels prove a
-    /// path, `Some(false)` when `u`'s sketch is complete (so absence
-    /// of a label is a proof of unreachability), `None` when the
-    /// index cannot decide.
-    fn reaches(&self, u: VertexId, v: VertexId) -> Option<bool>;
-
-    /// Resident bytes across sketches, masks, and labels.
+    /// Resident bytes of the sketches.
     fn size_bytes(&self) -> usize;
 
     /// Number of indexed sources.
@@ -186,40 +92,6 @@ pub trait IndexBuilder: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn keep_masks_follow_level_sets() {
-        // 2 partitions, 3 lanes; lane 0 indexed with gains at levels
-        // {1} in q0 and {2} in q1; lane 2 indexed, incomplete past
-        // level 1 (saturated high bits); lane 1 uncovered.
-        let mut plan = PrunePlan::new(2, 3);
-        plan.set_lane(0, vec![1 << 1, 1 << 2]);
-        plan.set_lane(2, vec![(1 << 1) | (u64::MAX << 2), u64::MAX << 2]);
-        assert_eq!(plan.covered_lanes(), 2);
-        assert!(!plan.is_empty());
-        let width = LaneWidth::for_lanes(3);
-        let keep1 = plan.keep_masks(1, width);
-        // Level 1: q0 keeps lanes 0 (gain) , 1 (uncovered), 2 (gain).
-        assert!(keep1[0].get(0) && keep1[0].get(1) && keep1[0].get(2));
-        // q1: lane 0 has no gain at 1, lane 2's mask bit 1 unset.
-        assert!(!keep1[1].get(0) && keep1[1].get(1) && !keep1[1].get(2));
-        let keep5 = plan.keep_masks(5, width);
-        // Level 5: lane 0 complete (drop both), lane 2 saturated (keep).
-        assert!(!keep5[0].get(0) && keep5[0].get(2));
-        // Representable ceiling: everything kept at level >= 63.
-        let keep63 = plan.keep_masks(63, width);
-        assert!(keep63[0].get(0) && keep63[1].get(0));
-    }
-
-    #[test]
-    fn empty_plan_reports_empty() {
-        let plan = PrunePlan::new(4, 8);
-        assert!(plan.is_empty());
-        assert_eq!(plan.num_partitions(), 4);
-        // All lanes kept everywhere.
-        let keep = plan.keep_masks(3, LaneWidth::for_lanes(8));
-        assert!(keep.iter().all(|m| (0..8).all(|l| m.get(l))));
-    }
 
     #[test]
     fn config_clamps_hops() {

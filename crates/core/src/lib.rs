@@ -61,10 +61,8 @@ pub use cgraph_comm::chaos::{ChaosRun, CrashFault, FaultPlan, SlowLink};
 pub use cgraph_graph::delta::{DeltaOverlay, EdgeUpdate, UpdateBatch};
 pub use config::{EngineConfig, UpdateMode};
 pub use durability::{DurabilityConfig, DurabilityError, DurabilityStats, RecoveryOutcome};
-pub use engine::{
-    BatchResult, DistributedEngine, EngineError, EngineMsg, FaultInjection, ProbedBatch,
-};
-pub use index_api::{IndexAnswer, IndexBuilder, IndexConfig, PrunePlan, ReachIndex};
+pub use engine::{BatchResult, DistributedEngine, EngineError, EngineMsg, FaultInjection};
+pub use index_api::{IndexAnswer, IndexBuilder, IndexConfig, ReachIndex};
 pub use metrics::ResponseStats;
 pub use partition::RangePartition;
 pub use query::{KhopQuery, QueryResult};

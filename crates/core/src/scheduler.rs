@@ -15,8 +15,9 @@
 //!   order — what Gemini-style engines are reduced to.
 //!
 //! The scheduler enforces a memory budget: the per-batch bit state
-//! costs `3 × (W/8) bytes × |V_local|` per machine — it scales
-//! linearly with the batch width `W` — so when a budget is set, the
+//! costs `(W/8) bytes × (2 × |V_local| + slots)` per machine, where
+//! `slots = |V_local| + |boundary|` — it scales linearly with the
+//! batch width `W` — so when a budget is set, the
 //! width steps down `512 → 256 → 128 → 64` (then lanes shrink below
 //! one word) until the batch fits ("the slowdown of the framework is
 //! mainly caused by resource limits, especially due to the large
@@ -101,38 +102,31 @@ impl<'e> QueryScheduler<'e> {
 
     /// Attaches a reachability index (see `INDEXING.md`).
     ///
-    /// The index is consulted at two points of [`execute`](Self::execute),
-    /// and only while its [`epoch`](ReachIndex::epoch) matches the
-    /// engine's — a stale index is ignored entirely:
-    ///
-    /// * **Index-only answers.** A traversal whose `(source, k)` the
-    ///   index covers exactly ([`ReachIndex::answer`]) never enters a
-    ///   batch: its visited count and level profile come straight from
-    ///   the distance sketch, bit-identical to what the traversal
-    ///   would have produced.
-    /// * **Superstep pruning.** For traversals that do run, the
-    ///   index's per-partition level-set masks
-    ///   ([`ReachIndex::prune_plan`]) let the engine drop
-    ///   cross-machine frontier deliveries that are provably no-ops.
-    ///   Pruning never changes any answer — see the soundness
-    ///   argument in `INDEXING.md`.
+    /// [`execute`](Self::execute) consults the index only while its
+    /// [`epoch`](ReachIndex::epoch) matches the engine's — a stale
+    /// index is ignored entirely. A traversal whose `(source, k)` the
+    /// index covers exactly ([`ReachIndex::answer`]) never enters a
+    /// batch: its visited count and level profile come straight from
+    /// the distance sketch, bit-identical to what the traversal would
+    /// have produced.
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use cgraph_core::index_api::{IndexBuilder, IndexConfig};
+    /// use cgraph_core::index_api::{IndexConfig, ReachIndex};
     /// use cgraph_core::{DistributedEngine, EngineConfig, KhopQuery,
     ///                   QueryScheduler, SchedulerConfig};
     /// use cgraph_index::BoundaryIndexBuilder;
     ///
     /// let edges: cgraph_graph::EdgeList = (0..6u64).map(|v| (v, v + 1)).take(5).collect();
     /// let engine = DistributedEngine::new(&edges, EngineConfig::new(2));
-    /// let index = BoundaryIndexBuilder::new(IndexConfig::default()).build(&engine).unwrap();
+    /// let index = BoundaryIndexBuilder::new(IndexConfig::default()).build_tier(&engine).unwrap();
     ///
-    /// let s = index.prune_plan(&[3]).map(|_| 3).unwrap_or(4); // a boundary vertex
+    /// let s = index.sources()[0]; // the boundary vertex
+    /// assert!(index.answer(s, 2).is_some());
     /// let queries = vec![KhopQuery::single(0, s, 2), KhopQuery::single(1, 0, 3)];
     /// let plain = QueryScheduler::new(&engine, SchedulerConfig::default()).execute(&queries);
     /// let fast = QueryScheduler::new(&engine, SchedulerConfig::default())
-    ///     .with_index(index)
+    ///     .with_index(Arc::new(index))
     ///     .execute(&queries);
     /// for (a, b) in plain.iter().zip(&fast) {
     ///     assert_eq!(a.visited, b.visited);       // bit-identical answers,
@@ -146,10 +140,11 @@ impl<'e> QueryScheduler<'e> {
 
     /// Lanes per batch after applying the memory budget.
     ///
-    /// The per-machine bit state costs `3 × 8 × (W/64) bytes` per local
-    /// vertex — three lane matrices of `W/64` words each — so it scales
-    /// **linearly with the batch width `W`**, not independently of lane
-    /// count as the pre-width cost model assumed. Under a budget, the
+    /// The per-machine bit state is three lane matrices of `W/64` words
+    /// a row — `frontier` and `visited` with one row per local vertex,
+    /// `next` with one row per [slot](crate::shard::Shard::num_slots)
+    /// (local vertices plus the shard's boundary) — so it scales
+    /// **linearly with the batch width `W`**. Under a budget, the
     /// width steps down through the supported set `512 → 256 → 128 →
     /// 64` until the three matrices fit; if even the single-word
     /// footprint exceeds the budget, the lane count degrades
@@ -162,26 +157,25 @@ impl<'e> QueryScheduler<'e> {
         match self.config.memory_budget_bytes {
             None => want,
             Some(budget) => {
-                let max_local =
-                    self.engine.shards().iter().map(|s| s.num_local()).max().unwrap_or(0);
                 // A live delta overlay is resident on every machine's
                 // scan path, so the straggler's overlay bytes come off
                 // the same per-machine budget as the batch bit state.
                 let delta = self.engine.max_delta_bytes();
                 let mut width = LaneWidth::for_lanes(want);
-                while 3 * 8 * width.words() * max_local + delta > budget {
+                while self.bit_state_bytes(width) + delta > budget {
                     match width.narrower() {
                         Some(w) => width = w,
                         None => break,
                     }
                 }
-                if 3 * 8 * width.words() * max_local + delta <= budget {
+                let bytes = self.bit_state_bytes(width);
+                if bytes + delta <= budget {
                     want.min(width.bits())
                 } else {
-                    // Budget below even the one-word cost: degrade to
-                    // the fraction of the word that fits, ≥ 1 lane.
-                    let base = 3 * 8 * max_local;
-                    ((want.min(LANES) * budget.saturating_sub(delta)) / base.max(1)).max(1)
+                    // Budget below even the one-word cost (`width` is
+                    // W = 64 here): degrade to the fraction of the word
+                    // that fits, ≥ 1 lane.
+                    ((want.min(LANES) * budget.saturating_sub(delta)) / bytes.max(1)).max(1)
                 }
             }
         }
@@ -237,14 +231,11 @@ impl<'e> QueryScheduler<'e> {
         for chunk in pending.chunks(lanes) {
             let sources: Vec<u64> = chunk.iter().map(|&i| traversals[i].1).collect();
             let ks: Vec<u32> = chunk.iter().map(|&i| traversals[i].2).collect();
-            // Indexed lanes contribute level-set masks that suppress
-            // provably no-op cross-machine deliveries (INDEXING.md).
-            let plan = index.and_then(|ix| ix.prune_plan(&sources));
             // Precondition: query sources lie inside the vertex range
             // and chunks respect MAX_LANES, so shape errors are bugs.
             let br = self
                 .engine
-                .run_traversal_batch_pruned(&sources, &ks, plan.as_ref())
+                .run_traversal_batch(&sources, &ks)
                 .expect("scheduler batches are shape-valid");
             let (batch_dur, batch_end) = if self.config.use_sim_time {
                 let d = br.sim_exec_time();
@@ -315,12 +306,23 @@ impl<'e> QueryScheduler<'e> {
             .collect()
     }
 
-    /// Estimated per-machine bytes for one batch of the effective lane
-    /// width (reported by the memory ablation): three lane matrices of
-    /// `W/64` words per local vertex.
+    /// Per-machine bytes of one batch's bit state at the effective
+    /// lane width (reported by the memory ablation).
     pub fn batch_state_bytes(&self) -> usize {
-        let max_local = self.engine.shards().iter().map(|s| s.num_local()).max().unwrap_or(0);
-        3 * 8 * LaneWidth::for_lanes(self.effective_lanes()).words() * max_local
+        self.bit_state_bytes(LaneWidth::for_lanes(self.effective_lanes()))
+    }
+
+    /// Bit-state bytes of one batch at `width` on the costliest shard:
+    /// `8 × words × (2 × num_local + num_slots)`.
+    fn bit_state_bytes(&self, width: LaneWidth) -> usize {
+        let rows = self
+            .engine
+            .shards()
+            .iter()
+            .map(|s| 2 * s.num_local() + s.num_slots())
+            .max()
+            .unwrap_or(0);
+        8 * width.words() * rows
     }
 }
 
@@ -412,9 +414,12 @@ mod tests {
 
     #[test]
     fn memory_budget_steps_width_down() {
-        let e = ring_engine(1000, 2); // max_local = 500
-        let base = 3 * 8 * 500; // one-word (W=64) footprint
-                                // Budget fits two words: 256 requested lanes narrow to 128.
+        // Each shard: 500 local vertices and one boundary vertex, so
+        // `next` has 501 rows. One-word (W=64) footprint:
+        let e = ring_engine(1000, 2);
+        let base = 8 * (2 * 500 + 501);
+        assert_eq!(base, crate::bitfrontier::BitFrontier::new(&e.shards()[0], 64).size_bytes());
+        // Budget fits two words: 256 requested lanes narrow to 128.
         let s = QueryScheduler::new(
             &e,
             SchedulerConfig {
@@ -446,7 +451,7 @@ mod tests {
 
     #[test]
     fn stale_index_is_ignored() {
-        use crate::index_api::{IndexAnswer, PrunePlan, ReachIndex};
+        use crate::index_api::{IndexAnswer, ReachIndex};
         /// An index from a bygone epoch that would corrupt any query
         /// it actually answered.
         struct Stale;
@@ -456,17 +461,6 @@ mod tests {
             }
             fn answer(&self, _: u64, _: u32) -> Option<IndexAnswer> {
                 Some(IndexAnswer { visited: 999_999, per_level: vec![999_999] })
-            }
-            fn prune_plan(&self, sources: &[u64]) -> Option<PrunePlan> {
-                // Masks that would suppress *every* delivery.
-                let mut plan = PrunePlan::new(2, sources.len());
-                for lane in 0..sources.len() {
-                    plan.set_lane(lane, vec![0; 2]);
-                }
-                Some(plan)
-            }
-            fn reaches(&self, _: u64, _: u64) -> Option<bool> {
-                Some(false)
             }
             fn size_bytes(&self) -> usize {
                 0

@@ -67,14 +67,10 @@
 //!   answered **index-only** — at admission or during batch
 //!   formation, without spending a lane, bit-identical to what the
 //!   traversal would have returned;
-//! * traversals that do execute carry the index's per-partition
-//!   level-set masks into the engine, which suppresses cross-machine
-//!   frontier deliveries that are provably no-ops (sound pruning:
-//!   answers are untouched, wire traffic and absorb work shrink);
 //! * the index is versioned by graph epoch and consulted **only**
 //!   while its epoch matches the serving snapshot's — every epoch
 //!   commit (and every degradation) rebuilds it before the next batch
-//!   forms, so a stale index can never answer or prune.
+//!   forms, so a stale index can never answer.
 //!
 //! # Mutation plane
 //!
@@ -302,9 +298,9 @@ pub struct ServiceConfig {
     /// default — serves without an index. When set, the builder runs
     /// once at start-up and again inside every epoch commit and
     /// degradation, so the live index always matches the serving
-    /// snapshot; covered queries are answered index-only and executed
-    /// batches are pruned. A failed build logs and serves unindexed —
-    /// the index is an accelerator, never a correctness dependency.
+    /// snapshot; covered queries are answered index-only. A failed
+    /// build logs and serves unindexed — the index is an accelerator,
+    /// never a correctness dependency.
     pub index: Option<Arc<dyn IndexBuilder>>,
     /// Mutation-plane knobs: commit trigger and delta fold threshold.
     pub mutation: MutationConfig,
@@ -337,16 +333,9 @@ pub struct ServiceConfig {
     /// coordinator ring. `None` (the default) runs unobserved at zero
     /// cost.
     pub obs: Option<Arc<Obs>>,
-    /// Fault-injection seam predating the chaos plane: called with the
-    /// machine id at the start of every machine's share of every
-    /// batch. When set, batches run on the legacy non-recoverable path
-    /// (no checkpoints, no retries).
-    #[deprecated(since = "0.2.0", note = "use `fault_plan` (a deterministic FaultPlan) instead")]
-    pub fault_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
 }
 
 impl Default for ServiceConfig {
-    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             scheduler: SchedulerConfig::default(),
@@ -363,13 +352,11 @@ impl Default for ServiceConfig {
             recovery: RecoveryConfig::default(),
             degrade_after: None,
             obs: None,
-            fault_hook: None,
         }
     }
 }
 
 impl fmt::Debug for ServiceConfig {
-    #[allow(deprecated)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServiceConfig")
             .field("scheduler", &self.scheduler)
@@ -386,7 +373,6 @@ impl fmt::Debug for ServiceConfig {
             .field("recovery", &self.recovery)
             .field("degrade_after", &self.degrade_after)
             .field("obs", &self.obs.is_some())
-            .field("fault_hook", &self.fault_hook.is_some())
             .finish()
     }
 }
@@ -504,12 +490,6 @@ pub struct ServiceStats {
     /// Traversals answered index-only — straight from a distance
     /// sketch, bit-identical to a traversal, no lane spent.
     pub index_only_answers: u64,
-    /// Cross-machine frontier entries suppressed by index pruning
-    /// (provably no-op deliveries dropped before the wire).
-    pub index_pruned_sends: u64,
-    /// Whole per-partition frontier messages index pruning emptied —
-    /// `(superstep, partition)` deliveries that never left the sender.
-    pub index_pruned_partitions: u64,
     /// Boundary sources the live index holds sketches for.
     pub index_sources: u64,
     /// Estimated resident bytes of the live index.
@@ -859,7 +839,6 @@ mod tests {
     use super::*;
     use crate::engine::EngineError;
     use crate::scheduler::QueryScheduler;
-    use std::sync::atomic::AtomicBool;
 
     fn ring_engine(n: u64, p: usize) -> Arc<DistributedEngine> {
         let g: EdgeList = (0..n).map(|v| (v, (v + 1) % n)).collect();
@@ -973,12 +952,6 @@ mod tests {
         fn answer(&self, source: u64, k: u32) -> Option<crate::index_api::IndexAnswer> {
             (source == 5 && k == 3)
                 .then(|| crate::index_api::IndexAnswer { visited: 42, per_level: vec![42] })
-        }
-        fn prune_plan(&self, _: &[u64]) -> Option<crate::index_api::PrunePlan> {
-            None
-        }
-        fn reaches(&self, _: u64, _: u64) -> Option<bool> {
-            None
         }
         fn size_bytes(&self) -> usize {
             64
@@ -1461,43 +1434,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(service.stats().queries_completed, 60);
-        service.shutdown();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn fault_hook_fails_batch_but_service_survives() {
-        let engine = ring_engine(40, 2);
-        let blow_once = Arc::new(AtomicBool::new(true));
-        let hook = {
-            let blow_once = Arc::clone(&blow_once);
-            Arc::new(move |machine: usize| {
-                if machine == 1 && blow_once.swap(false, Ordering::SeqCst) {
-                    panic!("injected machine fault");
-                }
-            })
-        };
-        let config = ServiceConfig {
-            max_batch_delay: Duration::from_micros(100),
-            fault_hook: Some(hook),
-            ..Default::default()
-        };
-        let service = QueryService::start(engine, config);
-
-        let err = service.query(KhopQuery::single(0, 0, 3)).unwrap_err();
-        match err {
-            ServiceError::BatchFailed(msg) => {
-                assert!(msg.contains("injected machine fault"), "{msg}")
-            }
-            other => panic!("expected BatchFailed, got {other:?}"),
-        }
-        // The hook disarmed itself: the very next query succeeds on the
-        // same (surviving) persistent cluster.
-        let ok = service.query(KhopQuery::single(1, 0, 3)).unwrap();
-        assert_eq!(ok.visited, 4);
-        let stats = service.stats();
-        assert_eq!(stats.queries_failed, 1);
-        assert_eq!(stats.queries_completed, 1);
         service.shutdown();
     }
 

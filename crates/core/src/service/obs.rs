@@ -45,8 +45,6 @@ pub(super) struct ServiceObs {
     pub(super) index_builds: Arc<Counter>,
     pub(super) index_build_seconds: Arc<Histogram>,
     pub(super) index_only_answers: Arc<Counter>,
-    pub(super) index_pruned_sends: Arc<Counter>,
-    pub(super) index_pruned_partitions: Arc<Counter>,
     pub(super) index_sources: Arc<Gauge>,
     pub(super) index_bytes: Arc<Gauge>,
     pub(super) mutation_updates_applied: Arc<Counter>,
@@ -174,14 +172,6 @@ impl ServiceObs {
             index_only_answers: m.counter(
                 "cgraph_index_only_answers_total",
                 "Traversals answered index-only from a distance sketch (no lane spent).",
-            ),
-            index_pruned_sends: m.counter(
-                "cgraph_index_pruned_sends_total",
-                "Cross-machine frontier entries suppressed by index pruning.",
-            ),
-            index_pruned_partitions: m.counter(
-                "cgraph_index_pruned_partitions_total",
-                "Whole per-partition frontier messages index pruning emptied.",
             ),
             index_sources: m.gauge(
                 "cgraph_index_sources",

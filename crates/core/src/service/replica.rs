@@ -675,38 +675,9 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
         o.tracer.instant("batch_dispatch", o.ctx(job, 0), groups.len() as u64);
     }
 
-    // Legacy seam: an installed fault hook runs the old single-shot,
-    // non-recoverable path with its original semantics.
-    #[allow(deprecated)]
-    if let Some(hook) = core.config.fault_hook.as_ref() {
-        let dispatched = Instant::now();
-        let hook = Some(&**hook as &(dyn Fn(usize) + Sync));
-        match ctx.engine.run_traversal_batch_on_hooked(&ctx.cluster, &sources, &ks, hook) {
-            Ok(br) => {
-                lock(&core.metrics).batches += 1;
-                if let Some(o) = &core.obs {
-                    o.batches_dispatched.inc();
-                }
-                let engine = Arc::clone(&ctx.engine);
-                commit_batch(core, replica, groups, &br, dispatched, job, 0, exec_epoch, &engine);
-            }
-            Err(e) => fail_groups(core, replica, groups, &e),
-        }
-        return;
-    }
-
-    // Index pruning: lanes whose source the current-epoch index
-    // sketches carry per-partition level-set masks into the engine,
-    // suppressing provably no-op cross-machine deliveries. Computed
-    // once — retries re-run the same (sound) plan. Note degradation
-    // changes the partition count, so the plan is recomputed below
-    // whenever the engine generation moves.
-    let mut plan =
-        core.current_index(ctx.engine.graph_epoch()).and_then(|ix| ix.prune_plan(&sources));
-
-    // Recoverable path: in-batch checkpoint/replay first (inside the
-    // engine), then whole-batch retries with backoff, then degradation
-    // once the same machine keeps dying.
+    // In-batch checkpoint/replay first (inside the engine), then
+    // whole-batch retries with backoff, then degradation once the same
+    // machine keeps dying.
     let mut retry = 0u32;
     loop {
         let fault = core.config.fault_plan.as_ref().map(|plan| FaultInjection {
@@ -717,13 +688,12 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
             first_attempt: retry * (core.config.recovery.max_recoveries + 1),
         });
         let dispatched = Instant::now();
-        let run = ctx.engine.run_traversal_batch_recoverable_pruned(
+        let run = ctx.engine.run_traversal_batch_recoverable(
             &ctx.cluster,
             &sources,
             &ks,
             &core.config.recovery,
             fault,
-            plan.as_ref(),
         );
         match run {
             Ok((br, report)) => {
@@ -735,16 +705,12 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
                 m.checkpoints_restored += report.checkpoints_restored;
                 m.partitions_replayed += report.partitions_replayed;
                 m.full_rollbacks += u64::from(report.full_rollbacks);
-                m.index_pruned_sends += br.pruned_sends;
-                m.index_pruned_partitions += br.pruned_partitions;
                 drop(m);
                 if let Some(o) = &core.obs {
                     // The engine folded the same `report` into the
                     // `cgraph_recovery_*` counters on this Ok return.
                     o.batches_dispatched.inc();
                     o.retries.add(u64::from(retry));
-                    o.index_pruned_sends.add(br.pruned_sends);
-                    o.index_pruned_partitions.add(br.pruned_partitions);
                     o.tracer.instant("batch_done", o.ctx(job, retry), br.supersteps as u64);
                 }
                 let engine = Arc::clone(&ctx.engine);
@@ -760,12 +726,6 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
                         let threshold = core.config.degrade_after;
                         if threshold.is_some_and(|th| *b >= th) && ctx.engine.num_machines() > 1 {
                             degrade(core, ctx);
-                            // The partition count changed: the old plan's
-                            // per-partition masks no longer apply. Degrade
-                            // rebuilt the index, so recompute.
-                            plan = core
-                                .current_index(ctx.engine.graph_epoch())
-                                .and_then(|ix| ix.prune_plan(&sources));
                             continue; // degrading does not consume a retry
                         }
                     }

@@ -72,8 +72,6 @@ pub(super) struct MetricsAcc {
     pub(super) coalesced: u64,
     pub(super) index_builds: u64,
     pub(super) index_only: u64,
-    pub(super) index_pruned_sends: u64,
-    pub(super) index_pruned_partitions: u64,
     pub(super) updates_applied: u64,
     pub(super) updates_inserted: u64,
     pub(super) updates_deleted: u64,
@@ -289,8 +287,6 @@ impl SharedCore {
             coalesced_traversals: m.coalesced,
             index_builds: m.index_builds,
             index_only_answers: m.index_only,
-            index_pruned_sends: m.index_pruned_sends,
-            index_pruned_partitions: m.index_pruned_partitions,
             index_sources,
             index_bytes,
             updates_applied: m.updates_applied,

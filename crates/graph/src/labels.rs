@@ -1,31 +1,16 @@
-//! Reachability-index label storage: bounded-hop distance sketches and
-//! 2-hop landmark labels over a condensed boundary graph.
+//! Reachability-index storage: the bounded-hop distance sketch.
 //!
 //! This module is pure storage — it knows nothing about traversal
 //! engines or partitioning policy. The `cgraph-index` crate *builds*
-//! these structures by running batch BFS from boundary vertices and
-//! feeding the observed level sets in here; the query path then reads
-//! them without touching the graph at all.
-//!
-//! Three structures, one per question the index answers:
-//!
-//! * [`LevelProfile`] — "how many vertices does source `s` reach at
-//!   each BFS level?" Answers whole queries without traversing when
-//!   the profile covers the requested depth.
-//! * [`PartitionReach`] — "at which BFS levels does *partition Q* gain
-//!   its first-visited vertices from source `s`?" One `u64` bitmask
-//!   per (source, partition); the traversal engine consults it each
-//!   superstep to suppress frontier sends to partitions where the
-//!   delivery is provably a state no-op.
-//! * [`TwoHopLabels`] — pruned landmark labels over the condensed
-//!   boundary graph, answering boundary-to-boundary reachability by
-//!   label intersection.
+//! a [`LevelProfile`] per indexed source by running batch BFS from
+//! boundary vertices; the query path then reads it without touching
+//! the graph at all: "how many vertices does source `s` reach at each
+//! BFS level?" answers a whole k-hop query when the profile covers
+//! the requested depth.
 
-use crate::types::VertexId;
-
-/// Number of exactly-representable BFS levels in a
-/// [`PartitionReach`] mask: bits `0..=62` encode "some vertex of the
-/// partition is first reached at distance exactly `d`".
+/// Deepest BFS level a sketch is built to: the cap on
+/// `IndexConfig::hops` (the build BFS runs one hop further to detect
+/// completion).
 pub const MAX_EXACT_LEVEL: u32 = 62;
 
 /// The per-source, per-level visit counts recorded while building the
@@ -99,296 +84,6 @@ impl LevelProfile {
     }
 }
 
-/// Per-(source, partition) level-set masks: bit `d` (for
-/// `d <= `[`MAX_EXACT_LEVEL`]) of `mask(s, q)` is set iff some vertex
-/// owned by partition `q` is *first* reached at distance exactly `d`
-/// from indexed source `s`.
-///
-/// Bits above the build horizon follow a saturation convention chosen
-/// so the pruning test is a single shift: when the build BFS for `s`
-/// was cut off (incomplete), every bit past the budget — including bit
-/// 63 — is set to 1 ("unknown: keep"). When it completed, bits past
-/// the horizon stay 0 ("provably no first visit there: prune"). The
-/// traversal engine then keeps a frontier delivery to partition `q` at
-/// level `d` iff [`PartitionReach::keep`] — i.e. `d >= 63` or bit `d`
-/// is set — and dropping the rest is sound because every target vertex
-/// of such a delivery was already visited at a strictly smaller level
-/// (see INDEXING.md §3 for the full argument).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionReach {
-    num_partitions: usize,
-    /// Row-major: `masks[s * num_partitions + q]`.
-    masks: Vec<u64>,
-}
-
-impl PartitionReach {
-    /// Allocates all-zero masks for `num_sources × num_partitions`.
-    pub fn new(num_sources: usize, num_partitions: usize) -> Self {
-        Self { num_partitions, masks: vec![0; num_sources * num_partitions] }
-    }
-
-    /// Number of partitions per source row.
-    pub fn num_partitions(&self) -> usize {
-        self.num_partitions
-    }
-
-    /// Records that partition `q` gains a first-visited vertex at
-    /// distance exactly `level` from source `src_idx`. Levels above
-    /// [`MAX_EXACT_LEVEL`] are ignored (they are covered by the
-    /// `d >= 63` keep rule).
-    pub fn record_gain(&mut self, src_idx: usize, q: usize, level: u32) {
-        if level <= MAX_EXACT_LEVEL {
-            self.masks[src_idx * self.num_partitions + q] |= 1u64 << level;
-        }
-    }
-
-    /// Marks source `src_idx` as budget-cut at `horizon`: all levels
-    /// past the horizon become "unknown" (kept) for every partition.
-    pub fn mark_incomplete(&mut self, src_idx: usize, horizon: u32) {
-        let unknown = if horizon >= 63 { 1u64 << 63 } else { u64::MAX << (horizon + 1) };
-        let row = &mut self.masks[src_idx * self.num_partitions..][..self.num_partitions];
-        for m in row {
-            *m |= unknown;
-        }
-    }
-
-    /// The raw mask for `(src_idx, q)`.
-    pub fn mask(&self, src_idx: usize, q: usize) -> u64 {
-        self.masks[src_idx * self.num_partitions + q]
-    }
-
-    /// True when a frontier delivery from source `src_idx` into
-    /// partition `q` landing at BFS level `level` must be kept.
-    pub fn keep(&self, src_idx: usize, q: usize, level: u32) -> bool {
-        level >= 63 || (self.mask(src_idx, q) >> level) & 1 == 1
-    }
-
-    /// Heap + inline bytes held by the masks.
-    pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.masks.capacity() * 8
-    }
-}
-
-/// One landmark entry: `(rank, dist)` — the landmark's position in the
-/// labeling order and the (hop-weighted) distance along condensed
-/// edges.
-type LabelEntry = (u32, u32);
-
-/// Pruned 2-hop landmark labels over a condensed boundary graph.
-///
-/// Nodes are dense indices `0..n` (the index crate maps boundary
-/// [`VertexId`]s to these). Each node `u` carries an out-label set
-/// `{(w, d(u→w))}` and an in-label set `{(w, d(w→u))}`; `u` reaches
-/// `v` through the condensed graph iff the two sets share a landmark.
-/// Labels are built with pruned landmark labeling: landmarks are
-/// processed in the given order, and a label is only added when the
-/// pair is not already covered by earlier landmarks, which is what
-/// keeps label sets small on hub-heavy boundary graphs.
-#[derive(Debug, Clone, Default)]
-pub struct TwoHopLabels {
-    /// `out[u]` sorted by landmark rank: `(rank, dist(u → landmark))`.
-    out: Vec<Vec<LabelEntry>>,
-    /// `inn[u]` sorted by landmark rank: `(rank, dist(landmark → u))`.
-    inn: Vec<Vec<LabelEntry>>,
-}
-
-impl TwoHopLabels {
-    /// Builds labels for `n` nodes from a weighted condensed digraph.
-    ///
-    /// `fwd[u]` lists `(v, w)` edges `u → v` of weight `w ≥ 1`;
-    /// `order` is the landmark processing order (hubs first), a
-    /// permutation of `0..n`. Runs one forward and one backward
-    /// bounded Dijkstra per landmark — fine for the few-thousand-node
-    /// boundary graphs this is used on.
-    pub fn build(n: usize, fwd: &[Vec<(u32, u32)>], order: &[u32]) -> Self {
-        debug_assert_eq!(fwd.len(), n);
-        debug_assert_eq!(order.len(), n);
-        // Reverse adjacency for the backward sweeps.
-        let mut bwd: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for (u, edges) in fwd.iter().enumerate() {
-            for &(v, w) in edges {
-                bwd[v as usize].push((u as u32, w));
-            }
-        }
-        let mut labels = Self { out: vec![Vec::new(); n], inn: vec![Vec::new(); n] };
-        let mut dist: Vec<u32> = vec![u32::MAX; n];
-        for (rank, &lm) in order.iter().enumerate() {
-            let rank = rank as u32;
-            // Forward sweep from the landmark: reached nodes gain the
-            // landmark in their *in*-labels (the landmark can reach
-            // them).
-            labels.sweep(lm, rank, fwd, &mut dist, /* forward */ true);
-            // Backward sweep: nodes that reach the landmark gain it in
-            // their *out*-labels.
-            labels.sweep(lm, rank, &bwd, &mut dist, /* forward */ false);
-        }
-        labels
-    }
-
-    /// One pruned Dijkstra from landmark `lm` (rank `rank`) over
-    /// `adj`. `scratch` is a reusable distance array (reset on exit).
-    fn sweep(
-        &mut self,
-        lm: u32,
-        rank: u32,
-        adj: &[Vec<(u32, u32)>],
-        scratch: &mut [u32],
-        forward: bool,
-    ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        let mut touched: Vec<u32> = Vec::new();
-        scratch[lm as usize] = 0;
-        touched.push(lm);
-        heap.push(Reverse((0, lm)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > scratch[u as usize] {
-                continue; // stale heap entry
-            }
-            // Prune: if an earlier landmark already covers (lm, u)
-            // at distance ≤ d, this pair needs no new label.
-            let covered = if forward {
-                self.query_dist(lm, u).is_some_and(|c| c <= d)
-            } else {
-                self.query_dist(u, lm).is_some_and(|c| c <= d)
-            };
-            if covered && u != lm {
-                continue;
-            }
-            if u != lm {
-                if forward {
-                    self.inn[u as usize].push((rank, d));
-                } else {
-                    self.out[u as usize].push((rank, d));
-                }
-            } else {
-                // The landmark covers itself at distance 0 on both
-                // sides so later sweeps prune through it.
-                if forward {
-                    self.inn[u as usize].push((rank, 0));
-                } else {
-                    self.out[u as usize].push((rank, 0));
-                }
-            }
-            for &(v, w) in &adj[u as usize] {
-                let nd = d.saturating_add(w);
-                if nd < scratch[v as usize] {
-                    if scratch[v as usize] == u32::MAX {
-                        touched.push(v);
-                    }
-                    scratch[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        for t in touched {
-            scratch[t as usize] = u32::MAX;
-        }
-    }
-
-    /// Condensed-graph distance `u → v` through the labels, `None`
-    /// when no common landmark covers the pair.
-    pub fn query_dist(&self, u: u32, v: u32) -> Option<u32> {
-        if u == v {
-            return Some(0);
-        }
-        let (a, b) = (&self.out[u as usize], &self.inn[v as usize]);
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut best: Option<u32> = None;
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let d = a[i].1.saturating_add(b[j].1);
-                    best = Some(best.map_or(d, |x| x.min(d)));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        best
-    }
-
-    /// True when `u` reaches `v` through the condensed graph.
-    pub fn reaches(&self, u: u32, v: u32) -> bool {
-        self.query_dist(u, v).is_some()
-    }
-
-    /// Number of labeled nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Total label entries across all nodes (both directions).
-    pub fn num_entries(&self) -> usize {
-        self.out.iter().map(Vec::len).sum::<usize>() + self.inn.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Heap + inline bytes held by the label sets.
-    pub fn size_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<LabelEntry>();
-        std::mem::size_of::<Self>()
-            + self
-                .out
-                .iter()
-                .chain(self.inn.iter())
-                .map(|l| std::mem::size_of::<Vec<LabelEntry>>() + l.capacity() * entry)
-                .sum::<usize>()
-    }
-}
-
-/// A dense mapping from boundary [`VertexId`]s to condensed-graph node
-/// indices, sorted by vertex id for binary-search lookup.
-#[derive(Debug, Clone, Default)]
-pub struct BoundaryIndexMap {
-    /// Sorted, deduplicated boundary vertex ids; the position of an id
-    /// is its condensed node index.
-    ids: Vec<VertexId>,
-}
-
-impl BoundaryIndexMap {
-    /// Builds the map from an iterator of boundary ids (need not be
-    /// sorted or unique).
-    pub fn from_ids(ids: impl IntoIterator<Item = VertexId>) -> Self {
-        let mut ids: Vec<VertexId> = ids.into_iter().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        Self { ids }
-    }
-
-    /// The condensed node index of `v`, when `v` is a boundary vertex.
-    pub fn index_of(&self, v: VertexId) -> Option<u32> {
-        self.ids.binary_search(&v).ok().map(|i| i as u32)
-    }
-
-    /// The vertex id at condensed node index `i`.
-    pub fn id_at(&self, i: u32) -> VertexId {
-        self.ids[i as usize]
-    }
-
-    /// All boundary ids in index order.
-    pub fn ids(&self) -> &[VertexId] {
-        &self.ids
-    }
-
-    /// Number of mapped boundary vertices.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when no boundary vertices are mapped.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Heap + inline bytes held by the map.
-    pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.ids.capacity() * std::mem::size_of::<VertexId>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,98 +107,5 @@ mod tests {
         // k beyond the horizon clamps; trailing zero levels trim.
         assert_eq!(p.answer(10), Some((5, vec![1, 4])));
         assert_eq!(p.answer(0), Some((1, vec![1])));
-    }
-
-    #[test]
-    fn partition_reach_keep_rules() {
-        let mut pr = PartitionReach::new(2, 3);
-        pr.record_gain(0, 1, 2);
-        // Complete source 0: only level 2 in partition 1 is kept.
-        assert!(pr.keep(0, 1, 2));
-        assert!(!pr.keep(0, 1, 1));
-        assert!(!pr.keep(0, 0, 2));
-        // Representable ceiling: level >= 63 always kept.
-        assert!(pr.keep(0, 0, 63));
-        assert!(pr.keep(0, 0, 64));
-        // Incomplete source 1 with horizon 4: everything past 4 kept.
-        pr.record_gain(1, 2, 3);
-        pr.mark_incomplete(1, 4);
-        assert!(pr.keep(1, 0, 5));
-        assert!(pr.keep(1, 2, 3));
-        assert!(!pr.keep(1, 2, 4)); // within budget, no gain recorded
-        assert!(!pr.keep(1, 0, 0));
-    }
-
-    #[test]
-    fn mark_incomplete_at_representable_ceiling() {
-        let mut pr = PartitionReach::new(1, 1);
-        pr.mark_incomplete(0, 63);
-        assert!(pr.keep(0, 0, 63));
-        assert!(pr.keep(0, 0, 100));
-        assert!(!pr.keep(0, 0, 62));
-    }
-
-    #[test]
-    fn two_hop_on_a_path() {
-        // 0 → 1 → 2, plus 3 isolated.
-        let fwd = vec![vec![(1, 1)], vec![(2, 1)], vec![], vec![]];
-        let labels = TwoHopLabels::build(4, &fwd, &[1, 0, 2, 3]);
-        assert_eq!(labels.query_dist(0, 2), Some(2));
-        assert_eq!(labels.query_dist(0, 1), Some(1));
-        assert!(labels.reaches(1, 2));
-        assert!(!labels.reaches(2, 0));
-        assert!(!labels.reaches(0, 3));
-        assert!(labels.reaches(3, 3));
-        assert!(labels.size_bytes() > 0);
-    }
-
-    #[test]
-    fn two_hop_pruning_stays_correct_on_a_grid() {
-        // 4×4 directed grid (right and down edges); ground truth is
-        // reachability iff target is right/below in both coordinates.
-        let n = 16usize;
-        let at = |r: usize, c: usize| (r * 4 + c) as u32;
-        let mut fwd: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for r in 0..4 {
-            for c in 0..4 {
-                if c + 1 < 4 {
-                    fwd[at(r, c) as usize].push((at(r, c + 1), 1));
-                }
-                if r + 1 < 4 {
-                    fwd[at(r, c) as usize].push((at(r + 1, c), 1));
-                }
-            }
-        }
-        // Hub-ish order: center nodes first.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&v| {
-            let (r, c) = (v / 4, v % 4);
-            (r as i32 - 2).abs() + (c as i32 - 2).abs()
-        });
-        let labels = TwoHopLabels::build(n, &fwd, &order);
-        for u in 0..n as u32 {
-            for v in 0..n as u32 {
-                let (ur, uc) = (u / 4, u % 4);
-                let (vr, vc) = (v / 4, v % 4);
-                let expect = vr >= ur && vc >= uc;
-                assert_eq!(labels.reaches(u, v), expect, "{u} -> {v}");
-                if expect {
-                    let d = (vr - ur) + (vc - uc);
-                    assert_eq!(labels.query_dist(u, v), Some(d), "{u} -> {v}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn boundary_map_round_trips() {
-        let m = BoundaryIndexMap::from_ids([7u64, 3, 7, 11]);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.index_of(3), Some(0));
-        assert_eq!(m.index_of(7), Some(1));
-        assert_eq!(m.index_of(11), Some(2));
-        assert_eq!(m.index_of(5), None);
-        assert_eq!(m.id_at(2), 11);
-        assert!(!m.is_empty());
     }
 }

@@ -16,9 +16,8 @@
 //!   style concurrent traversals of §3.5,
 //! * [`VertexProps`] / [`EdgeProps`] — columnar property storage
 //!   (vertex values, edge weights),
-//! * [`LevelProfile`] / [`PartitionReach`] / [`TwoHopLabels`] —
-//!   reachability-index label storage: bounded-hop distance sketches
-//!   and 2-hop landmark labels over condensed boundary graphs,
+//! * [`LevelProfile`] — reachability-index storage: the bounded-hop
+//!   distance sketch an indexed source answers k-hop queries from,
 //! * [`TileStore`] / [`TileCache`] — out-of-core edge-set persistence
 //!   with an LRU tile cache ("a subgraph shard does not necessarily
 //!   need to fit in memory", §3).
@@ -52,7 +51,7 @@ pub use csr::Csr;
 pub use delta::{DeltaOverlay, DeltaRow, EdgeUpdate, UpdateBatch};
 pub use edge::{Edge, EdgeList};
 pub use edge_set::{ConsolidationPolicy, EdgeSet, EdgeSetGraph, EdgeSetLayout};
-pub use labels::{BoundaryIndexMap, LevelProfile, PartitionReach, TwoHopLabels, MAX_EXACT_LEVEL};
+pub use labels::{LevelProfile, MAX_EXACT_LEVEL};
 pub use props::{EdgeProps, VertexProps};
 pub use snapshot::{
     decode_snapshot, decode_wal, encode_snapshot, encode_wal_record, CodecError, DiskFaults,

@@ -1,26 +1,17 @@
 //! # cgraph-index — the reachability index tier
 //!
-//! Builds a per-partition reachability index over *boundary vertices*
-//! (the targets of cross-partition edges) by reusing the batch
-//! traversal engine itself: the boundary set is packed into MS-BFS
-//! lanes ([`DistributedEngine::run_traversal_batch_probed`]) and one
-//! bounded-hop sweep per chunk yields, simultaneously,
-//!
-//! * a [`LevelProfile`] per indexed source — the exact per-level visit
-//!   counts a traversal would report, answering whole queries without
-//!   traversing,
-//! * a [`PartitionReach`] mask per (source, partition) — which BFS
-//!   levels each partition gains first visits at, the input to the
-//!   engine's superstep pruning, and
-//! * first-visit levels between boundary vertices — the condensed
-//!   boundary graph, labeled with pruned 2-hop landmark labels
-//!   ([`TwoHopLabels`]) for boundary-to-boundary reachability.
+//! Builds a reachability index over *boundary vertices* (the targets
+//! of cross-partition edges) by reusing the batch traversal engine
+//! itself: the highest-out-degree boundary vertices are packed into
+//! MS-BFS lanes ([`DistributedEngine::run_traversal_batch`]) and one
+//! bounded-hop sweep per chunk yields a [`LevelProfile`] per indexed
+//! source — the exact per-level visit counts a traversal would report,
+//! answering whole queries without traversing.
 //!
 //! The index is an immutable value versioned by `graph_epoch`; the
 //! query service rebuilds it inside every mutation commit fence and
 //! consults it only when its epoch matches the engine's (see
-//! `INDEXING.md` for the design contract and the pruning soundness
-//! argument).
+//! `INDEXING.md` for the design contract).
 //!
 //! An index-only answer is bit-identical to a traversal answer:
 //!
@@ -51,28 +42,21 @@
 #![warn(missing_docs)]
 
 use cgraph_core::engine::{DistributedEngine, EngineError};
-use cgraph_core::index_api::{IndexAnswer, IndexBuilder, IndexConfig, PrunePlan, ReachIndex};
-use cgraph_graph::{
-    BoundaryIndexMap, LevelProfile, PartitionReach, TwoHopLabels, VertexId, MAX_LANES,
-};
+use cgraph_core::index_api::{IndexAnswer, IndexBuilder, IndexConfig, ReachIndex};
+use cgraph_graph::{LevelProfile, VertexId, MAX_LANES};
 use std::sync::Arc;
 
-/// An immutable reachability index over one engine snapshot: distance
-/// sketches and partition level-set masks for the indexed boundary
-/// sources, plus 2-hop landmark labels over the condensed boundary
-/// graph. Built by [`BoundaryIndexBuilder`]; consumed through the
-/// [`ReachIndex`] trait by the scheduler and the query service.
+/// An immutable reachability index over one engine snapshot: one
+/// distance sketch per indexed boundary source. Built by
+/// [`BoundaryIndexBuilder`]; consumed through the [`ReachIndex`] trait
+/// by the scheduler and the query service.
 pub struct IndexTier {
     epoch: u64,
-    num_partitions: usize,
     hops: u32,
     /// Indexed sources, sorted ascending for binary-search lookup.
     sources: Vec<VertexId>,
     /// `profiles[i]` = the sketch of `sources[i]`.
     profiles: Vec<LevelProfile>,
-    reach: PartitionReach,
-    map: BoundaryIndexMap,
-    labels: TwoHopLabels,
 }
 
 impl IndexTier {
@@ -85,17 +69,6 @@ impl IndexTier {
     /// The sketch hop budget the index was built with.
     pub fn hops(&self) -> u32 {
         self.hops
-    }
-
-    /// All boundary vertices of the partitioning (condensed-graph
-    /// nodes), whether indexed as sources or not.
-    pub fn boundary(&self) -> &[VertexId] {
-        self.map.ids()
-    }
-
-    /// Total 2-hop label entries across the condensed boundary graph.
-    pub fn label_entries(&self) -> usize {
-        self.labels.num_entries()
     }
 }
 
@@ -110,39 +83,10 @@ impl ReachIndex for IndexTier {
         Some(IndexAnswer { visited, per_level })
     }
 
-    fn prune_plan(&self, sources: &[VertexId]) -> Option<PrunePlan> {
-        let mut plan = PrunePlan::new(self.num_partitions, sources.len());
-        for (lane, src) in sources.iter().enumerate() {
-            if let Ok(i) = self.sources.binary_search(src) {
-                let row = (0..self.num_partitions).map(|q| self.reach.mask(i, q)).collect();
-                plan.set_lane(lane, row);
-            }
-        }
-        (!plan.is_empty()).then_some(plan)
-    }
-
-    fn reaches(&self, u: VertexId, v: VertexId) -> Option<bool> {
-        let un = self.map.index_of(u)?;
-        let vn = self.map.index_of(v)?;
-        if self.labels.reaches(un, vn) {
-            return Some(true);
-        }
-        // A complete sketch saw *everything* reachable from `u`, so
-        // the absence of a label path is a proof of unreachability;
-        // an incomplete (budget-cut) sketch proves nothing negative.
-        match self.sources.binary_search(&u) {
-            Ok(i) if self.profiles[i].is_complete() => Some(false),
-            _ => None,
-        }
-    }
-
     fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.sources.capacity() * std::mem::size_of::<VertexId>()
             + self.profiles.iter().map(LevelProfile::size_bytes).sum::<usize>()
-            + self.reach.size_bytes()
-            + self.map.size_bytes()
-            + self.labels.size_bytes()
     }
 
     fn num_sources(&self) -> usize {
@@ -153,7 +97,7 @@ impl ReachIndex for IndexTier {
 /// Builds an [`IndexTier`] from an engine snapshot: ranks boundary
 /// vertices by out-degree, caps them at
 /// [`IndexConfig::max_sources`], and sweeps the survivors through the
-/// probed batch-traversal path in [`MAX_LANES`]-wide chunks.
+/// batch-traversal path in [`MAX_LANES`]-wide chunks.
 #[derive(Clone, Copy, Debug)]
 pub struct BoundaryIndexBuilder {
     config: IndexConfig,
@@ -172,122 +116,52 @@ impl BoundaryIndexBuilder {
 
     /// Builds the concrete index value for `engine`'s current epoch.
     ///
-    /// Runs one bounded-hop probed batch per [`MAX_LANES`]-wide chunk
-    /// of indexed sources; the sketch budget is
+    /// Runs one bounded-hop batch per [`MAX_LANES`]-wide chunk of
+    /// indexed sources; the sketch budget is
     /// [`IndexConfig::effective_hops`] and each build BFS runs one
     /// hop further to observe completion (a lane that gains nothing
     /// at `hops + 1` has drained — its sketch is the full BFS).
     pub fn build_tier(&self, engine: &DistributedEngine) -> Result<IndexTier, EngineError> {
-        let p = engine.num_machines();
         let hops = self.config.effective_hops();
-        let map = BoundaryIndexMap::from_ids(
-            engine.shards().iter().flat_map(|s| s.boundary_vertices().iter().copied()),
-        );
+        let horizon = hops as usize;
 
         // Rank boundary vertices by out-degree (hubs first) and keep
         // the top `max_sources` as indexed sources, stored ascending.
-        let mut ranked: Vec<(usize, VertexId)> = map
-            .ids()
-            .iter()
-            .map(|&v| {
+        let mut boundary: Vec<VertexId> =
+            engine.shards().iter().flat_map(|s| s.boundary_vertices().iter().copied()).collect();
+        boundary.sort_unstable();
+        boundary.dedup();
+        let mut ranked: Vec<(usize, VertexId)> = boundary
+            .into_iter()
+            .map(|v| {
                 let owner = engine.partition().owner(v);
                 (engine.shards()[owner].out_neighbors_weighted(v).len(), v)
             })
             .collect();
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         ranked.truncate(self.config.max_sources);
-        let mut sources: Vec<VertexId> = ranked.into_iter().map(|(_, v)| v).collect();
+        let mut sources: Vec<VertexId> = ranked.iter().map(|&(_, v)| v).collect();
         sources.sort_unstable();
 
         let mut profiles: Vec<LevelProfile> = Vec::with_capacity(sources.len());
-        let mut reach = PartitionReach::new(sources.len(), p);
-        let mut fwd: Vec<Vec<(u32, u32)>> = vec![Vec::new(); map.len()];
-        let probes = map.ids();
-        let mut chunk_start = 0usize;
-        while chunk_start < sources.len() {
-            let chunk = &sources[chunk_start..(chunk_start + MAX_LANES).min(sources.len())];
+        for chunk in sources.chunks(MAX_LANES) {
             // One hop past the budget: completion detection (above).
             let ks = vec![hops + 1; chunk.len()];
-            let pb = engine.run_traversal_batch_probed(chunk, &ks, probes)?;
-            for (lane, &src) in chunk.iter().enumerate() {
-                let src_idx = chunk_start + lane;
-                let column: Vec<u64> = pb.result.per_level.iter().map(|row| row[lane]).collect();
-                let complete =
-                    column.len() <= (hops as usize) + 1 || column[(hops as usize) + 1] == 0;
-                let mut levels: Vec<u64> =
-                    column.iter().copied().take((hops as usize) + 1).collect();
+            let batch = engine.run_traversal_batch(chunk, &ks)?;
+            for lane in 0..chunk.len() {
+                let mut levels: Vec<u64> = batch.per_level.iter().map(|row| row[lane]).collect();
+                let complete = levels.get(horizon + 1).is_none_or(|&gain| gain == 0);
+                levels.truncate(horizon + 1);
                 if complete {
-                    while levels.len() > 1 && *levels.last().unwrap() == 0 {
+                    while levels.len() > 1 && levels.last() == Some(&0) {
                         levels.pop();
                     }
                 }
                 profiles.push(LevelProfile::new(levels, complete));
-                // Level 0: the seed's own partition gains the source.
-                reach.record_gain(src_idx, engine.partition().owner(src), 0);
-                if !complete {
-                    reach.mark_incomplete(src_idx, hops);
-                }
-            }
-            for (m, rows) in pb.partition_gains.iter().enumerate() {
-                for (h, row) in rows.iter().enumerate() {
-                    let level = h as u32 + 1;
-                    if level > hops {
-                        // Gains at `hops + 1` only witness incompleteness,
-                        // already folded in via `mark_incomplete`.
-                        break;
-                    }
-                    for (lane, &gain) in row.iter().take(chunk.len()).enumerate() {
-                        if gain > 0 {
-                            reach.record_gain(chunk_start + lane, m, level);
-                        }
-                    }
-                }
-            }
-            // Probe observations are exact first-visit distances —
-            // condensed boundary-graph edges source → probe.
-            for &(pi, lane, level) in &pb.probe_levels {
-                if level == 0 {
-                    continue; // the source itself
-                }
-                let src_node = self::node_of(&map, chunk[lane as usize]);
-                fwd[src_node as usize].push((pi, level));
-            }
-            chunk_start += chunk.len();
-        }
-        for adj in &mut fwd {
-            adj.sort_unstable();
-            adj.dedup();
-        }
-
-        // Landmark order: condensed-graph degree, hubs first.
-        let mut degree = vec![0u64; map.len()];
-        for (u, adj) in fwd.iter().enumerate() {
-            degree[u] += adj.len() as u64;
-            for &(v, _) in adj {
-                degree[v as usize] += 1;
             }
         }
-        let mut order: Vec<u32> = (0..map.len() as u32).collect();
-        order.sort_by(|&a, &b| degree[b as usize].cmp(&degree[a as usize]).then(a.cmp(&b)));
-        let labels = TwoHopLabels::build(map.len(), &fwd, &order);
-
-        Ok(IndexTier {
-            epoch: engine.graph_epoch(),
-            num_partitions: p,
-            hops,
-            sources,
-            profiles,
-            reach,
-            map,
-            labels,
-        })
+        Ok(IndexTier { epoch: engine.graph_epoch(), hops, sources, profiles })
     }
-}
-
-/// A boundary vertex's condensed node index (sources are always in
-/// the map — they were drawn from it).
-fn node_of(map: &BoundaryIndexMap, v: VertexId) -> u32 {
-    map.index_of(v).expect("indexed source is a boundary vertex")
 }
 
 impl IndexBuilder for BoundaryIndexBuilder {
@@ -371,51 +245,12 @@ mod tests {
     }
 
     #[test]
-    fn reaches_is_sound_on_path() {
-        let engine = path_engine(24, 4);
-        let tier = BoundaryIndexBuilder::new(IndexConfig::default()).build_tier(&engine).unwrap();
-        let b = tier.boundary().to_vec();
-        assert!(b.len() >= 2, "4-way split yields several boundary vertices");
-        for &u in &b {
-            for &v in &b {
-                match tier.reaches(u, v) {
-                    // On a forward path, u reaches v iff u <= v.
-                    Some(true) => assert!(u <= v, "claimed {u} -> {v}"),
-                    Some(false) => assert!(u > v, "denied {u} -> {v}"),
-                    None => {}
-                }
-            }
-        }
-        // Complete sketches decide every boundary pair on a small path.
-        let lo = *b.first().unwrap();
-        let hi = *b.last().unwrap();
-        assert_eq!(tier.reaches(lo, hi), Some(true));
-        assert_eq!(tier.reaches(hi, lo), Some(false));
-        // Non-boundary vertices are not covered.
-        assert_eq!(tier.reaches(0, hi), None);
-    }
-
-    #[test]
-    fn prune_plan_covers_indexed_lanes_only() {
-        let engine = path_engine(24, 3);
-        let tier = BoundaryIndexBuilder::new(IndexConfig::default()).build_tier(&engine).unwrap();
-        let s = tier.sources()[0];
-        let plan = tier.prune_plan(&[s, 0]).expect("one covered lane");
-        assert_eq!(plan.covered_lanes(), 1);
-        assert_eq!(plan.num_partitions(), 3);
-        // A batch of only unindexed sources compiles to no plan.
-        assert!(tier.prune_plan(&[0, 1]).is_none());
-    }
-
-    #[test]
     fn empty_boundary_yields_empty_index() {
         // p=1: no cross-partition edges, no boundary, no sources.
         let engine = path_engine(8, 1);
         let tier = BoundaryIndexBuilder::new(IndexConfig::default()).build_tier(&engine).unwrap();
         assert_eq!(tier.num_sources(), 0);
         assert_eq!(tier.answer(3, 2), None);
-        assert!(tier.prune_plan(&[3]).is_none());
-        assert_eq!(tier.reaches(1, 2), None);
     }
 
     #[test]
@@ -429,7 +264,7 @@ mod tests {
         let engine = DistributedEngine::new(&edges, EngineConfig::new(4));
         let index = BoundaryIndexBuilder::new(IndexConfig::default()).build(&engine).unwrap();
         // Sources include every boundary vertex (indexed, fast-pathed)
-        // plus interior ones (batched, with pruning masks applied).
+        // plus interior ones (batched).
         let queries: Vec<KhopQuery> =
             (0..20).map(|i| KhopQuery::single(i, (i as u64 * 2) % 40, 5)).collect();
         let plain = QueryScheduler::new(&engine, SchedulerConfig::default()).execute(&queries);
@@ -448,7 +283,6 @@ mod tests {
         let tier = BoundaryIndexBuilder::new(IndexConfig { hops: 4, max_sources: 2 })
             .build_tier(&engine)
             .unwrap();
-        assert!(tier.num_sources() <= 2);
-        assert!(tier.boundary().len() >= tier.num_sources());
+        assert_eq!(tier.num_sources(), 2, "a 4-way path split has more than 2 boundary vertices");
     }
 }

@@ -38,7 +38,7 @@
 //! | [`gen`] | cgraph-gen | Graph 500/RMAT, ER, small-world, BA, scaling, I/O |
 //! | [`comm`] | cgraph-comm | simulated cluster, barriers, termination, net model |
 //! | [`core`] | cgraph-core | partitioning, shards, PCM, bit frontiers, engine, scheduler |
-//! | [`index`] | cgraph-index | boundary reachability index: distance sketches, prune masks, landmark labels |
+//! | [`index`] | cgraph-index | boundary reachability index: distance sketches that answer k-hop queries without traversing |
 //! | [`obs`] | cgraph-obs | metrics registry, structured tracing, text exposition |
 //! | [`baselines`] | cgraph-baselines | Titan-like graph DB, Gemini-like serialized engine |
 //! | [`analytics`] | cgraph-analytics | BFS, k-hop, SSSP, PageRank, WCC, triangles, k-core, closeness, hop plot |
@@ -71,10 +71,10 @@ pub mod prelude {
     pub use cgraph_core::{
         DistributedEngine, DurabilityConfig, DurabilityError, DurabilityStats, EdgeUpdate,
         EngineConfig, FaultPlan, GroupConfig, IndexAnswer, IndexBuilder, IndexConfig, KhopQuery,
-        MutationConfig, PrunePlan, QueryPlaneConfig, QueryResult, QueryScheduler, QueryService,
-        ReachIndex, RecoveryConfig, RecoveryOutcome, RecoveryReport, ResponseStats, RouterConfig,
-        RouterStats, SchedulerConfig, ServiceConfig, ServiceError, ServiceGroup, ServiceStats,
-        UpdateBatch, UpdateMode, VertexProgram,
+        MutationConfig, QueryPlaneConfig, QueryResult, QueryScheduler, QueryService, ReachIndex,
+        RecoveryConfig, RecoveryOutcome, RecoveryReport, ResponseStats, RouterConfig, RouterStats,
+        SchedulerConfig, ServiceConfig, ServiceError, ServiceGroup, ServiceStats, UpdateBatch,
+        UpdateMode, VertexProgram,
     };
     pub use cgraph_gen::Dataset;
     pub use cgraph_graph::{

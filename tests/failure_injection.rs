@@ -2,11 +2,35 @@
 //! machine panics, when inputs are degenerate, and when the system is
 //! pushed past its sizing assumptions.
 
-use cgraph::core::{EngineError, FaultInjection};
+mod common;
+
+use cgraph::core::{BatchResult, EngineError, FaultInjection};
 use cgraph::prelude::*;
 use cgraph_comm::{Cluster, ClusterError, PersistentCluster};
+use common::reference_khop_levels;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Asserts every lane of `br` against the sequential CSR reference —
+/// an oracle that shares no code with the engine's superstep loop.
+fn assert_matches_reference(
+    br: &BatchResult,
+    g: &EdgeList,
+    sources: &[u64],
+    ks: &[u32],
+    tag: &str,
+) {
+    let csr = Csr::from_edges(g.num_vertices(), g.edges());
+    for (lane, (&src, &k)) in sources.iter().zip(ks).enumerate() {
+        let (visited, per_level) = reference_khop_levels(&csr, src, k);
+        let mut column: Vec<u64> = br.per_level.iter().map(|row| row[lane]).collect();
+        while column.last() == Some(&0) {
+            column.pop();
+        }
+        assert_eq!(br.per_lane_visited[lane], visited, "{tag}: lane {lane} visited");
+        assert_eq!(column, per_level, "{tag}: lane {lane} per-level");
+    }
+}
 
 #[test]
 fn machine_panic_propagates_not_hangs() {
@@ -124,18 +148,18 @@ fn persistent_batch_panic_errors_and_cluster_survives() {
     let e = DistributedEngine::new(&g, EngineConfig::new(3));
     let cluster = PersistentCluster::new(3);
 
-    let boom: &(dyn Fn(usize) + Sync) = &|machine| {
-        if machine == 2 {
-            panic!("injected batch fault");
-        }
-    };
+    // Machine 2 dies at superstep 1 on every attempt, and no
+    // recovery is allowed: the first failure is the batch's answer.
+    let plan = FaultPlan::new(21).crash(2, 1);
+    let fault = FaultInjection { plan: &plan, job: 0, first_attempt: 0 };
+    let rc = RecoveryConfig { max_recoveries: 0, ..Default::default() };
     let err = e
-        .run_traversal_batch_on_hooked(&cluster, &[0, 24], &[3, 3], Some(boom))
+        .run_traversal_batch_recoverable(&cluster, &[0, 24], &[3, 3], &rc, Some(fault))
         .expect_err("faulted batch must error");
     match err {
         EngineError::Cluster(ClusterError::MachinePanicked { machine, message }) => {
             assert_eq!(machine, 2, "root cause, not a poison-cascade victim");
-            assert!(message.contains("injected batch fault"), "{message}");
+            assert!(message.contains("crashed at superstep 1"), "{message}");
         }
         other => panic!("expected MachinePanicked, got {other:?}"),
     }
@@ -227,11 +251,34 @@ fn persistent_submit_after_shutdown_errors() {
 }
 
 #[test]
+fn recoverable_batch_matches_reference_without_faults() {
+    // The no-fault case of the checkpointing path, anchored on the
+    // sequential reference: a long batch commits checkpoints and logs
+    // every send, and none of that bookkeeping may touch an answer.
+    let mut b = GraphBuilder::new();
+    b.add_edge_list(&cgraph::gen::graph500(9, 8, 12));
+    let g = b.build().edges;
+    let e = DistributedEngine::new(&g, EngineConfig::new(3));
+    let cluster = PersistentCluster::new(3);
+    let (sources, ks) = ([1u64, 7, 100], [3u32, 5, 2]);
+    let (rec, report) = e
+        .run_traversal_batch_recoverable(&cluster, &sources, &ks, &RecoveryConfig::default(), None)
+        .unwrap();
+    assert_matches_reference(&rec, &g, &sources, &ks, "recoverable, no fault");
+    let plain = e.run_traversal_batch(&sources, &ks).unwrap();
+    assert_eq!(rec.per_lane_visited, plain.per_lane_visited);
+    assert_eq!(rec.per_level, plain.per_level);
+    assert_eq!((report.attempts, report.recoveries), (1, 0));
+    assert!(report.checkpoints_taken > 0, "long batch must commit checkpoints");
+    cluster.shutdown();
+}
+
+#[test]
 fn crash_at_every_superstep_sweep() {
     // Exhaustive crash-point sweep on a tiny ring: for p ∈ {2, 4} in
     // both sync and async mode, kill one machine at every superstep a
     // batch can reach; after recovery the result must equal the
-    // fault-free baseline every single time.
+    // sequential reference — and the fault-free batch — every time.
     let g: EdgeList = (0..24u64).map(|v| (v, (v + 1) % 24)).collect();
     let sources = [0u64, 12];
     let ks = [8u32, 8];
@@ -240,6 +287,7 @@ fn crash_at_every_superstep_sweep() {
             let cfg = if sync { EngineConfig::new(p) } else { EngineConfig::new(p).asynchronous() };
             let e = DistributedEngine::new(&g, cfg);
             let baseline = e.run_traversal_batch(&sources, &ks).unwrap();
+            assert_matches_reference(&baseline, &g, &sources, &ks, "fault-free");
             let cluster = PersistentCluster::new(p);
             let rc = RecoveryConfig { checkpoint_interval: 3, max_recoveries: 3 };
             // Supersteps run 0..=8 (boundary 9 observes completion);
@@ -254,6 +302,7 @@ fn crash_at_every_superstep_sweep() {
                         panic!("p={p} sync={sync} crash {m}@{s}: unrecovered {err}")
                     });
                 let tag = format!("p={p} sync={sync} crash {m}@{s}");
+                assert_matches_reference(&br, &g, &sources, &ks, &tag);
                 assert_eq!(br.per_lane_visited, baseline.per_lane_visited, "{tag}");
                 assert_eq!(br.per_level, baseline.per_level, "{tag}");
                 if sync && report.recoveries > 0 {
@@ -270,8 +319,8 @@ fn crash_sweep_at_128_lane_width() {
     // The superstep crash sweep again, but on a two-word (W = 128)
     // batch: recovery snapshots, sender logs, and live-lane masks all
     // carry multi-word lane state, and every crash point must still
-    // reproduce the fault-free baseline bit-for-bit. Fixed seed so CI
-    // failures replay exactly.
+    // reproduce the sequential reference (and the fault-free batch)
+    // bit-for-bit. Fixed seed so CI failures replay exactly.
     let g: EdgeList = (0..96u64).map(|v| (v, (v + 1) % 96)).collect();
     let sources: Vec<u64> = (0..128).map(|i| (i * 7) % 96).collect();
     let ks: Vec<u32> = (0..128).map(|i| 2 + (i % 5) as u32).collect();
@@ -287,6 +336,7 @@ fn crash_sweep_at_128_lane_width() {
         let (br, _) = e
             .run_traversal_batch_recoverable(&cluster, &sources, &ks, &rc, Some(fault))
             .unwrap_or_else(|err| panic!("W=128 crash {m}@{s}: unrecovered {err}"));
+        assert_matches_reference(&br, &g, &sources, &ks, &format!("W=128 crash {m}@{s}"));
         assert_eq!(br.per_lane_visited, baseline.per_lane_visited, "W=128 crash {m}@{s}");
         assert_eq!(br.per_level, baseline.per_level, "W=128 crash {m}@{s}");
     }

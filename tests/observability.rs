@@ -116,8 +116,6 @@ fn assert_registry_matches_stats(snap: &Snapshot, stats: &ServiceStats) {
     assert_eq!(c("cgraph_service_degraded_generations_total"), stats.degraded_generations);
     assert_eq!(c("cgraph_index_builds_total"), stats.index_builds);
     assert_eq!(c("cgraph_index_only_answers_total"), stats.index_only_answers);
-    assert_eq!(c("cgraph_index_pruned_sends_total"), stats.index_pruned_sends);
-    assert_eq!(c("cgraph_index_pruned_partitions_total"), stats.index_pruned_partitions);
     assert_eq!(snap.gauges["cgraph_index_sources"], stats.index_sources as i64);
     assert_eq!(snap.gauges["cgraph_index_bytes"], stats.index_bytes as i64);
     assert_eq!(c("cgraph_cache_hits_total"), stats.cache_hits);

@@ -1,6 +1,8 @@
 //! Property-based tests over the core invariants, driven by random
 //! graphs and query parameters.
 
+mod common;
+
 use cgraph::core::FaultInjection;
 use cgraph::prelude::*;
 use cgraph_comm::PersistentCluster;
@@ -9,6 +11,7 @@ use cgraph_core::shard::build_shards;
 use cgraph_core::RangePartition;
 use cgraph_graph::types::VertexRange;
 use cgraph_graph::{Bitmap, ConsolidationPolicy, DeltaOverlay, EdgeSetGraph, LaneMask};
+use common::reference_khop_levels;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -54,37 +57,6 @@ fn reference_khop(csr: &Csr, source: VertexId, k: u32) -> u64 {
         }
     }
     count
-}
-
-/// [`reference_khop`] plus the per-level profile (trailing zeros
-/// trimmed — the service's [`QueryResult::per_level`] convention).
-fn reference_khop_levels(csr: &Csr, source: VertexId, k: u32) -> (u64, Vec<u64>) {
-    let mut seen = vec![false; csr.num_vertices() as usize];
-    let mut q = VecDeque::new();
-    let mut levels = vec![1u64];
-    seen[source as usize] = true;
-    q.push_back((source, 0u32));
-    let mut count = 1u64;
-    while let Some((v, d)) = q.pop_front() {
-        if d >= k {
-            continue;
-        }
-        for &t in csr.neighbors(v) {
-            if !seen[t as usize] {
-                seen[t as usize] = true;
-                count += 1;
-                if levels.len() <= (d + 1) as usize {
-                    levels.resize((d + 2) as usize, 0);
-                }
-                levels[(d + 1) as usize] += 1;
-                q.push_back((t, d + 1));
-            }
-        }
-    }
-    while levels.last() == Some(&0) {
-        levels.pop();
-    }
-    (count, levels)
 }
 
 /// The committed edge set as a model: pairs cleaned exactly the way
