@@ -7,14 +7,16 @@
 //! width, so one row read covers a vertex's membership in every
 //! concurrent frontier at once. A traversal hop is then:
 //!
-//! 1. **Scan**: for every tile row `v` with a non-zero `frontier` row,
-//!    OR the row into `next[slot]` for each out-edge, where the shard's
-//!    slot table ([`Shard::tile_slots`]) numbers local targets first
-//!    and boundary (remote) targets after them; then walk the boundary
-//!    rows once and emit `(t, row)` for each touched remote target.
-//!    Shared neighbours of shared frontiers cost a single pass — the
-//!    "one traversal on these two vertices" sharing of Fig. 3b.
-//! 2. **Absorb**: OR remote lane masks received from peers into `next`.
+//! 1. **Scan**: list the rows with a non-zero `frontier` row once, then
+//!    for every tile walk its share of that list and OR each row into
+//!    `next[slot]` for each out-edge, where the shard's slot table
+//!    ([`Shard::tile_slots`]) numbers local targets first and boundary
+//!    (remote) targets after them; then walk the boundary rows once and
+//!    emit `(t, row)` for each touched remote target. Shared neighbours
+//!    of shared frontiers cost a single pass — the "one traversal on
+//!    these two vertices" sharing of Fig. 3b.
+//! 2. **Absorb**: OR the remote rows received from peers (one
+//!    [`FrontierBatch`] per sender) into `next`.
 //! 3. **Advance**: `new = next & !visited`; `visited |= new`;
 //!    `frontier = new`; count newly visited vertices per lane.
 //!
@@ -25,6 +27,116 @@ use cgraph_graph::bitmap::{LaneMask, LaneMatrix, LaneWidth};
 use cgraph_graph::delta::DeltaOverlay;
 use cgraph_graph::VertexId;
 
+/// Runs `$body` with `$S` bound to the row stride `$words` as a
+/// constant, so the per-row work is a fixed `S`-word operation — a
+/// single `|=` at `W = 64`.
+macro_rules! with_stride {
+    ($words:expr, $S:ident => $body:expr) => {
+        match $words {
+            1 => {
+                const $S: usize = 1;
+                $body
+            }
+            2 => {
+                const $S: usize = 2;
+                $body
+            }
+            4 => {
+                const $S: usize = 4;
+                $body
+            }
+            8 => {
+                const $S: usize = 8;
+                $body
+            }
+            w => unreachable!("LaneWidth admits 1, 2, 4 or 8 words, not {w}"),
+        }
+    };
+}
+
+/// Remote frontier rows bound for one machine, at the batch's own
+/// stride: `ids[i]`'s lanes are `words[i * stride..][..stride]`. One
+/// entry per destination vertex, ascending — the order
+/// [`BitFrontier::scan`] emits.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FrontierBatch {
+    stride: usize,
+    ids: Vec<VertexId>,
+    words: Vec<u64>,
+}
+
+impl FrontierBatch {
+    /// An empty batch of `stride` words per vertex.
+    pub fn new(stride: usize) -> Self {
+        assert!(stride > 0, "a frontier row has at least one word");
+        Self { stride, ids: Vec::new(), words: Vec::new() }
+    }
+
+    /// Appends destination `v` with its lane words; `v` must exceed
+    /// every vertex already in the batch.
+    #[inline]
+    pub fn push(&mut self, v: VertexId, row: &[u64]) {
+        debug_assert_eq!(row.len(), self.stride);
+        debug_assert!(
+            self.ids.last().is_none_or(|&last| last < v),
+            "one entry per vertex, ascending"
+        );
+        self.ids.push(v);
+        self.words.extend_from_slice(row);
+    }
+
+    /// Words per vertex.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Destination vertices carried.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when the batch carries no vertex.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// `(destination, lane words)` per entry, ascending by vertex.
+    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &[u64])> + '_ {
+        self.ids.iter().copied().zip(self.words.chunks_exact(self.stride))
+    }
+
+    /// The union of two batches of one stride: a vertex present in both
+    /// gets its rows ORed into one entry.
+    pub fn or_merge(&self, other: &FrontierBatch) -> FrontierBatch {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        assert_eq!(self.stride, other.stride, "batches of one superstep share a width");
+        let mut out = FrontierBatch::new(self.stride);
+        let (mut a, mut b) = (self.iter().peekable(), other.iter().peekable());
+        while let (Some(&(va, ra)), Some(&(vb, rb))) = (a.peek(), b.peek()) {
+            match va.cmp(&vb) {
+                Less => {
+                    out.push(va, ra);
+                    a.next();
+                }
+                Greater => {
+                    out.push(vb, rb);
+                    b.next();
+                }
+                Equal => {
+                    out.ids.push(va);
+                    out.words.extend(ra.iter().zip(rb).map(|(x, y)| x | y));
+                    a.next();
+                    b.next();
+                }
+            }
+        }
+        for (v, row) in a.chain(b) {
+            out.push(v, row);
+        }
+        out
+    }
+}
+
 /// Per-shard traversal state for one query batch of runtime width.
 #[derive(Debug)]
 pub struct BitFrontier {
@@ -34,6 +146,11 @@ pub struct BitFrontier {
     /// boundary rows are non-zero only inside [`BitFrontier::scan`].
     next: LaneMatrix,
     visited: LaneMatrix,
+    /// Scratch of the scan: the local rows with a non-zero frontier,
+    /// ascending, in a prefix of this `num_local`-long buffer. Derived
+    /// from `frontier` by every scan, so nothing that writes the
+    /// frontier has to keep it current.
+    active: Vec<u32>,
     base: VertexId,
     num_local: usize,
     /// Live lanes in this batch (`lanes <= width.bits()`).
@@ -67,6 +184,7 @@ impl BitFrontier {
             frontier: LaneMatrix::with_width(num_local, width),
             next: LaneMatrix::with_width(shard.num_slots(), width),
             visited: LaneMatrix::with_width(num_local, width),
+            active: vec![0; num_local],
             base: shard.local_range().start,
             num_local,
             lanes,
@@ -141,11 +259,12 @@ impl BitFrontier {
         }
     }
 
-    /// Scan phase: walks the shard's edge-set tiles in row-major order,
-    /// ORing each live frontier row into `next[slot]` for every
-    /// out-edge — local and boundary targets alike, addressed by the
+    /// Scan phase: lists the live frontier rows, walks the shard's
+    /// edge-set tiles in row-major order — each tile over its share of
+    /// that list — ORing each live row into `next[slot]` for every
+    /// out-edge, local and boundary targets alike, addressed by the
     /// shard's slot table. Afterwards the boundary rows are walked once
-    /// and handed to `remote` as `(global_dst, lane_mask)`: **one
+    /// and handed to `remote` as `(global_dst, lane words)`: **one
     /// coalesced call per touched remote destination, in ascending
     /// vertex order**, each row zeroed as it is emitted.
     ///
@@ -164,15 +283,9 @@ impl BitFrontier {
         &mut self,
         shard: &Shard,
         delta: Option<&DeltaOverlay>,
-        mut remote: impl FnMut(VertexId, &LaneMask),
+        mut remote: impl FnMut(VertexId, &[u64]),
     ) -> u64 {
-        let mut scanned = match self.width.words() {
-            1 => self.scan_tiles::<1>(shard, delta),
-            2 => self.scan_tiles::<2>(shard, delta),
-            4 => self.scan_tiles::<4>(shard, delta),
-            8 => self.scan_tiles::<8>(shard, delta),
-            w => unreachable!("LaneWidth admits 1, 2, 4 or 8 words, not {w}"),
-        };
+        let mut scanned = with_stride!(self.width.words(), S => self.scan_tiles::<S>(shard, delta));
         // Overlay insert pass: sources with pending inserted edges whose
         // frontier row is live. Rows iterate in arbitrary (HashMap)
         // order — harmless, since accumulation is a pure OR and the
@@ -211,49 +324,62 @@ impl BitFrontier {
         // spilled target is by definition not a boundary vertex, so a
         // two-way merge yields every destination once, in order.
         let mut spill = spill.iter().peekable();
-        let stride = self.width.words();
-        let boundary_rows =
-            self.next.words_mut()[self.num_local * stride..].chunks_exact_mut(stride);
-        for (&t, row) in shard.boundary_vertices().iter().zip(boundary_rows) {
-            if row.iter().all(|&w| w == 0) {
-                continue;
+        with_stride!(self.width.words(), S => {
+            let (next, _) = self.next.words_mut().as_chunks_mut::<S>();
+            for (&t, row) in shard.boundary_vertices().iter().zip(&mut next[self.num_local..]) {
+                if *row == [0; S] {
+                    continue;
+                }
+                while let Some((st, sw)) = spill.next_if(|e| e.0 < t) {
+                    remote(*st, sw.words());
+                }
+                remote(t, row);
+                *row = [0; S];
             }
-            while let Some((st, sw)) = spill.next_if(|e| e.0 < t) {
-                remote(*st, sw);
-            }
-            remote(t, &LaneMask::from_words(row));
-            row.fill(0);
-        }
+        });
         for (st, sw) in spill {
-            remote(*st, sw);
+            remote(*st, sw.words());
         }
         scanned
     }
 
-    /// The tile walk of [`BitFrontier::scan`], monomorphised over the
-    /// row stride `S` (words per vertex) so the per-edge OR is a fixed
-    /// `S`-word operation — a single `|=` at `W = 64`.
+    /// The tile walk of [`BitFrontier::scan`] at row stride `S` (words
+    /// per vertex).
     fn scan_tiles<const S: usize>(&mut self, shard: &Shard, delta: Option<&DeltaOverlay>) -> u64 {
-        let mut scanned = 0u64;
         let base = self.base;
         let (frontier, _) = self.frontier.words().as_chunks::<S>();
+        // One pass lists the live rows; the write is unconditional and
+        // only the length moves, so a half-full frontier costs no
+        // mispredicted branch per row.
+        let mut live = 0;
+        for (l, row) in frontier.iter().enumerate() {
+            self.active[live] = l as u32;
+            live += usize::from(*row != [0; S]);
+        }
+        let active = &self.active[..live];
         let (next, _) = self.next.words_mut().as_chunks_mut::<S>();
+        let mut scanned = 0u64;
         for (tile, set) in shard.out_sets().sets().iter().enumerate() {
             let slots = shard.tile_slots(tile);
-            // Restrict to rows in the frontier: iterate the tile's row
-            // range and skip zero rows early — one branch per row.
-            for v in set.row_range.iter() {
-                let row = frontier[(v - base) as usize];
-                if row == [0; S] {
-                    continue;
-                }
-                let span = set.row_span(v);
+            let (offsets, targets, _) = set.raw_parts();
+            // The tile's rows as local row numbers, and its share of
+            // the live list.
+            let first = (set.row_range.start - base) as usize;
+            let end = first + set.row_range.len() as usize;
+            let lo = active.partition_point(|&l| (l as usize) < first);
+            let hi = lo + active[lo..].partition_point(|&l| (l as usize) < end);
+            for &l in &active[lo..hi] {
+                let l = l as usize;
+                let span = offsets[l - first] as usize..offsets[l - first + 1] as usize;
                 if span.is_empty() {
                     continue;
                 }
                 scanned += 1;
-                let dels =
-                    delta.and_then(|d| d.row(v)).map(|r| r.deletes()).filter(|d| !d.is_empty());
+                let row = frontier[l];
+                let dels = delta
+                    .and_then(|d| d.row(base + l as VertexId))
+                    .map(|r| r.deletes())
+                    .filter(|d| !d.is_empty());
                 match dels {
                     None => {
                         for &slot in &slots[span] {
@@ -261,7 +387,7 @@ impl BitFrontier {
                         }
                     }
                     Some(dels) => {
-                        for (t, &slot) in set.neighbors(v).iter().zip(&slots[span]) {
+                        for (t, &slot) in targets[span.clone()].iter().zip(&slots[span]) {
                             if dels.binary_search(t).is_err() {
                                 or_words(&mut next[slot as usize], &row);
                             }
@@ -273,76 +399,80 @@ impl BitFrontier {
         scanned
     }
 
-    /// Absorb phase: ORs a remote lane mask into `next` for a
-    /// local-owned destination.
-    #[inline]
-    pub fn absorb(&mut self, v: VertexId, mask: &LaneMask) {
-        self.next.or_row((v - self.base) as usize, mask);
+    /// Absorb phase: ORs a peer's rows into `next` for the local-owned
+    /// destinations they name.
+    pub fn absorb(&mut self, batch: &FrontierBatch) {
+        assert_eq!(batch.stride, self.width.words(), "a batch travels at its own width");
+        let base = self.base;
+        with_stride!(batch.stride, S => {
+            let (next, _) = self.next.words_mut().as_chunks_mut::<S>();
+            let (rows, _) = batch.words.as_chunks::<S>();
+            for (&v, row) in batch.ids.iter().zip(rows) {
+                or_words(&mut next[(v - base) as usize], row);
+            }
+        })
     }
 
     /// Advance phase: filters `next` against `visited`, promotes the
     /// survivors to the new frontier, and counts per-lane discoveries.
     pub fn advance(&mut self) -> AdvanceResult {
-        let stride = self.width.words();
-        let mut active = LaneMask::zero(self.width);
-        let mut per_lane = vec![0u64; self.width.bits()];
-        let mut frontier_vertices = 0u64;
-        let frontier = self.frontier.words_mut();
-        let next = self.next.words_mut();
+        with_stride!(self.width.words(), S => self.advance_rows::<S>())
+    }
+
+    /// [`BitFrontier::advance`] at row stride `S`.
+    fn advance_rows<const S: usize>(&mut self) -> AdvanceResult {
+        let (frontier, _) = self.frontier.words_mut().as_chunks_mut::<S>();
+        let (next, _) = self.next.words_mut().as_chunks_mut::<S>();
+        let (next, boundary) = next.split_at_mut(self.num_local);
         debug_assert!(
-            next[self.num_local * stride..].iter().all(|&w| w == 0),
+            boundary.iter().all(|row| *row == [0; S]),
             "boundary rows are zeroed by the scan that filled them"
         );
-        let visited = self.visited.words_mut();
-        let active_words = &mut active;
-        for i in 0..self.num_local {
-            let off = i * stride;
-            let mut any = 0u64;
-            for j in 0..stride {
-                let new = next[off + j] & !visited[off + j];
-                next[off + j] = 0;
-                frontier[off + j] = new;
-                if new != 0 {
-                    visited[off + j] |= new;
+        let (visited, _) = self.visited.words_mut().as_chunks_mut::<S>();
+        let mut active = [0u64; S];
+        let mut frontier_vertices = 0u64;
+        let mut counts = LaneCounts::<S>::new();
+        let blocks = frontier
+            .chunks_mut(COUNT_BLOCK)
+            .zip(next.chunks_mut(COUNT_BLOCK))
+            .zip(visited.chunks_mut(COUNT_BLOCK));
+        for ((frontier, next), visited) in blocks {
+            let mut block_any = 0u64;
+            for ((f, n), v) in frontier.iter_mut().zip(next).zip(visited) {
+                let mut any = 0u64;
+                for j in 0..S {
+                    let new = n[j] & !v[j];
+                    n[j] = 0;
+                    f[j] = new;
+                    v[j] |= new;
+                    active[j] |= new;
                     any |= new;
-                    let mut bits = new;
-                    while bits != 0 {
-                        per_lane[j * 64 + bits.trailing_zeros() as usize] += 1;
-                        bits &= bits - 1;
-                    }
                 }
+                frontier_vertices += u64::from(any != 0);
+                block_any |= any;
             }
-            if any != 0 {
-                frontier_vertices += 1;
-                active_words.or_assign(&LaneMask::from_words(&frontier[off..off + stride]));
+            if block_any != 0 {
+                counts.add(frontier);
             }
         }
-        AdvanceResult { active_lanes: active, new_per_lane: per_lane, frontier_vertices }
+        AdvanceResult {
+            active_lanes: LaneMask::from_words(&active),
+            new_per_lane: counts.finish(),
+            frontier_vertices,
+        }
     }
 
     /// Per-lane counts of *currently visited* local vertices (length =
     /// batch width in bits).
     pub fn visited_per_lane(&self) -> Vec<u64> {
-        let stride = self.width.words();
-        let mut per_lane = vec![0u64; self.width.bits()];
-        for (wi, &w) in self.visited.words().iter().enumerate() {
-            let j = wi % stride;
-            let mut bits = w;
-            while bits != 0 {
-                per_lane[j * 64 + bits.trailing_zeros() as usize] += 1;
-                bits &= bits - 1;
+        with_stride!(self.width.words(), S => {
+            let (visited, _) = self.visited.words().as_chunks::<S>();
+            let mut counts = LaneCounts::<S>::new();
+            for block in visited.chunks(COUNT_BLOCK) {
+                counts.add(block);
             }
-        }
-        per_lane
-    }
-
-    /// Resets all state for batch reuse (dynamic resource allocation:
-    /// the three matrices are the only per-batch memory, recycled
-    /// rather than reallocated).
-    pub fn reset(&mut self) {
-        self.frontier.clear_all();
-        self.next.clear_all();
-        self.visited.clear_all();
+            counts.finish()
+        })
     }
 
     /// Snapshots the `(frontier, visited)` words — the complete
@@ -385,10 +515,14 @@ impl BitFrontier {
         self.next.clear_all();
     }
 
-    /// Heap bytes held (3 × `width.words()` words per local vertex, plus
-    /// one `next` row per boundary vertex).
+    /// Heap bytes held: 3 × `width.words()` words per local vertex, one
+    /// `next` row per boundary vertex, and the scan's 4-byte live-row
+    /// entry per local vertex.
     pub fn size_bytes(&self) -> usize {
-        self.frontier.size_bytes() + self.next.size_bytes() + self.visited.size_bytes()
+        self.frontier.size_bytes()
+            + self.next.size_bytes()
+            + self.visited.size_bytes()
+            + self.active.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -397,6 +531,98 @@ impl BitFrontier {
 fn or_words<const S: usize>(dst: &mut [u64; S], src: &[u64; S]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d |= s;
+    }
+}
+
+/// Rows [`LaneCounts`] adds per step.
+const COUNT_BLOCK: usize = 8;
+/// Bit planes per counter: a lane counts to `2^COUNT_PLANES − 1`
+/// between flushes.
+const COUNT_PLANES: usize = 12;
+/// Rows a counter takes before it flushes its planes into the totals
+/// (whole blocks only, so no plane can overflow). Public so a test can
+/// straddle the boundary.
+pub const COUNT_FLUSH_ROWS: usize = ((1 << COUNT_PLANES) - 1) / COUNT_BLOCK * COUNT_BLOCK;
+
+/// Per-lane population counts over rows of `S` words, bit-sliced:
+/// plane `k` of word `j` holds bit `k` of the running count of each of
+/// that word's 64 lanes. A block of rows goes in through a fixed tree
+/// of carry-save adders — no branch and no loop over set bits, a few
+/// word operations per row whatever its lanes hold — and the planes are
+/// folded into `u64` totals before a lane could count past them.
+struct LaneCounts<const S: usize> {
+    planes: [[u64; COUNT_PLANES]; S],
+    /// Rows added since the last flush: the most any lane can hold.
+    pending: usize,
+    totals: Vec<u64>,
+}
+
+/// Carry-save adder: three words of one weight in, `(sum, carry)` out —
+/// per lane `a + b + c = sum + 2 × carry`.
+#[inline(always)]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    (u ^ c, (a & b) | (u & c))
+}
+
+impl<const S: usize> LaneCounts<S> {
+    fn new() -> Self {
+        Self { planes: [[0; COUNT_PLANES]; S], pending: 0, totals: vec![0; S * 64] }
+    }
+
+    /// Counts the set lanes of up to [`COUNT_BLOCK`] rows.
+    #[inline]
+    fn add(&mut self, rows: &[[u64; S]]) {
+        if self.pending == COUNT_FLUSH_ROWS {
+            self.flush();
+        }
+        self.pending += COUNT_BLOCK;
+        let padded;
+        let r: &[[u64; S]; COUNT_BLOCK] = match rows.try_into() {
+            Ok(block) => block,
+            Err(_) => {
+                let mut block = [[0; S]; COUNT_BLOCK];
+                block[..rows.len()].copy_from_slice(rows);
+                padded = block;
+                &padded
+            }
+        };
+        for (j, p) in self.planes.iter_mut().enumerate() {
+            // Eight ones → the ones plane plus four twos; those → the
+            // twos plane plus two fours; those → the fours plane plus
+            // one eight, which ripples through the planes above.
+            let (ones, t0) = csa(p[0], r[0][j], r[1][j]);
+            let (ones, t1) = csa(ones, r[2][j], r[3][j]);
+            let (ones, t2) = csa(ones, r[4][j], r[5][j]);
+            let (ones, t3) = csa(ones, r[6][j], r[7][j]);
+            let (twos, f0) = csa(p[1], t0, t1);
+            let (twos, f1) = csa(twos, t2, t3);
+            let (fours, mut carry) = csa(p[2], f0, f1);
+            (p[0], p[1], p[2]) = (ones, twos, fours);
+            for plane in &mut p[3..] {
+                (*plane, carry) = (*plane ^ carry, *plane & carry);
+            }
+        }
+    }
+
+    /// Folds the planes into the totals and zeroes them.
+    fn flush(&mut self) {
+        for (planes, totals) in self.planes.iter_mut().zip(self.totals.chunks_exact_mut(64)) {
+            for (k, plane) in planes.iter_mut().enumerate() {
+                let mut bits = std::mem::take(plane);
+                while bits != 0 {
+                    totals[bits.trailing_zeros() as usize] += 1 << k;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        self.pending = 0;
+    }
+
+    /// The counts, lane `j × 64 + b` for bit `b` of word `j`.
+    fn finish(mut self) -> Vec<u64> {
+        self.flush();
+        self.totals
     }
 }
 
@@ -486,7 +712,7 @@ mod tests {
         bf.seed(0, 0);
         bf.seed(1, 1);
         let mut remote = Vec::new();
-        bf.scan(&shard, None, |t, w| remote.push((t, w.words()[0])));
+        bf.scan(&shard, None, |t, w| remote.push((t, w[0])));
         // Both edges land in vertex 5's boundary slot, so the scan emits
         // it once with the lanes ORed. (Before the slot table the scan
         // emitted once per remote *edge* — `[(5, 0b01), (5, 0b10)]` —
@@ -495,7 +721,7 @@ mod tests {
         // The boundary row was zeroed by the emission: a second scan of
         // the same frontier emits the same thing, not an accumulation.
         let mut again = Vec::new();
-        bf.scan(&shard, None, |t, w| again.push((t, w.words()[0])));
+        bf.scan(&shard, None, |t, w| again.push((t, w[0])));
         assert_eq!(again, remote);
     }
 
@@ -507,7 +733,9 @@ mod tests {
         let part = RangePartition::by_vertices(10, 2);
         let shard = Shard::build(1, &part, g.edges(), ConsolidationPolicy::default(), false);
         let mut bf = BitFrontier::new(&shard, 64);
-        bf.absorb(5, &m64(0b100));
+        let mut batch = FrontierBatch::new(1);
+        batch.push(5, &[0b100]);
+        bf.absorb(&batch);
         let r = bf.advance();
         assert_eq!(r.active_lanes, m64(0b100));
         assert_eq!(bf.frontier_word(5), 0b100);
@@ -575,19 +803,6 @@ mod tests {
         bf.clear_next();
         let r = bf.advance();
         assert!(r.active_lanes.is_zero(), "cleared next must yield no discoveries");
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let g: EdgeList = [(0u64, 1u64)].into_iter().collect();
-        let shard = single_shard(&g);
-        let mut bf = BitFrontier::new(&shard, 64);
-        bf.seed(0, 0);
-        bf.scan(&shard, None, |_, _| unreachable!());
-        bf.advance();
-        bf.reset();
-        assert!(bf.frontier_empty());
-        assert_eq!(bf.visited_per_lane()[0], 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! shared immutably, all mutable state is thread-local, and traffic is
 //! exchanged through the inbox/outbox fabric of Fig. 4/5.
 
-use crate::bitfrontier::{AdvanceResult, BitFrontier};
+use crate::bitfrontier::{AdvanceResult, BitFrontier, FrontierBatch};
 use crate::config::{EngineConfig, UpdateMode};
 use crate::gas::Gas;
 use crate::partition::RangePartition;
@@ -41,10 +41,10 @@ use std::time::{Duration, Instant};
 /// Messages exchanged between machines.
 #[derive(Clone, Debug)]
 pub enum EngineMsg {
-    /// Batched remote frontier updates: `(global dst, lane mask)` —
-    /// the remote task buffer of the bit-frontier path. The mask width
-    /// is uniform per batch (every machine runs the same batch).
-    Frontier(Vec<(u64, LaneMask)>),
+    /// Batched remote frontier updates — the remote task buffer of the
+    /// bit-frontier path, at the batch's own width (every machine runs
+    /// the same batch). Shared with the sender's recovery log.
+    Frontier(Arc<FrontierBatch>),
     /// Batched remote tasks `(global dst, depth)` — queue-based path.
     Task(Vec<(u64, u32)>),
     /// Partition-centric messages `(dst vertex, payload word)`.
@@ -57,9 +57,7 @@ impl WireSize for EngineMsg {
     fn wire_size(&self) -> usize {
         match self {
             // 8-byte vertex id + W/8 mask bytes per entry.
-            EngineMsg::Frontier(v) => {
-                v.first().map_or(0, |(_, m)| v.len() * (8 + 8 * m.words().len()))
-            }
+            EngineMsg::Frontier(b) => b.len() * (8 + 8 * b.stride()),
             EngineMsg::Task(v) => v.len() * 12,
             EngineMsg::Pcm(v) => v.len() * 16,
             EngineMsg::Ranks(v) => v.len() * 16,
@@ -977,9 +975,7 @@ impl DistributedEngine {
             }
             for env in h.drain() {
                 if let EngineMsg::Frontier(batch) = env.payload {
-                    for (v, w) in batch {
-                        run.bf.absorb(v, &w);
-                    }
+                    run.bf.absorb(&batch);
                 }
             }
             let adv = run.advance();
@@ -1008,10 +1004,11 @@ impl DistributedEngine {
     }
 
     /// Superstep `hop`'s scan and frontier exchange on machine `h.id()`:
-    /// scans the shard, buckets the emitted remote destinations per
-    /// owner, and sends one `Frontier` message per non-empty owner —
-    /// logging it to `log` first on the recoverable path. Returns the
-    /// edge-set rows scanned.
+    /// scans the shard, buckets the emitted remote rows per owner at
+    /// the batch's own stride, and sends one `Frontier` message per
+    /// non-empty owner — logging it to `log` first on the recoverable
+    /// path; log and message share the batch. Returns the edge-set rows
+    /// scanned.
     ///
     /// [`BitFrontier::scan`] emits each remote destination once,
     /// coalesced, in ascending vertex order, so bucketing is a push and
@@ -1025,16 +1022,17 @@ impl DistributedEngine {
     ) -> u64 {
         let id = h.id();
         let ranges = self.partition.ranges();
-        let mut outbox: Vec<Vec<(u64, LaneMask)>> = vec![Vec::new(); ranges.len()];
+        let mut outbox = vec![FrontierBatch::new(bf.width().words()); ranges.len()];
         let mut owner = 0;
-        let scans = bf.scan(&self.shards[id], self.delta(id), |t, w| {
+        let scans = bf.scan(&self.shards[id], self.delta(id), |t, row| {
             while ranges[owner].end <= t {
                 owner += 1;
             }
-            outbox[owner].push((t, *w));
+            outbox[owner].push(t, row);
         });
         for (m, batch) in outbox.into_iter().enumerate() {
             if !batch.is_empty() {
+                let batch = Arc::new(batch);
                 // Log before sending: the log must cover anything a
                 // replay could need to re-deliver.
                 if let Some(store) = log {
@@ -1308,8 +1306,8 @@ impl DistributedEngine {
         for hop in from..target {
             run.bf.mask_frontier(budget.at(hop));
             run.bf.scan(run.shard, self.delta(f), |_, _| {}); // peers already received these
-            for (v, w) in store.logged_to(f, hop) {
-                run.bf.absorb(v, &w);
+            for batch in store.logged_to(f, hop) {
+                run.bf.absorb(&batch);
             }
             run.advance();
             let live = store
@@ -2086,7 +2084,10 @@ mod tests {
         let Err(err) = attempt(0) else { panic!("machine 1 is scripted to die") };
         let first: Vec<_> = (0..3).map(|s| store.logged_to(1, s)).collect();
         assert!(!first[2].is_empty(), "machine 0 logged superstep 2 before the barrier failed");
-        assert!(first[2].windows(2).all(|w| w[0].0 < w[1].0), "one entry per vertex, ascending");
+        assert!(
+            first[2].iter().all(|b| b.iter().zip(b.iter().skip(1)).all(|(a, b)| a.0 < b.0)),
+            "one entry per vertex, ascending"
+        );
 
         let mut report = RecoveryReport::default();
         e.plan_recovery(&err, 0, &store, &sources, &ks, &mut report, None);

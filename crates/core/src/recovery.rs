@@ -17,10 +17,11 @@
 //! committed checkpoints (uniform across machines, gated on a
 //! drop-free job),
 //! poison-time saves from healthy machines, per-sender message logs
-//! keyed `(superstep, dest)` holding each batch as the sorted vector it
-//! was sent as (a re-log OR-merges, so logging is idempotent under
-//! resend, which resumption requires), and the per-boundary global
-//! live-lane masks that replay needs for completion bookkeeping.
+//! keyed `(superstep, dest)` holding each batch as it was sent — the
+//! log shares the message's allocation — (a re-log OR-merges, so
+//! logging is idempotent under resend, which resumption requires), and
+//! the per-boundary global live-lane masks that replay needs for
+//! completion bookkeeping.
 //!
 //! When confined recovery's preconditions fail — messages were
 //! dropped (logs record *intent*, not delivery), saves are missing, or
@@ -52,10 +53,12 @@
 //! cluster.shutdown();
 //! ```
 
+use crate::bitfrontier::FrontierBatch;
 use cgraph_graph::LaneMask;
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Checkpointing/retry knobs for the recoverable batch path.
@@ -129,9 +132,8 @@ pub(crate) struct PartitionSnapshot {
 }
 
 /// One sender's message log: `(superstep, dest machine)` to that
-/// superstep's payload — `(dst vertex, lane mask)` entries, one per
-/// vertex, ascending by vertex.
-type SenderLog = HashMap<(u32, usize), Vec<(u64, LaneMask)>>;
+/// superstep's payload, shared with the message that carried it.
+type SenderLog = HashMap<(u32, usize), Arc<FrontierBatch>>;
 
 /// Shared recovery blackboard for one batch execution (all attempts).
 pub(crate) struct RecoveryStore {
@@ -144,9 +146,8 @@ pub(crate) struct RecoveryStore {
     /// Poison-time saves: a healthy machine that notices a dead peer
     /// at a barrier parks its boundary state here and returns.
     saved: Vec<Mutex<Option<PartitionSnapshot>>>,
-    /// Per-sender message logs: `(superstep, dest) -> [(dst vertex,
-    /// lane mask)]`. OR-merged so a resumed machine re-logging the same
-    /// superstep is idempotent.
+    /// Per-sender message logs: `(superstep, dest) -> batch`. OR-merged
+    /// so a resumed machine re-logging the same superstep is idempotent.
     logs: Vec<Mutex<SenderLog>>,
     /// Global live-lane mask agreed at each boundary (all machines
     /// write the identical post-reduce value).
@@ -205,39 +206,32 @@ impl RecoveryStore {
         self.saved[id].lock().take()
     }
 
-    /// Logs machine `from`'s outgoing `batch` to `dest` for `superstep`.
-    /// `batch` holds one entry per destination vertex, ascending — the
-    /// order the scan emits — and is stored as is; a re-log of the same
-    /// key (a resumed machine re-running the superstep) OR-merges per
-    /// vertex, so logging is idempotent under resend.
+    /// Logs machine `from`'s outgoing `batch` to `dest` for `superstep`
+    /// by sharing it; a re-log of the same key (a resumed machine
+    /// re-running the superstep) OR-merges per vertex, so logging is
+    /// idempotent under resend.
     pub(crate) fn log_merge(
         &self,
         from: usize,
         superstep: u32,
         dest: usize,
-        batch: &[(u64, LaneMask)],
+        batch: &Arc<FrontierBatch>,
     ) {
-        debug_assert!(batch.windows(2).all(|w| w[0].0 < w[1].0), "batch sorted, one per vertex");
         match self.logs[from].lock().entry((superstep, dest)) {
             Entry::Vacant(e) => {
-                e.insert(batch.to_vec());
+                e.insert(Arc::clone(batch));
             }
             Entry::Occupied(mut e) => {
-                let merged = or_merge_sorted(e.get(), batch);
-                e.insert(merged);
+                let merged = e.get().or_merge(batch);
+                e.insert(Arc::new(merged));
             }
         }
     }
 
-    /// Every message any machine logged to `dest` during `superstep`.
-    pub(crate) fn logged_to(&self, dest: usize, superstep: u32) -> Vec<(u64, LaneMask)> {
-        let mut out = Vec::new();
-        for log in &self.logs {
-            if let Some(batch) = log.lock().get(&(superstep, dest)) {
-                out.extend_from_slice(batch);
-            }
-        }
-        out
+    /// Every batch any machine logged to `dest` during `superstep`, in
+    /// sender order.
+    pub(crate) fn logged_to(&self, dest: usize, superstep: u32) -> Vec<Arc<FrontierBatch>> {
+        self.logs.iter().filter_map(|log| log.lock().get(&(superstep, dest)).cloned()).collect()
     }
 
     /// Records the globally-agreed live mask at `boundary` (all
@@ -268,36 +262,6 @@ impl RecoveryStore {
     }
 }
 
-/// The union of two vertex-sorted entry lists: entries of a vertex
-/// present in both are ORed into one.
-fn or_merge_sorted(a: &[(u64, LaneMask)], b: &[(u64, LaneMask)]) -> Vec<(u64, LaneMask)> {
-    use std::cmp::Ordering::{Equal, Greater, Less};
-    let mut out = Vec::with_capacity(a.len().max(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            Equal => {
-                let mut e = a[i];
-                e.1.or_assign(&b[j].1);
-                out.push(e);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,8 +284,24 @@ mod tests {
         LaneMask::from_words(&[word])
     }
 
-    /// Sorts by vertex then raw mask words for deterministic compare.
-    fn sorted(mut v: Vec<(u64, LaneMask)>) -> Vec<(u64, LaneMask)> {
+    /// The strided batch of `(vertex, mask)` entries of one width.
+    fn batch(entries: &[(u64, LaneMask)]) -> Arc<FrontierBatch> {
+        let mut b = FrontierBatch::new(entries[0].1.words().len());
+        for (v, w) in entries {
+            b.push(*v, w.words());
+        }
+        Arc::new(b)
+    }
+
+    /// Everything logged to `dest` at `superstep` as `(vertex, mask)`
+    /// entries, sorted by vertex then raw mask words for deterministic
+    /// compare.
+    fn logged(store: &RecoveryStore, dest: usize, superstep: u32) -> Vec<(u64, LaneMask)> {
+        let mut v: Vec<(u64, LaneMask)> = store
+            .logged_to(dest, superstep)
+            .iter()
+            .flat_map(|b| b.iter().map(|(vtx, row)| (vtx, LaneMask::from_words(row))))
+            .collect();
         v.sort_unstable_by_key(|&(vtx, w)| (vtx, w.raw()));
         v
     }
@@ -329,18 +309,18 @@ mod tests {
     #[test]
     fn log_merge_is_idempotent() {
         let store = RecoveryStore::new(2);
-        store.log_merge(0, 3, 1, &[(7, m(0b01)), (9, m(0b10))]);
+        store.log_merge(0, 3, 1, &batch(&[(7, m(0b01)), (9, m(0b10))]));
         // A resumed machine re-sends the same superstep's messages.
-        store.log_merge(0, 3, 1, &[(7, m(0b01)), (9, m(0b10))]);
-        assert_eq!(sorted(store.logged_to(1, 3)), vec![(7, m(0b01)), (9, m(0b10))]);
+        store.log_merge(0, 3, 1, &batch(&[(7, m(0b01)), (9, m(0b10))]));
+        assert_eq!(logged(&store, 1, 3), vec![(7, m(0b01)), (9, m(0b10))]);
     }
 
     #[test]
     fn logs_aggregate_across_senders() {
         let store = RecoveryStore::new(3);
-        store.log_merge(0, 1, 2, &[(5, m(0b01))]);
-        store.log_merge(1, 1, 2, &[(5, m(0b10))]);
-        assert_eq!(sorted(store.logged_to(2, 1)), vec![(5, m(0b01)), (5, m(0b10))]);
+        store.log_merge(0, 1, 2, &batch(&[(5, m(0b01))]));
+        store.log_merge(1, 1, 2, &batch(&[(5, m(0b10))]));
+        assert_eq!(logged(&store, 2, 1), vec![(5, m(0b01)), (5, m(0b10))]);
         assert!(store.logged_to(2, 2).is_empty());
     }
 
@@ -351,9 +331,9 @@ mod tests {
         hi.set(100);
         let mut lo = LaneMask::zero(cgraph_graph::LaneWidth::new(128).unwrap());
         lo.set(3);
-        store.log_merge(0, 0, 0, &[(7, hi)]);
-        store.log_merge(0, 0, 0, &[(7, lo)]);
-        let got = store.logged_to(0, 0);
+        store.log_merge(0, 0, 0, &batch(&[(7, hi)]));
+        store.log_merge(0, 0, 0, &batch(&[(7, lo)]));
+        let got = logged(&store, 0, 0);
         assert_eq!(got.len(), 1);
         assert!(got[0].1.get(3) && got[0].1.get(100));
     }
@@ -373,7 +353,7 @@ mod tests {
         store.commit(0, snap(2));
         store.save(0, snap(3));
         store.set_resume(0, snap(3));
-        store.log_merge(0, 2, 0, &[(1, m(1))]);
+        store.log_merge(0, 2, 0, &batch(&[(1, m(1))]));
         store.record_live(2, m(0b11));
         store.clear_execution_state();
         assert!(store.take_saved(0).is_none());

@@ -313,16 +313,16 @@ impl<'e> QueryScheduler<'e> {
     }
 
     /// Bit-state bytes of one batch at `width` on the costliest shard:
-    /// `8 × words × (2 × num_local + num_slots)`.
+    /// `8 × words × (2 × num_local + num_slots)` for the three matrices
+    /// plus the scan's `4 × num_local` live-row list
+    /// ([`BitFrontier::size_bytes`](crate::bitfrontier::BitFrontier::size_bytes)).
     fn bit_state_bytes(&self, width: LaneWidth) -> usize {
-        let rows = self
-            .engine
+        self.engine
             .shards()
             .iter()
-            .map(|s| 2 * s.num_local() + s.num_slots())
+            .map(|s| 8 * width.words() * (2 * s.num_local() + s.num_slots()) + 4 * s.num_local())
             .max()
-            .unwrap_or(0);
-        8 * width.words() * rows
+            .unwrap_or(0)
     }
 }
 
@@ -415,27 +415,32 @@ mod tests {
     #[test]
     fn memory_budget_steps_width_down() {
         // Each shard: 500 local vertices and one boundary vertex, so
-        // `next` has 501 rows. One-word (W=64) footprint:
+        // `next` has 501 rows; the scan's live-row list is 4 bytes per
+        // local vertex at any width. Footprint at `words` per row:
         let e = ring_engine(1000, 2);
-        let base = 8 * (2 * 500 + 501);
-        assert_eq!(base, crate::bitfrontier::BitFrontier::new(&e.shards()[0], 64).size_bytes());
+        let bytes = |words: usize| 8 * words * (2 * 500 + 501) + 4 * 500;
+        assert_eq!(bytes(1), crate::bitfrontier::BitFrontier::new(&e.shards()[0], 64).size_bytes());
+        assert_eq!(
+            bytes(4),
+            crate::bitfrontier::BitFrontier::new(&e.shards()[0], 256).size_bytes()
+        );
         // Budget fits two words: 256 requested lanes narrow to 128.
         let s = QueryScheduler::new(
             &e,
             SchedulerConfig {
                 batch_lanes: 256,
-                memory_budget_bytes: Some(2 * base),
+                memory_budget_bytes: Some(bytes(2)),
                 ..Default::default()
             },
         );
         assert_eq!(s.effective_lanes(), 128);
-        assert_eq!(s.batch_state_bytes(), 2 * base);
+        assert_eq!(s.batch_state_bytes(), bytes(2));
         // Budget fits four words: the full 256 lanes stay.
         let s = QueryScheduler::new(
             &e,
             SchedulerConfig {
                 batch_lanes: 256,
-                memory_budget_bytes: Some(4 * base),
+                memory_budget_bytes: Some(bytes(4)),
                 ..Default::default()
             },
         );

@@ -8,10 +8,12 @@
 //! row stripe (Fig. 3a), so all destination writes of one tile land in
 //! one destination range — the cache-locality argument of the paper.
 //!
-//! Row stripes are chosen by *evenly distributing the degrees* ("we
-//! divide the vertices of each subgraph into a set of ranges by evenly
-//! distributing the degrees", §3.2); column ranges split the
-//! destination span evenly by vertex count.
+//! The grid is `side × side` with `side = ⌈√(E / target)⌉`, so a tile
+//! holds about the [`ConsolidationPolicy::target_edges_per_set`] edges
+//! the policy names. Row stripes are chosen by *evenly distributing the
+//! degrees* ("we divide the vertices of each subgraph into a set of
+//! ranges by evenly distributing the degrees", §3.2); column ranges
+//! split the destination span evenly by vertex count.
 //!
 //! Real sparse graphs leave many tiles nearly empty, so the paper
 //! **consolidates** small adjacent tiles "both horizontally and
@@ -103,8 +105,9 @@ impl EdgeSet {
         self.row_offsets.len() * 4 + self.targets.len() * 8 + self.weights.len() * 4
     }
 
-    /// The raw storage arrays `(row_offsets, targets, weights)` — used
-    /// by the out-of-core tile store for serialization.
+    /// The raw storage arrays `(row_offsets, targets, weights)` — what
+    /// the out-of-core tile store serializes and the bit-frontier scan
+    /// indexes by local row.
     pub fn raw_parts(&self) -> (&[u32], &[VertexId], &[Weight]) {
         (&self.row_offsets, &self.targets, &self.weights)
     }
@@ -195,28 +198,29 @@ pub struct EdgeSetGraph {
     num_edges: usize,
 }
 
-/// Splits `span` into ranges of roughly equal total `weight(v)` mass,
-/// with at most `target` mass per range (always ≥ 1 vertex per range).
-fn split_by_mass(
-    span: VertexRange,
-    mass: impl Fn(VertexId) -> u64,
-    target: u64,
-) -> Vec<VertexRange> {
-    let mut ranges = Vec::new();
+/// Splits `span` into at most `k` ranges of about equal total
+/// `mass(v)`: each range takes whole vertices until it holds its share
+/// of the mass still unassigned (always at least one vertex), and the
+/// last takes the rest.
+fn split_by_mass(span: VertexRange, mass: impl Fn(VertexId) -> u64, k: usize) -> Vec<VertexRange> {
+    let mut remaining: u64 = span.iter().map(&mass).sum();
+    let mut ranges = Vec::with_capacity(k.max(1));
     let mut start = span.start;
-    let mut acc = 0u64;
-    for v in span.iter() {
-        let m = mass(v);
-        if acc > 0 && acc + m > target {
-            ranges.push(VertexRange::new(start, v));
-            start = v;
-            acc = 0;
+    for left in (2..=k as u64).rev() {
+        let share = remaining.div_ceil(left);
+        let (mut end, mut acc) = (start, 0u64);
+        while end < span.end && (end == start || acc < share) {
+            acc += mass(end);
+            end += 1;
         }
-        acc += m;
+        if end == span.end {
+            break;
+        }
+        ranges.push(VertexRange::new(start, end));
+        remaining -= acc;
+        start = end;
     }
-    if start < span.end || ranges.is_empty() {
-        ranges.push(VertexRange::new(start, span.end));
-    }
+    ranges.push(VertexRange::new(start, span.end));
     ranges
 }
 
@@ -255,17 +259,15 @@ impl EdgeSetGraph {
             debug_assert!(row_span.contains(e.src) && col_span.contains(e.dst));
             deg[row_span.to_local(e.src) as usize] += 1;
         }
-        // 2. Stripe rows by even degree mass; split columns evenly so
-        //    the grid is roughly square in edge mass.
-        let total = edges.len() as u64;
+        // 2. The policy's tile size fixes the grid: `side × side` tiles
+        //    of about `target` edges each, `side = ⌈√(E / target)⌉` —
+        //    stripes of even degree mass, columns of even width.
         let target = (policy.target_edges_per_set as u64).max(1);
-        let row_ranges = split_by_mass(row_span, |v| deg[row_span.to_local(v) as usize], target);
-        let ncols = if policy.target_edges_per_set == usize::MAX {
-            1
-        } else {
-            ((total / target.max(1)) as usize).clamp(1, 256).max(row_ranges.len().min(16))
-        };
-        let col_ranges = split_even(col_span, ncols);
+        let tiles = (edges.len() as u64).div_ceil(target).max(1);
+        let root = tiles.isqrt();
+        let side = (root + u64::from(root * root < tiles)) as usize;
+        let row_ranges = split_by_mass(row_span, |v| deg[row_span.to_local(v) as usize], side);
+        let col_ranges = split_even(col_span, side);
         let layout =
             EdgeSetLayout { row_ranges: row_ranges.clone(), col_ranges: col_ranges.clone() };
 
@@ -534,15 +536,51 @@ mod tests {
     }
 
     #[test]
-    fn split_by_mass_respects_target() {
+    fn split_by_mass_shares_the_mass() {
         let span = VertexRange::new(0, 10);
         let mass = [5u64, 5, 5, 5, 1, 1, 1, 1, 1, 1];
-        let ranges = split_by_mass(span, |v| mass[v as usize], 10);
-        // Each range's mass ≤ 10 except possibly singletons.
-        for r in &ranges {
-            let m: u64 = r.iter().map(|v| mass[v as usize]).sum();
-            assert!(m <= 10 || r.len() == 1, "range {r:?} mass {m}");
+        let ranges = split_by_mass(span, |v| mass[v as usize], 3);
+        let masses: Vec<u64> =
+            ranges.iter().map(|r| r.iter().map(|v| mass[v as usize]).sum()).collect();
+        assert_eq!(masses, vec![10, 10, 6]);
+        for w in ranges.windows(2) {
+            assert_eq!(w[0].end, w[1].start);
         }
-        assert_eq!(ranges.iter().map(|r| r.len()).sum::<u64>(), 10);
+        assert_eq!((ranges[0].start, ranges[2].end), (0, 10));
+        // One vertex heavier than a share: it gets a stripe of its own
+        // and the rest is shared among the stripes left.
+        let heavy = [20u64, 1, 1, 1, 1];
+        let ranges = split_by_mass(VertexRange::new(0, 5), |v| heavy[v as usize], 3);
+        assert_eq!(ranges.iter().map(|r| r.len()).collect::<Vec<_>>(), vec![1, 2, 2]);
+        // Fewer vertices than ranges asked for.
+        assert_eq!(split_by_mass(VertexRange::new(0, 2), |_| 1, 5).len(), 2);
+    }
+
+    #[test]
+    fn tiles_hold_about_their_target() {
+        // A uniform graph: 4096 vertices × 16 pseudo-random out-edges.
+        let n = 4096u64;
+        let mut l = EdgeList::with_num_vertices(n);
+        for v in 0..n {
+            for j in 0..16u64 {
+                l.push_pair(v, (v * 2_654_435_761 + j * 40_503 + j * j * 977) % n);
+            }
+        }
+        let span = VertexRange::new(0, n);
+        let e = l.len();
+        for target in [e / 3, e / 9, e / 20, e / 100] {
+            let g = EdgeSetGraph::build(l.edges(), span, span, ConsolidationPolicy::grid(target));
+            let side = (1..).find(|s| s * s * target >= e).unwrap();
+            assert_eq!(g.layout().row_ranges.len(), side, "target {target}");
+            assert_eq!(g.layout().col_ranges.len(), side, "target {target}");
+            assert_eq!(g.sets().len(), side * side, "target {target}");
+            let largest = g.sets().iter().map(|s| s.num_edges()).max().unwrap();
+            assert!(largest <= 2 * target, "a tile of {largest} edges against target {target}");
+        }
+        // The default policy on a graph below its target, and the flat
+        // policy on any graph, make one tile.
+        let default = EdgeSetGraph::build(l.edges(), span, span, ConsolidationPolicy::default());
+        assert_eq!(default.sets().len(), 1);
+        assert_eq!(EdgeSetGraph::flat(l.edges(), span, span).sets().len(), 1);
     }
 }

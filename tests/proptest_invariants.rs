@@ -6,13 +6,14 @@ mod common;
 use cgraph::core::FaultInjection;
 use cgraph::prelude::*;
 use cgraph_comm::PersistentCluster;
-use cgraph_core::bitfrontier::BitFrontier;
+use cgraph_core::bitfrontier::{BitFrontier, FrontierBatch, COUNT_FLUSH_ROWS};
 use cgraph_core::shard::build_shards;
 use cgraph_core::RangePartition;
 use cgraph_graph::types::VertexRange;
 use cgraph_graph::{Bitmap, ConsolidationPolicy, DeltaOverlay, EdgeSetGraph, LaneMask};
 use common::reference_khop_levels;
 use proptest::prelude::*;
+use rand::{RngCore, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -350,6 +351,8 @@ proptest! {
         wide in 0usize..2,
         seeds in prop::collection::vec((0u64..90, 0usize..512), 1..40),
         updates in prop::collection::vec((0u64..3, 0u64..90, 0u64..90), 0..30),
+        origin in 0usize..3,
+        retired in prop::collection::vec(0usize..512, 0..300),
     ) {
         // The scan's emission contract, against a reference built from
         // `Shard::out_neighbors_weighted` + `DeltaOverlay::merge_row`
@@ -361,6 +364,15 @@ proptest! {
         // Three supersteps per shard: a boundary row left non-zero by
         // one scan would leak into the next one's emission (and trips
         // `advance`'s debug assertion).
+        //
+        // The scan works from a list of live rows it derives itself, so
+        // the frontier it is handed comes from each of its writers:
+        // `seed` (origin 0), `restore_words` over a state that already
+        // scanned something else (1), and `mask_frontier` retiring
+        // lanes before every scan, as the engine does, so that rows go
+        // zero in between (2). The returned count is checked against
+        // the definition: one per (live row, tile holding an edge of
+        // it) pair plus one per live row with overlay inserts.
         let p = [1usize, 2, 4][p_pick];
         let lanes = [64usize, 512][wide];
         let edges = build_list(n, &pairs);
@@ -378,6 +390,14 @@ proptest! {
             };
             deltas[part.owner(u.src())].apply(&u);
         }
+        let mut keep = LaneMask::all(lanes);
+        if origin == 2 {
+            let mut gone = LaneMask::zero(keep.width());
+            for &lane in &retired {
+                gone.set(lane % lanes);
+            }
+            keep = keep.and_not(&gone);
+        }
         for (shard, delta) in shards.iter().zip(&deltas) {
             let delta = (!delta.is_empty()).then_some(delta);
             let mut bf = BitFrontier::new(shard, lanes);
@@ -386,13 +406,32 @@ proptest! {
                     bf.seed(v % n, lane % lanes);
                 }
             }
+            if origin == 1 {
+                let (frontier, visited) = bf.snapshot_words();
+                bf = BitFrontier::new(shard, lanes);
+                for v in shard.local_range().iter() {
+                    bf.seed(v, (v as usize * 7) % lanes);
+                }
+                bf.scan(shard, delta, |_, _| {});
+                bf.restore_words(&frontier, &visited);
+            }
             for _ in 0..3 {
+                bf.mask_frontier(&keep);
                 let mut expect: BTreeMap<u64, LaneMask> = BTreeMap::new();
+                let mut expect_scanned = 0u64;
                 for v in shard.local_range().iter() {
                     let mask = bf.frontier_mask(v);
                     if mask.is_zero() {
                         continue;
                     }
+                    expect_scanned += shard
+                        .out_sets()
+                        .sets()
+                        .iter()
+                        .filter(|set| !set.neighbors(v).is_empty())
+                        .count() as u64;
+                    expect_scanned +=
+                        u64::from(delta.and_then(|d| d.row(v)).is_some_and(|r| !r.inserts().is_empty()));
                     // The effective adjacency, by the fold primitive.
                     let base = shard.out_neighbors_weighted(v);
                     let merged = delta.map_or(base.clone(), |d| d.merge_row(v, &base));
@@ -404,12 +443,87 @@ proptest! {
                     }
                 }
                 let mut emitted = Vec::new();
-                bf.scan(shard, delta, |t, w| emitted.push((t, *w)));
+                let scanned =
+                    bf.scan(shard, delta, |t, w| emitted.push((t, LaneMask::from_words(w))));
                 prop_assert_eq!(emitted, expect.into_iter().collect::<Vec<_>>(),
                     "shard {} of {}", shard.id(), p);
+                prop_assert_eq!(scanned, expect_scanned, "shard {} of {}", shard.id(), p);
                 bf.advance();
             }
         }
+    }
+
+    #[test]
+    fn advance_counts_match_bit_iteration(
+        width_pick in 0usize..3,
+        flushes in 0usize..3,
+        offset in 0usize..20,
+        density in 0u64..6,
+        salt in 0u64..u64::MAX,
+    ) {
+        // `advance` counts discoveries with bit-sliced counters fed
+        // eight rows at a time and flushed every `COUNT_FLUSH_ROWS`;
+        // the reference counts them one bit at a time. Row counts sit
+        // on both sides of every flush boundary and of the eight-row
+        // block, at one, two and eight words per row.
+        let lanes = [64usize, 128, 512][width_pick];
+        let stride = lanes / 64;
+        let rows = (flushes * COUNT_FLUSH_ROWS + offset).saturating_sub(10).max(1);
+        let mut edges = EdgeList::with_num_vertices(rows as u64);
+        edges.set_num_vertices(rows as u64);
+        let part = RangePartition::by_vertices(rows as u64, 1);
+        let shard = &build_shards(&part, edges.edges(), ConsolidationPolicy::default(), false)[0];
+        // Random words, thinned by ANDing `density` draws, so that some
+        // cases have mostly-empty rows and blocks; at density 0 every
+        // lane discovers every row and the counters run at their
+        // ceiling.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(salt);
+        let mut word = move || (0..density).fold(u64::MAX, |w, _| w & rng.next_u64());
+        let visited: Vec<u64> =
+            (0..rows * stride).map(|_| if density == 0 { 0 } else { word() }).collect();
+        let mut arriving = FrontierBatch::new(stride);
+        let mut next = Vec::with_capacity(rows * stride);
+        for v in 0..rows {
+            let row: Vec<u64> = (0..stride).map(|_| word()).collect();
+            arriving.push(v as u64, &row);
+            next.extend(row);
+        }
+        let mut bf = BitFrontier::new(shard, lanes);
+        bf.restore_words(&vec![0; rows * stride], &visited);
+        bf.absorb(&arriving);
+        let got = bf.advance();
+
+        let mut per_lane = vec![0u64; lanes];
+        let mut active = vec![0u64; stride];
+        let mut frontier_vertices = 0u64;
+        let mut frontier = vec![0u64; rows * stride];
+        let mut visited_after = visited.clone();
+        for v in 0..rows {
+            let mut any = false;
+            for j in 0..stride {
+                let new = next[v * stride + j] & !visited[v * stride + j];
+                frontier[v * stride + j] = new;
+                visited_after[v * stride + j] |= new;
+                active[j] |= new;
+                any |= new != 0;
+                for bit in (0..64).filter(|b| new >> b & 1 == 1) {
+                    per_lane[j * 64 + bit] += 1;
+                }
+            }
+            frontier_vertices += u64::from(any);
+        }
+        prop_assert_eq!(&got.new_per_lane, &per_lane);
+        prop_assert_eq!(got.active_lanes, LaneMask::from_words(&active));
+        prop_assert_eq!(got.frontier_vertices, frontier_vertices);
+        prop_assert_eq!(bf.snapshot_words(), (frontier, visited_after.clone()));
+        // `visited_per_lane` shares the counter.
+        let mut visited_counts = vec![0u64; lanes];
+        for (i, w) in visited_after.iter().enumerate() {
+            for bit in (0..64).filter(|b| w >> b & 1 == 1) {
+                visited_counts[i % stride * 64 + bit] += 1;
+            }
+        }
+        prop_assert_eq!(bf.visited_per_lane(), visited_counts);
     }
 
     #[test]
