@@ -63,7 +63,8 @@ fn update_stream(service: &QueryService, n: u64, commit_every: usize, stop: &Ato
 }
 
 /// One measured pass: queries on the caller thread, updates + commits
-/// on a background thread. Returns `(queries/s, stats)`.
+/// on a background thread, then `shutdown()`. Returns `(queries/s,
+/// stats)`.
 fn run_pass(
     service: &QueryService,
     sources: &[u64],
@@ -82,8 +83,11 @@ fn run_pass(
         stop.store(true, Ordering::Relaxed);
         sources.len() as f64 / wall.as_secs_f64().max(1e-12)
     });
-    // The update thread has joined: the stats (and the epoch counter a
-    // later recovery must land on) are final.
+    // The update thread has joined, so the epoch counter a later
+    // recovery must land on is final; the snapshot counters are final
+    // only once shutdown has drained the snapshot writer — a commit
+    // returns when its fence is durable, not when its snapshot is.
+    service.shutdown();
     (qps, service.stats())
 }
 
@@ -132,7 +136,6 @@ fn main() {
     let engine = Arc::new(DistributedEngine::new(&edges, EngineConfig::new(machines)));
     let baseline = QueryService::start(engine, ServiceConfig::default());
     let (base_qps, base_stats) = run_pass(&baseline, &sources, k, vertices, commit_every);
-    baseline.shutdown();
     drop(baseline);
     println!(
         "baseline: {base_qps:.0} queries/s, {} epochs committed, no durability",
@@ -148,7 +151,6 @@ fn main() {
         let dir = scratch_dir(&label);
         let service = durable_service(&edges, machines, &dir, cadence);
         let (qps, stats) = run_pass(&service, &sources, k, vertices, commit_every);
-        service.shutdown();
         drop(service);
         let slowdown = base_qps / qps.max(1e-12);
         if cadence == 8 {

@@ -378,7 +378,10 @@ fn spawn_update_stream(service: Arc<ServiceGroup>, path: String) -> std::thread:
 /// Prints the service's lifetime latency summary. The first line is
 /// the canonical machine-parseable `stats` record (`key=value` pairs,
 /// fixed order) that operators and tests key on; the human-readable
-/// summary follows.
+/// summary follows. Call it after `shutdown()`: a commit returns once
+/// its fence is durable, while its snapshot is still being written —
+/// only the shutdown barrier makes `snapshots` / `last_snapshot_epoch`
+/// final.
 fn print_service_stats(service: &ServiceGroup) {
     let s = service.stats();
     let r = service.router_stats();
@@ -556,23 +559,19 @@ pub fn serve(args: Args) -> Result<(), String> {
     // Printer thread: redeems tickets in submission order so output
     // is deterministic while batching continues behind it.
     let (tx, rx) = std::sync::mpsc::channel::<(usize, cgraph_core::QueryTicket)>();
-    let printer = {
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || {
-            for (id, ticket) in rx {
-                match ticket.wait() {
-                    Ok(r) => println!(
-                        "[{id}] visited {} (depth {}), response {:?}",
-                        r.visited,
-                        r.depth(),
-                        r.response_time
-                    ),
-                    Err(e) => println!("[{id}] error: {e}"),
-                }
+    let printer = std::thread::spawn(move || {
+        for (id, ticket) in rx {
+            match ticket.wait() {
+                Ok(r) => println!(
+                    "[{id}] visited {} (depth {}), response {:?}",
+                    r.visited,
+                    r.depth(),
+                    r.response_time
+                ),
+                Err(e) => println!("[{id}] error: {e}"),
             }
-            print_service_stats(&service);
-        })
-    };
+        }
+    });
 
     let stdin = std::io::stdin();
     let mut line = String::new();
@@ -613,6 +612,7 @@ pub fn serve(args: Args) -> Result<(), String> {
     drop(tx);
     printer.join().expect("printer thread panicked");
     service.shutdown();
+    print_service_stats(&service);
     if let Some(o) = &obs {
         write_obs(o)?;
     }
@@ -726,8 +726,8 @@ pub fn mutate(args: Args) -> Result<(), String> {
             Err(e) => return Err(e.to_string()),
         }
     }
-    print_service_stats(&service);
     service.shutdown();
+    print_service_stats(&service);
     if let Some(o) = &obs {
         write_obs(o)?;
     }
@@ -806,8 +806,8 @@ pub fn replay(args: Args) -> Result<(), String> {
     if let Some(u) = updater {
         u.join().expect("update-stream thread panicked");
     }
-    print_service_stats(&service);
     service.shutdown();
+    print_service_stats(&service);
     if let Some(o) = &obs {
         write_obs(o)?;
     }

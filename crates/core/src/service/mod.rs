@@ -520,7 +520,11 @@ pub struct ServiceStats {
     pub wal_records: u64,
     /// Bytes appended to the update WAL.
     pub wal_bytes: u64,
-    /// Epoch snapshots that reached their final name on disk.
+    /// Epoch snapshots that reached their final name on disk. A
+    /// snapshot is written after the commit that made it due has
+    /// returned (the WAL fence is the acknowledgement); this and the two
+    /// snapshot fields below move together when the writer is done, and
+    /// are final once [`QueryService::shutdown`] has returned.
     pub snapshots_written: u64,
     /// Bytes of encoded snapshot data written (including writes whose
     /// rename was lost to fault injection).
@@ -743,8 +747,9 @@ impl QueryService {
     /// parks the cluster and joins all service threads. Idempotent;
     /// also runs on drop. In a [`ServiceGroup`] this closes **this
     /// replica only** — the shared cluster, WAL and sibling replicas
-    /// keep serving, and the group-wide barrier (WAL sync + cluster
-    /// park) runs exactly once, from the last replica out.
+    /// keep serving, and the group-wide barrier (WAL sync, join of the
+    /// snapshot writer, cluster park) runs exactly once, from the last
+    /// replica out.
     pub fn shutdown(&self) {
         let newly_closed = {
             let mut st = lock(&self.replica.state);
@@ -1510,5 +1515,43 @@ mod tests {
         assert_eq!(st.updates_applied, TOTAL);
         assert_eq!(st.pending_updates, 0);
         service.shutdown();
+    }
+
+    #[test]
+    fn shutdown_writes_the_snapshot_a_busy_writer_skipped() {
+        let dir = std::env::temp_dir().join(format!("cgraph-svc-overdue-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServiceConfig {
+            durability: Some(DurabilityConfig::new(&dir).snapshot_every(2)),
+            ..Default::default()
+        };
+        let service = QueryService::start(ring_engine(32, 2), config);
+        let plane = service.core.durability.as_ref().unwrap();
+        // A write slower than two commits: the plane's one job is out
+        // when the second commit makes a snapshot due.
+        let engine = Arc::clone(&lock(&service.core.exec).engine);
+        let slow = lock(plane).take_snapshot_job(&engine, Default::default()).unwrap();
+        for v in [5, 9] {
+            let mut batch = UpdateBatch::new();
+            batch.insert(0, v);
+            service.apply_updates(batch).unwrap();
+            service.commit_epoch().unwrap();
+        }
+        let out = slow.run();
+        lock(plane).finish_snapshot(&out);
+        let s = service.stats();
+        assert_eq!((s.snapshots_written, s.last_snapshot_epoch), (2, 0), "epoch 2 was skipped");
+
+        // No commit is left to retry it; shutdown does.
+        service.shutdown();
+        let s = service.stats();
+        assert_eq!((s.snapshots_written, s.last_snapshot_epoch), (3, 2));
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["snap-0000000000000000.cgs", "snap-0000000000000002.cgs", "wal.log"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,7 +11,8 @@
 
 use crate::durability::DurabilityStats;
 use cgraph_obs::{
-    log2_edges, Counter, Gauge, Histogram, Obs, TraceCtx, Tracer, COORD, PAPER_LATENCY_EDGES_SECS,
+    log2_edges, Counter, Gauge, Histogram, Obs, TraceCtx, Tracer, COORD, LOG_LATENCY_EDGES_SECS,
+    PAPER_LATENCY_EDGES_SECS,
 };
 use std::sync::Arc;
 
@@ -55,6 +56,7 @@ pub(super) struct ServiceObs {
     pub(super) mutation_pending: Arc<Gauge>,
     pub(super) mutation_delta_entries: Arc<Gauge>,
     pub(super) mutation_delta_bytes: Arc<Gauge>,
+    pub(super) commit_lock_hold: Arc<Histogram>,
     pub(super) durability_wal_records: Arc<Counter>,
     pub(super) durability_wal_bytes: Arc<Counter>,
     pub(super) durability_snapshots_written: Arc<Counter>,
@@ -63,10 +65,23 @@ pub(super) struct ServiceObs {
     pub(super) durability_snapshots_corrupt: Arc<Counter>,
     pub(super) durability_recoveries: Arc<Counter>,
     pub(super) durability_last_snapshot_epoch: Arc<Gauge>,
+    pub(super) durability_snapshot_seconds_encode: Arc<Histogram>,
+    pub(super) durability_snapshot_seconds_write: Arc<Histogram>,
     pub(super) router_queries_routed: Arc<Counter>,
     pub(super) router_locality: Arc<Counter>,
     pub(super) router_heat_steered: Arc<Counter>,
     pub(super) router_replicas: Arc<Gauge>,
+}
+
+/// One phase of the snapshot writer's job: `encode` (capture + encode
+/// the engine value) or `write` (temp file, fsync, rename, prune).
+fn snapshot_seconds(m: &cgraph_obs::MetricsRegistry, phase: &str) -> Arc<Histogram> {
+    m.histogram_with(
+        "cgraph_durability_snapshot_seconds",
+        &[("phase", phase)],
+        "Wall time of each epoch-snapshot job on the writer thread, by phase.",
+        &LOG_LATENCY_EDGES_SECS,
+    )
 }
 
 impl ServiceObs {
@@ -213,6 +228,11 @@ impl ServiceObs {
                 "cgraph_mutation_delta_bytes",
                 "Estimated bytes of the live delta overlays.",
             ),
+            commit_lock_hold: m.histogram(
+                "cgraph_commit_lock_hold_seconds",
+                "How long each epoch commit held the group-wide exec lock.",
+                &LOG_LATENCY_EDGES_SECS,
+            ),
             durability_wal_records: m.counter(
                 "cgraph_durability_wal_records_total",
                 "WAL records appended (update batches plus commit fences).",
@@ -243,6 +263,8 @@ impl ServiceObs {
                 "cgraph_durability_last_snapshot_epoch",
                 "Epoch of the newest snapshot on disk.",
             ),
+            durability_snapshot_seconds_encode: snapshot_seconds(m, "encode"),
+            durability_snapshot_seconds_write: snapshot_seconds(m, "write"),
             router_queries_routed: m.counter(
                 "cgraph_router_queries_routed_total",
                 "Queries steered to a replica by the serving-tier router.",

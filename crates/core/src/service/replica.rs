@@ -10,7 +10,7 @@
 //! round-trip itself; admission, cache probes, coalescing and batch
 //! formation run concurrently across replicas.
 
-use super::shared::{degrade, perform_commit, take_commit_request, SharedCore};
+use super::shared::{degrade, perform_commit, quiesce_durability, take_commit_request, SharedCore};
 use super::{lock, wait, QueryTicket, ServiceError};
 use crate::engine::{BatchResult, EngineError, FaultInjection};
 use crate::query::{KhopQuery, QueryResult};
@@ -307,7 +307,7 @@ enum Step {
 /// too — under the core's exec lock, strictly *between* batches
 /// group-wide. Exits once this replica is closed *and* drained
 /// (queries and pending commits).
-pub(super) fn dispatch_loop(core: &SharedCore, replica: &Replica) {
+pub(super) fn dispatch_loop(core: &Arc<SharedCore>, replica: &Replica) {
     loop {
         let step = {
             let mut st = lock(&replica.state);
@@ -399,13 +399,21 @@ pub(super) fn dispatch_loop(core: &SharedCore, replica: &Replica) {
 /// Runs a due epoch commit under the exec lock (the group-wide
 /// quiesce) and the stats fence. Idempotent across racing dispatchers:
 /// [`take_commit_request`] hands the batch to exactly one.
-fn run_commit(core: &SharedCore) {
+fn run_commit(core: &Arc<SharedCore>) {
     let mut guard = lock(&core.exec);
+    let held = Instant::now();
     let ctx = &mut *guard;
-    let _gate = lock(&core.stats_gate);
+    let gate = lock(&core.stats_gate);
     let next_epoch = ctx.engine.graph_epoch() + 1;
-    if let Some((updates, waiters, wal_seq)) = take_commit_request(core, next_epoch) {
-        perform_commit(core, ctx, updates, waiters, wal_seq);
+    let Some((updates, waiters, wal_seq)) = take_commit_request(core, next_epoch) else {
+        return; // another dispatcher took it
+    };
+    perform_commit(core, ctx, updates, waiters, wal_seq);
+    drop(gate);
+    let held = held.elapsed();
+    drop(guard);
+    if let Some(o) = &core.obs {
+        o.commit_lock_hold.observe_duration(held);
     }
 }
 
@@ -432,12 +440,9 @@ fn exit_replica(core: &SharedCore) -> bool {
     drop(p);
     // Shutdown barrier: buffered-but-uncommitted updates are already
     // WAL-logged (write-ahead); the sync makes them crash-proof before
-    // shutdown() returns to the caller.
-    if let Some(dm) = &core.durability {
-        if let Err(e) = lock(dm).sync() {
-            eprintln!("cgraph durability: WAL sync at shutdown failed: {e}");
-        }
-    }
+    // shutdown() returns to the caller, and a snapshot still being
+    // written is waited for.
+    quiesce_durability(core);
     lock(&core.exec).cluster.shutdown();
     true
 }

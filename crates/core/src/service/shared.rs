@@ -14,13 +14,18 @@
 //! cache/coalescer → `pending` → `durability` → `index` → `metrics`.
 //! Replica `state` locks are taken without any of these held except on
 //! the submit path (state → cache/metrics), which never takes `exec`,
-//! `stats_gate` or `pending`.
+//! `stats_gate` or `pending`. The durability plane's snapshot writer
+//! takes `stats_gate` → `durability` to book a finished job, and
+//! nothing while it encodes and writes.
 
 use super::obs::ServiceObs;
 use super::replica::Replica;
 use super::{disk_faults, lock, ServiceConfig, ServiceError, ServiceStats};
 use crate::config::EngineConfig;
-use crate::durability::{recover, DurabilityPlane, DurabilityStats, RecoveryOutcome};
+use crate::durability::{
+    join_snapshot_writer, recover, DurabilityPlane, DurabilityStats, RecoveryOutcome,
+    SnapshotOutcome,
+};
 use crate::engine::DistributedEngine;
 use crate::index_api::{IndexBuilder, ReachIndex};
 use crate::metrics::ResponseStats;
@@ -316,7 +321,7 @@ impl SharedCore {
 /// directory that already holds state) and writes the initial epoch
 /// snapshot. `None` durability config returns `None`.
 pub(super) fn open_fresh_plane(
-    engine: &DistributedEngine,
+    engine: &Arc<DistributedEngine>,
     config: &ServiceConfig,
 ) -> Result<Option<DurabilityPlane>, ServiceError> {
     match &config.durability {
@@ -332,7 +337,7 @@ pub(super) fn open_fresh_plane(
             }
             let mut plane = DurabilityPlane::open(dcfg.clone(), &scan, disk_faults(config), false)
                 .map_err(|e| ServiceError::Durability(e.to_string()))?;
-            plane.write_snapshot(engine).map_err(|e| ServiceError::Durability(e.to_string()))?;
+            plane.checkpoint(engine).map_err(|e| ServiceError::Durability(e.to_string()))?;
             Ok(Some(plane))
         }
         None => Ok(None),
@@ -365,9 +370,9 @@ pub(super) fn open_recovered(
     // Checkpoint the recovered (or fresh) state right away: the next
     // restart resumes from here instead of replaying the whole WAL,
     // and a fresh directory gets its base snapshot.
-    plane.write_snapshot(&state.engine).map_err(|e| ServiceError::Durability(e.to_string()))?;
-    let outcome = state.outcome.clone();
-    Ok((Arc::new(state.engine), plane, state.pending, outcome))
+    let engine = Arc::new(state.engine);
+    plane.checkpoint(&engine).map_err(|e| ServiceError::Durability(e.to_string()))?;
+    Ok((engine, plane, state.pending, state.outcome))
 }
 
 /// Runs the configured index builder against `engine`'s current
@@ -464,11 +469,12 @@ pub(super) fn take_commit_request(core: &SharedCore, next_epoch: u64) -> Option<
 /// quiesce — no batch is in flight on any replica): folds `updates`
 /// into a new engine snapshot, swaps it in, publishes the new epoch,
 /// fences **every** replica's cache, cools the heat grid, rebuilds the
-/// index, and replies the new epoch to every commit waiter. The caller
-/// holds the stats gate, so no stats snapshot can observe the drained
-/// buffer without the matching applied counters.
+/// index, hands a due snapshot to the durability plane's writer, and
+/// replies the new epoch to every commit waiter. The caller holds the
+/// stats gate, so no stats snapshot can observe the drained buffer
+/// without the matching applied counters.
 pub(super) fn perform_commit(
-    core: &SharedCore,
+    core: &Arc<SharedCore>,
     ctx: &mut ExecCtx,
     updates: Vec<EdgeUpdate>,
     waiters: Vec<crossbeam_channel::Sender<u64>>,
@@ -536,30 +542,78 @@ pub(super) fn perform_commit(
     }
     // Snapshot cadence: every `snapshot_every`-th commit persists the
     // whole new engine value, bounding how much WAL a restart replays.
-    // A failed or rename-lost write is survivable — the WAL alone
-    // recovers this epoch; the cadence counter stays primed so the
-    // next commit retries.
+    // The commit only takes the job — the value it just published and
+    // the fault decisions — and the plane's writer thread encodes and
+    // writes it beside the next batches. A busy writer, a failed or a
+    // rename-lost write are all survivable — the WAL alone recovers
+    // this epoch; the cadence counter stays primed so the next commit
+    // (or, with none left, shutdown) retries. Asked at every commit, due or not, and before the
+    // waiters are released: the plane draws the job's fault rolls here,
+    // and a waiter's next WAL append must find them drawn.
     if let Some(dm) = &core.durability {
         let mut d = lock(dm);
-        if d.snapshot_due() {
-            match d.write_snapshot(&ctx.engine) {
-                Ok((bytes, renamed)) => {
-                    if let Some(o) = &core.obs {
-                        o.durability_snapshot_bytes.add(bytes);
-                        if renamed {
-                            o.durability_snapshots_written.inc();
-                            o.durability_last_snapshot_epoch.set(new_epoch as i64);
-                            let seq_now = core.batch_seq.load(Ordering::SeqCst);
-                            o.tracer.instant("snapshot_write", o.ctx(seq_now, 0), new_epoch);
-                        }
-                    }
+        if let Some(job) = d.snapshot_job_at_commit(&ctx.engine) {
+            // Weak: the writer pins the engine value it writes, not
+            // the service — dropping the service joins the writer.
+            let core = Arc::downgrade(core);
+            d.spawn_writer(job, move |out| {
+                if let Some(core) = core.upgrade() {
+                    publish_snapshot(&core, &out);
                 }
-                Err(e) => eprintln!("cgraph durability: snapshot write failed: {e}"),
-            }
+            });
         }
     }
     for w in waiters {
         let _ = w.send(new_epoch);
+    }
+}
+
+/// Books a finished snapshot job, on the thread that ran it: plane counters,
+/// cadence reset and obs mirrors move in one step under the stats gate,
+/// so a stats snapshot and the registry never disagree about it.
+fn publish_snapshot(core: &SharedCore, out: &SnapshotOutcome) {
+    let _gate = lock(&core.stats_gate);
+    let Some(dm) = &core.durability else { return };
+    lock(dm).finish_snapshot(out);
+    if let Some(e) = &out.error {
+        eprintln!("cgraph durability: snapshot write failed: {e}");
+    }
+    if let Some(o) = &core.obs {
+        o.durability_snapshot_seconds_encode.observe_duration(out.encode);
+        o.durability_snapshot_seconds_write.observe_duration(out.write);
+        o.durability_snapshot_bytes.add(out.bytes);
+        if out.renamed {
+            o.durability_snapshots_written.inc();
+            o.durability_last_snapshot_epoch.set(out.epoch as i64);
+            let seq_now = core.batch_seq.load(Ordering::SeqCst);
+            o.tracer.instant("snapshot_write", o.ctx(seq_now, 0), out.epoch);
+        }
+    }
+}
+
+/// The last dispatcher's durability barrier: syncs the WAL, then joins
+/// the snapshot writer — outside the plane mutex, which the writer
+/// needs to book its job — so `shutdown()` returns over a directory no
+/// thread still writes into and counters that are final. A snapshot
+/// that is still due then (its commit found the writer busy, or its
+/// write was lost) has no later commit to retry it: it is written here,
+/// on this thread, as the writer would have.
+pub(super) fn quiesce_durability(core: &SharedCore) {
+    let Some(dm) = &core.durability else { return };
+    let writer = {
+        let mut d = lock(dm);
+        if let Err(e) = d.sync() {
+            eprintln!("cgraph durability: WAL sync at shutdown failed: {e}");
+        }
+        d.take_writer()
+    };
+    if let Some(handle) = writer {
+        join_snapshot_writer(handle);
+    }
+    let engine = Arc::clone(&lock(&core.exec).engine);
+    let overdue = lock(dm).overdue_snapshot_job(&engine);
+    if let Some(job) = overdue {
+        publish_snapshot(core, &job.run());
     }
 }
 

@@ -269,15 +269,22 @@ impl Shard {
 
     /// Out-neighbours of a local vertex with edge weights.
     pub fn out_neighbors_weighted(&self, v: VertexId) -> Vec<(VertexId, f32)> {
-        debug_assert!(self.is_local(v));
-        let mut out: Vec<(VertexId, f32)> = self
-            .out_sets
-            .sets()
-            .iter()
-            .flat_map(|s| s.neighbors(v).iter().copied().zip(s.neighbor_weights(v).iter().copied()))
-            .collect();
-        out.sort_unstable_by_key(|a| a.0);
+        let mut out = Vec::new();
+        self.out_neighbors_weighted_into(v, &mut out);
         out
+    }
+
+    /// [`Shard::out_neighbors_weighted`] into a caller-owned buffer
+    /// (cleared first), for walks over every local vertex.
+    pub fn out_neighbors_weighted_into(&self, v: VertexId, out: &mut Vec<(VertexId, f32)>) {
+        debug_assert!(self.is_local(v));
+        out.clear();
+        for s in self.out_sets.sets() {
+            let span = s.row_span(v);
+            let (_, targets, weights) = s.raw_parts();
+            out.extend(targets[span.clone()].iter().copied().zip(weights[span].iter().copied()));
+        }
+        out.sort_unstable_by_key(|a| a.0);
     }
 
     /// Approximate heap footprint in bytes.
@@ -324,6 +331,28 @@ mod tests {
         for s in &shards {
             for v in s.local_range().iter() {
                 assert_eq!(s.out_neighbors(v), vec![(v + 1) % 20]);
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_rows_collect_across_tiles_in_target_order() {
+        let mut g = ring(24);
+        for v in (0..24).step_by(3) {
+            g.push(Edge::weighted(v, (v * 7 + 5) % 24, 0.5 + v as f32));
+        }
+        let part = RangePartition::from_edges(24, g.edges(), 3);
+        // A fine grid, so rows span several tiles and the sort matters.
+        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::grid(4), false);
+        let mut row = vec![(99, 9.0)]; // stale content must not survive
+        for s in &shards {
+            for v in s.local_range().iter() {
+                let mut expected: Vec<(VertexId, f32)> =
+                    g.edges().iter().filter(|e| e.src == v).map(|e| (e.dst, e.weight)).collect();
+                expected.sort_unstable_by_key(|a| a.0);
+                s.out_neighbors_weighted_into(v, &mut row);
+                assert_eq!(row, expected, "vertex {v}");
+                assert_eq!(s.out_neighbors_weighted(v), expected, "vertex {v}");
             }
         }
     }

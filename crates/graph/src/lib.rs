@@ -55,7 +55,7 @@ pub use labels::{LevelProfile, MAX_EXACT_LEVEL};
 pub use props::{EdgeProps, VertexProps};
 pub use snapshot::{
     decode_snapshot, decode_wal, encode_snapshot, encode_wal_record, CodecError, DiskFaults,
-    PartitionData, SnapshotData, WalRecord,
+    PartitionData, SnapshotData, SnapshotTicket, WalRecord, WeightedRows,
 };
 pub use stats::{DegreeStats, GraphStats};
 pub use tile_store::{TileCache, TileCacheStats, TileStore};

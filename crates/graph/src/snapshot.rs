@@ -81,11 +81,14 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE), table-driven — no external dependencies.
+// CRC-32 (IEEE), slice-by-8 tables — no external dependencies.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the classic byte-at-a-time table; `T[k][b]` is the CRC
+/// state after byte `b` followed by `k` zero bytes, which is what lets
+/// eight input bytes be folded with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -94,19 +97,44 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// IEEE CRC-32 of `bytes` (the checksum every frame carries).
+/// IEEE CRC-32 of `bytes` (the checksum every frame carries), eight
+/// bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -115,11 +143,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Frames
 // ---------------------------------------------------------------------
 
+/// Appends one frame whose payload `fill` writes straight into `out`:
+/// the header is reserved first and patched once the payload's length
+/// and checksum are known, so the payload is never staged elsewhere.
+fn write_frame_with(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    fill(out);
+    let len = (out.len() - at - 8) as u32;
+    let crc = crc32(&out[at + 8..]);
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Appends one `[len][crc][payload]` frame to `out`.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    write_frame_with(out, |o| o.extend_from_slice(payload));
 }
 
 /// Reads the frame starting at `*pos`, advancing `*pos` past it.
@@ -194,8 +233,66 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 
 /// Weighted adjacency rows as persisted: `(source, sorted
-/// [(dst, weight)])`, non-empty rows only, sources ascending.
-pub type WeightedRows = Vec<(VertexId, Vec<(VertexId, Weight)>)>;
+/// [(dst, weight)])`, non-empty rows only, sources ascending. Stored
+/// flat — one edge array plus one end offset per row — so capturing or
+/// decoding a whole partition allocates three vectors, not one per
+/// vertex.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct WeightedRows {
+    srcs: Vec<VertexId>,
+    /// `ends[i]` is one past row `i`'s last entry in `edges`; row `i`
+    /// starts where row `i − 1` ends.
+    ends: Vec<usize>,
+    edges: Vec<(VertexId, Weight)>,
+}
+
+impl WeightedRows {
+    /// No rows.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// No rows yet, with room for `rows` rows holding `edges` edges.
+    pub fn with_capacity(rows: usize, edges: usize) -> Self {
+        Self {
+            srcs: Vec::with_capacity(rows),
+            ends: Vec::with_capacity(rows),
+            edges: Vec::with_capacity(edges),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.srcs.len()
+    }
+
+    /// True when there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.srcs.is_empty()
+    }
+
+    /// Appends `src`'s row.
+    pub fn push_row(&mut self, src: VertexId, row: &[(VertexId, Weight)]) {
+        self.edges.extend_from_slice(row);
+        self.srcs.push(src);
+        self.ends.push(self.edges.len());
+    }
+
+    /// `(source, row)` in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &[(VertexId, Weight)])> + '_ {
+        let mut start = 0;
+        self.srcs.iter().zip(&self.ends).map(move |(&src, &end)| {
+            let row = &self.edges[start..end];
+            start = end;
+            (src, row)
+        })
+    }
+
+    /// Bytes [`encode_weighted_rows`] writes for these rows.
+    fn encoded_len(&self) -> usize {
+        8 + 12 * self.srcs.len() + 12 * self.edges.len()
+    }
+}
 
 /// One partition's persisted state: the base out-adjacency (only
 /// non-empty rows, sorted destinations with weights) plus the live
@@ -227,70 +324,85 @@ pub struct SnapshotData {
     pub partitions: Vec<PartitionData>,
 }
 
-fn encode_weighted_rows(out: &mut Vec<u8>, rows: &[(VertexId, Vec<(VertexId, Weight)>)]) {
+fn encode_weighted_rows(out: &mut Vec<u8>, rows: &WeightedRows) {
     out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-    for (src, edges) in rows {
+    for (src, edges) in rows.iter() {
         out.extend_from_slice(&src.to_le_bytes());
         out.extend_from_slice(&(edges.len() as u32).to_le_bytes());
-        for (dst, w) in edges {
-            out.extend_from_slice(&dst.to_le_bytes());
-            out.extend_from_slice(&w.to_bits().to_le_bytes());
+        for &(dst, w) in edges {
+            let mut rec = [0u8; 12];
+            rec[..8].copy_from_slice(&dst.to_le_bytes());
+            rec[8..].copy_from_slice(&w.to_bits().to_le_bytes());
+            out.extend_from_slice(&rec);
         }
     }
 }
 
 fn decode_weighted_rows(r: &mut Reader<'_>) -> Result<WeightedRows, CodecError> {
     let n = r.u64()? as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 20));
+    let mut rows = WeightedRows::new();
+    rows.srcs.reserve(n.min(1 << 20));
+    rows.ends.reserve(n.min(1 << 20));
     for _ in 0..n {
         let src = r.u64()?;
         let deg = r.u32()? as usize;
-        let mut edges = Vec::with_capacity(deg.min(1 << 20));
-        for _ in 0..deg {
-            let dst = r.u64()?;
-            let w = r.f32()?;
-            edges.push((dst, w));
-        }
-        rows.push((src, edges));
+        // One bounds check per row; it also caps what a corrupt degree
+        // can make the edge array grow by.
+        let body = r.bytes(deg.saturating_mul(12))?;
+        rows.edges.extend(body.chunks_exact(12).map(|c| {
+            let dst = u64::from_le_bytes(c[..8].try_into().unwrap());
+            let w = f32::from_bits(u32::from_le_bytes(c[8..].try_into().unwrap()));
+            (dst, w)
+        }));
+        rows.srcs.push(src);
+        rows.ends.push(rows.edges.len());
     }
     Ok(rows)
 }
 
 /// Encodes `snap` into its on-disk byte representation (header frame,
-/// partition frames, END frame).
+/// partition frames, END frame). The buffer is sized once from the row
+/// counts and every frame is written in place.
 pub fn encode_snapshot(snap: &SnapshotData) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut header = Vec::new();
-    header.push(TAG_HEADER);
-    header.extend_from_slice(&SNAPSHOT_MAGIC);
-    header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    header.extend_from_slice(&snap.epoch.to_le_bytes());
-    header.extend_from_slice(&snap.last_seq.to_le_bytes());
-    header.extend_from_slice(&snap.num_vertices.to_le_bytes());
-    header.extend_from_slice(&(snap.ranges.len() as u32).to_le_bytes());
-    for &(start, end) in &snap.ranges {
-        header.extend_from_slice(&start.to_le_bytes());
-        header.extend_from_slice(&end.to_le_bytes());
-    }
-    write_frame(&mut out, &header);
-
-    for (i, part) in snap.partitions.iter().enumerate() {
-        let mut body = Vec::new();
-        body.push(TAG_PARTITION);
-        body.extend_from_slice(&(i as u32).to_le_bytes());
-        encode_weighted_rows(&mut body, &part.base_rows);
-        encode_weighted_rows(&mut body, &part.delta_inserts);
-        body.extend_from_slice(&(part.delta_deletes.len() as u64).to_le_bytes());
-        for (src, dels) in &part.delta_deletes {
-            body.extend_from_slice(&src.to_le_bytes());
-            body.extend_from_slice(&(dels.len() as u32).to_le_bytes());
-            for d in dels {
-                body.extend_from_slice(&d.to_le_bytes());
-            }
+    let header_len = 1 + 8 + 4 + 8 + 8 + 8 + 4 + 16 * snap.ranges.len();
+    let part_len = |p: &PartitionData| {
+        let deletes: usize = p.delta_deletes.iter().map(|(_, d)| 12 + 8 * d.len()).sum();
+        1 + 4 + p.base_rows.encoded_len() + p.delta_inserts.encoded_len() + 8 + deletes
+    };
+    let total =
+        (8 + header_len) + snap.partitions.iter().map(|p| 8 + part_len(p)).sum::<usize>() + (8 + 1);
+    let mut out = Vec::with_capacity(total);
+    write_frame_with(&mut out, |header| {
+        header.push(TAG_HEADER);
+        header.extend_from_slice(&SNAPSHOT_MAGIC);
+        header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        header.extend_from_slice(&snap.epoch.to_le_bytes());
+        header.extend_from_slice(&snap.last_seq.to_le_bytes());
+        header.extend_from_slice(&snap.num_vertices.to_le_bytes());
+        header.extend_from_slice(&(snap.ranges.len() as u32).to_le_bytes());
+        for &(start, end) in &snap.ranges {
+            header.extend_from_slice(&start.to_le_bytes());
+            header.extend_from_slice(&end.to_le_bytes());
         }
-        write_frame(&mut out, &body);
+    });
+    for (i, part) in snap.partitions.iter().enumerate() {
+        write_frame_with(&mut out, |body| {
+            body.push(TAG_PARTITION);
+            body.extend_from_slice(&(i as u32).to_le_bytes());
+            encode_weighted_rows(body, &part.base_rows);
+            encode_weighted_rows(body, &part.delta_inserts);
+            body.extend_from_slice(&(part.delta_deletes.len() as u64).to_le_bytes());
+            for (src, dels) in &part.delta_deletes {
+                body.extend_from_slice(&src.to_le_bytes());
+                body.extend_from_slice(&(dels.len() as u32).to_le_bytes());
+                for d in dels {
+                    body.extend_from_slice(&d.to_le_bytes());
+                }
+            }
+        });
     }
     write_frame(&mut out, &[TAG_END]);
+    debug_assert_eq!(out.len(), total, "encode_snapshot mis-sized its buffer");
     out
 }
 
@@ -413,9 +525,10 @@ impl WalRecord {
 
 /// Encodes one WAL record as a single frame.
 pub fn encode_wal_record(rec: &WalRecord) -> Vec<u8> {
-    let mut body = Vec::new();
-    match rec {
+    let mut out = Vec::new();
+    write_frame_with(&mut out, |body| match rec {
         WalRecord::Updates { seq, updates } => {
+            body.reserve(1 + 8 + 4 + 21 * updates.len());
             body.push(TAG_WAL_UPDATES);
             body.extend_from_slice(&seq.to_le_bytes());
             body.extend_from_slice(&(updates.len() as u32).to_le_bytes());
@@ -441,9 +554,7 @@ pub fn encode_wal_record(rec: &WalRecord) -> Vec<u8> {
             body.extend_from_slice(&seq.to_le_bytes());
             body.extend_from_slice(&epoch.to_le_bytes());
         }
-    }
-    let mut out = Vec::new();
-    write_frame(&mut out, &body);
+    });
     out
 }
 
@@ -562,39 +673,37 @@ impl DiskFaults {
         ((h >> 11) as f64 / (1u64 << 53) as f64, h)
     }
 
-    /// Applies at most one write fault to `bytes` (torn beats short
-    /// beats flip). Returns `true` when the buffer was mangled — the
-    /// caller should treat the write as "landed corrupted", exactly
-    /// what a crash mid-write leaves on disk.
+    /// Draws the next write-fault decision (torn beats short beats
+    /// flip) without touching any bytes. It consumes the rolls
+    /// [`DiskFaults::mangle`] consumes — one per fault kind tried, up to
+    /// the one that fires — so a caller can fix the decision when a
+    /// write is *issued* and [`WriteFault::apply`] it wherever the bytes
+    /// are produced later.
+    pub fn draw_write_fault(&self) -> WriteFault {
+        let (p_torn, h_torn) = self.roll();
+        if p_torn < self.torn_prob {
+            return WriteFault::Torn(h_torn);
+        }
+        let (p_short, h_short) = self.roll();
+        if p_short < self.short_prob {
+            return WriteFault::Short(h_short);
+        }
+        let (p_flip, h_flip) = self.roll();
+        if p_flip < self.flip_prob {
+            return WriteFault::Flip(h_flip);
+        }
+        WriteFault::None
+    }
+
+    /// Applies at most one write fault to `bytes`. Returns `true` when
+    /// the buffer was mangled — the caller should treat the write as
+    /// "landed corrupted", exactly what a crash mid-write leaves on
+    /// disk.
     pub fn mangle(&self, bytes: &mut Vec<u8>) -> bool {
         if bytes.is_empty() {
             return false;
         }
-        let (p_torn, h_torn) = self.roll();
-        if p_torn < self.torn_prob {
-            // Torn write: cut at a deterministic offset strictly inside
-            // the buffer, so at least one byte is written and at least
-            // one is lost.
-            let keep = 1 + (h_torn as usize % bytes.len().max(2).saturating_sub(1));
-            bytes.truncate(keep.min(bytes.len() - 1).max(1));
-            return true;
-        }
-        let (p_short, h_short) = self.roll();
-        if p_short < self.short_prob {
-            // Short write: the kernel accepted fewer bytes than asked —
-            // a small suffix (1..=8 bytes) vanishes.
-            let lost = 1 + (h_short as usize % 8).min(bytes.len() - 1);
-            let keep = bytes.len() - lost;
-            bytes.truncate(keep.max(1));
-            return true;
-        }
-        let (p_flip, h_flip) = self.roll();
-        if p_flip < self.flip_prob {
-            let bit = h_flip as usize % (bytes.len() * 8);
-            bytes[bit / 8] ^= 1 << (bit % 8);
-            return true;
-        }
-        false
+        self.draw_write_fault().apply(bytes)
     }
 
     /// True when the atomic rename publishing a finished temp file is
@@ -603,6 +712,72 @@ impl DiskFaults {
         let (p, _) = self.roll();
         p < self.rename_lost_prob
     }
+
+    /// Every decision one snapshot write needs — what `mangle` then
+    /// `drop_rename` would decide, drawn in that order — so the write
+    /// itself can run on another thread without its timing reordering
+    /// the schedule against the WAL appends sharing this injector.
+    pub fn snapshot_ticket(&self) -> SnapshotTicket {
+        SnapshotTicket { write: self.draw_write_fault(), rename_lost: self.drop_rename() }
+    }
+}
+
+/// One drawn write-fault decision: which fault hits the buffer, with
+/// the raw hash its offset derives from once the buffer's length is
+/// known.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum WriteFault {
+    /// The write lands intact.
+    #[default]
+    None,
+    /// Torn write: a suffix of the buffer is lost.
+    Torn(u64),
+    /// Short write: 1..=8 tail bytes are lost.
+    Short(u64),
+    /// One bit of the buffer is inverted.
+    Flip(u64),
+}
+
+impl WriteFault {
+    /// Applies the decision to `bytes`; `true` when they were mangled.
+    /// An empty buffer is left alone.
+    pub fn apply(self, bytes: &mut Vec<u8>) -> bool {
+        if bytes.is_empty() {
+            return false;
+        }
+        match self {
+            WriteFault::None => return false,
+            WriteFault::Torn(h) => {
+                // Cut at a deterministic offset strictly inside the
+                // buffer, so at least one byte is written and at least
+                // one is lost.
+                let keep = 1 + (h as usize % bytes.len().max(2).saturating_sub(1));
+                bytes.truncate(keep.min(bytes.len() - 1).max(1));
+            }
+            WriteFault::Short(h) => {
+                // The kernel accepted fewer bytes than asked — a small
+                // suffix (1..=8 bytes) vanishes.
+                let lost = 1 + (h as usize % 8).min(bytes.len() - 1);
+                let keep = bytes.len() - lost;
+                bytes.truncate(keep.max(1));
+            }
+            WriteFault::Flip(h) => {
+                let bit = h as usize % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        true
+    }
+}
+
+/// The fault decisions of one snapshot write; the default is "no
+/// fault".
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SnapshotTicket {
+    /// What happens to the encoded bytes on their way to the temp file.
+    pub write: WriteFault,
+    /// Whether the rename publishing the temp file is lost.
+    pub rename_lost: bool,
 }
 
 /// The splitmix64 finalizer (same mixer the chaos plane uses).
@@ -617,6 +792,14 @@ fn splitmix64(mut z: u64) -> u64 {
 mod tests {
     use super::*;
 
+    fn rows(of: &[(VertexId, &[(VertexId, Weight)])]) -> WeightedRows {
+        let mut rows = WeightedRows::new();
+        for &(src, row) in of {
+            rows.push_row(src, row);
+        }
+        rows
+    }
+
     fn sample_snapshot() -> SnapshotData {
         SnapshotData {
             epoch: 7,
@@ -625,13 +808,13 @@ mod tests {
             ranges: vec![(0, 4), (4, 10)],
             partitions: vec![
                 PartitionData {
-                    base_rows: vec![(0, vec![(1, 1.0), (2, 0.5)]), (3, vec![(9, 2.0)])],
-                    delta_inserts: vec![(1, vec![(7, 1.0)])],
+                    base_rows: rows(&[(0, &[(1, 1.0), (2, 0.5)]), (3, &[(9, 2.0)])]),
+                    delta_inserts: rows(&[(1, &[(7, 1.0)])]),
                     delta_deletes: vec![(0, vec![2])],
                 },
                 PartitionData {
-                    base_rows: vec![(4, vec![(0, 1.0)])],
-                    delta_inserts: vec![],
+                    base_rows: rows(&[(4, &[(0, 1.0)])]),
+                    delta_inserts: WeightedRows::new(),
                     delta_deletes: vec![(9, vec![0, 3])],
                 },
             ],
@@ -643,6 +826,49 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    /// The byte-at-a-time loop `crc32` replaced, kept as the reference
+    /// the sliced version must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_slice_by_8_equals_the_bytewise_loop() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926, "the reference is the IEEE CRC");
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Every length around the 8-byte step, then random ones to 4 096,
+        // each at a random alignment inside its buffer.
+        let lens = (0..=64usize).chain((0..200).map(|_| next() as usize % 4097));
+        for len in lens.collect::<Vec<_>>() {
+            let skew = next() as usize % 8;
+            let buf: Vec<u8> = (0..len + skew).map(|_| next() as u8).collect();
+            let bytes = &buf[skew..];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "length {len}, skew {skew}");
+        }
+    }
+
+    #[test]
+    fn weighted_rows_iterate_what_was_pushed() {
+        let mut rows = WeightedRows::new();
+        assert!(rows.is_empty());
+        rows.push_row(3, &[(1, 1.0), (4, 0.5)]);
+        rows.push_row(5, &[]);
+        rows.push_row(9, &[(0, 2.0)]);
+        assert_eq!(rows.len(), 3);
+        let seen: Vec<(u64, Vec<(u64, f32)>)> = rows.iter().map(|(s, r)| (s, r.to_vec())).collect();
+        assert_eq!(seen, vec![(3, vec![(1, 1.0), (4, 0.5)]), (5, vec![]), (9, vec![(0, 2.0)])]);
     }
 
     #[test]
@@ -746,6 +972,37 @@ mod tests {
         assert_eq!(run(7), run(7), "same seed, same fault schedule");
         assert_ne!(run(7), run(8), "different seeds diverge");
         assert!(run(7).iter().any(|(m, _)| *m), "faults must actually fire at these rates");
+    }
+
+    #[test]
+    fn snapshot_ticket_is_mangle_then_drop_rename_drawn_early() {
+        // Same seed, two injectors: one decides while it mangles (the
+        // synchronous write path), the other draws a ticket first and
+        // applies it later. Decisions, bytes and the number of rolls
+        // consumed must agree at every step — the next operation on
+        // either injector sees the same schedule.
+        for seed in 0..40u64 {
+            let inline = DiskFaults::new(seed, 0.3, 0.2, 0.2, 0.25);
+            let ticketed = DiskFaults::new(seed, 0.3, 0.2, 0.2, 0.25);
+            for i in 0..32u8 {
+                let mut a = vec![i; 48];
+                let mangled = inline.mangle(&mut a);
+                let lost = inline.drop_rename();
+
+                let ticket = ticketed.snapshot_ticket();
+                let mut b = vec![i; 48];
+                assert_eq!(ticket.write.apply(&mut b), mangled, "seed {seed} op {i}");
+                assert_eq!(b, a, "seed {seed} op {i}");
+                assert_eq!(ticket.rename_lost, lost, "seed {seed} op {i}");
+
+                // An interleaved WAL append lands on the same rolls.
+                let (mut wa, mut wb) = (vec![0xA5; 24], vec![0xA5; 24]);
+                assert_eq!(inline.mangle(&mut wa), ticketed.mangle(&mut wb));
+                assert_eq!(wa, wb, "seed {seed} op {i}: schedules diverged after the ticket");
+            }
+        }
+        assert_eq!(SnapshotTicket::default().write, WriteFault::None);
+        assert!(!SnapshotTicket::default().rename_lost);
     }
 
     #[test]

@@ -41,6 +41,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// `+Inf` bucket.
 pub const PAPER_LATENCY_EDGES_SECS: [f64; 10] = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0];
 
+/// Log-spaced bucket edges for durations this system actually takes:
+/// 1 µs to 10 s in 1-2-5 steps. On [`PAPER_LATENCY_EDGES_SECS`] every
+/// sample of a microsecond-to-millisecond span lands in the first
+/// bucket.
+pub const LOG_LATENCY_EDGES_SECS: [f64; 22] = [
+    1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1,
+    0.2, 0.5, 1.0, 2.0, 5.0, 10.0,
+];
+
 /// Power-of-two bucket edges `1, 2, 4, …, 2^(n-1)` for count-valued
 /// histograms (frontier sizes, supersteps per batch).
 pub fn log2_edges(n: u32) -> Vec<f64> {
@@ -264,6 +273,18 @@ impl MetricsRegistry {
     /// edges. Edges must be strictly increasing; an `+Inf` bucket is
     /// implicit. If the family already exists the stored edges win.
     pub fn histogram(&self, name: &str, help: &str, edges: &[f64]) -> Arc<Histogram> {
+        self.histogram_with(name, &[], help, edges)
+    }
+
+    /// Get-or-create a histogram with a label set (same edge rules as
+    /// [`MetricsRegistry::histogram`], per series).
+    pub fn histogram_with(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &str,
+        edges: &[f64],
+    ) -> Arc<Histogram> {
         assert!(
             edges.windows(2).all(|w| w[0] < w[1]),
             "histogram edges must be strictly increasing"
@@ -272,7 +293,7 @@ impl MetricsRegistry {
         let fam = Self::family(&mut map, name, help, Kind::Histogram);
         let entry = fam
             .series
-            .entry(String::new())
+            .entry(render_labels(labels))
             .or_insert_with(|| Series::Histogram(Arc::new(Histogram::new(edges.to_vec()))));
         match entry {
             Series::Histogram(h) => Arc::clone(h),
@@ -309,16 +330,19 @@ impl MetricsRegistry {
                         let _ = writeln!(out, "{name}{labels} {}", g.get());
                     }
                     Series::Histogram(h) => {
+                        // `le` joins the series' own labels, last.
+                        let own = labels.strip_prefix('{').and_then(|l| l.strip_suffix('}'));
+                        let lead = own.map(|l| format!("{l},")).unwrap_or_default();
                         let counts = h.bucket_counts();
                         let mut cum = 0u64;
                         for (i, edge) in h.edges().iter().enumerate() {
                             cum += counts[i];
-                            let _ = writeln!(out, "{name}_bucket{{le=\"{edge}\"}} {cum}");
+                            let _ = writeln!(out, "{name}_bucket{{{lead}le=\"{edge}\"}} {cum}");
                         }
                         cum += counts[h.edges().len()];
-                        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}");
-                        let _ = writeln!(out, "{name}_sum {}", h.sum());
-                        let _ = writeln!(out, "{name}_count {}", h.count());
+                        let _ = writeln!(out, "{name}_bucket{{{lead}le=\"+Inf\"}} {cum}");
+                        let _ = writeln!(out, "{name}_sum{labels} {}", h.sum());
+                        let _ = writeln!(out, "{name}_count{labels} {}", h.count());
                     }
                 }
             }
@@ -340,7 +364,8 @@ pub struct ParsedHistogram {
 }
 
 /// A parsed metrics snapshot: series keyed by full name (labels
-/// included).
+/// included; a histogram's key carries its series labels without the
+/// per-bucket `le`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter series values.
@@ -390,17 +415,26 @@ pub fn parse_text(text: &str) -> Result<Snapshot, String> {
             .or_else(|| family.strip_suffix("_count"))
             .filter(|b| kinds.get(*b).map(String::as_str) == Some("histogram"));
         if let Some(base) = base {
-            let hist = snap.histograms.entry(base.to_string()).or_insert(ParsedHistogram {
+            // The series' own labels: everything but the bucket's `le`,
+            // which render_text appends last — split there, not at the
+            // first `le="` (a `role="…"` label ends in one too).
+            let labels = series.split_once('{').map_or("", |(_, rest)| rest.trim_end_matches('}'));
+            let (own, le) = if family.ends_with("_bucket") {
+                let (own, le) = labels
+                    .rsplit_once("le=\"")
+                    .filter(|(own, _)| own.is_empty() || own.ends_with(','))
+                    .ok_or_else(|| format!("bucket without le label: {line}"))?;
+                (own.trim_end_matches(','), le.trim_end_matches('"'))
+            } else {
+                (labels, "")
+            };
+            let key = if own.is_empty() { base.to_string() } else { format!("{base}{{{own}}}") };
+            let hist = snap.histograms.entry(key).or_insert(ParsedHistogram {
                 buckets: Vec::new(),
                 sum: 0.0,
                 count: 0,
             });
             if family.ends_with("_bucket") {
-                let le = series
-                    .split("le=\"")
-                    .nth(1)
-                    .and_then(|s| s.split('"').next())
-                    .ok_or_else(|| format!("bucket without le label: {line}"))?;
                 let edge = if le == "+Inf" {
                     f64::INFINITY
                 } else {
@@ -481,6 +515,47 @@ mod tests {
         // Cumulative counts are monotone.
         assert!(hist.buckets.windows(2).all(|w| w[0].1 <= w[1].1));
         assert!((hist.sum - 7.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn labeled_histograms_render_and_parse_per_series() {
+        let reg = MetricsRegistry::new();
+        let enc =
+            reg.histogram_with("t_phase_seconds", &[("phase", "encode")], "help", &[0.1, 1.0]);
+        let wr = reg.histogram_with("t_phase_seconds", &[("phase", "write")], "help", &[0.1, 1.0]);
+        enc.observe(0.05);
+        wr.observe(0.5);
+        wr.observe(3.0);
+        let text = reg.render_text();
+        assert!(text.contains("t_phase_seconds_bucket{phase=\"write\",le=\"1\"} 1"), "{text}");
+        assert!(text.contains("t_phase_seconds_count{phase=\"encode\"} 1"), "{text}");
+        let snap = parse_text(&text).unwrap();
+        let e = &snap.histograms["t_phase_seconds{phase=\"encode\"}"];
+        let w = &snap.histograms["t_phase_seconds{phase=\"write\"}"];
+        assert_eq!((e.count, w.count), (1, 2));
+        assert_eq!(e.buckets, vec![(0.1, 1), (1.0, 1), (f64::INFINITY, 1)]);
+        assert_eq!(w.buckets, vec![(0.1, 0), (1.0, 1), (f64::INFINITY, 2)]);
+        assert!((w.sum - 3.5).abs() < 1e-12);
+        assert_eq!(reg.names(), vec!["t_phase_seconds".to_string()]);
+
+        // A label whose name ends in `le` is not the bucket label.
+        let reg = MetricsRegistry::new();
+        for (role, v) in [("leader", 0.05), ("follower", 0.5)] {
+            reg.histogram_with("t_role_seconds", &[("role", role)], "help", &[0.1]).observe(v);
+        }
+        let snap = parse_text(&reg.render_text()).unwrap();
+        assert_eq!(snap.histograms.len(), 2);
+        let l = &snap.histograms["t_role_seconds{role=\"leader\"}"];
+        assert_eq!((l.buckets.clone(), l.count), (vec![(0.1, 1), (f64::INFINITY, 1)], 1));
+        let f = &snap.histograms["t_role_seconds{role=\"follower\"}"];
+        assert_eq!((f.buckets.clone(), f.count), (vec![(0.1, 0), (f64::INFINITY, 1)], 1));
+    }
+
+    #[test]
+    fn log_latency_edges_span_a_microsecond_to_ten_seconds() {
+        let e = &LOG_LATENCY_EDGES_SECS;
+        assert_eq!((e[0], e[e.len() - 1]), (1e-6, 10.0));
+        assert!(e.windows(2).all(|w| w[0] < w[1] && w[1] / w[0] <= 2.5 + 1e-9));
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //! `BTreeSet<(src, dst)>` per committed epoch, a reference BFS for
 //! `(visited, per_level)`. Crashes are simulated by (a) cutting the
 //! WAL at every byte offset, (b) flipping / truncating snapshot files,
-//! and (c) running the whole open → mutate → kill → reopen loop under
-//! a disk-fault [`FaultPlan`] (torn writes, bit flips, lost renames).
+//! (c) running the whole open → mutate → kill → reopen loop under
+//! a disk-fault [`FaultPlan`] (torn writes, bit flips, lost renames),
+//! and (d) leaving the directory as a crash would at each point of a
+//! snapshot job that runs on the plane's writer thread, beside the
+//! commits (taken but never run, temp file never renamed, skipped
+//! because the writer was busy).
 
 use cgraph::prelude::*;
 use proptest::prelude::*;
@@ -19,7 +23,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Deterministic xorshift stream so every run replays identically.
 struct Rng(u64);
@@ -222,6 +226,49 @@ fn run_rounds(
     batches
 }
 
+/// Blocks until the snapshot writer has booked the job the last commit
+/// handed it: `snapshot_bytes` moves past `before` when the temp file
+/// is written — whether or not a fault then loses the rename — in the
+/// same step that lets the plane take its next job. A test that must
+/// not depend on how long a write takes waits here after every due
+/// commit, so no later commit can find the writer busy.
+fn settle_snapshot(svc: &QueryService, before: u64) {
+    let started = Instant::now();
+    while svc.stats().snapshot_bytes == before {
+        assert!(started.elapsed() < Duration::from_secs(60), "the snapshot writer never finished");
+        std::thread::yield_now();
+    }
+}
+
+/// The plane's snapshot cadence as a settled run sees it: which commits
+/// hand a job off. A lost rename leaves the cadence primed, so the next
+/// commit is due again.
+struct DueCommits {
+    every: u64,
+    since: u64,
+}
+
+impl DueCommits {
+    /// After a commit (`before` = the stats read ahead of it): waits for
+    /// the job when the commit was due.
+    fn settle_commit(&mut self, svc: &QueryService, before: &ServiceStats) {
+        self.since += 1;
+        if self.since >= self.every {
+            settle_snapshot(svc, before.snapshot_bytes);
+            if svc.stats().snapshots_written > before.snapshots_written {
+                self.since = 0;
+            }
+        }
+    }
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// Sorted final-name snapshot files inside a data directory.
 fn snapshot_files(dir: &Path) -> Vec<PathBuf> {
     let mut v: Vec<PathBuf> = fs::read_dir(dir)
@@ -231,6 +278,34 @@ fn snapshot_files(dir: &Path) -> Vec<PathBuf> {
         .collect();
     v.sort();
     v
+}
+
+/// [`snapshot_files`] by file name.
+fn snapshot_names(dir: &Path) -> Vec<String> {
+    snapshot_files(dir)
+        .iter()
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// Names of the files a snapshot write that never reached its rename
+/// left behind.
+fn tmp_files(dir: &Path) -> Vec<String> {
+    let mut v: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".tmp"))
+        .collect();
+    v.sort();
+    v
+}
+
+/// Turns the newest snapshot back into the temp file it was renamed
+/// from: what the directory holds when the process dies between the
+/// temp file's fsync and the rename.
+fn unrename_newest_snapshot(dir: &Path) {
+    let newest = snapshot_files(dir).pop().expect("a snapshot to un-rename");
+    fs::rename(&newest, newest.with_extension("cgs.tmp")).unwrap();
 }
 
 /// Copies a data directory, truncating `wal.log` to `wal_len` bytes.
@@ -589,17 +664,29 @@ fn invalid_knobs_are_rejected_at_construction() {
     }
 }
 
+/// What one generation of the chaos loop left behind: the durability
+/// counters after `shutdown()`, the snapshot files by name, and the WAL
+/// length.
+#[derive(Debug, PartialEq, Eq)]
+struct GenerationEnd {
+    counters: [u64; 8],
+    snapshots: Vec<String>,
+    wal_len: u64,
+    wal_digest: u64,
+}
+
 /// The full kill-and-reopen loop under a disk-fault [`FaultPlan`]:
 /// torn WAL writes, snapshot bit flips and lost renames. Recovery must
 /// always succeed, always land on an epoch that was really committed,
 /// and every answer — before and after each "crash" — must match the
 /// scratch rebuild. Lost generations rewind the model exactly as the
-/// truncated WAL dictates.
-#[test]
-fn disk_fault_chaos_survives_kill_and_reopen_loop() {
+/// truncated WAL dictates. With `settle` every commit waits for the
+/// snapshot job it handed off, so no commit finds the writer busy and
+/// the whole run is a function of the seeds.
+fn chaos_loop(tag: &str, cadence: u64, settle: bool) -> Vec<GenerationEnd> {
     const N: u64 = 28;
     const GENERATIONS: usize = 6;
-    let tmp = TempDir::new("chaos");
+    let tmp = TempDir::new(tag);
     let base = seed_edges(N, 50, 0xC4A05);
     let edges = edge_list(N, &base);
     let mut history = vec![base.clone()];
@@ -607,11 +694,14 @@ fn disk_fault_chaos_survives_kill_and_reopen_loop() {
     let mut rng = Rng(0xC4A05EED);
     let plan =
         FaultPlan::new(0xD15C).with_torn_write(0.12).with_bit_flip(0.08).with_rename_lost(0.25);
+    let mut ends = Vec::new();
 
     for generation in 0..GENERATIONS {
-        let cfg = ServiceConfig { fault_plan: Some(plan.clone()), ..durable_config(tmp.path(), 1) };
+        let cfg =
+            ServiceConfig { fault_plan: Some(plan.clone()), ..durable_config(tmp.path(), cadence) };
         let (svc, out) = QueryService::open_or_recover(&edges, EngineConfig::new(2), cfg)
             .unwrap_or_else(|e| panic!("generation {generation}: recovery must survive: {e}"));
+        let mut due = settle.then_some(DueCommits { every: cadence, since: 0 });
         let r = out.epoch as usize;
         assert!(
             r < history.len(),
@@ -634,15 +724,271 @@ fn disk_fault_chaos_survives_kill_and_reopen_loop() {
             batches.truncate(r + 1);
             let mut m = history[r].clone();
             model_apply(&mut m, &tail);
+            let before = svc.stats();
             let ep = svc.commit_epoch().unwrap();
             assert_eq!(ep as usize, r + 1);
             history.push(m);
+            if let Some(due) = &mut due {
+                due.settle_commit(&svc, &before);
+            }
         } else {
             history.truncate(r + 1);
             batches.truncate(r);
         }
         let mut model = history.last().unwrap().clone();
-        batches.extend(run_rounds(&svc, N, &mut model, &mut history, &mut rng, 2, 6));
+        for _ in 0..2 {
+            let before = svc.stats();
+            batches.extend(run_rounds(&svc, N, &mut model, &mut history, &mut rng, 1, 6));
+            if let Some(due) = &mut due {
+                due.settle_commit(&svc, &before);
+            }
+        }
+        svc.shutdown();
+        // shutdown() drained the writer: these are final.
+        let s = svc.stats();
+        let wal = fs::read(tmp.path().join("wal.log")).unwrap();
+        ends.push(GenerationEnd {
+            counters: [
+                s.wal_records,
+                s.wal_bytes,
+                s.snapshots_written,
+                s.snapshot_bytes,
+                s.wal_replayed,
+                s.snapshots_corrupt,
+                s.durable_recoveries,
+                s.last_snapshot_epoch,
+            ],
+            snapshots: snapshot_names(tmp.path()),
+            wal_len: wal.len() as u64,
+            wal_digest: fnv1a(&wal),
+        });
+    }
+    ends
+}
+
+/// The chaos loop as a service runs it: commits do not wait for their
+/// snapshots, so a due snapshot may find the writer busy and be
+/// skipped — every path through that race must hold the oracle.
+#[test]
+fn disk_fault_chaos_survives_kill_and_reopen_loop() {
+    chaos_loop("chaos", 1, false);
+}
+
+/// `DiskFaults` promises a schedule that replays identically as long
+/// as the durability operations are issued in a deterministic order.
+/// The snapshot's decisions are drawn when a commit asks the plane for
+/// its job — at every commit, due or not — not when the writer thread
+/// gets to them, so two runs of the same seeds must leave the same
+/// counters, the same snapshot files and the same WAL — generation by
+/// generation, at cadence 1 (every commit due) and at cadence 2 (which
+/// commits are due depends on when the writer booked).
+#[test]
+fn disk_fault_schedule_replays_identically_beside_a_writer_thread() {
+    for cadence in [1, 2] {
+        let first = chaos_loop("chaos-replay-a", cadence, true);
+        let second = chaos_loop("chaos-replay-b", cadence, true);
+        assert_eq!(first, second, "cadence {cadence}");
+        assert!(
+            first.iter().any(|g| g.counters[2] > 1),
+            "some generation must land a snapshot past its start-up checkpoint: {first:?}"
+        );
+        // Without the waiting, which snapshots land is a race — but the
+        // WAL must not notice it: until the first reopen (whose recovery
+        // point depends on the snapshots that made it) every append sees
+        // the rolls it sees in the settled run, byte for byte.
+        for tag in ["chaos-replay-c", "chaos-replay-d"] {
+            let racy = chaos_loop(tag, cadence, false);
+            assert_eq!(
+                (racy[0].wal_len, racy[0].wal_digest, &racy[0].counters[..2]),
+                (first[0].wal_len, first[0].wal_digest, &first[0].counters[..2]),
+                "cadence {cadence}: the writer's timing reordered the fault schedule"
+            );
+        }
+    }
+}
+
+/// The snapshot format did not move: TINY's engine value encodes to the
+/// bytes the byte-at-a-time checksum and the per-row vectors produced
+/// (digest recorded at the parent of the change that replaced them),
+/// and decodes back to what was captured.
+#[test]
+fn tiny_snapshot_bytes_are_pinned() {
+    use cgraph::core::durability::{engine_from_snapshot, snapshot_of};
+    use cgraph::graph::snapshot::{decode_snapshot, encode_snapshot};
+    let engine = DistributedEngine::new(&Dataset::Tiny.generate(), EngineConfig::new(2));
+    let bytes = encode_snapshot(&snapshot_of(&engine, 0));
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (155_756, 0xdc0e_cfa8_eec0_8a53),
+        "snapshot bytes moved off the parent's"
+    );
+    // Again with live overlay rows (inserts and a delete) behind a
+    // non-zero covered sequence number.
+    let (engine, folded) = engine.with_updates(
+        &[EdgeUpdate::insert(1, 2), EdgeUpdate::insert(1, 0), EdgeUpdate::delete(0, 1)],
+        usize::MAX,
+    );
+    assert!(!folded, "the overlay rows are part of what is pinned");
+    let snap = snapshot_of(&engine, 7);
+    let bytes = encode_snapshot(&snap);
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (155_812, 0x92eb_56fc_8372_7d53),
+        "snapshot bytes with an overlay moved off the parent's"
+    );
+    let decoded = decode_snapshot(&bytes).expect("own encoding decodes");
+    assert_eq!(decoded, snap);
+    let restored = engine_from_snapshot(&decoded, *engine.config());
+    assert_eq!(snapshot_of(&restored, 7), snap);
+}
+
+/// The crash windows a snapshot job on its own thread opens, each left
+/// on disk as the crash would leave it and recovered against the
+/// scratch-rebuild model: the restart lands on the last fenced epoch
+/// and pays for the missing snapshot in replayed WAL records — never
+/// in epochs.
+#[test]
+fn detached_snapshot_crash_windows_recover_the_last_fenced_epoch() {
+    const N: u64 = 30;
+    const ROUNDS: usize = 5;
+    const CADENCE: u64 = 2;
+    let tmp = TempDir::new("windows");
+    let base = seed_edges(N, 55, 0x57A1E);
+    let edges = edge_list(N, &base);
+    let mut history = vec![base.clone()];
+    let mut model = base;
+    let mut rng = Rng(0xB0A7);
+
+    // Live run: snapshots come due at epochs 2 and 4; each is waited
+    // for, so the directory ends with snapshots 0, 2 and 4 whatever the
+    // disk's speed. The WAL length at the epoch-4 fence is where a
+    // crash right after that hand-off would have cut it.
+    let (svc, _) = QueryService::open_or_recover(
+        &edges,
+        EngineConfig::new(2),
+        durable_config(tmp.path(), CADENCE),
+    )
+    .unwrap();
+    let mut wal_len_at_fence = Vec::new();
+    for round in 1..=ROUNDS as u64 {
+        let written = svc.stats().snapshot_bytes;
+        run_rounds(&svc, N, &mut model, &mut history, &mut rng, 1, 7);
+        wal_len_at_fence.push(fs::metadata(tmp.path().join("wal.log")).unwrap().len() as usize);
+        if round % CADENCE == 0 {
+            settle_snapshot(&svc, written);
+            assert_eq!(svc.stats().last_snapshot_epoch, round);
+        }
+    }
+    svc.shutdown();
+    drop(svc);
+    assert_eq!(
+        snapshot_names(tmp.path()),
+        ["snap-0000000000000000.cgs", "snap-0000000000000002.cgs", "snap-0000000000000004.cgs"]
+    );
+
+    // Recovers a doctored copy and holds it to the model; returns the
+    // records it had to replay.
+    let recover = |tag: &str, wal_len: usize, doctor: &dyn Fn(&Path), expect_epoch: usize| {
+        let scratch = TempDir::new(tag);
+        copy_dir_with_wal_prefix(tmp.path(), scratch.path(), wal_len);
+        doctor(scratch.path());
+        let (svc, out) = QueryService::open_or_recover(
+            &edges,
+            EngineConfig::new(2),
+            durable_config(scratch.path(), CADENCE),
+        )
+        .unwrap_or_else(|e| panic!("{tag}: recovery must survive: {e}"));
+        assert!(out.recovered);
+        assert_eq!(out.epoch as usize, expect_epoch, "{tag}: an epoch was lost");
+        assert_eq!(out.pending_restored, 0, "{tag}");
+        assert_eq!(out.snapshots_corrupt, 0, "{tag}: a missing snapshot is not a corrupt one");
+        for q in 0..6 {
+            let src = (q * 7 + 1) as u64 % N;
+            let r = svc.query(KhopQuery::single(q, src, 3)).unwrap();
+            assert_eq!(r.epoch as usize, expect_epoch, "{tag}");
+            check(&history[..=expect_epoch], N, src, 3, &r);
+        }
+        // Still writable, and the orphaned temp file is gone once a
+        // snapshot lands (the start-up checkpoint prunes).
+        assert_eq!(svc.commit_epoch().unwrap() as usize, expect_epoch + 1);
+        svc.shutdown();
+        assert!(tmp_files(scratch.path()).is_empty(), "{tag}: stale temp file survived a prune");
+        out.wal_records_replayed
+    };
+    let remove_newest = |dir: &Path| fs::remove_file(snapshot_files(dir).pop().unwrap()).unwrap();
+    let at_fence_4 = wal_len_at_fence[3];
+
+    // Job taken at the epoch-4 commit, process killed before it ran.
+    let intact = recover("win-intact-4", at_fence_4, &|_| {}, 4);
+    assert_eq!(intact, 0, "with its snapshot, the epoch-4 crash replays nothing");
+    let never_run = recover("win-never-run", at_fence_4, &remove_newest, 4);
+    assert_eq!(never_run, 4, "epochs 3 and 4 replay over the epoch-2 snapshot");
+
+    // Temp file written and synced, killed before the rename.
+    let intact = recover("win-intact-5", usize::MAX, &|_| {}, ROUNDS);
+    assert_eq!(intact, 2, "with the epoch-4 snapshot, only epoch 5 replays");
+    let unrenamed = recover("win-unrenamed", usize::MAX, &unrename_newest_snapshot, ROUNDS);
+    assert_eq!(unrenamed, 6);
+
+    // The writer was busy at the epoch-4 commit, the snapshot was
+    // skipped, serving went on to epoch 5: no file, no temp file.
+    let skipped = recover("win-skipped", usize::MAX, &remove_newest, ROUNDS);
+    assert_eq!(skipped, 6);
+    assert!(never_run > 0 && unrenamed > intact && skipped > intact);
+}
+
+/// `shutdown()` waits for a snapshot the last commit handed off: the
+/// directory is quiescent when it returns — the due snapshot under its
+/// final name, no temp file — and the counters are final. Repeated so
+/// the hand-off / join race gets several chances.
+#[test]
+fn shutdown_waits_for_the_snapshot_in_flight() {
+    const N: u64 = 26;
+    const CADENCE: u64 = 3;
+    let base = seed_edges(N, 45, 0x5D07);
+    let edges = edge_list(N, &base);
+    for attempt in 0..8 {
+        let tmp = TempDir::new("drain");
+        let mut history = vec![base.clone()];
+        let mut model = base.clone();
+        let mut rng = Rng(0xD4A1 + attempt);
+        let (svc, _) = QueryService::open_or_recover(
+            &edges,
+            EngineConfig::new(2),
+            durable_config(tmp.path(), CADENCE),
+        )
+        .unwrap();
+        // The third commit is the first due one; the writer has run
+        // nothing yet, so it takes the job — and shutdown follows at
+        // once.
+        for _ in 0..CADENCE {
+            let batch = random_batch(N, &model, &mut rng, 6);
+            model_apply(&mut model, &batch);
+            svc.apply_updates(batch.into_iter().collect()).unwrap();
+            svc.commit_epoch().unwrap();
+            history.push(model.clone());
+        }
+        svc.shutdown();
+        let newest = snapshot_files(tmp.path()).pop().unwrap();
+        assert_eq!(
+            newest.file_name().unwrap().to_string_lossy(),
+            format!("snap-{CADENCE:016x}.cgs"),
+            "attempt {attempt}: shutdown returned before the due snapshot landed"
+        );
+        assert!(tmp_files(tmp.path()).is_empty(), "attempt {attempt}");
+        let s = svc.stats();
+        assert_eq!((s.snapshots_written, s.last_snapshot_epoch), (2, CADENCE), "attempt {attempt}");
+        drop(svc);
+        // And what it left recovers without replaying anything.
+        let (svc, out) = QueryService::open_or_recover(
+            &edges,
+            EngineConfig::new(2),
+            durable_config(tmp.path(), CADENCE),
+        )
+        .unwrap();
+        assert_eq!((out.epoch, out.wal_records_replayed), (CADENCE, 0), "attempt {attempt}");
+        let r = svc.query(KhopQuery::single(0, attempt % N, 2)).unwrap();
+        check(&history, N, attempt % N, 2, &r);
         svc.shutdown();
     }
 }
@@ -657,6 +1003,9 @@ enum SnapDamage {
     None,
     Flip,
     Torn,
+    /// Newest snapshot absent, its temp file present: the writer
+    /// thread died between fsync and rename.
+    Unrenamed,
 }
 
 proptest! {
@@ -668,7 +1017,12 @@ proptest! {
         rounds in 1usize..4,
         batch_len in 1usize..8,
         cut_permille in 0u32..1001,
-        damage in prop_oneof![Just(SnapDamage::None), Just(SnapDamage::Flip), Just(SnapDamage::Torn)],
+        damage in prop_oneof![
+            Just(SnapDamage::None),
+            Just(SnapDamage::Flip),
+            Just(SnapDamage::Torn),
+            Just(SnapDamage::Unrenamed)
+        ],
         faulty_reopen in (0u8..2).prop_map(|b| b == 1),
     ) {
         const N: u64 = 20;
@@ -703,6 +1057,7 @@ proptest! {
                     let b = fs::read(newest).unwrap();
                     fs::write(newest, &b[..b.len() / 2]).unwrap();
                 }
+                SnapDamage::Unrenamed => unrename_newest_snapshot(tmp.path()),
             }
         }
 

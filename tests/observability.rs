@@ -294,6 +294,66 @@ fn mutating_stream_matches_stats_and_traces_epoch_commits() {
 }
 
 #[test]
+fn durable_stream_books_snapshots_in_registry_and_stats_together() {
+    // Snapshots are written by the durability plane's own thread after
+    // the commit that made them due has returned. Whenever that thread
+    // books one, the registry and `ServiceStats` move in one step; the
+    // commit histogram sees every commit, the snapshot histograms every
+    // job the writer ran, and `shutdown()` makes all of it final.
+    let dir = std::env::temp_dir().join(format!("cgraph-obs-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let obs = Obs::shared();
+    let (service, _) = QueryService::open_or_recover(
+        &test_graph(40),
+        EngineConfig::new(2),
+        ServiceConfig {
+            obs: Some(Arc::clone(&obs)),
+            durability: Some(DurabilityConfig::new(&dir).snapshot_every(1)),
+            ..Default::default()
+        },
+    )
+    .expect("fresh durable start");
+    const COMMITS: u64 = 3;
+    for round in 0..COMMITS {
+        let written = service.stats().snapshots_written;
+        service.apply_updates([EdgeUpdate::insert(0, 20 + round)].into_iter().collect()).unwrap();
+        service.commit_epoch().unwrap();
+        // Wait for this commit's snapshot, so the next finds the writer
+        // idle; every sample on the way must be self-consistent.
+        loop {
+            let stats = service.stats();
+            assert!(stats.last_snapshot_epoch <= round + 1);
+            assert_eq!(stats.snapshots_written, stats.last_snapshot_epoch + 1);
+            if stats.snapshots_written > written {
+                break;
+            }
+            std::thread::yield_now();
+        }
+    }
+    service.shutdown();
+    let stats = service.stats();
+    assert_eq!((stats.snapshots_written, stats.last_snapshot_epoch), (COMMITS + 1, COMMITS));
+
+    let snap = parse_text(&obs.metrics.render_text()).expect("snapshot must parse");
+    assert_registry_matches_stats(&snap, &stats);
+    assert_eq!(snap.histograms["cgraph_commit_lock_hold_seconds"].count, COMMITS);
+    for phase in ["encode", "write"] {
+        let h =
+            &snap.histograms[&format!("cgraph_durability_snapshot_seconds{{phase=\"{phase}\"}}")];
+        // The start-up checkpoint ran inline, before the handles existed.
+        assert_eq!(h.count, COMMITS, "{phase}");
+        assert!(h.sum > 0.0, "{phase}");
+        // Log-spaced edges: a TINY snapshot must not sit in one bucket
+        // with everything up to 0.2 s.
+        assert!(h.buckets[0].0 <= 1e-6 && h.buckets.len() > 20, "{phase}: {:?}", h.buckets);
+    }
+    let log = TraceSink::render(&obs.trace.drain());
+    assert_eq!(log.matches(" instant snapshot_write ").count(), COMMITS as usize, "{log}");
+    assert_eq!(log.matches(" instant wal_commit ").count(), COMMITS as usize, "{log}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn observability_doc_catalogues_every_registered_metric() {
     // OBSERVABILITY.md promises a complete catalogue. Diff the doc's
     // backtick-quoted metric names against a live registry populated by
@@ -313,6 +373,7 @@ fn observability_doc_catalogues_every_registered_metric() {
         "cgraph_recovery_",
         "cgraph_cache_",
         "cgraph_mutation_",
+        "cgraph_commit_",
         "cgraph_durability_",
         "cgraph_router_",
     ];
