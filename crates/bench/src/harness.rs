@@ -112,16 +112,6 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("[csv] {}", path.display());
 }
 
-/// Writes a [`cgraph_obs::MetricsRegistry`] snapshot (Prometheus text
-/// format) under `target/experiments/`, next to the CSVs, so every
-/// timing table an experiment prints has the registry state that
-/// produced it sitting beside it.
-pub fn write_metrics_snapshot(name: &str, obs: &cgraph_obs::Obs) {
-    let path = experiments_dir().join(name);
-    std::fs::write(&path, obs.metrics.render_text()).expect("write metrics snapshot");
-    println!("[metrics] {}", path.display());
-}
-
 /// Parses `--key value` style CLI overrides: `arg_usize(&args, "--queries", 100)`.
 pub fn arg_usize(args: &[String], key: &str, default: usize) -> usize {
     args.iter()

@@ -14,7 +14,7 @@
 //!   CRC-checksummed, see [`cgraph_graph::snapshot`]). A snapshot only
 //!   bounds how much WAL a restart replays — an acknowledged commit
 //!   rests on its fsynced fence alone — so the commit merely *takes* a
-//!   [`SnapshotJob`] under its locks and the plane's writer thread does
+//!   `SnapshotJob` under its locks and the plane's writer thread does
 //!   the encoding and the file work beside the readers;
 //! * [`QueryService::open_or_recover`](crate::QueryService::open_or_recover)
 //!   rebuilds the newest *valid* snapshot (torn or bit-flipped tips
@@ -83,8 +83,8 @@ impl DurabilityConfig {
     }
 }
 
-/// Lifetime counters of the durability plane — mirrored one-for-one by
-/// the `cgraph_durability_*` metric families.
+/// Lifetime counters of the durability plane — published one-for-one
+/// by the service as the `cgraph_durability_*` metric families.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// WAL records appended (updates + commit fences).
@@ -423,7 +423,7 @@ pub(crate) struct SnapshotJob {
 }
 
 /// What a [`SnapshotJob`] did, for [`DurabilityPlane::finish_snapshot`]
-/// and the obs mirrors.
+/// and the service's registry publication.
 #[derive(Debug)]
 pub(crate) struct SnapshotOutcome {
     /// The snapshotted epoch.
@@ -733,11 +733,21 @@ impl DurabilityPlane {
 
     /// Takes, runs and books a snapshot job on the calling thread —
     /// start-up's checkpoint, before any dispatcher or writer exists.
+    ///
+    /// When the snapshot recovery loaded is already at `engine`'s epoch
+    /// no commit was replayed past it, and the file on disk — the one
+    /// file this process knows to be valid — *is* this checkpoint:
+    /// writing it again would only push it through the fault injector.
+    /// The ticket is drawn and discarded all the same, as for a commit
+    /// that is not due, so every later roll falls where it fell.
     pub(crate) fn checkpoint(
         &mut self,
         engine: &Arc<DistributedEngine>,
     ) -> Result<(), DurabilityError> {
         let ticket = self.draw_ticket();
+        if self.recovered_snapshot_epoch == Some(engine.graph_epoch()) {
+            return Ok(());
+        }
         let job =
             self.take_snapshot_job(engine, ticket).expect("no snapshot job in flight at start-up");
         let out = job.run();

@@ -254,14 +254,6 @@ struct EngineObsHandles {
     supersteps: Arc<Counter>,
     frontier_bits: Arc<Histogram>,
     checkpoint_bytes: Arc<Counter>,
-    attempts: Arc<Counter>,
-    recoveries: Arc<Counter>,
-    checkpoints_taken: Arc<Counter>,
-    checkpoints_restored: Arc<Counter>,
-    partitions_replayed: Arc<Counter>,
-    supersteps_replayed: Arc<Counter>,
-    full_rollbacks: Arc<Counter>,
-    batch_supersteps: Arc<Histogram>,
 }
 
 impl EngineObsHandles {
@@ -281,56 +273,7 @@ impl EngineObsHandles {
                 "cgraph_engine_checkpoint_bytes_total",
                 "Bytes of bit-frontier state committed to recovery checkpoints.",
             ),
-            attempts: m.counter(
-                "cgraph_recovery_attempts_total",
-                "Cluster submissions made by recoverable batches (1 per fault-free batch).",
-            ),
-            recoveries: m.counter(
-                "cgraph_recovery_recoveries_total",
-                "Recovery passes performed after a recoverable batch failure.",
-            ),
-            checkpoints_taken: m.counter(
-                "cgraph_recovery_checkpoints_taken_total",
-                "Partition checkpoints committed at superstep boundaries.",
-            ),
-            checkpoints_restored: m.counter(
-                "cgraph_recovery_checkpoints_restored_total",
-                "Partition checkpoints restored as a replay base or rollback target.",
-            ),
-            partitions_replayed: m.counter(
-                "cgraph_recovery_partitions_replayed_total",
-                "Failed partitions re-executed inline on the coordinator (confined recovery).",
-            ),
-            supersteps_replayed: m.counter(
-                "cgraph_recovery_supersteps_replayed_total",
-                "Supersteps re-executed during confined partition replays.",
-            ),
-            full_rollbacks: m.counter(
-                "cgraph_recovery_full_rollbacks_total",
-                "Global rollbacks (all partitions restarted from the committed set or scratch).",
-            ),
-            batch_supersteps: m.histogram(
-                "cgraph_engine_batch_supersteps",
-                "Supersteps a completed batch needed to drain every lane.",
-                &log2_edges(10),
-            ),
         }
-    }
-
-    /// Folds the final [`RecoveryReport`] of a *successful* recoverable
-    /// batch into the registry. Deliberately called only on the `Ok`
-    /// return — exactly the reports the service folds into its own
-    /// [`ServiceStats`](crate::service::ServiceStats) — so registry
-    /// recovery counts always equal the stats line.
-    fn record_recovery(&self, report: &RecoveryReport, result: &BatchResult) {
-        self.attempts.add(report.attempts as u64);
-        self.recoveries.add(report.recoveries as u64);
-        self.checkpoints_taken.add(report.checkpoints_taken);
-        self.checkpoints_restored.add(report.checkpoints_restored);
-        self.partitions_replayed.add(report.partitions_replayed);
-        self.supersteps_replayed.add(report.supersteps_replayed);
-        self.full_rollbacks.add(report.full_rollbacks as u64);
-        self.batch_supersteps.observe(result.supersteps as f64);
     }
 }
 
@@ -1159,9 +1102,7 @@ impl DistributedEngine {
         // generation at entry.
         let job = fault.map(|fi| fi.job).unwrap_or_else(|| cluster.generation());
         let first_attempt = fault.map(|fi| fi.first_attempt).unwrap_or(0);
-        let obs = cluster.obs();
-        let eh = obs.as_ref().map(|o| self.engine_obs(o));
-        let coord = obs.as_ref().map(|o| o.trace.tracer(COORD));
+        let coord = cluster.obs().map(|o| o.trace.tracer(COORD));
 
         let store = (self.config.mode == UpdateMode::Sync)
             .then(|| RecoveryStore::new(self.config.num_machines));
@@ -1179,9 +1120,6 @@ impl DistributedEngine {
             match res {
                 Ok((outs, traffic)) => {
                     let result = self.stitch_batch(outs, traffic, lanes, start.elapsed());
-                    if let Some(eh) = &eh {
-                        eh.record_recovery(&report, &result);
-                    }
                     return Ok((result, report));
                 }
                 Err(e) if e.is_recoverable() && report.recoveries < recovery.max_recoveries => {

@@ -294,9 +294,7 @@ impl ServiceGroup {
             recovery,
             Some(Arc::clone(&heat)),
         );
-        if let Some(o) = &core.obs {
-            o.router_replicas.set(n as i64);
-        }
+        core.obs.router_replicas.set(n as i64);
         let members = (0..n).map(|i| QueryService::attach(&core, i)).collect();
         let router = Arc::new(Router::new(config.router, n, heat));
         Self { core, members, router }
@@ -334,13 +332,12 @@ impl ServiceGroup {
                 let engine = Arc::clone(&lock(&self.core.live_engine));
                 if s < engine.num_vertices() {
                     let d = self.router.route(engine.partition().owner(s));
-                    if let Some(o) = &self.core.obs {
-                        o.router_queries_routed.inc();
-                        match d.kind {
-                            RouteKind::Locality => o.router_locality.inc(),
-                            RouteKind::Heat => o.router_heat_steered.inc(),
-                            RouteKind::Balance => {}
-                        }
+                    let o = &self.core.obs;
+                    o.router_queries_routed.inc();
+                    match d.kind {
+                        RouteKind::Locality => o.router_locality.inc(),
+                        RouteKind::Heat => o.router_heat_steered.inc(),
+                        RouteKind::Balance => {}
                     }
                     d.replica
                 } else {

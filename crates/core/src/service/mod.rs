@@ -325,13 +325,19 @@ pub struct ServiceConfig {
     /// persistent cluster, resets blame, and does not consume a retry.
     pub degrade_after: Option<u32>,
     /// Observability bundle shared across the whole stack. When set,
-    /// the service registers its own metrics (queue depth, lane
-    /// occupancy, latency histograms, query/batch counters), installs
-    /// the bundle on the persistent cluster (comm-layer link/chaos
-    /// counters and per-machine tracers, re-installed across
-    /// degradations), and emits dispatcher trace events on the
-    /// coordinator ring. `None` (the default) runs unobserved at zero
-    /// cost.
+    /// the service registers its metrics (queue depth, lane occupancy,
+    /// latency histograms, query/batch counters) in the bundle's
+    /// registry, installs the bundle on the persistent cluster
+    /// (comm-layer link/chaos counters, engine superstep counters and
+    /// per-machine tracers, re-installed across degradations), and
+    /// emits dispatcher trace events on the coordinator ring. `None`
+    /// (the default) means no trace and no comm/engine
+    /// instrumentation — never no counters: the service tallies into
+    /// the same handles either way (they are what
+    /// [`QueryService::stats`] reads), registered against a registry
+    /// nothing renders. Give each service (or group) a bundle of its
+    /// own: handles are get-or-create by name, so two services on one
+    /// registry share their counters and each `stats()` reads the sum.
     pub obs: Option<Arc<Obs>>,
 }
 

@@ -1,28 +1,33 @@
-//! Cached observability handles of the serving tier.
+//! The serving tier's counter store.
 //!
 //! One [`ServiceObs`] is registered per [`SharedCore`](super::shared::SharedCore)
-//! — replicas of a [`ServiceGroup`](super::ServiceGroup) share it, so
-//! every counter aggregates across the whole group and a registry
-//! snapshot always agrees with the group-wide
-//! [`stats`](super::QueryService::stats) line. Gauges that describe
-//! per-replica state (queue depth, cache occupancy) are published as
-//! deltas against each replica's last-published value, so the gauge
-//! holds the group-wide sum without replicas clobbering each other.
+//! — always, whether or not [`ServiceConfig::obs`](super::ServiceConfig::obs)
+//! is set — and it is the *only* place the service tallies anything:
+//! [`stats`](super::QueryService::stats) reads these handles, so a
+//! registry snapshot and the stats line cannot disagree. Replicas of a
+//! [`ServiceGroup`](super::ServiceGroup) share it, so every counter
+//! aggregates across the whole group. Gauges that describe per-replica
+//! state (queue depth, cache occupancy) are published as deltas against
+//! each replica's last-published value, so the gauge holds the
+//! group-wide sum without replicas clobbering each other.
 
 use crate::durability::DurabilityStats;
+use crate::engine::DistributedEngine;
+use crate::recovery::RecoveryReport;
 use cgraph_obs::{
-    log2_edges, Counter, Gauge, Histogram, Obs, TraceCtx, Tracer, COORD, LOG_LATENCY_EDGES_SECS,
-    PAPER_LATENCY_EDGES_SECS,
+    log2_edges, Counter, Gauge, Histogram, MetricsRegistry, Obs, TraceCtx, Tracer, COORD,
+    LOG_LATENCY_EDGES_SECS,
 };
 use std::sync::Arc;
 
-/// The service's cached observability handles: registered once at
-/// start-up, then only atomic operations on the submit/complete paths.
-/// Counter increments sit exactly next to the matching `MetricsAcc`
-/// field updates, so a registry snapshot always agrees with
-/// [`QueryService::stats`](super::QueryService::stats).
+/// The service's metric handles: registered once at start-up — against
+/// the caller's registry when [`ServiceConfig::obs`](super::ServiceConfig::obs)
+/// brought one, against a registry of the core's own otherwise — then
+/// only relaxed atomic operations on the submit/complete paths.
 pub(super) struct ServiceObs {
-    pub(super) tracer: Tracer,
+    /// The coordinator's trace ring; `None` without a caller-supplied
+    /// bundle (see [`ServiceObs::instant`]).
+    tracer: Option<Tracer>,
     pub(super) queries_submitted: Arc<Counter>,
     pub(super) queries_completed: Arc<Counter>,
     pub(super) queries_failed: Arc<Counter>,
@@ -30,6 +35,14 @@ pub(super) struct ServiceObs {
     pub(super) batches_dispatched: Arc<Counter>,
     pub(super) retries: Arc<Counter>,
     pub(super) degraded_generations: Arc<Counter>,
+    recovery_attempts: Arc<Counter>,
+    pub(super) recovery_recoveries: Arc<Counter>,
+    pub(super) recovery_checkpoints_taken: Arc<Counter>,
+    pub(super) recovery_checkpoints_restored: Arc<Counter>,
+    pub(super) recovery_partitions_replayed: Arc<Counter>,
+    recovery_supersteps_replayed: Arc<Counter>,
+    pub(super) recovery_full_rollbacks: Arc<Counter>,
+    engine_batch_supersteps: Arc<Histogram>,
     pub(super) queue_depth: Arc<Gauge>,
     pub(super) batch_width: Arc<Gauge>,
     pub(super) batch_lanes: Arc<Histogram>,
@@ -54,8 +67,8 @@ pub(super) struct ServiceObs {
     pub(super) mutation_commits: Arc<Counter>,
     pub(super) mutation_folds: Arc<Counter>,
     pub(super) mutation_pending: Arc<Gauge>,
-    pub(super) mutation_delta_entries: Arc<Gauge>,
-    pub(super) mutation_delta_bytes: Arc<Gauge>,
+    mutation_delta_entries: Arc<Gauge>,
+    mutation_delta_bytes: Arc<Gauge>,
     pub(super) commit_lock_hold: Arc<Histogram>,
     pub(super) durability_wal_records: Arc<Counter>,
     pub(super) durability_wal_bytes: Arc<Counter>,
@@ -85,10 +98,19 @@ fn snapshot_seconds(m: &cgraph_obs::MetricsRegistry, phase: &str) -> Arc<Histogr
 }
 
 impl ServiceObs {
-    pub(super) fn new(obs: &Obs, lanes: usize) -> Self {
-        let m = &obs.metrics;
+    pub(super) fn new(obs: Option<&Obs>, lanes: usize) -> Self {
+        // The handles outlive the registry that made them: an
+        // unobserved service keeps counting, it just renders nowhere.
+        let own;
+        let m = match obs {
+            Some(o) => &o.metrics,
+            None => {
+                own = MetricsRegistry::new();
+                &own
+            }
+        };
         Self {
-            tracer: obs.trace.tracer(COORD),
+            tracer: obs.map(|o| o.trace.tracer(COORD)),
             queries_submitted: m.counter(
                 "cgraph_service_queries_submitted_total",
                 "Queries admitted to the service (before batching).",
@@ -117,6 +139,39 @@ impl ServiceObs {
                 "cgraph_service_degraded_generations_total",
                 "Times the service re-partitioned onto a smaller cluster.",
             ),
+            recovery_attempts: m.counter(
+                "cgraph_recovery_attempts_total",
+                "Cluster submissions made by recoverable batches (1 per fault-free batch).",
+            ),
+            recovery_recoveries: m.counter(
+                "cgraph_recovery_recoveries_total",
+                "Recovery passes performed after a recoverable batch failure.",
+            ),
+            recovery_checkpoints_taken: m.counter(
+                "cgraph_recovery_checkpoints_taken_total",
+                "Partition checkpoints committed at superstep boundaries.",
+            ),
+            recovery_checkpoints_restored: m.counter(
+                "cgraph_recovery_checkpoints_restored_total",
+                "Partition checkpoints restored as a replay base or rollback target.",
+            ),
+            recovery_partitions_replayed: m.counter(
+                "cgraph_recovery_partitions_replayed_total",
+                "Failed partitions re-executed inline on the coordinator (confined recovery).",
+            ),
+            recovery_supersteps_replayed: m.counter(
+                "cgraph_recovery_supersteps_replayed_total",
+                "Supersteps re-executed during confined partition replays.",
+            ),
+            recovery_full_rollbacks: m.counter(
+                "cgraph_recovery_full_rollbacks_total",
+                "Global rollbacks (all partitions restarted from the committed set or scratch).",
+            ),
+            engine_batch_supersteps: m.histogram(
+                "cgraph_engine_batch_supersteps",
+                "Supersteps a completed batch needed to drain every lane.",
+                &log2_edges(10),
+            ),
             queue_depth: m.gauge(
                 "cgraph_service_queue_depth",
                 "Traversals currently in the admission queue(s), summed over replicas.",
@@ -134,17 +189,17 @@ impl ServiceObs {
             admission_wait: m.histogram(
                 "cgraph_service_admission_wait_seconds",
                 "Per-query admission wait: submission to batch dispatch.",
-                &PAPER_LATENCY_EDGES_SECS,
+                &LOG_LATENCY_EDGES_SECS,
             ),
             exec: m.histogram(
                 "cgraph_service_exec_seconds",
                 "Per-query execution time: the lane-completion share of its batch.",
-                &PAPER_LATENCY_EDGES_SECS,
+                &LOG_LATENCY_EDGES_SECS,
             ),
             response: m.histogram(
                 "cgraph_service_response_seconds",
                 "Per-query end-to-end response time (admission wait + execution).",
-                &PAPER_LATENCY_EDGES_SECS,
+                &LOG_LATENCY_EDGES_SECS,
             ),
             cache_hits: m.counter(
                 "cgraph_cache_hits_total",
@@ -182,7 +237,7 @@ impl ServiceObs {
             index_build_seconds: m.histogram(
                 "cgraph_index_build_seconds",
                 "Wall time of each reachability-index build.",
-                &PAPER_LATENCY_EDGES_SECS,
+                &LOG_LATENCY_EDGES_SECS,
             ),
             index_only_answers: m.counter(
                 "cgraph_index_only_answers_total",
@@ -302,9 +357,33 @@ impl ServiceObs {
         self.durability_last_snapshot_epoch.set(d.last_snapshot_epoch as i64);
     }
 
-    /// Trace context for dispatcher events of batch `job`, attempt
-    /// `retry` (service retry ordinal, not the chaos attempt salt).
-    pub(super) fn ctx(&self, job: u64, retry: u32) -> TraceCtx {
-        TraceCtx { job, attempt: retry, superstep: 0, machine: COORD }
+    /// Folds the [`RecoveryReport`] and superstep count of a batch the
+    /// engine returned `Ok` for — the one place a report is counted,
+    /// traced or not. Failed batches contribute nothing.
+    pub(super) fn record_batch(&self, report: &RecoveryReport, supersteps: u32) {
+        self.recovery_attempts.add(u64::from(report.attempts));
+        self.recovery_recoveries.add(u64::from(report.recoveries));
+        self.recovery_checkpoints_taken.add(report.checkpoints_taken);
+        self.recovery_checkpoints_restored.add(report.checkpoints_restored);
+        self.recovery_partitions_replayed.add(report.partitions_replayed);
+        self.recovery_supersteps_replayed.add(report.supersteps_replayed);
+        self.recovery_full_rollbacks.add(u64::from(report.full_rollbacks));
+        self.engine_batch_supersteps.observe(f64::from(supersteps));
+    }
+
+    /// Publishes the overlay size of the engine value now serving —
+    /// wherever one is installed: start-up, epoch commit, degradation.
+    pub(super) fn publish_overlay(&self, engine: &DistributedEngine) {
+        self.mutation_delta_entries.set(engine.delta_entries() as i64);
+        self.mutation_delta_bytes.set(engine.delta_bytes() as i64);
+    }
+
+    /// Emits a coordinator trace instant for batch `job`, attempt
+    /// `retry` (service retry ordinal, not the chaos attempt salt); a
+    /// no-op without a caller-supplied bundle.
+    pub(super) fn instant(&self, name: &'static str, job: u64, retry: u32, value: u64) {
+        if let Some(t) = &self.tracer {
+            t.instant(name, TraceCtx { job, attempt: retry, superstep: 0, machine: COORD }, value);
+        }
     }
 }

@@ -145,9 +145,10 @@ impl Replica {
 /// Publishes this replica's queue depth to the group gauge as a delta
 /// (must hold the state lock, which `st` proves).
 fn publish_depth(core: &SharedCore, st: &mut QueueState) {
-    if let Some(o) = &core.obs {
-        let depth = st.queue.len() as i64;
-        o.queue_depth.add(depth - st.published_depth);
+    let depth = st.queue.len() as i64;
+    // A query answered whole at admission leaves the queue as it was.
+    if depth != st.published_depth {
+        core.obs.queue_depth.add(depth - st.published_depth);
         st.published_depth = depth;
     }
 }
@@ -173,11 +174,8 @@ pub(super) fn submit(
         // never be replied to and read as a shutdown).
         drop(st);
         let (tx, rx) = crossbeam_channel::unbounded();
-        lock(&core.metrics).completed += 1;
-        if let Some(o) = &core.obs {
-            o.queries_submitted.inc();
-            o.queries_completed.inc();
-        }
+        core.obs.queries_submitted.inc();
+        core.obs.queries_completed.inc();
         let _ = tx.send(Ok(QueryResult {
             id: query.id,
             visited: 0,
@@ -224,10 +222,7 @@ pub(super) fn submit(
             let hit = lock(cm).get(&key).cloned();
             match hit {
                 Some(v) => {
-                    lock(&core.metrics).cache_hits += 1;
-                    if let Some(o) = &core.obs {
-                        o.cache_hits.inc();
-                    }
+                    core.obs.cache_hits.inc();
                     // The hit proves this replica's cache is hot for
                     // the source's partition — feed the router.
                     if let Some(h) = &core.heat {
@@ -240,12 +235,7 @@ pub(super) fn submit(
                     );
                     continue;
                 }
-                None => {
-                    lock(&core.metrics).cache_misses += 1;
-                    if let Some(o) = &core.obs {
-                        o.cache_misses.inc();
-                    }
-                }
+                None => core.obs.cache_misses.inc(),
             }
         }
         // 2. Index-only fast path: a current-epoch reachability
@@ -253,10 +243,7 @@ pub(super) fn submit(
         // at admission — bit-identical to the traversal, no lane
         // spent (see INDEXING.md).
         if let Some(ans) = core.current_index(epoch).and_then(|ix| ix.answer(t.source, t.k)) {
-            lock(&core.metrics).index_only += 1;
-            if let Some(o) = &core.obs {
-                o.index_only_answers.inc();
-            }
+            core.obs.index_only_answers.inc();
             complete_traversal(
                 core,
                 &t.ticket,
@@ -269,10 +256,7 @@ pub(super) fn submit(
         let t = if let Some(co) = &replica.plane.coalescer {
             match lock(co).attach(&key, t) {
                 None => {
-                    lock(&core.metrics).coalesced += 1;
-                    if let Some(o) = &core.obs {
-                        o.cache_coalesced.inc();
-                    }
+                    core.obs.cache_coalesced.inc();
                     continue;
                 }
                 Some(t) => t,
@@ -282,9 +266,7 @@ pub(super) fn submit(
         };
         st.queue.push_back(t);
     }
-    if let Some(o) = &core.obs {
-        o.queries_submitted.inc();
-    }
+    core.obs.queries_submitted.inc();
     publish_depth(core, &mut st);
     replica.work.notify_all();
     Ok(QueryTicket { rx, deadline })
@@ -363,16 +345,14 @@ pub(super) fn dispatch_loop(core: &Arc<SharedCore>, replica: &Replica) {
         for t in formed.expired {
             complete_traversal(core, &t.ticket, Err(ServiceError::DeadlineExceeded));
         }
-        if let Some(o) = &core.obs {
-            let seq_now = core.batch_seq.load(Ordering::SeqCst);
-            if !formed.hits.is_empty() {
-                o.tracer.instant("cache_hit", o.ctx(seq_now, 0), formed.hits.len() as u64);
-            }
-            if replica.plane.cache.is_some() && !formed.groups.is_empty() {
-                // The lanes actually dispatched are the misses that
-                // stayed misses all the way to batch formation.
-                o.tracer.instant("cache_miss", o.ctx(seq_now, 0), formed.groups.len() as u64);
-            }
+        let seq_now = core.batch_seq.load(Ordering::SeqCst);
+        if !formed.hits.is_empty() {
+            core.obs.instant("cache_hit", seq_now, 0, formed.hits.len() as u64);
+        }
+        if replica.plane.cache.is_some() && !formed.groups.is_empty() {
+            // The lanes actually dispatched are the misses that
+            // stayed misses all the way to batch formation.
+            core.obs.instant("cache_miss", seq_now, 0, formed.groups.len() as u64);
         }
         for (t, v) in formed.hits {
             let wait = t.submitted.elapsed();
@@ -412,9 +392,7 @@ fn run_commit(core: &Arc<SharedCore>) {
     drop(gate);
     let held = held.elapsed();
     drop(guard);
-    if let Some(o) = &core.obs {
-        o.commit_lock_hold.observe_duration(held);
-    }
+    core.obs.commit_lock_hold.observe_duration(held);
 }
 
 /// The drained-and-closed exit path. Returns `false` when a commit
@@ -493,12 +471,7 @@ fn form_batch(core: &SharedCore, replica: &Replica, st: &mut QueueState) -> Form
                 i += 1;
             }
         }
-        if !hits.is_empty() {
-            lock(&core.metrics).cache_hits += hits.len() as u64;
-            if let Some(o) = &core.obs {
-                o.cache_hits.add(hits.len() as u64);
-            }
-        }
+        core.obs.cache_hits.add(hits.len() as u64);
     }
 
     // 1b. Index sweep: same shape as the cache sweep, against the
@@ -516,12 +489,7 @@ fn form_batch(core: &SharedCore, replica: &Replica, st: &mut QueueState) -> Form
                 None => i += 1,
             }
         }
-        if !index_hits.is_empty() {
-            lock(&core.metrics).index_only += index_hits.len() as u64;
-            if let Some(o) = &core.obs {
-                o.index_only_answers.add(index_hits.len() as u64);
-            }
-        }
+        core.obs.index_only_answers.add(index_hits.len() as u64);
     }
 
     // 2. Lane selection: which queue positions anchor this batch.
@@ -567,13 +535,7 @@ fn form_batch(core: &SharedCore, replica: &Replica, st: &mut QueueState) -> Form
             n_groups += 1;
         }
     }
-    let coalesced_in_queue = (assign.len() - n_groups) as u64;
-    if coalesced_in_queue > 0 {
-        lock(&core.metrics).coalesced += coalesced_in_queue;
-        if let Some(o) = &core.obs {
-            o.cache_coalesced.add(coalesced_in_queue);
-        }
-    }
+    core.obs.cache_coalesced.add((assign.len() - n_groups) as u64);
 
     // Pull assigned traversals out (descending index keeps the
     // remaining indices valid), then rebuild FIFO order per group.
@@ -675,10 +637,8 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
     let sources: Vec<u64> = groups.iter().map(|g| g.primary.source).collect();
     let ks: Vec<u32> = groups.iter().map(|g| g.primary.k).collect();
 
-    if let Some(o) = &core.obs {
-        o.batch_lanes.observe(groups.len() as f64);
-        o.tracer.instant("batch_dispatch", o.ctx(job, 0), groups.len() as u64);
-    }
+    core.obs.batch_lanes.observe(groups.len() as f64);
+    core.obs.instant("batch_dispatch", job, 0, groups.len() as u64);
 
     // In-batch checkpoint/replay first (inside the engine), then
     // whole-batch retries with backoff, then degradation once the same
@@ -702,22 +662,10 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
         );
         match run {
             Ok((br, report)) => {
-                let mut m = lock(&core.metrics);
-                m.batches += 1;
-                m.retries += u64::from(retry);
-                m.recoveries += u64::from(report.recoveries);
-                m.checkpoints_taken += report.checkpoints_taken;
-                m.checkpoints_restored += report.checkpoints_restored;
-                m.partitions_replayed += report.partitions_replayed;
-                m.full_rollbacks += u64::from(report.full_rollbacks);
-                drop(m);
-                if let Some(o) = &core.obs {
-                    // The engine folded the same `report` into the
-                    // `cgraph_recovery_*` counters on this Ok return.
-                    o.batches_dispatched.inc();
-                    o.retries.add(u64::from(retry));
-                    o.tracer.instant("batch_done", o.ctx(job, retry), br.supersteps as u64);
-                }
+                core.obs.batches_dispatched.inc();
+                core.obs.retries.add(u64::from(retry));
+                core.obs.record_batch(&report, br.supersteps);
+                core.obs.instant("batch_done", job, retry, u64::from(br.supersteps));
                 let engine = Arc::clone(&ctx.engine);
                 commit_batch(
                     core, replica, groups, &br, dispatched, job, retry, exec_epoch, &engine,
@@ -738,16 +686,11 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
                 if e.is_recoverable() && retry < core.config.max_retries {
                     std::thread::sleep(backoff_delay(core.config.retry_backoff, retry, job));
                     retry += 1;
-                    if let Some(o) = &core.obs {
-                        o.tracer.instant("batch_retry", o.ctx(job, retry), 0);
-                    }
+                    core.obs.instant("batch_retry", job, retry, 0);
                     continue;
                 }
-                lock(&core.metrics).retries += u64::from(retry);
-                if let Some(o) = &core.obs {
-                    o.retries.add(u64::from(retry));
-                    o.tracer.instant("batch_failed", o.ctx(job, retry), 0);
-                }
+                core.obs.retries.add(u64::from(retry));
+                core.obs.instant("batch_failed", job, retry, 0);
                 fail_groups(core, replica, groups, &e);
                 return;
             }
@@ -800,24 +743,19 @@ fn commit_batch(
             }
             (c.len() as i64, c.used_bytes() as i64)
         };
-        let mut m = lock(&core.metrics);
-        m.cache_insertions += inserted;
-        m.cache_evictions += evicted;
-        drop(m);
-        if let Some(o) = &core.obs {
-            o.cache_insertions.add(inserted);
-            o.cache_evictions.add(evicted);
-            // Delta publication: each replica adds its change to the
-            // group-wide gauges (updates happen under the exec lock,
-            // so the swap/add pair is never interleaved).
-            o.cache_entries.add(entries - replica.pub_entries.swap(entries, Ordering::SeqCst));
-            o.cache_bytes.add(bytes - replica.pub_bytes.swap(bytes, Ordering::SeqCst));
-            if inserted > 0 {
-                o.tracer.instant("cache_insert", o.ctx(job, retry), inserted);
-            }
-            if evicted > 0 {
-                o.tracer.instant("cache_evict", o.ctx(job, retry), evicted);
-            }
+        let o = &core.obs;
+        o.cache_insertions.add(inserted);
+        o.cache_evictions.add(evicted);
+        // Delta publication: each replica adds its change to the
+        // group-wide gauges (updates happen under the exec lock,
+        // so the swap/add pair is never interleaved).
+        o.cache_entries.add(entries - replica.pub_entries.swap(entries, Ordering::SeqCst));
+        o.cache_bytes.add(bytes - replica.pub_bytes.swap(bytes, Ordering::SeqCst));
+        if inserted > 0 {
+            o.instant("cache_insert", job, retry, inserted);
+        }
+        if evicted > 0 {
+            o.instant("cache_evict", job, retry, evicted);
         }
     }
     if let Some(co) = &replica.plane.coalescer {
@@ -927,18 +865,16 @@ pub(super) fn complete_traversal(
         return;
     }
     let n = ticket.total as u32;
-    let mut metrics = lock(&core.metrics);
+    let o = &core.obs;
     let reply = match acc.failed.take() {
         Some(e) => {
-            metrics.failed += 1;
-            if let Some(o) = &core.obs {
-                o.queries_failed.inc();
-            }
+            // Per-query outcome counts move under the sample lock,
+            // which `stats()` holds while it reads them: no snapshot
+            // shows a deadline kill that is not yet a failure.
+            let _lat = lock(&core.latency);
+            o.queries_failed.inc();
             if e == ServiceError::DeadlineExceeded {
-                metrics.deadline_exceeded += 1;
-                if let Some(o) = &core.obs {
-                    o.queries_deadline_exceeded.inc();
-                }
+                o.queries_deadline_exceeded.inc();
             }
             Err(e)
         }
@@ -952,16 +888,17 @@ pub(super) fn complete_traversal(
             let wait = acc.wait_sum / n;
             let exec = acc.exec_sum / n;
             let response = acc.resp_sum / n;
-            metrics.completed += 1;
-            metrics.wait.push(wait);
-            metrics.exec.push(exec);
-            metrics.response.push(response);
-            if let Some(o) = &core.obs {
+            {
+                // Likewise: a completion is never seen without its samples.
+                let mut lat = lock(&core.latency);
+                lat.wait.push(wait);
+                lat.exec.push(exec);
+                lat.response.push(response);
                 o.queries_completed.inc();
-                o.admission_wait.observe_duration(wait);
-                o.exec.observe_duration(exec);
-                o.response.observe_duration(response);
             }
+            o.admission_wait.observe_duration(wait);
+            o.exec.observe_duration(exec);
+            o.response.observe_duration(response);
             Ok(QueryResult {
                 id: ticket.id,
                 visited: acc.visited,

@@ -3,7 +3,7 @@
 //! A [`SharedCore`] is the singleton half of the serving tier: one
 //! engine snapshot chain + persistent cluster (inside [`ExecCtx`]),
 //! one mutation pending buffer, one durability plane, one graph epoch,
-//! one metrics accumulator, and one [`ServiceObs`](super::obs). Every
+//! and one counter store ([`ServiceObs`](super::obs)). Every
 //! [`Replica`](super::replica::Replica) — whether the single replica
 //! behind a plain [`QueryService`](super::QueryService) or the N
 //! replicas of a [`ServiceGroup`](super::ServiceGroup) — holds only
@@ -11,12 +11,37 @@
 //! funnels execution and commits through here.
 //!
 //! Lock order (outermost first): `exec` → `stats_gate` → per-replica
-//! cache/coalescer → `pending` → `durability` → `index` → `metrics`.
-//! Replica `state` locks are taken without any of these held except on
-//! the submit path (state → cache/metrics), which never takes `exec`,
-//! `stats_gate` or `pending`. The durability plane's snapshot writer
-//! takes `stats_gate` → `durability` to book a finished job, and
-//! nothing while it encodes and writes.
+//! cache/coalescer → `pending` → `durability` → `index`. Replica
+//! `state` locks are taken without any of these held except on the
+//! submit path (state → cache), which never takes `exec`, `stats_gate`
+//! or `pending`. The durability plane's snapshot writer takes
+//! `stats_gate` → `durability` to book a finished job, and nothing
+//! while it encodes and writes. `live_engine` and `latency` are leaves:
+//! held for a clone or a push, never across another acquisition.
+//!
+//! # What is counted where
+//!
+//! Everything the service *tallies* — queries, batches, retries,
+//! recoveries, cache and index traffic, committed updates — lives in
+//! the registry handles of [`ServiceObs`](super::obs) and nowhere else:
+//! a site bumps one handle, and [`SharedCore::stats`] reads
+//! `Counter::get` under the stats gate. Two kinds of state stay beside
+//! the registry:
+//!
+//! * the three **latency sample vectors** ([`LatencySamples`]):
+//!   [`ResponseStats`] is exact nearest-rank over real samples, which
+//!   a fixed-bucket histogram cannot reproduce;
+//! * state that **is its own count** — cache occupancy, index size,
+//!   pending depth, overlay size (read off `live_engine`), the plane's
+//!   [`DurabilityStats`], the router's `RouterStats` (plane and router
+//!   also run without a service). `stats()` reads the structure itself
+//!   under the gate; the registry line is its *publication*, refreshed
+//!   wherever the structure changes. These are the 15 `ServiceStats`
+//!   fields `cache_entries`, `cache_bytes`, `index_sources`,
+//!   `index_bytes`, `pending_updates`, `delta_entries`, `delta_bytes`,
+//!   `wal_records`, `wal_bytes`, `snapshots_written`, `snapshot_bytes`,
+//!   `wal_replayed`, `snapshots_corrupt`, `durable_recoveries` and
+//!   `last_snapshot_epoch`.
 
 use super::obs::ServiceObs;
 use super::replica::Replica;
@@ -57,36 +82,13 @@ pub(super) struct PendingUpdates {
     pub(super) serving_done: bool,
 }
 
+/// Per-query latency samples of every completed query, in completion
+/// order — what [`ServiceStats`]' three [`ResponseStats`] are built
+/// from. One lock, taken once per finished query; the per-query outcome
+/// counters (completed, failed, deadline-exceeded) are bumped under it,
+/// so a stats snapshot reads them as one.
 #[derive(Default)]
-pub(super) struct MetricsAcc {
-    pub(super) completed: u64,
-    pub(super) failed: u64,
-    pub(super) deadline_exceeded: u64,
-    pub(super) batches: u64,
-    pub(super) retries: u64,
-    pub(super) recoveries: u64,
-    pub(super) checkpoints_taken: u64,
-    pub(super) checkpoints_restored: u64,
-    pub(super) partitions_replayed: u64,
-    pub(super) full_rollbacks: u64,
-    pub(super) degraded_generations: u64,
-    pub(super) cache_hits: u64,
-    pub(super) cache_misses: u64,
-    pub(super) cache_insertions: u64,
-    pub(super) cache_evictions: u64,
-    pub(super) coalesced: u64,
-    pub(super) index_builds: u64,
-    pub(super) index_only: u64,
-    pub(super) updates_applied: u64,
-    pub(super) updates_inserted: u64,
-    pub(super) updates_deleted: u64,
-    pub(super) epoch_commits: u64,
-    pub(super) epoch_folds: u64,
-    /// Mirrored from the live engine at each commit — the exec lock
-    /// owns the live engine, so [`SharedCore::stats`] reads the last
-    /// committed value here.
-    pub(super) delta_entries: u64,
-    pub(super) delta_bytes: u64,
+pub(super) struct LatencySamples {
     pub(super) wait: Vec<Duration>,
     pub(super) exec: Vec<Duration>,
     pub(super) response: Vec<Duration>,
@@ -132,16 +134,15 @@ pub(super) struct SharedCore {
     /// only. Strict leaf under `pending`: acquired *inside* it on the
     /// write-ahead path, so WAL order always equals buffer order.
     pub(super) durability: Option<Mutex<DurabilityPlane>>,
-    pub(super) metrics: Mutex<MetricsAcc>,
+    pub(super) latency: Mutex<LatencySamples>,
     /// The stats fence: [`SharedCore::stats`] and every cross-plane
     /// mutation (commit drain+apply, batch cache-commit) hold it, so a
     /// stats snapshot can never observe half a commit — the fix for
     /// the torn five-lock read the old `QueryService::stats` did.
     pub(super) stats_gate: Mutex<()>,
-    /// Cached metric handles + coordinator tracer; `None` when
-    /// [`ServiceConfig::obs`] is unset. Shared by all replicas —
-    /// counters aggregate group-wide by construction.
-    pub(super) obs: Option<ServiceObs>,
+    /// The counter store + coordinator tracer. Shared by all replicas
+    /// — counters aggregate group-wide by construction.
+    pub(super) obs: ServiceObs,
     /// The live reachability index (leaf lock): rebuilt inside every
     /// epoch commit and degradation, group-wide.
     pub(super) index: Mutex<Option<Arc<dyn ReachIndex>>>,
@@ -177,27 +178,23 @@ impl SharedCore {
         let lanes = QueryScheduler::new(&engine, config.scheduler).effective_lanes();
         let cluster =
             PersistentCluster::with_model(engine.num_machines(), engine.config().net_model);
-        let obs = config.obs.as_ref().map(|o| {
+        if let Some(o) = &config.obs {
             cluster.set_obs(Arc::clone(o));
-            let so = ServiceObs::new(o, lanes);
-            so.batch_width.set(LaneWidth::for_lanes(lanes).bits() as i64);
-            if let Some(p) = &durability {
-                so.seed_durability(&p.stats());
-            }
-            so.mutation_pending.set(restored_pending.len() as i64);
-            if let Some(rec) = recovery.filter(|r| r.recovered) {
-                // Emitted before any dispatcher exists, so its position
-                // in the coordinator trace is deterministic.
-                so.tracer.instant("durable_recover", so.ctx(0, 0), rec.epoch);
-            }
-            so
-        });
-        let metrics = Mutex::new(MetricsAcc::default());
+        }
+        let obs = ServiceObs::new(config.obs.as_deref(), lanes);
+        obs.batch_width.set(LaneWidth::for_lanes(lanes).bits() as i64);
+        if let Some(p) = &durability {
+            obs.seed_durability(&p.stats());
+        }
+        obs.mutation_pending.set(restored_pending.len() as i64);
+        obs.publish_overlay(&engine);
+        if let Some(rec) = recovery.filter(|r| r.recovered) {
+            // Emitted before any dispatcher exists, so its position
+            // in the coordinator trace is deterministic.
+            obs.instant("durable_recover", 0, 0, rec.epoch);
+        }
         // Initial index build, before the first query can be admitted.
-        let index = match &config.index {
-            Some(b) => build_index(&**b, &engine, &metrics, obs.as_ref()),
-            None => None,
-        };
+        let index = config.index.as_ref().and_then(|b| build_index(&**b, &engine, &obs));
         let epoch = engine.graph_epoch();
         Arc::new(Self {
             lanes,
@@ -214,7 +211,7 @@ impl SharedCore {
                 ..PendingUpdates::default()
             }),
             durability: durability.map(Mutex::new),
-            metrics,
+            latency: Mutex::new(LatencySamples::default()),
             stats_gate: Mutex::new(()),
             obs,
             index: Mutex::new(index),
@@ -270,38 +267,45 @@ impl SharedCore {
             .unwrap_or((0, 0));
         let dur: DurabilityStats =
             self.durability.as_ref().map(|dm| lock(dm).stats()).unwrap_or_default();
-        let m = lock(&self.metrics);
+        // The overlay of the engine value now serving — not of the last
+        // commit: recovery and degradation install one too.
+        let engine = Arc::clone(&lock(&self.live_engine));
+        let o = &self.obs;
+        // Per-query outcome counts and samples move under this lock, so
+        // completions match their samples and deadline kills their
+        // failures in every snapshot.
+        let lat = lock(&self.latency);
         ServiceStats {
-            queries_completed: m.completed,
-            queries_failed: m.failed,
-            queries_deadline_exceeded: m.deadline_exceeded,
-            batches_dispatched: m.batches,
-            retries: m.retries,
-            recoveries: m.recoveries,
-            checkpoints_taken: m.checkpoints_taken,
-            checkpoints_restored: m.checkpoints_restored,
-            partitions_replayed: m.partitions_replayed,
-            full_rollbacks: m.full_rollbacks,
-            degraded_generations: m.degraded_generations,
-            cache_hits: m.cache_hits,
-            cache_misses: m.cache_misses,
-            cache_insertions: m.cache_insertions,
-            cache_evictions: m.cache_evictions,
+            queries_completed: o.queries_completed.get(),
+            queries_failed: o.queries_failed.get(),
+            queries_deadline_exceeded: o.queries_deadline_exceeded.get(),
+            batches_dispatched: o.batches_dispatched.get(),
+            retries: o.retries.get(),
+            recoveries: o.recovery_recoveries.get(),
+            checkpoints_taken: o.recovery_checkpoints_taken.get(),
+            checkpoints_restored: o.recovery_checkpoints_restored.get(),
+            partitions_replayed: o.recovery_partitions_replayed.get(),
+            full_rollbacks: o.recovery_full_rollbacks.get(),
+            degraded_generations: o.degraded_generations.get(),
+            cache_hits: o.cache_hits.get(),
+            cache_misses: o.cache_misses.get(),
+            cache_insertions: o.cache_insertions.get(),
+            cache_evictions: o.cache_evictions.get(),
             cache_entries,
             cache_bytes,
-            coalesced_traversals: m.coalesced,
-            index_builds: m.index_builds,
-            index_only_answers: m.index_only,
+            coalesced_traversals: o.cache_coalesced.get(),
+            index_builds: o.index_builds.get(),
+            index_only_answers: o.index_only_answers.get(),
             index_sources,
             index_bytes,
-            updates_applied: m.updates_applied,
-            updates_inserted: m.updates_inserted,
-            updates_deleted: m.updates_deleted,
-            epoch_commits: m.epoch_commits,
-            epoch_folds: m.epoch_folds,
+            updates_applied: o.mutation_updates_applied.get(),
+            updates_inserted: o.mutation_edges_inserted.get(),
+            updates_deleted: o.mutation_edges_deleted.get(),
+            epoch_commits: o.mutation_commits.get(),
+            epoch_folds: o.mutation_folds.get(),
             pending_updates,
-            delta_entries: m.delta_entries,
-            delta_bytes: m.delta_bytes,
+            delta_entries: engine.delta_entries() as u64,
+            delta_bytes: engine.delta_bytes() as u64,
             wal_records: dur.wal_records,
             wal_bytes: dur.wal_bytes,
             snapshots_written: dur.snapshots_written,
@@ -310,9 +314,9 @@ impl SharedCore {
             snapshots_corrupt: dur.snapshots_corrupt,
             durable_recoveries: dur.recoveries,
             last_snapshot_epoch: dur.last_snapshot_epoch,
-            admission_wait: ResponseStats::new(m.wait.clone()),
-            exec: ResponseStats::new(m.exec.clone()),
-            response: ResponseStats::new(m.response.clone()),
+            admission_wait: ResponseStats::new(lat.wait.clone()),
+            exec: ResponseStats::new(lat.exec.clone()),
+            response: ResponseStats::new(lat.response.clone()),
         }
     }
 }
@@ -369,7 +373,8 @@ pub(super) fn open_recovered(
     plane.note_recovery(&state.outcome);
     // Checkpoint the recovered (or fresh) state right away: the next
     // restart resumes from here instead of replaying the whole WAL,
-    // and a fresh directory gets its base snapshot.
+    // and a fresh directory gets its base snapshot. (Nothing is written
+    // when no commit was replayed past the snapshot recovery loaded.)
     let engine = Arc::new(state.engine);
     plane.checkpoint(&engine).map_err(|e| ServiceError::Durability(e.to_string()))?;
     Ok((engine, plane, state.pending, state.outcome))
@@ -381,34 +386,19 @@ pub(super) fn open_recovered(
 pub(super) fn build_index(
     builder: &dyn IndexBuilder,
     engine: &DistributedEngine,
-    metrics: &Mutex<MetricsAcc>,
-    obs: Option<&ServiceObs>,
+    obs: &ServiceObs,
 ) -> Option<Arc<dyn ReachIndex>> {
     let started = Instant::now();
     let built = builder.build(engine);
-    let dur = started.elapsed();
-    lock(metrics).index_builds += 1;
-    if let Some(o) = obs {
-        o.index_builds.inc();
-        o.index_build_seconds.observe_duration(dur);
-    }
-    match built {
-        Ok(ix) => {
-            if let Some(o) = obs {
-                o.index_sources.set(ix.num_sources() as i64);
-                o.index_bytes.set(ix.size_bytes() as i64);
-            }
-            Some(ix)
-        }
-        Err(e) => {
-            eprintln!("cgraph index: build failed, serving unindexed: {e}");
-            if let Some(o) = obs {
-                o.index_sources.set(0);
-                o.index_bytes.set(0);
-            }
-            None
-        }
-    }
+    obs.index_builds.inc();
+    obs.index_build_seconds.observe_duration(started.elapsed());
+    let built =
+        built.inspect_err(|e| eprintln!("cgraph index: build failed, serving unindexed: {e}")).ok();
+    let (sources, bytes) =
+        built.as_ref().map_or((0, 0), |ix| (ix.num_sources() as i64, ix.size_bytes() as i64));
+    obs.index_sources.set(sources);
+    obs.index_bytes.set(bytes);
+    built
 }
 
 /// Rebuilds the live index for `engine`'s (new) epoch — called inside
@@ -417,8 +407,7 @@ pub(super) fn build_index(
 /// the epoch fence alone retires the old index.
 pub(super) fn rebuild_index(core: &SharedCore, engine: &DistributedEngine) {
     if let Some(b) = &core.config.index {
-        let ix = build_index(&**b, engine, &core.metrics, core.obs.as_ref());
-        *lock(&core.index) = ix;
+        *lock(&core.index) = build_index(&**b, engine, &core.obs);
     }
 }
 
@@ -451,10 +440,8 @@ pub(super) fn take_commit_request(core: &SharedCore, next_epoch: u64) -> Option<
         match lock(dm).append_commit(next_epoch) {
             Ok((seq, bytes)) => {
                 wal_seq = Some(seq);
-                if let Some(o) = &core.obs {
-                    o.durability_wal_records.inc();
-                    o.durability_wal_bytes.add(bytes);
-                }
+                core.obs.durability_wal_records.inc();
+                core.obs.durability_wal_bytes.add(bytes);
             }
             // The in-memory commit still proceeds: durability degrades
             // (this epoch may replay short after a crash) but serving
@@ -496,10 +483,9 @@ pub(super) fn perform_commit(
                 c.invalidate_before(new_epoch);
                 (c.len() as i64, c.used_bytes() as i64)
             };
-            if let Some(o) = &core.obs {
-                o.cache_entries.add(entries - r.pub_entries.swap(entries, Ordering::SeqCst));
-                o.cache_bytes.add(bytes - r.pub_bytes.swap(bytes, Ordering::SeqCst));
-            }
+            let o = &core.obs;
+            o.cache_entries.add(entries - r.pub_entries.swap(entries, Ordering::SeqCst));
+            o.cache_bytes.add(bytes - r.pub_bytes.swap(bytes, Ordering::SeqCst));
         }
     }
     // The fenced caches no longer hold what the heat described.
@@ -510,35 +496,18 @@ pub(super) fn perform_commit(
     // rebuild for the new snapshot before the next batch forms.
     rebuild_index(core, &ctx.engine);
     let inserted = updates.iter().filter(|u| u.is_insert()).count() as u64;
-    let deleted = updates.len() as u64 - inserted;
-    let delta_entries = ctx.engine.delta_entries() as u64;
-    let delta_bytes = ctx.engine.delta_bytes() as u64;
-    {
-        let mut m = lock(&core.metrics);
-        m.updates_applied += updates.len() as u64;
-        m.updates_inserted += inserted;
-        m.updates_deleted += deleted;
-        m.epoch_commits += 1;
-        m.epoch_folds += u64::from(folded);
-        m.delta_entries = delta_entries;
-        m.delta_bytes = delta_bytes;
-    }
-    if let Some(o) = &core.obs {
-        o.mutation_updates_applied.add(updates.len() as u64);
-        o.mutation_edges_inserted.add(inserted);
-        o.mutation_edges_deleted.add(deleted);
-        o.mutation_commits.inc();
-        if folded {
-            o.mutation_folds.inc();
-        }
-        o.mutation_pending.set(lock(&core.pending).updates.len() as i64);
-        o.mutation_delta_entries.set(delta_entries as i64);
-        o.mutation_delta_bytes.set(delta_bytes as i64);
-        let seq_now = core.batch_seq.load(Ordering::SeqCst);
-        o.tracer.instant("epoch_commit", o.ctx(seq_now, 0), new_epoch);
-        if let Some(seq) = wal_seq {
-            o.tracer.instant("wal_commit", o.ctx(seq_now, 0), seq);
-        }
+    let o = &core.obs;
+    o.mutation_updates_applied.add(updates.len() as u64);
+    o.mutation_edges_inserted.add(inserted);
+    o.mutation_edges_deleted.add(updates.len() as u64 - inserted);
+    o.mutation_commits.inc();
+    o.mutation_folds.add(u64::from(folded));
+    o.mutation_pending.set(lock(&core.pending).updates.len() as i64);
+    o.publish_overlay(&ctx.engine);
+    let seq_now = core.batch_seq.load(Ordering::SeqCst);
+    o.instant("epoch_commit", seq_now, 0, new_epoch);
+    if let Some(seq) = wal_seq {
+        o.instant("wal_commit", seq_now, 0, seq);
     }
     // Snapshot cadence: every `snapshot_every`-th commit persists the
     // whole new engine value, bounding how much WAL a restart replays.
@@ -569,8 +538,9 @@ pub(super) fn perform_commit(
 }
 
 /// Books a finished snapshot job, on the thread that ran it: plane counters,
-/// cadence reset and obs mirrors move in one step under the stats gate,
-/// so a stats snapshot and the registry never disagree about it.
+/// cadence reset and their registry publication move in one step under
+/// the stats gate, so a stats snapshot and the registry never disagree
+/// about it.
 fn publish_snapshot(core: &SharedCore, out: &SnapshotOutcome) {
     let _gate = lock(&core.stats_gate);
     let Some(dm) = &core.durability else { return };
@@ -578,16 +548,14 @@ fn publish_snapshot(core: &SharedCore, out: &SnapshotOutcome) {
     if let Some(e) = &out.error {
         eprintln!("cgraph durability: snapshot write failed: {e}");
     }
-    if let Some(o) = &core.obs {
-        o.durability_snapshot_seconds_encode.observe_duration(out.encode);
-        o.durability_snapshot_seconds_write.observe_duration(out.write);
-        o.durability_snapshot_bytes.add(out.bytes);
-        if out.renamed {
-            o.durability_snapshots_written.inc();
-            o.durability_last_snapshot_epoch.set(out.epoch as i64);
-            let seq_now = core.batch_seq.load(Ordering::SeqCst);
-            o.tracer.instant("snapshot_write", o.ctx(seq_now, 0), out.epoch);
-        }
+    let o = &core.obs;
+    o.durability_snapshot_seconds_encode.observe_duration(out.encode);
+    o.durability_snapshot_seconds_write.observe_duration(out.write);
+    o.durability_snapshot_bytes.add(out.bytes);
+    if out.renamed {
+        o.durability_snapshots_written.inc();
+        o.durability_last_snapshot_epoch.set(out.epoch as i64);
+        o.instant("snapshot_write", core.batch_seq.load(Ordering::SeqCst), 0, out.epoch);
     }
 }
 
@@ -638,12 +606,11 @@ pub(super) fn degrade(core: &SharedCore, ctx: &mut ExecCtx) {
     // meaningless on the new layout. Rebuild (or drop) before any
     // further batch can consult it.
     rebuild_index(core, &ctx.engine);
-    lock(&core.metrics).degraded_generations += 1;
-    if let Some(o) = &core.obs {
-        o.degraded_generations.inc();
-        let seq_now = core.batch_seq.load(Ordering::SeqCst);
-        o.tracer.instant("degrade", o.ctx(seq_now.saturating_sub(1), 0), p as u64);
-    }
+    // Repartitioning folded the overlay into the new base.
+    core.obs.publish_overlay(&ctx.engine);
+    core.obs.degraded_generations.inc();
+    let seq_now = core.batch_seq.load(Ordering::SeqCst);
+    core.obs.instant("degrade", seq_now.saturating_sub(1), 0, p as u64);
 }
 
 /// Core-level [`QueryService::apply_updates`](super::QueryService::apply_updates):
@@ -672,10 +639,8 @@ pub(super) fn apply_updates_core(
         if let Some(dm) = &core.durability {
             match lock(dm).append_updates(&updates) {
                 Ok((_seq, bytes)) => {
-                    if let Some(o) = &core.obs {
-                        o.durability_wal_records.inc();
-                        o.durability_wal_bytes.add(bytes);
-                    }
+                    core.obs.durability_wal_records.inc();
+                    core.obs.durability_wal_bytes.add(bytes);
                 }
                 Err(e) => return Err(ServiceError::Durability(e.to_string())),
             }
@@ -690,9 +655,7 @@ pub(super) fn apply_updates_core(
     }
     // Published under the pending lock so concurrent mutators cannot
     // clobber each other with stale depths.
-    if let Some(o) = &core.obs {
-        o.mutation_pending.set(depth as i64);
-    }
+    core.obs.mutation_pending.set(depth as i64);
     drop(p);
     if threshold_hit {
         core.notify_dispatchers();

@@ -106,29 +106,9 @@ impl EdgeSet {
     }
 
     /// The raw storage arrays `(row_offsets, targets, weights)` — what
-    /// the out-of-core tile store serializes and the bit-frontier scan
-    /// indexes by local row.
+    /// the bit-frontier scan indexes by local row.
     pub fn raw_parts(&self) -> (&[u32], &[VertexId], &[Weight]) {
         (&self.row_offsets, &self.targets, &self.weights)
-    }
-
-    /// Reassembles a tile from raw parts (inverse of
-    /// [`EdgeSet::raw_parts`]). Panics if the arrays are inconsistent.
-    pub fn from_raw_parts(
-        row_range: VertexRange,
-        col_range: VertexRange,
-        row_offsets: Vec<u32>,
-        targets: Vec<VertexId>,
-        weights: Vec<Weight>,
-    ) -> Self {
-        assert_eq!(row_offsets.len() as u64, row_range.len() + 1, "offset table length");
-        assert_eq!(targets.len(), weights.len(), "targets/weights mismatch");
-        assert_eq!(
-            *row_offsets.last().expect("non-empty offsets") as usize,
-            targets.len(),
-            "final offset must equal edge count"
-        );
-        Self { row_range, col_range, row_offsets, targets, weights }
     }
 }
 
@@ -193,8 +173,6 @@ pub struct EdgeSetLayout {
 pub struct EdgeSetGraph {
     sets: Vec<EdgeSet>,
     layout: EdgeSetLayout,
-    row_span: VertexRange,
-    col_span: VertexRange,
     num_edges: usize,
 }
 
@@ -355,7 +333,7 @@ impl EdgeSetGraph {
                 sets.push(EdgeSet::build(p.row, col, p.edges));
             }
         }
-        Self { sets, layout, row_span, col_span, num_edges: edges.len() }
+        Self { sets, layout, num_edges: edges.len() }
     }
 
     /// Builds with one tile per graph — flat CSR equivalent.
@@ -374,18 +352,6 @@ impl EdgeSetGraph {
     #[inline]
     pub fn layout(&self) -> &EdgeSetLayout {
         &self.layout
-    }
-
-    /// Source span covered.
-    #[inline]
-    pub fn row_span(&self) -> VertexRange {
-        self.row_span
-    }
-
-    /// Destination span covered.
-    #[inline]
-    pub fn col_span(&self) -> VertexRange {
-        self.col_span
     }
 
     /// Total edges stored.

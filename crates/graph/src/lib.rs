@@ -17,10 +17,7 @@
 //! * [`VertexProps`] / [`EdgeProps`] — columnar property storage
 //!   (vertex values, edge weights),
 //! * [`LevelProfile`] — reachability-index storage: the bounded-hop
-//!   distance sketch an indexed source answers k-hop queries from,
-//! * [`TileStore`] / [`TileCache`] — out-of-core edge-set persistence
-//!   with an LRU tile cache ("a subgraph shard does not necessarily
-//!   need to fit in memory", §3).
+//!   distance sketch an indexed source answers k-hop queries from.
 //!
 //! The crate is deliberately independent of any execution engine: it
 //! contains no threads and no channels, only memory layouts and their
@@ -40,7 +37,6 @@ pub mod labels;
 pub mod props;
 pub mod snapshot;
 pub mod stats;
-pub mod tile_store;
 pub mod types;
 
 pub use adjacency::Adjacency;
@@ -58,5 +54,4 @@ pub use snapshot::{
     PartitionData, SnapshotData, SnapshotTicket, WalRecord, WeightedRows,
 };
 pub use stats::{DegreeStats, GraphStats};
-pub use tile_store::{TileCache, TileCacheStats, TileStore};
 pub use types::{LocalVertexId, VertexId, Weight, INVALID_VERTEX};

@@ -34,7 +34,7 @@ pub mod trace;
 
 pub use metrics::{
     log2_edges, parse_text, Counter, Gauge, Histogram, MetricsRegistry, ParsedHistogram, Snapshot,
-    LOG_LATENCY_EDGES_SECS, PAPER_LATENCY_EDGES_SECS,
+    LOG_LATENCY_EDGES_SECS,
 };
 pub use trace::{TraceCtx, TraceEvent, TraceKind, TraceSink, Tracer, COORD};
 

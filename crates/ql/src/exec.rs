@@ -1,15 +1,16 @@
 //! Planner + executor: maps statements onto engine paths.
 //!
-//! Traversal statements (KHOP/BFS/REACHABLE) submitted in the same
-//! wave share 64-lane bit-frontier batches — the paper's concurrent
-//! query path — while analytic statements (PAGERANK, COMPONENTS, …)
-//! run on the GAS / partition-centric engines. Response times are
-//! measured from wave submission, so a client sees exactly what a
-//! multi-user deployment would.
+//! Traversal statements (KHOP/BFS) submitted in the same wave share
+//! bit-frontier batches of up to [`MAX_LANES`] lanes — the paper's
+//! concurrent query path, at the engine's own width limit — while
+//! analytic statements (PAGERANK, COMPONENTS, …) run on the GAS /
+//! partition-centric engines. Response times are measured from wave
+//! submission, so a client sees exactly what a multi-user deployment
+//! would.
 
 use crate::ast::{Answer, Query, QueryOutput};
 use cgraph_core::engine::DistributedEngine;
-use cgraph_graph::bitmap::LANES;
+use cgraph_graph::MAX_LANES;
 use std::time::Instant;
 
 /// A query session bound to one engine instance.
@@ -74,7 +75,7 @@ impl<'e> Session<'e> {
         }
 
         // Shared batched execution of traversals.
-        for chunk in traversal_idx.chunks(LANES) {
+        for chunk in traversal_idx.chunks(MAX_LANES) {
             let sources: Vec<u64> = chunk
                 .iter()
                 .map(|&i| match &queries[i] {

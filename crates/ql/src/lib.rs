@@ -25,8 +25,8 @@
 //!
 //! Multiple statements submitted together ([`Session::execute_batch`])
 //! are treated as one concurrent wave: reachability queries are packed
-//! into shared 64-lane batches exactly like the paper's concurrent
-//! query workload.
+//! into shared bit-frontier batches (up to the engine's 512 lanes
+//! each) exactly like the paper's concurrent query workload.
 
 #![warn(missing_docs)]
 

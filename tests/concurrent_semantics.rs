@@ -92,6 +92,35 @@ fn ql_wave_matches_library_calls() {
 }
 
 #[test]
+fn ql_wave_wider_than_64_lanes_runs_as_one_batch() {
+    // The engine sizes a batch up to 512 lanes; a front-end that chunks
+    // at 64 only pays for more batches. Same answers either way — and
+    // one batch is visible from outside: `execute_batch` stamps the
+    // response time once per chunk.
+    let edges = social_graph(66);
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(3));
+    let session = Session::new(&engine);
+    let statements: Vec<cgraph::ql::Query> = (0..100u64)
+        .map(|i| cgraph::ql::Query::Khop {
+            source: (i * 37) % 1024,
+            k: 1 + (i % 3) as u32,
+            list_levels: 3,
+        })
+        .collect();
+    let wave = session.execute_batch(statements.clone());
+    let halves: Vec<_> =
+        statements.chunks(50).flat_map(|c| session.execute_batch(c.to_vec())).collect();
+    assert_eq!(wave.len(), 100);
+    for (w, h) in wave.iter().zip(&halves) {
+        assert_eq!((&w.query, &w.output), (&h.query, &h.output));
+    }
+    assert!(
+        wave.iter().all(|a| a.response_time == wave[0].response_time),
+        "100 traversals must share one batch"
+    );
+}
+
+#[test]
 fn repeated_waves_are_deterministic_in_results() {
     let edges = social_graph(64);
     let engine = DistributedEngine::new(&edges, EngineConfig::new(4));

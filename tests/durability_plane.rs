@@ -375,6 +375,85 @@ fn restart_resumes_last_committed_epoch() {
     svc.shutdown();
 }
 
+/// The overlay a restart replays is the overlay the restarted service
+/// reports: `delta_entries` / `delta_bytes` (and their gauges) describe
+/// the engine value now serving, not the last commit this process made.
+#[test]
+fn replayed_overlay_is_counted_before_any_new_commit() {
+    const N: u64 = 32;
+    let tmp = TempDir::new("overlay-count");
+    let edges = edge_list(N, &seed_edges(N, 60, 0xD00D));
+    // Cadence 100: the two commits stay in the WAL, so the restart
+    // rebuilds their overlay by replay.
+    let open = |obs: Option<Arc<cgraph::obs::Obs>>| {
+        let cfg = ServiceConfig { obs, ..durable_config(tmp.path(), 100) };
+        QueryService::open_or_recover(&edges, EngineConfig::new(2), cfg).unwrap()
+    };
+    let (svc, _) = open(None);
+    for dst in [7, 9] {
+        svc.apply_updates([EdgeUpdate::insert(0, dst)].into_iter().collect()).unwrap();
+        svc.commit_epoch().unwrap();
+    }
+    let before = svc.stats();
+    assert!(before.delta_entries == 2 && before.delta_bytes > 0, "{before:?}");
+    svc.shutdown();
+    drop(svc);
+
+    let obs = cgraph::obs::Obs::shared();
+    let (svc, out) = open(Some(Arc::clone(&obs)));
+    assert_eq!((out.epoch, out.wal_records_replayed), (2, 4));
+    let after = svc.stats();
+    assert_eq!(
+        (after.delta_entries, after.delta_bytes),
+        (before.delta_entries, before.delta_bytes),
+        "the replayed overlay is live before any new commit"
+    );
+    let snap = cgraph::obs::parse_text(&obs.metrics.render_text()).unwrap();
+    assert_eq!(snap.gauges["cgraph_mutation_delta_entries"], after.delta_entries as i64);
+    assert_eq!(snap.gauges["cgraph_mutation_delta_bytes"], after.delta_bytes as i64);
+    svc.shutdown();
+}
+
+/// A restart that replayed no commit has nothing to checkpoint: the
+/// snapshot it loaded is already this epoch's. Rewriting it would push
+/// the one file recovery just proved valid through the fault injector —
+/// here a plan whose every write flips a bit.
+#[test]
+fn restart_at_the_snapshot_tip_does_not_rewrite_its_anchor() {
+    const N: u64 = 32;
+    let tmp = TempDir::new("anchor-rewrite");
+    let edges = edge_list(N, &seed_edges(N, 60, 0xD00D));
+    let open = |fault_plan: Option<FaultPlan>| {
+        let cfg = ServiceConfig { fault_plan, ..durable_config(tmp.path(), 1) };
+        QueryService::open_or_recover(&edges, EngineConfig::new(2), cfg).unwrap()
+    };
+    // Cadence 1: the clean shutdown leaves the snapshot at the tip.
+    let (svc, _) = open(None);
+    svc.apply_updates([EdgeUpdate::insert(0, 7)].into_iter().collect()).unwrap();
+    svc.commit_epoch().unwrap();
+    svc.shutdown();
+    let first = svc.stats();
+    drop(svc);
+    assert_eq!(first.last_snapshot_epoch, 1);
+    let anchor = snapshot_files(tmp.path()).pop().unwrap();
+    let anchor_bytes = fs::read(&anchor).unwrap();
+
+    let (svc, out) = open(Some(FaultPlan::new(0xF11B).with_bit_flip(1.0)));
+    assert_eq!((out.epoch, out.wal_records_replayed, out.snapshots_corrupt), (1, 0, 0));
+    svc.shutdown();
+    let second = svc.stats();
+    drop(svc);
+    assert_eq!((second.snapshots_written, second.snapshot_bytes), (0, 0), "{second:?}");
+    assert_eq!(second.last_snapshot_epoch, 1);
+    assert_eq!(fs::read(&anchor).unwrap(), anchor_bytes, "the anchor was rewritten");
+    assert_eq!(tmp_files(tmp.path()), Vec::<String>::new());
+
+    let (svc, out) = open(None);
+    assert_eq!((out.epoch, out.wal_records_replayed, out.snapshots_corrupt), (1, 0, 0));
+    assert_eq!(svc.stats().snapshots_corrupt, 0);
+    svc.shutdown();
+}
+
 /// Cuts the WAL at **every byte offset** and recovers each prefix:
 /// the recovered epoch must always be a committed one, answers must
 /// match the scratch rebuild at that epoch, and a restored pending

@@ -6,9 +6,10 @@
 //! — the same wiring `cgraph serve --metrics --trace-out` uses — and
 //! check the promises the operator surface makes: identical seeds give
 //! byte-identical trace logs, `render_text` output parses back
-//! losslessly, counters are monotone across snapshots, registry
-//! recovery counts equal the `ServiceStats` line, and every registered
-//! metric family is documented.
+//! losslessly, counters are monotone across snapshots, the registry is
+//! the one counter store (observed or not, sampled or not), what the
+//! service publishes of its own structures equals the `ServiceStats`
+//! line, and every registered metric family is documented.
 
 use cgraph::obs::{parse_text, Obs, Snapshot, TraceSink};
 use cgraph::prelude::*;
@@ -99,37 +100,18 @@ fn metrics_exposition_parses_back_and_counters_are_monotone() {
     }
 }
 
-/// Recovery counters in the registry and the recovery fields of
-/// [`ServiceStats`] are folded from the same [`RecoveryReport`]s, so
-/// they must agree exactly.
+/// What the service *tallies* has one home: `ServiceStats` reads the
+/// registry's own atomics, so there is nothing to reconcile there. What
+/// is left to check is what the service *publishes* — structures that
+/// are their own count (cache occupancy, index size, pending depth,
+/// overlay size, the durability plane's counters), which `stats()`
+/// reads directly and the registry is told about wherever they change.
 fn assert_registry_matches_stats(snap: &Snapshot, stats: &ServiceStats) {
     let c = |name: &str| snap.counter_family(name);
-    assert_eq!(c("cgraph_service_queries_completed_total"), stats.queries_completed);
-    assert_eq!(c("cgraph_service_queries_failed_total"), stats.queries_failed);
-    assert_eq!(c("cgraph_service_batches_dispatched_total"), stats.batches_dispatched);
-    assert_eq!(c("cgraph_service_retries_total"), stats.retries);
-    assert_eq!(c("cgraph_recovery_recoveries_total"), stats.recoveries);
-    assert_eq!(c("cgraph_recovery_checkpoints_taken_total"), stats.checkpoints_taken);
-    assert_eq!(c("cgraph_recovery_checkpoints_restored_total"), stats.checkpoints_restored);
-    assert_eq!(c("cgraph_recovery_partitions_replayed_total"), stats.partitions_replayed);
-    assert_eq!(c("cgraph_recovery_full_rollbacks_total"), stats.full_rollbacks);
-    assert_eq!(c("cgraph_service_degraded_generations_total"), stats.degraded_generations);
-    assert_eq!(c("cgraph_index_builds_total"), stats.index_builds);
-    assert_eq!(c("cgraph_index_only_answers_total"), stats.index_only_answers);
-    assert_eq!(snap.gauges["cgraph_index_sources"], stats.index_sources as i64);
-    assert_eq!(snap.gauges["cgraph_index_bytes"], stats.index_bytes as i64);
-    assert_eq!(c("cgraph_cache_hits_total"), stats.cache_hits);
-    assert_eq!(c("cgraph_cache_misses_total"), stats.cache_misses);
-    assert_eq!(c("cgraph_cache_insertions_total"), stats.cache_insertions);
-    assert_eq!(c("cgraph_cache_evictions_total"), stats.cache_evictions);
-    assert_eq!(c("cgraph_cache_coalesced_total"), stats.coalesced_traversals);
     assert_eq!(snap.gauges["cgraph_cache_entries"], stats.cache_entries as i64);
     assert_eq!(snap.gauges["cgraph_cache_bytes"], stats.cache_bytes as i64);
-    assert_eq!(c("cgraph_mutation_updates_applied_total"), stats.updates_applied);
-    assert_eq!(c("cgraph_mutation_edges_inserted_total"), stats.updates_inserted);
-    assert_eq!(c("cgraph_mutation_edges_deleted_total"), stats.updates_deleted);
-    assert_eq!(c("cgraph_mutation_commits_total"), stats.epoch_commits);
-    assert_eq!(c("cgraph_mutation_folds_total"), stats.epoch_folds);
+    assert_eq!(snap.gauges["cgraph_index_sources"], stats.index_sources as i64);
+    assert_eq!(snap.gauges["cgraph_index_bytes"], stats.index_bytes as i64);
     assert_eq!(snap.gauges["cgraph_mutation_pending_updates"], stats.pending_updates as i64);
     assert_eq!(snap.gauges["cgraph_mutation_delta_entries"], stats.delta_entries as i64);
     assert_eq!(snap.gauges["cgraph_mutation_delta_bytes"], stats.delta_bytes as i64);
@@ -242,9 +224,136 @@ fn cache_enabled_stream_matches_stats_and_traces() {
     let snap = parse_text(&obs.metrics.render_text()).expect("snapshot must parse");
     assert_registry_matches_stats(&snap, &stats);
 
+    // Hits answer in 0 s, executed batches in tens of microseconds or
+    // more: on log-spaced edges the two are told apart, and nothing a
+    // TINY stream does takes the 10 s that would overflow them.
+    let response = &snap.histograms["cgraph_service_response_seconds"];
+    assert_eq!(response.count, stats.queries_completed);
+    let occupied = response.buckets.windows(2).filter(|w| w[1].1 > w[0].1).count()
+        + usize::from(response.buckets[0].1 > 0);
+    assert!(occupied >= 2, "every sample in one bucket: {:?}", response.buckets);
+    let finite = response.buckets[response.buckets.len() - 2].1;
+    assert_eq!(finite, response.count, "samples in +Inf: {:?}", response.buckets);
+
     let log = TraceSink::render(&obs.trace.drain());
     assert!(log.contains(" instant cache_miss "), "missing cache_miss event:\n{log}");
     assert!(log.contains(" instant cache_insert "), "missing cache_insert event:\n{log}");
+}
+
+/// One seeded stream that touches every tally the service keeps: a
+/// healing crash on the first batch, cache hits and misses, in-batch
+/// duplicates, two commits. Submitted one query at a time (as
+/// [`run_chaos_workload`] does), so packing is a function of the seed.
+fn run_mixed_workload(obs: Option<Arc<Obs>>) -> ServiceStats {
+    let engine = Arc::new(DistributedEngine::new(&test_graph(60), EngineConfig::new(3)));
+    let service = QueryService::start(
+        engine,
+        ServiceConfig {
+            fault_plan: Some(FaultPlan::new(7).crash(1, 1).heal_after(1).arm_jobs(0..1)),
+            recovery: RecoveryConfig { checkpoint_interval: 2, max_recoveries: 3 },
+            query_plane: QueryPlaneConfig {
+                cache_capacity_bytes: Some(1 << 20),
+                coalesce: true,
+                ..Default::default()
+            },
+            obs,
+            ..Default::default()
+        },
+    );
+    let mut id = 0;
+    for round in 0..3u64 {
+        // Twice per epoch: the second pass hits what the first cached.
+        for _ in 0..2 {
+            for i in 0..4u64 {
+                let q = KhopQuery::multi(id, vec![i, (i + 30) % 60, i], 4);
+                service.query(q).expect("chaos heals; every query must succeed");
+                id += 1;
+            }
+        }
+        if round < 2 {
+            let batch: UpdateBatch =
+                [EdgeUpdate::insert(0, 20 + round), EdgeUpdate::delete(0, 1)].into_iter().collect();
+            service.apply_updates(batch).unwrap();
+            service.commit_epoch().unwrap();
+        }
+    }
+    let stats = service.stats();
+    service.shutdown();
+    stats
+}
+
+#[test]
+fn unobserved_service_counts_exactly_what_an_observed_one_does() {
+    // `obs: None` means no trace and no comm/engine instrumentation —
+    // never no counters. A handle still bumped only when a bundle was
+    // supplied shows up here as a field that differs.
+    let counters = |mut s: ServiceStats| {
+        // Latencies are wall clock; every other field is the seed's.
+        for lat in [&mut s.admission_wait, &mut s.exec, &mut s.response] {
+            *lat = ResponseStats::new(Vec::new());
+        }
+        format!("{s:#?}")
+    };
+    let observed = run_mixed_workload(Some(Obs::shared()));
+    assert!(observed.recoveries > 0 && observed.checkpoints_taken > 0, "{observed:?}");
+    assert!(observed.cache_hits > 0 && observed.cache_misses > 0, "{observed:?}");
+    assert!(observed.coalesced_traversals > 0 && observed.cache_insertions > 0, "{observed:?}");
+    assert_eq!((observed.epoch_commits, observed.updates_applied), (2, 4));
+    assert_eq!(observed.queries_completed, 24);
+    assert_eq!(counters(observed), counters(run_mixed_workload(None)));
+}
+
+#[test]
+fn sampled_stats_never_step_back_beside_concurrent_submitters() {
+    // The tallies are relaxed atomics read under the stats gate: a
+    // sampler racing four submitters on the hottest path there is (a
+    // cache hit completes at admission) must see each count grow
+    // monotonically, every sample's completions matched by its latency
+    // samples, and — once the submitters are done — every ticket.
+    const HOT: u64 = 8;
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 1500;
+    let engine = Arc::new(DistributedEngine::new(&test_graph(40), EngineConfig::new(2)));
+    let service = Arc::new(QueryService::start(
+        engine,
+        ServiceConfig {
+            query_plane: QueryPlaneConfig {
+                cache_capacity_bytes: Some(1 << 20),
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    ));
+    for s in 0..HOT {
+        service.query(KhopQuery::single(s as usize, s * 5, 3)).unwrap();
+    }
+    let submitters: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                for i in 0..PER_THREAD {
+                    let q = KhopQuery::single((t * PER_THREAD + i) as usize, (t + i) % HOT * 5, 3);
+                    service.query(q).expect("a cached answer");
+                }
+            })
+        })
+        .collect();
+    let (mut completed, mut hits) = (0, 0);
+    while !submitters.iter().all(|h| h.is_finished()) {
+        let s = service.stats();
+        assert!(s.queries_completed >= completed, "{} < {completed}", s.queries_completed);
+        assert!(s.cache_hits >= hits, "{} < {hits}", s.cache_hits);
+        assert_eq!(s.response.len() as u64, s.queries_completed);
+        (completed, hits) = (s.queries_completed, s.cache_hits);
+    }
+    for h in submitters {
+        h.join().unwrap();
+    }
+    let s = service.stats();
+    assert_eq!(s.queries_completed, HOT + THREADS * PER_THREAD);
+    assert_eq!(s.cache_hits, THREADS * PER_THREAD);
+    assert_eq!((s.cache_misses, s.batches_dispatched, s.queries_failed), (HOT, HOT, 0));
+    service.shutdown();
 }
 
 #[test]
@@ -358,7 +467,7 @@ fn observability_doc_catalogues_every_registered_metric() {
     // OBSERVABILITY.md promises a complete catalogue. Diff the doc's
     // backtick-quoted metric names against a live registry populated by
     // a full chaos workload (which registers every family: service
-    // handles eagerly, comm at set_obs, engine + recovery at the first
+    // and recovery handles eagerly, comm at set_obs, engine at the first
     // batch).
     let obs = Obs::shared();
     run_chaos_workload(&obs);
