@@ -27,6 +27,8 @@
 //!   land in the same partition range (maximising shared-subgraph
 //!   traversal, the first-order win Q-Graph reports), bounded by a
 //!   fairness rule so cold-partition queries cannot starve.
+//!   [`plan_batch`] is the service's whole formation step on top of
+//!   it, over every queue of a group at once.
 //! * [`HeatTable`] — per-`(replica, partition)` cache-heat counters
 //!   fed by the hit/insertion events above; the serving tier's router
 //!   reads them to keep steering a partition's queries at the replica
@@ -45,5 +47,8 @@ pub mod result_cache;
 
 pub use coalesce::Coalescer;
 pub use heat::HeatTable;
-pub use packer::{pack_fifo, pack_locality, PackItem, PackPolicy};
+pub use packer::{
+    pack_fifo, pack_locality, plan_batch, BatchPlan, Fate, FormItem, FormPolicy, PackItem,
+    PackPolicy,
+};
 pub use result_cache::{CacheKey, CacheStats, CachedTraversal, ResultCache};

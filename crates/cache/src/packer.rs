@@ -16,6 +16,15 @@
 //! over [`PackPolicy::fairness_bound`] times is promoted to mandatory
 //! — so a query on a cold partition is delayed at most
 //! `fairness_bound` batches, never starved.
+//!
+//! [`plan_batch`] is the whole formation step built on it: one batch
+//! from every admission queue of a service group — hits and expired
+//! deadlines out, the rest merged oldest first, selected, and collapsed
+//! so that no `(source, k)` holds two lanes — as a pure function, so the
+//! properties a batch must have are tested without a service.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// One waiting traversal, as the packer sees it.
 #[derive(Clone, Copy, Debug)]
@@ -117,6 +126,133 @@ pub fn pack_locality(items: &[PackItem], lanes: usize, policy: PackPolicy) -> Ve
     selected.iter().enumerate().filter(|(_, &s)| s).map(|(i, _)| i).collect()
 }
 
+/// One queued traversal, as group-wide batch formation sees it: what
+/// [`plan_batch`] needs to decide its fate, and nothing it would have
+/// to look up.
+#[derive(Clone, Copy, Debug)]
+pub struct FormItem {
+    /// `(source, k)` — the traversal's identity within the epoch the
+    /// batch is formed under.
+    pub key: (u64, u32),
+    /// Arrival stamp, smaller is older; non-decreasing along a queue.
+    pub age: u64,
+    /// Partition range its source lands in (read under locality
+    /// packing only).
+    pub partition: usize,
+    /// Batches this traversal has already been passed over.
+    pub skips: u32,
+    /// Answerable now without a lane: the result cache or the index
+    /// holds its key.
+    pub hit: bool,
+    /// Its deadline passed while it sat queued.
+    pub expired: bool,
+}
+
+/// Where [`plan_batch`] sends one queued traversal — exactly one of
+/// these, always.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fate {
+    /// Executes as lane `.0` of the batch.
+    Primary(usize),
+    /// Shares lane `.0`: an identical `(source, k)` already holds it.
+    Follower(usize),
+    /// Answered from the cache or the index, no lane spent.
+    Hit,
+    /// Failed with its deadline, no lane spent.
+    Expired,
+    /// Stays queued for a later batch.
+    Queued,
+}
+
+/// How [`plan_batch`] fills a batch.
+#[derive(Clone, Copy, Debug)]
+pub struct FormPolicy {
+    /// Most lanes one batch may hold.
+    pub cap: usize,
+    /// `Some` packs by partition locality under that fairness bound
+    /// once the backlog overflows the cap; `None` is FIFO.
+    pub locality: Option<PackPolicy>,
+    /// Walk the whole backlog, not just the selection window: every
+    /// queued duplicate of a chosen key follows its lane, and lanes
+    /// that duplicates freed are refilled, oldest first.
+    pub deep: bool,
+}
+
+/// One batch, planned: every queued traversal's [`Fate`], by queue and
+/// position, and how many lanes they fill.
+#[derive(Clone, Debug)]
+pub struct BatchPlan {
+    /// `fates[q][i]` is the fate of `queues[q][i]`.
+    pub fates: Vec<Vec<Fate>>,
+    /// Lanes the batch holds (`<= cap`); lane ordinals are dense.
+    pub lanes: usize,
+}
+
+/// Forms one batch from every queue of a group — the formation step of
+/// the service as a pure function of what is queued.
+///
+/// Hits leave first (a hit beats an expired deadline: the answer is
+/// there), then expired traversals; neither costs a lane. What is left
+/// is merged across queues oldest first (ties: lower queue, lower
+/// position) and selected — the first `cap` under FIFO, or
+/// [`pack_locality`] over the merged order when the backlog overflows
+/// the cap. Selected traversals open lanes in that order; an identical
+/// `(source, k)` never opens a second lane, whichever queue it sits
+/// in — it follows the first. With [`FormPolicy::deep`] the walk
+/// continues over the unselected rest.
+pub fn plan_batch(queues: &[Vec<FormItem>], policy: FormPolicy) -> BatchPlan {
+    let mut fates: Vec<Vec<Fate>> = queues
+        .iter()
+        .map(|q| {
+            q.iter()
+                .map(|it| match (it.hit, it.expired) {
+                    (true, _) => Fate::Hit,
+                    (false, true) => Fate::Expired,
+                    (false, false) => Fate::Queued,
+                })
+                .collect()
+        })
+        .collect();
+    // The live backlog, oldest first. Each queue is already in arrival
+    // order, so the stable sort merges runs.
+    let mut order: Vec<(usize, usize)> = fates
+        .iter()
+        .enumerate()
+        .flat_map(|(q, f)| (0..f.len()).filter(move |&i| f[i] == Fate::Queued).map(move |i| (q, i)))
+        .collect();
+    order.sort_by_key(|&(q, i)| queues[q][i].age);
+
+    let sel: Vec<usize> = match policy.locality {
+        Some(fairness) if order.len() > policy.cap => {
+            let items: Vec<PackItem> = order
+                .iter()
+                .map(|&(q, i)| PackItem {
+                    partition: queues[q][i].partition,
+                    skips: queues[q][i].skips,
+                })
+                .collect();
+            pack_locality(&items, policy.cap, fairness)
+        }
+        _ => pack_fifo(order.len(), policy.cap),
+    };
+    let mut selected = vec![false; order.len()];
+    for &o in &sel {
+        selected[o] = true;
+    }
+    let rest = (0..order.len()).filter(|&o| policy.deep && !selected[o]);
+    let mut lane_of: HashMap<(u64, u32), usize> = HashMap::new();
+    for o in sel.iter().copied().chain(rest) {
+        let (q, i) = order[o];
+        let lanes = lane_of.len();
+        fates[q][i] = match lane_of.entry(queues[q][i].key) {
+            Entry::Occupied(e) => Fate::Follower(*e.get()),
+            Entry::Vacant(e) if lanes < policy.cap => Fate::Primary(*e.insert(lanes)),
+            Entry::Vacant(_) => Fate::Queued,
+        };
+    }
+    BatchPlan { fates, lanes: lane_of.len() }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,5 +338,36 @@ mod tests {
         let b = pack_locality(&q, 4, PackPolicy::default());
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0] < w[1]), "indices must be ascending");
+    }
+
+    fn queued(source: u64, age: u64) -> FormItem {
+        FormItem { key: (source, 3), age, partition: 0, skips: 0, hit: false, expired: false }
+    }
+
+    #[test]
+    fn plan_merges_queues_oldest_first_and_collapses_duplicates() {
+        // Key 7 waits on both queues; key 9 is the youngest.
+        let queues = vec![vec![queued(7, 1), queued(9, 5)], vec![queued(8, 0), queued(7, 2)]];
+        let fifo = FormPolicy { cap: 2, locality: None, deep: false };
+        let plan = plan_batch(&queues, fifo);
+        // Window = the two oldest (8 then 7); 7's twin and 9 stay.
+        assert_eq!(plan.fates[0], [Fate::Primary(1), Fate::Queued]);
+        assert_eq!(plan.fates[1], [Fate::Primary(0), Fate::Queued]);
+        // The deep walk brings the twin aboard; the cap still holds 9 out.
+        let plan = plan_batch(&queues, FormPolicy { deep: true, ..fifo });
+        assert_eq!(plan.fates[0], [Fate::Primary(1), Fate::Queued]);
+        assert_eq!(plan.fates[1], [Fate::Primary(0), Fate::Follower(1)]);
+        assert_eq!(plan.lanes, 2);
+    }
+
+    #[test]
+    fn plan_spends_no_lane_on_hits_or_expired() {
+        let hit = FormItem { hit: true, expired: true, ..queued(1, 0) };
+        let expired = FormItem { expired: true, ..queued(2, 1) };
+        let plan = plan_batch(
+            &[vec![hit, expired, queued(3, 2)]],
+            FormPolicy { cap: 1, locality: None, deep: true },
+        );
+        assert_eq!(plan.fates[0], [Fate::Hit, Fate::Expired, Fate::Primary(0)]);
     }
 }

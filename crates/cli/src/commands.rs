@@ -224,12 +224,15 @@ fn start_service(args: &Args, path: &str, obs: Option<&ObsOut>) -> Result<Servic
         return Err(format!("bad --replicas {replicas}: must be between 1 and 64"));
     }
     let router_seed: u64 = args.flag_parse("--router-seed", 0)?;
-    let batch_width: usize = args.flag_parse("--batch-width", 64)?;
+    // What no flag sets is what the library serves.
+    let defaults = ServiceConfig::default();
+    let batch_width: usize = args.flag_parse("--batch-width", defaults.scheduler.batch_lanes)?;
     if !matches!(batch_width, 64 | 128 | 256 | 512) {
         return Err(format!("bad --batch-width {batch_width}: must be 64, 128, 256 or 512"));
     }
-    let delay_us: u64 = args.flag_parse("--delay-us", 2000)?;
-    let depth: usize = args.flag_parse("--depth", 1024)?;
+    let delay_us: u64 =
+        args.flag_parse("--delay-us", defaults.max_batch_delay.as_micros() as u64)?;
+    let depth: usize = args.flag_parse("--depth", defaults.max_queue_depth)?;
     let fault_plan = match args.flag("--chaos") {
         Some(spec) => Some(FaultPlan::parse(spec).map_err(|e| format!("bad --chaos spec: {e}"))?),
         None => None,
@@ -262,7 +265,7 @@ fn start_service(args: &Args, path: &str, obs: Option<&ObsOut>) -> Result<Servic
         .map(|dir| DurabilityConfig::new(dir).snapshot_every(snapshot_every));
     let edges = load_graph(path)?;
     let config = ServiceConfig {
-        scheduler: SchedulerConfig { batch_lanes: batch_width, ..Default::default() },
+        scheduler: SchedulerConfig { batch_lanes: batch_width, ..defaults.scheduler },
         max_batch_delay: Duration::from_micros(delay_us),
         max_queue_depth: depth,
         fault_plan,
@@ -275,7 +278,7 @@ fn start_service(args: &Args, path: &str, obs: Option<&ObsOut>) -> Result<Servic
         recovery: RecoveryConfig { checkpoint_interval: ckpt, ..Default::default() },
         degrade_after: (degrade > 0).then_some(degrade),
         obs: obs.map(|o| Arc::clone(&o.obs)),
-        ..Default::default()
+        ..defaults
     };
     let group_config = GroupConfig {
         replicas,

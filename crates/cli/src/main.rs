@@ -17,7 +17,9 @@
 //! Seeds default to 42 (`--seed` overrides). File format is chosen by
 //! extension: `.cg` binary, anything else text.
 
-use cgraph_core::{DistributedEngine, EngineConfig, KhopQuery, QueryScheduler, SchedulerConfig};
+use cgraph_core::{
+    DistributedEngine, EngineConfig, KhopQuery, QueryScheduler, SchedulerConfig, ServiceConfig,
+};
 use cgraph_graph::{Csr, EdgeList, GraphStats};
 use std::process::ExitCode;
 
@@ -35,7 +37,7 @@ fn main() -> ExitCode {
     }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
-        eprintln!("{}", USAGE);
+        eprintln!("{}", usage());
         return ExitCode::from(2);
     };
     let args = Args::new(rest.to_vec());
@@ -49,10 +51,10 @@ fn main() -> ExitCode {
         "replay" => commands::replay(args),
         "mutate" => commands::mutate(args),
         "help" | "--help" | "-h" => {
-            println!("{}", USAGE);
+            println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{}", USAGE)),
+        other => Err(format!("unknown command {other:?}\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -63,7 +65,11 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
+/// The help text; the serving defaults it names are the library's.
+fn usage() -> String {
+    let service = ServiceConfig::default();
+    format!(
+        "\
 cgraph — concurrent graph reachability queries (C-Graph, ICPP'18)
 
 USAGE:
@@ -78,9 +84,16 @@ USAGE:
                                         \"commit\" / \"query SRC.. K\")
 
 SERVICE BATCHING (serve & replay):
-  --batch-width W    packed traversal width: 64, 128, 256 or 512 lanes
-                     per batch (default 64); the memory budget may
-                     step a wide batch back down
+  --batch-width W    lane cap of a batch, formed from every replica's queue:
+                     64, 128, 256 or 512 (default {lanes}); a batch with
+                     fewer lanes runs at the width they need, and the
+                     memory budget may step the cap back down
+  --delay-us D       how long a front-end lets its oldest query wait for
+                     the backlog to reach the cap before asking for the
+                     engine (default {delay_us}; 0 = start as soon as the
+                     engine is free — a busy engine batches by itself)
+  --depth N          admission-queue depth per replica above which
+                     submitters block (default {depth})
 
 QUERY PLANE (serve & replay):
   --cache-mb MB      result cache capacity in MiB (0 = off, the default);
@@ -143,7 +156,12 @@ MODELS:
   rmat <scale> <edges>
   er <vertices> <edges>
   smallworld <vertices> <k> <beta>
-  ba <vertices> <m>";
+  ba <vertices> <m>",
+        lanes = service.scheduler.batch_lanes,
+        delay_us = service.max_batch_delay.as_micros(),
+        depth = service.max_queue_depth,
+    )
+}
 
 /// Loads an edge list by extension (`.cg` binary, otherwise text).
 pub fn load_graph(path: &str) -> Result<EdgeList, String> {

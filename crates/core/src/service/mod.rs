@@ -12,16 +12,20 @@
 //!   ([`ServiceConfig::max_queue_depth`]): submitters block while the
 //!   queue is full, so an overloaded service slows producers instead
 //!   of growing without bound;
-//! * a **dispatcher thread** packs queued traversals into bit-frontier
-//!   batches with a *fill-or-deadline* policy — a batch goes out as
-//!   soon as [`QueryService::effective_lanes`] traversals are waiting,
-//!   or when the oldest admitted traversal has waited
-//!   [`ServiceConfig::max_batch_delay`], whichever comes first. The
-//!   lane width honours [`SchedulerConfig::memory_budget_bytes`]
-//!   exactly like the closed-batch scheduler;
+//! * a **dispatcher thread** per front-end asks for the engine as soon
+//!   as its queue holds work, and whoever holds the engine forms the
+//!   batch — under the exec lock, from *everything the group has
+//!   queued*, oldest first, up to [`QueryService::effective_lanes`]
+//!   lanes. A busy engine therefore batches by itself (what arrives
+//!   while one batch runs is the next batch) and an idle one starts at
+//!   once; [`ServiceConfig::max_batch_delay`] (zero by default) lets a
+//!   dispatcher hold its oldest traversal back that long for the
+//!   backlog to reach the lane cap first. The cap honours
+//!   [`SchedulerConfig::memory_budget_bytes`] exactly like the
+//!   closed-batch scheduler;
 //! * batches execute on a long-lived
 //!   [`cgraph_comm::PersistentCluster`] via
-//!   [`DistributedEngine::run_traversal_batch_on`], so no machine
+//!   [`DistributedEngine::run_traversal_batch_recoverable`], so no machine
 //!   threads are spawned per batch — the serving path amortises thread
 //!   start-up across the whole stream;
 //! * per-query latency — admission wait plus batch execution — flows
@@ -78,8 +82,10 @@
 //! ([`cgraph_graph::UpdateBatch`]) without touching the serving
 //! snapshot; [`QueryService::commit_epoch`] — or crossing
 //! [`MutationConfig::commit_threshold`] — asks the dispatcher to fold
-//! them in **between batches**: batch formation is naturally quiesced
-//! (the dispatcher is single-threaded), the buffered updates become a
+//! them in **between batches**: the dispatcher that next holds the
+//! exec lock commits before it forms its batch (formation and execution
+//! both need that lock, so the group is quiesced), the buffered updates
+//! become a
 //! new engine snapshot via [`DistributedEngine::with_updates`]
 //! (delta-overlay publish, or a full CSR/CSC fold past
 //! [`MutationConfig::fold_threshold`]), the graph epoch advances, and
@@ -207,9 +213,9 @@ impl std::error::Error for ServiceError {}
 /// Knobs of the query plane sitting between admission and the engine:
 /// result caching, in-flight coalescing and locality-aware packing.
 /// Everything defaults to *off*, in which case batch formation is
-/// byte-identical to the plain FIFO fill-or-deadline service (except
-/// that identical traversals never occupy two lanes of one batch —
-/// that de-duplication is unconditional).
+/// plain FIFO over the group's backlog (except that identical
+/// traversals never occupy two lanes of one batch — that
+/// de-duplication is unconditional).
 #[derive(Clone, Debug)]
 pub struct QueryPlaneConfig {
     /// Result-cache capacity in bytes (`None` — the default — disables
@@ -222,7 +228,7 @@ pub struct QueryPlaneConfig {
     /// duplicate of its key.
     pub coalesce: bool,
     /// Pack batches by source partition locality instead of plain
-    /// FIFO when the queue overflows one batch.
+    /// FIFO when the group's backlog overflows one batch.
     pub pack_locality: bool,
     /// Fairness bound for locality packing: a traversal passed over
     /// this many batches is promoted to mandatory, so cold-partition
@@ -267,14 +273,25 @@ impl Default for MutationConfig {
 /// Tuning knobs for a [`QueryService`].
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// Batch shaping shared with the closed-batch scheduler: lane
-    /// width, subgraph sharing, and the memory budget that narrows the
-    /// effective lane count. (`use_sim_time` is ignored — a serving
-    /// latency is inherently wall clock.)
+    /// Batch shaping shared with the closed-batch scheduler: the lane
+    /// cap, subgraph sharing, and the memory budget that narrows the
+    /// cap. `batch_lanes` is the most lanes one batch holds — one cap
+    /// for the whole group, since a batch is formed from every
+    /// replica's queue; a batch with fewer lanes runs at the width they
+    /// need. The service defaults it to 128 (two words a row: on this
+    /// engine a query keeps getting cheaper up to there, and a cap on a
+    /// stride boundary lets a closed loop settle on full batches),
+    /// where [`SchedulerConfig::default`] — the paper's closed-batch
+    /// path — stays 64. (`use_sim_time` is ignored — a serving latency
+    /// is inherently wall clock.)
     pub scheduler: SchedulerConfig,
-    /// How long the oldest admitted traversal may wait before a
-    /// partially-filled batch is flushed anyway. Trades per-query
-    /// latency against batch fill (throughput).
+    /// How long a dispatcher lets its oldest queued traversal wait for
+    /// the group's backlog to reach the lane cap before it asks for the
+    /// engine. Zero — the default — starts as soon as the engine is
+    /// free: while a batch runs, arrivals queue and form the next one,
+    /// so a busy service batches without waiting, and an idle one has
+    /// nothing to wait for. A linger trades per-query latency for fill
+    /// only between those two regimes.
     pub max_batch_delay: Duration,
     /// Admission-queue depth, in traversals, above which submitters
     /// block. A query's traversals are always admitted together, so
@@ -344,8 +361,8 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            scheduler: SchedulerConfig::default(),
-            max_batch_delay: Duration::from_millis(2),
+            scheduler: SchedulerConfig { batch_lanes: 128, ..SchedulerConfig::default() },
+            max_batch_delay: Duration::ZERO,
             max_queue_depth: 1024,
             fault_plan: None,
             query_deadline: None,
@@ -573,7 +590,8 @@ use shared::{apply_updates_core, commit_epoch_core, open_fresh_plane, open_recov
 /// replica (admission queue, result cache, coalescer, dispatcher
 /// thread) attached to a shared core (engine, cluster, mutation
 /// buffer, durability, epoch). [`ServiceGroup`] attaches N replicas
-/// to one core — everything documented here holds per replica there.
+/// to one core — admission, caching and coalescing hold per replica
+/// there; batches are formed across all of them.
 ///
 /// ```
 /// use cgraph_core::{DistributedEngine, EngineConfig, KhopQuery,
@@ -696,8 +714,9 @@ impl QueryService {
     }
 
     /// Asks a dispatcher to fold every buffered update into a new
-    /// serving snapshot and blocks until it has: batch formation is
-    /// quiesced — group-wide, under the shared execution lock — the
+    /// serving snapshot and blocks until it has: the next dispatcher to
+    /// hold the shared execution lock commits before it forms a batch —
+    /// formation is quiesced group-wide — the
     /// buffered updates become a new engine snapshot, the graph epoch
     /// advances by one, and cached results of older epochs are fenced
     /// on **every** attached replica. Returns the new epoch. An empty

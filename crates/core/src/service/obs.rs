@@ -46,6 +46,9 @@ pub(super) struct ServiceObs {
     pub(super) queue_depth: Arc<Gauge>,
     pub(super) batch_width: Arc<Gauge>,
     pub(super) batch_lanes: Arc<Histogram>,
+    pub(super) exec_lock_wait: Arc<Histogram>,
+    pub(super) formation: Arc<Histogram>,
+    pub(super) fanout: Arc<Histogram>,
     pub(super) admission_wait: Arc<Histogram>,
     pub(super) exec: Arc<Histogram>,
     pub(super) response: Arc<Histogram>,
@@ -178,13 +181,30 @@ impl ServiceObs {
             ),
             batch_width: m.gauge(
                 "cgraph_service_batch_width",
-                "Bit width of the packed traversal state (64/128/256/512); \
-                 fixed at start-up by the lane count and memory budget.",
+                "Bit width of the traversal state a batch at the lane cap packs into \
+                 (64/128/256/512), fixed at start-up by the cap and the memory budget; \
+                 a narrower batch runs at the width its own lanes need.",
             ),
             batch_lanes: m.histogram(
                 "cgraph_service_batch_lanes",
-                "Lane occupancy of dispatched batches (fill-or-deadline packing).",
+                "Lanes of each dispatched batch, formed group-wide up to the lane cap \
+                 (the last finite edge).",
                 &log2_edges(lanes.next_power_of_two().trailing_zeros() + 1),
+            ),
+            exec_lock_wait: m.histogram(
+                "cgraph_service_exec_lock_wait_seconds",
+                "Per batch, wall: from a dispatcher's work coming due to its taking the exec lock.",
+                &LOG_LATENCY_EDGES_SECS,
+            ),
+            formation: m.histogram(
+                "cgraph_service_formation_seconds",
+                "Per batch, wall: batch formation over every replica's queue, under the exec lock.",
+                &LOG_LATENCY_EDGES_SECS,
+            ),
+            fanout: m.histogram(
+                "cgraph_service_fanout_seconds",
+                "Per batch, wall: replying to the batch's tickets, after the exec lock is released.",
+                &LOG_LATENCY_EDGES_SECS,
             ),
             admission_wait: m.histogram(
                 "cgraph_service_admission_wait_seconds",
@@ -285,7 +305,7 @@ impl ServiceObs {
             ),
             commit_lock_hold: m.histogram(
                 "cgraph_commit_lock_hold_seconds",
-                "How long each epoch commit held the group-wide exec lock.",
+                "How long each epoch commit kept the group-wide exec lock from the next batch.",
                 &LOG_LATENCY_EDGES_SECS,
             ),
             durability_wal_records: m.counter(

@@ -1,25 +1,50 @@
 //! Per-replica state and the dispatcher loop.
 //!
 //! A [`Replica`] is one query front-end: its own admission queue,
-//! result cache, coalescer and packer knobs, and one dispatcher
-//! thread. Everything a replica cannot own alone — the engine
-//! snapshot chain, the persistent cluster, the mutation buffer, the
-//! durability plane, the epoch — lives in the
-//! [`SharedCore`](super::shared::SharedCore) it is attached to.
-//! Replicas serialise on the core's exec lock only for the cluster
-//! round-trip itself; admission, cache probes, coalescing and batch
-//! formation run concurrently across replicas.
+//! result cache and coalescer, and one dispatcher thread. Everything a
+//! replica cannot own alone — the engine snapshot chain, the persistent
+//! cluster, the mutation buffer, the durability plane, the epoch —
+//! lives in the [`SharedCore`](super::shared::SharedCore) it is
+//! attached to.
+//!
+//! Admission — cache and index probes, mid-flight coalescing, the
+//! queue — runs concurrently across replicas and never touches the
+//! core's exec lock. Everything from there to the answer has **one
+//! formation point**: a dispatcher whose replica has work due takes the
+//! exec lock *first* and, holding it, serves the whole group —
+//!
+//! 1. a due epoch commit ([`run_commit`]), at the batch boundary;
+//! 2. formation ([`form_batch`]): one batch of up to
+//!    [`SharedCore::lanes`] lanes from **every** replica's queue, under
+//!    every replica's `state` lock (lock order exec → `state`, see
+//!    [`shared`](super::shared)), including the replies to queued
+//!    traversals the caches or the index can answer by now and to those
+//!    whose deadline passed;
+//! 3. the engine call with its retries and degradation
+//!    ([`execute_batch`]): every replica's lanes in one
+//!    `run_traversal_batch_recoverable`;
+//! 4. cache insertion and the coalescers' hand-back ([`commit_batch`]),
+//!    per replica a lane came from, under the stats gate;
+//!
+//! and, **after** the lock is released, the per-ticket fan-out
+//! ([`Finished::reply`]), so the next batch's scan overlaps it. A batch
+//! is formed under the lock it runs under: its epoch is the epoch it
+//! executes against, the lanes that arrived while the previous batch ran
+//! are in it, and which dispatcher wins the (unfair) mutex does not
+//! matter — the holder drains every queue, so none can starve.
 
-use super::shared::{degrade, perform_commit, quiesce_durability, take_commit_request, SharedCore};
+use super::shared::{
+    degrade, perform_commit, quiesce_durability, take_commit_request, ExecCtx, SharedCore,
+};
 use super::{lock, wait, QueryTicket, ServiceError};
 use crate::engine::{BatchResult, EngineError, FaultInjection};
 use crate::query::{KhopQuery, QueryResult};
 use cgraph_cache::{
-    pack_fifo, pack_locality, CacheKey, CachedTraversal, Coalescer, PackItem, PackPolicy,
+    plan_batch, CacheKey, CachedTraversal, Coalescer, Fate, FormItem, FormPolicy, PackPolicy,
     ResultCache,
 };
 use cgraph_comm::ClusterError;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -31,8 +56,8 @@ pub(super) struct Traversal {
     pub(super) submitted: Instant,
     pub(super) deadline: Option<Instant>,
     pub(super) ticket: Arc<TicketState>,
-    /// Batches this traversal has been passed over by locality
-    /// packing — the packer's fairness bound caps it.
+    /// Batches this traversal has been left queued by — the locality
+    /// packer's fairness bound caps it.
     pub(super) skips: u32,
 }
 
@@ -51,6 +76,10 @@ pub(super) struct LaneGroup {
     pub(super) key: CacheKey,
     pub(super) primary: Traversal,
     pub(super) followers: Vec<Traversal>,
+    /// The replicas a member of this lane was queued on, as positions
+    /// in the batch's replica list — almost always one. Each gets the
+    /// result in its cache and hands back what its coalescer collected.
+    pub(super) homes: Vec<usize>,
 }
 
 /// Shared completion state of one query across its traversals.
@@ -85,14 +114,12 @@ pub(super) struct QueueState {
     pub(super) published_depth: i64,
 }
 
-/// The per-replica slice of the query plane: result cache, in-flight
-/// coalescer, and batch-packing knobs. The graph epoch these key
-/// against is shared — it lives on the core.
+/// The per-replica slice of the query plane: result cache and
+/// in-flight coalescer. The graph epoch these key against is shared —
+/// it lives on the core — and so is packing, which is group-wide.
 pub(super) struct QueryPlane {
     pub(super) cache: Option<Mutex<ResultCache>>,
     pub(super) coalescer: Option<Mutex<Coalescer<CacheKey, Traversal>>>,
-    pub(super) pack_locality: bool,
-    pub(super) fairness: u32,
 }
 
 impl QueryPlane {
@@ -100,8 +127,6 @@ impl QueryPlane {
         Self {
             cache: cfg.cache_capacity_bytes.map(|b| Mutex::new(ResultCache::new(b))),
             coalescer: cfg.coalesce.then(|| Mutex::new(Coalescer::new())),
-            pack_locality: cfg.pack_locality,
-            fairness: cfg.locality_fairness,
         }
     }
 }
@@ -272,88 +297,50 @@ pub(super) fn submit(
     Ok(QueryTicket { rx, deadline })
 }
 
-/// What the dispatcher's wait loop decided to do next.
-enum Step {
-    /// An epoch commit is due — run it (any replica's dispatcher may).
-    Commit,
-    /// A batch formed under the state lock — execute it.
-    Batch(FormedBatch),
-    /// Closed and drained — leave the loop (unless a late commit
-    /// request slipped in; see [`exit_replica`]).
-    Exit,
-}
-
-/// The dispatcher: block for work, pack a batch under the
-/// fill-or-deadline policy, execute it on the shared persistent
-/// cluster, fan results back out to tickets. Epoch commits run here
-/// too — under the core's exec lock, strictly *between* batches
-/// group-wide. Exits once this replica is closed *and* drained
-/// (queries and pending commits).
+/// The dispatcher: block until this replica has work due, take the
+/// exec lock, and serve **the group** under it — perform a due epoch
+/// commit, form one batch from every replica's admission queue, run it
+/// on the shared persistent cluster, commit its results to the caches —
+/// then drop the lock and fan the results out to their tickets. Whoever
+/// holds the lock serves every queue, so it does not matter which
+/// dispatcher an unfair mutex favours: no replica's queue can starve,
+/// and a batch is as wide as the group's backlog, not as one replica's.
+/// Exits once this replica is closed *and* drained (queries and pending
+/// commits).
 pub(super) fn dispatch_loop(core: &Arc<SharedCore>, replica: &Replica) {
     loop {
-        let step = {
-            let mut st = lock(&replica.state);
-            loop {
-                // A due commit preempts batch formation: queued
-                // traversals are keyed (and executed) under the *new*
-                // epoch once the commit lands.
-                if lock(&core.pending).requested {
-                    break Step::Commit;
-                }
-                if st.queue.is_empty() {
-                    if st.closed {
-                        break Step::Exit;
-                    }
-                    st = wait(&replica.work, st);
-                    continue;
-                }
-                if st.queue.len() >= core.lanes || st.closed {
-                    // Filled (or draining after shutdown).
-                } else {
-                    let age = st.queue.front().expect("non-empty").submitted.elapsed();
-                    if age < core.config.max_batch_delay {
-                        let (g, _) = replica
-                            .work
-                            .wait_timeout(st, core.config.max_batch_delay - age)
-                            .unwrap_or_else(|e| e.into_inner());
-                        st = g;
-                        continue;
-                    }
-                    // Deadline: flush the partial batch.
-                }
-                let formed = form_batch(core, replica, &mut st);
-                publish_depth(core, &mut st);
-                replica.space.notify_all();
-                break Step::Batch(formed);
+        let Some(due) = wait_until_due(core, replica) else {
+            if exit_replica(core) {
+                return;
             }
+            // A commit request arrived after the queue drained —
+            // loop back and serve it before exiting.
+            continue;
         };
-        let formed = match step {
-            Step::Commit => {
-                run_commit(core);
-                continue;
-            }
-            Step::Exit => {
-                if exit_replica(core) {
-                    return;
-                }
-                // A commit request arrived after the queue drained —
-                // loop back and serve it before exiting.
-                continue;
-            }
-            Step::Batch(formed) => formed,
-        };
+        let mut guard = lock(&core.exec);
+        let taken = Instant::now();
+        // A due commit goes first: the batch below is then formed,
+        // keyed and executed under the *new* epoch.
+        run_commit(core, &mut guard);
+        let forming = Instant::now();
+        let formed = form_batch(core, &guard);
+        let formation = forming.elapsed();
+
         for t in formed.expired {
             complete_traversal(core, &t.ticket, Err(ServiceError::DeadlineExceeded));
         }
-        let seq_now = core.batch_seq.load(Ordering::SeqCst);
-        if !formed.hits.is_empty() {
-            core.obs.instant("cache_hit", seq_now, 0, formed.hits.len() as u64);
+        // Formed under the lock: the sequence number is this batch's job.
+        let job = core.batch_seq.load(Ordering::SeqCst);
+        if formed.cache_hits > 0 {
+            core.obs.instant("cache_hit", job, 0, formed.cache_hits);
         }
-        if replica.plane.cache.is_some() && !formed.groups.is_empty() {
+        if core.config.query_plane.cache_capacity_bytes.is_some() && !formed.groups.is_empty() {
             // The lanes actually dispatched are the misses that
             // stayed misses all the way to batch formation.
-            core.obs.instant("cache_miss", seq_now, 0, formed.groups.len() as u64);
+            core.obs.instant("cache_miss", job, 0, formed.groups.len() as u64);
         }
+        // Queued traversals the cache or the index can answer by now
+        // are answered before the engine runs, not after it.
         for (t, v) in formed.hits {
             let wait = t.submitted.elapsed();
             complete_traversal(
@@ -362,27 +349,75 @@ pub(super) fn dispatch_loop(core: &Arc<SharedCore>, replica: &Replica) {
                 Ok((v.visited, v.per_level, wait, Duration::ZERO, formed.epoch)),
             );
         }
-        for (t, ans) in formed.index_hits {
-            let wait = t.submitted.elapsed();
-            complete_traversal(
-                core,
-                &t.ticket,
-                Ok((ans.visited, ans.per_level, wait, Duration::ZERO, formed.epoch)),
-            );
+        if formed.groups.is_empty() {
+            // Another holder already served this replica's queue.
+            continue;
         }
-        if !formed.groups.is_empty() {
-            execute_batch(core, replica, formed.groups);
-        }
+        core.obs.exec_lock_wait.observe_duration(taken.duration_since(due));
+        core.obs.formation.observe_duration(formation);
+        let finished = execute_batch(core, &mut guard, &formed.replicas, formed.groups);
+        drop(guard);
+        // Replies hold neither the exec lock nor the stats gate: the
+        // next batch's scan overlaps them.
+        let replying = Instant::now();
+        finished.reply(core);
+        core.obs.fanout.observe_duration(replying.elapsed());
     }
 }
 
-/// Runs a due epoch commit under the exec lock (the group-wide
-/// quiesce) and the stats fence. Idempotent across racing dispatchers:
-/// [`take_commit_request`] hands the batch to exactly one.
-fn run_commit(core: &Arc<SharedCore>) {
-    let mut guard = lock(&core.exec);
-    let held = Instant::now();
-    let ctx = &mut *guard;
+/// Blocks until `replica` has work for the engine and returns the
+/// instant it became due — a commit was requested, or a queued
+/// traversal's linger is over — or `None` once the replica is closed
+/// and drained.
+///
+/// The linger is the one place the service waits for lanes: a
+/// dispatcher lets its oldest traversal wait up to
+/// [`ServiceConfig::max_batch_delay`](super::ServiceConfig::max_batch_delay)
+/// for the group's backlog to reach the lane cap. At the default of
+/// zero it asks for the engine at once: a busy engine batches by
+/// itself — what arrives while a batch runs is the next batch — and an
+/// idle one should start.
+fn wait_until_due(core: &SharedCore, replica: &Replica) -> Option<Instant> {
+    let mut st = lock(&replica.state);
+    loop {
+        if lock(&core.pending).requested {
+            break;
+        }
+        let Some(oldest) = st.queue.front() else {
+            if st.closed {
+                return None;
+            }
+            st = wait(&replica.work, st);
+            continue;
+        };
+        // A closed replica drains at once. The backlog is the
+        // group-wide gauge every replica publishes its depth to.
+        let filled = core.obs.queue_depth.get() >= core.lanes as i64;
+        if !filled && !st.closed {
+            let age = oldest.submitted.elapsed();
+            if age < core.config.max_batch_delay {
+                let (g, _) = replica
+                    .work
+                    .wait_timeout(st, core.config.max_batch_delay - age)
+                    .unwrap_or_else(|e| e.into_inner());
+                st = g;
+                continue;
+            }
+        }
+        break;
+    }
+    Some(Instant::now())
+}
+
+/// Performs a due epoch commit under the exec lock the caller holds —
+/// the group-wide quiesce, at a batch boundary — and the stats fence.
+/// Idempotent across dispatchers: [`take_commit_request`] hands the
+/// batch to exactly one.
+fn run_commit(core: &Arc<SharedCore>, ctx: &mut ExecCtx) {
+    if !lock(&core.pending).requested {
+        return;
+    }
+    let started = Instant::now();
     let gate = lock(&core.stats_gate);
     let next_epoch = ctx.engine.graph_epoch() + 1;
     let Some((updates, waiters, wal_seq)) = take_commit_request(core, next_epoch) else {
@@ -390,9 +425,7 @@ fn run_commit(core: &Arc<SharedCore>) {
     };
     perform_commit(core, ctx, updates, waiters, wal_seq);
     drop(gate);
-    let held = held.elapsed();
-    drop(guard);
-    core.obs.commit_lock_hold.observe_duration(held);
+    core.obs.commit_lock_hold.observe_duration(started.elapsed());
 }
 
 /// The drained-and-closed exit path. Returns `false` when a commit
@@ -425,176 +458,166 @@ fn exit_replica(core: &SharedCore) -> bool {
     true
 }
 
-/// Output of one batch-formation pass over the admission queue.
+/// Output of one formation pass over the group's admission queues.
+#[derive(Default)]
 struct FormedBatch {
+    /// The replicas whose queues were read; [`LaneGroup::homes`]
+    /// indexes this list.
+    replicas: Vec<Arc<Replica>>,
     /// Lanes to execute (primary + identical-key followers each).
     groups: Vec<LaneGroup>,
-    /// Traversals answered by the result cache at pack time (their key
-    /// was committed by an earlier batch while they sat queued).
+    /// Traversals answered at pack time without a lane: their key was
+    /// committed to their replica's cache by an earlier batch while
+    /// they sat queued, or the index rebuilt by a commit covers them.
     hits: Vec<(Traversal, CachedTraversal)>,
-    /// Traversals answered by the reachability index at pack time
-    /// (admitted before the current index existed — e.g. across an
-    /// epoch commit that rebuilt it).
-    index_hits: Vec<(Traversal, crate::index_api::IndexAnswer)>,
+    /// How many of `hits` the result caches answered.
+    cache_hits: u64,
     /// Traversals whose query deadline elapsed while queued.
     expired: Vec<Traversal>,
-    /// Graph epoch the batch was formed under — its admission epoch.
-    /// A cross-replica commit may land between formation and the exec
-    /// lock; [`execute_batch`] re-reads the epoch under that lock and
-    /// keys results to what it actually ran against.
+    /// Graph epoch the batch was formed under. Formation holds the
+    /// exec lock, so this *is* the epoch the batch executes against.
     epoch: u64,
 }
 
-/// Forms one batch under the state lock: sweeps the queue against the
-/// result cache, selects up to [`SharedCore::lanes`] distinct keys
-/// (FIFO or locality-packed), collapses identical-key duplicates into
-/// followers, and — with coalescing on — registers every selected key
-/// as in flight so late arrivals can attach mid-batch.
-fn form_batch(core: &SharedCore, replica: &Replica, st: &mut QueueState) -> FormedBatch {
-    let epoch = core.epoch.load(Ordering::SeqCst);
-
-    // 1. Cache sweep: keys committed since these traversals were
-    // admitted are answered now, before they cost a lane. The whole
-    // queue is swept, not just this batch's window — a hit behind the
-    // window frees queue space all the same.
-    let mut hits = Vec::new();
-    if let Some(cm) = &replica.plane.cache {
-        let mut c = lock(cm);
-        let mut i = 0;
-        while i < st.queue.len() {
-            let key = st.queue[i].key(epoch);
-            if let Some(v) = c.get(&key) {
-                let v = v.clone();
-                let t = st.queue.remove(i).expect("index in range");
-                hits.push((t, v));
-            } else {
-                i += 1;
-            }
-        }
-        core.obs.cache_hits.add(hits.len() as u64);
-    }
-
-    // 1b. Index sweep: same shape as the cache sweep, against the
-    // current-epoch reachability index. Catches traversals admitted
-    // before this index existed (it is rebuilt at every commit).
-    let mut index_hits = Vec::new();
-    if let Some(ix) = core.current_index(epoch) {
-        let mut i = 0;
-        while i < st.queue.len() {
-            match ix.answer(st.queue[i].source, st.queue[i].k) {
-                Some(ans) => {
-                    let t = st.queue.remove(i).expect("index in range");
-                    index_hits.push((t, ans));
-                }
-                None => i += 1,
-            }
-        }
-        core.obs.index_only_answers.add(index_hits.len() as u64);
-    }
-
-    // 2. Lane selection: which queue positions anchor this batch.
-    let sel: Vec<usize> = if replica.plane.pack_locality && st.queue.len() > core.lanes {
-        let engine = Arc::clone(&lock(&core.live_engine));
-        let part = engine.partition();
-        let items: Vec<PackItem> = st
-            .queue
-            .iter()
-            .map(|t| PackItem { partition: part.owner(t.source), skips: t.skips })
-            .collect();
-        pack_locality(&items, core.lanes, PackPolicy { fairness_bound: replica.plane.fairness })
-    } else {
-        pack_fifo(st.queue.len(), core.lanes)
+/// Forms one batch from every live replica's admission queue, under
+/// the exec lock (`ctx` proves it) and every replica's state lock:
+/// sweeps each queue against its replica's result cache and the index,
+/// fails what has expired, and hands the rest to
+/// [`plan_batch`] — up to [`SharedCore::lanes`] distinct keys, oldest
+/// first (or locality-packed), identical keys collapsed into followers
+/// whichever replica queued them. With coalescing on, every selected
+/// key is registered as in flight on each replica it came from, so late
+/// arrivals attach mid-batch.
+fn form_batch(core: &SharedCore, ctx: &ExecCtx) -> FormedBatch {
+    let epoch = ctx.engine.graph_epoch();
+    let mut formed = FormedBatch { replicas: core.replica_list(), epoch, ..Default::default() };
+    let FormedBatch { replicas, groups, hits, cache_hits, expired, .. } = &mut formed;
+    // exec → state, in list order; only the exec holder takes two.
+    let mut states: Vec<_> = replicas.iter().map(|r| lock(&r.state)).collect();
+    // Arrival stamps count from the oldest queue head.
+    let Some(base) = states.iter().filter_map(|st| Some(st.queue.front()?.submitted)).min() else {
+        drop(states);
+        return formed;
     };
 
-    // 3. Grouping walk. Identical `(source, k)` traversals never take
-    // two lanes: within the selection window duplicates always
-    // collapse into followers; with coalescing on, the walk extends
-    // over the whole queue, attaching every queued duplicate of a
-    // selected key and refilling lanes duplicates freed.
-    let deep = replica.plane.coalescer.is_some();
-    let mut in_sel = vec![false; st.queue.len()];
-    for &i in &sel {
-        in_sel[i] = true;
-    }
-    let scan: Vec<usize> = if deep {
-        sel.iter().copied().chain((0..st.queue.len()).filter(|&i| !in_sel[i])).collect()
-    } else {
-        sel
-    };
-    let mut group_of: HashMap<CacheKey, usize> = HashMap::new();
-    // (queue index, group ordinal) of every traversal leaving the queue.
-    let mut assign: Vec<(usize, usize)> = Vec::new();
-    let mut n_groups = 0usize;
-    for i in scan {
-        let key = st.queue[i].key(epoch);
-        if let Some(&g) = group_of.get(&key) {
-            assign.push((i, g));
-        } else if n_groups < core.lanes {
-            group_of.insert(key, n_groups);
-            assign.push((i, n_groups));
-            n_groups += 1;
-        }
-    }
-    core.obs.cache_coalesced.add((assign.len() - n_groups) as u64);
-
-    // Pull assigned traversals out (descending index keeps the
-    // remaining indices valid), then rebuild FIFO order per group.
-    assign.sort_by_key(|&(i, _)| std::cmp::Reverse(i));
-    let mut pulled: Vec<(usize, usize, Traversal)> = assign
-        .into_iter()
-        .map(|(i, g)| (g, i, st.queue.remove(i).expect("index in range")))
-        .collect();
-    pulled.sort_by_key(|&(g, i, _)| (g, i));
-    let mut groups: Vec<LaneGroup> = Vec::with_capacity(n_groups);
-    for (g, _, t) in pulled {
-        if g == groups.len() {
-            let key = t.key(epoch);
-            groups.push(LaneGroup { key, primary: t, followers: Vec::new() });
-        } else {
-            groups[g].followers.push(t);
-        }
-    }
-
-    // 4. Deadline policy: members whose query deadline already passed
-    // are failed up front rather than spending cluster time on them.
+    // 1. What each queued traversal is, for the planner. The whole
+    // queue is swept against the cache and the index, not just this
+    // batch's window — a hit behind the window frees queue space all
+    // the same, and an expired traversal never costs a lane.
+    let plane = &core.config.query_plane;
+    let index = core.current_index(epoch);
     let now = Instant::now();
-    let mut expired = Vec::new();
-    let live = |t: &Traversal| t.deadline.is_none_or(|d| now < d);
-    let mut surviving = Vec::with_capacity(groups.len());
-    for g in groups {
-        let LaneGroup { key, primary, followers } = g;
-        let (keep, dead): (Vec<_>, Vec<_>) = followers.into_iter().partition(live);
-        expired.extend(dead);
-        if live(&primary) {
-            surviving.push(LaneGroup { key, primary, followers: keep });
-        } else {
-            // The primary expired: promote the oldest live follower,
-            // or drop the lane entirely.
-            expired.push(primary);
-            let mut members = keep.into_iter();
-            if let Some(p) = members.next() {
-                surviving.push(LaneGroup { key, primary: p, followers: members.collect() });
+    let mut index_hits = 0u64;
+    let mut answers: Vec<Vec<Option<CachedTraversal>>> = Vec::with_capacity(states.len());
+    let mut queues: Vec<Vec<FormItem>> = Vec::with_capacity(states.len());
+    for (replica, st) in replicas.iter().zip(&states) {
+        let mut cache = replica.plane.cache.as_ref().map(lock);
+        let mut found = Vec::with_capacity(st.queue.len());
+        let items = st.queue.iter().map(|t| {
+            let cached = cache.as_mut().and_then(|c| c.get(&t.key(epoch)).cloned());
+            let answer = cached.inspect(|_| *cache_hits += 1).or_else(|| {
+                let a = index.as_ref()?.answer(t.source, t.k)?;
+                index_hits += 1;
+                Some(CachedTraversal { visited: a.visited, per_level: a.per_level })
+            });
+            let item = FormItem {
+                key: (t.source, t.k),
+                age: t.submitted.duration_since(base).as_nanos() as u64,
+                partition: if plane.pack_locality {
+                    ctx.engine.partition().owner(t.source)
+                } else {
+                    0
+                },
+                skips: t.skips,
+                hit: answer.is_some(),
+                expired: t.deadline.is_some_and(|d| now >= d),
+            };
+            found.push(answer);
+            item
+        });
+        queues.push(items.collect());
+        answers.push(found);
+    }
+    core.obs.cache_hits.add(*cache_hits);
+    core.obs.index_only_answers.add(index_hits);
+
+    // 2. The plan: which traversal leaves which way.
+    let plan = plan_batch(
+        &queues,
+        FormPolicy {
+            cap: core.lanes,
+            locality: plane
+                .pack_locality
+                .then_some(PackPolicy { fairness_bound: plane.locality_fairness }),
+            deep: plane.coalesce,
+        },
+    );
+
+    // 3. Carry it out, queue by queue in place. What stays behind is
+    // aged — locality packing's fairness bound counts these skips.
+    // A lane's primary, followers and homes; a follower queued on an
+    // earlier replica is met before its primary.
+    type Lane = (Option<Traversal>, Vec<Traversal>, Vec<usize>);
+    let mut lanes: Vec<Lane> = (0..plan.lanes).map(|_| (None, Vec::new(), Vec::new())).collect();
+    let mut n_followers = 0u64;
+    for (r, st) in states.iter_mut().enumerate() {
+        for (fate, answer) in plan.fates[r].iter().zip(answers[r].drain(..)) {
+            let mut t = st.queue.pop_front().expect("one fate per queued traversal");
+            let lane = match *fate {
+                Fate::Queued => {
+                    t.skips = t.skips.saturating_add(1);
+                    st.queue.push_back(t);
+                    continue;
+                }
+                Fate::Hit => {
+                    hits.push((t, answer.expect("a hit carries its answer")));
+                    continue;
+                }
+                Fate::Expired => {
+                    expired.push(t);
+                    continue;
+                }
+                Fate::Primary(lane) => {
+                    lanes[lane].0 = Some(t);
+                    lane
+                }
+                Fate::Follower(lane) => {
+                    lanes[lane].1.push(t);
+                    n_followers += 1;
+                    lane
+                }
+            };
+            if !lanes[lane].2.contains(&r) {
+                lanes[lane].2.push(r);
             }
         }
     }
-    let groups = surviving;
+    core.obs.cache_coalesced.add(n_followers);
+    *groups = lanes
+        .into_iter()
+        .map(|(primary, followers, homes)| {
+            let primary = primary.expect("every planned lane has a primary");
+            LaneGroup { key: primary.key(epoch), primary, followers, homes }
+        })
+        .collect();
 
-    // 5. Register surviving keys as in flight so identical queries
-    // submitted while the batch runs attach instead of re-queueing.
-    if let Some(co) = &replica.plane.coalescer {
-        let mut co = lock(co);
-        for g in &groups {
-            co.begin(g.key);
+    // 4. Register the keys as in flight, on every replica a lane came
+    // from, so identical queries submitted there while the batch runs
+    // attach instead of re-queueing.
+    for (r, replica) in replicas.iter().enumerate() {
+        if let Some(co) = &replica.plane.coalescer {
+            let mut co = lock(co);
+            for g in groups.iter().filter(|g| g.homes.contains(&r)) {
+                co.begin(g.key);
+            }
         }
     }
-
-    // 6. Age everything left behind — locality packing's fairness
-    // bound counts these skips.
-    for t in st.queue.iter_mut() {
-        t.skips = t.skips.saturating_add(1);
+    for (replica, st) in replicas.iter().zip(states.iter_mut()) {
+        publish_depth(core, st);
+        replica.space.notify_all();
     }
-
-    FormedBatch { groups, hits, index_hits, expired, epoch }
+    drop(states);
+    formed
 }
 
 /// Exponential backoff with deterministic jitter (splitmix64 of the
@@ -622,16 +645,40 @@ pub(super) fn backoff_delay_for_test(base: Duration, retry: u32, job: u64) -> Du
     backoff_delay(base, retry, job)
 }
 
+/// A batch the engine is done with, ready to be answered once the
+/// exec lock is released.
+enum Finished {
+    /// The engine returned `Ok`; the caches hold the results.
+    Done { groups: Vec<LaneGroup>, result: BatchResult, dispatched: Instant, epoch: u64 },
+    /// Retries exhausted; nothing entered a cache.
+    Failed { groups: Vec<LaneGroup>, error: EngineError },
+}
+
+impl Finished {
+    /// Answers every ticket of the batch. Takes no service lock beyond
+    /// the per-ticket and latency-sample leaves.
+    fn reply(self, core: &SharedCore) {
+        match self {
+            Finished::Done { groups, result, dispatched, epoch } => {
+                fan_out(core, groups, &result, dispatched, epoch)
+            }
+            Finished::Failed { groups, error } => fail_groups(core, groups, &error),
+        }
+    }
+}
+
 /// Executes one formed batch on the shared cluster, under the core's
-/// exec lock — the group-wide mutual exclusion between batches,
-/// commits and degradations. The epoch is re-read under the lock: a
-/// cross-replica commit may have landed since formation, in which case
-/// the batch runs against (and its results are keyed and labelled
-/// with) the *new* snapshot — never a stale one.
-fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
-    let mut guard = lock(&core.exec);
-    let ctx = &mut *guard;
-    let exec_epoch = ctx.engine.graph_epoch();
+/// exec lock (`ctx` proves it) — the group-wide mutual exclusion
+/// between batches, commits and degradations. The lanes of every
+/// replica run as one engine call; on `Ok` the results enter the caches
+/// before the lock is released, keyed to the epoch they ran against.
+fn execute_batch(
+    core: &SharedCore,
+    ctx: &mut ExecCtx,
+    replicas: &[Arc<Replica>],
+    mut groups: Vec<LaneGroup>,
+) -> Finished {
+    let epoch = ctx.engine.graph_epoch();
     let job = core.batch_seq.fetch_add(1, Ordering::SeqCst);
 
     let sources: Vec<u64> = groups.iter().map(|g| g.primary.source).collect();
@@ -661,19 +708,17 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
             fault,
         );
         match run {
-            Ok((br, report)) => {
+            Ok((result, report)) => {
                 core.obs.batches_dispatched.inc();
                 core.obs.retries.add(u64::from(retry));
-                core.obs.record_batch(&report, br.supersteps);
-                core.obs.instant("batch_done", job, retry, u64::from(br.supersteps));
-                let engine = Arc::clone(&ctx.engine);
-                commit_batch(
-                    core, replica, groups, &br, dispatched, job, retry, exec_epoch, &engine,
-                );
-                return;
+                core.obs.record_batch(&report, result.supersteps);
+                core.obs.instant("batch_done", job, retry, u64::from(result.supersteps));
+                commit_batch(core, ctx, replicas, &mut groups, &result, job, retry);
+                return Finished::Done { groups, result, dispatched, epoch };
             }
-            Err(e) => {
-                if let EngineError::Cluster(ClusterError::MachinePanicked { machine, .. }) = &e {
+            Err(error) => {
+                if let EngineError::Cluster(ClusterError::MachinePanicked { machine, .. }) = &error
+                {
                     if let Some(b) = ctx.blame.get_mut(*machine) {
                         *b += 1;
                         let threshold = core.config.degrade_after;
@@ -683,7 +728,7 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
                         }
                     }
                 }
-                if e.is_recoverable() && retry < core.config.max_retries {
+                if error.is_recoverable() && retry < core.config.max_retries {
                     std::thread::sleep(backoff_delay(core.config.retry_backoff, retry, job));
                     retry += 1;
                     core.obs.instant("batch_retry", job, retry, 0);
@@ -691,66 +736,69 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
                 }
                 core.obs.retries.add(u64::from(retry));
                 core.obs.instant("batch_failed", job, retry, 0);
-                fail_groups(core, replica, groups, &e);
-                return;
+                // The keys leave the in-flight tables, so resubmission
+                // gets a fresh execution.
+                collect_waiters(replicas, &mut groups);
+                return Finished::Failed { groups, error };
             }
         }
     }
 }
 
-/// Commits a successful batch: populates this replica's result cache
-/// (this is the *only* insertion point — the engine returned `Ok`, so
-/// the result is the committed, bit-identical answer; crashed, retried
-/// or degraded attempts never reach here with partial state), drains
-/// coalesced mid-flight waiters, and fans the result out to every
-/// member of every lane group. Runs under the exec lock (the caller
-/// holds it), so `exec_epoch` is *the* current epoch for the whole
-/// body — results enter the cache keyed to the snapshot they actually
-/// ran against, and no commit can fence the cache mid-insert.
-#[allow(clippy::too_many_arguments)]
+/// Commits a successful batch, under the exec lock: populates the
+/// result cache of every replica a lane came from (this is the *only*
+/// insertion point — the engine returned `Ok`, so the result is the
+/// committed, bit-identical answer; crashed, retried or degraded
+/// attempts never reach here with partial state) and drains coalesced
+/// mid-flight waiters into their lanes. The lock makes the lanes' epoch
+/// *the* current epoch for the whole body — results enter the caches
+/// keyed to the snapshot they actually ran against, and no commit can
+/// fence a cache mid-insert.
 fn commit_batch(
     core: &SharedCore,
-    replica: &Replica,
-    mut groups: Vec<LaneGroup>,
+    ctx: &ExecCtx,
+    replicas: &[Arc<Replica>],
+    groups: &mut [LaneGroup],
     br: &BatchResult,
-    dispatched: Instant,
     job: u64,
     retry: u32,
-    exec_epoch: u64,
-    engine: &crate::engine::DistributedEngine,
 ) {
-    if let Some(cm) = &replica.plane.cache {
+    if core.config.query_plane.cache_capacity_bytes.is_some() {
         // The stats fence: insertion counters and cache occupancy move
         // together, so a stats snapshot never sees one without the
         // other.
         let _gate = lock(&core.stats_gate);
-        let mut inserted = 0u64;
-        let mut evicted = 0u64;
-        let (entries, bytes) = {
-            let mut c = lock(cm);
-            for (lane, g) in groups.iter().enumerate() {
-                let key = CacheKey { source: g.key.source, k: g.key.k, epoch: exec_epoch };
-                let mut per_level: Vec<u64> = br.per_level.iter().map(|row| row[lane]).collect();
-                while per_level.last() == Some(&0) {
-                    per_level.pop();
-                }
-                evicted += c
-                    .insert(key, CachedTraversal { visited: br.per_lane_visited[lane], per_level });
-                inserted += 1;
-                if let Some(h) = &core.heat {
-                    h.bump(replica.id, engine.partition().owner(g.key.source));
-                }
-            }
-            (c.len() as i64, c.used_bytes() as i64)
-        };
         let o = &core.obs;
+        let (mut inserted, mut evicted) = (0u64, 0u64);
+        for (r, replica) in replicas.iter().enumerate() {
+            let Some(cm) = &replica.plane.cache else { continue };
+            let (entries, bytes) = {
+                let mut c = lock(cm);
+                for (lane, g) in groups.iter().enumerate().filter(|(_, g)| g.homes.contains(&r)) {
+                    let mut per_level: Vec<u64> =
+                        br.per_level.iter().map(|row| row[lane]).collect();
+                    while per_level.last() == Some(&0) {
+                        per_level.pop();
+                    }
+                    evicted += c.insert(
+                        g.key,
+                        CachedTraversal { visited: br.per_lane_visited[lane], per_level },
+                    );
+                    inserted += 1;
+                    if let Some(h) = &core.heat {
+                        h.bump(replica.id, ctx.engine.partition().owner(g.key.source));
+                    }
+                }
+                (c.len() as i64, c.used_bytes() as i64)
+            };
+            // Delta publication: each replica adds its change to the
+            // group-wide gauges (updates happen under the exec lock,
+            // so the swap/add pair is never interleaved).
+            o.cache_entries.add(entries - replica.pub_entries.swap(entries, Ordering::SeqCst));
+            o.cache_bytes.add(bytes - replica.pub_bytes.swap(bytes, Ordering::SeqCst));
+        }
         o.cache_insertions.add(inserted);
         o.cache_evictions.add(evicted);
-        // Delta publication: each replica adds its change to the
-        // group-wide gauges (updates happen under the exec lock,
-        // so the swap/add pair is never interleaved).
-        o.cache_entries.add(entries - replica.pub_entries.swap(entries, Ordering::SeqCst));
-        o.cache_bytes.add(bytes - replica.pub_bytes.swap(bytes, Ordering::SeqCst));
         if inserted > 0 {
             o.instant("cache_insert", job, retry, inserted);
         }
@@ -758,17 +806,21 @@ fn commit_batch(
             o.instant("cache_evict", job, retry, evicted);
         }
     }
-    if let Some(co) = &replica.plane.coalescer {
-        // Completion uses the *formed* key — the one in-flight waiters
-        // attached under. When a commit moved the epoch mid-flight,
-        // late attachers formed at the new epoch simply miss and
-        // re-queue for a fresh execution; nothing leaks across epochs.
-        let mut co = lock(co);
-        for g in &mut groups {
-            g.followers.extend(co.complete(&g.key));
+    collect_waiters(replicas, groups);
+}
+
+/// Takes every lane's key out of the in-flight table of each replica
+/// it was registered on; whoever attached while the batch ran joins
+/// the lane's followers and shares its outcome.
+fn collect_waiters(replicas: &[Arc<Replica>], groups: &mut [LaneGroup]) {
+    for (r, replica) in replicas.iter().enumerate() {
+        if let Some(co) = &replica.plane.coalescer {
+            let mut co = lock(co);
+            for g in groups.iter_mut().filter(|g| g.homes.contains(&r)) {
+                g.followers.extend(co.complete(&g.key));
+            }
         }
     }
-    fan_out(core, groups, br, dispatched, exec_epoch);
 }
 
 /// Fans a successful batch result back out to its lane groups'
@@ -810,17 +862,9 @@ fn fan_out(
 
 /// Fails every member of every lane group of a batch whose retries
 /// are exhausted — including coalesced waiters that attached while it
-/// ran (their keys leave the in-flight table, so resubmission gets a
-/// fresh execution). Isolation means *only* these traversals fail;
-/// the replica — and every sibling — keeps serving. Nothing enters
-/// the result cache.
-fn fail_groups(core: &SharedCore, replica: &Replica, mut groups: Vec<LaneGroup>, e: &EngineError) {
-    if let Some(co) = &replica.plane.coalescer {
-        let mut co = lock(co);
-        for g in &mut groups {
-            g.followers.extend(co.complete(&g.key));
-        }
-    }
+/// ran. Isolation means *only* these traversals fail; every replica
+/// keeps serving. Nothing entered a result cache.
+fn fail_groups(core: &SharedCore, groups: Vec<LaneGroup>, e: &EngineError) {
     let err = ServiceError::BatchFailed(e.to_string());
     for g in groups {
         for t in std::iter::once(g.primary).chain(g.followers) {

@@ -10,14 +10,34 @@
 //! per-replica state (admission queue, result cache, coalescer) and
 //! funnels execution and commits through here.
 //!
-//! Lock order (outermost first): `exec` → `stats_gate` → per-replica
-//! cache/coalescer → `pending` → `durability` → `index`. Replica
-//! `state` locks are taken without any of these held except on the
-//! submit path (state → cache), which never takes `exec`, `stats_gate`
-//! or `pending`. The durability plane's snapshot writer takes
-//! `stats_gate` → `durability` to book a finished job, and nothing
-//! while it encodes and writes. `live_engine` and `latency` are leaves:
-//! held for a clone or a push, never across another acquisition.
+//! # Lock order, and what runs under the exec lock
+//!
+//! Outermost first: `exec` → replica `state` (every live replica's, in
+//! list order — only the exec holder ever takes two) → `stats_gate` →
+//! per-replica cache/coalescer → `pending` → `durability` → `index`.
+//! The submit path takes one replica's `state` → its cache/coalescer
+//! and never `exec`, `stats_gate` or `pending`; a dispatcher waiting
+//! for work holds its own `state` → `pending` (a flag read) and
+//! releases both before it asks for `exec`. The durability plane's
+//! snapshot writer takes `stats_gate` → `durability` to book a finished
+//! job, and nothing while it encodes and writes. `live_engine` and
+//! `latency` are leaves: held for a clone or a push, never across
+//! another acquisition.
+//!
+//! The exec lock is the group-wide mutual exclusion between batches,
+//! commits and degradations, and whoever holds it serves the whole
+//! group (see [`replica`](super::replica)):
+//!
+//! | under the exec lock | after it is released |
+//! |---|---|
+//! | a due epoch commit — engine swap, epoch store, cache fences, index rebuild, snapshot hand-off, waiters released | |
+//! | batch formation over every replica's queue (under their `state` locks), with the replies to queued hits and expired deadlines | |
+//! | the engine call, whole-batch retries with their backoff, degradation | |
+//! | cache insertion (under `stats_gate`, keyed to the epoch the batch ran against), heat bumps, the coalescers' hand-back | per-ticket fan-out of the batch: result folding, latency samples, channel sends |
+//!
+//! Nothing sleeps or spins for lanes under it; the one linger,
+//! [`ServiceConfig::max_batch_delay`], is waited out *before* asking
+//! for the lock.
 //!
 //! # What is counted where
 //!
@@ -95,10 +115,10 @@ pub(super) struct LatencySamples {
 }
 
 /// The execution context every replica dispatches through: the live
-/// engine snapshot, the one persistent cluster, panic blame, and the
-/// global batch sequence (the chaos *job* space). Holding this lock
-/// IS the group-wide quiesce — a commit or degradation that owns it
-/// is guaranteed no batch is in flight on any replica.
+/// engine snapshot, the one persistent cluster and panic blame.
+/// Holding this lock IS the group-wide quiesce — a commit or
+/// degradation that owns it is guaranteed no batch is being formed or
+/// is in flight on any replica.
 pub(super) struct ExecCtx {
     pub(super) engine: Arc<DistributedEngine>,
     pub(super) cluster: PersistentCluster,
@@ -124,8 +144,8 @@ pub(super) struct SharedCore {
     /// lock-free for trace labels.
     pub(super) batch_seq: AtomicU64,
     /// Mirror of [`ExecCtx::engine`] readable without blocking behind
-    /// a running batch — the submit path and batch formation use it
-    /// for vertex-range checks and partition lookups.
+    /// a running batch — the submit path and the router use it for
+    /// vertex-range checks and partition lookups.
     pub(super) live_engine: Mutex<Arc<DistributedEngine>>,
     /// Buffered mutations + commit handshake. [`SharedCore::durability`]
     /// nests inside it on the write-ahead path.
@@ -453,7 +473,8 @@ pub(super) fn take_commit_request(core: &SharedCore, next_epoch: u64) -> Option<
 }
 
 /// Performs one epoch commit under the exec lock (the group-wide
-/// quiesce — no batch is in flight on any replica): folds `updates`
+/// quiesce — no batch is forming or in flight on any replica; the
+/// holder calls this at its batch boundary): folds `updates`
 /// into a new engine snapshot, swaps it in, publishes the new epoch,
 /// fences **every** replica's cache, cools the heat grid, rebuilds the
 /// index, hands a due snapshot to the durability plane's writer, and
@@ -664,8 +685,9 @@ pub(super) fn apply_updates_core(
 }
 
 /// Core-level [`QueryService::commit_epoch`](super::QueryService::commit_epoch):
-/// registers a commit request + waiter and wakes every dispatcher; any
-/// replica's dispatcher may perform the commit.
+/// registers a commit request + waiter and wakes every dispatcher; the
+/// next one to hold the exec lock performs the commit before it forms
+/// its batch.
 pub(super) fn commit_epoch_core(core: &SharedCore) -> Result<u64, ServiceError> {
     let rx = {
         let mut p = lock(&core.pending);

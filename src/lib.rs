@@ -36,6 +36,7 @@
 //! |---|---|---|
 //! | [`graph`] | cgraph-graph | CSR/CSC, edge-set tiles, bitmaps, properties, 2-hop labels |
 //! | [`gen`] | cgraph-gen | Graph 500/RMAT, ER, small-world, BA, scaling, I/O |
+//! | [`cache`] | cgraph-cache | the query plane in front of the engine: CLOCK result cache, in-flight coalescer, batch formation ([`cache::plan_batch`]) |
 //! | [`comm`] | cgraph-comm | simulated cluster, barriers, termination, net model |
 //! | [`core`] | cgraph-core | partitioning, shards, PCM, bit frontiers, engine, scheduler |
 //! | [`index`] | cgraph-index | boundary reachability index: distance sketches that answer k-hop queries without traversing |
@@ -43,14 +44,12 @@
 //! | [`baselines`] | cgraph-baselines | Titan-like graph DB, Gemini-like serialized engine |
 //! | [`analytics`] | cgraph-analytics | BFS, k-hop, SSSP, PageRank, WCC, triangles, k-core, closeness, hop plot |
 //! | [`ql`] | cgraph-ql | query language + concurrent-wave session (see `examples/query_shell.rs`) |
-//!
-//! (cgraph-cache — the deterministic CLOCK result cache — is consumed
-//! through [`core`]'s query plane rather than re-exported here.)
 
 #![warn(missing_docs)]
 
 pub use cgraph_analytics as analytics;
 pub use cgraph_baselines as baselines;
+pub use cgraph_cache as cache;
 pub use cgraph_comm as comm;
 pub use cgraph_core as core;
 pub use cgraph_gen as gen;
