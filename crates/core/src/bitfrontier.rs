@@ -24,7 +24,7 @@
 
 use crate::shard::Shard;
 use cgraph_graph::bitmap::{LaneMask, LaneMatrix, LaneWidth};
-use cgraph_graph::delta::DeltaOverlay;
+use cgraph_graph::delta::{DeltaOverlay, DeltaRow};
 use cgraph_graph::VertexId;
 
 /// Runs `$body` with `$S` bound to the row stride `$words` as a
@@ -358,6 +358,10 @@ impl BitFrontier {
         }
         let active = &self.active[..live];
         let (next, _) = self.next.words_mut().as_chunks_mut::<S>();
+        // The sources with deletes ascend, and so does every tile's
+        // share of the live list: a cursor walked beside it finds the
+        // few rows that need their delete list looked up.
+        let delete_sources = delta.map_or(&[][..], DeltaOverlay::delete_sources);
         let mut scanned = 0u64;
         for (tile, set) in shard.out_sets().sets().iter().enumerate() {
             let slots = shard.tile_slots(tile);
@@ -368,6 +372,8 @@ impl BitFrontier {
             let end = first + set.row_range.len() as usize;
             let lo = active.partition_point(|&l| (l as usize) < first);
             let hi = lo + active[lo..].partition_point(|&l| (l as usize) < end);
+            let from = delete_sources.partition_point(|&v| v < set.row_range.start);
+            let mut deleting = &delete_sources[from..];
             for &l in &active[lo..hi] {
                 let l = l as usize;
                 let span = offsets[l - first] as usize..offsets[l - first + 1] as usize;
@@ -376,10 +382,15 @@ impl BitFrontier {
                 }
                 scanned += 1;
                 let row = frontier[l];
-                let dels = delta
-                    .and_then(|d| d.row(base + l as VertexId))
-                    .map(|r| r.deletes())
-                    .filter(|d| !d.is_empty());
+                let v = base + l as VertexId;
+                while deleting.first().is_some_and(|&d| d < v) {
+                    deleting = &deleting[1..];
+                }
+                let dels = if deleting.first() == Some(&v) {
+                    overlay_row(delta, v).map(DeltaRow::deletes)
+                } else {
+                    None
+                };
                 match dels {
                     None => {
                         for &slot in &slots[span] {
@@ -527,6 +538,14 @@ impl BitFrontier {
 }
 
 /// `dst |= src`, word for word.
+/// The tile walk's one hash lookup: the overlay row of a source the
+/// overlay lists as carrying deletes. (Unit tests count the calls.)
+fn overlay_row(delta: Option<&DeltaOverlay>, v: VertexId) -> Option<&DeltaRow> {
+    #[cfg(test)]
+    tests::ROW_LOOKUPS.with(|n| n.set(n.get() + 1));
+    delta?.row(v)
+}
+
 #[inline(always)]
 fn or_words<const S: usize>(dst: &mut [u64; S], src: &[u64; S]) {
     for (d, s) in dst.iter_mut().zip(src) {
@@ -641,6 +660,73 @@ mod tests {
     /// A 64-wide mask from a single word.
     fn m64(w: u64) -> LaneMask {
         LaneMask::from_words(&[w])
+    }
+
+    thread_local! {
+        /// [`overlay_row`] calls made on this thread.
+        pub(super) static ROW_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    #[test]
+    fn tile_walk_looks_up_only_rows_that_carry_deletes() {
+        use cgraph_graph::delta::EdgeUpdate;
+        // A 32-ring with a chord per vertex, cut into a grid of small
+        // tiles so a live row is met in several of them.
+        let n = 32u64;
+        let g: EdgeList = (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + 13) % n)]).collect();
+        let part = RangePartition::by_vertices(n, 1);
+        let shard = Shard::build(0, &part, g.edges(), ConsolidationPolicy::grid(4), false);
+        let tiles = shard.out_sets().sets().len() as u64;
+        assert!(tiles > 4, "want a real grid, got {tiles} tile(s)");
+
+        // Every row live in lane 0; returns `next` and the lookups made.
+        let scan = |delta: Option<&DeltaOverlay>| {
+            let mut bf = BitFrontier::new(&shard, 64);
+            for v in 0..n {
+                bf.seed(v, 0);
+            }
+            let before = ROW_LOOKUPS.with(std::cell::Cell::get);
+            let scanned = bf.scan(&shard, delta, |_, _| unreachable!("one shard"));
+            let looked_up = ROW_LOOKUPS.with(std::cell::Cell::get) - before;
+            let reached: Vec<u64> = (0..n).filter(|&v| bf.next.row(v as usize)[0] != 0).collect();
+            (reached, scanned, looked_up)
+        };
+        let (all, row_tile_pairs, none) = scan(None);
+        assert_eq!((all.len() as u64, none), (n, 0));
+
+        // Insert-only: one lookup per live row per tile at the parent, none now.
+        let mut overlay = DeltaOverlay::new();
+        for v in (0..n).step_by(3) {
+            overlay.apply(&EdgeUpdate::insert(v, (v + 5) % n));
+        }
+        let (reached, _, looked_up) = scan(Some(&overlay));
+        assert_eq!((reached, looked_up), (all.clone(), 0));
+
+        // Deletes on two rows — both in-edges of vertex 9: a lookup per
+        // tile that holds edges of either row, and what the overlay's
+        // own merge says is reachable, nothing else.
+        overlay.apply(&EdgeUpdate::delete(8, 9));
+        overlay.apply(&EdgeUpdate::delete(28, 9));
+        let tiles_of = |v: u64| {
+            let holds = |s: &&cgraph_graph::EdgeSet| {
+                s.row_range.contains(v) && {
+                    let (offsets, r) = (s.raw_parts().0, (v - s.row_range.start) as usize);
+                    offsets[r] < offsets[r + 1]
+                }
+            };
+            shard.out_sets().sets().iter().filter(holds).count() as u64
+        };
+        let (reached, scanned, looked_up) = scan(Some(&overlay));
+        assert_eq!(looked_up, tiles_of(8) + tiles_of(28));
+        assert!(looked_up < row_tile_pairs && scanned >= row_tile_pairs);
+        let mut want: Vec<u64> = (0..n)
+            .flat_map(|v| overlay.merge_row(v, &[((v + 1) % n, 1.0), ((v + 13) % n, 1.0)]))
+            .map(|(t, _)| t)
+            .collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(reached, want);
+        assert!(!reached.contains(&9) && reached.len() as u64 == n - 1);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use super::shared::{
     apply_updates_core, commit_epoch_core, open_fresh_plane, open_recovered, SharedCore,
 };
 use super::{
-    lock, validate_config, QueryService, QueryTicket, ServiceConfig, ServiceError, ServiceStats,
+    validate_config, QueryService, QueryTicket, ServiceConfig, ServiceError, ServiceStats,
 };
 use crate::config::EngineConfig;
 use crate::durability::RecoveryOutcome;
@@ -327,26 +327,24 @@ impl ServiceGroup {
     /// path produces the exact single-service behaviour (immediate
     /// completion / [`ServiceError::InvalidQuery`]).
     pub fn submit(&self, query: KhopQuery) -> Result<QueryTicket, ServiceError> {
+        // The one read of the live engine a submit makes: routing here,
+        // validation and heat in the replica's admission.
+        let engine = self.core.engine();
         let idx = match query.sources.first() {
-            Some(&s) => {
-                let engine = Arc::clone(&lock(&self.core.live_engine));
-                if s < engine.num_vertices() {
-                    let d = self.router.route(engine.partition().owner(s));
-                    let o = &self.core.obs;
-                    o.router_queries_routed.inc();
-                    match d.kind {
-                        RouteKind::Locality => o.router_locality.inc(),
-                        RouteKind::Heat => o.router_heat_steered.inc(),
-                        RouteKind::Balance => {}
-                    }
-                    d.replica
-                } else {
-                    0
+            Some(&s) if s < engine.num_vertices() => {
+                let d = self.router.route(engine.partition().owner(s));
+                let o = &self.core.obs;
+                o.router_queries_routed.inc();
+                match d.kind {
+                    RouteKind::Locality => o.router_locality.inc(),
+                    RouteKind::Heat => o.router_heat_steered.inc(),
+                    RouteKind::Balance => {}
                 }
+                d.replica
             }
-            None => 0,
+            _ => 0,
         };
-        submit(&self.core, &self.members[idx].replica, query)
+        submit(&self.core, &self.members[idx].replica, &engine, query)
     }
 
     /// Submits `query` and blocks for its result (submit + wait).

@@ -7,13 +7,29 @@
 //! client threads and each wants an answer as soon as possible.
 //! [`QueryService`] bridges the two worlds:
 //!
-//! * an **admission queue** collects incoming [`KhopQuery`]s from any
-//!   number of submitter threads, applying queue-depth backpressure
-//!   ([`ServiceConfig::max_queue_depth`]): submitters block while the
-//!   queue is full, so an overloaded service slows producers instead
-//!   of growing without bound;
-//! * a **dispatcher thread** per front-end asks for the engine as soon
-//!   as its queue holds work, and whoever holds the engine forms the
+//! * **admission** ([`QueryService::submit`]) answers what it can on the
+//!   spot and queues the rest. A traversal the result cache or the
+//!   index already holds completes inside `submit` — the *ready path*:
+//!   the epoch, the probe, the latency sample and the ticket, and
+//!   nothing else; no dispatcher is woken, no queue slot is waited for,
+//!   and the ticket comes back answered. Only a traversal that needs a
+//!   lane enters the **admission queue**, under queue-depth
+//!   backpressure ([`ServiceConfig::max_queue_depth`]): a submitter with
+//!   such a traversal in hand blocks while the queue is full, so an
+//!   overloaded service slows producers instead of growing without
+//!   bound — and does not slow the ones it can answer from memory;
+//! * every submit returns a [`QueryTicket`]: one end of a one-shot
+//!   reply slot that resolves to the reply, to
+//!   [`ServiceError::DeadlineExceeded`] at the ticket's own deadline, or
+//!   to [`ServiceError::ShutDown`] if the service let go of the query
+//!   unanswered. Threads are woken by rule, not by habit: every condvar
+//!   of the service is notified only when what it guards changed *and*
+//!   a waiter flag under the same mutex says someone is parked (the
+//!   table is in the `replica` module's documentation and DESIGN.md §3
+//!   "Admission");
+//! * a **dispatcher thread** per front-end parks until its queue holds
+//!   work (or a commit is due), then asks for the engine, and whoever
+//!   holds the engine forms the
 //!   batch — under the exec lock, from *everything the group has
 //!   queued*, oldest first, up to [`QueryService::effective_lanes`]
 //!   lanes. A busy engine therefore batches by itself (what arrives
@@ -400,10 +416,30 @@ impl fmt::Debug for ServiceConfig {
     }
 }
 
-/// Handle to one in-flight query: redeem it with
-/// [`QueryTicket::wait`] for the result.
+/// Handle to one submitted query: redeem it with [`QueryTicket::wait`]
+/// (or poll [`QueryTicket::try_wait`]) for its outcome.
+///
+/// A ticket is one end of a one-shot reply slot the service fills when
+/// the query's last traversal lands — which, for a query the cache or
+/// the index answered whole, is before `submit` returned. It resolves
+/// exactly one of three ways:
+///
+/// * the **reply** — the folded [`QueryResult`], or the
+///   [`ServiceError`] the query failed with
+///   ([`ServiceError::BatchFailed`], or
+///   [`ServiceError::DeadlineExceeded`] when the service expired it
+///   while queued);
+/// * [`ServiceError::DeadlineExceeded`] at the ticket's own deadline
+///   (submission instant plus [`ServiceConfig::query_deadline`]) with no
+///   reply in the slot — a reply that is there wins over an expired
+///   deadline;
+/// * [`ServiceError::ShutDown`] when the service let go of a traversal
+///   of the query without answering it (its dispatcher died, or the
+///   service was torn down around it) and so no reply can come — a
+///   thread already blocked in `wait` is woken for it. A ticket whose
+///   reply was already taken by `try_wait` reads the same.
 pub struct QueryTicket {
-    rx: crossbeam_channel::Receiver<Result<QueryResult, ServiceError>>,
+    state: Arc<replica::TicketState>,
     /// The query's absolute deadline (admission instant plus
     /// [`ServiceConfig::query_deadline`]), enforced by `wait`.
     deadline: Option<Instant>,
@@ -417,41 +453,27 @@ impl fmt::Debug for QueryTicket {
 
 impl QueryTicket {
     /// Blocks until the query's batch (or batches) completed and
-    /// returns its result. With a [`ServiceConfig::query_deadline`]
+    /// returns its result; a ticket answered at admission returns
+    /// without parking. With a [`ServiceConfig::query_deadline`]
     /// configured, waits at most until the query's deadline and then
     /// returns [`ServiceError::DeadlineExceeded`].
     pub fn wait(self) -> Result<QueryResult, ServiceError> {
-        match self.deadline {
-            None => self.rx.recv().unwrap_or(Err(ServiceError::ShutDown)),
-            Some(d) => match self.rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
-                Ok(reply) => reply,
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    Err(ServiceError::DeadlineExceeded)
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    Err(ServiceError::ShutDown)
-                }
-            },
-        }
+        self.state.wait(self.deadline)
     }
 
-    /// Non-blocking poll; `None` while the query is still in flight.
-    /// A dead dispatcher (result channel disconnected before a reply
-    /// arrived) yields `Some(Err(ServiceError::ShutDown))`, so pollers
-    /// never spin on a query that can no longer complete; likewise an
-    /// expired deadline yields `Some(Err(ServiceError::DeadlineExceeded))`.
+    /// Non-blocking poll; `None` while the query is still in flight. A
+    /// ticket answered at admission yields its reply the first time it
+    /// is asked. A query that can no longer complete (the service
+    /// dropped a traversal of it unanswered) yields
+    /// `Some(Err(ServiceError::ShutDown))`, so pollers never spin on
+    /// it; likewise an expired deadline yields
+    /// `Some(Err(ServiceError::DeadlineExceeded))`.
     pub fn try_wait(&self) -> Option<Result<QueryResult, ServiceError>> {
-        match self.rx.try_recv() {
-            Ok(reply) => Some(reply),
-            Err(crossbeam_channel::TryRecvError::Empty) => {
-                if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                    Some(Err(ServiceError::DeadlineExceeded))
-                } else {
-                    None
-                }
-            }
-            Err(crossbeam_channel::TryRecvError::Disconnected) => Some(Err(ServiceError::ShutDown)),
-        }
+        self.state.poll().or_else(|| {
+            self.deadline
+                .is_some_and(|d| Instant::now() >= d)
+                .then_some(Err(ServiceError::DeadlineExceeded))
+        })
     }
 }
 
@@ -690,11 +712,13 @@ impl QueryService {
         self.core.lanes
     }
 
-    /// Admits `query`, blocking while the admission queue is full.
-    /// Returns a ticket redeemable for the result, or
-    /// [`ServiceError::ShutDown`] once the service is closed.
+    /// Admits `query`: what the cache or the index holds is answered
+    /// before this returns; a traversal that needs a lane is queued,
+    /// blocking while the admission queue is full. Returns a ticket
+    /// redeemable for the result, or [`ServiceError::ShutDown`] once the
+    /// service is closed.
     pub fn submit(&self, query: KhopQuery) -> Result<QueryTicket, ServiceError> {
-        replica::submit(&self.core, &self.replica, query)
+        replica::submit(&self.core, &self.replica, &self.core.engine(), query)
     }
 
     /// Submits `query` and blocks for its result (submit + wait).
@@ -780,8 +804,8 @@ impl QueryService {
             let mut st = lock(&self.replica.state);
             let newly = !st.closed;
             st.closed = true;
-            self.replica.work.notify_all();
-            self.replica.space.notify_all();
+            self.replica.wake_dispatcher(&mut st);
+            self.replica.wake_submitters(&st);
             newly
         };
         if newly_closed {
@@ -1090,13 +1114,33 @@ mod tests {
     }
 
     #[test]
-    fn try_wait_reports_shutdown_on_disconnect() {
-        // A ticket whose reply channel died without a reply must not
-        // read as "still in flight" — pollers would spin forever.
-        let (tx, rx) = crossbeam_channel::unbounded();
-        drop(tx);
-        let ticket = QueryTicket { rx, deadline: None };
+    fn try_wait_reports_shutdown_on_an_abandoned_traversal() {
+        // A ticket whose traversal was dropped without an answer must
+        // not read as "still in flight" — pollers would spin forever.
+        let state = replica::TicketState::new(0, 1);
+        let handle = replica::TicketHandle::new(&state);
+        let ticket = QueryTicket { state, deadline: None };
+        assert_eq!(ticket.try_wait(), None);
+        drop(handle);
         assert_eq!(ticket.try_wait(), Some(Err(ServiceError::ShutDown)));
+    }
+
+    #[test]
+    fn a_parked_waiter_is_woken_by_the_last_unanswered_traversal() {
+        let state = replica::TicketState::new(0, 2);
+        let handles = [replica::TicketHandle::new(&state), replica::TicketHandle::new(&state)];
+        let ticket = QueryTicket { state: Arc::clone(&state), deadline: None };
+        let waiter = std::thread::spawn(move || ticket.wait());
+        // Force the interleaving under test: the drops below must find
+        // the waiter parked, not on its way there.
+        while !state.waiter_parked() {
+            std::thread::yield_now();
+        }
+        let [first, last] = handles;
+        drop(first);
+        assert!(state.waiter_parked(), "one traversal is still out: nothing to wake for");
+        drop(last);
+        assert_eq!(waiter.join().unwrap(), Err(ServiceError::ShutDown));
     }
 
     #[test]
@@ -1275,8 +1319,10 @@ mod tests {
 
     #[test]
     fn try_wait_reports_expired_deadline() {
-        let (_tx, rx) = crossbeam_channel::unbounded();
-        let ticket = QueryTicket { rx, deadline: Some(Instant::now() - Duration::from_millis(1)) };
+        let state = replica::TicketState::new(0, 1);
+        let _in_flight = replica::TicketHandle::new(&state);
+        let deadline = Some(Instant::now() - Duration::from_millis(1));
+        let ticket = QueryTicket { state, deadline };
         assert_eq!(ticket.try_wait(), Some(Err(ServiceError::DeadlineExceeded)));
     }
 

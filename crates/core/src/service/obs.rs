@@ -49,6 +49,8 @@ pub(super) struct ServiceObs {
     pub(super) exec_lock_wait: Arc<Histogram>,
     pub(super) formation: Arc<Histogram>,
     pub(super) fanout: Arc<Histogram>,
+    pub(super) dispatcher_wakeups: Arc<Counter>,
+    pub(super) dispatcher_idle_wakeups: Arc<Counter>,
     pub(super) admission_wait: Arc<Histogram>,
     pub(super) exec: Arc<Histogram>,
     pub(super) response: Arc<Histogram>,
@@ -203,8 +205,17 @@ impl ServiceObs {
             ),
             fanout: m.histogram(
                 "cgraph_service_fanout_seconds",
-                "Per batch, wall: replying to the batch's tickets, after the exec lock is released.",
+                "Per batch, wall: replying to the batch's tickets after the exec lock is released \
+                 — result folding, latency samples, reply-slot fills, wake-ups of parked waiters.",
                 &LOG_LATENCY_EDGES_SECS,
+            ),
+            dispatcher_wakeups: m.counter(
+                "cgraph_service_dispatcher_wakeups_total",
+                "Returns of a dispatcher from its wait for work (notified, or a linger ran out).",
+            ),
+            dispatcher_idle_wakeups: m.counter(
+                "cgraph_service_dispatcher_idle_wakeups_total",
+                "Dispatcher wake-ups that found neither a queued traversal nor a due commit.",
             ),
             admission_wait: m.histogram(
                 "cgraph_service_admission_wait_seconds",

@@ -7,9 +7,46 @@
 //! lives in the [`SharedCore`](super::shared::SharedCore) it is
 //! attached to.
 //!
+//! # Admission: the ready path and the miss path
+//!
 //! Admission — cache and index probes, mid-flight coalescing, the
 //! queue — runs concurrently across replicas and never touches the
-//! core's exec lock. Everything from there to the answer has **one
+//! core's exec lock. What a [`submit`] touches depends on whether the
+//! answer is already there:
+//!
+//! | | ready path — every traversal answered by the cache or the index | miss path — a traversal needs a lane |
+//! |---|---|---|
+//! | `live_engine` | read once, by the caller (`ServiceGroup::submit` routes with it and hands it down) | the same read |
+//! | [`Replica::state`] | held across the submit: the `closed` check, nothing else | the same hold, plus the queue push and the depth gauge |
+//! | the epoch, the cache mutex / the index | one load; one `get` + clone per source | the same probes, which miss |
+//! | the coalescer | not reached | `attach` — an identical traversal in flight answers this one too, without a slot |
+//! | [`Replica::space`] | never waited on | waited on with the first traversal in hand, while the queue is full |
+//! | the ticket | one `Arc<TicketState>`; [`complete_traversal`] folds, records the sample and fills the slot before `submit` returns | the same ticket; filled by the batch's fan-out |
+//! | [`Replica::work`] | not notified: the dispatcher stays parked | notified once, if the dispatcher is parked |
+//! | allocations | the ticket and the answer's level profile | those, later, and the queue's growth |
+//!
+//! A closed replica refuses hit and miss alike ([`ServiceError::ShutDown`]),
+//! an out-of-range source is [`ServiceError::InvalidQuery`] whatever the
+//! queue holds, and backpressure applies to what needs a queue slot.
+//!
+//! # The wake-up rule
+//!
+//! A condvar is notified when, and only when, the thing it guards
+//! changed **and** a waiter flag — set by the waiter, under the same
+//! mutex, before it parks — says someone is there. `std`'s `Condvar`
+//! pays a futex wake on every notify, waiter or not, and an idle
+//! dispatcher woken per cache hit contends `Replica::state` with the
+//! submitter only to find its queue empty.
+//!
+//! | condvar | guards | mutex | waiter flag | notified by |
+//! |---|---|---|---|---|
+//! | [`Replica::work`] | work for the dispatcher | [`Replica::state`] | [`QueueState::dispatcher_parked`] — cleared by the notifier, so one park is one notify | a submit that grew the queue; a commit that became due (`notify_dispatchers`, which takes `state` around the check — that closes the dispatcher's check-then-wait window); shutdown |
+//! | [`Replica::space`] | free queue slots | [`Replica::state`] | [`QueueState::space_waiters`] (a count: several submitters may block) | formation that shrank the queue; shutdown |
+//! | a ticket's `ready` | the reply slot | the ticket's `slot` | `parked` | the completion that filled the slot; the drop of the last unanswered traversal |
+//!
+//! # From the queue to the answer
+//!
+//! Everything from the queue to the answer has **one
 //! formation point**: a dispatcher whose replica has work due takes the
 //! exec lock *first* and, holding it, serves the whole group —
 //!
@@ -27,7 +64,9 @@
 //!    per replica a lane came from, under the stats gate;
 //!
 //! and, **after** the lock is released, the per-ticket fan-out
-//! ([`Finished::reply`]), so the next batch's scan overlaps it. A batch
+//! ([`Finished::reply`]) — one slot fill per query, a wake-up only for
+//! a ticket whose holder is parked in `wait` — so the next batch's scan
+//! overlaps it. A batch
 //! is formed under the lock it runs under: its epoch is the epoch it
 //! executes against, the lanes that arrived while the previous batch ran
 //! are in it, and which dispatcher wins the (unfair) mutex does not
@@ -37,7 +76,7 @@ use super::shared::{
     degrade, perform_commit, quiesce_durability, take_commit_request, ExecCtx, SharedCore,
 };
 use super::{lock, wait, QueryTicket, ServiceError};
-use crate::engine::{BatchResult, EngineError, FaultInjection};
+use crate::engine::{BatchResult, DistributedEngine, EngineError, FaultInjection};
 use crate::query::{KhopQuery, QueryResult};
 use cgraph_cache::{
     plan_batch, CacheKey, CachedTraversal, Coalescer, Fate, FormItem, FormPolicy, PackPolicy,
@@ -46,7 +85,7 @@ use cgraph_cache::{
 use cgraph_comm::ClusterError;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One queued traversal: a single `(source, k)` of some query.
@@ -55,7 +94,7 @@ pub(super) struct Traversal {
     pub(super) k: u32,
     pub(super) submitted: Instant,
     pub(super) deadline: Option<Instant>,
-    pub(super) ticket: Arc<TicketState>,
+    pub(super) ticket: TicketHandle,
     /// Batches this traversal has been left queued by — the locality
     /// packer's fairness bound caps it.
     pub(super) skips: u32,
@@ -82,32 +121,157 @@ pub(super) struct LaneGroup {
     pub(super) homes: Vec<usize>,
 }
 
-/// Shared completion state of one query across its traversals.
+/// The rendezvous of one query: the running fold of its traversals and,
+/// once the last one landed, the reply — one slot under one lock, with
+/// the condvar [`QueryTicket::wait`] parks on. The [`QueryTicket`] holds
+/// one reference; every [`Traversal`] holds a [`TicketHandle`].
 pub(super) struct TicketState {
-    pub(super) id: usize,
-    pub(super) total: usize,
-    pub(super) acc: Mutex<TicketAcc>,
-    pub(super) reply: crossbeam_channel::Sender<Result<QueryResult, ServiceError>>,
+    id: usize,
+    /// Traversals the query was admitted as.
+    total: usize,
+    slot: Mutex<TicketSlot>,
+    ready: Condvar,
+}
+
+/// What [`TicketState::slot`] guards.
+#[derive(Default)]
+struct TicketSlot {
+    acc: TicketAcc,
+    /// Traversals the service dropped without an answer. Once `done +
+    /// abandoned` reaches the total with no reply in the slot, nothing
+    /// can fill it any more: the ticket reads
+    /// [`ServiceError::ShutDown`].
+    abandoned: usize,
+    /// The folded reply, from the last traversal's completion until the
+    /// ticket takes it.
+    reply: Option<Result<QueryResult, ServiceError>>,
+    /// The waiter flag of `ready`: set by [`TicketState::wait`] before
+    /// it parks, so a completion notifies only a thread that is there.
+    parked: bool,
 }
 
 #[derive(Default)]
-pub(super) struct TicketAcc {
-    pub(super) done: usize,
-    pub(super) failed: Option<ServiceError>,
-    pub(super) visited: u64,
-    pub(super) per_level: Vec<u64>,
-    pub(super) wait_sum: Duration,
-    pub(super) exec_sum: Duration,
-    pub(super) resp_sum: Duration,
+struct TicketAcc {
+    done: usize,
+    failed: Option<ServiceError>,
+    visited: u64,
+    per_level: Vec<u64>,
+    wait_sum: Duration,
+    exec_sum: Duration,
+    resp_sum: Duration,
     /// Newest epoch any traversal of the query answered against (the
     /// traversals of one query can straddle a commit; the folded
     /// result is labelled conservatively with the newest).
-    pub(super) epoch: u64,
+    epoch: u64,
+}
+
+impl TicketState {
+    /// The ticket of a query admitted as `total` traversals.
+    pub(super) fn new(id: usize, total: usize) -> Arc<Self> {
+        Self::with_slot(id, total, TicketSlot::default())
+    }
+
+    /// A ticket born answered — the empty query, which has no traversal
+    /// to wait for.
+    fn answered(reply: QueryResult) -> Arc<Self> {
+        Self::with_slot(reply.id, 0, TicketSlot { reply: Some(Ok(reply)), ..Default::default() })
+    }
+
+    fn with_slot(id: usize, total: usize, slot: TicketSlot) -> Arc<Self> {
+        Arc::new(Self { id, total, slot: Mutex::new(slot), ready: Condvar::new() })
+    }
+
+    /// The reply if it is in the slot, `ShutDown` if none can come any
+    /// more (every traversal is accounted for and the slot is empty:
+    /// one was dropped unanswered, or the reply was taken before),
+    /// `None` while traversals are still out.
+    fn take(&self, slot: &mut TicketSlot) -> Option<Result<QueryResult, ServiceError>> {
+        let settled = slot.acc.done + slot.abandoned == self.total;
+        slot.reply.take().or_else(|| settled.then_some(Err(ServiceError::ShutDown)))
+    }
+
+    /// [`QueryTicket::try_wait`] minus the deadline: never parks.
+    pub(super) fn poll(&self) -> Option<Result<QueryResult, ServiceError>> {
+        self.take(&mut lock(&self.slot))
+    }
+
+    /// [`QueryTicket::wait`]: parks on `ready` — flagging it first —
+    /// only while the outcome is open and `deadline` is ahead.
+    pub(super) fn wait(&self, deadline: Option<Instant>) -> Result<QueryResult, ServiceError> {
+        let mut slot = lock(&self.slot);
+        loop {
+            if let Some(outcome) = self.take(&mut slot) {
+                return outcome;
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return Err(ServiceError::DeadlineExceeded);
+            }
+            slot.parked = true;
+            slot = match left {
+                None => wait(&self.ready, slot),
+                Some(left) => {
+                    self.ready.wait_timeout(slot, left).unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
+            slot.parked = false;
+        }
+    }
+
+    #[cfg(test)]
+    pub(super) fn waiter_parked(&self) -> bool {
+        lock(&self.slot).parked
+    }
+
+    /// Ends a critical section that may have settled the ticket (a
+    /// reply landed, or the last traversal left without one): wakes the
+    /// waiter if — and only if — one is parked.
+    fn release(&self, slot: MutexGuard<'_, TicketSlot>) {
+        let wake = slot.parked && slot.acc.done + slot.abandoned == self.total;
+        drop(slot);
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+}
+
+/// A traversal's reference to its query's ticket — the service side of
+/// the rendezvous. [`complete_traversal`] consumes it with an outcome; a
+/// handle dropped any other way (a dispatcher died with the traversal
+/// queued, a shut-down service let go of it) counts the traversal as
+/// abandoned, and the last one to leave wakes a parked waiter with
+/// [`ServiceError::ShutDown`].
+pub(super) struct TicketHandle {
+    state: Arc<TicketState>,
+    answered: bool,
+}
+
+impl TicketHandle {
+    pub(super) fn new(state: &Arc<TicketState>) -> Self {
+        Self { state: Arc::clone(state), answered: false }
+    }
+}
+
+impl Drop for TicketHandle {
+    fn drop(&mut self) {
+        if !self.answered {
+            let mut slot = lock(&self.state.slot);
+            slot.abandoned += 1;
+            self.state.release(slot);
+        }
+    }
 }
 
 pub(super) struct QueueState {
     pub(super) queue: VecDeque<Traversal>,
     pub(super) closed: bool,
+    /// The waiter flag of [`Replica::work`]: set by the dispatcher
+    /// before it parks, cleared by whoever notifies it — one notify per
+    /// park, none while it is running.
+    dispatcher_parked: bool,
+    /// The waiter flag of [`Replica::space`]: submitters parked with a
+    /// traversal in hand the full queue has no slot for.
+    space_waiters: usize,
     /// Depth last published to the group-wide `cgraph_queue_depth`
     /// gauge — each replica adds its *delta* so concurrent replicas
     /// never clobber each other's contribution.
@@ -157,6 +321,8 @@ impl Replica {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 closed: false,
+                dispatcher_parked: false,
+                space_waiters: 0,
                 published_depth: 0,
             }),
             work: Condvar::new(),
@@ -165,31 +331,52 @@ impl Replica {
             pub_bytes: AtomicI64::new(0),
         })
     }
+
+    /// Wakes this replica's dispatcher if it is parked on `work`; call
+    /// with the state lock held, after changing what the dispatcher
+    /// waits for — the queue grew, a commit became due, the replica
+    /// closed. Clears the flag, so one park is notified once.
+    pub(super) fn wake_dispatcher(&self, st: &mut QueueState) {
+        if std::mem::take(&mut st.dispatcher_parked) {
+            self.work.notify_one();
+        }
+    }
+
+    /// Wakes the submitters parked on `space`, if any; call with the
+    /// state lock held, after the queue shrank or the replica closed.
+    pub(super) fn wake_submitters(&self, st: &QueueState) {
+        if st.space_waiters > 0 {
+            self.space.notify_all();
+        }
+    }
 }
 
 /// Publishes this replica's queue depth to the group gauge as a delta
-/// (must hold the state lock, which `st` proves).
-fn publish_depth(core: &SharedCore, st: &mut QueueState) {
+/// (must hold the state lock, which `st` proves). Returns whether the
+/// depth had moved since it was last published.
+fn publish_depth(core: &SharedCore, st: &mut QueueState) -> bool {
     let depth = st.queue.len() as i64;
-    // A query answered whole at admission leaves the queue as it was.
-    if depth != st.published_depth {
+    let moved = depth != st.published_depth;
+    if moved {
         core.obs.queue_depth.add(depth - st.published_depth);
         st.published_depth = depth;
     }
+    moved
 }
 
-/// Admits `query` on `replica`, blocking while its admission queue is
-/// full. Returns a ticket redeemable for the result, or
-/// [`ServiceError::ShutDown`] once the replica is closed.
+/// Admits `query` on `replica`: every traversal the cache or the index
+/// answers completes here, the rest are queued for the dispatcher —
+/// blocking, with the first of them in hand, while the admission queue
+/// is full. `engine` is the caller's one read of
+/// [`SharedCore::live_engine`]. Returns a ticket redeemable for the
+/// result, or [`ServiceError::ShutDown`] once the replica is closed.
 pub(super) fn submit(
     core: &SharedCore,
     replica: &Replica,
+    engine: &DistributedEngine,
     query: KhopQuery,
 ) -> Result<QueryTicket, ServiceError> {
     let mut st = lock(&replica.state);
-    while !st.closed && st.queue.len() >= core.config.max_queue_depth {
-        st = wait(&replica.space, st);
-    }
     if st.closed {
         return Err(ServiceError::ShutDown);
     }
@@ -198,46 +385,39 @@ pub(super) fn submit(
         // enqueueing zero traversals (whose ticket would otherwise
         // never be replied to and read as a shutdown).
         drop(st);
-        let (tx, rx) = crossbeam_channel::unbounded();
         core.obs.queries_submitted.inc();
         core.obs.queries_completed.inc();
-        let _ = tx.send(Ok(QueryResult {
+        let state = TicketState::answered(QueryResult {
             id: query.id,
             visited: 0,
             per_level: Vec::new(),
             response_time: Duration::ZERO,
             exec_time: Duration::ZERO,
             epoch: core.epoch.load(Ordering::SeqCst),
-        }));
-        return Ok(QueryTicket { rx, deadline: None });
+        });
+        return Ok(QueryTicket { state, deadline: None });
     }
     // Admission-time shape validation: the closed-batch scheduler
     // panics on an out-of-range source, but a *service* must reject
     // the one bad query and keep serving everyone else.
-    let engine = Arc::clone(&lock(&core.live_engine));
     let n = engine.num_vertices();
     if let Some(&bad) = query.sources.iter().find(|&&s| s >= n) {
         return Err(ServiceError::InvalidQuery(format!(
             "source {bad} out of range for a graph of {n} vertices"
         )));
     }
-    let (tx, rx) = crossbeam_channel::unbounded();
-    let ticket = Arc::new(TicketState {
-        id: query.id,
-        total: query.sources.len(),
-        acc: Mutex::new(TicketAcc::default()),
-        reply: tx,
-    });
+    let ticket = TicketState::new(query.id, query.sources.len());
     let now = Instant::now();
     let deadline = core.config.query_deadline.map(|d| now + d);
-    let epoch = core.epoch.load(Ordering::SeqCst);
+    let mut epoch = core.epoch.load(Ordering::SeqCst);
+    let mut queued = false;
     for &source in &query.sources {
         let t = Traversal {
             source,
             k: query.k,
             submitted: now,
             deadline,
-            ticket: Arc::clone(&ticket),
+            ticket: TicketHandle::new(&ticket),
             skips: 0,
         };
         let key = t.key(epoch);
@@ -255,7 +435,7 @@ pub(super) fn submit(
                     }
                     complete_traversal(
                         core,
-                        &t.ticket,
+                        t.ticket,
                         Ok((v.visited, v.per_level, Duration::ZERO, Duration::ZERO, epoch)),
                     );
                     continue;
@@ -271,7 +451,7 @@ pub(super) fn submit(
             core.obs.index_only_answers.inc();
             complete_traversal(
                 core,
-                &t.ticket,
+                t.ticket,
                 Ok((ans.visited, ans.per_level, Duration::ZERO, Duration::ZERO, epoch)),
             );
             continue;
@@ -289,12 +469,32 @@ pub(super) fn submit(
         } else {
             t
         };
+        // 4. The queue. Backpressure is for what needs a slot: only
+        // here, with a traversal in hand, does a submit wait for space
+        // — once per query, whose traversals are admitted together.
+        if !queued {
+            while !st.closed && st.queue.len() >= core.config.max_queue_depth {
+                st.space_waiters += 1;
+                st = wait(&replica.space, st);
+                st.space_waiters -= 1;
+            }
+            if st.closed {
+                return Err(ServiceError::ShutDown);
+            }
+            // A commit may have landed meanwhile; formation re-probes
+            // whatever is queued, the remaining sources probe at the
+            // epoch that is current now.
+            epoch = core.epoch.load(Ordering::SeqCst);
+            queued = true;
+        }
         st.queue.push_back(t);
     }
     core.obs.queries_submitted.inc();
-    publish_depth(core, &mut st);
-    replica.work.notify_all();
-    Ok(QueryTicket { rx, deadline })
+    if queued {
+        publish_depth(core, &mut st);
+        replica.wake_dispatcher(&mut st);
+    }
+    Ok(QueryTicket { state: ticket, deadline })
 }
 
 /// The dispatcher: block until this replica has work due, take the
@@ -327,7 +527,7 @@ pub(super) fn dispatch_loop(core: &Arc<SharedCore>, replica: &Replica) {
         let formation = forming.elapsed();
 
         for t in formed.expired {
-            complete_traversal(core, &t.ticket, Err(ServiceError::DeadlineExceeded));
+            complete_traversal(core, t.ticket, Err(ServiceError::DeadlineExceeded));
         }
         // Formed under the lock: the sequence number is this batch's job.
         let job = core.batch_seq.load(Ordering::SeqCst);
@@ -345,7 +545,7 @@ pub(super) fn dispatch_loop(core: &Arc<SharedCore>, replica: &Replica) {
             let wait = t.submitted.elapsed();
             complete_traversal(
                 core,
-                &t.ticket,
+                t.ticket,
                 Ok((v.visited, v.per_level, wait, Duration::ZERO, formed.epoch)),
             );
         }
@@ -379,15 +579,25 @@ pub(super) fn dispatch_loop(core: &Arc<SharedCore>, replica: &Replica) {
 /// idle one should start.
 fn wait_until_due(core: &SharedCore, replica: &Replica) -> Option<Instant> {
     let mut st = lock(&replica.state);
+    let mut woken = false;
     loop {
-        if lock(&core.pending).requested {
+        let commit_due = lock(&core.pending).requested;
+        if std::mem::take(&mut woken) {
+            core.obs.dispatcher_wakeups.inc();
+            if !commit_due && st.queue.is_empty() {
+                core.obs.dispatcher_idle_wakeups.inc();
+            }
+        }
+        if commit_due {
             break;
         }
         let Some(oldest) = st.queue.front() else {
             if st.closed {
                 return None;
             }
+            st.dispatcher_parked = true;
             st = wait(&replica.work, st);
+            woken = true;
             continue;
         };
         // A closed replica drains at once. The backlog is the
@@ -396,11 +606,16 @@ fn wait_until_due(core: &SharedCore, replica: &Replica) -> Option<Instant> {
         if !filled && !st.closed {
             let age = oldest.submitted.elapsed();
             if age < core.config.max_batch_delay {
+                st.dispatcher_parked = true;
                 let (g, _) = replica
                     .work
                     .wait_timeout(st, core.config.max_batch_delay - age)
                     .unwrap_or_else(|e| e.into_inner());
                 st = g;
+                // A linger that ran out was not notified: nobody
+                // cleared the flag.
+                st.dispatcher_parked = false;
+                woken = true;
                 continue;
             }
         }
@@ -613,8 +828,10 @@ fn form_batch(core: &SharedCore, ctx: &ExecCtx) -> FormedBatch {
         }
     }
     for (replica, st) in replicas.iter().zip(states.iter_mut()) {
-        publish_depth(core, st);
-        replica.space.notify_all();
+        // Formation only ever shrinks a queue.
+        if publish_depth(core, st) {
+            replica.wake_submitters(st);
+        }
     }
     drop(states);
     formed
@@ -853,7 +1070,7 @@ fn fan_out(
             let wait = dispatched.duration_since(t.submitted);
             complete_traversal(
                 core,
-                &t.ticket,
+                t.ticket,
                 Ok((visited, levels.clone(), wait, exec, exec_epoch)),
             );
         }
@@ -868,7 +1085,7 @@ fn fail_groups(core: &SharedCore, groups: Vec<LaneGroup>, e: &EngineError) {
     let err = ServiceError::BatchFailed(e.to_string());
     for g in groups {
         for t in std::iter::once(g.primary).chain(g.followers) {
-            complete_traversal(core, &t.ticket, Err(err.clone()));
+            complete_traversal(core, t.ticket, Err(err.clone()));
         }
     }
 }
@@ -877,25 +1094,35 @@ fn fail_groups(core: &SharedCore, groups: Vec<LaneGroup>, e: &EngineError) {
 type TraversalOutcome = (u64, Vec<u64>, Duration, Duration, u64);
 
 /// Folds one traversal's outcome into its query; when the last
-/// traversal lands, emits the query result (scheduler fold semantics:
-/// visited = sum, per-level = elementwise sum, times = mean) and
-/// records latency into the service metrics.
+/// traversal lands, leaves the query result in the ticket's slot
+/// (scheduler fold semantics: visited = sum, per-level = elementwise
+/// sum, times = mean), records latency into the service metrics, and
+/// wakes the ticket's waiter if one is parked.
 pub(super) fn complete_traversal(
     core: &SharedCore,
-    ticket: &TicketState,
+    mut ticket: TicketHandle,
     outcome: Result<TraversalOutcome, ServiceError>,
 ) {
-    let mut acc = lock(&ticket.acc);
+    ticket.answered = true;
+    let state = &*ticket.state;
+    let mut slot = lock(&state.slot);
+    let acc = &mut slot.acc;
     acc.done += 1;
     match outcome {
         Ok((visited, levels, wait, exec, epoch)) => {
             acc.visited += visited;
             acc.epoch = acc.epoch.max(epoch);
-            if acc.per_level.len() < levels.len() {
-                acc.per_level.resize(levels.len(), 0);
-            }
-            for (h, c) in levels.into_iter().enumerate() {
-                acc.per_level[h] += c;
+            if acc.per_level.is_empty() {
+                // The first profile in is the sum so far — for a
+                // single-source query, the answer itself.
+                acc.per_level = levels;
+            } else {
+                if acc.per_level.len() < levels.len() {
+                    acc.per_level.resize(levels.len(), 0);
+                }
+                for (h, c) in levels.into_iter().enumerate() {
+                    acc.per_level[h] += c;
+                }
             }
             acc.wait_sum += wait;
             acc.exec_sum += exec;
@@ -905,10 +1132,12 @@ pub(super) fn complete_traversal(
             acc.failed.get_or_insert(e);
         }
     }
-    if acc.done < ticket.total {
-        return;
+    if acc.done < state.total {
+        // Not the last one in — but possibly the last one out, behind
+        // a traversal that was dropped unanswered.
+        return state.release(slot);
     }
-    let n = ticket.total as u32;
+    let n = state.total as u32;
     let o = &core.obs;
     let reply = match acc.failed.take() {
         Some(e) => {
@@ -944,7 +1173,7 @@ pub(super) fn complete_traversal(
             o.exec.observe_duration(exec);
             o.response.observe_duration(response);
             Ok(QueryResult {
-                id: ticket.id,
+                id: state.id,
                 visited: acc.visited,
                 per_level: std::mem::take(&mut acc.per_level),
                 response_time: response,
@@ -954,5 +1183,6 @@ pub(super) fn complete_traversal(
         }
     };
     // The submitter may have dropped its ticket; that is fine.
-    let _ = ticket.reply.send(reply);
+    slot.reply = Some(reply);
+    state.release(slot);
 }

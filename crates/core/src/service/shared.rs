@@ -15,8 +15,10 @@
 //! Outermost first: `exec` → replica `state` (every live replica's, in
 //! list order — only the exec holder ever takes two) → `stats_gate` →
 //! per-replica cache/coalescer → `pending` → `durability` → `index`.
-//! The submit path takes one replica's `state` → its cache/coalescer
-//! and never `exec`, `stats_gate` or `pending`; a dispatcher waiting
+//! The submit path takes one replica's `state` → its cache/coalescer →
+//! a ticket's slot → `latency` (a query answered at admission completes
+//! under its replica's `state`) and never `exec`, `stats_gate` or
+//! `pending`; a dispatcher waiting
 //! for work holds its own `state` → `pending` (a flag read) and
 //! releases both before it asks for `exec`. The durability plane's
 //! snapshot writer takes `stats_gate` → `durability` to book a finished
@@ -33,7 +35,7 @@
 //! | a due epoch commit — engine swap, epoch store, cache fences, index rebuild, snapshot hand-off, waiters released | |
 //! | batch formation over every replica's queue (under their `state` locks), with the replies to queued hits and expired deadlines | |
 //! | the engine call, whole-batch retries with their backoff, degradation | |
-//! | cache insertion (under `stats_gate`, keyed to the epoch the batch ran against), heat bumps, the coalescers' hand-back | per-ticket fan-out of the batch: result folding, latency samples, channel sends |
+//! | cache insertion (under `stats_gate`, keyed to the epoch the batch ran against), heat bumps, the coalescers' hand-back | per-ticket fan-out of the batch: result folding, latency samples, reply-slot fills |
 //!
 //! Nothing sleeps or spins for lanes under it; the one linger,
 //! [`ServiceConfig::max_batch_delay`], is waited out *before* asking
@@ -255,14 +257,19 @@ impl SharedCore {
         lock(&self.index).as_ref().filter(|ix| ix.epoch() == epoch).cloned()
     }
 
-    /// Wakes every replica's dispatcher (a commit became due). The
-    /// per-replica state lock is taken around each notify so a
-    /// dispatcher that just checked `requested` and is about to wait
-    /// cannot miss the wake-up.
+    /// The engine value now serving, without waiting behind a batch.
+    pub(super) fn engine(&self) -> Arc<DistributedEngine> {
+        Arc::clone(&lock(&self.live_engine))
+    }
+
+    /// Wakes every parked dispatcher (a commit became due). The
+    /// per-replica state lock is taken around each notify, so a
+    /// dispatcher that just checked `requested` either has not parked
+    /// yet — and this blocks until it has, flag set — or sees the
+    /// request: the wake-up cannot be missed.
     pub(super) fn notify_dispatchers(&self) {
         for r in self.replica_list() {
-            let _st = lock(&r.state);
-            r.work.notify_all();
+            r.wake_dispatcher(&mut lock(&r.state));
         }
     }
 
@@ -289,7 +296,7 @@ impl SharedCore {
             self.durability.as_ref().map(|dm| lock(dm).stats()).unwrap_or_default();
         // The overlay of the engine value now serving — not of the last
         // commit: recovery and degradation install one too.
-        let engine = Arc::clone(&lock(&self.live_engine));
+        let engine = self.engine();
         let o = &self.obs;
         // Per-query outcome counts and samples move under this lock, so
         // completions match their samples and deadline kills their
