@@ -14,7 +14,11 @@
 //!    (remote) targets after them; then walk the boundary rows once and
 //!    emit `(t, row)` for each touched remote target. Shared neighbours
 //!    of shared frontiers cost a single pass — the "one traversal on
-//!    these two vertices" sharing of Fig. 3b.
+//!    these two vertices" sharing of Fig. 3b. A published delta overlay
+//!    is read in its [`OverlayScan`] form — source-ordered lists with
+//!    every inserted target already resolved to its slot — walked with
+//!    cursors beside the live rows, so an overlay row costs what a base
+//!    row costs.
 //! 2. **Absorb**: OR the remote rows received from peers (one
 //!    [`FrontierBatch`] per sender) into `next`.
 //! 3. **Advance**: `new = next & !visited`; `visited |= new`;
@@ -26,6 +30,7 @@ use crate::shard::Shard;
 use cgraph_graph::bitmap::{LaneMask, LaneMatrix, LaneWidth};
 use cgraph_graph::delta::{DeltaOverlay, DeltaRow};
 use cgraph_graph::VertexId;
+use std::ops::Range;
 
 /// Runs `$body` with `$S` bound to the row stride `$words` as a
 /// constant, so the per-row work is a fixed `S`-word operation — a
@@ -134,6 +139,104 @@ impl FrontierBatch {
             out.push(v, row);
         }
         out
+    }
+}
+
+/// The slot of an inserted target no base edge of the shard reaches (a
+/// remote vertex outside the boundary): the scan spills it.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Per-row lists, flattened: `rows[i]`'s entries are
+/// `items[span(i)]`, and `rows` ascends.
+#[derive(Debug)]
+struct RowLists<T> {
+    /// Local row numbers, ascending.
+    rows: Vec<u32>,
+    /// `rows.len() + 1` bounds into `items`.
+    offsets: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> RowLists<T> {
+    const EMPTY: Self = Self { rows: Vec::new(), offsets: Vec::new(), items: Vec::new() };
+
+    fn new() -> Self {
+        Self { rows: Vec::new(), offsets: vec![0], items: Vec::new() }
+    }
+
+    /// Appends row `row` (above every row already listed) with `items`.
+    fn push(&mut self, row: u32, items: impl IntoIterator<Item = T>) {
+        debug_assert!(self.rows.last().is_none_or(|&last| last < row));
+        self.rows.push(row);
+        self.items.extend(items);
+        self.offsets.push(u32::try_from(self.items.len()).expect("overlay entries fit u32"));
+    }
+
+    /// The entries of the `i`-th listed row.
+    #[inline]
+    fn span(&self, i: usize) -> Range<usize> {
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
+    }
+}
+
+/// The read form of one published [`DeltaOverlay`] on the shard that
+/// owns it — what [`BitFrontier::scan`] walks instead of the overlay's
+/// hash map, in the order it walks its live rows.
+///
+/// Sources are local rows, ascending, in two lists: the rows with
+/// inserted edges, each inserted target beside its accumulator slot
+/// (resolved once, here, rather than by a boundary search per scan;
+/// a target without one is spilled), and the rows that delete base
+/// edges, each with those targets ascending. Slots belong to the shard,
+/// so a form is only meaningful beside the shard it was derived
+/// against; the engine derives it once per published overlay value, on
+/// the first scan that needs it.
+#[derive(Debug)]
+pub struct OverlayScan {
+    /// Per insert row, the slot of each inserted target ([`NO_SLOT`] to
+    /// spill) …
+    inserts: RowLists<u32>,
+    /// … and the target itself, aligned with `inserts.items`.
+    insert_targets: Vec<VertexId>,
+    /// Per row that deletes base edges, their targets, ascending.
+    deletes: RowLists<VertexId>,
+}
+
+impl OverlayScan {
+    /// The form of no overlay.
+    const EMPTY: Self =
+        Self { inserts: RowLists::EMPTY, insert_targets: Vec::new(), deletes: RowLists::EMPTY };
+
+    /// Derives the form of `delta` against `shard`: its rows whose
+    /// source is local to the shard, in ascending source order.
+    pub fn new(delta: &DeltaOverlay, shard: &Shard) -> Self {
+        let mut rows: Vec<(VertexId, &DeltaRow)> =
+            delta.rows().filter(|&(v, _)| shard.is_local(v)).collect();
+        rows.sort_unstable_by_key(|&(v, _)| v);
+        let mut form =
+            Self { inserts: RowLists::new(), insert_targets: Vec::new(), deletes: RowLists::new() };
+        let tiles = shard.out_sets().sets();
+        for (v, row) in rows {
+            let l = shard.to_local(v);
+            if !row.inserts().is_empty() {
+                let slots = row.inserts().iter().map(|&(t, _)| shard.slot_of(t).unwrap_or(NO_SLOT));
+                form.inserts.push(l, slots);
+                form.insert_targets.extend(row.inserts().iter().map(|&(t, _)| t));
+            }
+            // A delete may name an edge the base does not have (one
+            // the overlay itself inserted earlier, or none at all); only
+            // a deleted base edge changes what the tile walk reads.
+            let mut hits = row
+                .deletes()
+                .iter()
+                .copied()
+                .filter(|t| tiles.iter().any(|s| s.neighbors(v).binary_search(t).is_ok()))
+                .peekable();
+            if hits.peek().is_some() {
+                form.deletes.push(l, hits);
+            }
+        }
+        form
     }
 }
 
@@ -268,58 +371,39 @@ impl BitFrontier {
     /// coalesced call per touched remote destination, in ascending
     /// vertex order**, each row zeroed as it is emitted.
     ///
-    /// When a [`DeltaOverlay`] is present the scan consults it
-    /// alongside the base edge-sets: base neighbours whose edge the
-    /// overlay deletes are skipped, and a second pass accumulates the
-    /// overlay's inserted edges for every frontier source. An inserted
-    /// edge to a remote vertex no base edge of this shard reaches has
-    /// no slot; those go through a spill list that is sorted, coalesced
-    /// and merged into the emission order, so the contract above holds
-    /// with an overlay too.
+    /// With an `overlay` (the [`OverlayScan`] of this shard's published
+    /// delta) the tile walk takes each live row's delete list from a
+    /// cursor over the overlay's delete rows and skips the base edges it
+    /// names, and an insert pass walks the overlay's insert rows beside
+    /// the live-row list, ORing each live one into its inserted
+    /// targets' slots with the same kernel the base edges use. An
+    /// inserted edge to a remote vertex no base edge of this shard
+    /// reaches has no slot; those go through a spill list that is
+    /// sorted, coalesced and merged into the emission order, so the
+    /// contract above holds with an overlay too.
     ///
-    /// Returns the number of (row, tile) pairs actually scanned — the
-    /// work metric the edge-set and lane-width ablations report.
+    /// Returns the number of (row, tile) pairs actually scanned, plus
+    /// one per live row with inserted edges — the work metric the
+    /// edge-set and lane-width ablations report.
     pub fn scan(
         &mut self,
         shard: &Shard,
-        delta: Option<&DeltaOverlay>,
+        overlay: Option<&OverlayScan>,
         mut remote: impl FnMut(VertexId, &[u64]),
     ) -> u64 {
-        let mut scanned = with_stride!(self.width.words(), S => self.scan_tiles::<S>(shard, delta));
-        // Overlay insert pass: sources with pending inserted edges whose
-        // frontier row is live. Rows iterate in arbitrary (HashMap)
-        // order — harmless, since accumulation is a pure OR and the
-        // spill is sorted before it is emitted.
+        static NO_OVERLAY: OverlayScan = OverlayScan::EMPTY;
+        let overlay = overlay.unwrap_or(&NO_OVERLAY);
         let mut spill: Vec<(VertexId, LaneMask)> = Vec::new();
-        if let Some(d) = delta {
-            for (v, drow) in d.rows() {
-                if drow.inserts().is_empty() || !shard.is_local(v) {
-                    continue;
-                }
-                let row = self.frontier.row((v - self.base) as usize);
-                if row.iter().all(|&w| w == 0) {
-                    continue;
-                }
-                scanned += 1;
-                let w = LaneMask::from_words(row);
-                for &(t, _) in drow.inserts() {
-                    match shard.slot_of(t) {
-                        Some(slot) => {
-                            self.next.or_row(slot as usize, &w);
-                        }
-                        None => spill.push((t, w)),
-                    }
-                }
+        let scanned =
+            with_stride!(self.width.words(), S => self.scan_rows::<S>(shard, overlay, &mut spill));
+        spill.sort_unstable_by_key(|e| e.0);
+        spill.dedup_by(|dup, kept| {
+            let same = dup.0 == kept.0;
+            if same {
+                kept.1.or_assign(&dup.1);
             }
-            spill.sort_unstable_by_key(|e| e.0);
-            spill.dedup_by(|dup, kept| {
-                let same = dup.0 == kept.0;
-                if same {
-                    kept.1.or_assign(&dup.1);
-                }
-                same
-            });
-        }
+            same
+        });
         // Emission: boundary rows ascend with their vertex ids, and a
         // spilled target is by definition not a boundary vertex, so a
         // two-way merge yields every destination once, in order.
@@ -343,9 +427,14 @@ impl BitFrontier {
         scanned
     }
 
-    /// The tile walk of [`BitFrontier::scan`] at row stride `S` (words
-    /// per vertex).
-    fn scan_tiles<const S: usize>(&mut self, shard: &Shard, delta: Option<&DeltaOverlay>) -> u64 {
+    /// The tile walk and the overlay insert pass of
+    /// [`BitFrontier::scan`] at row stride `S` (words per vertex).
+    fn scan_rows<const S: usize>(
+        &mut self,
+        shard: &Shard,
+        overlay: &OverlayScan,
+        spill: &mut Vec<(VertexId, LaneMask)>,
+    ) -> u64 {
         let base = self.base;
         let (frontier, _) = self.frontier.words().as_chunks::<S>();
         // One pass lists the live rows; the write is unconditional and
@@ -358,10 +447,7 @@ impl BitFrontier {
         }
         let active = &self.active[..live];
         let (next, _) = self.next.words_mut().as_chunks_mut::<S>();
-        // The sources with deletes ascend, and so does every tile's
-        // share of the live list: a cursor walked beside it finds the
-        // few rows that need their delete list looked up.
-        let delete_sources = delta.map_or(&[][..], DeltaOverlay::delete_sources);
+        let deletes = &overlay.deletes;
         let mut scanned = 0u64;
         for (tile, set) in shard.out_sets().sets().iter().enumerate() {
             let slots = shard.tile_slots(tile);
@@ -372,38 +458,55 @@ impl BitFrontier {
             let end = first + set.row_range.len() as usize;
             let lo = active.partition_point(|&l| (l as usize) < first);
             let hi = lo + active[lo..].partition_point(|&l| (l as usize) < end);
-            let from = delete_sources.partition_point(|&v| v < set.row_range.start);
-            let mut deleting = &delete_sources[from..];
+            // The delete rows ascend, and so does the tile's share of
+            // the live list: a cursor walked beside it finds the few
+            // rows whose base edges the overlay deletes.
+            let mut d = deletes.rows.partition_point(|&r| (r as usize) < first);
             for &l in &active[lo..hi] {
-                let l = l as usize;
-                let span = offsets[l - first] as usize..offsets[l - first + 1] as usize;
+                let r = l as usize - first;
+                let span = offsets[r] as usize..offsets[r + 1] as usize;
                 if span.is_empty() {
                     continue;
                 }
                 scanned += 1;
-                let row = frontier[l];
-                let v = base + l as VertexId;
-                while deleting.first().is_some_and(|&d| d < v) {
-                    deleting = &deleting[1..];
+                let row = frontier[l as usize];
+                while deletes.rows.get(d).is_some_and(|&r| r < l) {
+                    d += 1;
                 }
-                let dels = if deleting.first() == Some(&v) {
-                    overlay_row(delta, v).map(DeltaRow::deletes)
-                } else {
-                    None
-                };
-                match dels {
-                    None => {
-                        for &slot in &slots[span] {
+                if deletes.rows.get(d) == Some(&l) {
+                    let dels = &deletes.items[deletes.span(d)];
+                    for (t, &slot) in targets[span.clone()].iter().zip(&slots[span]) {
+                        if dels.binary_search(t).is_err() {
                             or_words(&mut next[slot as usize], &row);
                         }
                     }
-                    Some(dels) => {
-                        for (t, &slot) in targets[span.clone()].iter().zip(&slots[span]) {
-                            if dels.binary_search(t).is_err() {
-                                or_words(&mut next[slot as usize], &row);
-                            }
-                        }
+                } else {
+                    for &slot in &slots[span] {
+                        or_words(&mut next[slot as usize], &row);
                     }
+                }
+            }
+        }
+        // Insert pass: the insert rows ascend like the live list, so
+        // one cursor finds the live ones.
+        let inserts = &overlay.inserts;
+        let mut c = 0;
+        for (i, &r) in inserts.rows.iter().enumerate() {
+            while active.get(c).is_some_and(|&l| l < r) {
+                c += 1;
+            }
+            if active.get(c) != Some(&r) {
+                continue;
+            }
+            scanned += 1;
+            let row = frontier[r as usize];
+            let span = inserts.span(i);
+            for (&slot, &t) in inserts.items[span.clone()].iter().zip(&overlay.insert_targets[span])
+            {
+                if slot == NO_SLOT {
+                    spill.push((t, LaneMask::from_words(&row)));
+                } else {
+                    or_words(&mut next[slot as usize], &row);
                 }
             }
         }
@@ -538,14 +641,6 @@ impl BitFrontier {
 }
 
 /// `dst |= src`, word for word.
-/// The tile walk's one hash lookup: the overlay row of a source the
-/// overlay lists as carrying deletes. (Unit tests count the calls.)
-fn overlay_row(delta: Option<&DeltaOverlay>, v: VertexId) -> Option<&DeltaRow> {
-    #[cfg(test)]
-    tests::ROW_LOOKUPS.with(|n| n.set(n.get() + 1));
-    delta?.row(v)
-}
-
 #[inline(always)]
 fn or_words<const S: usize>(dst: &mut [u64; S], src: &[u64; S]) {
     for (d, s) in dst.iter_mut().zip(src) {
@@ -662,13 +757,8 @@ mod tests {
         LaneMask::from_words(&[w])
     }
 
-    thread_local! {
-        /// [`overlay_row`] calls made on this thread.
-        pub(super) static ROW_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
-
     #[test]
-    fn tile_walk_looks_up_only_rows_that_carry_deletes() {
+    fn tile_walk_makes_no_hash_lookup() {
         use cgraph_graph::delta::EdgeUpdate;
         // A 32-ring with a chord per vertex, cut into a grid of small
         // tiles so a live row is met in several of them.
@@ -679,54 +769,150 @@ mod tests {
         let tiles = shard.out_sets().sets().len() as u64;
         assert!(tiles > 4, "want a real grid, got {tiles} tile(s)");
 
-        // Every row live in lane 0; returns `next` and the lookups made.
-        let scan = |delta: Option<&DeltaOverlay>| {
+        // Every row live in lane 0; returns the rows `next` reached and
+        // the scan count.
+        let scan = |overlay: Option<&OverlayScan>| {
             let mut bf = BitFrontier::new(&shard, 64);
             for v in 0..n {
                 bf.seed(v, 0);
             }
-            let before = ROW_LOOKUPS.with(std::cell::Cell::get);
-            let scanned = bf.scan(&shard, delta, |_, _| unreachable!("one shard"));
-            let looked_up = ROW_LOOKUPS.with(std::cell::Cell::get) - before;
+            let scanned = bf.scan(&shard, overlay, |_, _| unreachable!("one shard"));
             let reached: Vec<u64> = (0..n).filter(|&v| bf.next.row(v as usize)[0] != 0).collect();
-            (reached, scanned, looked_up)
+            (reached, scanned)
         };
-        let (all, row_tile_pairs, none) = scan(None);
-        assert_eq!((all.len() as u64, none), (n, 0));
+        let (all, row_tile_pairs) = scan(None);
+        assert_eq!(all.len() as u64, n);
 
-        // Insert-only: one lookup per live row per tile at the parent, none now.
+        // Inserts on every third row; deletes on two rows, both
+        // in-edges of vertex 9. What the overlay's own merge says is
+        // reachable is the reference.
         let mut overlay = DeltaOverlay::new();
         for v in (0..n).step_by(3) {
             overlay.apply(&EdgeUpdate::insert(v, (v + 5) % n));
         }
-        let (reached, _, looked_up) = scan(Some(&overlay));
-        assert_eq!((reached, looked_up), (all.clone(), 0));
-
-        // Deletes on two rows — both in-edges of vertex 9: a lookup per
-        // tile that holds edges of either row, and what the overlay's
-        // own merge says is reachable, nothing else.
         overlay.apply(&EdgeUpdate::delete(8, 9));
         overlay.apply(&EdgeUpdate::delete(28, 9));
-        let tiles_of = |v: u64| {
-            let holds = |s: &&cgraph_graph::EdgeSet| {
-                s.row_range.contains(v) && {
-                    let (offsets, r) = (s.raw_parts().0, (v - s.row_range.start) as usize);
-                    offsets[r] < offsets[r + 1]
-                }
-            };
-            shard.out_sets().sets().iter().filter(holds).count() as u64
-        };
-        let (reached, scanned, looked_up) = scan(Some(&overlay));
-        assert_eq!(looked_up, tiles_of(8) + tiles_of(28));
-        assert!(looked_up < row_tile_pairs && scanned >= row_tile_pairs);
         let mut want: Vec<u64> = (0..n)
             .flat_map(|v| overlay.merge_row(v, &[((v + 1) % n, 1.0), ((v + 13) % n, 1.0)]))
             .map(|(t, _)| t)
             .collect();
         want.sort_unstable();
         want.dedup();
-        assert_eq!(reached, want);
-        assert!(!reached.contains(&9) && reached.len() as u64 == n - 1);
+        assert!(!want.contains(&9) && want.len() as u64 == n - 1);
+
+        // The scan path is handed the form alone: with the overlay
+        // dropped there is no hash map left to look a row up in, over
+        // any number of scans.
+        let form = OverlayScan::new(&overlay, &shard);
+        drop(overlay);
+        for _ in 0..3 {
+            let (reached, scanned) = scan(Some(&form));
+            assert_eq!(reached, want);
+            // One per (live row, tile) pair, as without an overlay, and
+            // one per live row with inserts.
+            assert_eq!(scanned, row_tile_pairs + n.div_ceil(3));
+        }
+    }
+
+    #[test]
+    fn scan_form_lists_exactly_the_rows_that_carry_each_kind() {
+        use cgraph_graph::delta::EdgeUpdate;
+        // Shard 0 of two over 48 vertices: a ring over 0..24 and an edge
+        // from each of its vertices to 24..28. A remote target is a
+        // boundary vertex (24..28, a slot) or not (28..48, spilled), and
+        // sources 24..48 are not this shard's, so the form leaves them
+        // out.
+        let base = |v: u64, t: u64| v < 24 && (t == 24 + v % 4 || t == (v + 1) % 24);
+        let mut g: EdgeList =
+            (0..24u64).flat_map(|v| [(v, 24 + v % 4), (v, (v + 1) % 24)]).collect();
+        g.set_num_vertices(48);
+        let part = RangePartition::by_vertices(48, 2);
+        let shard = Shard::build(0, &part, g.edges(), ConsolidationPolicy::default(), false);
+        let lists = |l: &RowLists<u32>| -> Vec<(u32, Vec<u32>)> {
+            (0..l.rows.len()).map(|i| (l.rows[i], l.items[l.span(i)].to_vec())).collect()
+        };
+        let delete_lists = |l: &RowLists<VertexId>| -> Vec<(u32, Vec<VertexId>)> {
+            (0..l.rows.len()).map(|i| (l.rows[i], l.items[l.span(i)].to_vec())).collect()
+        };
+
+        // splitmix64: a seeded insert / delete / re-insert churn over a
+        // small key space, so pairs collide and cancel often; half the
+        // pairs are base edges.
+        let mut z = 0x5EED_u64;
+        let mut next = || {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = z;
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^ (x >> 31)
+        };
+        let mut d = DeltaOverlay::new();
+        let (mut spilled, mut boundary, mut unlisted) = (false, false, false);
+        for step in 0..4_000 {
+            let src = next() % 32;
+            let dst = match next() % 4 {
+                0 => 24 + src % 4,
+                1 => (src + 1) % 24,
+                _ => next() % 48,
+            };
+            let u = if next() % 2 == 0 {
+                EdgeUpdate::insert(src, dst)
+            } else {
+                EdgeUpdate::delete(src, dst)
+            };
+            d.apply(&u);
+            let form = OverlayScan::new(&d, &shard);
+            let mut rows: Vec<(VertexId, &DeltaRow)> =
+                d.rows().filter(|&(v, _)| shard.is_local(v)).collect();
+            rows.sort_unstable_by_key(|&(v, _)| v);
+            let want_inserts: Vec<(u32, Vec<u32>)> = rows
+                .iter()
+                .filter(|(_, r)| !r.inserts().is_empty())
+                .map(|&(v, r)| {
+                    let slots =
+                        r.inserts().iter().map(|&(t, _)| shard.slot_of(t).unwrap_or(NO_SLOT));
+                    (shard.to_local(v), slots.collect())
+                })
+                .collect();
+            let want_targets: Vec<VertexId> =
+                rows.iter().flat_map(|(_, r)| r.inserts().iter().map(|&(t, _)| t)).collect();
+            // Only deletes of base edges are listed.
+            let want_deletes: Vec<(u32, Vec<VertexId>)> = rows
+                .iter()
+                .map(|&(v, r)| {
+                    (
+                        shard.to_local(v),
+                        r.deletes().iter().copied().filter(|&t| base(v, t)).collect(),
+                    )
+                })
+                .filter(|(_, dels): &(u32, Vec<VertexId>)| !dels.is_empty())
+                .collect();
+            unlisted |= rows.iter().any(|&(v, r)| r.deletes().iter().any(|&t| !base(v, t)));
+            assert_eq!(lists(&form.inserts), want_inserts, "after step {step}: {u:?}");
+            assert_eq!(form.insert_targets, want_targets, "after step {step}: {u:?}");
+            assert_eq!(delete_lists(&form.deletes), want_deletes, "after step {step}: {u:?}");
+            spilled |= form.inserts.items.contains(&NO_SLOT);
+            boundary |= form.inserts.items.iter().any(|&s| s >= 24 && s != NO_SLOT);
+        }
+        assert!(spilled && boundary, "the churn reaches both kinds of remote target");
+        assert!(unlisted, "the churn deletes edges the base does not have");
+
+        // An insert that cancels a row's last delete of a base edge
+        // takes it off the delete list; a delete of an absent edge never
+        // puts a row on it.
+        let mut d = DeltaOverlay::new();
+        d.apply(&EdgeUpdate::delete(7, 27));
+        d.apply(&EdgeUpdate::delete(3, 27));
+        d.apply(&EdgeUpdate::delete(7, 8));
+        d.apply(&EdgeUpdate::delete(5, 40));
+        assert_eq!(OverlayScan::new(&d, &shard).deletes.rows, [3, 7]);
+        d.apply(&EdgeUpdate::insert(7, 27));
+        let form = OverlayScan::new(&d, &shard);
+        assert_eq!((&form.deletes.rows[..], &form.inserts.rows[..]), (&[3, 7][..], &[7][..]));
+        d.apply(&EdgeUpdate::insert(7, 8));
+        let form = OverlayScan::new(&d, &shard);
+        assert_eq!((&form.deletes.rows[..], &form.inserts.rows[..]), (&[3][..], &[7][..]));
+        assert!(d.row(7).is_some_and(|r| r.deletes().is_empty()));
     }
 
     #[test]

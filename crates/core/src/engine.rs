@@ -19,7 +19,7 @@
 //! shared immutably, all mutable state is thread-local, and traffic is
 //! exchanged through the inbox/outbox fabric of Fig. 4/5.
 
-use crate::bitfrontier::{AdvanceResult, BitFrontier, FrontierBatch};
+use crate::bitfrontier::{AdvanceResult, BitFrontier, FrontierBatch, OverlayScan};
 use crate::config::{EngineConfig, UpdateMode};
 use crate::gas::Gas;
 use crate::partition::RangePartition;
@@ -34,8 +34,8 @@ use cgraph_comm::{
 };
 use cgraph_graph::delta::{DeltaOverlay, EdgeUpdate};
 use cgraph_graph::{Edge, EdgeList, LaneMask, LaneWidth, VertexId, MAX_LANES};
-use cgraph_obs::{log2_edges, Counter, Histogram, TraceCtx, Tracer, COORD};
-use std::sync::{Arc, Mutex};
+use cgraph_obs::{log2_edges, Counter, Histogram, TraceCtx, Tracer, COORD, LOG_LATENCY_EDGES_SECS};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Messages exchanged between machines.
@@ -254,6 +254,7 @@ struct EngineObsHandles {
     supersteps: Arc<Counter>,
     frontier_bits: Arc<Histogram>,
     checkpoint_bytes: Arc<Counter>,
+    scan_form_seconds: Arc<Histogram>,
 }
 
 impl EngineObsHandles {
@@ -272,6 +273,11 @@ impl EngineObsHandles {
             checkpoint_bytes: m.counter(
                 "cgraph_engine_checkpoint_bytes_total",
                 "Bytes of bit-frontier state committed to recovery checkpoints.",
+            ),
+            scan_form_seconds: m.histogram(
+                "cgraph_delta_scan_form_seconds",
+                "Wall time deriving one machine's scan form of a published delta overlay.",
+                &LOG_LATENCY_EDGES_SECS,
             ),
         }
     }
@@ -477,6 +483,31 @@ impl<'e> PartitionRun<'e> {
     }
 }
 
+/// One machine's published delta overlay beside its scan form.
+///
+/// The overlay is the write side (what a commit clones and applies to,
+/// what a fold merges, what a snapshot encodes); the form is what a
+/// scan reads. It resolves targets to the slots of the shard the
+/// overlay was published beside, which is why it lives here and not in
+/// the overlay: every engine value that shares this `Arc` shares its
+/// shards too (an empty commit), and every other commit publishes a
+/// new one.
+#[derive(Debug, Default)]
+struct PublishedDelta {
+    overlay: DeltaOverlay,
+    /// Derived by the first scan on the owning machine.
+    scan: OnceLock<OverlayScan>,
+    /// Derivations of `scan` (at most one; unit tests read it).
+    #[cfg(test)]
+    derivations: std::sync::atomic::AtomicU32,
+}
+
+impl PublishedDelta {
+    fn new(overlay: DeltaOverlay) -> Arc<Self> {
+        Arc::new(Self { overlay, ..Self::default() })
+    }
+}
+
 /// The C-Graph distributed engine.
 ///
 /// An engine value is an immutable *snapshot* of the graph at one
@@ -490,10 +521,10 @@ pub struct DistributedEngine {
     /// Base shards, `Arc`-shared between epochs so an overlay-publish
     /// commit never copies the graph.
     shards: Arc<Vec<Shard>>,
-    /// Per-machine published adjacency deltas, consulted alongside the
-    /// base edge-sets during scans. Empty overlays cost nothing on the
-    /// scan path ([`DistributedEngine::delta`] returns `None`).
-    deltas: Vec<Arc<DeltaOverlay>>,
+    /// Per-machine published adjacency deltas, read alongside the base
+    /// edge-sets during scans. Empty overlays cost nothing on the scan
+    /// path ([`DistributedEngine::delta`] returns `None`).
+    deltas: Vec<Arc<PublishedDelta>>,
     /// Snapshot epoch: 0 at ingestion, +1 per committed mutation batch.
     graph_epoch: u64,
     config: EngineConfig,
@@ -532,7 +563,7 @@ impl DistributedEngine {
         assert_eq!(partition.num_vertices(), edges.num_vertices());
         let shards =
             build_shards(&partition, edges.edges(), config.edge_set_policy, config.build_in_edges);
-        let deltas = (0..config.num_machines).map(|_| Arc::new(DeltaOverlay::new())).collect();
+        let deltas = (0..config.num_machines).map(|_| Arc::default()).collect();
         Self {
             partition,
             shards: Arc::new(shards),
@@ -569,7 +600,7 @@ impl DistributedEngine {
         Self {
             partition,
             shards: Arc::new(shards),
-            deltas: deltas.into_iter().map(Arc::new).collect(),
+            deltas: deltas.into_iter().map(PublishedDelta::new).collect(),
             graph_epoch,
             config,
             obs_handles: Mutex::new(None),
@@ -617,31 +648,54 @@ impl DistributedEngine {
     /// Machine `m`'s published delta overlay, or `None` when it carries
     /// no entries — the scan paths' fast test for "base only".
     pub fn delta(&self, m: usize) -> Option<&DeltaOverlay> {
+        let d = &self.deltas[m].overlay;
+        (!d.is_empty()).then_some(d)
+    }
+
+    /// Machine `m`'s published overlay in the form
+    /// [`BitFrontier::scan`] reads, or `None` when it carries no
+    /// entries. Derived once per published overlay, by the first scan
+    /// that asks (concurrent askers wait for it); `obs` times that one
+    /// derivation.
+    fn overlay_scan(&self, m: usize, obs: Option<&EngineObsHandles>) -> Option<&OverlayScan> {
         let d = &self.deltas[m];
-        (!d.is_empty()).then_some(&**d)
+        if d.overlay.is_empty() {
+            return None;
+        }
+        Some(d.scan.get_or_init(|| {
+            let start = Instant::now();
+            let form = OverlayScan::new(&d.overlay, &self.shards[m]);
+            if let Some(h) = obs {
+                h.scan_form_seconds.observe(start.elapsed().as_secs_f64());
+            }
+            #[cfg(test)]
+            d.derivations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            form
+        }))
     }
 
     /// Total resident delta entries (inserted + deleted edges) across
     /// all machines.
     pub fn delta_entries(&self) -> usize {
-        self.deltas.iter().map(|d| d.len()).sum()
+        self.deltas.iter().map(|d| d.overlay.len()).sum()
     }
 
     /// Total resident delta bytes across all machines.
     pub fn delta_bytes(&self) -> usize {
-        self.deltas.iter().map(|d| if d.is_empty() { 0 } else { d.size_bytes() }).sum()
+        (0..self.num_machines()).filter_map(|m| self.delta(m)).map(DeltaOverlay::size_bytes).sum()
     }
 
     /// The largest single machine's delta footprint — the scheduler
     /// charges this against the per-machine memory budget, since every
     /// machine thread scans its own overlay alongside the batch state.
     pub fn max_delta_bytes(&self) -> usize {
-        self.deltas.iter().map(|d| if d.is_empty() { 0 } else { d.size_bytes() }).max().unwrap_or(0)
+        let overlays = (0..self.num_machines()).filter_map(|m| self.delta(m));
+        overlays.map(DeltaOverlay::size_bytes).max().unwrap_or(0)
     }
 
     /// True when any machine has a live overlay.
     pub fn has_delta(&self) -> bool {
-        self.deltas.iter().any(|d| !d.is_empty())
+        self.deltas.iter().any(|d| !d.overlay.is_empty())
     }
 
     /// Publishes `updates` as a new engine value at `graph_epoch + 1`.
@@ -681,7 +735,7 @@ impl DistributedEngine {
             );
         }
         let n = self.num_vertices();
-        let mut deltas: Vec<DeltaOverlay> = self.deltas.iter().map(|d| (**d).clone()).collect();
+        let mut deltas: Vec<DeltaOverlay> = self.deltas.iter().map(|d| d.overlay.clone()).collect();
         for u in updates {
             assert!(u.src() < n && u.dst() < n, "edge update {u:?} outside vertex range 0..{n}");
             deltas[self.partition.owner(u.src())].apply(u);
@@ -694,7 +748,7 @@ impl DistributedEngine {
                 DistributedEngine {
                     partition: self.partition.clone(),
                     shards: Arc::clone(&self.shards),
-                    deltas: deltas.into_iter().map(Arc::new).collect(),
+                    deltas: deltas.into_iter().map(PublishedDelta::new).collect(),
                     graph_epoch: self.graph_epoch + 1,
                     config: self.config,
                     obs_handles: Mutex::new(None),
@@ -726,7 +780,7 @@ impl DistributedEngine {
         DistributedEngine {
             partition: self.partition.clone(),
             shards: Arc::new(shards),
-            deltas: (0..self.config.num_machines).map(|_| Arc::new(DeltaOverlay::new())).collect(),
+            deltas: (0..self.config.num_machines).map(|_| Arc::default()).collect(),
             graph_epoch: epoch,
             config: self.config,
             obs_handles: Mutex::new(None),
@@ -871,6 +925,7 @@ impl DistributedEngine {
         }
         let (mut run, mut hop) =
             PartitionRun::start(&self.shards[id], self.graph_epoch, sources, resume);
+        let overlay = self.overlay_scan(id, wobs.as_ref().map(|w| &*w.h));
         // A peer died: park this partition's state at `boundary` for
         // the recovery pass, or die with it when nothing will resume.
         let park = |run: &PartitionRun, boundary: u32| -> Option<MachineOut> {
@@ -908,7 +963,8 @@ impl DistributedEngine {
                 w.superstep_enter(hop);
             }
             run.bf.mask_frontier(budget.at(hop));
-            scans += self.scan_and_send(&mut run.bf, hop, recovery.map(|(store, _)| store), &h);
+            scans +=
+                self.scan_and_send(&mut run.bf, overlay, hop, recovery.map(|(store, _)| store), &h);
             if h.try_barrier().is_err() {
                 // Frontier and visited words still hold boundary `hop`
                 // (advance has not run); only `next` holds partial
@@ -947,11 +1003,11 @@ impl DistributedEngine {
     }
 
     /// Superstep `hop`'s scan and frontier exchange on machine `h.id()`:
-    /// scans the shard, buckets the emitted remote rows per owner at
-    /// the batch's own stride, and sends one `Frontier` message per
-    /// non-empty owner — logging it to `log` first on the recoverable
-    /// path; log and message share the batch. Returns the edge-set rows
-    /// scanned.
+    /// scans the shard beside its `overlay`, buckets the emitted remote
+    /// rows per owner at the batch's own stride, and sends one
+    /// `Frontier` message per non-empty owner — logging it to `log`
+    /// first on the recoverable path; log and message share the batch.
+    /// Returns the edge-set rows scanned.
     ///
     /// [`BitFrontier::scan`] emits each remote destination once,
     /// coalesced, in ascending vertex order, so bucketing is a push and
@@ -959,6 +1015,7 @@ impl DistributedEngine {
     fn scan_and_send(
         &self,
         bf: &mut BitFrontier,
+        overlay: Option<&OverlayScan>,
         hop: u32,
         log: Option<&RecoveryStore>,
         h: &CommHandle<EngineMsg>,
@@ -967,7 +1024,7 @@ impl DistributedEngine {
         let ranges = self.partition.ranges();
         let mut outbox = vec![FrontierBatch::new(bf.width().words()); ranges.len()];
         let mut owner = 0;
-        let scans = bf.scan(&self.shards[id], self.delta(id), |t, row| {
+        let scans = bf.scan(&self.shards[id], overlay, |t, row| {
             while ranges[owner].end <= t {
                 owner += 1;
             }
@@ -1241,9 +1298,10 @@ impl DistributedEngine {
     ) -> (PartitionSnapshot, u64) {
         let (mut run, from) = PartitionRun::start(&self.shards[f], self.graph_epoch, sources, base);
         let budget = BudgetMasks::new(ks);
+        let overlay = self.overlay_scan(f, None);
         for hop in from..target {
             run.bf.mask_frontier(budget.at(hop));
-            run.bf.scan(run.shard, self.delta(f), |_, _| {}); // peers already received these
+            run.bf.scan(run.shard, overlay, |_, _| {}); // peers already received these
             for batch in store.logged_to(f, hop) {
                 run.bf.absorb(&batch);
             }
@@ -1268,7 +1326,8 @@ impl DistributedEngine {
         let mut edges = EdgeList::new();
         for (m, shard) in self.shards.iter().enumerate() {
             for v in shard.local_range().iter() {
-                for (t, w) in self.deltas[m].merge_row(v, &shard.out_neighbors_weighted(v)) {
+                for (t, w) in self.deltas[m].overlay.merge_row(v, &shard.out_neighbors_weighted(v))
+                {
                     edges.push(Edge::weighted(v, t, w));
                 }
             }
@@ -2241,6 +2300,42 @@ mod tests {
         assert_eq!(rec.per_level, expect.per_level);
         assert_eq!(report.recoveries, 1);
         assert_eq!(report.full_rollbacks, 0, "wide crash must take the confined path");
+    }
+
+    #[test]
+    fn scan_form_is_derived_once_per_published_overlay() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let derivations = |e: &DistributedEngine| -> Vec<u32> {
+            e.deltas.iter().map(|d| d.derivations.load(Relaxed)).collect()
+        };
+        // One derivation on every machine whose overlay has entries.
+        let once = |e: &DistributedEngine| -> Vec<u32> {
+            (0..e.num_machines()).map(|m| u32::from(e.delta(m).is_some())).collect()
+        };
+        let cluster = PersistentCluster::new(4);
+        let scan_many = |e: &DistributedEngine| {
+            for _ in 0..6 {
+                e.run_traversal_batch_on(&cluster, &[0, 20, 5], &[4, 6, 40]).unwrap();
+            }
+            e.run_traversal_batch(&[9, 31], &[u32::MAX, 3]).unwrap();
+        };
+        let base = engine(&ring(40), 4);
+        let updates =
+            [EdgeUpdate::insert(0, 25), EdgeUpdate::delete(1, 2), EdgeUpdate::insert(21, 3)];
+        let (e1, _) = base.with_updates(&updates, usize::MAX);
+        assert!(once(&e1).contains(&0), "some machine keeps an empty overlay");
+        scan_many(&e1);
+        assert_eq!(derivations(&e1), once(&e1));
+        // An empty commit shares the published value, form included.
+        let (e2, _) = e1.with_updates(&[], usize::MAX);
+        scan_many(&e2);
+        assert_eq!((derivations(&e1), derivations(&e2)), (once(&e1), once(&e1)));
+        // A commit with updates publishes new values, derived afresh.
+        let (e3, _) = e2.with_updates(&[EdgeUpdate::insert(30, 1)], usize::MAX);
+        assert_eq!(derivations(&e3), [0; 4]);
+        scan_many(&e3);
+        assert_eq!(derivations(&e3), once(&e3));
+        cluster.shutdown();
     }
 
     #[test]

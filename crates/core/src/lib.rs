@@ -35,9 +35,9 @@
 //!   snapshots, an update WAL, and the crash-restart recovery path
 //!   behind [`QueryService::open_or_recover`](service::QueryService::open_or_recover),
 //! * [`index_api`] — the reachability-index contract: the
-//!   [`ReachIndex`] surface the query path
-//!   consults for index-only answers and superstep pruning, built by
-//!   the `cgraph-index` crate (see `INDEXING.md`).
+//!   [`ReachIndex`] surface the scheduler and the service consult for
+//!   index-only answers (a query the index cannot answer is traversed
+//!   in full), built by the `cgraph-index` crate (see `INDEXING.md`).
 
 #![warn(missing_docs)]
 

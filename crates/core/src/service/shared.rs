@@ -278,7 +278,7 @@ impl SharedCore {
     /// (e.g. `updates_applied + pending_updates`) are exact at every
     /// sample. Per-replica cache occupancy is summed over the group.
     pub(super) fn stats(&self) -> ServiceStats {
-        let _gate = lock(&self.stats_gate);
+        let gate = lock(&self.stats_gate);
         let (mut cache_entries, mut cache_bytes) = (0u64, 0u64);
         for r in self.replica_list() {
             if let Some(cm) = &r.plane.cache {
@@ -302,7 +302,8 @@ impl SharedCore {
         // completions match their samples and deadline kills their
         // failures in every snapshot.
         let lat = lock(&self.latency);
-        ServiceStats {
+        let samples = [lat.wait.clone(), lat.exec.clone(), lat.response.clone()];
+        let counters = ServiceStats {
             queries_completed: o.queries_completed.get(),
             queries_failed: o.queries_failed.get(),
             queries_deadline_exceeded: o.queries_deadline_exceeded.get(),
@@ -341,10 +342,17 @@ impl SharedCore {
             snapshots_corrupt: dur.snapshots_corrupt,
             durable_recoveries: dur.recoveries,
             last_snapshot_epoch: dur.last_snapshot_epoch,
-            admission_wait: ResponseStats::new(lat.wait.clone()),
-            exec: ResponseStats::new(lat.exec.clone()),
-            response: ResponseStats::new(lat.response.clone()),
-        }
+            admission_wait: ResponseStats::new(Vec::new()),
+            exec: ResponseStats::new(Vec::new()),
+            response: ResponseStats::new(Vec::new()),
+        };
+        // Sort the copies outside the locks: every completion pushes its
+        // samples under `latency`, and a sampler that sorted under it
+        // would hold the hit path off for the whole sort.
+        drop(lat);
+        drop(gate);
+        let [admission_wait, exec, response] = samples.map(ResponseStats::new);
+        ServiceStats { admission_wait, exec, response, ..counters }
     }
 }
 

@@ -212,13 +212,14 @@ impl DeltaRow {
 /// (cloning the old and applying the freshly buffered updates) and swap
 /// it in with the new engine value, so in-flight scans keep reading the
 /// overlay of their admission epoch.
+///
+/// This is the *write side*: a map that `apply` can edit in any order.
+/// The bit-frontier scan does not read it; it reads a source-ordered
+/// form derived once per published value, beside the shard whose slots
+/// it resolves to (`cgraph_core::bitfrontier::OverlayScan`).
 #[derive(Clone, Debug, Default)]
 pub struct DeltaOverlay {
     rows: HashMap<VertexId, DeltaRow>,
-    /// The sources whose row carries at least one delete, ascending —
-    /// what lets an edge scan that walks its rows in order learn "no
-    /// deletes here" from a cursor instead of a hash lookup per row.
-    delete_sources: Vec<VertexId>,
     num_inserts: usize,
     num_deletes: usize,
 }
@@ -233,17 +234,12 @@ impl DeltaOverlay {
     /// last-update-wins (an insert cancels a pending delete of the same
     /// edge and vice versa).
     pub fn apply(&mut self, u: &EdgeUpdate) {
-        let src = u.src();
-        let row = self.rows.entry(src).or_default();
+        let row = self.rows.entry(u.src()).or_default();
         match *u {
             EdgeUpdate::Insert { dst, weight, .. } => {
                 if let Ok(i) = row.deletes.binary_search(&dst) {
                     row.deletes.remove(i);
                     self.num_deletes -= 1;
-                    if row.deletes.is_empty() {
-                        let at = self.delete_sources.binary_search(&src);
-                        self.delete_sources.remove(at.expect("a row with deletes is listed"));
-                    }
                 }
                 match row.inserts.binary_search_by_key(&dst, |e| e.0) {
                     Ok(i) => row.inserts[i].1 = weight,
@@ -259,11 +255,6 @@ impl DeltaOverlay {
                     self.num_inserts -= 1;
                 }
                 if let Err(i) = row.deletes.binary_search(&dst) {
-                    if row.deletes.is_empty() {
-                        let at = self.delete_sources.binary_search(&src);
-                        self.delete_sources
-                            .insert(at.expect_err("a row without deletes is not"), src);
-                    }
                     row.deletes.insert(i, dst);
                     self.num_deletes += 1;
                 }
@@ -276,15 +267,8 @@ impl DeltaOverlay {
         self.rows.get(&v).filter(|r| !r.is_empty())
     }
 
-    /// The sources whose row has a non-empty delete list, ascending. A
-    /// scan that visits sources in ascending order walks this beside
-    /// them and calls [`DeltaOverlay::row`] only on a match.
-    pub fn delete_sources(&self) -> &[VertexId] {
-        &self.delete_sources
-    }
-
-    /// Iterates every non-empty `(source, row)` pair (no defined
-    /// order — scans OR idempotently, so order never matters).
+    /// Iterates every non-empty `(source, row)` pair, in no defined
+    /// order; a reader that needs sources ascending sorts what it takes.
     pub fn rows(&self) -> impl Iterator<Item = (VertexId, &DeltaRow)> {
         self.rows.iter().filter(|(_, r)| !r.is_empty()).map(|(&v, r)| (v, r))
     }
@@ -414,47 +398,6 @@ mod tests {
         assert!(d.row(1).is_some());
         assert_eq!(d.rows().count(), 1);
         assert!(d.size_bytes() > 0);
-    }
-
-    #[test]
-    fn delete_sources_lists_exactly_the_rows_with_deletes() {
-        // splitmix64: a seeded insert / delete / re-insert churn over a
-        // small key space, so pairs collide and cancel often.
-        let mut z = 0x5EED_u64;
-        let mut next = || {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = z;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
-        let mut d = DeltaOverlay::new();
-        for step in 0..4_000 {
-            let (src, dst) = (next() % 24, next() % 6);
-            let u = if next() % 2 == 0 {
-                EdgeUpdate::insert(src, dst)
-            } else {
-                EdgeUpdate::delete(src, dst)
-            };
-            d.apply(&u);
-            let mut want: Vec<VertexId> =
-                d.rows().filter(|(_, r)| !r.deletes().is_empty()).map(|(v, _)| v).collect();
-            want.sort_unstable();
-            assert_eq!(d.delete_sources(), want, "after step {step}: {u:?}");
-        }
-        assert_eq!(d.clone().delete_sources(), d.delete_sources());
-
-        // An insert that cancels a row's last delete takes it off the list.
-        let mut d = DeltaOverlay::new();
-        d.apply(&EdgeUpdate::delete(7, 1));
-        d.apply(&EdgeUpdate::delete(3, 2));
-        d.apply(&EdgeUpdate::delete(7, 4));
-        assert_eq!(d.delete_sources(), [3, 7]);
-        d.apply(&EdgeUpdate::insert(7, 1));
-        assert_eq!(d.delete_sources(), [3, 7], "7 still deletes 4");
-        d.apply(&EdgeUpdate::insert(7, 4));
-        assert_eq!(d.delete_sources(), [3]);
-        assert!(d.row(7).is_some_and(|r| r.deletes().is_empty()));
     }
 
     #[test]

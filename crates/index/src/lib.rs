@@ -125,19 +125,18 @@ impl BoundaryIndexBuilder {
         let hops = self.config.effective_hops();
         let horizon = hops as usize;
 
-        // Rank boundary vertices by out-degree (hubs first) and keep
-        // the top `max_sources` as indexed sources, stored ascending.
+        // Rank boundary vertices by base out-degree, duplicates counted
+        // (hubs first, ties by id), and keep the top `max_sources` as
+        // indexed sources, stored ascending. Every shard keeps the
+        // global degree array, rebuilt with the shards by a fold or a
+        // degrade.
         let mut boundary: Vec<VertexId> =
             engine.shards().iter().flat_map(|s| s.boundary_vertices().iter().copied()).collect();
         boundary.sort_unstable();
         boundary.dedup();
-        let mut ranked: Vec<(usize, VertexId)> = boundary
-            .into_iter()
-            .map(|v| {
-                let owner = engine.partition().owner(v);
-                (engine.shards()[owner].out_neighbors_weighted(v).len(), v)
-            })
-            .collect();
+        let degrees = &engine.shards()[0];
+        let mut ranked: Vec<(u32, VertexId)> =
+            boundary.into_iter().map(|v| (degrees.global_out_degree(v), v)).collect();
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         ranked.truncate(self.config.max_sources);
         let mut sources: Vec<VertexId> = ranked.iter().map(|&(_, v)| v).collect();
@@ -275,6 +274,67 @@ mod tests {
             assert_eq!(a.visited, b.visited, "query {}", a.id);
             assert_eq!(a.per_level, b.per_level, "query {}", a.id);
         }
+    }
+
+    #[test]
+    fn sources_rank_by_base_out_degree_before_and_after_a_fold() {
+        use cgraph_graph::EdgeUpdate;
+        // Reference: each boundary vertex's out-edges collected from its
+        // owner's tiles, as the ranking was first computed.
+        let reference = |engine: &DistributedEngine, max_sources: usize| {
+            let mut boundary: Vec<VertexId> = engine
+                .shards()
+                .iter()
+                .flat_map(|s| s.boundary_vertices().iter().copied())
+                .collect();
+            boundary.sort_unstable();
+            boundary.dedup();
+            let mut ranked: Vec<(usize, VertexId)> = boundary
+                .into_iter()
+                .map(|v| {
+                    let owner = engine.partition().owner(v);
+                    (engine.shards()[owner].out_neighbors_weighted(v).len(), v)
+                })
+                .collect();
+            ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            ranked.truncate(max_sources);
+            let mut sources: Vec<VertexId> = ranked.into_iter().map(|(_, v)| v).collect();
+            sources.sort_unstable();
+            sources
+        };
+        // R-MAT keeps duplicate edges and has many vertices of equal
+        // degree, so the cut at `max_sources` falls inside a tie.
+        let edges = rmat(9, 512 * 4, RmatParams::GRAPH500, 0xD1CE);
+        let engine = DistributedEngine::new(&edges, EngineConfig::new(3));
+        let cfg = IndexConfig { hops: 2, max_sources: 24 };
+        let check = |engine: &DistributedEngine| {
+            let degree = |v: VertexId| {
+                engine.shards()[engine.partition().owner(v)].out_neighbors_weighted(v).len()
+            };
+            let want = reference(engine, cfg.max_sources);
+            let cut = want.iter().map(|&v| degree(v)).min().unwrap();
+            let tied_outside = engine
+                .shards()
+                .iter()
+                .flat_map(|s| s.boundary_vertices())
+                .any(|&v| !want.contains(&v) && degree(v) == cut);
+            assert!(tied_outside, "the cut falls inside a degree tie");
+            let tier = BoundaryIndexBuilder::new(cfg).build_tier(engine).unwrap();
+            assert_eq!(tier.sources(), want);
+        };
+        check(&engine);
+        // Deletes and inserts through the hubs, folded into fresh
+        // shards: the degrees the ranking reads move with them.
+        let hubs = reference(&engine, 4);
+        let mut updates: Vec<EdgeUpdate> = Vec::new();
+        for &h in &hubs {
+            let out = engine.shards()[engine.partition().owner(h)].out_neighbors(h);
+            updates.extend(out.iter().take(3).map(|&t| EdgeUpdate::delete(h, t)));
+            updates.extend((0..5).map(|i| EdgeUpdate::insert((h * 7 + i) % 512, h)));
+        }
+        let (folded, did_fold) = engine.with_updates(&updates, 0);
+        assert!(did_fold);
+        check(&folded);
     }
 
     #[test]

@@ -483,6 +483,7 @@ fn observability_doc_catalogues_every_registered_metric() {
         "cgraph_cache_",
         "cgraph_mutation_",
         "cgraph_commit_",
+        "cgraph_delta_",
         "cgraph_durability_",
         "cgraph_router_",
     ];

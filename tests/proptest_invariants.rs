@@ -6,7 +6,7 @@ mod common;
 use cgraph::core::FaultInjection;
 use cgraph::prelude::*;
 use cgraph_comm::PersistentCluster;
-use cgraph_core::bitfrontier::{BitFrontier, FrontierBatch, COUNT_FLUSH_ROWS};
+use cgraph_core::bitfrontier::{BitFrontier, FrontierBatch, OverlayScan, COUNT_FLUSH_ROWS};
 use cgraph_core::shard::build_shards;
 use cgraph_core::RangePartition;
 use cgraph_graph::types::VertexRange;
@@ -400,6 +400,7 @@ proptest! {
         }
         for (shard, delta) in shards.iter().zip(&deltas) {
             let delta = (!delta.is_empty()).then_some(delta);
+            let form = delta.map(|d| OverlayScan::new(d, shard));
             let mut bf = BitFrontier::new(shard, lanes);
             for &(v, lane) in &seeds {
                 if shard.is_local(v % n) {
@@ -412,7 +413,7 @@ proptest! {
                 for v in shard.local_range().iter() {
                     bf.seed(v, (v as usize * 7) % lanes);
                 }
-                bf.scan(shard, delta, |_, _| {});
+                bf.scan(shard, form.as_ref(), |_, _| {});
                 bf.restore_words(&frontier, &visited);
             }
             for _ in 0..3 {
@@ -444,7 +445,7 @@ proptest! {
                 }
                 let mut emitted = Vec::new();
                 let scanned =
-                    bf.scan(shard, delta, |t, w| emitted.push((t, LaneMask::from_words(w))));
+                    bf.scan(shard, form.as_ref(), |t, w| emitted.push((t, LaneMask::from_words(w))));
                 prop_assert_eq!(emitted, expect.into_iter().collect::<Vec<_>>(),
                     "shard {} of {}", shard.id(), p);
                 prop_assert_eq!(scanned, expect_scanned, "shard {} of {}", shard.id(), p);
