@@ -23,8 +23,8 @@
 //!   into lane groups up to 512 wide, shares subgraph traversals
 //!   inside a batch, and enforces a memory budget (§3.3, §3.5),
 //! * [`service`] — the persistent streaming front end: an admission
-//!   queue with backpressure, batches formed group-wide by whoever
-//!   holds the engine, and execution on a long-lived
+//!   queue with backpressure, batches formed group-wide by the one
+//!   dispatcher thread that owns the engine, and execution on a long-lived
 //!   [`cgraph_comm::PersistentCluster`],
 //! * [`metrics`] — response-time distributions (the quantity every
 //!   figure of §4 reports),

@@ -1,10 +1,10 @@
 //! Replicated query front-ends over one shared engine + cluster.
 //!
-//! A [`ServiceGroup`] runs N [`QueryService`] replicas attached to a
-//! single [`SharedCore`](super::shared::SharedCore): one engine
-//! snapshot chain, one persistent cluster, one mutation buffer, one
-//! durability plane, one epoch — and N independent admission queues,
-//! result caches, coalescers and dispatcher threads. The [`Router`]
+//! A [`ServiceGroup`] runs N [`QueryService`] replicas of a single
+//! [`SharedCore`](super::shared::SharedCore): one engine snapshot
+//! chain, one persistent cluster, one dispatcher thread, one mutation
+//! buffer, one durability plane, one epoch — and N independent
+//! admission queues, result caches and coalescers. The [`Router`]
 //! steers each query by its first source's partition (locality), with
 //! a cache-heat tiebreak fed by the group's
 //! [`HeatTable`](cgraph_cache::HeatTable): a replica that has been
@@ -186,6 +186,12 @@ impl Router {
         RouteDecision { replica: chosen, kind }
     }
 
+    /// The lowest-numbered replica not marked down — replica 0 when
+    /// every replica is down. Records nothing.
+    fn first_up(&self) -> usize {
+        (0..self.down.len()).find(|&r| !self.down[r].load(Ordering::SeqCst)).unwrap_or(0)
+    }
+
     /// Takes `replica` out of the candidate set (e.g. it was shut
     /// down); its partitions re-home to the next ring candidate.
     pub fn mark_down(&self, replica: usize) {
@@ -209,10 +215,11 @@ impl Router {
 /// how to route, and the per-service knobs every replica shares.
 #[derive(Clone)]
 pub struct GroupConfig {
-    /// Number of front-end replicas (clamped to at least 1). Each gets
-    /// its own admission queue, result cache, coalescer and dispatcher
-    /// thread; `service.query_plane.cache_capacity_bytes` is
-    /// *per replica*, so the group's aggregate cache scales with N.
+    /// Number of front-end replicas (clamped to at least 1), fixed for
+    /// the group's life. Each gets its own admission queue, result
+    /// cache and coalescer; `service.query_plane.cache_capacity_bytes`
+    /// is *per replica*, so the group's aggregate cache scales with N.
+    /// One dispatcher thread serves them all.
     pub replicas: usize,
     /// Router knobs (seed, locality/heat/balance weights).
     pub router: RouterConfig,
@@ -233,9 +240,9 @@ impl Default for GroupConfig {
 /// Every replica is a full [`QueryService`] — the solo service *is* a
 /// group of one — so everything a service guarantees holds per
 /// replica, plus the group-wide guarantees: epoch commits and
-/// degradations fence **all** replicas (any dispatcher commits, under
-/// the shared exec lock, strictly between batches group-wide), and
-/// results never leak across epochs or replicas uncommitted.
+/// degradations fence **all** replicas (the group's one dispatcher runs
+/// them strictly between its batches), and results never leak across
+/// epochs or replicas uncommitted.
 pub struct ServiceGroup {
     core: Arc<SharedCore>,
     members: Vec<QueryService>,
@@ -286,16 +293,16 @@ impl ServiceGroup {
     ) -> Self {
         let n = config.replicas.max(1);
         let heat = Arc::new(HeatTable::new(n, engine.partition().num_partitions()));
-        let core = SharedCore::new(
+        let core = SharedCore::start(
             engine,
             config.service,
+            n,
             durability,
             restored_pending,
             recovery,
             Some(Arc::clone(&heat)),
         );
-        core.obs.router_replicas.set(n as i64);
-        let members = (0..n).map(|i| QueryService::attach(&core, i)).collect();
+        let members = (0..n).map(|id| QueryService { core: Arc::clone(&core), id }).collect();
         let router = Arc::new(Router::new(config.router, n, heat));
         Self { core, members, router }
     }
@@ -323,8 +330,9 @@ impl ServiceGroup {
 
     /// Routes `query` by its first source's partition (locality, with
     /// the cache-heat tiebreak) and admits it on the chosen replica.
-    /// Empty or out-of-range queries go to replica 0, whose admission
-    /// path produces the exact single-service behaviour (immediate
+    /// An empty query, or one whose first source is out of range, goes
+    /// to the lowest-numbered live replica, whose admission path
+    /// produces the exact single-service behaviour (immediate
     /// completion / [`ServiceError::InvalidQuery`]).
     pub fn submit(&self, query: KhopQuery) -> Result<QueryTicket, ServiceError> {
         // The one read of the live engine a submit makes: routing here,
@@ -342,9 +350,9 @@ impl ServiceGroup {
                 }
                 d.replica
             }
-            _ => 0,
+            _ => self.router.first_up(),
         };
-        submit(&self.core, &self.members[idx].replica, &engine, query)
+        submit(&self.core, &self.core.replicas[idx], &engine, query)
     }
 
     /// Submits `query` and blocks for its result (submit + wait).
@@ -359,8 +367,8 @@ impl ServiceGroup {
     }
 
     /// Runs the full group-wide commit protocol and returns the new
-    /// epoch; see [`QueryService::commit_epoch`]. Any replica's
-    /// dispatcher may perform the commit — all of them are fenced.
+    /// epoch; see [`QueryService::commit_epoch`]. Every replica is
+    /// fenced.
     pub fn commit_epoch(&self) -> Result<u64, ServiceError> {
         commit_epoch_core(&self.core)
     }
@@ -388,10 +396,12 @@ impl ServiceGroup {
         self.router.stats()
     }
 
-    /// Shuts down replica `i` alone: it drains its own queue and
-    /// leaves the candidate set, while the shared cluster, WAL and
-    /// every sibling keep serving. The *last* replica shut down runs
-    /// the group-wide barrier (WAL sync + cluster park) exactly once.
+    /// Closes admission on replica `i` and takes it out of the router's
+    /// candidate set, then returns; the shared cluster, WAL and every
+    /// sibling keep serving. What replica `i` already queued is still
+    /// answered by the group's dispatcher — at the latest before
+    /// [`ServiceGroup::shutdown`] returns. Closing the last open replica
+    /// is the group's shutdown.
     ///
     /// # Panics
     ///
@@ -401,14 +411,12 @@ impl ServiceGroup {
         self.members[i].shutdown();
     }
 
-    /// Stops admission on every replica, drains every already-admitted
-    /// query, then (from the last replica out) syncs the WAL and parks
-    /// the shared cluster. Idempotent; also runs on drop (each member
-    /// shuts down when dropped).
+    /// Stops admission on every replica, then waits for the dispatcher
+    /// to answer every already-admitted query, serve a commit already
+    /// requested, sync the WAL and park the shared cluster. Idempotent;
+    /// also runs on drop (each member shuts down when dropped, and the
+    /// last one waits).
     pub fn shutdown(&self) {
-        for (i, m) in self.members.iter().enumerate() {
-            self.router.mark_down(i);
-            m.shutdown();
-        }
+        (0..self.members.len()).for_each(|i| self.shutdown_replica(i));
     }
 }

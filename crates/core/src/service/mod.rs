@@ -27,18 +27,17 @@
 //!   a waiter flag under the same mutex says someone is parked (the
 //!   table is in the `replica` module's documentation and DESIGN.md §3
 //!   "Admission");
-//! * a **dispatcher thread** per front-end parks until its queue holds
-//!   work (or a commit is due), then asks for the engine, and whoever
-//!   holds the engine forms the
-//!   batch — under the exec lock, from *everything the group has
+//! * **one dispatcher thread** per service (or group) owns the engine:
+//!   it parks until something is queued on any front-end (or a commit
+//!   is due), then forms the batch from *everything the group has
 //!   queued*, oldest first, up to [`QueryService::effective_lanes`]
-//!   lanes. A busy engine therefore batches by itself (what arrives
-//!   while one batch runs is the next batch) and an idle one starts at
-//!   once; [`ServiceConfig::max_batch_delay`] (zero by default) lets a
-//!   dispatcher hold its oldest traversal back that long for the
-//!   backlog to reach the lane cap first. The cap honours
-//!   [`SchedulerConfig::memory_budget_bytes`] exactly like the
-//!   closed-batch scheduler;
+//!   lanes, runs it and answers it. A busy engine therefore batches by
+//!   itself (what arrives while one batch runs is the next batch) and
+//!   an idle one starts at once; [`ServiceConfig::max_batch_delay`]
+//!   (zero by default) lets the dispatcher hold the oldest traversal
+//!   back that long for the backlog to reach the lane cap first. The
+//!   cap honours [`SchedulerConfig::memory_budget_bytes`] exactly like
+//!   the closed-batch scheduler;
 //! * batches execute on a long-lived
 //!   [`cgraph_comm::PersistentCluster`] via
 //!   [`DistributedEngine::run_traversal_batch_recoverable`], so no machine
@@ -98,10 +97,9 @@
 //! ([`cgraph_graph::UpdateBatch`]) without touching the serving
 //! snapshot; [`QueryService::commit_epoch`] — or crossing
 //! [`MutationConfig::commit_threshold`] — asks the dispatcher to fold
-//! them in **between batches**: the dispatcher that next holds the
-//! exec lock commits before it forms its batch (formation and execution
-//! both need that lock, so the group is quiesced), the buffered updates
-//! become a
+//! them in **between batches**: it commits before it forms its next
+//! batch (it is the one thread that forms and runs batches, so the
+//! group is quiesced), the buffered updates become a
 //! new engine snapshot via [`DistributedEngine::with_updates`]
 //! (delta-overlay publish, or a full CSR/CSC fold past
 //! [`MutationConfig::fold_threshold`]), the graph epoch advances, and
@@ -173,7 +171,6 @@ use cgraph_obs::Obs;
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Why a submitted query could not be answered.
@@ -301,9 +298,9 @@ pub struct ServiceConfig {
     /// path — stays 64. (`use_sim_time` is ignored — a serving latency
     /// is inherently wall clock.)
     pub scheduler: SchedulerConfig,
-    /// How long a dispatcher lets its oldest queued traversal wait for
-    /// the group's backlog to reach the lane cap before it asks for the
-    /// engine. Zero — the default — starts as soon as the engine is
+    /// How long the dispatcher lets the group's oldest queued traversal
+    /// wait for the backlog to reach the lane cap before it forms a
+    /// batch. Zero — the default — starts as soon as the engine is
     /// free: while a batch runs, arrivals queue and form the next one,
     /// so a busy service batches without waiting, and an idle one has
     /// nothing to wait for. A linger trades per-query latency for fill
@@ -602,18 +599,17 @@ pub use group::{
     GroupConfig, RouteDecision, RouteKind, Router, RouterConfig, RouterStats, ServiceGroup,
 };
 
-use replica::Replica;
 use shared::{apply_updates_core, commit_epoch_core, open_fresh_plane, open_recovered, SharedCore};
 
 /// A long-running query-serving front end over a
 /// [`DistributedEngine`] and a [`cgraph_comm::PersistentCluster`].
 ///
-/// Internally a `QueryService` is a *group of one*: it owns one
-/// replica (admission queue, result cache, coalescer, dispatcher
-/// thread) attached to a shared core (engine, cluster, mutation
-/// buffer, durability, epoch). [`ServiceGroup`] attaches N replicas
-/// to one core — admission, caching and coalescing hold per replica
-/// there; batches are formed across all of them.
+/// Internally a `QueryService` is a *group of one*: one replica
+/// (admission queue, result cache, coalescer) of a shared core (engine,
+/// cluster, dispatcher thread, mutation buffer, durability, epoch).
+/// [`ServiceGroup`] builds N replicas over one core — admission,
+/// caching and coalescing hold per replica there; batches are formed
+/// across all of them.
 ///
 /// ```
 /// use cgraph_core::{DistributedEngine, EngineConfig, KhopQuery,
@@ -628,8 +624,8 @@ use shared::{apply_updates_core, commit_epoch_core, open_fresh_plane, open_recov
 /// ```
 pub struct QueryService {
     core: Arc<SharedCore>,
-    replica: Arc<Replica>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
+    /// This front-end's index in `core.replicas`.
+    id: usize,
 }
 
 impl QueryService {
@@ -660,8 +656,8 @@ impl QueryService {
     ) -> Result<Self, ServiceError> {
         validate_config(&config)?;
         let plane = open_fresh_plane(&engine, &config)?;
-        let core = SharedCore::new(engine, config, plane, Vec::new(), None, None);
-        Ok(Self::attach(&core, 0))
+        let core = SharedCore::start(engine, config, 1, plane, Vec::new(), None, None);
+        Ok(Self { core, id: 0 })
     }
 
     /// Opens (or creates) the durable data directory and resumes from
@@ -684,27 +680,8 @@ impl QueryService {
     ) -> Result<(Self, RecoveryOutcome), ServiceError> {
         validate_config(&config)?;
         let (engine, plane, pending, outcome) = open_recovered(edges, engine_config, &config)?;
-        let core = SharedCore::new(engine, config, Some(plane), pending, Some(&outcome), None);
-        Ok((Self::attach(&core, 0), outcome))
-    }
-
-    /// Attaches one front-end replica to `core` and spawns its
-    /// dispatcher — the one construction path for both the solo
-    /// service and every [`ServiceGroup`] member.
-    fn attach(core: &Arc<SharedCore>, id: usize) -> Self {
-        let replica = Replica::new(id, &core.config.query_plane);
-        lock(&core.replicas).push(Arc::downgrade(&replica));
-        core.open_replicas.fetch_add(1, Ordering::SeqCst);
-        core.live_replicas.fetch_add(1, Ordering::SeqCst);
-        let dispatcher = {
-            let core = Arc::clone(core);
-            let replica = Arc::clone(&replica);
-            std::thread::Builder::new()
-                .name(format!("cgraph-dispatcher-{id}"))
-                .spawn(move || replica::dispatch_loop(&core, &replica))
-                .expect("spawn dispatcher thread")
-        };
-        Self { core: Arc::clone(core), replica, dispatcher: Mutex::new(Some(dispatcher)) }
+        let core = SharedCore::start(engine, config, 1, Some(plane), pending, Some(&outcome), None);
+        Ok((Self { core, id: 0 }, outcome))
     }
 
     /// Lanes per batch after the memory budget (fixed at start-up).
@@ -718,7 +695,7 @@ impl QueryService {
     /// redeemable for the result, or [`ServiceError::ShutDown`] once the
     /// service is closed.
     pub fn submit(&self, query: KhopQuery) -> Result<QueryTicket, ServiceError> {
-        replica::submit(&self.core, &self.replica, &self.core.engine(), query)
+        replica::submit(&self.core, &self.core.replicas[self.id], &self.core.engine(), query)
     }
 
     /// Submits `query` and blocks for its result (submit + wait).
@@ -737,10 +714,10 @@ impl QueryService {
         apply_updates_core(&self.core, batch.into_updates())
     }
 
-    /// Asks a dispatcher to fold every buffered update into a new
-    /// serving snapshot and blocks until it has: the next dispatcher to
-    /// hold the shared execution lock commits before it forms a batch —
-    /// formation is quiesced group-wide — the
+    /// Asks the dispatcher to fold every buffered update into a new
+    /// serving snapshot and blocks until it has: the dispatcher commits
+    /// before it forms its next batch — it is the one thread that forms
+    /// and runs batches, so the group is quiesced — the
     /// buffered updates become a new engine snapshot, the graph epoch
     /// advances by one, and cached results of older epochs are fenced
     /// on **every** attached replica. Returns the new epoch. An empty
@@ -762,11 +739,10 @@ impl QueryService {
     /// epoch-advancement path, and it performs every fence step, not
     /// just the cache drop the name suggests:
     ///
-    /// 1. a dispatcher quiesces batch formation group-wide (commits
-    ///    run under the shared execution lock, strictly between
-    ///    batches on every replica), and — with durability on — a
-    ///    commit fence is appended and synced to the WAL *before* the
-    ///    in-memory commit;
+    /// 1. the dispatcher quiesces batch formation group-wide (it runs
+    ///    the commit itself, strictly between two of its batches), and
+    ///    — with durability on — a commit fence is appended and synced
+    ///    to the WAL *before* the in-memory commit;
     /// 2. buffered updates (if any) become a new engine snapshot and
     ///    the graph epoch advances by one;
     /// 3. every replica's result cache is fenced: entries keyed to
@@ -792,31 +768,16 @@ impl QueryService {
         self.core.stats()
     }
 
-    /// Stops admission, drains every already-admitted query, then
-    /// parks the cluster and joins all service threads. Idempotent;
-    /// also runs on drop. In a [`ServiceGroup`] this closes **this
-    /// replica only** — the shared cluster, WAL and sibling replicas
-    /// keep serving, and the group-wide barrier (WAL sync, join of the
-    /// snapshot writer, cluster park) runs exactly once, from the last
-    /// replica out.
+    /// Stops admission on this front-end, then — once every front-end
+    /// of the core is closed, at once for a solo service — waits for
+    /// the dispatcher to answer every already-admitted query, serve a
+    /// commit already requested, sync the WAL, join the snapshot writer
+    /// and park the cluster. Idempotent; also runs on drop. In a
+    /// [`ServiceGroup`] with siblings still open it returns at once:
+    /// they keep serving, and what this replica queued is still
+    /// answered, by the group's [`ServiceGroup::shutdown`] at the latest.
     pub fn shutdown(&self) {
-        let newly_closed = {
-            let mut st = lock(&self.replica.state);
-            let newly = !st.closed;
-            st.closed = true;
-            self.replica.wake_dispatcher(&mut st);
-            self.replica.wake_submitters(&st);
-            newly
-        };
-        if newly_closed {
-            // One decrement per replica, however many times shutdown
-            // is called: admission-refusal accounting for
-            // `commit_epoch`/`apply_updates` after the group closes.
-            self.core.open_replicas.fetch_sub(1, Ordering::SeqCst);
-        }
-        if let Some(h) = lock(&self.dispatcher).take() {
-            let _ = h.join();
-        }
+        self.core.close(self.id);
     }
 }
 
@@ -1141,6 +1102,62 @@ mod tests {
         assert!(state.waiter_parked(), "one traversal is still out: nothing to wake for");
         drop(last);
         assert_eq!(waiter.join().unwrap(), Err(ServiceError::ShutDown));
+    }
+
+    /// Runs `f` on a thread of its own and returns its result, failing
+    /// the test instead of hanging when it does not finish in time.
+    fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(20)).unwrap_or_else(|_| panic!("{what}: lost wake-up"))
+    }
+
+    /// Spins until `cond` holds, failing the test after a bound.
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !cond() {
+            assert!(Instant::now() < deadline, "{what} never happened");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Holds `core`'s dispatcher between a check and its park: waits for
+    /// it to be parked, arms the hook and wakes it for nothing — it
+    /// finds no work and stops before it parks again.
+    fn hold_between_check_and_park(core: &SharedCore) {
+        until("the dispatcher parking", || *lock(&core.parked));
+        core.park_hook.armed.store(true, Ordering::SeqCst);
+        core.wake_dispatcher();
+        until("the dispatcher reaching its park", || core.park_hook.holding.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn work_landing_between_the_dispatchers_check_and_its_park_is_served() {
+        let engine = ring_engine(40, 2);
+        let service = Arc::new(QueryService::start(engine, ServiceConfig::default()));
+        // Never dropped here: unwinding from a failed check must not
+        // join a dispatcher that never woke.
+        let _pinned = std::mem::ManuallyDrop::new(Arc::clone(&service));
+        let core = Arc::clone(&service.core);
+
+        // A queued miss.
+        hold_between_check_and_park(&core);
+        let ticket = service.submit(KhopQuery::single(0, 3, 2)).unwrap();
+        assert_eq!(within("a queued miss", move || ticket.wait()).unwrap().visited, 3);
+
+        // A commit request.
+        hold_between_check_and_park(&core);
+        let committer = Arc::clone(&service);
+        assert_eq!(within("a commit request", move || committer.commit_epoch()), Ok(1));
+
+        // The close of the last replica: shutdown returns once the
+        // dispatcher has woken to it and exited.
+        hold_between_check_and_park(&core);
+        let closer = Arc::clone(&service);
+        within("a replica close", move || closer.shutdown());
+        assert_eq!(service.commit_epoch(), Err(ServiceError::ShutDown));
+        let stats = service.stats();
+        assert_eq!((stats.queries_completed, stats.epoch_commits), (1, 1));
     }
 
     #[test]
@@ -1600,7 +1617,7 @@ mod tests {
         let plane = service.core.durability.as_ref().unwrap();
         // A write slower than two commits: the plane's one job is out
         // when the second commit makes a snapshot due.
-        let engine = Arc::clone(&lock(&service.core.exec).engine);
+        let engine = service.core.engine();
         let slow = lock(plane).take_snapshot_job(&engine, Default::default()).unwrap();
         for v in [5, 9] {
             let mut batch = UpdateBatch::new();

@@ -7,9 +7,10 @@
 //! registry snapshot and the stats line cannot disagree. Replicas of a
 //! [`ServiceGroup`](super::ServiceGroup) share it, so every counter
 //! aggregates across the whole group. Gauges that describe per-replica
-//! state (queue depth, cache occupancy) are published as deltas against
-//! each replica's last-published value, so the gauge holds the
-//! group-wide sum without replicas clobbering each other.
+//! state (queue depth, cache occupancy) are moved by deltas — what a
+//! submit queued or a formation took, a cache's change since it was
+//! last published — so the gauge holds the group-wide sum without
+//! replicas clobbering each other.
 
 use crate::durability::DurabilityStats;
 use crate::engine::DistributedEngine;
@@ -46,7 +47,6 @@ pub(super) struct ServiceObs {
     pub(super) queue_depth: Arc<Gauge>,
     pub(super) batch_width: Arc<Gauge>,
     pub(super) batch_lanes: Arc<Histogram>,
-    pub(super) exec_lock_wait: Arc<Histogram>,
     pub(super) formation: Arc<Histogram>,
     pub(super) fanout: Arc<Histogram>,
     pub(super) dispatcher_wakeups: Arc<Counter>,
@@ -134,7 +134,7 @@ impl ServiceObs {
             ),
             batches_dispatched: m.counter(
                 "cgraph_service_batches_dispatched_total",
-                "Batches the dispatcher completed on the persistent cluster.",
+                "Batches the group's dispatcher formed from every replica's queue and ran.",
             ),
             retries: m.counter(
                 "cgraph_service_retries_total",
@@ -179,7 +179,7 @@ impl ServiceObs {
             ),
             queue_depth: m.gauge(
                 "cgraph_service_queue_depth",
-                "Traversals currently in the admission queue(s), summed over replicas.",
+                "Traversals queued for a lane, summed over replicas: the dispatcher's next batch.",
             ),
             batch_width: m.gauge(
                 "cgraph_service_batch_width",
@@ -193,29 +193,28 @@ impl ServiceObs {
                  (the last finite edge).",
                 &log2_edges(lanes.next_power_of_two().trailing_zeros() + 1),
             ),
-            exec_lock_wait: m.histogram(
-                "cgraph_service_exec_lock_wait_seconds",
-                "Per batch, wall: from a dispatcher's work coming due to its taking the exec lock.",
-                &LOG_LATENCY_EDGES_SECS,
-            ),
             formation: m.histogram(
                 "cgraph_service_formation_seconds",
-                "Per batch, wall: batch formation over every replica's queue, under the exec lock.",
+                "Per batch, wall: batch formation over every replica's queue, on the dispatcher, \
+                 between batches.",
                 &LOG_LATENCY_EDGES_SECS,
             ),
             fanout: m.histogram(
                 "cgraph_service_fanout_seconds",
-                "Per batch, wall: replying to the batch's tickets after the exec lock is released \
-                 — result folding, latency samples, reply-slot fills, wake-ups of parked waiters.",
+                "Per batch, wall: replying to the batch's tickets, on the dispatcher, between \
+                 batches — result folding, latency samples, reply-slot fills, wake-ups of \
+                 parked waiters.",
                 &LOG_LATENCY_EDGES_SECS,
             ),
             dispatcher_wakeups: m.counter(
                 "cgraph_service_dispatcher_wakeups_total",
-                "Returns of a dispatcher from its wait for work (notified, or a linger ran out).",
+                "Returns of the dispatcher from its wait for work, between batches (notified, \
+                 or a linger ran out).",
             ),
             dispatcher_idle_wakeups: m.counter(
                 "cgraph_service_dispatcher_idle_wakeups_total",
-                "Dispatcher wake-ups that found neither a queued traversal nor a due commit.",
+                "Dispatcher wake-ups that found neither a queued traversal nor a due commit: \
+                 at most one per replica close.",
             ),
             admission_wait: m.histogram(
                 "cgraph_service_admission_wait_seconds",
@@ -316,7 +315,8 @@ impl ServiceObs {
             ),
             commit_lock_hold: m.histogram(
                 "cgraph_commit_lock_hold_seconds",
-                "How long each epoch commit kept the group-wide exec lock from the next batch.",
+                "How long each epoch commit held the dispatcher, between batches: no batch \
+                 forms or runs on any replica meanwhile.",
                 &LOG_LATENCY_EDGES_SECS,
             ),
             durability_wal_records: m.counter(
@@ -363,14 +363,10 @@ impl ServiceObs {
                 "cgraph_router_heat_steered_total",
                 "Routed queries steered off-home by the cache-heat tiebreak.",
             ),
-            router_replicas: {
-                let g = m.gauge(
-                    "cgraph_router_replicas",
-                    "Live query front-end replicas behind the router.",
-                );
-                g.set(1);
-                g
-            },
+            router_replicas: m.gauge(
+                "cgraph_router_replicas",
+                "Live query front-end replicas behind the router.",
+            ),
         }
     }
 

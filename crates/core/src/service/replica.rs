@@ -1,28 +1,28 @@
-//! Per-replica state and the dispatcher loop.
+//! Per-replica state, admission, and the group's dispatcher loop.
 //!
 //! A [`Replica`] is one query front-end: its own admission queue,
-//! result cache and coalescer, and one dispatcher thread. Everything a
-//! replica cannot own alone — the engine snapshot chain, the persistent
-//! cluster, the mutation buffer, the durability plane, the epoch —
-//! lives in the [`SharedCore`](super::shared::SharedCore) it is
-//! attached to.
+//! result cache and coalescer. Everything a replica cannot own alone —
+//! the engine snapshot chain, the persistent cluster, the mutation
+//! buffer, the durability plane, the epoch, and the one dispatcher
+//! thread that runs the engine — lives in the
+//! [`SharedCore`](super::shared::SharedCore) the replica belongs to.
 //!
 //! # Admission: the ready path and the miss path
 //!
 //! Admission — cache and index probes, mid-flight coalescing, the
-//! queue — runs concurrently across replicas and never touches the
-//! core's exec lock. What a [`submit`] touches depends on whether the
-//! answer is already there:
+//! queue — runs concurrently across replicas and never waits for the
+//! dispatcher. What a [`submit`] touches depends on whether the answer
+//! is already there:
 //!
 //! | | ready path — every traversal answered by the cache or the index | miss path — a traversal needs a lane |
 //! |---|---|---|
 //! | `live_engine` | read once, by the caller (`ServiceGroup::submit` routes with it and hands it down) | the same read |
-//! | [`Replica::state`] | held across the submit: the `closed` check, nothing else | the same hold, plus the queue push and the depth gauge |
+//! | [`Replica::state`] | held across the submit: the `closed` check, nothing else | the same hold, plus the queue push and the backlog count |
 //! | the epoch, the cache mutex / the index | one load; one `get` + clone per source | the same probes, which miss |
 //! | the coalescer | not reached | `attach` — an identical traversal in flight answers this one too, without a slot |
 //! | [`Replica::space`] | never waited on | waited on with the first traversal in hand, while the queue is full |
 //! | the ticket | one `Arc<TicketState>`; [`complete_traversal`] folds, records the sample and fills the slot before `submit` returns | the same ticket; filled by the batch's fan-out |
-//! | [`Replica::work`] | not notified: the dispatcher stays parked | notified once, if the dispatcher is parked |
+//! | the dispatcher | not woken: it stays parked | woken once, if it is parked, after `state` is released |
 //! | allocations | the ticket and the answer's level profile | those, later, and the queue's growth |
 //!
 //! A closed replica refuses hit and miss alike ([`ServiceError::ShutDown`]),
@@ -35,26 +35,23 @@
 //! changed **and** a waiter flag — set by the waiter, under the same
 //! mutex, before it parks — says someone is there. `std`'s `Condvar`
 //! pays a futex wake on every notify, waiter or not, and an idle
-//! dispatcher woken per cache hit contends `Replica::state` with the
-//! submitter only to find its queue empty.
+//! dispatcher woken per cache hit would only find nothing queued.
 //!
 //! | condvar | guards | mutex | waiter flag | notified by |
 //! |---|---|---|---|---|
-//! | [`Replica::work`] | work for the dispatcher | [`Replica::state`] | [`QueueState::dispatcher_parked`] — cleared by the notifier, so one park is one notify | a submit that grew the queue; a commit that became due (`notify_dispatchers`, which takes `state` around the check — that closes the dispatcher's check-then-wait window); shutdown |
-//! | [`Replica::space`] | free queue slots | [`Replica::state`] | [`QueueState::space_waiters`] (a count: several submitters may block) | formation that shrank the queue; shutdown |
+//! | `SharedCore::work` | work for the dispatcher: a queued traversal, a commit request, every replica closed | `SharedCore::parked` | the mutex's own `bool` — cleared by the notifier, so one park is one notify | a submit that queued; a commit that became due; a replica's close — each changes what the dispatcher reads *before* it takes `parked` ([`SharedCore::wake_dispatcher`]) |
+//! | [`Replica::space`] | free queue slots | [`Replica::state`] | [`QueueState::space_waiters`] (a count: several submitters may block) | formation that shrank the queue; the replica's close |
 //! | a ticket's `ready` | the reply slot | the ticket's `slot` | `parked` | the completion that filled the slot; the drop of the last unanswered traversal |
 //!
 //! # From the queue to the answer
 //!
-//! Everything from the queue to the answer has **one
-//! formation point**: a dispatcher whose replica has work due takes the
-//! exec lock *first* and, holding it, serves the whole group —
+//! One thread — the group's dispatcher ([`dispatch_loop`]) — runs
+//! everything from the queue to the answer, in order:
 //!
 //! 1. a due epoch commit ([`run_commit`]), at the batch boundary;
 //! 2. formation ([`form_batch`]): one batch of up to
 //!    [`SharedCore::lanes`] lanes from **every** replica's queue, under
-//!    every replica's `state` lock (lock order exec → `state`, see
-//!    [`shared`](super::shared)), including the replies to queued
+//!    every replica's `state` lock, including the replies to queued
 //!    traversals the caches or the index can answer by now and to those
 //!    whose deadline passed;
 //! 3. the engine call with its retries and degradation
@@ -62,19 +59,17 @@
 //!    `run_traversal_batch_recoverable`;
 //! 4. cache insertion and the coalescers' hand-back ([`commit_batch`]),
 //!    per replica a lane came from, under the stats gate;
+//! 5. the per-ticket fan-out ([`fan_out`], or [`fail_groups`]) — one
+//!    slot fill per query, a wake-up only for a ticket whose holder is
+//!    parked in `wait` — after steps 1–2 for the next batch when what
+//!    arrived meanwhile already fills it.
 //!
-//! and, **after** the lock is released, the per-ticket fan-out
-//! ([`Finished::reply`]) — one slot fill per query, a wake-up only for
-//! a ticket whose holder is parked in `wait` — so the next batch's scan
-//! overlaps it. A batch
-//! is formed under the lock it runs under: its epoch is the epoch it
-//! executes against, the lanes that arrived while the previous batch ran
-//! are in it, and which dispatcher wins the (unfair) mutex does not
-//! matter — the holder drains every queue, so none can starve.
+//! A batch is formed by the thread that runs it: its epoch is the epoch
+//! it executes against, the lanes that arrived while the previous batch
+//! ran are in it, and every queue is drained by the same thread, so none
+//! can starve.
 
-use super::shared::{
-    degrade, perform_commit, quiesce_durability, take_commit_request, ExecCtx, SharedCore,
-};
+use super::shared::{degrade, quiesce_durability, run_commit, ExecCtx, SharedCore};
 use super::{lock, wait, QueryTicket, ServiceError};
 use crate::engine::{BatchResult, DistributedEngine, EngineError, FaultInjection};
 use crate::query::{KhopQuery, QueryResult};
@@ -115,9 +110,9 @@ pub(super) struct LaneGroup {
     pub(super) key: CacheKey,
     pub(super) primary: Traversal,
     pub(super) followers: Vec<Traversal>,
-    /// The replicas a member of this lane was queued on, as positions
-    /// in the batch's replica list — almost always one. Each gets the
-    /// result in its cache and hands back what its coalescer collected.
+    /// The ids of the replicas a member of this lane was queued on —
+    /// almost always one. Each gets the result in its cache and hands
+    /// back what its coalescer collected.
     pub(super) homes: Vec<usize>,
 }
 
@@ -265,17 +260,9 @@ impl Drop for TicketHandle {
 pub(super) struct QueueState {
     pub(super) queue: VecDeque<Traversal>,
     pub(super) closed: bool,
-    /// The waiter flag of [`Replica::work`]: set by the dispatcher
-    /// before it parks, cleared by whoever notifies it — one notify per
-    /// park, none while it is running.
-    dispatcher_parked: bool,
     /// The waiter flag of [`Replica::space`]: submitters parked with a
     /// traversal in hand the full queue has no slot for.
     space_waiters: usize,
-    /// Depth last published to the group-wide `cgraph_queue_depth`
-    /// gauge — each replica adds its *delta* so concurrent replicas
-    /// never clobber each other's contribution.
-    pub(super) published_depth: i64,
 }
 
 /// The per-replica slice of the query plane: result cache and
@@ -295,50 +282,36 @@ impl QueryPlane {
     }
 }
 
-/// One query front-end: admission queue + query plane + the condvars
-/// its submitters and dispatcher rendezvous on.
+/// One query front-end: admission queue + query plane + the condvar
+/// its blocked submitters park on.
 pub(super) struct Replica {
-    /// Position in the group (0 for a solo service) — the row this
-    /// replica heats in the group's
-    /// [`HeatTable`](cgraph_cache::HeatTable).
+    /// Position in the group (0 for a solo service): its index in
+    /// `SharedCore::replicas`, and the row this replica heats in the
+    /// group's [`HeatTable`](cgraph_cache::HeatTable).
     pub(super) id: usize,
     pub(super) plane: QueryPlane,
     pub(super) state: Mutex<QueueState>,
-    pub(super) work: Condvar,
     pub(super) space: Condvar,
-    /// Cache occupancy last published to the group-wide gauges (delta
-    /// publication, like [`QueueState::published_depth`]). Updated
-    /// only under the core's exec lock.
+    /// Cache occupancy last published to the group-wide gauges: each
+    /// replica adds its *delta*, so the gauges hold the group's sum.
+    /// Updated only by the dispatcher.
     pub(super) pub_entries: AtomicI64,
     pub(super) pub_bytes: AtomicI64,
 }
 
 impl Replica {
-    pub(super) fn new(id: usize, cfg: &super::QueryPlaneConfig) -> Arc<Self> {
-        Arc::new(Self {
+    pub(super) fn new(id: usize, cfg: &super::QueryPlaneConfig) -> Self {
+        Self {
             id,
             plane: QueryPlane::new(cfg),
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 closed: false,
-                dispatcher_parked: false,
                 space_waiters: 0,
-                published_depth: 0,
             }),
-            work: Condvar::new(),
             space: Condvar::new(),
             pub_entries: AtomicI64::new(0),
             pub_bytes: AtomicI64::new(0),
-        })
-    }
-
-    /// Wakes this replica's dispatcher if it is parked on `work`; call
-    /// with the state lock held, after changing what the dispatcher
-    /// waits for — the queue grew, a commit became due, the replica
-    /// closed. Clears the flag, so one park is notified once.
-    pub(super) fn wake_dispatcher(&self, st: &mut QueueState) {
-        if std::mem::take(&mut st.dispatcher_parked) {
-            self.work.notify_one();
         }
     }
 
@@ -351,17 +324,13 @@ impl Replica {
     }
 }
 
-/// Publishes this replica's queue depth to the group gauge as a delta
-/// (must hold the state lock, which `st` proves). Returns whether the
-/// depth had moved since it was last published.
-fn publish_depth(core: &SharedCore, st: &mut QueueState) -> bool {
-    let depth = st.queue.len() as i64;
-    let moved = depth != st.published_depth;
-    if moved {
-        core.obs.queue_depth.add(depth - st.published_depth);
-        st.published_depth = depth;
-    }
-    moved
+/// Moves the group backlog — the dispatcher's [`SharedCore::queued`]
+/// and the `cgraph_service_queue_depth` gauge — by `delta` traversals.
+/// Call under the `state` lock of the replica whose queue changed by
+/// that much.
+fn add_backlog(core: &SharedCore, delta: i64) {
+    core.queued.fetch_add(delta, Ordering::SeqCst);
+    core.obs.queue_depth.add(delta);
 }
 
 /// Admits `query` on `replica`: every traversal the cache or the index
@@ -410,7 +379,7 @@ pub(super) fn submit(
     let now = Instant::now();
     let deadline = core.config.query_deadline.map(|d| now + d);
     let mut epoch = core.epoch.load(Ordering::SeqCst);
-    let mut queued = false;
+    let mut pushed = 0;
     for &source in &query.sources {
         let t = Traversal {
             source,
@@ -472,7 +441,7 @@ pub(super) fn submit(
         // 4. The queue. Backpressure is for what needs a slot: only
         // here, with a traversal in hand, does a submit wait for space
         // — once per query, whose traversals are admitted together.
-        if !queued {
+        if pushed == 0 {
             while !st.closed && st.queue.len() >= core.config.max_queue_depth {
                 st.space_waiters += 1;
                 st = wait(&replica.space, st);
@@ -485,200 +454,172 @@ pub(super) fn submit(
             // whatever is queued, the remaining sources probe at the
             // epoch that is current now.
             epoch = core.epoch.load(Ordering::SeqCst);
-            queued = true;
         }
         st.queue.push_back(t);
+        pushed += 1;
     }
     core.obs.queries_submitted.inc();
-    if queued {
-        publish_depth(core, &mut st);
-        replica.wake_dispatcher(&mut st);
+    if pushed > 0 {
+        add_backlog(core, pushed);
+        drop(st);
+        core.wake_dispatcher();
     }
     Ok(QueryTicket { state: ticket, deadline })
 }
 
-/// The dispatcher: block until this replica has work due, take the
-/// exec lock, and serve **the group** under it — perform a due epoch
-/// commit, form one batch from every replica's admission queue, run it
-/// on the shared persistent cluster, commit its results to the caches —
-/// then drop the lock and fan the results out to their tickets. Whoever
-/// holds the lock serves every queue, so it does not matter which
-/// dispatcher an unfair mutex favours: no replica's queue can starve,
-/// and a batch is as wide as the group's backlog, not as one replica's.
-/// Exits once this replica is closed *and* drained (queries and pending
-/// commits).
-pub(super) fn dispatch_loop(core: &Arc<SharedCore>, replica: &Replica) {
+/// The group's dispatcher — the one thread that runs the engine — until
+/// every replica is closed and drained ([`serving_over`]); then the
+/// durability barrier and the cluster's shutdown, by it alone.
+///
+/// When what arrived while a batch ran already fills the next one, that
+/// batch is formed *before* the returned one is answered: the replies
+/// wake submitters, whose next queries could only land past the lane
+/// cap, where the packer passes queued traversals over. A shorter
+/// backlog waits for the replies, so the queries they release can join.
+pub(super) fn dispatch_loop(core: &Arc<SharedCore>, mut ctx: ExecCtx) {
+    let mut next = None;
     loop {
-        let Some(due) = wait_until_due(core, replica) else {
-            if exit_replica(core) {
-                return;
+        let (mut groups, epoch) = match next.take() {
+            Some(batch) => batch,
+            None => {
+                wait_for_work(core);
+                match take_batch(core, &mut ctx) {
+                    Some(batch) => batch,
+                    None if serving_over(core) => break,
+                    None => continue,
+                }
             }
-            // A commit request arrived after the queue drained —
-            // loop back and serve it before exiting.
-            continue;
         };
-        let mut guard = lock(&core.exec);
-        let taken = Instant::now();
-        // A due commit goes first: the batch below is then formed,
-        // keyed and executed under the *new* epoch.
-        run_commit(core, &mut guard);
-        let forming = Instant::now();
-        let formed = form_batch(core, &guard);
-        let formation = forming.elapsed();
-
-        for t in formed.expired {
-            complete_traversal(core, t.ticket, Err(ServiceError::DeadlineExceeded));
+        let outcome = execute_batch(core, &mut ctx, &mut groups);
+        if core.queued.load(Ordering::SeqCst) >= core.lanes as i64 {
+            next = take_batch(core, &mut ctx);
         }
-        // Formed under the lock: the sequence number is this batch's job.
-        let job = core.batch_seq.load(Ordering::SeqCst);
-        if formed.cache_hits > 0 {
-            core.obs.instant("cache_hit", job, 0, formed.cache_hits);
-        }
-        if core.config.query_plane.cache_capacity_bytes.is_some() && !formed.groups.is_empty() {
-            // The lanes actually dispatched are the misses that
-            // stayed misses all the way to batch formation.
-            core.obs.instant("cache_miss", job, 0, formed.groups.len() as u64);
-        }
-        // Queued traversals the cache or the index can answer by now
-        // are answered before the engine runs, not after it.
-        for (t, v) in formed.hits {
-            let wait = t.submitted.elapsed();
-            complete_traversal(
-                core,
-                t.ticket,
-                Ok((v.visited, v.per_level, wait, Duration::ZERO, formed.epoch)),
-            );
-        }
-        if formed.groups.is_empty() {
-            // Another holder already served this replica's queue.
-            continue;
-        }
-        core.obs.exec_lock_wait.observe_duration(taken.duration_since(due));
-        core.obs.formation.observe_duration(formation);
-        let finished = execute_batch(core, &mut guard, &formed.replicas, formed.groups);
-        drop(guard);
-        // Replies hold neither the exec lock nor the stats gate: the
-        // next batch's scan overlaps them.
         let replying = Instant::now();
-        finished.reply(core);
+        match outcome {
+            Ok((result, dispatched)) => fan_out(core, groups, &result, dispatched, epoch),
+            Err(error) => fail_groups(core, groups, &error),
+        }
         core.obs.fanout.observe_duration(replying.elapsed());
     }
-}
-
-/// Blocks until `replica` has work for the engine and returns the
-/// instant it became due — a commit was requested, or a queued
-/// traversal's linger is over — or `None` once the replica is closed
-/// and drained.
-///
-/// The linger is the one place the service waits for lanes: a
-/// dispatcher lets its oldest traversal wait up to
-/// [`ServiceConfig::max_batch_delay`](super::ServiceConfig::max_batch_delay)
-/// for the group's backlog to reach the lane cap. At the default of
-/// zero it asks for the engine at once: a busy engine batches by
-/// itself — what arrives while a batch runs is the next batch — and an
-/// idle one should start.
-fn wait_until_due(core: &SharedCore, replica: &Replica) -> Option<Instant> {
-    let mut st = lock(&replica.state);
-    let mut woken = false;
-    loop {
-        let commit_due = lock(&core.pending).requested;
-        if std::mem::take(&mut woken) {
-            core.obs.dispatcher_wakeups.inc();
-            if !commit_due && st.queue.is_empty() {
-                core.obs.dispatcher_idle_wakeups.inc();
-            }
-        }
-        if commit_due {
-            break;
-        }
-        let Some(oldest) = st.queue.front() else {
-            if st.closed {
-                return None;
-            }
-            st.dispatcher_parked = true;
-            st = wait(&replica.work, st);
-            woken = true;
-            continue;
-        };
-        // A closed replica drains at once. The backlog is the
-        // group-wide gauge every replica publishes its depth to.
-        let filled = core.obs.queue_depth.get() >= core.lanes as i64;
-        if !filled && !st.closed {
-            let age = oldest.submitted.elapsed();
-            if age < core.config.max_batch_delay {
-                st.dispatcher_parked = true;
-                let (g, _) = replica
-                    .work
-                    .wait_timeout(st, core.config.max_batch_delay - age)
-                    .unwrap_or_else(|e| e.into_inner());
-                st = g;
-                // A linger that ran out was not notified: nobody
-                // cleared the flag.
-                st.dispatcher_parked = false;
-                woken = true;
-                continue;
-            }
-        }
-        break;
-    }
-    Some(Instant::now())
-}
-
-/// Performs a due epoch commit under the exec lock the caller holds —
-/// the group-wide quiesce, at a batch boundary — and the stats fence.
-/// Idempotent across dispatchers: [`take_commit_request`] hands the
-/// batch to exactly one.
-fn run_commit(core: &Arc<SharedCore>, ctx: &mut ExecCtx) {
-    if !lock(&core.pending).requested {
-        return;
-    }
-    let started = Instant::now();
-    let gate = lock(&core.stats_gate);
-    let next_epoch = ctx.engine.graph_epoch() + 1;
-    let Some((updates, waiters, wal_seq)) = take_commit_request(core, next_epoch) else {
-        return; // another dispatcher took it
-    };
-    perform_commit(core, ctx, updates, waiters, wal_seq);
-    drop(gate);
-    core.obs.commit_lock_hold.observe_duration(started.elapsed());
-}
-
-/// The drained-and-closed exit path. Returns `false` when a commit
-/// request slipped in after the drain check — the dispatcher must go
-/// back and serve it (otherwise its waiters would hang forever).
-/// Otherwise deregisters this dispatcher; the **last one out** (and
-/// only it) syncs the WAL and parks the shared cluster, so a replica
-/// shutting down never tears down infrastructure its siblings still
-/// use, and the shutdown barrier runs exactly once per group.
-fn exit_replica(core: &SharedCore) -> bool {
-    let mut p = lock(&core.pending);
-    if p.requested {
-        return false;
-    }
-    let remaining = core.live_replicas.fetch_sub(1, Ordering::SeqCst) - 1;
-    if remaining > 0 {
-        return true;
-    }
-    // Last replica out. `serving_done` is set under the pending lock,
-    // so no new commit waiter can register concurrently — and
-    // `requested` was false just now, so none is stranded.
-    p.serving_done = true;
-    drop(p);
     // Shutdown barrier: buffered-but-uncommitted updates are already
     // WAL-logged (write-ahead); the sync makes them crash-proof before
     // shutdown() returns to the caller, and a snapshot still being
     // written is waited for.
-    quiesce_durability(core);
-    lock(&core.exec).cluster.shutdown();
-    true
+    quiesce_durability(core, &ctx.engine);
+    ctx.cluster.shutdown();
+}
+
+/// Performs a due epoch commit, then forms the next batch (run under
+/// the *new* epoch) and answers what formation answers: queued
+/// traversals the caches or the index hold by now, expired deadlines.
+/// `None` when no lane is left to run.
+fn take_batch(core: &Arc<SharedCore>, ctx: &mut ExecCtx) -> Option<(Vec<LaneGroup>, u64)> {
+    run_commit(core, ctx);
+    if core.queued.load(Ordering::SeqCst) == 0 {
+        return None;
+    }
+    let forming = Instant::now();
+    let formed = form_batch(core, ctx);
+    let formation = forming.elapsed();
+    for t in formed.expired {
+        complete_traversal(core, t.ticket, Err(ServiceError::DeadlineExceeded));
+    }
+    // The sequence number of the batch about to run: its job.
+    let job = core.batch_seq.load(Ordering::SeqCst);
+    if formed.cache_hits > 0 {
+        core.obs.instant("cache_hit", job, 0, formed.cache_hits);
+    }
+    if core.config.query_plane.cache_capacity_bytes.is_some() && !formed.groups.is_empty() {
+        // The lanes actually dispatched are the misses that
+        // stayed misses all the way to batch formation.
+        core.obs.instant("cache_miss", job, 0, formed.groups.len() as u64);
+    }
+    for (t, v) in formed.hits {
+        let wait = t.submitted.elapsed();
+        complete_traversal(
+            core,
+            t.ticket,
+            Ok((v.visited, v.per_level, wait, Duration::ZERO, formed.epoch)),
+        );
+    }
+    if formed.groups.is_empty() {
+        return None;
+    }
+    core.obs.formation.observe_duration(formation);
+    Some((formed.groups, formed.epoch))
+}
+
+/// Whether the dispatcher is done: every replica closed, nothing
+/// queued, and no commit requested — checked under `pending`, where
+/// commits register, which marks the group done serving in the same
+/// step: `commit_epoch` refuses from then on.
+fn serving_over(core: &SharedCore) -> bool {
+    if core.open_replicas.load(Ordering::SeqCst) > 0 || core.queued.load(Ordering::SeqCst) > 0 {
+        return false;
+    }
+    let mut p = lock(&core.pending);
+    p.serving_done = !core.commit_requested.load(Ordering::SeqCst);
+    p.serving_done
+}
+
+/// Parks the dispatcher until the group has work for the engine: a
+/// commit is due, every replica is closed (drain, then exit), or a
+/// traversal is queued and its linger is over.
+///
+/// The linger is the one place the service waits for lanes: the
+/// dispatcher lets the group's oldest queued traversal wait up to
+/// [`ServiceConfig::max_batch_delay`](super::ServiceConfig::max_batch_delay)
+/// for the backlog to reach the lane cap. At the default of zero it
+/// starts at once: a busy engine batches by itself — what arrives while
+/// a batch runs is the next batch — and an idle one should start.
+fn wait_for_work(core: &SharedCore) {
+    let delay = core.config.max_batch_delay;
+    let mut woken = false;
+    loop {
+        // The oldest queue head, read before taking `parked` (a leaf).
+        // With nothing queued, `scanned` is no later than any traversal
+        // queued from now on.
+        let linger_end = (!delay.is_zero()).then(|| {
+            let scanned = Instant::now();
+            let heads =
+                core.replicas.iter().filter_map(|r| Some(lock(&r.state).queue.front()?.submitted));
+            heads.min().unwrap_or(scanned) + delay
+        });
+        let mut parked = lock(&core.parked);
+        let queued = core.queued.load(Ordering::SeqCst);
+        let commit_due = core.commit_requested.load(Ordering::SeqCst);
+        if std::mem::take(&mut woken) {
+            core.obs.dispatcher_wakeups.inc();
+            if queued == 0 && !commit_due {
+                core.obs.dispatcher_idle_wakeups.inc();
+            }
+        }
+        if commit_due || core.open_replicas.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        // Nothing queued: park until notified. Something queued: linger
+        // while the backlog is short of the cap and the delay not over.
+        let timeout = match linger_end.map(|end| end.saturating_duration_since(Instant::now())) {
+            _ if queued == 0 => None,
+            Some(left) if queued < core.lanes as i64 && !left.is_zero() => Some(left),
+            _ => return,
+        };
+        #[cfg(test)]
+        core.park_hook.hold(core);
+        *parked = true;
+        parked = match timeout {
+            None => wait(&core.work, parked),
+            Some(t) => core.work.wait_timeout(parked, t).unwrap_or_else(|e| e.into_inner()).0,
+        };
+        // A linger that ran out was not notified: nobody cleared the flag.
+        *parked = false;
+        woken = true;
+    }
 }
 
 /// Output of one formation pass over the group's admission queues.
 #[derive(Default)]
 struct FormedBatch {
-    /// The replicas whose queues were read; [`LaneGroup::homes`]
-    /// indexes this list.
-    replicas: Vec<Arc<Replica>>,
     /// Lanes to execute (primary + identical-key followers each).
     groups: Vec<LaneGroup>,
     /// Traversals answered at pack time without a lane: their key was
@@ -689,15 +630,16 @@ struct FormedBatch {
     cache_hits: u64,
     /// Traversals whose query deadline elapsed while queued.
     expired: Vec<Traversal>,
-    /// Graph epoch the batch was formed under. Formation holds the
-    /// exec lock, so this *is* the epoch the batch executes against.
+    /// Graph epoch the batch was formed under. Formation runs on the
+    /// dispatcher, which runs the batch next, so this *is* the epoch the
+    /// batch executes against.
     epoch: u64,
 }
 
-/// Forms one batch from every live replica's admission queue, under
-/// the exec lock (`ctx` proves it) and every replica's state lock:
-/// sweeps each queue against its replica's result cache and the index,
-/// fails what has expired, and hands the rest to
+/// Forms one batch from every replica's admission queue, on the
+/// dispatcher (`ctx` is its engine) and under every replica's state
+/// lock: sweeps each queue against its replica's result cache and the
+/// index, fails what has expired, and hands the rest to
 /// [`plan_batch`] — up to [`SharedCore::lanes`] distinct keys, oldest
 /// first (or locality-packed), identical keys collapsed into followers
 /// whichever replica queued them. With coalescing on, every selected
@@ -705,9 +647,10 @@ struct FormedBatch {
 /// arrivals attach mid-batch.
 fn form_batch(core: &SharedCore, ctx: &ExecCtx) -> FormedBatch {
     let epoch = ctx.engine.graph_epoch();
-    let mut formed = FormedBatch { replicas: core.replica_list(), epoch, ..Default::default() };
-    let FormedBatch { replicas, groups, hits, cache_hits, expired, .. } = &mut formed;
-    // exec → state, in list order; only the exec holder takes two.
+    let mut formed = FormedBatch { epoch, ..Default::default() };
+    let FormedBatch { groups, hits, cache_hits, expired, .. } = &mut formed;
+    let replicas = &core.replicas;
+    // In id order; only the dispatcher takes more than one.
     let mut states: Vec<_> = replicas.iter().map(|r| lock(&r.state)).collect();
     // Arrival stamps count from the oldest queue head.
     let Some(base) = states.iter().filter_map(|st| Some(st.queue.front()?.submitted)).min() else {
@@ -819,20 +762,24 @@ fn form_batch(core: &SharedCore, ctx: &ExecCtx) -> FormedBatch {
     // 4. Register the keys as in flight, on every replica a lane came
     // from, so identical queries submitted there while the batch runs
     // attach instead of re-queueing.
-    for (r, replica) in replicas.iter().enumerate() {
+    for replica in replicas {
         if let Some(co) = &replica.plane.coalescer {
             let mut co = lock(co);
-            for g in groups.iter().filter(|g| g.homes.contains(&r)) {
+            for g in groups.iter().filter(|g| g.homes.contains(&replica.id)) {
                 co.begin(g.key);
             }
         }
     }
-    for (replica, st) in replicas.iter().zip(states.iter_mut()) {
-        // Formation only ever shrinks a queue.
-        if publish_depth(core, st) {
+    // Formation only ever shrinks a queue: by what left it.
+    let mut taken = 0;
+    for ((replica, st), fates) in replicas.iter().zip(&states).zip(&plan.fates) {
+        let left = fates.len() - st.queue.len();
+        if left > 0 {
+            taken += left;
             replica.wake_submitters(st);
         }
     }
+    add_backlog(core, -(taken as i64));
     drop(states);
     formed
 }
@@ -862,40 +809,19 @@ pub(super) fn backoff_delay_for_test(base: Duration, retry: u32, job: u64) -> Du
     backoff_delay(base, retry, job)
 }
 
-/// A batch the engine is done with, ready to be answered once the
-/// exec lock is released.
-enum Finished {
-    /// The engine returned `Ok`; the caches hold the results.
-    Done { groups: Vec<LaneGroup>, result: BatchResult, dispatched: Instant, epoch: u64 },
-    /// Retries exhausted; nothing entered a cache.
-    Failed { groups: Vec<LaneGroup>, error: EngineError },
-}
-
-impl Finished {
-    /// Answers every ticket of the batch. Takes no service lock beyond
-    /// the per-ticket and latency-sample leaves.
-    fn reply(self, core: &SharedCore) {
-        match self {
-            Finished::Done { groups, result, dispatched, epoch } => {
-                fan_out(core, groups, &result, dispatched, epoch)
-            }
-            Finished::Failed { groups, error } => fail_groups(core, groups, &error),
-        }
-    }
-}
-
-/// Executes one formed batch on the shared cluster, under the core's
-/// exec lock (`ctx` proves it) — the group-wide mutual exclusion
-/// between batches, commits and degradations. The lanes of every
-/// replica run as one engine call; on `Ok` the results enter the caches
-/// before the lock is released, keyed to the epoch they ran against.
+/// Executes one formed batch on the shared cluster, on the dispatcher
+/// (`ctx` is its engine and cluster). The lanes of every replica run as
+/// one engine call; on `Ok` the results enter the caches, keyed to the
+/// epoch they ran against, before anything else runs. Either way the
+/// coalescers have handed their mid-flight waiters to `groups` on
+/// return, ready to be answered: with the result and the instant its
+/// successful attempt was dispatched, or with the error that exhausted
+/// the retries (nothing entered a cache then).
 fn execute_batch(
     core: &SharedCore,
     ctx: &mut ExecCtx,
-    replicas: &[Arc<Replica>],
-    mut groups: Vec<LaneGroup>,
-) -> Finished {
-    let epoch = ctx.engine.graph_epoch();
+    groups: &mut [LaneGroup],
+) -> Result<(BatchResult, Instant), EngineError> {
     let job = core.batch_seq.fetch_add(1, Ordering::SeqCst);
 
     let sources: Vec<u64> = groups.iter().map(|g| g.primary.source).collect();
@@ -930,8 +856,8 @@ fn execute_batch(
                 core.obs.retries.add(u64::from(retry));
                 core.obs.record_batch(&report, result.supersteps);
                 core.obs.instant("batch_done", job, retry, u64::from(result.supersteps));
-                commit_batch(core, ctx, replicas, &mut groups, &result, job, retry);
-                return Finished::Done { groups, result, dispatched, epoch };
+                commit_batch(core, ctx, groups, &result, job, retry);
+                return Ok((result, dispatched));
             }
             Err(error) => {
                 if let EngineError::Cluster(ClusterError::MachinePanicked { machine, .. }) = &error
@@ -955,26 +881,25 @@ fn execute_batch(
                 core.obs.instant("batch_failed", job, retry, 0);
                 // The keys leave the in-flight tables, so resubmission
                 // gets a fresh execution.
-                collect_waiters(replicas, &mut groups);
-                return Finished::Failed { groups, error };
+                collect_waiters(core, groups);
+                return Err(error);
             }
         }
     }
 }
 
-/// Commits a successful batch, under the exec lock: populates the
-/// result cache of every replica a lane came from (this is the *only*
-/// insertion point — the engine returned `Ok`, so the result is the
-/// committed, bit-identical answer; crashed, retried or degraded
-/// attempts never reach here with partial state) and drains coalesced
-/// mid-flight waiters into their lanes. The lock makes the lanes' epoch
-/// *the* current epoch for the whole body — results enter the caches
-/// keyed to the snapshot they actually ran against, and no commit can
-/// fence a cache mid-insert.
+/// Commits a successful batch: populates the result cache of every
+/// replica a lane came from (this is the *only* insertion point — the
+/// engine returned `Ok`, so the result is the committed, bit-identical
+/// answer; crashed, retried or degraded attempts never reach here with
+/// partial state) and drains coalesced mid-flight waiters into their
+/// lanes. Commits run on this same thread, so the lanes' epoch is *the*
+/// current epoch for the whole body — results enter the caches keyed to
+/// the snapshot they actually ran against, and no commit can fence a
+/// cache mid-insert.
 fn commit_batch(
     core: &SharedCore,
     ctx: &ExecCtx,
-    replicas: &[Arc<Replica>],
     groups: &mut [LaneGroup],
     br: &BatchResult,
     job: u64,
@@ -987,11 +912,12 @@ fn commit_batch(
         let _gate = lock(&core.stats_gate);
         let o = &core.obs;
         let (mut inserted, mut evicted) = (0u64, 0u64);
-        for (r, replica) in replicas.iter().enumerate() {
+        for replica in core.replicas.iter() {
             let Some(cm) = &replica.plane.cache else { continue };
             let (entries, bytes) = {
                 let mut c = lock(cm);
-                for (lane, g) in groups.iter().enumerate().filter(|(_, g)| g.homes.contains(&r)) {
+                let home = groups.iter().enumerate().filter(|(_, g)| g.homes.contains(&replica.id));
+                for (lane, g) in home {
                     let mut per_level: Vec<u64> =
                         br.per_level.iter().map(|row| row[lane]).collect();
                     while per_level.last() == Some(&0) {
@@ -1009,8 +935,8 @@ fn commit_batch(
                 (c.len() as i64, c.used_bytes() as i64)
             };
             // Delta publication: each replica adds its change to the
-            // group-wide gauges (updates happen under the exec lock,
-            // so the swap/add pair is never interleaved).
+            // group-wide gauges (only the dispatcher updates them, so
+            // the swap/add pair is never interleaved).
             o.cache_entries.add(entries - replica.pub_entries.swap(entries, Ordering::SeqCst));
             o.cache_bytes.add(bytes - replica.pub_bytes.swap(bytes, Ordering::SeqCst));
         }
@@ -1023,17 +949,17 @@ fn commit_batch(
             o.instant("cache_evict", job, retry, evicted);
         }
     }
-    collect_waiters(replicas, groups);
+    collect_waiters(core, groups);
 }
 
 /// Takes every lane's key out of the in-flight table of each replica
 /// it was registered on; whoever attached while the batch ran joins
 /// the lane's followers and shares its outcome.
-fn collect_waiters(replicas: &[Arc<Replica>], groups: &mut [LaneGroup]) {
-    for (r, replica) in replicas.iter().enumerate() {
+fn collect_waiters(core: &SharedCore, groups: &mut [LaneGroup]) {
+    for replica in core.replicas.iter() {
         if let Some(co) = &replica.plane.coalescer {
             let mut co = lock(co);
-            for g in groups.iter_mut().filter(|g| g.homes.contains(&r)) {
+            for g in groups.iter_mut().filter(|g| g.homes.contains(&replica.id)) {
                 g.followers.extend(co.complete(&g.key));
             }
         }

@@ -1,45 +1,42 @@
 //! State shared by every front-end replica of a service (group).
 //!
 //! A [`SharedCore`] is the singleton half of the serving tier: one
-//! engine snapshot chain + persistent cluster (inside [`ExecCtx`]),
-//! one mutation pending buffer, one durability plane, one graph epoch,
-//! and one counter store ([`ServiceObs`](super::obs)). Every
-//! [`Replica`](super::replica::Replica) — whether the single replica
-//! behind a plain [`QueryService`](super::QueryService) or the N
-//! replicas of a [`ServiceGroup`](super::ServiceGroup) — holds only
-//! per-replica state (admission queue, result cache, coalescer) and
-//! funnels execution and commits through here.
+//! engine snapshot chain + persistent cluster (inside [`ExecCtx`],
+//! owned by the one dispatcher thread), one mutation pending buffer,
+//! one durability plane, one graph epoch, one counter store
+//! ([`ServiceObs`](super::obs)) and the group's replicas, fixed at
+//! start. Every [`Replica`] — the single replica behind a plain
+//! [`QueryService`](super::QueryService) or one of the N of a
+//! [`ServiceGroup`](super::ServiceGroup) — holds only per-replica state
+//! (admission queue, result cache, coalescer).
 //!
-//! # Lock order, and what runs under the exec lock
+//! # One dispatcher, and the lock order
 //!
-//! Outermost first: `exec` → replica `state` (every live replica's, in
-//! list order — only the exec holder ever takes two) → `stats_gate` →
-//! per-replica cache/coalescer → `pending` → `durability` → `index`.
-//! The submit path takes one replica's `state` → its cache/coalescer →
-//! a ticket's slot → `latency` (a query answered at admission completes
-//! under its replica's `state`) and never `exec`, `stats_gate` or
-//! `pending`; a dispatcher waiting
-//! for work holds its own `state` → `pending` (a flag read) and
-//! releases both before it asks for `exec`. The durability plane's
-//! snapshot writer takes `stats_gate` → `durability` to book a finished
-//! job, and nothing while it encodes and writes. `live_engine` and
-//! `latency` are leaves: held for a clone or a push, never across
-//! another acquisition.
+//! [`SharedCore::start`] spawns exactly one dispatcher thread per core,
+//! once the replicas exist. It runs every commit, formation, engine
+//! call, retry and degradation in order (see [`replica`](super::replica)
+//! for the loop), so none can overlap another and the engine, the
+//! cluster and the panic blame are a plain local value of that thread.
 //!
-//! The exec lock is the group-wide mutual exclusion between batches,
-//! commits and degradations, and whoever holds it serves the whole
-//! group (see [`replica`](super::replica)):
+//! Outermost first: replica `state` (every replica's, in id order —
+//! only the dispatcher ever takes two) → `stats_gate` → per-replica
+//! cache/coalescer → `pending` → `durability` → `index`. The submit
+//! path takes one replica's `state` → its cache/coalescer → a ticket's
+//! slot → `latency` (a query answered at admission completes under its
+//! replica's `state`) and never `stats_gate` or `pending`. The durability
+//! plane's snapshot writer takes `stats_gate` → `durability` to book a
+//! finished job, and nothing while it encodes and writes.
+//! `live_engine`, `latency` and `parked` are leaves: held for a clone,
+//! a push or the dispatcher's check-and-park, never across another
+//! acquisition.
 //!
-//! | under the exec lock | after it is released |
-//! |---|---|
-//! | a due epoch commit — engine swap, epoch store, cache fences, index rebuild, snapshot hand-off, waiters released | |
-//! | batch formation over every replica's queue (under their `state` locks), with the replies to queued hits and expired deadlines | |
-//! | the engine call, whole-batch retries with their backoff, degradation | |
-//! | cache insertion (under `stats_gate`, keyed to the epoch the batch ran against), heat bumps, the coalescers' hand-back | per-ticket fan-out of the batch: result folding, latency samples, reply-slot fills |
+//! # The one wake-up
 //!
-//! Nothing sleeps or spins for lanes under it; the one linger,
-//! [`ServiceConfig::max_batch_delay`], is waited out *before* asking
-//! for the lock.
+//! The dispatcher parks on [`SharedCore::work`] while nothing is queued
+//! ([`SharedCore::queued`]), no commit is requested
+//! ([`SharedCore::commit_requested`]) and a replica is still open
+//! ([`SharedCore::open_replicas`]); [`SharedCore::wake_dispatcher`]
+//! says why a change to any of the three is never lost.
 //!
 //! # What is counted where
 //!
@@ -66,7 +63,7 @@
 //!   `last_snapshot_epoch`.
 
 use super::obs::ServiceObs;
-use super::replica::Replica;
+use super::replica::{dispatch_loop, Replica};
 use super::{disk_faults, lock, ServiceConfig, ServiceError, ServiceStats};
 use crate::config::EngineConfig;
 use crate::durability::{
@@ -81,24 +78,21 @@ use cgraph_cache::HeatTable;
 use cgraph_comm::PersistentCluster;
 use cgraph_graph::delta::EdgeUpdate;
 use cgraph_graph::{EdgeList, LaneWidth};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Buffered edge updates awaiting the next epoch commit, plus the
-/// commit-request handshake between mutators and the dispatchers.
+/// commit waiters.
 #[derive(Default)]
 pub(super) struct PendingUpdates {
     pub(super) updates: Vec<EdgeUpdate>,
     /// Waiters blocked in [`QueryService::commit_epoch`]
     /// (super::QueryService::commit_epoch); each receives the new
-    /// epoch once a dispatcher performs the commit.
+    /// epoch once the dispatcher performs the commit.
     pub(super) waiters: Vec<crossbeam_channel::Sender<u64>>,
-    /// A commit is due — an explicit request or a crossed
-    /// [`MutationConfig::commit_threshold`](super::MutationConfig::commit_threshold).
-    /// Cleared when a dispatcher takes the batch.
-    pub(super) requested: bool,
-    /// Set — under the pending lock — by the last dispatcher to exit.
+    /// Set — under the pending lock — by the dispatcher as it exits.
     /// From then on `commit_epoch` refuses instead of registering a
     /// waiter no thread would ever answer.
     pub(super) serving_done: bool,
@@ -116,11 +110,10 @@ pub(super) struct LatencySamples {
     pub(super) response: Vec<Duration>,
 }
 
-/// The execution context every replica dispatches through: the live
-/// engine snapshot, the one persistent cluster and panic blame.
-/// Holding this lock IS the group-wide quiesce — a commit or
-/// degradation that owns it is guaranteed no batch is being formed or
-/// is in flight on any replica.
+/// What the dispatcher executes with: the live engine snapshot, the one
+/// persistent cluster and panic blame. A plain local value of the
+/// dispatcher thread — only that thread runs batches, commits and
+/// degradations, so none of them can overlap another.
 pub(super) struct ExecCtx {
     pub(super) engine: Arc<DistributedEngine>,
     pub(super) cluster: PersistentCluster,
@@ -129,7 +122,7 @@ pub(super) struct ExecCtx {
 }
 
 /// State shared by every replica of one service (group). See the
-/// module doc for the lock order.
+/// module doc for the lock order and the wake-up.
 pub(super) struct SharedCore {
     pub(super) config: ServiceConfig,
     pub(super) lanes: usize,
@@ -137,13 +130,11 @@ pub(super) struct SharedCore {
     /// makes every existing entry unreachable and blocks stale
     /// in-flight batches from committing results.
     pub(super) epoch: AtomicU64,
-    /// The dispatch path: engine + cluster + blame.
-    pub(super) exec: Mutex<ExecCtx>,
     /// Monotone batch sequence number — the chaos *job* identity, so a
     /// [`FaultPlan`](cgraph_comm::chaos::FaultPlan) armed for a job
-    /// window poisons specific batches, group-wide. Incremented under
-    /// the exec lock (so job order equals execution order); read
-    /// lock-free for trace labels.
+    /// window poisons specific batches, group-wide. Incremented by the
+    /// dispatcher (so job order equals execution order); read lock-free
+    /// for trace labels.
     pub(super) batch_seq: AtomicU64,
     /// Mirror of [`ExecCtx::engine`] readable without blocking behind
     /// a running batch — the submit path and the router use it for
@@ -168,30 +159,46 @@ pub(super) struct SharedCore {
     /// The live reachability index (leaf lock): rebuilt inside every
     /// epoch commit and degradation, group-wide.
     pub(super) index: Mutex<Option<Arc<dyn ReachIndex>>>,
-    /// Every replica ever attached (weak: a dropped service frees its
-    /// replica). Commits walk this list to fence all caches.
-    pub(super) replicas: Mutex<Vec<Weak<Replica>>>,
-    /// Replicas still accepting queries (shutdown not yet called).
+    /// The group's front-ends, fixed at start: replica `i` is
+    /// `replicas[i]`. Commits walk it to fence every cache.
+    pub(super) replicas: Box<[Replica]>,
+    /// Replicas still accepting queries. Dropped after the replica's
+    /// `closed` flag is set, so a dispatcher that reads 0 sees every
+    /// traversal the replicas admitted in [`SharedCore::queued`].
     pub(super) open_replicas: AtomicUsize,
-    /// Dispatcher threads still running. The one that decrements this
-    /// to zero is last-out: it syncs the WAL, parks the cluster and
-    /// marks `serving_done` — exactly once, however many replicas the
-    /// group ran.
-    pub(super) live_replicas: AtomicUsize,
+    /// Traversals queued across the group — moved under the `state`
+    /// lock of the replica whose queue changed. Its own count, not the
+    /// `cgraph_service_queue_depth` gauge: a registry may be shared by
+    /// two services.
+    pub(super) queued: AtomicI64,
+    /// A commit is due — an explicit request or a crossed
+    /// [`MutationConfig::commit_threshold`](super::MutationConfig::commit_threshold).
+    /// Written under `pending` only (so it agrees with the waiter list
+    /// and `serving_done`), read lock-free by the dispatcher's check.
+    pub(super) commit_requested: AtomicBool,
+    /// The dispatcher's waiter flag: set by the dispatcher before it
+    /// parks on `work`, cleared by the notifier.
+    pub(super) parked: Mutex<bool>,
+    pub(super) work: Condvar,
+    /// The dispatcher thread, until the last replica's close joins it.
+    dispatcher: Mutex<Option<JoinHandle<()>>>,
     /// Cache-heat grid feeding the group router; `None` for a solo
     /// service (no router reads it).
     pub(super) heat: Option<Arc<HeatTable>>,
+    #[cfg(test)]
+    pub(super) park_hook: ParkHook,
 }
 
 impl SharedCore {
-    /// Wires the shared half of a service: persistent cluster, obs
-    /// registration, initial index build. `restored_pending` updates
-    /// are already in the WAL (recovery restored them) — they enter
-    /// the buffer without being re-appended. No replica is attached
-    /// yet; [`QueryService::attach`](super::QueryService) adds them.
-    pub(super) fn new(
+    /// Wires the shared half of a service — persistent cluster, obs
+    /// registration, initial index build, `replicas` front-ends — and
+    /// spawns its one dispatcher. `restored_pending` updates are
+    /// already in the WAL (recovery restored them) — they enter the
+    /// buffer without being re-appended.
+    pub(super) fn start(
         engine: Arc<DistributedEngine>,
         config: ServiceConfig,
+        replicas: usize,
         durability: Option<DurabilityPlane>,
         restored_pending: Vec<EdgeUpdate>,
         recovery: Option<&RecoveryOutcome>,
@@ -205,27 +212,24 @@ impl SharedCore {
         }
         let obs = ServiceObs::new(config.obs.as_deref(), lanes);
         obs.batch_width.set(LaneWidth::for_lanes(lanes).bits() as i64);
+        obs.router_replicas.set(replicas as i64);
         if let Some(p) = &durability {
             obs.seed_durability(&p.stats());
         }
         obs.mutation_pending.set(restored_pending.len() as i64);
         obs.publish_overlay(&engine);
         if let Some(rec) = recovery.filter(|r| r.recovered) {
-            // Emitted before any dispatcher exists, so its position
+            // Emitted before the dispatcher exists, so its position
             // in the coordinator trace is deterministic.
             obs.instant("durable_recover", 0, 0, rec.epoch);
         }
         // Initial index build, before the first query can be admitted.
         let index = config.index.as_ref().and_then(|b| build_index(&**b, &engine, &obs));
-        let epoch = engine.graph_epoch();
-        Arc::new(Self {
+        let ctx =
+            ExecCtx { engine: Arc::clone(&engine), cluster, blame: vec![0; engine.num_machines()] };
+        let core = Arc::new(Self {
             lanes,
-            epoch: AtomicU64::new(epoch),
-            exec: Mutex::new(ExecCtx {
-                engine: Arc::clone(&engine),
-                cluster,
-                blame: vec![0; engine.num_machines()],
-            }),
+            epoch: AtomicU64::new(engine.graph_epoch()),
             batch_seq: AtomicU64::new(0),
             live_engine: Mutex::new(engine),
             pending: Mutex::new(PendingUpdates {
@@ -237,18 +241,27 @@ impl SharedCore {
             stats_gate: Mutex::new(()),
             obs,
             index: Mutex::new(index),
-            replicas: Mutex::new(Vec::new()),
-            open_replicas: AtomicUsize::new(0),
-            live_replicas: AtomicUsize::new(0),
+            replicas: (0..replicas).map(|id| Replica::new(id, &config.query_plane)).collect(),
+            open_replicas: AtomicUsize::new(replicas),
+            queued: AtomicI64::new(0),
+            commit_requested: AtomicBool::new(false),
+            parked: Mutex::new(false),
+            work: Condvar::new(),
+            dispatcher: Mutex::new(None),
             heat,
+            #[cfg(test)]
+            park_hook: ParkHook::default(),
             config,
-        })
-    }
-
-    /// Every replica still alive, strongly held for the duration of a
-    /// fence or stats sweep.
-    pub(super) fn replica_list(&self) -> Vec<Arc<Replica>> {
-        lock(&self.replicas).iter().filter_map(Weak::upgrade).collect()
+        });
+        let handle = {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name("cgraph-dispatcher".into())
+                .spawn(move || dispatch_loop(&core, ctx))
+                .expect("spawn dispatcher thread")
+        };
+        *lock(&core.dispatcher) = Some(handle);
+        core
     }
 
     /// The live index iff it matches `epoch` — the fence that keeps a
@@ -262,14 +275,38 @@ impl SharedCore {
         Arc::clone(&lock(&self.live_engine))
     }
 
-    /// Wakes every parked dispatcher (a commit became due). The
-    /// per-replica state lock is taken around each notify, so a
-    /// dispatcher that just checked `requested` either has not parked
-    /// yet — and this blocks until it has, flag set — or sees the
-    /// request: the wake-up cannot be missed.
-    pub(super) fn notify_dispatchers(&self) {
-        for r in self.replica_list() {
-            r.wake_dispatcher(&mut lock(&r.state));
+    /// Wakes the dispatcher if it is parked. Call *after* changing what
+    /// it waits for — [`SharedCore::queued`],
+    /// [`SharedCore::commit_requested`], [`SharedCore::open_replicas`] —
+    /// and not under `pending` or a replica's `state`. The dispatcher
+    /// reads those three under `parked` and sets the flag without
+    /// letting go of the mutex before it parks, so a change made before
+    /// this takes the mutex is seen by its check or finds the flag set;
+    /// clearing the flag here makes one park cost one notify.
+    pub(super) fn wake_dispatcher(&self) {
+        let mut parked = lock(&self.parked);
+        if std::mem::take(&mut *parked) {
+            self.work.notify_one();
+        }
+    }
+
+    /// Closes replica `id` to admission — what it queued is still
+    /// answered — and wakes the dispatcher. Once every replica is closed,
+    /// waits for the dispatcher to drain the queues, serve the last
+    /// commit request, run the durability barrier and exit. Idempotent.
+    pub(super) fn close(&self, id: usize) {
+        let replica = &self.replicas[id];
+        let mut st = lock(&replica.state);
+        if !std::mem::replace(&mut st.closed, true) {
+            replica.wake_submitters(&st);
+            drop(st);
+            self.open_replicas.fetch_sub(1, Ordering::SeqCst);
+            self.wake_dispatcher();
+        }
+        if self.open_replicas.load(Ordering::SeqCst) == 0 {
+            if let Some(h) = lock(&self.dispatcher).take() {
+                let _ = h.join();
+            }
         }
     }
 
@@ -280,7 +317,7 @@ impl SharedCore {
     pub(super) fn stats(&self) -> ServiceStats {
         let gate = lock(&self.stats_gate);
         let (mut cache_entries, mut cache_bytes) = (0u64, 0u64);
-        for r in self.replica_list() {
+        for r in self.replicas.iter() {
             if let Some(cm) = &r.plane.cache {
                 let c = lock(cm);
                 cache_entries += c.len() as u64;
@@ -437,37 +474,29 @@ pub(super) fn build_index(
 }
 
 /// Rebuilds the live index for `engine`'s (new) epoch — called inside
-/// epoch commits and degradations, under the exec lock, strictly
-/// between batches. Without a configured builder this is a no-op and
-/// the epoch fence alone retires the old index.
+/// epoch commits and degradations, on the dispatcher, strictly between
+/// batches. Without a configured builder this is a no-op and the epoch
+/// fence alone retires the old index.
 pub(super) fn rebuild_index(core: &SharedCore, engine: &DistributedEngine) {
     if let Some(b) = &core.config.index {
         *lock(&core.index) = build_index(&**b, engine, &core.obs);
     }
 }
 
-/// What [`take_commit_request`] hands the committing dispatcher: the
-/// drained update buffer, the commit waiters to reply to, and — with
-/// durability on — the sequence number of the fence appended to the
-/// WAL.
-pub(super) type CommitRequest = (Vec<EdgeUpdate>, Vec<crossbeam_channel::Sender<u64>>, Option<u64>);
-
-/// Takes the pending commit request, if one is due: the buffered
-/// updates, the waiters to reply to, and — with durability on — the
-/// sequence number of the commit fence appended (and synced) to the
-/// WAL. Clears the request flag so a request enqueued *during* the
-/// commit is seen as a fresh one. The fence is written under the
-/// pending lock, in the same critical section that drains the buffer:
-/// every update record logged before it is exactly the drained batch,
-/// so replay reconstructs this commit bit-identically. Idempotent
-/// across racing dispatchers — the first taker gets the batch, the
-/// rest see `requested == false` and back off.
-pub(super) fn take_commit_request(core: &SharedCore, next_epoch: u64) -> Option<CommitRequest> {
+/// Takes the pending commit request: the buffered updates, the waiters
+/// to reply to, and — with durability on — the sequence number of the
+/// commit fence appended (and synced) to the WAL. Clears the request
+/// flag so a request enqueued *during* the commit is seen as a fresh
+/// one. The fence is written under the pending lock, in the same
+/// critical section that drains the buffer: every update record logged
+/// before it is exactly the drained batch, so replay reconstructs this
+/// commit bit-identically.
+fn take_commit_request(
+    core: &SharedCore,
+    next_epoch: u64,
+) -> (Vec<EdgeUpdate>, Vec<crossbeam_channel::Sender<u64>>, Option<u64>) {
     let mut p = lock(&core.pending);
-    if !p.requested {
-        return None;
-    }
-    p.requested = false;
+    core.commit_requested.store(false, Ordering::SeqCst);
     let updates = std::mem::take(&mut p.updates);
     let waiters = std::mem::take(&mut p.waiters);
     let mut wal_seq = None;
@@ -484,25 +513,25 @@ pub(super) fn take_commit_request(core: &SharedCore, next_epoch: u64) -> Option<
             Err(e) => eprintln!("cgraph durability: commit fence append failed: {e}"),
         }
     }
-    Some((updates, waiters, wal_seq))
+    (updates, waiters, wal_seq)
 }
 
-/// Performs one epoch commit under the exec lock (the group-wide
-/// quiesce — no batch is forming or in flight on any replica; the
-/// holder calls this at its batch boundary): folds `updates`
-/// into a new engine snapshot, swaps it in, publishes the new epoch,
-/// fences **every** replica's cache, cools the heat grid, rebuilds the
-/// index, hands a due snapshot to the durability plane's writer, and
-/// replies the new epoch to every commit waiter. The caller holds the
-/// stats gate, so no stats snapshot can observe the drained buffer
-/// without the matching applied counters.
-pub(super) fn perform_commit(
-    core: &Arc<SharedCore>,
-    ctx: &mut ExecCtx,
-    updates: Vec<EdgeUpdate>,
-    waiters: Vec<crossbeam_channel::Sender<u64>>,
-    wal_seq: Option<u64>,
-) {
+/// Performs a due epoch commit on the dispatcher, between batches —
+/// nothing is forming or in flight, on any replica: folds the buffered
+/// updates into a new engine snapshot, swaps it in, publishes the new
+/// epoch, fences **every** replica's cache, cools the heat grid,
+/// rebuilds the index, hands a due snapshot to the durability plane's
+/// writer, and replies the new epoch to every commit waiter. All of it
+/// under the stats gate, so no stats snapshot can observe the drained
+/// buffer without the matching applied counters. A no-op when no
+/// commit is requested.
+pub(super) fn run_commit(core: &Arc<SharedCore>, ctx: &mut ExecCtx) {
+    if !core.commit_requested.load(Ordering::SeqCst) {
+        return;
+    }
+    let started = Instant::now();
+    let gate = lock(&core.stats_gate);
+    let (updates, waiters, wal_seq) = take_commit_request(core, ctx.engine.graph_epoch() + 1);
     let (engine, folded) = ctx.engine.with_updates(&updates, core.config.mutation.fold_threshold);
     let new_epoch = engine.graph_epoch();
     ctx.engine = Arc::new(engine);
@@ -512,7 +541,7 @@ pub(super) fn perform_commit(
     // `new_epoch` are unreachable anyway (keys embed the epoch) —
     // dropping them frees their bytes immediately. Gauges publish the
     // per-replica delta so the group-wide sum stays exact.
-    for r in core.replica_list() {
+    for r in core.replicas.iter() {
         if let Some(cm) = &r.plane.cache {
             let (entries, bytes) = {
                 let mut c = lock(cm);
@@ -571,6 +600,8 @@ pub(super) fn perform_commit(
     for w in waiters {
         let _ = w.send(new_epoch);
     }
+    drop(gate);
+    core.obs.commit_lock_hold.observe_duration(started.elapsed());
 }
 
 /// Books a finished snapshot job, on the thread that ran it: plane counters,
@@ -595,14 +626,15 @@ fn publish_snapshot(core: &SharedCore, out: &SnapshotOutcome) {
     }
 }
 
-/// The last dispatcher's durability barrier: syncs the WAL, then joins
-/// the snapshot writer — outside the plane mutex, which the writer
-/// needs to book its job — so `shutdown()` returns over a directory no
-/// thread still writes into and counters that are final. A snapshot
-/// that is still due then (its commit found the writer busy, or its
-/// write was lost) has no later commit to retry it: it is written here,
-/// on this thread, as the writer would have.
-pub(super) fn quiesce_durability(core: &SharedCore) {
+/// The dispatcher's durability barrier as it exits: syncs the WAL, then
+/// joins the snapshot writer — outside the plane mutex, which the
+/// writer needs to book its job — so `shutdown()` returns over a
+/// directory no thread still writes into and counters that are final.
+/// A snapshot that is still due then (its commit found the writer busy,
+/// or its write was lost) has no later commit to retry it: it is
+/// written here, from `engine` — the last value served — as the writer
+/// would have.
+pub(super) fn quiesce_durability(core: &SharedCore, engine: &Arc<DistributedEngine>) {
     let Some(dm) = &core.durability else { return };
     let writer = {
         let mut d = lock(dm);
@@ -614,8 +646,7 @@ pub(super) fn quiesce_durability(core: &SharedCore) {
     if let Some(handle) = writer {
         join_snapshot_writer(handle);
     }
-    let engine = Arc::clone(&lock(&core.exec).engine);
-    let overdue = lock(dm).overdue_snapshot_job(&engine);
+    let overdue = lock(dm).overdue_snapshot_job(engine);
     if let Some(job) = overdue {
         publish_snapshot(core, &job.run());
     }
@@ -623,8 +654,9 @@ pub(super) fn quiesce_durability(core: &SharedCore) {
 
 /// Re-partitions onto one fewer machine and swaps in a fresh
 /// persistent cluster; the old cluster (which may hold a poisoned or
-/// repeatedly-failing machine) is parked and shut down. Runs under the
-/// exec lock, so every replica observes the swap atomically.
+/// repeatedly-failing machine) is parked and shut down. Runs on the
+/// dispatcher between two attempts of a batch, so no other batch sees
+/// either side of the swap.
 pub(super) fn degrade(core: &SharedCore, ctx: &mut ExecCtx) {
     let p = ctx.engine.num_machines() - 1;
     let engine = Arc::new(ctx.engine.repartitioned(p));
@@ -684,37 +716,55 @@ pub(super) fn apply_updates_core(
     }
     p.updates.extend(updates);
     let depth = p.updates.len();
-    let threshold_hit =
-        core.config.mutation.commit_threshold.is_some_and(|t| depth >= t) && !p.requested;
-    if threshold_hit {
-        p.requested = true;
-    }
+    let threshold_hit = core.config.mutation.commit_threshold.is_some_and(|t| depth >= t)
+        && !core.commit_requested.swap(true, Ordering::SeqCst);
     // Published under the pending lock so concurrent mutators cannot
     // clobber each other with stale depths.
     core.obs.mutation_pending.set(depth as i64);
     drop(p);
     if threshold_hit {
-        core.notify_dispatchers();
+        core.wake_dispatcher();
     }
     Ok(())
 }
 
 /// Core-level [`QueryService::commit_epoch`](super::QueryService::commit_epoch):
-/// registers a commit request + waiter and wakes every dispatcher; the
-/// next one to hold the exec lock performs the commit before it forms
-/// its batch.
+/// registers a commit request + waiter and wakes the dispatcher, which
+/// performs the commit before it forms its next batch.
 pub(super) fn commit_epoch_core(core: &SharedCore) -> Result<u64, ServiceError> {
-    let rx = {
-        let mut p = lock(&core.pending);
-        if p.serving_done || core.open_replicas.load(Ordering::SeqCst) == 0 {
-            return Err(ServiceError::ShutDown);
-        }
-        let (tx, rx) = crossbeam_channel::unbounded();
-        p.waiters.push(tx);
-        p.requested = true;
-        drop(p);
-        core.notify_dispatchers();
-        rx
-    };
+    let mut p = lock(&core.pending);
+    if p.serving_done || core.open_replicas.load(Ordering::SeqCst) == 0 {
+        return Err(ServiceError::ShutDown);
+    }
+    let (tx, rx) = crossbeam_channel::unbounded();
+    p.waiters.push(tx);
+    core.commit_requested.store(true, Ordering::SeqCst);
+    drop(p);
+    core.wake_dispatcher();
     rx.recv().map_err(|_| ServiceError::ShutDown)
+}
+
+/// Once armed, holds the dispatcher between its check and its park
+/// until what it waits for changed: the lost wake-up's window, forced.
+#[cfg(test)]
+#[derive(Default)]
+pub(super) struct ParkHook {
+    pub(super) armed: AtomicBool,
+    pub(super) holding: AtomicBool,
+}
+
+#[cfg(test)]
+impl ParkHook {
+    pub(super) fn hold(&self, core: &SharedCore) {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.holding.store(true, Ordering::SeqCst);
+            while core.queued.load(Ordering::SeqCst) == 0
+                && !core.commit_requested.load(Ordering::SeqCst)
+                && core.open_replicas.load(Ordering::SeqCst) > 0
+            {
+                std::thread::yield_now();
+            }
+            self.holding.store(false, Ordering::SeqCst);
+        }
+    }
 }

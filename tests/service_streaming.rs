@@ -5,8 +5,8 @@
 //! into batches, how many front-ends admit it, how many machines serve
 //! it, or which update mode the engine runs.
 //!
-//! Below that: batch formation. A batch is formed once, by whichever
-//! dispatcher holds the engine, from everything the group has queued —
+//! Below that: batch formation. A batch is formed once, by the group's
+//! one dispatcher, from everything the group has queued —
 //! checked on running groups (one batch from every queue, the lane cap,
 //! a key queued twice, a flooded sibling, a commit beside saturating
 //! submitters) and on the formation step itself as a pure function
@@ -374,7 +374,7 @@ fn a_flooded_replica_does_not_starve_its_sibling() {
         after - before
     });
     // The batch in flight when the sibling's query arrives, then the
-    // one it rides: whoever holds the engine serves every queue.
+    // one it rides: the one dispatcher serves every queue.
     let waited = median(spans.collect());
     stop.store(true, Ordering::SeqCst);
     for h in flood {
@@ -407,7 +407,7 @@ fn a_commit_beside_saturating_submitters_lands_within_two_batches() {
         assert_eq!((got.visited, got.per_level), expected[0]);
         after - before
     });
-    // The holder commits at its batch boundary: the batch in flight
+    // The dispatcher commits at its batch boundary: the batch in flight
     // when the request arrives, at most one more that was already past
     // the check.
     let waited = median(spans.collect());

@@ -5,12 +5,13 @@
 //! every replica count, machine count, and query-plane setting — while
 //! the router stays deterministic across identical-seed runs, epoch
 //! commits fence every replica at once, an armed crash fails only the
-//! lanes of the batch it hit, and a closed replica never takes the
-//! rest of the group down with it.
+//! lanes of the batch it hit, a closed replica never takes the rest of
+//! the group down with it, and a durable group closes the same way in
+//! any order, with a commit racing its last close.
 
 use cgraph::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -314,4 +315,169 @@ fn closing_one_replica_leaves_the_group_serving() {
     assert!(matches!(group.query(KhopQuery::single(9, 0, 2)), Err(ServiceError::ShutDown)));
     assert!(matches!(group.commit_epoch(), Err(ServiceError::ShutDown)));
     group.shutdown();
+}
+
+#[test]
+fn an_unroutable_query_is_answered_by_a_live_replica() {
+    let engine = Arc::new(DistributedEngine::new(&chordal_graph(96), EngineConfig::new(2)));
+    let group = ServiceGroup::start(engine, GroupConfig { replicas: 2, ..Default::default() });
+    group.shutdown_replica(0);
+    // Neither has a first source to route by: replica 1, the live one,
+    // gives the single-service answers.
+    let empty = KhopQuery { id: 7, sources: Vec::new(), k: 3 };
+    let got = group.submit(empty).expect("an empty query completes at once").wait().unwrap();
+    assert_eq!((got.id, got.visited, got.per_level), (7, 0, Vec::new()));
+    let bad = group.submit(KhopQuery::single(8, 96, 3)).unwrap_err();
+    assert!(matches!(bad, ServiceError::InvalidQuery(_)), "{bad:?}");
+    assert_eq!(group.query(KhopQuery::single(9, 5, 2)).unwrap().visited, 3 + 1);
+    group.shutdown();
+}
+
+/// How a durable group is taken down.
+#[derive(Clone, Copy, Debug)]
+enum Close {
+    /// `shutdown_replica` 0, then 1, then 2.
+    Ascending,
+    /// `shutdown_replica` 2, then 1, then 0.
+    Descending,
+    /// The last handle dropped, no `shutdown` call.
+    Dropped,
+}
+
+/// Runs `f` on a thread of its own; `None` if it has not returned within
+/// the bound — a hang fails the test instead of stalling it.
+fn bounded<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> mpsc::Receiver<T> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx
+}
+
+fn within<T>(what: &str, rx: mpsc::Receiver<T>) -> T {
+    rx.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|_| panic!("{what} hung"))
+}
+
+fn insert(src: u64, dst: u64) -> UpdateBatch {
+    [EdgeUpdate::insert(src, dst)].into_iter().collect()
+}
+
+/// A durable three-replica group that commits once, queues a traversal
+/// on every replica (held there by a long linger), buffers one more
+/// update, and is then closed `how` while a second commit races the
+/// last close. Whichever side wins, nothing hangs, nothing queued is
+/// abandoned, and the directory reopens at the epoch the race decided,
+/// with one snapshot per commit — the racing commit's written exactly
+/// once, by the snapshot writer or, when that was still busy with the
+/// first commit's, by the shutdown.
+fn close_durable_group(how: Close) {
+    let n = 20_000u64;
+    let graph: EdgeList = (0..n).map(|v| (v, (v + 1) % n)).collect();
+    let dir =
+        std::env::temp_dir().join(format!("cgraph-group-close-{how:?}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = GroupConfig {
+        replicas: 3,
+        service: ServiceConfig {
+            max_batch_delay: Duration::from_secs(3600),
+            durability: Some(DurabilityConfig::new(&dir).snapshot_every(1)),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let (group, fresh) =
+        ServiceGroup::open_or_recover(&graph, EngineConfig::new(2), config.clone()).unwrap();
+    assert!(!fresh.recovered);
+    let group = Arc::new(group);
+
+    // Inserts far from the sources below: every answer reads 4.
+    group.apply_updates(insert(100, 5_000)).unwrap();
+    assert_eq!(group.commit_epoch(), Ok(1));
+    let tickets: Vec<_> = (0..3)
+        .map(|r| group.replica(r).submit(KhopQuery::single(r, r as u64 * 7, 3)).unwrap())
+        .collect();
+    group.apply_updates(insert(200, 6_000)).unwrap();
+
+    let order = if matches!(how, Close::Descending) { [2, 1, 0] } else { [0, 1, 2] };
+    if !matches!(how, Close::Dropped) {
+        group.shutdown_replica(order[0]);
+        group.shutdown_replica(order[1]);
+    }
+    // The commit and the last close start together.
+    let start = Arc::new(Barrier::new(2));
+    let committer = {
+        let (group, start) = (Arc::clone(&group), Arc::clone(&start));
+        bounded(move || {
+            start.wait();
+            group.commit_epoch()
+        })
+    };
+    let (committed, stats) = match how {
+        Close::Dropped => {
+            start.wait();
+            drop(group);
+            (within("the racing commit", committer), None)
+        }
+        Close::Ascending | Close::Descending => {
+            let closer = {
+                let group = Arc::clone(&group);
+                bounded(move || {
+                    start.wait();
+                    group.shutdown_replica(order[2])
+                })
+            };
+            let committed = within("the racing commit", committer);
+            within("the last close", closer);
+            // Closed for good: every entry point refuses.
+            assert_eq!(group.commit_epoch(), Err(ServiceError::ShutDown));
+            assert_eq!(group.apply_updates(insert(1, 2)), Err(ServiceError::ShutDown));
+            let late = group.submit(KhopQuery::single(9, 3, 3));
+            assert!(matches!(late, Err(ServiceError::ShutDown)), "{late:?}");
+            (committed, Some(group.stats()))
+        }
+    };
+    // A commit that won the race took the buffered update with it.
+    let (epoch, pending) = match committed {
+        Ok(e) => (e, 0),
+        Err(e) => {
+            assert_eq!(e, ServiceError::ShutDown);
+            (1, 1)
+        }
+    };
+    assert!(epoch == 2 || pending == 1, "{how:?}: commit returned epoch {epoch}");
+    if let Some(s) = stats {
+        // The fresh directory's snapshot, then one per commit.
+        assert_eq!((s.snapshots_written, s.last_snapshot_epoch), (1 + epoch, epoch));
+        assert_eq!(s.queries_completed, 3);
+    }
+    for t in tickets {
+        let got = t.wait().expect("queued before its replica closed: answered, not abandoned");
+        assert_eq!(got.visited, 4);
+    }
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let mut want: Vec<String> = (0..=epoch).map(|e| format!("snap-{e:016}.cgs")).collect();
+    want.push("wal.log".into());
+    assert_eq!(names, want, "{how:?}");
+
+    // The WAL was synced before the close returned: the directory
+    // reopens at the race's epoch with the uncommitted update pending.
+    let mut config = config;
+    config.service.max_batch_delay = Duration::ZERO;
+    let (group, reopened) =
+        ServiceGroup::open_or_recover(&graph, EngineConfig::new(2), config).unwrap();
+    assert_eq!((reopened.epoch, reopened.pending_restored), (epoch, pending), "{how:?}");
+    assert_eq!(group.query(KhopQuery::single(0, 0, 3)).unwrap().visited, 4);
+    group.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_durable_group_closes_in_any_order_with_a_commit_racing_the_last_close() {
+    for how in [Close::Ascending, Close::Descending, Close::Dropped] {
+        close_durable_group(how);
+    }
 }
