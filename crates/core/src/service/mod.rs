@@ -10,7 +10,7 @@
 //! * **admission** ([`QueryService::submit`]) answers what it can on the
 //!   spot and queues the rest. A traversal the result cache or the
 //!   index already holds completes inside `submit` — the *ready path*:
-//!   the epoch, the probe, the latency sample and the ticket, and
+//!   the epoch, the probe, the latency record and the ticket, and
 //!   nothing else; no dispatcher is woken, no queue slot is waited for,
 //!   and the ticket comes back answered. Only a traversal that needs a
 //!   lane enters the **admission queue**, under queue-depth
@@ -581,13 +581,27 @@ pub struct ServiceStats {
     /// Epoch of the newest snapshot on disk.
     pub last_snapshot_epoch: u64,
     /// Per-query admission wait: submission → batch dispatch (mean
-    /// over the query's traversals).
+    /// over the query's traversals, to the nanosecond).
+    ///
+    /// This and the two distributions below count every completed
+    /// query — `len()` equals `queries_completed` in the same snapshot,
+    /// empty queries (recorded as zero) included — and their `mean()`
+    /// is exact: each replica keeps the count and the nanosecond sum of
+    /// the queries it admitted. The order statistics (`sorted()`,
+    /// `quantile()`, `min()`, `max()`, …) are exact up to
+    /// [`RESERVOIR_TRIPLES`](crate::metrics::RESERVOIR_TRIPLES)
+    /// completions per replica and read a deterministic uniform sample
+    /// of at most that many per replica past it, so the service's
+    /// latency state stays the same size however long it runs.
     pub admission_wait: ResponseStats,
     /// Per-query execution time: the lane-completion share of its
-    /// batch, exactly as the closed-batch scheduler accounts it.
+    /// batch, exactly as the closed-batch scheduler accounts it. Count
+    /// and mean exact, quantiles sampled (see `admission_wait`).
     pub exec: ResponseStats,
     /// Per-query end-to-end response: admission wait + execution —
-    /// what a client of the service observes.
+    /// what a client of the service observes, and the mean of the
+    /// [`QueryResult::response_time`]s its tickets returned. Count and
+    /// mean exact, quantiles sampled (see `admission_wait`).
     pub response: ResponseStats,
 }
 mod group;
@@ -1078,7 +1092,7 @@ mod tests {
     fn try_wait_reports_shutdown_on_an_abandoned_traversal() {
         // A ticket whose traversal was dropped without an answer must
         // not read as "still in flight" — pollers would spin forever.
-        let state = replica::TicketState::new(0, 1);
+        let state = replica::TicketState::new(0, 0, 1);
         let handle = replica::TicketHandle::new(&state);
         let ticket = QueryTicket { state, deadline: None };
         assert_eq!(ticket.try_wait(), None);
@@ -1088,7 +1102,7 @@ mod tests {
 
     #[test]
     fn a_parked_waiter_is_woken_by_the_last_unanswered_traversal() {
-        let state = replica::TicketState::new(0, 2);
+        let state = replica::TicketState::new(0, 0, 2);
         let handles = [replica::TicketHandle::new(&state), replica::TicketHandle::new(&state)];
         let ticket = QueryTicket { state: Arc::clone(&state), deadline: None };
         let waiter = std::thread::spawn(move || ticket.wait());
@@ -1336,7 +1350,7 @@ mod tests {
 
     #[test]
     fn try_wait_reports_expired_deadline() {
-        let state = replica::TicketState::new(0, 1);
+        let state = replica::TicketState::new(0, 0, 1);
         let _in_flight = replica::TicketHandle::new(&state);
         let deadline = Some(Instant::now() - Duration::from_millis(1));
         let ticket = QueryTicket { state, deadline };

@@ -21,7 +21,8 @@
 //! | the epoch, the cache mutex / the index | one load; one `get` + clone per source | the same probes, which miss |
 //! | the coalescer | not reached | `attach` — an identical traversal in flight answers this one too, without a slot |
 //! | [`Replica::space`] | never waited on | waited on with the first traversal in hand, while the queue is full |
-//! | the ticket | one `Arc<TicketState>`; [`complete_traversal`] folds, records the sample and fills the slot before `submit` returns | the same ticket; filled by the batch's fan-out |
+//! | the clock | not read, unless a deadline is configured | read once, for the first traversal that waits for a lane (its queue-wait stamp) |
+//! | the ticket | one `Arc<TicketState>`, no per-traversal handle; [`complete_traversal`] folds, records one fixed-size triple in the replica's [`Replica::latency`] shard and fills the slot before `submit` returns | a [`TicketHandle`] per queued traversal; filled by the batch's fan-out, which records into the shard of the replica that admitted the query |
 //! | the dispatcher | not woken: it stays parked | woken once, if it is parked, after `state` is released |
 //! | allocations | the ticket and the answer's level profile | those, later, and the queue's growth |
 //!
@@ -72,6 +73,7 @@
 use super::shared::{degrade, quiesce_durability, run_commit, ExecCtx, SharedCore};
 use super::{lock, wait, QueryTicket, ServiceError};
 use crate::engine::{BatchResult, DistributedEngine, EngineError, FaultInjection};
+use crate::metrics::{mean_of, mix64, LatencyShard, GOLDEN_GAMMA};
 use crate::query::{KhopQuery, QueryResult};
 use cgraph_cache::{
     plan_batch, CacheKey, CachedTraversal, Coalescer, Fate, FormItem, FormPolicy, PackPolicy,
@@ -122,6 +124,9 @@ pub(super) struct LaneGroup {
 /// one reference; every [`Traversal`] holds a [`TicketHandle`].
 pub(super) struct TicketState {
     id: usize,
+    /// The replica that admitted the query: its latency shard records
+    /// the query's completion, wherever the last traversal lands.
+    replica: usize,
     /// Traversals the query was admitted as.
     total: usize,
     slot: Mutex<TicketSlot>,
@@ -161,19 +166,21 @@ struct TicketAcc {
 }
 
 impl TicketState {
-    /// The ticket of a query admitted as `total` traversals.
-    pub(super) fn new(id: usize, total: usize) -> Arc<Self> {
-        Self::with_slot(id, total, TicketSlot::default())
+    /// The ticket of a query admitted on `replica` as `total`
+    /// traversals.
+    pub(super) fn new(id: usize, replica: usize, total: usize) -> Arc<Self> {
+        Self::with_slot(id, replica, total, TicketSlot::default())
     }
 
     /// A ticket born answered — the empty query, which has no traversal
     /// to wait for.
-    fn answered(reply: QueryResult) -> Arc<Self> {
-        Self::with_slot(reply.id, 0, TicketSlot { reply: Some(Ok(reply)), ..Default::default() })
+    fn answered(replica: usize, reply: QueryResult) -> Arc<Self> {
+        let id = reply.id;
+        Self::with_slot(id, replica, 0, TicketSlot { reply: Some(Ok(reply)), ..Default::default() })
     }
 
-    fn with_slot(id: usize, total: usize, slot: TicketSlot) -> Arc<Self> {
-        Arc::new(Self { id, total, slot: Mutex::new(slot), ready: Condvar::new() })
+    fn with_slot(id: usize, replica: usize, total: usize, slot: TicketSlot) -> Arc<Self> {
+        Arc::new(Self { id, replica, total, slot: Mutex::new(slot), ready: Condvar::new() })
     }
 
     /// The reply if it is in the slot, `ShutDown` if none can come any
@@ -230,12 +237,13 @@ impl TicketState {
     }
 }
 
-/// A traversal's reference to its query's ticket — the service side of
-/// the rendezvous. [`complete_traversal`] consumes it with an outcome; a
-/// handle dropped any other way (a dispatcher died with the traversal
-/// queued, a shut-down service let go of it) counts the traversal as
-/// abandoned, and the last one to leave wakes a parked waiter with
-/// [`ServiceError::ShutDown`].
+/// A queued traversal's reference to its query's ticket — the service
+/// side of the rendezvous. [`TicketHandle::complete`] consumes it with
+/// an outcome; a handle dropped any other way (a dispatcher died with
+/// the traversal queued, a shut-down service let go of it) counts the
+/// traversal as abandoned, and the last one to leave wakes a parked
+/// waiter with [`ServiceError::ShutDown`]. A traversal answered at
+/// admission never needs one.
 pub(super) struct TicketHandle {
     state: Arc<TicketState>,
     answered: bool,
@@ -244,6 +252,13 @@ pub(super) struct TicketHandle {
 impl TicketHandle {
     pub(super) fn new(state: &Arc<TicketState>) -> Self {
         Self { state: Arc::clone(state), answered: false }
+    }
+
+    /// Answers the traversal with `outcome` ([`complete_traversal`]); the
+    /// handle leaves without counting as abandoned.
+    fn complete(mut self, core: &SharedCore, outcome: Result<TraversalOutcome, ServiceError>) {
+        self.answered = true;
+        complete_traversal(core, &self.state, outcome);
     }
 }
 
@@ -283,7 +298,8 @@ impl QueryPlane {
 }
 
 /// One query front-end: admission queue + query plane + the condvar
-/// its blocked submitters park on.
+/// its blocked submitters park on + the latency shard of the queries it
+/// admitted.
 pub(super) struct Replica {
     /// Position in the group (0 for a solo service): its index in
     /// `SharedCore::replicas`, and the row this replica heats in the
@@ -297,6 +313,11 @@ pub(super) struct Replica {
     /// Updated only by the dispatcher.
     pub(super) pub_entries: AtomicI64,
     pub(super) pub_bytes: AtomicI64,
+    /// What every query this replica admitted cost, in fixed memory
+    /// (leaf lock). A query's outcome counters — completed, failed,
+    /// deadline-exceeded — move under it too, so a stats snapshot, which
+    /// holds every shard, reads them with the samples as one.
+    pub(super) latency: Mutex<LatencyShard>,
 }
 
 impl Replica {
@@ -312,6 +333,7 @@ impl Replica {
             space: Condvar::new(),
             pub_entries: AtomicI64::new(0),
             pub_bytes: AtomicI64::new(0),
+            latency: Mutex::new(LatencyShard::new()),
         }
     }
 
@@ -352,18 +374,22 @@ pub(super) fn submit(
     if query.sources.is_empty() {
         // Nothing to traverse: complete immediately instead of
         // enqueueing zero traversals (whose ticket would otherwise
-        // never be replied to and read as a shutdown).
+        // never be replied to and read as a shutdown) — recorded like
+        // any other completion, in zero time.
         drop(st);
         core.obs.queries_submitted.inc();
-        core.obs.queries_completed.inc();
-        let state = TicketState::answered(QueryResult {
-            id: query.id,
-            visited: 0,
-            per_level: Vec::new(),
-            response_time: Duration::ZERO,
-            exec_time: Duration::ZERO,
-            epoch: core.epoch.load(Ordering::SeqCst),
-        });
+        record_completion(core, replica, [Duration::ZERO; 3]);
+        let state = TicketState::answered(
+            replica.id,
+            QueryResult {
+                id: query.id,
+                visited: 0,
+                per_level: Vec::new(),
+                response_time: Duration::ZERO,
+                exec_time: Duration::ZERO,
+                epoch: core.epoch.load(Ordering::SeqCst),
+            },
+        );
         return Ok(QueryTicket { state, deadline: None });
     }
     // Admission-time shape validation: the closed-batch scheduler
@@ -375,23 +401,18 @@ pub(super) fn submit(
             "source {bad} out of range for a graph of {n} vertices"
         )));
     }
-    let ticket = TicketState::new(query.id, query.sources.len());
-    let now = Instant::now();
-    let deadline = core.config.query_deadline.map(|d| now + d);
+    let ticket = TicketState::new(query.id, replica.id, query.sources.len());
+    // The admission instant — the queue-wait stamp and the start of the
+    // deadline — is read when first needed: with no deadline to start, a
+    // query the cache or the index answers whole never reads the clock.
+    let mut admitted = core.config.query_deadline.map(|_| Instant::now());
+    let deadline = admitted.zip(core.config.query_deadline).map(|(at, d)| at + d);
     let mut epoch = core.epoch.load(Ordering::SeqCst);
     let mut pushed = 0;
     for &source in &query.sources {
-        let t = Traversal {
-            source,
-            k: query.k,
-            submitted: now,
-            deadline,
-            ticket: TicketHandle::new(&ticket),
-            skips: 0,
-        };
-        let key = t.key(epoch);
+        let key = CacheKey { source, k: query.k, epoch };
         // 1. Result cache: a hit completes the traversal right at
-        // admission — zero queue wait, zero lane time.
+        // admission — zero queue wait, zero lane time, no handle.
         if let Some(cm) = &replica.plane.cache {
             let hit = lock(cm).get(&key).cloned();
             match hit {
@@ -400,11 +421,11 @@ pub(super) fn submit(
                     // The hit proves this replica's cache is hot for
                     // the source's partition — feed the router.
                     if let Some(h) = &core.heat {
-                        h.bump(replica.id, engine.partition().owner(t.source));
+                        h.bump(replica.id, engine.partition().owner(source));
                     }
                     complete_traversal(
                         core,
-                        t.ticket,
+                        &ticket,
                         Ok((v.visited, v.per_level, Duration::ZERO, Duration::ZERO, epoch)),
                     );
                     continue;
@@ -416,15 +437,24 @@ pub(super) fn submit(
         // index whose sketch covers `(source, k)` exactly answers
         // at admission — bit-identical to the traversal, no lane
         // spent (see INDEXING.md).
-        if let Some(ans) = core.current_index(epoch).and_then(|ix| ix.answer(t.source, t.k)) {
+        if let Some(ans) = core.current_index(epoch).and_then(|ix| ix.answer(source, query.k)) {
             core.obs.index_only_answers.inc();
             complete_traversal(
                 core,
-                t.ticket,
+                &ticket,
                 Ok((ans.visited, ans.per_level, Duration::ZERO, Duration::ZERO, epoch)),
             );
             continue;
         }
+        // What is left waits for a lane: stamped, and holding the ticket.
+        let t = Traversal {
+            source,
+            k: query.k,
+            submitted: *admitted.get_or_insert_with(Instant::now),
+            deadline,
+            ticket: TicketHandle::new(&ticket),
+            skips: 0,
+        };
         // 3. In-flight coalescing: an identical traversal already
         // executing on this replica answers this one too.
         let t = if let Some(co) = &replica.plane.coalescer {
@@ -522,7 +552,7 @@ fn take_batch(core: &Arc<SharedCore>, ctx: &mut ExecCtx) -> Option<(Vec<LaneGrou
     let formed = form_batch(core, ctx);
     let formation = forming.elapsed();
     for t in formed.expired {
-        complete_traversal(core, t.ticket, Err(ServiceError::DeadlineExceeded));
+        t.ticket.complete(core, Err(ServiceError::DeadlineExceeded));
     }
     // The sequence number of the batch about to run: its job.
     let job = core.batch_seq.load(Ordering::SeqCst);
@@ -536,11 +566,7 @@ fn take_batch(core: &Arc<SharedCore>, ctx: &mut ExecCtx) -> Option<(Vec<LaneGrou
     }
     for (t, v) in formed.hits {
         let wait = t.submitted.elapsed();
-        complete_traversal(
-            core,
-            t.ticket,
-            Ok((v.visited, v.per_level, wait, Duration::ZERO, formed.epoch)),
-        );
+        t.ticket.complete(core, Ok((v.visited, v.per_level, wait, Duration::ZERO, formed.epoch)));
     }
     if formed.groups.is_empty() {
         return None;
@@ -796,10 +822,7 @@ fn backoff_delay(base: Duration, retry: u32, job: u64) -> Duration {
         return Duration::ZERO;
     }
     let exp = base.saturating_mul(1u32 << retry.min(16));
-    let mut z = job ^ (u64::from(retry) + 1).wrapping_mul(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
+    let z = mix64(job ^ (u64::from(retry) + 1).wrapping_mul(GOLDEN_GAMMA));
     let modulus = u64::try_from(base.as_nanos()).unwrap_or(u64::MAX).max(1);
     exp.saturating_add(Duration::from_nanos(z % modulus))
 }
@@ -994,11 +1017,7 @@ fn fan_out(
             // A follower that attached mid-flight has `submitted`
             // after `dispatched`; its wait saturates to zero.
             let wait = dispatched.duration_since(t.submitted);
-            complete_traversal(
-                core,
-                t.ticket,
-                Ok((visited, levels.clone(), wait, exec, exec_epoch)),
-            );
+            t.ticket.complete(core, Ok((visited, levels.clone(), wait, exec, exec_epoch)));
         }
     }
 }
@@ -1011,7 +1030,7 @@ fn fail_groups(core: &SharedCore, groups: Vec<LaneGroup>, e: &EngineError) {
     let err = ServiceError::BatchFailed(e.to_string());
     for g in groups {
         for t in std::iter::once(g.primary).chain(g.followers) {
-            complete_traversal(core, t.ticket, Err(err.clone()));
+            t.ticket.complete(core, Err(err.clone()));
         }
     }
 }
@@ -1022,15 +1041,14 @@ type TraversalOutcome = (u64, Vec<u64>, Duration, Duration, u64);
 /// Folds one traversal's outcome into its query; when the last
 /// traversal lands, leaves the query result in the ticket's slot
 /// (scheduler fold semantics: visited = sum, per-level = elementwise
-/// sum, times = mean), records latency into the service metrics, and
+/// sum, times = mean rounded to the nanosecond), records the outcome
+/// into the latency shard of the replica that admitted the query, and
 /// wakes the ticket's waiter if one is parked.
-pub(super) fn complete_traversal(
+fn complete_traversal(
     core: &SharedCore,
-    mut ticket: TicketHandle,
+    state: &TicketState,
     outcome: Result<TraversalOutcome, ServiceError>,
 ) {
-    ticket.answered = true;
-    let state = &*ticket.state;
     let mut slot = lock(&state.slot);
     let acc = &mut slot.acc;
     acc.done += 1;
@@ -1063,14 +1081,15 @@ pub(super) fn complete_traversal(
         // a traversal that was dropped unanswered.
         return state.release(slot);
     }
-    let n = state.total as u32;
+    let n = state.total as u64;
     let o = &core.obs;
+    let replica = &core.replicas[state.replica];
     let reply = match acc.failed.take() {
         Some(e) => {
-            // Per-query outcome counts move under the sample lock,
+            // Per-query outcome counts move under the replica's shard,
             // which `stats()` holds while it reads them: no snapshot
             // shows a deadline kill that is not yet a failure.
-            let _lat = lock(&core.latency);
+            let _lat = lock(&replica.latency);
             o.queries_failed.inc();
             if e == ServiceError::DeadlineExceeded {
                 o.queries_deadline_exceeded.inc();
@@ -1084,20 +1103,10 @@ pub(super) fn complete_traversal(
             while acc.per_level.last() == Some(&0) {
                 acc.per_level.pop();
             }
-            let wait = acc.wait_sum / n;
-            let exec = acc.exec_sum / n;
-            let response = acc.resp_sum / n;
-            {
-                // Likewise: a completion is never seen without its samples.
-                let mut lat = lock(&core.latency);
-                lat.wait.push(wait);
-                lat.exec.push(exec);
-                lat.response.push(response);
-                o.queries_completed.inc();
-            }
-            o.admission_wait.observe_duration(wait);
-            o.exec.observe_duration(exec);
-            o.response.observe_duration(response);
+            let wait = mean_of(acc.wait_sum.as_nanos(), n);
+            let exec = mean_of(acc.exec_sum.as_nanos(), n);
+            let response = mean_of(acc.resp_sum.as_nanos(), n);
+            record_completion(core, replica, [wait, exec, response]);
             Ok(QueryResult {
                 id: state.id,
                 visited: acc.visited,
@@ -1111,4 +1120,21 @@ pub(super) fn complete_traversal(
     // The submitter may have dropped its ticket; that is fine.
     slot.reply = Some(reply);
     state.release(slot);
+}
+
+/// Records a query `replica` admitted as answered: its `[wait, exec,
+/// response]` and the completion count move together under the
+/// replica's latency shard — a completion is never seen without its
+/// record — and the histograms observe it after.
+fn record_completion(core: &SharedCore, replica: &Replica, triple: [Duration; 3]) {
+    {
+        let mut shard = lock(&replica.latency);
+        shard.record(triple);
+        core.obs.queries_completed.inc();
+    }
+    let [wait, exec, response] = triple;
+    let o = &core.obs;
+    o.admission_wait.observe_duration(wait);
+    o.exec.observe_duration(exec);
+    o.response.observe_duration(response);
 }

@@ -8,7 +8,7 @@
 //! start. Every [`Replica`] — the single replica behind a plain
 //! [`QueryService`](super::QueryService) or one of the N of a
 //! [`ServiceGroup`](super::ServiceGroup) — holds only per-replica state
-//! (admission queue, result cache, coalescer).
+//! (admission queue, result cache, coalescer, latency shard).
 //!
 //! # One dispatcher, and the lock order
 //!
@@ -22,13 +22,16 @@
 //! only the dispatcher ever takes two) → `stats_gate` → per-replica
 //! cache/coalescer → `pending` → `durability` → `index`. The submit
 //! path takes one replica's `state` → its cache/coalescer → a ticket's
-//! slot → `latency` (a query answered at admission completes under its
-//! replica's `state`) and never `stats_gate` or `pending`. The durability
+//! slot → that replica's `latency` shard (a query answered at admission
+//! completes under its replica's `state`) and never `stats_gate` or
+//! `pending`; the dispatcher's fan-out takes a ticket's slot → the
+//! shard of the replica that admitted the query. `live_engine`, every
+//! `latency` shard and `parked` are leaves: held for a clone, one
+//! record or the dispatcher's check-and-park, never across another
+//! acquisition — save that [`SharedCore::stats`], under `stats_gate`,
+//! holds every shard at once, taken in id order. The durability
 //! plane's snapshot writer takes `stats_gate` → `durability` to book a
 //! finished job, and nothing while it encodes and writes.
-//! `live_engine`, `latency` and `parked` are leaves: held for a clone,
-//! a push or the dispatcher's check-and-park, never across another
-//! acquisition.
 //!
 //! # The one wake-up
 //!
@@ -47,9 +50,15 @@
 //! `Counter::get` under the stats gate. Two kinds of state stay beside
 //! the registry:
 //!
-//! * the three **latency sample vectors** ([`LatencySamples`]):
-//!   [`ResponseStats`] is exact nearest-rank over real samples, which
-//!   a fixed-bucket histogram cannot reproduce;
+//! * each replica's **latency shard** (`Replica::latency`, a
+//!   [`LatencyShard`]): the exact count and nanosecond sums of its
+//!   queries' `[wait, exec, response]`, and a fixed-size uniform sample
+//!   of them — nearest-rank quantiles over real samples, which a
+//!   fixed-bucket histogram cannot reproduce, in memory that does not
+//!   grow with the stream. `stats()` merges the shards into
+//!   [`ResponseStats`]: count and mean exact, quantiles sampled past
+//!   [`RESERVOIR_TRIPLES`](crate::metrics::RESERVOIR_TRIPLES)
+//!   completions on a replica;
 //! * state that **is its own count** — cache occupancy, index size,
 //!   pending depth, overlay size (read off `live_engine`), the plane's
 //!   [`DurabilityStats`], the router's `RouterStats` (plane and router
@@ -72,7 +81,7 @@ use crate::durability::{
 };
 use crate::engine::DistributedEngine;
 use crate::index_api::{IndexBuilder, ReachIndex};
-use crate::metrics::ResponseStats;
+use crate::metrics::{LatencyShard, ResponseStats};
 use crate::scheduler::QueryScheduler;
 use cgraph_cache::HeatTable;
 use cgraph_comm::PersistentCluster;
@@ -81,7 +90,7 @@ use cgraph_graph::{EdgeList, LaneWidth};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Buffered edge updates awaiting the next epoch commit, plus the
 /// commit waiters.
@@ -96,18 +105,6 @@ pub(super) struct PendingUpdates {
     /// From then on `commit_epoch` refuses instead of registering a
     /// waiter no thread would ever answer.
     pub(super) serving_done: bool,
-}
-
-/// Per-query latency samples of every completed query, in completion
-/// order — what [`ServiceStats`]' three [`ResponseStats`] are built
-/// from. One lock, taken once per finished query; the per-query outcome
-/// counters (completed, failed, deadline-exceeded) are bumped under it,
-/// so a stats snapshot reads them as one.
-#[derive(Default)]
-pub(super) struct LatencySamples {
-    pub(super) wait: Vec<Duration>,
-    pub(super) exec: Vec<Duration>,
-    pub(super) response: Vec<Duration>,
 }
 
 /// What the dispatcher executes with: the live engine snapshot, the one
@@ -147,7 +144,6 @@ pub(super) struct SharedCore {
     /// only. Strict leaf under `pending`: acquired *inside* it on the
     /// write-ahead path, so WAL order always equals buffer order.
     pub(super) durability: Option<Mutex<DurabilityPlane>>,
-    pub(super) latency: Mutex<LatencySamples>,
     /// The stats fence: [`SharedCore::stats`] and every cross-plane
     /// mutation (commit drain+apply, batch cache-commit) hold it, so a
     /// stats snapshot can never observe half a commit — the fix for
@@ -237,7 +233,6 @@ impl SharedCore {
                 ..PendingUpdates::default()
             }),
             durability: durability.map(Mutex::new),
-            latency: Mutex::new(LatencySamples::default()),
             stats_gate: Mutex::new(()),
             obs,
             index: Mutex::new(index),
@@ -335,11 +330,13 @@ impl SharedCore {
         // commit: recovery and degradation install one too.
         let engine = self.engine();
         let o = &self.obs;
-        // Per-query outcome counts and samples move under this lock, so
-        // completions match their samples and deadline kills their
-        // failures in every snapshot.
-        let lat = lock(&self.latency);
-        let samples = [lat.wait.clone(), lat.exec.clone(), lat.response.clone()];
+        // Per-query outcome counts and records move under the shard of
+        // the replica that admitted the query: holding every shard, the
+        // completions match their records and deadline kills their
+        // failures in every snapshot. The merge copies at most
+        // `RESERVOIR_TRIPLES` triples a shard.
+        let shards: Vec<_> = self.replicas.iter().map(|r| lock(&r.latency)).collect();
+        let latency = LatencyShard::merge(&shards);
         let counters = ServiceStats {
             queries_completed: o.queries_completed.get(),
             queries_failed: o.queries_failed.get(),
@@ -383,12 +380,12 @@ impl SharedCore {
             exec: ResponseStats::new(Vec::new()),
             response: ResponseStats::new(Vec::new()),
         };
-        // Sort the copies outside the locks: every completion pushes its
-        // samples under `latency`, and a sampler that sorted under it
-        // would hold the hit path off for the whole sort.
-        drop(lat);
+        // Sort the copies outside the locks: every completion records
+        // under its replica's shard, and a sampler that sorted under
+        // them would hold the hit path off for the whole sort.
+        drop(shards);
         drop(gate);
-        let [admission_wait, exec, response] = samples.map(ResponseStats::new);
+        let [admission_wait, exec, response] = latency.into_stats();
         ServiceStats { admission_wait, exec, response, ..counters }
     }
 }

@@ -147,14 +147,6 @@ fn ready_stream(
     over_budget
 }
 
-/// The one thing a ready answer allocates beyond its budget: the
-/// service keeps three latency samples per completed query in three
-/// vectors that grow by doubling (ROADMAP item 6(a)), so among
-/// `completed` queries at most this many pay for a reallocation.
-fn sample_vector_doublings(completed: u64) -> usize {
-    3 * (completed.ilog2() as usize + 1)
-}
-
 fn by_source(engine: &DistributedEngine, sources: &[u64], k: u32) -> HashMap<u64, Answer> {
     let queries: Vec<_> =
         sources.iter().enumerate().map(|(i, &s)| KhopQuery::single(i, s, k)).collect();
@@ -193,8 +185,8 @@ fn a_cache_hit_costs_three_allocations_and_wakes_nobody() {
     let after = group.stats();
     assert_eq!(after.cache_hits - before.cache_hits, HITS as u64, "every one a cache hit");
     assert_eq!(after.batches_dispatched, before.batches_dispatched);
-    assert!(
-        over_budget <= sample_vector_doublings(after.queries_completed),
+    assert_eq!(
+        over_budget, 0,
         "{over_budget} of {HITS} cache hits allocated more than {ALLOCATIONS_PER_ANSWER} times \
          or {BYTES_PER_ANSWER} bytes"
     );
@@ -252,8 +244,8 @@ fn an_index_only_answer_costs_three_allocations_and_wakes_nobody() {
     let stats = group.stats();
     assert_eq!(stats.index_only_answers, HITS as u64, "every one index-only");
     assert_eq!(stats.batches_dispatched, 0);
-    assert!(
-        over_budget <= sample_vector_doublings(stats.queries_completed),
+    assert_eq!(
+        over_budget, 0,
         "{over_budget} of {HITS} index-only answers allocated more than \
          {ALLOCATIONS_PER_ANSWER} times or {BYTES_PER_ANSWER} bytes"
     );

@@ -11,6 +11,7 @@
 //! service publishes of its own structures equals the `ServiceStats`
 //! line, and every registered metric family is documented.
 
+use cgraph::core::metrics::RESERVOIR_TRIPLES;
 use cgraph::obs::{parse_text, Obs, Snapshot, TraceSink};
 use cgraph::prelude::*;
 use std::sync::Arc;
@@ -354,6 +355,139 @@ fn sampled_stats_never_step_back_beside_concurrent_submitters() {
     assert_eq!(s.cache_hits, THREADS * PER_THREAD);
     assert_eq!((s.cache_misses, s.batches_dispatched, s.queries_failed), (HOT, HOT, 0));
     service.shutdown();
+}
+
+/// The invariants every `stats()` snapshot keeps about latency: each
+/// distribution counts exactly the completed queries, and none holds
+/// more than a reservoir per replica.
+fn assert_latency_counts(s: &ServiceStats, replicas: usize) {
+    for (what, lat) in [("wait", &s.admission_wait), ("exec", &s.exec), ("response", &s.response)] {
+        assert_eq!(lat.len() as u64, s.queries_completed, "{what}");
+        assert!(lat.sorted().len() <= replicas * RESERVOIR_TRIPLES, "{what}");
+    }
+}
+
+#[test]
+fn empty_queries_are_recorded_like_every_other_completion() {
+    // An empty query completes at admission in zero time; it is
+    // recorded through its replica's latency shard like any other, so
+    // the distributions count it in every snapshot — while submitters
+    // race the sampler, and once they are done.
+    const THREADS: u64 = 2;
+    const PER_THREAD: u64 = 600;
+    let engine = Arc::new(DistributedEngine::new(&test_graph(40), EngineConfig::new(2)));
+    let group = Arc::new(ServiceGroup::start(
+        engine,
+        GroupConfig {
+            replicas: 2,
+            service: ServiceConfig {
+                query_plane: QueryPlaneConfig {
+                    cache_capacity_bytes: Some(1 << 20),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    ));
+    // Sequentially first: the snapshot right after an empty query.
+    for i in 0..6u64 {
+        let sources = if i % 2 == 0 { Vec::new() } else { vec![i * 5] };
+        let q = KhopQuery { id: i as usize, sources, k: 3 };
+        let r = group.query(q).expect("answered");
+        assert_eq!(r.response_time.is_zero(), i % 2 == 0);
+        let s = group.stats();
+        assert_eq!(s.queries_completed, i + 1);
+        assert_latency_counts(&s, 2);
+    }
+    let submitters: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let group = Arc::clone(&group);
+            std::thread::spawn(move || {
+                for i in 0..PER_THREAD {
+                    let id = (t * PER_THREAD + i) as usize;
+                    let sources = if i % 3 == 0 { Vec::new() } else { vec![(t + i) % 8 * 5] };
+                    group.query(KhopQuery { id, sources, k: 3 }).expect("answered");
+                }
+            })
+        })
+        .collect();
+    while !submitters.iter().all(|h| h.is_finished()) {
+        assert_latency_counts(&group.stats(), 2);
+    }
+    for h in submitters {
+        h.join().unwrap();
+    }
+    let s = group.stats();
+    assert_eq!((s.queries_completed, s.queries_failed), (6 + THREADS * PER_THREAD, 0));
+    assert_latency_counts(&s, 2);
+    group.shutdown();
+}
+
+#[test]
+fn latency_state_is_bounded_while_count_and_mean_stay_exact() {
+    // More than three reservoirs of cache hits on each of two replicas,
+    // with misses among them: every snapshot counts every completion,
+    // holds at most a reservoir per replica, and its mean response is
+    // the mean of what the tickets returned, to the nanosecond.
+    const HOT: u64 = 16;
+    let hits_per_replica = 3 * RESERVOIR_TRIPLES as u64 + 500;
+    let n = 2048;
+    let engine = Arc::new(DistributedEngine::new(&test_graph(n), EngineConfig::new(2)));
+    let group = ServiceGroup::start(
+        engine,
+        GroupConfig {
+            replicas: 2,
+            service: ServiceConfig {
+                query_plane: QueryPlaneConfig {
+                    cache_capacity_bytes: Some(1 << 20),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    // What the tickets returned: how many, and their responses' sum.
+    let mut returned = (0u64, 0u128);
+    let answer = |returned: &mut (u64, u128), r: QueryResult| {
+        returned.0 += 1;
+        returned.1 += r.response_time.as_nanos();
+    };
+    let check = |&(completed, sum_nanos): &(u64, u128)| {
+        let s = group.stats();
+        assert_eq!(s.queries_completed, completed);
+        assert_latency_counts(&s, 2);
+        let mean = (sum_nanos + u128::from(completed) / 2) / u128::from(completed);
+        assert_eq!(s.response.mean().as_nanos(), mean, "after {completed} completions");
+        s
+    };
+    // Warm both replicas' caches with the hot keys.
+    for r in 0..2 {
+        for v in 0..HOT {
+            answer(&mut returned, group.replica(r).query(KhopQuery::single(0, v * 7, 3)).unwrap());
+        }
+    }
+    let mut misses = 0;
+    for i in 0..2 * hits_per_replica {
+        let replica = group.replica((i % 2) as usize);
+        answer(&mut returned, replica.query(KhopQuery::single(0, i % HOT * 7, 3)).unwrap());
+        if i % 97 == 0 {
+            // A key no query asked before: a batch of its own.
+            let q = KhopQuery::single(0, misses % n, 4 + (misses / n) as u32);
+            answer(&mut returned, replica.query(q).unwrap());
+            misses += 1;
+        }
+        if i % 1000 == 0 {
+            check(&returned);
+        }
+    }
+    let s = check(&returned);
+    assert_eq!(s.cache_hits, 2 * hits_per_replica);
+    assert_eq!(s.queries_completed, 2 * (HOT + hits_per_replica) + misses);
+    // Past a reservoir per replica, the quantiles come from a sample.
+    assert_eq!(s.response.sorted().len(), 2 * RESERVOIR_TRIPLES);
+    group.shutdown();
 }
 
 #[test]
