@@ -280,11 +280,8 @@ fn start_service(args: &Args, path: &str, obs: Option<&ObsOut>) -> Result<Servic
         obs: obs.map(|o| Arc::clone(&o.obs)),
         ..defaults
     };
-    let group_config = GroupConfig {
-        replicas,
-        router: RouterConfig { seed: router_seed, ..Default::default() },
-        service: config,
-    };
+    let group_config =
+        GroupConfig { replicas, router: RouterConfig { seed: router_seed }, service: config };
     if group_config.service.durability.is_some() {
         // Durable (restart-capable) serving: resume from whatever
         // committed state survives in --data-dir, or ingest the graph

@@ -27,7 +27,6 @@
 //!   latency/bandwidth model that *accounts* simulated network time per
 //!   message without sleeping, so wall-clock benches stay meaningful
 //!   while scaling analyses can still report communication volume.
-//! * [`collectives`] — allreduce/broadcast built on the barrier.
 //! * [`chaos::FaultPlan`] — a deterministic, seedable fault schedule
 //!   (scripted machine crashes, message drop/dup/reorder, slow links)
 //!   injected per job via
@@ -49,9 +48,7 @@ pub mod async_rt;
 pub mod barrier;
 pub mod chaos;
 pub mod cluster;
-pub mod collectives;
 pub mod cputime;
-pub mod mailbox;
 pub mod message;
 pub mod netmodel;
 pub mod obs;
@@ -62,7 +59,6 @@ pub use barrier::{BarrierPoisoned, ReduceBarrier, Reduction, REDUCE_WORDS};
 pub use chaos::{ChaosRun, CrashFault, FaultPlan, SlowLink};
 pub use cluster::{Cluster, CommHandle};
 pub use cputime::thread_cpu_time;
-pub use mailbox::Outbox;
 pub use message::{Envelope, WireSize};
 pub use netmodel::{NetModel, NetStats};
 pub use obs::{JobCoords, MachineObs, MachineObsCore};

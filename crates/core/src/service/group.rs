@@ -5,13 +5,14 @@
 //! chain, one persistent cluster, one dispatcher thread, one mutation
 //! buffer, one durability plane, one epoch — and N independent
 //! admission queues, result caches and coalescers. The [`Router`]
-//! steers each query by its first source's partition (locality), with
-//! a cache-heat tiebreak fed by the group's
-//! [`HeatTable`](cgraph_cache::HeatTable): a replica that has been
-//! serving a partition's sources holds that partition's results in
-//! its cache, so the next query for the partition becomes a hit
-//! instead of a traversal. Routing is seeded and wall-clock-free —
-//! identical streams route identically, run after run.
+//! steers each query to the home replica of its first source's
+//! partition (locality) and, once home is closed, to the open replica
+//! whose cache the group's [`HeatTable`](cgraph_cache::HeatTable) says
+//! is hottest for that partition: a replica that has been serving a
+//! partition's sources holds that partition's results in its cache, so
+//! the next query for the partition becomes a hit instead of a
+//! traversal. Routing is seeded and wall-clock-free — identical streams
+//! route identically, run after run.
 //!
 //! The decoupled shape follows smart query routing for distributed
 //! graph querying (Khan et al., PAPERS.md): many near-stateless query
@@ -32,36 +33,19 @@ use crate::query::{KhopQuery, QueryResult};
 use cgraph_cache::HeatTable;
 use cgraph_graph::delta::UpdateBatch;
 use cgraph_graph::EdgeList;
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Knobs of the deterministic query [`Router`]. All scoring is
-/// integer arithmetic over seeded, wall-clock-free inputs, so two
-/// runs with the same stream route identically.
-#[derive(Clone, Copy, Debug)]
+/// Knobs of the deterministic query [`Router`]. Routing reads only
+/// seeded, wall-clock-free inputs, so two runs with the same stream
+/// route identically.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RouterConfig {
     /// Seed of the partition→home-replica assignment. Different seeds
     /// rotate which replica is "home" for which partition; the same
     /// seed reproduces the assignment exactly.
     pub seed: u64,
-    /// Score weight of a query landing on its partition's home
-    /// replica. Dominant by default: locality decides unless heat
-    /// differences are enormous.
-    pub locality_weight: i64,
-    /// Score weight per unit of cache heat the candidate replica holds
-    /// for the query's partition — the tiebreak that follows results
-    /// already cached away from home (e.g. after a replica was down).
-    pub heat_weight: i64,
-    /// Score penalty per query already routed to the candidate — 0 by
-    /// default (pure locality/heat); raise it to shed load toward
-    /// less-used replicas.
-    pub balance_weight: i64,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        Self { seed: 0, locality_weight: 1 << 20, heat_weight: 1, balance_weight: 0 }
-    }
 }
 
 /// Why the router picked the replica it picked.
@@ -71,8 +55,8 @@ pub enum RouteKind {
     Locality,
     /// A non-home replica won on cache heat for the partition.
     Heat,
-    /// Neither locality nor heat decided (home down, or a balance
-    /// penalty shifted the pick).
+    /// Neither locality nor heat decided: home was down and no open
+    /// replica held more heat for the partition than home.
     Balance,
 }
 
@@ -105,17 +89,22 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Deterministic partition-locality router with a cache-heat tiebreak.
+/// Deterministic partition-locality router with a cache-heat fallback.
 ///
 /// Every partition has a *home* replica — a seeded rotation of the
-/// partition id — and candidates are scored
-/// `locality_weight·[r == home] + heat_weight·heat(r, p) −
-/// balance_weight·routed(r)` in ring order from home (ties keep the
-/// earliest candidate, i.e. home itself). Replicas marked down are
-/// skipped, so a single failed front-end degrades routing, never
-/// availability.
+/// partition id. A query goes home while home is open. Otherwise it
+/// goes to the open replica with the most heat for the partition, ring
+/// order from home breaking ties. Replicas marked down are skipped, so
+/// a single failed front-end degrades routing, never availability.
+///
+/// A weighted score — locality 2^20, heat 1 — picks the same replica
+/// except when a non-home replica's heat for a partition exceeds home's
+/// by more than 2^20 while home is open. Heat reaches a non-home
+/// replica only through direct [`ServiceGroup::replica`] submits, the
+/// later sources of a multi-source query (it routes by its first), or
+/// after home has closed — and a closed replica never reopens; no test
+/// or benchmark workload comes near that margin.
 pub struct Router {
-    cfg: RouterConfig,
     heat: Arc<HeatTable>,
     /// Seeded rotation added to the partition id (mod replicas).
     offset: usize,
@@ -137,7 +126,6 @@ impl Router {
             locality: AtomicU64::new(0),
             heat_steered: AtomicU64::new(0),
             balance: AtomicU64::new(0),
-            cfg,
             heat,
         }
     }
@@ -152,24 +140,20 @@ impl Router {
     pub fn route(&self, partition: usize) -> RouteDecision {
         let n = self.routed.len();
         let home = self.home(partition);
-        let mut best: Option<(usize, i128)> = None;
-        for step in 0..n {
-            let r = (home + step) % n;
-            if self.down[r].load(Ordering::SeqCst) {
-                continue;
-            }
-            let score = i128::from(self.cfg.locality_weight) * i128::from(r == home)
-                + i128::from(self.cfg.heat_weight) * i128::from(self.heat.get(r, partition))
-                - i128::from(self.cfg.balance_weight)
-                    * i128::from(self.routed[r].load(Ordering::SeqCst));
-            // Strict greater: ties keep the earliest ring candidate.
-            if best.is_none_or(|(_, s)| score > s) {
-                best = Some((r, score));
-            }
-        }
-        // Every replica marked down: fall back to home — the caller's
-        // submit will surface the shutdown, which is the truth.
-        let (chosen, _) = best.unwrap_or((home, 0));
+        let open = |r: &usize| !self.down[*r].load(Ordering::SeqCst);
+        // Home while it is open; otherwise the hottest open replica,
+        // the first in ring order from home among equals. Every replica
+        // marked down: home — the caller's submit will surface the
+        // shutdown, which is the truth.
+        let chosen = if open(&home) {
+            home
+        } else {
+            (1..n)
+                .map(|step| (home + step) % n)
+                .filter(open)
+                .min_by_key(|&r| Reverse(self.heat.get(r, partition)))
+                .unwrap_or(home)
+        };
         self.routed[chosen].fetch_add(1, Ordering::SeqCst);
         let kind = if chosen == home {
             RouteKind::Locality
@@ -221,7 +205,7 @@ pub struct GroupConfig {
     /// is *per replica*, so the group's aggregate cache scales with N.
     /// One dispatcher thread serves them all.
     pub replicas: usize,
-    /// Router knobs (seed, locality/heat/balance weights).
+    /// Router knobs (the home-assignment seed).
     pub router: RouterConfig,
     /// The service configuration every replica runs under.
     pub service: ServiceConfig,
@@ -335,12 +319,13 @@ impl ServiceGroup {
     /// produces the exact single-service behaviour (immediate
     /// completion / [`ServiceError::InvalidQuery`]).
     pub fn submit(&self, query: KhopQuery) -> Result<QueryTicket, ServiceError> {
-        // The one read of the live engine a submit makes: routing here,
-        // validation and heat in the replica's admission.
-        let engine = self.core.engine();
+        // The one read of the serving value a submit makes: routing
+        // here; validation, heat, epoch and index in the replica's
+        // admission.
+        let serving = self.core.serving();
         let idx = match query.sources.first() {
-            Some(&s) if s < engine.num_vertices() => {
-                let d = self.router.route(engine.partition().owner(s));
+            Some(&s) if s < serving.engine.num_vertices() => {
+                let d = self.router.route(serving.engine.partition().owner(s));
                 let o = &self.core.obs;
                 o.router_queries_routed.inc();
                 match d.kind {
@@ -352,7 +337,7 @@ impl ServiceGroup {
             }
             _ => self.router.first_up(),
         };
-        submit(&self.core, &self.core.replicas[idx], &engine, query)
+        submit(&self.core, &self.core.replicas[idx], serving, query)
     }
 
     /// Submits `query` and blocks for its result (submit + wait).
@@ -375,7 +360,7 @@ impl ServiceGroup {
 
     /// Current graph epoch (shared by every replica).
     pub fn graph_epoch(&self) -> u64 {
-        self.core.epoch.load(Ordering::SeqCst)
+        self.core.graph_epoch()
     }
 
     /// Commits the (possibly empty) update buffer, fencing **every**

@@ -86,10 +86,13 @@
 //!   answered **index-only** — at admission or during batch
 //!   formation, without spending a lane, bit-identical to what the
 //!   traversal would have returned;
-//! * the index is versioned by graph epoch and consulted **only**
-//!   while its epoch matches the serving snapshot's — every epoch
-//!   commit (and every degradation) rebuilds it before the next batch
-//!   forms, so a stale index can never answer.
+//! * the index is part of the serving value: every epoch commit (and
+//!   every degradation) builds the next engine, then its index, and
+//!   publishes both in one swap, so an index is only ever consulted
+//!   beside the engine it was built for, and a stale one can never
+//!   answer. Its epoch stamp is checked once, where it enters the
+//!   service: an index stamped with another epoch is refused, and the
+//!   service serves unindexed.
 //!
 //! # Mutation plane
 //!
@@ -169,7 +172,6 @@ use cgraph_graph::snapshot::DiskFaults;
 use cgraph_graph::EdgeList;
 use cgraph_obs::Obs;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -709,7 +711,7 @@ impl QueryService {
     /// redeemable for the result, or [`ServiceError::ShutDown`] once the
     /// service is closed.
     pub fn submit(&self, query: KhopQuery) -> Result<QueryTicket, ServiceError> {
-        replica::submit(&self.core, &self.core.replicas[self.id], &self.core.engine(), query)
+        replica::submit(&self.core, &self.core.replicas[self.id], self.core.serving(), query)
     }
 
     /// Submits `query` and blocks for its result (submit + wait).
@@ -744,7 +746,7 @@ impl QueryService {
 
     /// Current graph epoch (bumped by [`QueryService::commit_epoch`]).
     pub fn graph_epoch(&self) -> u64 {
-        self.core.epoch.load(Ordering::SeqCst)
+        self.core.graph_epoch()
     }
 
     /// Runs the **full commit protocol** with whatever updates happen
@@ -757,16 +759,15 @@ impl QueryService {
     ///    the commit itself, strictly between two of its batches), and
     ///    — with durability on — a commit fence is appended and synced
     ///    to the WAL *before* the in-memory commit;
-    /// 2. buffered updates (if any) become a new engine snapshot and
-    ///    the graph epoch advances by one;
-    /// 3. every replica's result cache is fenced: entries keyed to
-    ///    older epochs are dropped, new queries key against the new
-    ///    epoch, and a batch still in flight for an old epoch is
-    ///    barred from committing its results;
-    /// 4. the reachability index is **rebuilt** for the new snapshot
-    ///    (with [`ServiceConfig::index`] set) — until the rebuild
-    ///    lands, the epoch fence keeps the old index from answering
-    ///    or pruning anything.
+    /// 2. buffered updates (if any) become a new engine snapshot at the
+    ///    next epoch, and — with [`ServiceConfig::index`] set — the
+    ///    reachability index is **rebuilt** for it;
+    /// 3. both are published in one swap: from then on new queries key
+    ///    against the new epoch and probe the new index; until then
+    ///    every admission sees the whole old value — engine, epoch,
+    ///    index and caches;
+    /// 4. every replica's result cache is fenced: entries keyed to
+    ///    older epochs are dropped.
     ///
     /// Batches already dispatched finish against their admission-epoch
     /// snapshot and carry that epoch in their results. On a shut-down
@@ -868,6 +869,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineError;
     use crate::scheduler::QueryScheduler;
+    use std::sync::atomic::Ordering;
 
     fn ring_engine(n: u64, p: usize) -> Arc<DistributedEngine> {
         let g: EdgeList = (0..n).map(|v| (v, (v + 1) % n)).collect();
@@ -992,7 +994,8 @@ mod tests {
 
     /// Builds a [`SentinelIndex`] at the engine's current epoch (so
     /// rebuilds track commits) or, with `stale` set, at an epoch no
-    /// engine will ever reach (so the fence must reject it).
+    /// engine will ever reach (so the service must refuse it as it
+    /// enters).
     struct SentinelBuilder {
         stale: bool,
     }
@@ -1057,8 +1060,8 @@ mod tests {
             ..Default::default()
         };
         let service = QueryService::start(engine, config);
-        // The epoch fence rejects the stale index: the covered query
-        // traverses and gets the *real* answer, not the sentinel.
+        // The stamp check at build refuses the stale index: the covered
+        // query traverses and gets the *real* answer, not the sentinel.
         let r = service.query(KhopQuery::single(0, 5, 3)).unwrap();
         assert_eq!(r.visited, 4);
         let stats = service.stats();
@@ -1631,7 +1634,7 @@ mod tests {
         let plane = service.core.durability.as_ref().unwrap();
         // A write slower than two commits: the plane's one job is out
         // when the second commit makes a snapshot due.
-        let engine = service.core.engine();
+        let engine = Arc::clone(&service.core.serving().engine);
         let slow = lock(plane).take_snapshot_job(&engine, Default::default()).unwrap();
         for v in [5, 9] {
             let mut batch = UpdateBatch::new();

@@ -2,8 +2,8 @@
 //!
 //! A [`Replica`] is one query front-end: its own admission queue,
 //! result cache and coalescer. Everything a replica cannot own alone —
-//! the engine snapshot chain, the persistent cluster, the mutation
-//! buffer, the durability plane, the epoch, and the one dispatcher
+//! the serving value (engine, epoch, index), the persistent cluster,
+//! the mutation buffer, the durability plane, and the one dispatcher
 //! thread that runs the engine — lives in the
 //! [`SharedCore`](super::shared::SharedCore) the replica belongs to.
 //!
@@ -16,9 +16,9 @@
 //!
 //! | | ready path — every traversal answered by the cache or the index | miss path — a traversal needs a lane |
 //! |---|---|---|
-//! | `live_engine` | read once, by the caller (`ServiceGroup::submit` routes with it and hands it down) | the same read |
+//! | `serving` | read once, by the caller (`ServiceGroup::submit` routes with it and hands it down): engine, epoch and index of one commit | the same read, and again after a backpressure wait |
 //! | [`Replica::state`] | held across the submit: the `closed` check, nothing else | the same hold, plus the queue push and the backlog count |
-//! | the epoch, the cache mutex / the index | one load; one `get` + clone per source | the same probes, which miss |
+//! | the cache mutex / the index | one `get` + clone per source; the index is the serving value's, no lock | the same probes, which miss |
 //! | the coalescer | not reached | `attach` — an identical traversal in flight answers this one too, without a slot |
 //! | [`Replica::space`] | never waited on | waited on with the first traversal in hand, while the queue is full |
 //! | the clock | not read, unless a deadline is configured | read once, for the first traversal that waits for a lane (its queue-wait stamp) |
@@ -70,9 +70,9 @@
 //! ran are in it, and every queue is drained by the same thread, so none
 //! can starve.
 
-use super::shared::{degrade, quiesce_durability, run_commit, ExecCtx, SharedCore};
+use super::shared::{degrade, quiesce_durability, run_commit, ExecCtx, Serving, SharedCore};
 use super::{lock, wait, QueryTicket, ServiceError};
-use crate::engine::{BatchResult, DistributedEngine, EngineError, FaultInjection};
+use crate::engine::{BatchResult, EngineError, FaultInjection};
 use crate::metrics::{mean_of, mix64, LatencyShard, GOLDEN_GAMMA};
 use crate::query::{KhopQuery, QueryResult};
 use cgraph_cache::{
@@ -358,13 +358,15 @@ fn add_backlog(core: &SharedCore, delta: i64) {
 /// Admits `query` on `replica`: every traversal the cache or the index
 /// answers completes here, the rest are queued for the dispatcher —
 /// blocking, with the first of them in hand, while the admission queue
-/// is full. `engine` is the caller's one read of
-/// [`SharedCore::live_engine`]. Returns a ticket redeemable for the
-/// result, or [`ServiceError::ShutDown`] once the replica is closed.
+/// is full. `serving` is the caller's one read of
+/// [`SharedCore::serving`]: the engine, the epoch and the index probed
+/// all come from it, and from one fresh read after a backpressure wait.
+/// Returns a ticket redeemable for the result, or
+/// [`ServiceError::ShutDown`] once the replica is closed.
 pub(super) fn submit(
     core: &SharedCore,
     replica: &Replica,
-    engine: &DistributedEngine,
+    mut serving: Arc<Serving>,
     query: KhopQuery,
 ) -> Result<QueryTicket, ServiceError> {
     let mut st = lock(&replica.state);
@@ -387,7 +389,7 @@ pub(super) fn submit(
                 per_level: Vec::new(),
                 response_time: Duration::ZERO,
                 exec_time: Duration::ZERO,
-                epoch: core.epoch.load(Ordering::SeqCst),
+                epoch: serving.epoch(),
             },
         );
         return Ok(QueryTicket { state, deadline: None });
@@ -395,7 +397,7 @@ pub(super) fn submit(
     // Admission-time shape validation: the closed-batch scheduler
     // panics on an out-of-range source, but a *service* must reject
     // the one bad query and keep serving everyone else.
-    let n = engine.num_vertices();
+    let n = serving.engine.num_vertices();
     if let Some(&bad) = query.sources.iter().find(|&&s| s >= n) {
         return Err(ServiceError::InvalidQuery(format!(
             "source {bad} out of range for a graph of {n} vertices"
@@ -407,7 +409,7 @@ pub(super) fn submit(
     // query the cache or the index answers whole never reads the clock.
     let mut admitted = core.config.query_deadline.map(|_| Instant::now());
     let deadline = admitted.zip(core.config.query_deadline).map(|(at, d)| at + d);
-    let mut epoch = core.epoch.load(Ordering::SeqCst);
+    let mut epoch = serving.epoch();
     let mut pushed = 0;
     for &source in &query.sources {
         let key = CacheKey { source, k: query.k, epoch };
@@ -421,7 +423,7 @@ pub(super) fn submit(
                     // The hit proves this replica's cache is hot for
                     // the source's partition — feed the router.
                     if let Some(h) = &core.heat {
-                        h.bump(replica.id, engine.partition().owner(source));
+                        h.bump(replica.id, serving.engine.partition().owner(source));
                     }
                     complete_traversal(
                         core,
@@ -433,11 +435,11 @@ pub(super) fn submit(
                 None => core.obs.cache_misses.inc(),
             }
         }
-        // 2. Index-only fast path: a current-epoch reachability
-        // index whose sketch covers `(source, k)` exactly answers
-        // at admission — bit-identical to the traversal, no lane
-        // spent (see INDEXING.md).
-        if let Some(ans) = core.current_index(epoch).and_then(|ix| ix.answer(source, query.k)) {
+        // 2. Index-only fast path: the serving value's index, whose
+        // sketch covers `(source, k)` exactly, answers at admission —
+        // bit-identical to the traversal, no lane spent (see
+        // INDEXING.md).
+        if let Some(ans) = serving.index.as_ref().and_then(|ix| ix.answer(source, query.k)) {
             core.obs.index_only_answers.inc();
             complete_traversal(
                 core,
@@ -481,9 +483,10 @@ pub(super) fn submit(
                 return Err(ServiceError::ShutDown);
             }
             // A commit may have landed meanwhile; formation re-probes
-            // whatever is queued, the remaining sources probe at the
-            // epoch that is current now.
-            epoch = core.epoch.load(Ordering::SeqCst);
+            // whatever is queued, the remaining sources probe the value
+            // that serves now — its engine, epoch and index together.
+            serving = core.serving();
+            epoch = serving.epoch();
         }
         st.queue.push_back(t);
         pushed += 1;
@@ -535,7 +538,7 @@ pub(super) fn dispatch_loop(core: &Arc<SharedCore>, mut ctx: ExecCtx) {
     // WAL-logged (write-ahead); the sync makes them crash-proof before
     // shutdown() returns to the caller, and a snapshot still being
     // written is waited for.
-    quiesce_durability(core, &ctx.engine);
+    quiesce_durability(core, &ctx.serving.engine);
     ctx.cluster.shutdown();
 }
 
@@ -663,16 +666,17 @@ struct FormedBatch {
 }
 
 /// Forms one batch from every replica's admission queue, on the
-/// dispatcher (`ctx` is its engine) and under every replica's state
+/// dispatcher (`ctx` holds what serves) and under every replica's state
 /// lock: sweeps each queue against its replica's result cache and the
-/// index, fails what has expired, and hands the rest to
+/// serving value's index, fails what has expired, and hands the rest to
 /// [`plan_batch`] — up to [`SharedCore::lanes`] distinct keys, oldest
 /// first (or locality-packed), identical keys collapsed into followers
 /// whichever replica queued them. With coalescing on, every selected
 /// key is registered as in flight on each replica it came from, so late
 /// arrivals attach mid-batch.
 fn form_batch(core: &SharedCore, ctx: &ExecCtx) -> FormedBatch {
-    let epoch = ctx.engine.graph_epoch();
+    let serving = &ctx.serving;
+    let epoch = serving.epoch();
     let mut formed = FormedBatch { epoch, ..Default::default() };
     let FormedBatch { groups, hits, cache_hits, expired, .. } = &mut formed;
     let replicas = &core.replicas;
@@ -689,7 +693,6 @@ fn form_batch(core: &SharedCore, ctx: &ExecCtx) -> FormedBatch {
     // batch's window — a hit behind the window frees queue space all
     // the same, and an expired traversal never costs a lane.
     let plane = &core.config.query_plane;
-    let index = core.current_index(epoch);
     let now = Instant::now();
     let mut index_hits = 0u64;
     let mut answers: Vec<Vec<Option<CachedTraversal>>> = Vec::with_capacity(states.len());
@@ -700,7 +703,7 @@ fn form_batch(core: &SharedCore, ctx: &ExecCtx) -> FormedBatch {
         let items = st.queue.iter().map(|t| {
             let cached = cache.as_mut().and_then(|c| c.get(&t.key(epoch)).cloned());
             let answer = cached.inspect(|_| *cache_hits += 1).or_else(|| {
-                let a = index.as_ref()?.answer(t.source, t.k)?;
+                let a = serving.index.as_ref()?.answer(t.source, t.k)?;
                 index_hits += 1;
                 Some(CachedTraversal { visited: a.visited, per_level: a.per_level })
             });
@@ -708,7 +711,7 @@ fn form_batch(core: &SharedCore, ctx: &ExecCtx) -> FormedBatch {
                 key: (t.source, t.k),
                 age: t.submitted.duration_since(base).as_nanos() as u64,
                 partition: if plane.pack_locality {
-                    ctx.engine.partition().owner(t.source)
+                    serving.engine.partition().owner(t.source)
                 } else {
                     0
                 },
@@ -866,7 +869,7 @@ fn execute_batch(
             first_attempt: retry * (core.config.recovery.max_recoveries + 1),
         });
         let dispatched = Instant::now();
-        let run = ctx.engine.run_traversal_batch_recoverable(
+        let run = ctx.serving.engine.run_traversal_batch_recoverable(
             &ctx.cluster,
             &sources,
             &ks,
@@ -888,7 +891,9 @@ fn execute_batch(
                     if let Some(b) = ctx.blame.get_mut(*machine) {
                         *b += 1;
                         let threshold = core.config.degrade_after;
-                        if threshold.is_some_and(|th| *b >= th) && ctx.engine.num_machines() > 1 {
+                        if threshold.is_some_and(|th| *b >= th)
+                            && ctx.serving.engine.num_machines() > 1
+                        {
                             degrade(core, ctx);
                             continue; // degrading does not consume a retry
                         }
@@ -952,7 +957,7 @@ fn commit_batch(
                     );
                     inserted += 1;
                     if let Some(h) = &core.heat {
-                        h.bump(replica.id, ctx.engine.partition().owner(g.key.source));
+                        h.bump(replica.id, ctx.serving.engine.partition().owner(g.key.source));
                     }
                 }
                 (c.len() as i64, c.used_bytes() as i64)

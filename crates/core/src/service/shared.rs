@@ -1,9 +1,10 @@
 //! State shared by every front-end replica of a service (group).
 //!
 //! A [`SharedCore`] is the singleton half of the serving tier: one
-//! engine snapshot chain + persistent cluster (inside [`ExecCtx`],
-//! owned by the one dispatcher thread), one mutation pending buffer,
-//! one durability plane, one graph epoch, one counter store
+//! [`Serving`] value — the engine snapshot, its graph epoch and the
+//! index built for it, published whole — plus the persistent cluster
+//! (inside [`ExecCtx`], owned by the one dispatcher thread), one
+//! mutation pending buffer, one durability plane, one counter store
 //! ([`ServiceObs`](super::obs)) and the group's replicas, fixed at
 //! start. Every [`Replica`] — the single replica behind a plain
 //! [`QueryService`](super::QueryService) or one of the N of a
@@ -20,18 +21,29 @@
 //!
 //! Outermost first: replica `state` (every replica's, in id order —
 //! only the dispatcher ever takes two) → `stats_gate` → per-replica
-//! cache/coalescer → `pending` → `durability` → `index`. The submit
+//! cache/coalescer → `pending` → `durability`. The submit
 //! path takes one replica's `state` → its cache/coalescer → a ticket's
 //! slot → that replica's `latency` shard (a query answered at admission
 //! completes under its replica's `state`) and never `stats_gate` or
 //! `pending`; the dispatcher's fan-out takes a ticket's slot → the
-//! shard of the replica that admitted the query. `live_engine`, every
+//! shard of the replica that admitted the query. `serving`, every
 //! `latency` shard and `parked` are leaves: held for a clone, one
 //! record or the dispatcher's check-and-park, never across another
 //! acquisition — save that [`SharedCore::stats`], under `stats_gate`,
 //! holds every shard at once, taken in id order. The durability
 //! plane's snapshot writer takes `stats_gate` → `durability` to book a
 //! finished job, and nothing while it encodes and writes.
+//!
+//! # One serving value
+//!
+//! What admission, formation and `stats()` read as "what is serving"
+//! is one immutable [`Serving`] behind the `serving` leaf: the engine
+//! (whose `graph_epoch()` *is* the epoch cache keys and answers carry)
+//! and the index built for it. A commit, a degradation and start-up
+//! each build the next value — engine first, then its index — and
+//! publish it with one assignment, so no reader can see one commit's
+//! engine beside another's epoch or index. The index's epoch stamp is
+//! checked once, in [`build_index`], where an index enters the service.
 //!
 //! # The one wake-up
 //!
@@ -60,7 +72,8 @@
 //!   [`RESERVOIR_TRIPLES`](crate::metrics::RESERVOIR_TRIPLES)
 //!   completions on a replica;
 //! * state that **is its own count** — cache occupancy, index size,
-//!   pending depth, overlay size (read off `live_engine`), the plane's
+//!   pending depth, overlay size (index and overlay read off one
+//!   `serving` value), the plane's
 //!   [`DurabilityStats`], the router's `RouterStats` (plane and router
 //!   also run without a service). `stats()` reads the structure itself
 //!   under the gate; the registry line is its *publication*, refreshed
@@ -107,12 +120,42 @@ pub(super) struct PendingUpdates {
     pub(super) serving_done: bool,
 }
 
-/// What the dispatcher executes with: the live engine snapshot, the one
+/// What is serving: one engine value and the index built for it,
+/// published whole. The graph epoch is the engine's.
+pub(super) struct Serving {
+    pub(super) engine: Arc<DistributedEngine>,
+    /// The index built for `engine` — its stamp checked by
+    /// [`build_index`] — or `None`: no builder configured, or the build
+    /// failed or was refused.
+    pub(super) index: Option<Arc<dyn ReachIndex>>,
+}
+
+impl Serving {
+    /// Builds the value that serves `engine`: the engine and, with a
+    /// builder configured, its index. Nothing is published here.
+    fn build(
+        config: &ServiceConfig,
+        obs: &ServiceObs,
+        engine: Arc<DistributedEngine>,
+    ) -> Arc<Self> {
+        let index = config.index.as_ref().and_then(|b| build_index(&**b, &engine, obs));
+        Arc::new(Self { engine, index })
+    }
+
+    /// The graph epoch being served — every cache key and answer of
+    /// this value carries it.
+    pub(super) fn epoch(&self) -> u64 {
+        self.engine.graph_epoch()
+    }
+}
+
+/// What the dispatcher executes with: the serving value, the one
 /// persistent cluster and panic blame. A plain local value of the
 /// dispatcher thread — only that thread runs batches, commits and
 /// degradations, so none of them can overlap another.
 pub(super) struct ExecCtx {
-    pub(super) engine: Arc<DistributedEngine>,
+    /// The same value [`SharedCore::serving`] publishes.
+    pub(super) serving: Arc<Serving>,
     pub(super) cluster: PersistentCluster,
     /// Per-machine panic blame since the last degradation.
     pub(super) blame: Vec<u32>,
@@ -123,20 +166,18 @@ pub(super) struct ExecCtx {
 pub(super) struct SharedCore {
     pub(super) config: ServiceConfig,
     pub(super) lanes: usize,
-    /// Monotone graph epoch baked into every cache key; bumping it
-    /// makes every existing entry unreachable and blocks stale
-    /// in-flight batches from committing results.
-    pub(super) epoch: AtomicU64,
     /// Monotone batch sequence number — the chaos *job* identity, so a
     /// [`FaultPlan`](cgraph_comm::chaos::FaultPlan) armed for a job
     /// window poisons specific batches, group-wide. Incremented by the
     /// dispatcher (so job order equals execution order); read lock-free
     /// for trace labels.
     pub(super) batch_seq: AtomicU64,
-    /// Mirror of [`ExecCtx::engine`] readable without blocking behind
-    /// a running batch — the submit path and the router use it for
-    /// vertex-range checks and partition lookups.
-    pub(super) live_engine: Mutex<Arc<DistributedEngine>>,
+    /// What is serving (leaf lock): [`ExecCtx::serving`], readable
+    /// without waiting behind a running batch. Its engine's epoch is
+    /// the one baked into every cache key — a commit's publish makes
+    /// every older entry unreachable — and the submit path, the router
+    /// and `stats()` read engine, epoch and index from one clone of it.
+    pub(super) serving: Mutex<Arc<Serving>>,
     /// Buffered mutations + commit handshake. [`SharedCore::durability`]
     /// nests inside it on the write-ahead path.
     pub(super) pending: Mutex<PendingUpdates>,
@@ -152,9 +193,6 @@ pub(super) struct SharedCore {
     /// The counter store + coordinator tracer. Shared by all replicas
     /// — counters aggregate group-wide by construction.
     pub(super) obs: ServiceObs,
-    /// The live reachability index (leaf lock): rebuilt inside every
-    /// epoch commit and degradation, group-wide.
-    pub(super) index: Mutex<Option<Arc<dyn ReachIndex>>>,
     /// The group's front-ends, fixed at start: replica `i` is
     /// `replicas[i]`. Commits walk it to fence every cache.
     pub(super) replicas: Box<[Replica]>,
@@ -187,7 +225,8 @@ pub(super) struct SharedCore {
 
 impl SharedCore {
     /// Wires the shared half of a service — persistent cluster, obs
-    /// registration, initial index build, `replicas` front-ends — and
+    /// registration, the first serving value (engine, then its index),
+    /// `replicas` front-ends — and
     /// spawns its one dispatcher. `restored_pending` updates are
     /// already in the WAL (recovery restored them) — they enter the
     /// buffer without being re-appended.
@@ -219,15 +258,15 @@ impl SharedCore {
             // in the coordinator trace is deterministic.
             obs.instant("durable_recover", 0, 0, rec.epoch);
         }
-        // Initial index build, before the first query can be admitted.
-        let index = config.index.as_ref().and_then(|b| build_index(&**b, &engine, &obs));
-        let ctx =
-            ExecCtx { engine: Arc::clone(&engine), cluster, blame: vec![0; engine.num_machines()] };
+        // The first serving value, index included, before the first
+        // query can be admitted.
+        let blame = vec![0; engine.num_machines()];
+        let serving = Serving::build(&config, &obs, engine);
+        let ctx = ExecCtx { serving: Arc::clone(&serving), cluster, blame };
         let core = Arc::new(Self {
             lanes,
-            epoch: AtomicU64::new(engine.graph_epoch()),
             batch_seq: AtomicU64::new(0),
-            live_engine: Mutex::new(engine),
+            serving: Mutex::new(serving),
             pending: Mutex::new(PendingUpdates {
                 updates: restored_pending,
                 ..PendingUpdates::default()
@@ -235,7 +274,6 @@ impl SharedCore {
             durability: durability.map(Mutex::new),
             stats_gate: Mutex::new(()),
             obs,
-            index: Mutex::new(index),
             replicas: (0..replicas).map(|id| Replica::new(id, &config.query_plane)).collect(),
             open_replicas: AtomicUsize::new(replicas),
             queued: AtomicI64::new(0),
@@ -259,15 +297,14 @@ impl SharedCore {
         core
     }
 
-    /// The live index iff it matches `epoch` — the fence that keeps a
-    /// stale index (pre-commit, or mid-rebuild) out of the query path.
-    pub(super) fn current_index(&self, epoch: u64) -> Option<Arc<dyn ReachIndex>> {
-        lock(&self.index).as_ref().filter(|ix| ix.epoch() == epoch).cloned()
+    /// The value now serving, without waiting behind a batch.
+    pub(super) fn serving(&self) -> Arc<Serving> {
+        Arc::clone(&lock(&self.serving))
     }
 
-    /// The engine value now serving, without waiting behind a batch.
-    pub(super) fn engine(&self) -> Arc<DistributedEngine> {
-        Arc::clone(&lock(&self.live_engine))
+    /// The graph epoch now serving.
+    pub(super) fn graph_epoch(&self) -> u64 {
+        lock(&self.serving).epoch()
     }
 
     /// Wakes the dispatcher if it is parked. Call *after* changing what
@@ -320,15 +357,16 @@ impl SharedCore {
             }
         }
         let pending_updates = lock(&self.pending).updates.len() as u64;
-        let (index_sources, index_bytes) = lock(&self.index)
+        // The index and the overlay of the value now serving — not of
+        // the last commit: recovery and degradation install one too.
+        let serving = self.serving();
+        let (index_sources, index_bytes) = serving
+            .index
             .as_ref()
             .map(|ix| (ix.num_sources() as u64, ix.size_bytes() as u64))
             .unwrap_or((0, 0));
         let dur: DurabilityStats =
             self.durability.as_ref().map(|dm| lock(dm).stats()).unwrap_or_default();
-        // The overlay of the engine value now serving — not of the last
-        // commit: recovery and degradation install one too.
-        let engine = self.engine();
         let o = &self.obs;
         // Per-query outcome counts and records move under the shard of
         // the replica that admitted the query: holding every shard, the
@@ -366,8 +404,8 @@ impl SharedCore {
             epoch_commits: o.mutation_commits.get(),
             epoch_folds: o.mutation_folds.get(),
             pending_updates,
-            delta_entries: engine.delta_entries() as u64,
-            delta_bytes: engine.delta_bytes() as u64,
+            delta_entries: serving.engine.delta_entries() as u64,
+            delta_bytes: serving.engine.delta_bytes() as u64,
             wal_records: dur.wal_records,
             wal_bytes: dur.wal_bytes,
             snapshots_written: dur.snapshots_written,
@@ -450,9 +488,12 @@ pub(super) fn open_recovered(
 }
 
 /// Runs the configured index builder against `engine`'s current
-/// snapshot, recording build count, duration and size. A failed build
-/// logs and returns `None`: the service keeps serving unindexed.
-pub(super) fn build_index(
+/// snapshot, recording build count, duration and size. This is where an
+/// index enters the service, and the one place its epoch stamp is
+/// checked: a failed build, or an index stamped with another epoch than
+/// `engine`'s, logs and returns `None` — the service keeps serving
+/// unindexed. What it returns is only ever served beside `engine`.
+fn build_index(
     builder: &dyn IndexBuilder,
     engine: &DistributedEngine,
     obs: &ServiceObs,
@@ -461,8 +502,19 @@ pub(super) fn build_index(
     let built = builder.build(engine);
     obs.index_builds.inc();
     obs.index_build_seconds.observe_duration(started.elapsed());
-    let built =
-        built.inspect_err(|e| eprintln!("cgraph index: build failed, serving unindexed: {e}")).ok();
+    let epoch = engine.graph_epoch();
+    let built = match built {
+        Ok(ix) if ix.epoch() == epoch => Some(ix),
+        Ok(ix) => {
+            let stamp = ix.epoch();
+            eprintln!("cgraph index: built for epoch {stamp}, not {epoch}; serving unindexed");
+            None
+        }
+        Err(e) => {
+            eprintln!("cgraph index: build failed, serving unindexed: {e}");
+            None
+        }
+    };
     let (sources, bytes) =
         built.as_ref().map_or((0, 0), |ix| (ix.num_sources() as i64, ix.size_bytes() as i64));
     obs.index_sources.set(sources);
@@ -470,14 +522,12 @@ pub(super) fn build_index(
     built
 }
 
-/// Rebuilds the live index for `engine`'s (new) epoch — called inside
-/// epoch commits and degradations, on the dispatcher, strictly between
-/// batches. Without a configured builder this is a no-op and the epoch
-/// fence alone retires the old index.
-pub(super) fn rebuild_index(core: &SharedCore, engine: &DistributedEngine) {
-    if let Some(b) = &core.config.index {
-        *lock(&core.index) = build_index(&**b, engine, &core.obs);
-    }
+/// Makes `next` the value that serves — the one publishing assignment
+/// of a commit or a degradation. Call on the dispatcher, between
+/// batches, with `next`'s index already built.
+fn publish(core: &SharedCore, ctx: &mut ExecCtx, next: Arc<Serving>) {
+    ctx.serving = Arc::clone(&next);
+    *lock(&core.serving) = next;
 }
 
 /// Takes the pending commit request: the buffered updates, the waiters
@@ -515,25 +565,25 @@ fn take_commit_request(
 
 /// Performs a due epoch commit on the dispatcher, between batches —
 /// nothing is forming or in flight, on any replica: folds the buffered
-/// updates into a new engine snapshot, swaps it in, publishes the new
-/// epoch, fences **every** replica's cache, cools the heat grid,
-/// rebuilds the index, hands a due snapshot to the durability plane's
-/// writer, and replies the new epoch to every commit waiter. All of it
-/// under the stats gate, so no stats snapshot can observe the drained
-/// buffer without the matching applied counters. A no-op when no
-/// commit is requested.
+/// updates into a new engine snapshot and builds its index, publishes
+/// both in one swap, fences **every** replica's cache, cools the heat
+/// grid, hands a due snapshot to the durability plane's writer, and
+/// replies the new epoch to every commit waiter. Until the swap an
+/// admission sees the whole old value — engine, epoch, index and
+/// caches. All of it under the stats gate, so no stats snapshot can
+/// observe the drained buffer without the matching applied counters.
+/// A no-op when no commit is requested.
 pub(super) fn run_commit(core: &Arc<SharedCore>, ctx: &mut ExecCtx) {
     if !core.commit_requested.load(Ordering::SeqCst) {
         return;
     }
     let started = Instant::now();
     let gate = lock(&core.stats_gate);
-    let (updates, waiters, wal_seq) = take_commit_request(core, ctx.engine.graph_epoch() + 1);
-    let (engine, folded) = ctx.engine.with_updates(&updates, core.config.mutation.fold_threshold);
+    let (updates, waiters, wal_seq) = take_commit_request(core, ctx.serving.epoch() + 1);
+    let (engine, folded) =
+        ctx.serving.engine.with_updates(&updates, core.config.mutation.fold_threshold);
     let new_epoch = engine.graph_epoch();
-    ctx.engine = Arc::new(engine);
-    *lock(&core.live_engine) = Arc::clone(&ctx.engine);
-    core.epoch.store(new_epoch, Ordering::SeqCst);
+    publish(core, ctx, Serving::build(&core.config, &core.obs, Arc::new(engine)));
     // Fence every replica's cache: entries of epochs before
     // `new_epoch` are unreachable anyway (keys embed the epoch) —
     // dropping them frees their bytes immediately. Gauges publish the
@@ -554,9 +604,6 @@ pub(super) fn run_commit(core: &Arc<SharedCore>, ctx: &mut ExecCtx) {
     if let Some(h) = &core.heat {
         h.halve();
     }
-    // The old index is already fenced (its epoch no longer matches);
-    // rebuild for the new snapshot before the next batch forms.
-    rebuild_index(core, &ctx.engine);
     let inserted = updates.iter().filter(|u| u.is_insert()).count() as u64;
     let o = &core.obs;
     o.mutation_updates_applied.add(updates.len() as u64);
@@ -565,7 +612,7 @@ pub(super) fn run_commit(core: &Arc<SharedCore>, ctx: &mut ExecCtx) {
     o.mutation_commits.inc();
     o.mutation_folds.add(u64::from(folded));
     o.mutation_pending.set(lock(&core.pending).updates.len() as i64);
-    o.publish_overlay(&ctx.engine);
+    o.publish_overlay(&ctx.serving.engine);
     let seq_now = core.batch_seq.load(Ordering::SeqCst);
     o.instant("epoch_commit", seq_now, 0, new_epoch);
     if let Some(seq) = wal_seq {
@@ -583,7 +630,7 @@ pub(super) fn run_commit(core: &Arc<SharedCore>, ctx: &mut ExecCtx) {
     // and a waiter's next WAL append must find them drawn.
     if let Some(dm) = &core.durability {
         let mut d = lock(dm);
-        if let Some(job) = d.snapshot_job_at_commit(&ctx.engine) {
+        if let Some(job) = d.snapshot_job_at_commit(&ctx.serving.engine) {
             // Weak: the writer pins the engine value it writes, not
             // the service — dropping the service joins the writer.
             let core = Arc::downgrade(core);
@@ -649,30 +696,27 @@ pub(super) fn quiesce_durability(core: &SharedCore, engine: &Arc<DistributedEngi
     }
 }
 
-/// Re-partitions onto one fewer machine and swaps in a fresh
-/// persistent cluster; the old cluster (which may hold a poisoned or
-/// repeatedly-failing machine) is parked and shut down. Runs on the
-/// dispatcher between two attempts of a batch, so no other batch sees
-/// either side of the swap.
+/// Re-partitions onto one fewer machine, builds the new layout's index
+/// (the old one's per-partition state means nothing on it), publishes
+/// both in one swap and swaps in a fresh persistent cluster; the old
+/// cluster (which may hold a poisoned or repeatedly-failing machine) is
+/// parked and shut down. Runs on the dispatcher between two attempts of
+/// a batch, so no other batch sees either side of the swap.
 pub(super) fn degrade(core: &SharedCore, ctx: &mut ExecCtx) {
-    let p = ctx.engine.num_machines() - 1;
-    let engine = Arc::new(ctx.engine.repartitioned(p));
-    let cluster = PersistentCluster::with_model(p, engine.config().net_model);
+    let p = ctx.serving.engine.num_machines() - 1;
+    let engine = Arc::new(ctx.serving.engine.repartitioned(p));
+    let next = Serving::build(&core.config, &core.obs, engine);
+    let cluster = PersistentCluster::with_model(p, next.engine.config().net_model);
     if let Some(o) = &core.config.obs {
         // The replacement cluster must keep feeding the same registry.
         cluster.set_obs(Arc::clone(o));
     }
     let old = std::mem::replace(&mut ctx.cluster, cluster);
     old.shutdown();
-    ctx.engine = Arc::clone(&engine);
-    *lock(&core.live_engine) = engine;
+    publish(core, ctx, next);
     ctx.blame = vec![0; p];
-    // The partition count changed: the index's per-partition masks are
-    // meaningless on the new layout. Rebuild (or drop) before any
-    // further batch can consult it.
-    rebuild_index(core, &ctx.engine);
     // Repartitioning folded the overlay into the new base.
-    core.obs.publish_overlay(&ctx.engine);
+    core.obs.publish_overlay(&ctx.serving.engine);
     core.obs.degraded_generations.inc();
     let seq_now = core.batch_seq.load(Ordering::SeqCst);
     core.obs.instant("degrade", seq_now.saturating_sub(1), 0, p as u64);
@@ -684,7 +728,7 @@ pub(super) fn apply_updates_core(
     core: &SharedCore,
     updates: Vec<EdgeUpdate>,
 ) -> Result<(), ServiceError> {
-    let n = lock(&core.live_engine).num_vertices();
+    let n = lock(&core.serving).engine.num_vertices();
     if let Some(bad) = updates.iter().find(|u| u.src() >= n || u.dst() >= n) {
         return Err(ServiceError::InvalidQuery(format!(
             "edge update {bad:?} out of range for a graph of {n} vertices"

@@ -38,10 +38,6 @@ pub struct Shard {
     /// Global out-degree of every vertex (shared knowledge each machine
     /// keeps for GAS scatter normalisation).
     global_out_degrees: Vec<u32>,
-    /// Groups of edge-set indices with pairwise-disjoint column ranges
-    /// inside each group — tiles in one group can be processed in
-    /// parallel without write conflicts on destination state.
-    dst_disjoint_groups: Vec<Vec<usize>>,
 }
 
 impl Shard {
@@ -106,8 +102,6 @@ impl Shard {
         // inserted — in_neighbors(v) is meaningful for local v only.
         let in_edges = build_in_edges.then(|| Csc::from_edges(n, &in_local));
 
-        let dst_disjoint_groups = Self::compute_disjoint_groups(&out_sets);
-
         Self {
             id,
             local,
@@ -117,30 +111,7 @@ impl Shard {
             boundary,
             slots,
             global_out_degrees,
-            dst_disjoint_groups,
         }
-    }
-
-    /// Greedily clusters tiles into groups whose column ranges are
-    /// pairwise disjoint, enabling race-free parallel destination
-    /// updates within a group.
-    fn compute_disjoint_groups(sets: &EdgeSetGraph) -> Vec<Vec<usize>> {
-        type Group = (Vec<(u64, u64)>, Vec<usize>);
-        let mut groups: Vec<Group> = Vec::new();
-        for (i, s) in sets.sets().iter().enumerate() {
-            let span = (s.col_range.start, s.col_range.end);
-            let slot = groups
-                .iter_mut()
-                .find(|(spans, _)| spans.iter().all(|&(a, b)| span.1 <= a || span.0 >= b));
-            match slot {
-                Some((spans, idxs)) => {
-                    spans.push(span);
-                    idxs.push(i);
-                }
-                None => groups.push((vec![span], vec![i])),
-            }
-        }
-        groups.into_iter().map(|(_, idxs)| idxs).collect()
     }
 
     /// Partition ID of this shard.
@@ -195,13 +166,6 @@ impl Shard {
     #[inline]
     pub fn out_sets(&self) -> &EdgeSetGraph {
         &self.out_sets
-    }
-
-    /// Tile-index groups with disjoint destination ranges (parallel
-    /// processing units).
-    #[inline]
-    pub fn dst_disjoint_groups(&self) -> &[Vec<usize>] {
-        &self.dst_disjoint_groups
     }
 
     /// In-edges of local vertices (panics if built traversal-only).
@@ -448,30 +412,6 @@ mod tests {
             assert_eq!(s.global_out_degree(0), 3);
             assert_eq!(s.global_out_degree(1), 1);
         }
-    }
-
-    #[test]
-    fn disjoint_groups_are_disjoint_and_complete() {
-        let g = ring(64);
-        let part = RangePartition::by_vertices(64, 2);
-        let s = Shard::build(0, &part, g.edges(), ConsolidationPolicy::grid(4), false);
-        let groups = s.dst_disjoint_groups();
-        let mut seen = vec![false; s.out_sets().sets().len()];
-        for group in groups {
-            for &i in group {
-                assert!(!seen[i], "tile {i} in two groups");
-                seen[i] = true;
-            }
-            // pairwise disjoint col ranges within the group
-            for (a_pos, &a) in group.iter().enumerate() {
-                for &b in &group[a_pos + 1..] {
-                    let ra = s.out_sets().sets()[a].col_range;
-                    let rb = s.out_sets().sets()[b].col_range;
-                    assert!(ra.end <= rb.start || rb.end <= ra.start, "{ra:?} overlaps {rb:?}");
-                }
-            }
-        }
-        assert!(seen.iter().all(|&x| x), "some tile missing from groups");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! high-degree hubs at low IDs so the hottest vertices share edge-set
 //! blocks — the cache-locality argument of §3.2.
 
-use crate::adjacency::Adjacency;
 use crate::edge::{Edge, EdgeList};
 use crate::types::VertexId;
 
@@ -57,11 +56,6 @@ pub struct BuiltGraph {
 }
 
 impl BuiltGraph {
-    /// Builds the multi-modal adjacency from the cleaned edges.
-    pub fn adjacency(&self) -> Adjacency {
-        Adjacency::from_edges(self.edges.num_vertices(), self.edges.edges())
-    }
-
     /// Translates an original vertex ID into the re-indexed space.
     pub fn map_vertex(&self, old: VertexId) -> VertexId {
         match &self.old_to_new {
@@ -199,6 +193,7 @@ fn remap(mut edges: Vec<Edge>, map: &[VertexId]) -> Vec<Edge> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Csr;
 
     #[test]
     fn dedup_and_loops() {
@@ -252,8 +247,8 @@ mod tests {
         let g = b.build();
         assert_eq!(g.map_vertex(3), 0);
         // structure preserved: new hub still has degree 3
-        let adj = g.adjacency();
-        assert_eq!(adj.degree(0), 3);
+        let out = Csr::from_edges(g.edges.num_vertices(), g.edges.edges());
+        assert_eq!(out.degree(0), 3);
     }
 
     #[test]
@@ -270,11 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_roundtrip() {
+    fn csr_of_built_edges_roundtrips() {
         let mut b = GraphBuilder::new();
         b.add_pair(0, 1).add_pair(1, 2);
         let g = b.build();
-        let a = g.adjacency();
+        let a = Csr::from_edges(g.edges.num_vertices(), g.edges.edges());
         assert_eq!(a.num_edges(), 2);
         assert_eq!(a.neighbors(1), &[2]);
     }

@@ -7,7 +7,6 @@
 //!
 //! * [`Csr`] — compressed sparse row, the out-edge view of a graph,
 //! * [`Csc`] — compressed sparse column, the in-edge view,
-//! * [`Adjacency`] — the multi-modal pairing of both views,
 //! * [`EdgeSetGraph`] — the 2D-blocked "edge-set" layout with
 //!   horizontal/vertical consolidation of small blocks,
 //! * [`GraphBuilder`] — ingestion: dedup, (optional) re-indexing,
@@ -25,7 +24,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adjacency;
 pub mod bitmap;
 pub mod builder;
 pub mod csc;
@@ -39,7 +37,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod types;
 
-pub use adjacency::Adjacency;
 pub use bitmap::{Bitmap, LaneMask, LaneMatrix, LaneWidth, MAX_LANES, MAX_LANE_WORDS};
 pub use builder::{BuildOptions, GraphBuilder, ReindexMode};
 pub use csc::Csc;

@@ -96,15 +96,19 @@ impl<'e> Session<'e> {
             for (lane, &i) in chunk.iter().enumerate() {
                 let visited = br.per_lane_visited[lane];
                 let output = match &queries[i] {
-                    Query::Khop { list_levels, .. } => QueryOutput::Reach {
-                        visited,
-                        levels: br
-                            .per_level
-                            .iter()
-                            .take(*list_levels)
-                            .map(|row| row[lane])
-                            .collect(),
-                    },
+                    Query::Khop { list_levels, .. } => {
+                        // The batch's rows run as deep as its deepest
+                        // lane: trim this lane's own trailing zero
+                        // levels, so what it lists does not depend on
+                        // what else is in the wave.
+                        let mut levels: Vec<u64> =
+                            br.per_level.iter().map(|row| row[lane]).collect();
+                        while levels.last() == Some(&0) {
+                            levels.pop();
+                        }
+                        levels.truncate(*list_levels);
+                        QueryOutput::Reach { visited, levels }
+                    }
                     Query::Bfs { .. } => QueryOutput::Reach { visited, levels: vec![] },
                     _ => unreachable!(),
                 };

@@ -77,7 +77,7 @@ pub mod prelude {
     };
     pub use cgraph_gen::Dataset;
     pub use cgraph_graph::{
-        Adjacency, BuildOptions, Csr, Edge, EdgeList, GraphBuilder, ReindexMode, VertexId,
+        BuildOptions, Csr, Edge, EdgeList, GraphBuilder, ReindexMode, VertexId,
     };
     pub use cgraph_index::{BoundaryIndexBuilder, IndexTier};
 }

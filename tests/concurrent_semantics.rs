@@ -121,6 +121,22 @@ fn ql_wave_wider_than_64_lanes_runs_as_one_batch() {
 }
 
 #[test]
+fn ql_listed_levels_do_not_depend_on_the_wave() {
+    // A lane lists its own levels: a deeper statement in the same wave
+    // runs the batch's level rows deeper, and must not pad this lane's
+    // list with the trailing zero levels it never reached.
+    let ring: EdgeList = (0..20u64).map(|v| (v, (v + 1) % 20)).collect();
+    let engine = DistributedEngine::new(&ring, EngineConfig::new(2));
+    let session = Session::new(&engine);
+    let alone = session.execute_batch(parse_program("KHOP 0 1 LIST 5").unwrap());
+    let wave = session.execute_batch(parse_program("KHOP 0 1 LIST 5\nKHOP 5 4").unwrap());
+    let expect = cgraph::ql::QueryOutput::Reach { visited: 2, levels: vec![1, 1] };
+    assert_eq!(alone[0].output, expect);
+    assert_eq!(wave[0].output, expect);
+    assert_eq!(wave[1].output.to_string(), "5 vertices reachable");
+}
+
+#[test]
 fn repeated_waves_are_deterministic_in_results() {
     let edges = social_graph(64);
     let engine = DistributedEngine::new(&edges, EngineConfig::new(4));

@@ -5,7 +5,10 @@
 //! [`QueryService`] with the index off and on, across partition
 //! counts, execution modes and batch widths; under an armed crash
 //! plan; and straddling a mutation commit (where a stale index must
-//! be fenced, never consulted). A deterministic case pins the built
+//! be fenced, never consulted). A commit whose index build is held,
+//! and a degradation, show the engine and its index published
+//! together: until the swap, admissions see the old value whole. A
+//! deterministic case pins the built
 //! sketches on TINY to per-source traversals and to the digest the
 //! probed build of PR 14 produced, and a property test demands that
 //! every answer the index volunteers on a random graph equals the
@@ -15,10 +18,12 @@
 //! backtick-quoted `cgraph_index_*` names equal the registered metric
 //! families exactly, in both directions.
 
+use cgraph::core::engine::EngineError;
 use cgraph::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// Ring backbone plus chords, so traversals cross machine boundaries
@@ -302,6 +307,139 @@ fn straddling_queries_resolve_against_one_epoch_each() {
     }
     let stats = service.stats();
     assert!(stats.index_builds >= 2, "initial build plus the commit rebuild: {stats:?}");
+    service.shutdown();
+}
+
+/// An index that answers exactly `(5, 3)`, with `visited` set to a tag
+/// no traversal of the test graphs produces — so an answer names the
+/// build that served it.
+struct TaggedIndex {
+    epoch: u64,
+    tag: u64,
+}
+
+impl ReachIndex for TaggedIndex {
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+    fn answer(&self, source: VertexId, k: u32) -> Option<IndexAnswer> {
+        (source == 5 && k == 3)
+            .then(|| IndexAnswer { visited: self.tag, per_level: vec![self.tag] })
+    }
+    fn size_bytes(&self) -> usize {
+        64
+    }
+    fn num_sources(&self) -> usize {
+        1
+    }
+}
+
+/// Tags its index `1000 + epoch` and holds its second build — the
+/// first commit's — until released: the window between building e + 1
+/// and publishing it, forced.
+struct HeldBuilder {
+    builds: AtomicUsize,
+    entered: mpsc::Sender<()>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl IndexBuilder for HeldBuilder {
+    fn build(&self, engine: &DistributedEngine) -> Result<Arc<dyn ReachIndex>, EngineError> {
+        if self.builds.fetch_add(1, Ordering::SeqCst) == 1 {
+            let _ = self.entered.send(());
+            let _ = self.release.lock().unwrap().recv();
+        }
+        let epoch = engine.graph_epoch();
+        Ok(Arc::new(TaggedIndex { epoch, tag: 1000 + epoch }))
+    }
+}
+
+/// A commit publishes e + 1's engine, epoch and index in one swap:
+/// while its index is still being built, the service reports epoch 0
+/// and answers a covered query at admission from epoch 0's index; once
+/// the build lands, the same query answers from the new index at
+/// epoch 1.
+#[test]
+fn a_commit_publishes_its_engine_and_index_together() {
+    let engine = Arc::new(DistributedEngine::new(&chordal_graph(40), EngineConfig::new(2)));
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let builder = HeldBuilder {
+        builds: AtomicUsize::new(0),
+        entered: entered_tx,
+        release: Mutex::new(release_rx),
+    };
+    let service = Arc::new(QueryService::start(
+        engine,
+        ServiceConfig { index: Some(Arc::new(builder)), ..Default::default() },
+    ));
+    let before = service.query(KhopQuery::single(0, 5, 3)).unwrap();
+    assert_eq!((before.visited, before.epoch), (1000, 0));
+
+    let committer = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || service.commit_epoch())
+    };
+    entered_rx.recv_timeout(Duration::from_secs(20)).expect("the commit builds its index");
+    // Read while the build is held; asserted after the release, so a
+    // failure cannot leave the dispatcher parked in the builder.
+    let epoch_during = service.graph_epoch();
+    let during = service.submit(KhopQuery::single(1, 5, 3)).unwrap().try_wait();
+    release_tx.send(()).unwrap();
+    assert_eq!(epoch_during, 0, "nothing is published before its index is built");
+    let during = during.expect("a covered query is answered at admission").unwrap();
+    assert_eq!((during.visited, during.epoch), (1000, 0), "the old index, at the old epoch");
+
+    assert_eq!(committer.join().unwrap().unwrap(), 1);
+    assert_eq!(service.graph_epoch(), 1);
+    let after = service.query(KhopQuery::single(2, 5, 3)).unwrap();
+    assert_eq!((after.visited, after.epoch), (1001, 1), "the new index, at the new epoch");
+    let stats = service.stats();
+    assert_eq!(stats.index_builds, 2);
+    assert_eq!(stats.index_only_answers, 3);
+    service.shutdown();
+}
+
+/// Tags its index with the engine's machine count.
+struct MachinesBuilder;
+
+impl IndexBuilder for MachinesBuilder {
+    fn build(&self, engine: &DistributedEngine) -> Result<Arc<dyn ReachIndex>, EngineError> {
+        let tag = engine.num_machines() as u64;
+        Ok(Arc::new(TaggedIndex { epoch: engine.graph_epoch(), tag }))
+    }
+}
+
+/// A degradation publishes the smaller layout with its own index:
+/// machine 1 dies on every attempt, the service re-partitions onto one
+/// machine after two blames, and the covered query then reports the
+/// one-machine index.
+#[test]
+fn a_degradation_publishes_the_smaller_layouts_index() {
+    let engine = Arc::new(DistributedEngine::new(&chordal_graph(40), EngineConfig::new(2)));
+    let service = QueryService::start(
+        Arc::clone(&engine),
+        ServiceConfig {
+            max_batch_delay: Duration::from_micros(100),
+            fault_plan: Some(FaultPlan::new(5).crash(1, 1)),
+            max_retries: 4,
+            retry_backoff: Duration::from_micros(50),
+            recovery: RecoveryConfig { checkpoint_interval: 2, max_recoveries: 0 },
+            degrade_after: Some(2),
+            index: Some(Arc::new(MachinesBuilder)),
+            ..Default::default()
+        },
+    );
+    assert_eq!(service.query(KhopQuery::single(0, 5, 3)).unwrap().visited, 2);
+    // An uncovered query traverses, crashes machine 1 and degrades.
+    let r = service.query(KhopQuery::single(1, 0, 5)).unwrap();
+    assert_eq!(r.visited, khop_count(&engine, 0, 5));
+    let after = service.query(KhopQuery::single(2, 5, 3)).unwrap();
+    assert_eq!(after.visited, 1, "the covered query reads the one-machine index");
+    let stats = service.stats();
+    assert_eq!(stats.degraded_generations, 1);
+    assert_eq!(stats.index_builds, 2, "start-up build + the degradation's");
+    assert_eq!(stats.queries_failed, 0);
     service.shutdown();
 }
 

@@ -140,7 +140,7 @@ fn router_is_deterministic_across_identical_seed_runs() {
             Arc::clone(&engine),
             GroupConfig {
                 replicas: 4,
-                router: RouterConfig { seed, ..Default::default() },
+                router: RouterConfig { seed },
                 service: ServiceConfig { query_plane: plane_on(), ..Default::default() },
             },
         );
