@@ -127,7 +127,8 @@ impl PartitionProgram for KCoreProgram {
 }
 
 /// Exact coreness of every vertex (over the undirected view of the
-/// graph). Requires shards built with in-edges (default config).
+/// graph). Reads the engine's in-edge view, so the engine must carry
+/// no live delta overlay.
 pub fn kcore_decomposition(engine: &DistributedEngine) -> Vec<u32> {
     let outs = engine.run_program(|_| KCoreProgram {
         bound: Vec::new(),

@@ -4,8 +4,8 @@
 //! vertex adopts the minimum label among itself and its (in + out)
 //! neighbours, and boundary improvements travel by `sendTo`. At the
 //! fixed point two vertices share a label iff they are weakly
-//! connected. Requires shards built with in-edges (the default
-//! [`cgraph_core::EngineConfig`]).
+//! connected. Reads the engine's in-edge view, so the engine must
+//! carry no live delta overlay.
 
 use cgraph_core::engine::DistributedEngine;
 use cgraph_core::pcm::{PartitionCtx, PartitionProgram};

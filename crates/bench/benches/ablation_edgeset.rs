@@ -37,10 +37,8 @@ fn bench_edgeset(c: &mut Criterion) {
         ),
         ("blocked_default", ConsolidationPolicy::default()),
     ] {
-        let engine = DistributedEngine::new(
-            &edges,
-            EngineConfig::new(2).traversal_only().with_edge_set_policy(policy),
-        );
+        let engine =
+            DistributedEngine::new(&edges, EngineConfig::new(2).with_edge_set_policy(policy));
         let tiles: usize = engine.shards().iter().map(|s| s.out_sets().sets().len()).sum();
         eprintln!("[A3] policy {name}: {tiles} tiles total");
         group.bench_function(name, |b| {

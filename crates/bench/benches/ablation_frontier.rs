@@ -15,7 +15,7 @@ fn build_engine() -> (DistributedEngine, Vec<u64>) {
     let mut b = cgraph_graph::GraphBuilder::new();
     b.add_edge_list(&raw);
     let edges = b.build().edges;
-    let engine = DistributedEngine::new(&edges, EngineConfig::new(2).traversal_only());
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(2));
     let sources: Vec<u64> = (0..64u64).map(|i| (i * 37) % edges.num_vertices()).collect();
     (engine, sources)
 }
@@ -46,7 +46,7 @@ fn bench_frontier(c: &mut Criterion) {
     let mut b = cgraph_graph::GraphBuilder::new();
     b.add_edge_list(&sw);
     let sw = b.build().edges;
-    let sw_engine = DistributedEngine::new(&sw, EngineConfig::new(1).traversal_only());
+    let sw_engine = DistributedEngine::new(&sw, EngineConfig::new(1));
     let two = sw_engine.run_single_queue(&[0], 4, ValueMode::TwoLevel);
     let full = sw_engine.run_single_queue(&[0], 4, ValueMode::Full);
     eprintln!(

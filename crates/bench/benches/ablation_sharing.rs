@@ -13,7 +13,7 @@ fn bench_sharing(c: &mut Criterion) {
     let mut b = cgraph_graph::GraphBuilder::new();
     b.add_edge_list(&raw);
     let edges = b.build().edges;
-    let engine = DistributedEngine::new(&edges, EngineConfig::new(2).traversal_only());
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(2));
     let queries: Vec<KhopQuery> = (0..64usize)
         .map(|i| KhopQuery::single(i, (i as u64 * 61) % edges.num_vertices(), 3))
         .collect();

@@ -15,9 +15,8 @@ fn bench_sync_async(c: &mut Criterion) {
     let mut b = cgraph_graph::GraphBuilder::new();
     b.add_edge_list(&raw);
     let edges = b.build().edges;
-    let sync_engine = DistributedEngine::new(&edges, EngineConfig::new(3).traversal_only());
-    let async_engine =
-        DistributedEngine::new(&edges, EngineConfig::new(3).traversal_only().asynchronous());
+    let sync_engine = DistributedEngine::new(&edges, EngineConfig::new(3));
+    let async_engine = DistributedEngine::new(&edges, EngineConfig::new(3).asynchronous());
     let src = 5u64;
 
     let mut group = c.benchmark_group("sync_vs_async_3hop");

@@ -26,7 +26,7 @@ fn main() {
     let sources = random_sources(&edges, queries, 0xF1613);
     let ks = vec![k; queries];
     eprintln!("[ablation] building engine...");
-    let engine = DistributedEngine::new(&edges, EngineConfig::new(machines).traversal_only());
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(machines));
 
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();

@@ -33,8 +33,7 @@ fn run_case(
     plan: Option<FaultPlan>,
     degrade_after: Option<u32>,
 ) -> (ServiceStats, Duration) {
-    let engine =
-        Arc::new(DistributedEngine::new(edges, EngineConfig::new(machines).traversal_only()));
+    let engine = Arc::new(DistributedEngine::new(edges, EngineConfig::new(machines)));
     let service = QueryService::start(
         engine,
         ServiceConfig {

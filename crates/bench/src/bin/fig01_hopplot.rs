@@ -31,7 +31,7 @@ fn main() {
         }),
         ("OR", load_dataset(Dataset::Or)),
     ] {
-        let engine = DistributedEngine::new(&edges, EngineConfig::new(2).traversal_only());
+        let engine = DistributedEngine::new(&edges, EngineConfig::new(2));
         let hp = hop_plot(&engine, sources, 7);
         let cdf = hp.cumulative_fractions();
         println!("\n[{name}] {} vertices, {} edges", edges.num_vertices(), edges.len());

@@ -29,7 +29,7 @@ fn main() {
     let sources = random_sources(&edges, num_queries * per_query, 0xF1607);
 
     // --- C-Graph: batched concurrent execution on 1 machine ---------
-    let engine = DistributedEngine::new(&edges, EngineConfig::new(1).traversal_only());
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(1));
     let queries: Vec<KhopQuery> = (0..num_queries)
         .map(|q| KhopQuery::multi(q, sources[q * per_query..(q + 1) * per_query].to_vec(), k))
         .collect();

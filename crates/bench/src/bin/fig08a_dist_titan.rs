@@ -36,7 +36,7 @@ fn main() {
     let edges = load_dataset(Dataset::Or);
     let sources = random_sources(&edges, traversals, 0xF160A);
 
-    let engine = DistributedEngine::new(&edges, EngineConfig::new(1).traversal_only());
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(1));
     let queries: Vec<KhopQuery> =
         sources.iter().enumerate().map(|(i, &s)| KhopQuery::single(i, s, k)).collect();
     let cg = QueryScheduler::new(&engine, SchedulerConfig::default()).execute(&queries);

@@ -24,7 +24,7 @@ fn main() {
     let edges = load_dataset(Dataset::Fr);
     let sources = random_sources(&edges, num_queries, 0xF160B);
 
-    let engine = DistributedEngine::new(&edges, EngineConfig::new(3).traversal_only());
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(3));
     let queries: Vec<KhopQuery> =
         sources.iter().enumerate().map(|(i, &s)| KhopQuery::single(i, s, k)).collect();
     let cg = QueryScheduler::new(&engine, SchedulerConfig::default()).execute(&queries);

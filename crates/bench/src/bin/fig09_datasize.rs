@@ -27,7 +27,7 @@ fn main() {
         let name = ds.spec().name;
         let edges = load_dataset(ds);
         eprintln!("[fig09] building engine for {name} ({} edges)...", edges.len());
-        let engine = DistributedEngine::new(&edges, EngineConfig::new(machines).traversal_only());
+        let engine = DistributedEngine::new(&edges, EngineConfig::new(machines));
         let sources = random_sources(&edges, num_queries, 0xF1609);
         let queries: Vec<KhopQuery> =
             sources.iter().enumerate().map(|(i, &s)| KhopQuery::single(i, s, k)).collect();

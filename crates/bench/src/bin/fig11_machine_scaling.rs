@@ -34,7 +34,7 @@ fn main() {
     let mut all_stats = Vec::new();
     for p in [1usize, 3, 6, 9] {
         eprintln!("[fig11] {p} machine(s)...");
-        let engine = DistributedEngine::new(&edges, EngineConfig::new(p).traversal_only());
+        let engine = DistributedEngine::new(&edges, EngineConfig::new(p));
         let res = QueryScheduler::new(
             &engine,
             SchedulerConfig { use_sim_time: true, ..Default::default() },

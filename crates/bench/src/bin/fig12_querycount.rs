@@ -24,7 +24,7 @@ fn main() {
 
     let edges = load_dataset(Dataset::FrsB);
     eprintln!("[fig12] building engine ({} edges)...", edges.len());
-    let engine = DistributedEngine::new(&edges, EngineConfig::new(machines).traversal_only());
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(machines));
 
     let max_queries = 350usize;
     let sources = random_sources(&edges, max_queries, 0xF1612);

@@ -22,7 +22,7 @@ fn main() {
     let edges = load_dataset(Dataset::Fr);
     let sources = random_sources(&edges, 256, 0xF1613);
     eprintln!("[fig13] building engines...");
-    let engine = DistributedEngine::new(&edges, EngineConfig::new(machines).traversal_only());
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(machines));
     let gemini = cgraph_baselines::GeminiEngine::new(&edges);
 
     let mut rows = Vec::new();

@@ -749,7 +749,7 @@ mod tests {
     /// Single-shard helper over a small graph.
     fn single_shard(edges: &EdgeList) -> Shard {
         let part = RangePartition::by_vertices(edges.num_vertices(), 1);
-        Shard::build(0, &part, edges.edges(), ConsolidationPolicy::default(), false)
+        Shard::build(0, &part, edges.edges(), ConsolidationPolicy::default())
     }
 
     /// A 64-wide mask from a single word.
@@ -765,7 +765,7 @@ mod tests {
         let n = 32u64;
         let g: EdgeList = (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + 13) % n)]).collect();
         let part = RangePartition::by_vertices(n, 1);
-        let shard = Shard::build(0, &part, g.edges(), ConsolidationPolicy::grid(4), false);
+        let shard = Shard::build(0, &part, g.edges(), ConsolidationPolicy::grid(4));
         let tiles = shard.out_sets().sets().len() as u64;
         assert!(tiles > 4, "want a real grid, got {tiles} tile(s)");
 
@@ -827,7 +827,7 @@ mod tests {
             (0..24u64).flat_map(|v| [(v, 24 + v % 4), (v, (v + 1) % 24)]).collect();
         g.set_num_vertices(48);
         let part = RangePartition::by_vertices(48, 2);
-        let shard = Shard::build(0, &part, g.edges(), ConsolidationPolicy::default(), false);
+        let shard = Shard::build(0, &part, g.edges(), ConsolidationPolicy::default());
         let lists = |l: &RowLists<u32>| -> Vec<(u32, Vec<u32>)> {
             (0..l.rows.len()).map(|i| (l.rows[i], l.items[l.span(i)].to_vec())).collect()
         };
@@ -979,7 +979,7 @@ mod tests {
         let mut g = g;
         g.set_num_vertices(10);
         let part = RangePartition::by_vertices(10, 2);
-        let shard = Shard::build(0, &part, g.edges(), ConsolidationPolicy::default(), false);
+        let shard = Shard::build(0, &part, g.edges(), ConsolidationPolicy::default());
         let mut bf = BitFrontier::new(&shard, 2);
         bf.seed(0, 0);
         bf.seed(1, 1);
@@ -1003,7 +1003,7 @@ mod tests {
         let mut g = g;
         g.set_num_vertices(10);
         let part = RangePartition::by_vertices(10, 2);
-        let shard = Shard::build(1, &part, g.edges(), ConsolidationPolicy::default(), false);
+        let shard = Shard::build(1, &part, g.edges(), ConsolidationPolicy::default());
         let mut bf = BitFrontier::new(&shard, 64);
         let mut batch = FrontierBatch::new(1);
         batch.push(5, &[0b100]);

@@ -27,22 +27,17 @@ pub struct EngineConfig {
     pub edge_set_policy: ConsolidationPolicy,
     /// Interconnect cost model for traffic accounting.
     pub net_model: NetModel,
-    /// Build the CSC (in-edge) view in every shard. Required for GAS
-    /// programs (PageRank); traversal-only deployments can skip it to
-    /// halve shard memory (§3.1).
-    pub build_in_edges: bool,
 }
 
 impl EngineConfig {
     /// A sensible default for `p` machines: sync mode, default tiling,
-    /// 10 GbE-like accounting, in-edges built.
+    /// 10 GbE-like accounting.
     pub fn new(num_machines: usize) -> Self {
         Self {
             num_machines,
             mode: UpdateMode::Sync,
             edge_set_policy: ConsolidationPolicy::default(),
             net_model: NetModel::TEN_GBE,
-            build_in_edges: true,
         }
     }
 
@@ -57,12 +52,6 @@ impl EngineConfig {
         self.edge_set_policy = policy;
         self
     }
-
-    /// Skips CSC construction.
-    pub fn traversal_only(mut self) -> Self {
-        self.build_in_edges = false;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -71,9 +60,10 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let c = EngineConfig::new(4).asynchronous().traversal_only();
+        let c =
+            EngineConfig::new(4).asynchronous().with_edge_set_policy(ConsolidationPolicy::flat());
         assert_eq!(c.num_machines, 4);
         assert_eq!(c.mode, UpdateMode::Async);
-        assert!(!c.build_in_edges);
+        assert_eq!(c.edge_set_policy.target_edges_per_set, usize::MAX);
     }
 }

@@ -42,7 +42,7 @@ use cgraph_graph::snapshot::{
     SnapshotData, SnapshotTicket, WalRecord, WeightedRows,
 };
 use cgraph_graph::types::VertexRange;
-use cgraph_graph::{DeltaOverlay, Edge, EdgeList, EdgeUpdate};
+use cgraph_graph::{DeltaOverlay, Edge, EdgeUpdate};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -211,15 +211,15 @@ pub fn engine_from_snapshot(snap: &SnapshotData, mut config: EngineConfig) -> Di
     let partition = RangePartition::from_ranges(
         snap.ranges.iter().map(|&(s, e)| VertexRange::new(s, e)).collect(),
     );
-    let mut edges = EdgeList::new();
-    for part in &snap.partitions {
+    assert_eq!(partition.num_vertices(), snap.num_vertices);
+    // Each machine's shard is built from its own persisted rows.
+    let machine_edges = snap.partitions.iter().map(|part| {
+        let mut edges = Vec::with_capacity(part.base_rows.iter().map(|(_, r)| r.len()).sum());
         for (src, row) in part.base_rows.iter() {
-            for &(dst, w) in row {
-                edges.push(Edge::weighted(src, dst, w));
-            }
+            edges.extend(row.iter().map(|&(dst, w)| Edge::weighted(src, dst, w)));
         }
-    }
-    edges.set_num_vertices(snap.num_vertices);
+        edges
+    });
     // DeltaRow state is rebuilt by replaying the persisted rows through
     // the overlay's own `apply` (deletes and inserts of one row are
     // disjoint sets, so the order between them cannot interfere) —
@@ -238,7 +238,7 @@ pub fn engine_from_snapshot(snap: &SnapshotData, mut config: EngineConfig) -> Di
             }
         }
     }
-    DistributedEngine::restored(&edges, partition, overlays, snap.epoch, config)
+    DistributedEngine::restored(machine_edges, partition, overlays, snap.epoch, config)
 }
 
 /// One valid snapshot file found during the recovery scan.
@@ -825,6 +825,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use cgraph_graph::snapshot::WriteFault;
+    use cgraph_graph::EdgeList;
 
     fn test_engine() -> DistributedEngine {
         let edges: EdgeList = [(0u64, 1u64), (1, 2), (2, 3), (3, 0), (1, 3)].into_iter().collect();

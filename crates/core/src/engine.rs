@@ -25,7 +25,7 @@ use crate::gas::Gas;
 use crate::partition::RangePartition;
 use crate::pcm::{PartitionCtx, PartitionProgram};
 use crate::recovery::{PartitionSnapshot, RecoveryConfig, RecoveryReport, RecoveryStore};
-use crate::shard::{build_shards, Shard};
+use crate::shard::{edges_by_owner, Shard};
 use crate::traverse::{QueueTraversal, ValueMode};
 use cgraph_comm::chaos::{ChaosRun, FaultPlan};
 use cgraph_comm::cluster::TrafficReport;
@@ -33,7 +33,7 @@ use cgraph_comm::{
     BarrierPoisoned, Cluster, ClusterError, CommHandle, MachineObs, PersistentCluster, WireSize,
 };
 use cgraph_graph::delta::{DeltaOverlay, EdgeUpdate};
-use cgraph_graph::{Edge, EdgeList, LaneMask, LaneWidth, VertexId, MAX_LANES};
+use cgraph_graph::{Csc, Edge, EdgeList, LaneMask, LaneWidth, VertexId, MAX_LANES};
 use cgraph_obs::{log2_edges, Counter, Histogram, TraceCtx, Tracer, COORD, LOG_LATENCY_EDGES_SECS};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -508,6 +508,14 @@ impl PublishedDelta {
     }
 }
 
+/// The base graph an engine value scans: one shard per machine and
+/// the out-degree of every vertex, kept once (GAS scatter divides by
+/// it; the index ranks boundary vertices by it).
+struct BaseGraph {
+    shards: Vec<Shard>,
+    out_degrees: Vec<u32>,
+}
+
 /// The C-Graph distributed engine.
 ///
 /// An engine value is an immutable *snapshot* of the graph at one
@@ -518,9 +526,9 @@ impl PublishedDelta {
 /// traversing the snapshot they were admitted against.
 pub struct DistributedEngine {
     partition: RangePartition,
-    /// Base shards, `Arc`-shared between epochs so an overlay-publish
-    /// commit never copies the graph.
-    shards: Arc<Vec<Shard>>,
+    /// Base shards and degrees, `Arc`-shared between epochs so an
+    /// overlay-publish commit never copies the graph.
+    base: Arc<BaseGraph>,
     /// Per-machine published adjacency deltas, read alongside the base
     /// edge-sets during scans. Empty overlays cost nothing on the scan
     /// path ([`DistributedEngine::delta`] returns `None`).
@@ -528,6 +536,11 @@ pub struct DistributedEngine {
     /// Snapshot epoch: 0 at ingestion, +1 per committed mutation batch.
     graph_epoch: u64,
     config: EngineConfig,
+    /// The view [`DistributedEngine::in_edges`] derives on first use.
+    in_edges: OnceLock<Vec<Csc>>,
+    /// Derivations of `in_edges` (at most one; unit tests read it).
+    #[cfg(test)]
+    in_edge_derivations: std::sync::atomic::AtomicU32,
     /// Registered engine-layer metric handles, keyed by the identity of
     /// the [`Obs`](cgraph_obs::Obs) they were registered against (a
     /// service installs exactly one, so this is a one-entry cache that
@@ -555,36 +568,38 @@ impl DistributedEngine {
         partition: RangePartition,
         config: EngineConfig,
     ) -> Self {
-        assert_eq!(
-            partition.num_partitions(),
-            config.num_machines,
-            "partition count must match machine count"
-        );
         assert_eq!(partition.num_vertices(), edges.num_vertices());
-        let shards =
-            build_shards(&partition, edges.edges(), config.edge_set_policy, config.build_in_edges);
+        let rows = edges_by_owner(&partition, edges.edges());
         let deltas = (0..config.num_machines).map(|_| Arc::default()).collect();
-        Self {
-            partition,
-            shards: Arc::new(shards),
-            deltas,
-            graph_epoch: 0,
-            config,
-            obs_handles: Mutex::new(None),
-        }
+        Self::from_rows(partition, rows, deltas, 0, config)
     }
 
-    /// Rebuilds an engine value from durable state: the base edges and
-    /// partition boundaries of a decoded snapshot, the per-machine
-    /// delta overlays live at snapshot time, and the epoch the
-    /// snapshot captured. This is the recovery-path twin of
-    /// [`DistributedEngine::with_partition`] — same shard build, but
-    /// the epoch counter and overlays resume where the crashed process
-    /// left them instead of starting from zero.
+    /// Rebuilds an engine value from durable state: each machine's base
+    /// out-edges (`machine_edges[m]` for machine `m`), the partition
+    /// boundaries and per-machine delta overlays live at snapshot time,
+    /// and the epoch the snapshot captured. This is the recovery-path
+    /// twin of [`DistributedEngine::with_partition`] — same shard
+    /// build, but the epoch counter and overlays resume where the
+    /// crashed process left them instead of starting from zero.
     pub fn restored(
-        edges: &EdgeList,
+        machine_edges: impl IntoIterator<Item = Vec<Edge>>,
         partition: RangePartition,
         deltas: Vec<DeltaOverlay>,
+        graph_epoch: u64,
+        config: EngineConfig,
+    ) -> Self {
+        assert_eq!(deltas.len(), config.num_machines, "one overlay per machine");
+        let deltas = deltas.into_iter().map(PublishedDelta::new).collect();
+        Self::from_rows(partition, machine_edges, deltas, graph_epoch, config)
+    }
+
+    /// Builds machine `m`'s shard from the `m`-th item of `rows` — its
+    /// own out-edges, dropped as soon as its shard is built — counting
+    /// every vertex's out-degree on the way, then the value.
+    fn from_rows(
+        partition: RangePartition,
+        rows: impl IntoIterator<Item = Vec<Edge>>,
+        deltas: Vec<Arc<PublishedDelta>>,
         graph_epoch: u64,
         config: EngineConfig,
     ) -> Self {
@@ -593,16 +608,36 @@ impl DistributedEngine {
             config.num_machines,
             "partition count must match machine count"
         );
-        assert_eq!(partition.num_vertices(), edges.num_vertices());
-        assert_eq!(deltas.len(), config.num_machines, "one overlay per machine");
-        let shards =
-            build_shards(&partition, edges.edges(), config.edge_set_policy, config.build_in_edges);
+        let mut out_degrees = vec![0u32; partition.num_vertices() as usize];
+        let mut shards = Vec::with_capacity(config.num_machines);
+        for (m, own) in rows.into_iter().enumerate() {
+            for e in &own {
+                out_degrees[e.src as usize] += 1;
+            }
+            shards.push(Shard::build(m, &partition, &own, config.edge_set_policy));
+        }
+        let base = Arc::new(BaseGraph { shards, out_degrees });
+        Self::assemble(partition, base, deltas, graph_epoch, config)
+    }
+
+    /// The one place an engine value is put together, so no
+    /// constructor can forget a lazily derived field.
+    fn assemble(
+        partition: RangePartition,
+        base: Arc<BaseGraph>,
+        deltas: Vec<Arc<PublishedDelta>>,
+        graph_epoch: u64,
+        config: EngineConfig,
+    ) -> Self {
         Self {
             partition,
-            shards: Arc::new(shards),
-            deltas: deltas.into_iter().map(PublishedDelta::new).collect(),
+            base,
+            deltas,
             graph_epoch,
             config,
+            in_edges: OnceLock::new(),
+            #[cfg(test)]
+            in_edge_derivations: Default::default(),
             obs_handles: Mutex::new(None),
         }
     }
@@ -637,7 +672,45 @@ impl DistributedEngine {
     /// shards directly, like the QL executor and the k-core analytics,
     /// see base edges only and should run against a delta-free engine).
     pub fn shards(&self) -> &[Shard] {
-        &self.shards[..]
+        &self.base.shards
+    }
+
+    /// Base out-degree of any vertex (duplicate edges counted), the
+    /// one degree array every machine of this engine reads.
+    #[inline]
+    pub fn out_degree(&self, v: VertexId) -> u32 {
+        self.base.out_degrees[v as usize]
+    }
+
+    /// Per machine `m`, a CSC of the edges into `m`'s vertices
+    /// (`in_edges()[m].in_neighbors(v)` is meaningful for `v` local to
+    /// `m` only). Derived from every shard's base rows on first
+    /// use — sources ascending, duplicates in input order — and kept
+    /// for this value's life. GAS and partition-centric programs read
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an engine with a live delta overlay: the view holds
+    /// base edges only, so a reader would silently compute over a
+    /// graph older than `graph_epoch()`.
+    pub fn in_edges(&self) -> &[Csc] {
+        assert!(
+            !self.has_delta(),
+            "GAS and partition-centric programs read base edges only; fold the delta overlay first (commit past the fold threshold)"
+        );
+        self.in_edges.get_or_init(|| {
+            #[cfg(test)]
+            self.in_edge_derivations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let mut local_dst = vec![Vec::new(); self.num_machines()];
+            for m in 0..self.num_machines() {
+                for e in self.merged_rows(m, &DeltaOverlay::new()) {
+                    local_dst[self.partition.owner(e.dst)].push(e);
+                }
+            }
+            let n = self.num_vertices();
+            local_dst.iter().map(|edges| Csc::from_edges(n, edges)).collect()
+        })
     }
 
     /// The snapshot epoch this engine value publishes.
@@ -664,7 +737,7 @@ impl DistributedEngine {
         }
         Some(d.scan.get_or_init(|| {
             let start = Instant::now();
-            let form = OverlayScan::new(&d.overlay, &self.shards[m]);
+            let form = OverlayScan::new(&d.overlay, &self.shards()[m]);
             if let Some(h) = obs {
                 h.scan_form_seconds.observe(start.elapsed().as_secs_f64());
             }
@@ -704,9 +777,9 @@ impl DistributedEngine {
     /// `fold_threshold` total entries, the base shards are shared
     /// untouched (an `Arc` clone) and only the overlays change — the
     /// cheap publish path. Above the threshold the commit *folds*:
-    /// every partition's CSR/CSC edge-sets are rebuilt from the
-    /// effective adjacency ([`DeltaOverlay::merge_row`]) and the new
-    /// engine starts delta-free. Returns the new engine and whether a
+    /// every partition's shard is rebuilt from its own effective rows
+    /// ([`DeltaOverlay::merge_row`]) and the new engine starts
+    /// delta-free. Returns the new engine and whether a
     /// fold happened. Either way the logical graph is identical —
     /// `(base ∖ deletes) ∪ inserts` — so query answers never depend on
     /// which side of the threshold a commit landed.
@@ -722,17 +795,7 @@ impl DistributedEngine {
     ) -> (DistributedEngine, bool) {
         if updates.is_empty() && self.delta_entries() <= fold_threshold {
             // Empty commit (epoch fence): share base and overlays alike.
-            return (
-                DistributedEngine {
-                    partition: self.partition.clone(),
-                    shards: Arc::clone(&self.shards),
-                    deltas: self.deltas.clone(),
-                    graph_epoch: self.graph_epoch + 1,
-                    config: self.config,
-                    obs_handles: Mutex::new(None),
-                },
-                false,
-            );
+            return (self.sharing_base(self.deltas.clone()), false);
         }
         let n = self.num_vertices();
         let mut deltas: Vec<DeltaOverlay> = self.deltas.iter().map(|d| d.overlay.clone()).collect();
@@ -742,49 +805,39 @@ impl DistributedEngine {
         }
         let total: usize = deltas.iter().map(DeltaOverlay::len).sum();
         if total > fold_threshold {
-            (self.folded_with(&deltas, self.graph_epoch + 1), true)
+            let rows = (0..self.num_machines()).map(|m| self.merged_rows(m, &deltas[m]));
+            let fresh = (0..self.num_machines()).map(|_| Arc::default()).collect();
+            let folded = Self::from_rows(
+                self.partition.clone(),
+                rows,
+                fresh,
+                self.graph_epoch + 1,
+                self.config,
+            );
+            (folded, true)
         } else {
-            (
-                DistributedEngine {
-                    partition: self.partition.clone(),
-                    shards: Arc::clone(&self.shards),
-                    deltas: deltas.into_iter().map(PublishedDelta::new).collect(),
-                    graph_epoch: self.graph_epoch + 1,
-                    config: self.config,
-                    obs_handles: Mutex::new(None),
-                },
-                false,
-            )
+            (self.sharing_base(deltas.into_iter().map(PublishedDelta::new).collect()), false)
         }
     }
 
-    /// Rebuilds fresh per-partition edge-sets from the effective
-    /// adjacency (base merged with `deltas`), producing a delta-free
-    /// engine at `epoch` on the same partitioning.
-    fn folded_with(&self, deltas: &[DeltaOverlay], epoch: u64) -> DistributedEngine {
-        let mut edges = EdgeList::new();
-        for (m, shard) in self.shards.iter().enumerate() {
-            for v in shard.local_range().iter() {
-                for (t, w) in deltas[m].merge_row(v, &shard.out_neighbors_weighted(v)) {
-                    edges.push(Edge::weighted(v, t, w));
-                }
-            }
+    /// The next epoch's value over this value's base and `deltas`.
+    fn sharing_base(&self, deltas: Vec<Arc<PublishedDelta>>) -> DistributedEngine {
+        let base = Arc::clone(&self.base);
+        Self::assemble(self.partition.clone(), base, deltas, self.graph_epoch + 1, self.config)
+    }
+
+    /// Machine `m`'s effective out-edges — its base rows merged with
+    /// `delta` ([`DeltaOverlay::merge_row`]), rows in vertex order.
+    fn merged_rows(&self, m: usize, delta: &DeltaOverlay) -> Vec<Edge> {
+        let shard = &self.shards()[m];
+        let mut edges = Vec::with_capacity(shard.num_out_edges());
+        let mut row = Vec::new();
+        for v in shard.local_range().iter() {
+            shard.out_neighbors_weighted_into(v, &mut row);
+            edges
+                .extend(delta.merge_row(v, &row).into_iter().map(|(t, w)| Edge::weighted(v, t, w)));
         }
-        edges.set_num_vertices(self.num_vertices());
-        let shards = build_shards(
-            &self.partition,
-            edges.edges(),
-            self.config.edge_set_policy,
-            self.config.build_in_edges,
-        );
-        DistributedEngine {
-            partition: self.partition.clone(),
-            shards: Arc::new(shards),
-            deltas: (0..self.config.num_machines).map(|_| Arc::default()).collect(),
-            graph_epoch: epoch,
-            config: self.config,
-            obs_handles: Mutex::new(None),
-        }
+        edges
     }
 
     /// Engine configuration.
@@ -802,9 +855,12 @@ impl DistributedEngine {
         self.partition.num_vertices()
     }
 
-    /// Total shard memory (bytes) — the "cached subgraph shard" cost.
+    /// Total shard memory (bytes) — the "cached subgraph shard" cost:
+    /// every shard plus the one degree array. An in-edge view derived
+    /// for a GAS or partition-centric run is not counted.
     pub fn shard_bytes(&self) -> usize {
-        self.shards.iter().map(Shard::size_bytes).sum()
+        self.shards().iter().map(Shard::size_bytes).sum::<usize>()
+            + self.base.out_degrees.len() * std::mem::size_of::<u32>()
     }
 
     fn cluster(&self) -> Cluster {
@@ -924,7 +980,7 @@ impl DistributedEngine {
             w.mo.tracer().instant("resume", w.mo.ctx_at(snap.boundary), 0);
         }
         let (mut run, mut hop) =
-            PartitionRun::start(&self.shards[id], self.graph_epoch, sources, resume);
+            PartitionRun::start(&self.shards()[id], self.graph_epoch, sources, resume);
         let overlay = self.overlay_scan(id, wobs.as_ref().map(|w| &*w.h));
         // A peer died: park this partition's state at `boundary` for
         // the recovery pass, or die with it when nothing will resume.
@@ -1024,7 +1080,7 @@ impl DistributedEngine {
         let ranges = self.partition.ranges();
         let mut outbox = vec![FrontierBatch::new(bf.width().words()); ranges.len()];
         let mut owner = 0;
-        let scans = bf.scan(&self.shards[id], overlay, |t, row| {
+        let scans = bf.scan(&self.shards()[id], overlay, |t, row| {
             while ranges[owner].end <= t {
                 owner += 1;
             }
@@ -1296,7 +1352,8 @@ impl DistributedEngine {
         sources: &[VertexId],
         ks: &[u32],
     ) -> (PartitionSnapshot, u64) {
-        let (mut run, from) = PartitionRun::start(&self.shards[f], self.graph_epoch, sources, base);
+        let (mut run, from) =
+            PartitionRun::start(&self.shards()[f], self.graph_epoch, sources, base);
         let budget = BudgetMasks::new(ks);
         let overlay = self.overlay_scan(f, None);
         for hop in from..target {
@@ -1323,15 +1380,12 @@ impl DistributedEngine {
     /// never the epoch.
     pub fn repartitioned(&self, num_machines: usize) -> DistributedEngine {
         assert!(num_machines >= 1, "cannot degrade below one machine");
-        let mut edges = EdgeList::new();
-        for (m, shard) in self.shards.iter().enumerate() {
-            for v in shard.local_range().iter() {
-                for (t, w) in self.deltas[m].overlay.merge_row(v, &shard.out_neighbors_weighted(v))
-                {
-                    edges.push(Edge::weighted(v, t, w));
-                }
-            }
-        }
+        let mut edges: EdgeList = self
+            .deltas
+            .iter()
+            .enumerate()
+            .flat_map(|(m, d)| self.merged_rows(m, &d.overlay))
+            .collect();
         edges.set_num_vertices(self.num_vertices());
         let mut e = DistributedEngine::new(&edges, EngineConfig { num_machines, ..self.config });
         e.graph_epoch = self.graph_epoch;
@@ -1371,7 +1425,7 @@ impl DistributedEngine {
         }
         let start = Instant::now();
         let (outs, traffic) = self.cluster().run::<EngineMsg, MachineOut, _>(|h| {
-            let shard = &self.shards[h.id()];
+            let shard = &self.shards()[h.id()];
             let delta = self.delta(h.id());
             let mut qt = QueueTraversal::new(shard, k, value_mode);
             let mut seeded = 0u64;
@@ -1449,7 +1503,7 @@ impl DistributedEngine {
         }
         let start = Instant::now();
         let (outs, traffic) = self.cluster().run::<EngineMsg, MachineOut, _>(|h| {
-            let shard = &self.shards[h.id()];
+            let shard = &self.shards()[h.id()];
             let delta = self.delta(h.id());
             let base = shard.local_range().start;
             let n_local = shard.num_local();
@@ -1584,7 +1638,7 @@ impl DistributedEngine {
         }
         let start = Instant::now();
         let (outs, traffic) = self.cluster().run::<EngineMsg, MachineOut, _>(|h| {
-            let shard = &self.shards[h.id()];
+            let shard = &self.shards()[h.id()];
             let delta = self.delta(h.id());
             let base = shard.local_range().start;
             let mut depth = vec![u32::MAX; shard.num_local()];
@@ -1695,23 +1749,20 @@ impl DistributedEngine {
     // ------------------------------------------------------------------
 
     /// Runs `iterations` of a GAS program (e.g. [`crate::gas::PageRank`])
-    /// over the partitioned graph. Requires shards built with in-edges.
+    /// over the partitioned graph, gathering over
+    /// [`DistributedEngine::in_edges`] (derived before the clock starts).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an engine with a live delta overlay
+    /// ([`DistributedEngine::in_edges`]).
     pub fn run_gas<G: Gas>(&self, gas: &G, iterations: u32) -> GasResult {
-        assert!(
-            self.shards.iter().all(Shard::has_in_edges),
-            "run_gas requires EngineConfig::build_in_edges"
-        );
-        // The CSC (in-edge) view is only refreshed when a commit folds,
-        // so GAS over a live overlay would silently read stale in-edges.
-        assert!(
-            !self.has_delta(),
-            "run_gas reads base CSR/CSC only; fold the delta overlay first (commit past the fold threshold)"
-        );
+        let in_edges = self.in_edges();
         let n = self.partition.num_vertices();
         let start = Instant::now();
         let (outs, traffic) = self.cluster().run::<EngineMsg, (Vec<f64>, Duration), _>(|h| {
             let cpu0 = cgraph_comm::thread_cpu_time();
-            let shard = &self.shards[h.id()];
+            let shard = &self.shards()[h.id()];
             let local = shard.local_range();
             let base = local.start;
             // Local vertex values + a global scatter view refreshed per
@@ -1727,7 +1778,7 @@ impl DistributedEngine {
                         .enumerate()
                         .map(|(l, &val)| {
                             let v = base + l as u64;
-                            let s = gas.scatter(v, val, shard.global_out_degree(v));
+                            let s = gas.scatter(v, val, self.out_degree(v));
                             (v, s.to_bits())
                         })
                         .collect();
@@ -1761,7 +1812,7 @@ impl DistributedEngine {
                 // which keeps per-thread CPU accounting exact (a shared
                 // rayon pool would let machines steal each other's work
                 // and corrupt the busy-time metric).
-                let in_edges = shard.in_edges();
+                let in_edges = &in_edges[h.id()];
                 let new_values: Vec<f64> = (0..values.len())
                     .map(|l| {
                         let v = base + l as u64;
@@ -1799,16 +1850,22 @@ impl DistributedEngine {
 
     /// Runs a partition-centric program to global termination and
     /// returns each partition's output.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an engine with a live delta overlay
+    /// ([`DistributedEngine::in_edges`]).
     pub fn run_program<P, F>(&self, factory: F) -> Vec<P::Out>
     where
         P: PartitionProgram,
         F: Fn(usize) -> P + Sync,
         P::Out: Send,
     {
+        let in_edges = self.in_edges();
         let (outs, _traffic) = self.cluster().run::<EngineMsg, P::Out, _>(|h| {
-            let shard = &self.shards[h.id()];
+            let shard = &self.shards()[h.id()];
             let mut program = factory(h.id());
-            let mut ctx = PartitionCtx::new(shard, &self.partition);
+            let mut ctx = PartitionCtx::new(shard, &in_edges[h.id()], &self.partition);
             program.init(&mut ctx);
             loop {
                 // Flush staged sends, grouped by owner.
@@ -2336,6 +2393,144 @@ mod tests {
         scan_many(&e3);
         assert_eq!(derivations(&e3), once(&e3));
         cluster.shutdown();
+    }
+
+    /// Raw R-MAT (duplicate `(src, dst)` pairs kept) with a distinct
+    /// weight per edge, so the order of duplicates is observable.
+    fn weighted_rmat() -> EdgeList {
+        let mut g = cgraph_gen::graph500(9, 16, 5);
+        for (i, e) in g.edges_mut().iter_mut().enumerate() {
+            e.weight = 0.5 + i as f32;
+        }
+        g
+    }
+
+    /// The in-edge view equals a CSC built from the input's edges into
+    /// each machine's range, weights and duplicate order included.
+    fn assert_in_edges_match_input(e: &DistributedEngine, g: &EdgeList) {
+        let n = g.num_vertices();
+        for (m, csc) in e.in_edges().iter().enumerate() {
+            let range = e.partition().range(m);
+            let into: Vec<Edge> =
+                g.edges().iter().copied().filter(|x| range.contains(x.dst)).collect();
+            let reference = Csc::from_edges(n, &into);
+            for v in range.iter() {
+                assert_eq!(csc.in_neighbors(v), reference.in_neighbors(v), "m={m} v={v}");
+                assert!(
+                    csc.in_neighbors_weighted(v).eq(reference.in_neighbors_weighted(v)),
+                    "m={m} v={v}: weights or duplicate order differ"
+                );
+            }
+        }
+    }
+
+    /// Derivations of `e`'s in-edge view so far (0 or 1).
+    fn in_edge_derivations(e: &DistributedEngine) -> u32 {
+        e.in_edge_derivations.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn in_edges_are_derived_from_the_shards_as_the_input_orders_them() {
+        let g = weighted_rmat();
+        // The fixture must hold a duplicated pair into a long in-list
+        // (where a sort's choice of order for equal keys shows).
+        let mut pairs: Vec<(u64, u64)> = g.edges().iter().map(|x| (x.dst, x.src)).collect();
+        pairs.sort_unstable();
+        let in_degree = |d: u64| pairs.iter().filter(|p| p.0 == d).count();
+        assert!(pairs.windows(2).any(|w| w[0] == w[1] && in_degree(w[0].0) > 32));
+        for p in [1usize, 2, 4] {
+            for policy in [ConsolidationPolicy::default(), ConsolidationPolicy::grid(256)] {
+                let e =
+                    DistributedEngine::new(&g, EngineConfig::new(p).with_edge_set_policy(policy));
+                assert_in_edges_match_input(&e, &g);
+                // A fold that leaves the logical graph as it was.
+                let non_edge = (0..g.num_vertices())
+                    .find(|&t| !g.edges().iter().any(|x| x.src == 0 && x.dst == t))
+                    .unwrap();
+                let churn = [EdgeUpdate::insert(0, non_edge), EdgeUpdate::delete(0, non_edge)];
+                let (folded, did_fold) = e.with_updates(&churn, 0);
+                assert!(did_fold);
+                assert_in_edges_match_input(&folded, &g);
+            }
+        }
+    }
+
+    #[test]
+    fn no_constructor_derives_the_in_edges() {
+        let g = weighted_rmat();
+        let e = engine(&g, 3);
+        let (overlaid, _) = e.with_updates(&[EdgeUpdate::insert(1, 2)], usize::MAX);
+        let (fenced, _) = overlaid.with_updates(&[], usize::MAX);
+        let (folded, did_fold) = overlaid.with_updates(&[EdgeUpdate::delete(1, 2)], 0);
+        assert!(did_fold);
+        let degraded = overlaid.repartitioned(2);
+        let restored = crate::durability::engine_from_snapshot(
+            &crate::durability::snapshot_of(&overlaid, 0),
+            EngineConfig::new(3),
+        );
+        for (name, x) in [
+            ("ingest", &e),
+            ("overlay", &overlaid),
+            ("empty commit", &fenced),
+            ("fold", &folded),
+            ("repartitioned", &degraded),
+            ("restored", &restored),
+        ] {
+            assert_eq!(in_edge_derivations(x), 0, "{name}");
+        }
+        // Traversals never ask for them either.
+        e.run_traversal_batch(&[0, 7, 19], &[3, 3, u32::MAX]).unwrap();
+        e.run_single_queue(&[5], 4, ValueMode::TwoLevel);
+        assert_eq!(in_edge_derivations(&e), 0);
+    }
+
+    #[test]
+    fn gas_and_programs_derive_the_in_edges_once_per_value() {
+        let e = engine(&ring(30), 3);
+        let first = e.run_gas(&PageRank::default(), 4);
+        let second = e.run_gas(&PageRank::default(), 4);
+        assert_eq!(in_edge_derivations(&e), 1);
+        assert_eq!(first.values, second.values);
+        // A partition-centric program reads the same derived view.
+        struct InDegreeSum(u64);
+        impl PartitionProgram for InDegreeSum {
+            type Out = u64;
+            fn init(&mut self, ctx: &mut PartitionCtx<'_>) {
+                let vs: Vec<VertexId> = ctx.local_vertices().collect();
+                self.0 = vs.iter().map(|&v| ctx.in_neighbors(v).len() as u64).sum();
+                ctx.vote_to_halt();
+            }
+            fn compute(&mut self, ctx: &mut PartitionCtx<'_>, _: &[(VertexId, u64)]) {
+                ctx.vote_to_halt();
+            }
+            fn finish(self, _: &PartitionCtx<'_>) -> u64 {
+                self.0
+            }
+        }
+        let sums = e.run_program(|_| InDegreeSum(0));
+        assert_eq!(sums.iter().sum::<u64>(), 30);
+        assert_eq!(in_edge_derivations(&e), 1);
+        // The next epoch's value starts underived.
+        let (next, _) = e.with_updates(&[], usize::MAX);
+        assert_eq!(in_edge_derivations(&next), 0);
+    }
+
+    #[test]
+    fn one_degree_array_per_engine() {
+        let mut g = ring(8);
+        g.push_pair(0, 3);
+        g.push_pair(0, 5);
+        g.push_pair(0, 5); // a duplicate counts
+        let e = engine(&g, 2);
+        assert_eq!((e.out_degree(0), e.out_degree(1), e.out_degree(7)), (4, 1, 1));
+        let shards: usize = e.shards().iter().map(Shard::size_bytes).sum();
+        assert_eq!(e.shard_bytes(), shards + 8 * 4, "the degree array is counted once");
+        // Epochs sharing the base share the array; a fold recounts it.
+        let (overlaid, _) = e.with_updates(&[EdgeUpdate::insert(1, 4)], usize::MAX);
+        assert!(Arc::ptr_eq(&e.base, &overlaid.base));
+        assert_eq!(overlaid.out_degree(1), 1, "base degrees while the insert is an overlay");
+        let (folded, _) = overlaid.with_updates(&[], 0);
+        assert_eq!(folded.out_degree(1), 2);
     }
 
     #[test]

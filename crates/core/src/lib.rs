@@ -7,7 +7,8 @@
 //! * [`partition`] — range-based graph partitioning balanced by edge
 //!   count (§3.1),
 //! * [`shard`] — the per-machine subgraph shard: edge-set blocked
-//!   out-edges, CSC in-edges, boundary-vertex accounting (§3.1–3.2),
+//!   out-edges and boundary-vertex accounting (§3.1–3.2; CSC in-edges
+//!   are derived by the engine for GAS and partition programs),
 //! * [`pcm`] — the partition-centric programming abstraction of
 //!   Listing 1 (`compute`/`sendTo`/`voteToHalt`/…, §3.4),
 //! * [`traverse`] — the queue-based `Traverse` engine of Listing 2 with

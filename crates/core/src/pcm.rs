@@ -25,11 +25,13 @@
 
 use crate::partition::RangePartition;
 use crate::shard::Shard;
-use cgraph_graph::VertexId;
+use cgraph_graph::{Csc, VertexId};
 
 /// Per-superstep context handed to [`PartitionProgram::compute`].
 pub struct PartitionCtx<'a> {
     shard: &'a Shard,
+    /// In-edges of the local vertices.
+    in_edges: &'a Csc,
     partition: &'a RangePartition,
     superstep: u64,
     halted: bool,
@@ -40,8 +42,8 @@ pub struct PartitionCtx<'a> {
 
 impl<'a> PartitionCtx<'a> {
     /// Creates a context (engine-internal).
-    pub(crate) fn new(shard: &'a Shard, partition: &'a RangePartition) -> Self {
-        Self { shard, partition, superstep: 0, halted: false, outbox: Vec::new() }
+    pub(crate) fn new(shard: &'a Shard, in_edges: &'a Csc, partition: &'a RangePartition) -> Self {
+        Self { shard, in_edges, partition, superstep: 0, halted: false, outbox: Vec::new() }
     }
 
     /// This partition's ID.
@@ -114,10 +116,9 @@ impl<'a> PartitionCtx<'a> {
         self.shard.out_neighbors_weighted(v)
     }
 
-    /// In-neighbours of a local vertex (requires shards built with
-    /// in-edges).
+    /// In-neighbours of a local vertex, sources ascending.
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.shard.in_edges().in_neighbors(v)
+        self.in_edges.in_neighbors(v)
     }
 
     /// The underlying shard (for edge-set level access).
@@ -185,15 +186,15 @@ mod tests {
     fn ctx_fixture() -> (RangePartition, Vec<Shard>) {
         let g: EdgeList = (0..10u64).map(|v| (v, (v + 1) % 10)).collect();
         let part = RangePartition::by_vertices(10, 2);
-        let shards =
-            crate::shard::build_shards(&part, g.edges(), ConsolidationPolicy::default(), false);
+        let shards = crate::shard::build_shards(&part, g.edges(), ConsolidationPolicy::default());
         (part, shards)
     }
 
     #[test]
     fn listing1_predicates() {
         let (part, shards) = ctx_fixture();
-        let ctx = PartitionCtx::new(&shards[0], &part);
+        let in_edges = Csc::default();
+        let ctx = PartitionCtx::new(&shards[0], &in_edges, &part);
         assert!(ctx.if_has_vertex(9));
         assert!(!ctx.if_has_vertex(10));
         assert!(ctx.is_local_vertex(0));
@@ -209,7 +210,8 @@ mod tests {
     #[test]
     fn outbox_and_halt_lifecycle() {
         let (part, shards) = ctx_fixture();
-        let mut ctx = PartitionCtx::new(&shards[0], &part);
+        let in_edges = Csc::default();
+        let mut ctx = PartitionCtx::new(&shards[0], &in_edges, &part);
         ctx.send_to(7, 99);
         ctx.vote_to_halt();
         assert!(ctx.halted());

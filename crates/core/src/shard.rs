@@ -2,31 +2,32 @@
 //!
 //! "Each subgraph shard contains a range of vertices called local
 //! vertices … Each subgraph shard stores all the associated in/out
-//! edges as well as the property of the subgraph." Out-edges are kept
-//! in the edge-set blocked layout (for traversal scans); in-edges in
-//! CSC over local destinations (for GAS gathers, so "all edges of a
-//! vertex are local" in the gather phase). Boundary vertices — remote
-//! vertices reachable by a local out-edge — are precomputed, and every
-//! out-edge carries a *slot*: the position of its target in the dense
+//! edges as well as the property of the subgraph." A shard here holds
+//! what a traversal scans: its local vertices' out-edges in the
+//! edge-set blocked layout. Boundary vertices — remote vertices
+//! reachable by a local out-edge — are precomputed, and every out-edge
+//! carries a *slot*: the position of its target in the dense
 //! `local ++ boundary` numbering the bit-frontier scan accumulates
 //! into, so the scan addresses remote destinations by position rather
 //! than by lookup.
+//!
+//! In-edges (CSC over local destinations, for GAS gathers) are read
+//! only by GAS and partition-centric programs, so the engine derives
+//! them from all shards' out-edges when such a program first runs;
+//! the out-degree array is kept once per engine, not per shard.
 
 use crate::partition::RangePartition;
 use cgraph_graph::types::{PartitionId, VertexRange};
-use cgraph_graph::{ConsolidationPolicy, Csc, Edge, EdgeSetGraph, VertexId};
+use cgraph_graph::{ConsolidationPolicy, Edge, EdgeSetGraph, VertexId};
 
-/// One machine's shard: local vertex range plus all associated edges.
+/// One machine's shard: local vertex range plus its out-edges.
 #[derive(Debug)]
 pub struct Shard {
     id: PartitionId,
     local: VertexRange,
-    num_global_vertices: u64,
     /// Out-edges of local vertices, edge-set blocked (rows = local
     /// range, cols = all vertices).
     out_sets: EdgeSetGraph,
-    /// In-edges of local vertices (built only when GAS programs run).
-    in_edges: Option<Csc>,
     /// Sorted global IDs of boundary vertices: remote endpoints of
     /// local out-edges. Partitions are vertex ranges, so each owner's
     /// boundary vertices are one contiguous run, in partition order.
@@ -35,41 +36,22 @@ pub struct Shard {
     /// with the tile's target array: `t - local.start` for a local
     /// target `t`, `num_local + rank of t in boundary` for a remote one.
     slots: Vec<Vec<u32>>,
-    /// Global out-degree of every vertex (shared knowledge each machine
-    /// keeps for GAS scatter normalisation).
-    global_out_degrees: Vec<u32>,
 }
 
 impl Shard {
-    /// Builds the shard for partition `id` from the full edge list.
-    ///
-    /// `edges` is the *global* edge list; the shard keeps out-edges
-    /// whose source is local and (optionally) in-edges whose
-    /// destination is local.
+    /// Builds the shard for partition `id` from its own out-edges:
+    /// `edges` holds exactly the edges whose source is local to `id`,
+    /// in the order the tiles should see them (duplicates of one
+    /// `(src, dst)` pair keep that order).
     pub fn build(
         id: PartitionId,
         partition: &RangePartition,
         edges: &[Edge],
         policy: ConsolidationPolicy,
-        build_in_edges: bool,
     ) -> Self {
         let local = partition.range(id);
         let n = partition.num_vertices();
-
-        let mut out_edges: Vec<Edge> = Vec::new();
-        let mut in_local: Vec<Edge> = Vec::new();
-        let mut global_out_degrees = vec![0u32; n as usize];
-        for e in edges {
-            global_out_degrees[e.src as usize] += 1;
-            if local.contains(e.src) {
-                out_edges.push(*e);
-            }
-            if build_in_edges && local.contains(e.dst) {
-                in_local.push(*e);
-            }
-        }
-
-        let out_sets = EdgeSetGraph::build(&out_edges, local, VertexRange::new(0, n), policy);
+        let out_sets = EdgeSetGraph::build(edges, local, VertexRange::new(0, n), policy);
 
         // Slot numbering in O(n + edges): mark the remote targets, then
         // one ascending pass ranks them (which also yields `boundary`
@@ -78,7 +60,7 @@ impl Shard {
         const UNUSED: u32 = u32::MAX;
         const MARKED: u32 = 0;
         let mut slot_of = vec![UNUSED; n as usize];
-        for e in &out_edges {
+        for e in edges {
             slot_of[e.dst as usize] = MARKED;
         }
         let num_local = local.len() as u32;
@@ -98,20 +80,7 @@ impl Shard {
             .map(|set| set.raw_parts().1.iter().map(|&t| slot_of[t as usize]).collect())
             .collect();
 
-        // CSC over the full vertex space, but only local-dst edges are
-        // inserted — in_neighbors(v) is meaningful for local v only.
-        let in_edges = build_in_edges.then(|| Csc::from_edges(n, &in_local));
-
-        Self {
-            id,
-            local,
-            num_global_vertices: n,
-            out_sets,
-            in_edges,
-            boundary,
-            slots,
-            global_out_degrees,
-        }
+        Self { id, local, out_sets, boundary, slots }
     }
 
     /// Partition ID of this shard.
@@ -130,12 +99,6 @@ impl Shard {
     #[inline]
     pub fn num_local(&self) -> usize {
         self.local.len() as usize
-    }
-
-    /// Number of vertices in the whole graph.
-    #[inline]
-    pub fn num_global_vertices(&self) -> u64 {
-        self.num_global_vertices
     }
 
     /// True when `v` is a local vertex of this shard.
@@ -166,17 +129,6 @@ impl Shard {
     #[inline]
     pub fn out_sets(&self) -> &EdgeSetGraph {
         &self.out_sets
-    }
-
-    /// In-edges of local vertices (panics if built traversal-only).
-    #[inline]
-    pub fn in_edges(&self) -> &Csc {
-        self.in_edges.as_ref().expect("shard built without in-edges (traversal_only)")
-    }
-
-    /// True when the CSC view exists.
-    pub fn has_in_edges(&self) -> bool {
-        self.in_edges.is_some()
     }
 
     /// Sorted boundary vertices.
@@ -211,12 +163,6 @@ impl Shard {
         } else {
             self.boundary.binary_search(&v).ok().map(|i| (self.num_local() + i) as u32)
         }
-    }
-
-    /// Global out-degree of any vertex (local or remote).
-    #[inline]
-    pub fn global_out_degree(&self, v: VertexId) -> u32 {
-        self.global_out_degrees[v as usize]
     }
 
     /// Number of out-edges stored in this shard.
@@ -254,26 +200,36 @@ impl Shard {
     /// Approximate heap footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         self.out_sets.size_bytes()
-            + self.in_edges.as_ref().map_or(0, |c| c.size_bytes())
             + self.boundary.len() * 8
             + self.slots.iter().map(|s| s.len() * 4).sum::<usize>()
-            + self.global_out_degrees.len() * 4
     }
 }
 
-/// Builds all `p` shards for a graph (helper used by the engine and by
-/// tests; shards are independent, so this parallelises trivially — but
-/// build cost is dominated by the per-shard edge scans, which rayon
-/// already parallelises inside `EdgeSetGraph::build`'s sort).
+/// Splits `edges` by the owner of their source: entry `m` holds
+/// partition `m`'s out-edges in input order. One pass to size the
+/// buckets, one to fill them.
+pub fn edges_by_owner(partition: &RangePartition, edges: &[Edge]) -> Vec<Vec<Edge>> {
+    let mut counts = vec![0usize; partition.num_partitions()];
+    for e in edges {
+        counts[partition.owner(e.src)] += 1;
+    }
+    let mut buckets: Vec<Vec<Edge>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for e in edges {
+        buckets[partition.owner(e.src)].push(*e);
+    }
+    buckets
+}
+
+/// Builds all `p` shards for a graph from its global edge list — the
+/// one-call entry for tests; the engine builds each shard from its own
+/// rows ([`edges_by_owner`] at ingest).
 pub fn build_shards(
     partition: &RangePartition,
     edges: &[Edge],
     policy: ConsolidationPolicy,
-    build_in_edges: bool,
 ) -> Vec<Shard> {
-    (0..partition.num_partitions())
-        .map(|i| Shard::build(i, partition, edges, policy, build_in_edges))
-        .collect()
+    let own = edges_by_owner(partition, edges);
+    own.iter().enumerate().map(|(m, edges)| Shard::build(m, partition, edges, policy)).collect()
 }
 
 #[cfg(test)]
@@ -289,7 +245,7 @@ mod tests {
     fn shards_partition_edges_exactly() {
         let g = ring(20);
         let part = RangePartition::from_edges(20, g.edges(), 3);
-        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::default(), true);
+        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::default());
         let total: usize = shards.iter().map(|s| s.num_out_edges()).sum();
         assert_eq!(total, 20);
         for s in &shards {
@@ -307,7 +263,7 @@ mod tests {
         }
         let part = RangePartition::from_edges(24, g.edges(), 3);
         // A fine grid, so rows span several tiles and the sort matters.
-        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::grid(4), false);
+        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::grid(4));
         let mut row = vec![(99, 9.0)]; // stale content must not survive
         for s in &shards {
             for v in s.local_range().iter() {
@@ -325,7 +281,7 @@ mod tests {
     fn boundary_vertices_are_remote_neighbors() {
         let g = ring(10);
         let part = RangePartition::by_vertices(10, 2);
-        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::default(), false);
+        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::default());
         // shard 0 = [0,5): its only remote neighbour is 5 (from vertex 4)
         assert_eq!(shards[0].boundary_vertices(), &[5]);
         assert!(shards[0].is_boundary(5));
@@ -340,7 +296,7 @@ mod tests {
         let n = 40u64;
         let g: EdgeList = (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v * 7 + 3) % n)]).collect();
         let part = RangePartition::by_vertices(n, 4);
-        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::grid(8), false);
+        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::grid(8));
         for s in &shards {
             let base = s.local_range().start;
             assert_eq!(s.num_slots(), s.num_local() + s.boundary_vertices().len());
@@ -377,48 +333,16 @@ mod tests {
         let mut lone = lone;
         lone.set_num_vertices(10);
         let part = RangePartition::by_vertices(10, 2);
-        let s = Shard::build(0, &part, lone.edges(), ConsolidationPolicy::default(), false);
+        let s = Shard::build(0, &part, lone.edges(), ConsolidationPolicy::default());
         assert_eq!(s.slot_of(1), Some(1));
         assert_eq!(s.slot_of(7), None);
-    }
-
-    #[test]
-    fn in_edges_cover_local_destinations() {
-        let g = ring(10);
-        let part = RangePartition::by_vertices(10, 2);
-        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::default(), true);
-        // vertex 5 is local to shard 1 and has in-edge from 4
-        assert_eq!(shards[1].in_edges().in_neighbors(5), &[4]);
-        // shard 0 has no in-edge info for vertex 5
-        assert!(shards[0].in_edges().in_neighbors(5).is_empty());
-    }
-
-    #[test]
-    fn traversal_only_skips_csc() {
-        let g = ring(6);
-        let part = RangePartition::by_vertices(6, 2);
-        let s = Shard::build(0, &part, g.edges(), ConsolidationPolicy::default(), false);
-        assert!(!s.has_in_edges());
-    }
-
-    #[test]
-    fn global_out_degrees_known_everywhere() {
-        let mut g = ring(8);
-        g.push_pair(0, 3);
-        g.push_pair(0, 5);
-        let part = RangePartition::by_vertices(8, 2);
-        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::default(), false);
-        for s in &shards {
-            assert_eq!(s.global_out_degree(0), 3);
-            assert_eq!(s.global_out_degree(1), 1);
-        }
     }
 
     #[test]
     fn local_global_roundtrip() {
         let g = ring(10);
         let part = RangePartition::by_vertices(10, 3);
-        let s = Shard::build(1, &part, g.edges(), ConsolidationPolicy::default(), false);
+        let s = &build_shards(&part, g.edges(), ConsolidationPolicy::default())[1];
         for v in s.local_range().iter() {
             assert_eq!(s.to_global(s.to_local(v)), v);
         }

@@ -219,7 +219,7 @@ mod tests {
 
     fn single_shard(edges: &EdgeList) -> Shard {
         let part = RangePartition::by_vertices(edges.num_vertices(), 1);
-        Shard::build(0, &part, edges.edges(), ConsolidationPolicy::default(), false)
+        Shard::build(0, &part, edges.edges(), ConsolidationPolicy::default())
     }
 
     fn path_graph() -> EdgeList {
@@ -280,7 +280,7 @@ mod tests {
         let mut g: EdgeList = [(0u64, 1u64), (1, 7)].into_iter().collect();
         g.set_num_vertices(10);
         let part = RangePartition::by_vertices(10, 2);
-        let shard = Shard::build(0, &part, g.edges(), ConsolidationPolicy::default(), false);
+        let shard = Shard::build(0, &part, g.edges(), ConsolidationPolicy::default());
         let mut t = QueueTraversal::new(&shard, 3, ValueMode::TwoLevel);
         t.seed(0);
         let mut remote = Vec::new();
@@ -295,7 +295,7 @@ mod tests {
         let mut g: EdgeList = [(5u64, 6u64)].into_iter().collect();
         g.set_num_vertices(10);
         let part = RangePartition::by_vertices(10, 2);
-        let shard = Shard::build(1, &part, g.edges(), ConsolidationPolicy::default(), false);
+        let shard = Shard::build(1, &part, g.edges(), ConsolidationPolicy::default());
         let mut t = QueueTraversal::new(&shard, 3, ValueMode::TwoLevel);
         assert!(t.absorb(5, 1));
         assert!(!t.absorb(5, 1), "second delivery must be deduplicated");

@@ -48,12 +48,6 @@ impl Csc {
         self.transpose.neighbors(v)
     }
 
-    /// Weights aligned with [`Csc::in_neighbors`].
-    #[inline]
-    pub fn in_weights(&self, v: VertexId) -> &[Weight] {
-        self.transpose.weights(v)
-    }
-
     /// (source, weight) pairs of edges into `v`.
     #[inline]
     pub fn in_neighbors_weighted(

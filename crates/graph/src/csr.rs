@@ -57,7 +57,8 @@ impl Csr {
         csr
     }
 
-    /// Sorts each neighbour list ascending (and keeps weights aligned).
+    /// Sorts each neighbour list ascending, stably (duplicate edges keep
+    /// input order), and keeps weights aligned.
     /// Sorted lists give deterministic iteration and enable the
     /// galloping intersection used by triangle counting.
     fn sort_neighbor_lists(&mut self) {
@@ -99,7 +100,7 @@ impl Csr {
             if ts.len() > 1 {
                 let mut pairs: Vec<(VertexId, Weight)> =
                     ts.iter().copied().zip(ws.iter().copied()).collect();
-                pairs.sort_unstable_by_key(|a| a.0);
+                pairs.sort_by_key(|a| a.0);
                 for (i, (t, w)) in pairs.into_iter().enumerate() {
                     ts[i] = t;
                     ws[i] = w;

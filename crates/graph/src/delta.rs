@@ -13,15 +13,15 @@
 //!    buffered updates into one [`DeltaOverlay`] per partition — a
 //!    per-source sorted adjacency delta (`inserts` rows plus `deletes`
 //!    lists) keyed by the owning partition of the source vertex. Edge
-//!    scans then consult the overlay *alongside* the base CSR/CSC
-//!    edge-sets: base neighbours are filtered through the delete list
+//!    scans then consult the overlay *alongside* the base out-edge
+//!    sets: base neighbours are filtered through the delete list
 //!    and the insert row is appended, so the published graph is
 //!    `(base ∖ deletes) ∪ inserts`. Publishing is cheap — the base
 //!    edge-sets are shared untouched — and atomic: the engine value
 //!    carrying the overlay replaces the previous one wholesale, and its
 //!    `graph_epoch` is bumped.
 //! 3. **Fold.** When the resident overlay outgrows a configured
-//!    threshold, the commit instead rebuilds fresh CSR/CSC edge-sets
+//!    threshold, the commit instead rebuilds fresh edge-sets
 //!    per partition from the effective adjacency (see
 //!    [`DeltaOverlay::merge_row`]) and starts over with an empty
 //!    overlay. A fold changes the physical layout, never the logical

@@ -41,7 +41,9 @@ pub struct EdgeSet {
 
 impl EdgeSet {
     fn build(row_range: VertexRange, col_range: VertexRange, mut edges: Vec<Edge>) -> Self {
-        edges.sort_unstable_by_key(|a| (a.src, a.dst));
+        // Stable: duplicate `(src, dst)` edges keep input order, as in
+        // a CSC built from the input (the engine derives one from tiles).
+        edges.sort_by_key(|a| (a.src, a.dst));
         let nrows = row_range.len() as usize;
         let mut row_offsets = vec![0u32; nrows + 1];
         for e in &edges {

@@ -127,16 +127,14 @@ impl BoundaryIndexBuilder {
 
         // Rank boundary vertices by base out-degree, duplicates counted
         // (hubs first, ties by id), and keep the top `max_sources` as
-        // indexed sources, stored ascending. Every shard keeps the
-        // global degree array, rebuilt with the shards by a fold or a
-        // degrade.
+        // indexed sources, stored ascending. The engine keeps one
+        // degree array, rebuilt with the shards by a fold or a degrade.
         let mut boundary: Vec<VertexId> =
             engine.shards().iter().flat_map(|s| s.boundary_vertices().iter().copied()).collect();
         boundary.sort_unstable();
         boundary.dedup();
-        let degrees = &engine.shards()[0];
         let mut ranked: Vec<(u32, VertexId)> =
-            boundary.into_iter().map(|v| (degrees.global_out_degree(v), v)).collect();
+            boundary.into_iter().map(|v| (engine.out_degree(v), v)).collect();
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         ranked.truncate(self.config.max_sources);
         let mut sources: Vec<VertexId> = ranked.iter().map(|&(_, v)| v).collect();

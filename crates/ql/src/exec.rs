@@ -184,10 +184,7 @@ impl<'e> Session<'e> {
             }
             Query::Stats => {
                 let max_degree = (0..self.engine.num_vertices())
-                    .map(|v| {
-                        let shard = &self.engine.shards()[self.engine.partition().owner(v)];
-                        shard.global_out_degree(v) as u64
-                    })
+                    .map(|v| self.engine.out_degree(v) as u64)
                     .max()
                     .unwrap_or(0);
                 QueryOutput::Summary {

@@ -33,7 +33,7 @@ fn main() {
     let mut b = GraphBuilder::new();
     b.add_edge_list(&raw);
     let edges = b.build().edges;
-    let engine = DistributedEngine::new(&edges, EngineConfig::new(3).traversal_only());
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(3));
     println!(
         "serving graph: {} vertices, {} edges on 3 machines\n",
         edges.num_vertices(),

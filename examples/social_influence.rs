@@ -23,7 +23,7 @@ fn main() {
     });
     b.add_edge_list(&raw);
     let edges = b.build().edges;
-    let engine = DistributedEngine::new(&edges, EngineConfig::new(2).traversal_only());
+    let engine = DistributedEngine::new(&edges, EngineConfig::new(2));
 
     // 64 users ask "who is in my small world?" simultaneously — one
     // bit-frontier batch.

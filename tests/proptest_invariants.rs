@@ -377,7 +377,7 @@ proptest! {
         let lanes = [64usize, 512][wide];
         let edges = build_list(n, &pairs);
         let part = RangePartition::from_edges(n, edges.edges(), p);
-        let shards = build_shards(&part, edges.edges(), ConsolidationPolicy::grid(32), false);
+        let shards = build_shards(&part, edges.edges(), ConsolidationPolicy::grid(32));
         let mut deltas = vec![DeltaOverlay::new(); p];
         for &(kind, a, b) in &updates {
             // kind 0 deletes a base edge (when there is one to pick),
@@ -473,7 +473,7 @@ proptest! {
         let mut edges = EdgeList::with_num_vertices(rows as u64);
         edges.set_num_vertices(rows as u64);
         let part = RangePartition::by_vertices(rows as u64, 1);
-        let shard = &build_shards(&part, edges.edges(), ConsolidationPolicy::default(), false)[0];
+        let shard = &build_shards(&part, edges.edges(), ConsolidationPolicy::default())[0];
         // Random words, thinned by ANDing `density` draws, so that some
         // cases have mostly-empty rows and blocks; at density 0 every
         // lane discovers every row and the counters run at their
