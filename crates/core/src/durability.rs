@@ -8,20 +8,26 @@
 //!   batch is appended to a checksummed **write-ahead log** *before*
 //!   it is buffered anywhere (write-ahead ordering), and every epoch
 //!   commit appends a `Commit` fence naming the epoch it published;
-//! * at a configurable commit cadence the whole engine value — base
-//!   adjacency, live delta overlays, partition boundaries, epoch — is
-//!   written as a **snapshot** (temp file + atomic rename, every frame
-//!   CRC-checksummed, see [`cgraph_graph::snapshot`]). A snapshot only
-//!   bounds how much WAL a restart replays — an acknowledged commit
-//!   rests on its fsynced fence alone — so the commit merely *takes* a
-//!   `SnapshotJob` under its locks and the plane's writer thread does
-//!   the encoding and the file work beside the readers;
+//! * at a configurable commit cadence the engine value is written as a
+//!   **snapshot** (temp file + atomic rename, every frame
+//!   CRC-checksummed, see [`cgraph_graph::snapshot`]). The first
+//!   snapshot over a base graph — at start-up, after a fold or a
+//!   degradation — is a *full* one: base adjacency, live delta
+//!   overlays, partition boundaries, epoch. Every later one over the
+//!   same base is an *overlay* snapshot: the delta overlays and the
+//!   epoch, plus a content-bound reference to the full snapshot whose
+//!   base rows it rests on. A snapshot only bounds how much WAL a
+//!   restart replays — an acknowledged commit rests on its fsynced
+//!   fence alone — so the commit merely *takes* a `SnapshotJob` under
+//!   its locks and the plane's writer thread does the encoding and the
+//!   file work beside the readers;
 //! * [`QueryService::open_or_recover`](crate::QueryService::open_or_recover)
 //!   rebuilds the newest *valid* snapshot (torn or bit-flipped tips
-//!   are detected by checksum and skipped), replays the WAL tail past
-//!   the snapshot's sequence number commit by commit, restores any
-//!   uncommitted logged updates into the pending buffer, and resumes
-//!   serving at the recovered epoch.
+//!   are detected by checksum and skipped; an overlay snapshot is valid
+//!   only over an intact copy of the full snapshot it names), replays
+//!   the WAL tail past the snapshot's sequence number commit by commit,
+//!   restores any uncommitted logged updates into the pending buffer,
+//!   and resumes serving at the recovered epoch.
 //!
 //! Recovery never reads past a failed checksum: a torn WAL tail is
 //! truncated (once, at open), and a snapshot that fails *any* frame
@@ -35,16 +41,18 @@
 //! recovery invariants under scripted corruption.
 
 use crate::config::EngineConfig;
-use crate::engine::DistributedEngine;
+use crate::engine::{BaseId, DistributedEngine};
 use crate::partition::RangePartition;
 use cgraph_graph::snapshot::{
-    decode_snapshot, decode_wal, encode_snapshot, encode_wal_record, DiskFaults, PartitionData,
-    SnapshotData, SnapshotTicket, WalRecord, WeightedRows,
+    decode_overlay_snapshot, decode_snapshot, decode_snapshot_header, decode_wal,
+    encode_overlay_snapshot, encode_snapshot, encode_wal_record, full_snapshot_ref, DiskFaults,
+    OverlayRows, OverlaySnapshot, PartitionData, SnapshotData, SnapshotHeader, SnapshotRef,
+    SnapshotTicket, WalRecord, WeightedRows,
 };
 use cgraph_graph::types::VertexRange;
 use cgraph_graph::{DeltaOverlay, Edge, EdgeUpdate};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -65,7 +73,8 @@ pub struct DurabilityConfig {
     pub snapshot_every: u64,
     /// Snapshots retained on disk; older ones are pruned after each
     /// successful snapshot write — except the one this process
-    /// recovered from, which stays besides. Must be at least 1.
+    /// recovered from, which stays besides, and the full snapshot any
+    /// retained overlay snapshot rests on. Must be at least 1.
     pub keep_snapshots: usize,
 }
 
@@ -97,12 +106,18 @@ pub struct DurabilityStats {
     /// injection still counts the attempt's bytes but not the
     /// snapshot).
     pub snapshots_written: u64,
+    /// The full snapshots among `snapshots_written`: the ones that
+    /// carry base rows (start-up, and the first snapshot after a fold
+    /// or a degradation); the rest are overlay snapshots.
+    pub full_snapshots_written: u64,
     /// Bytes of encoded snapshot data written.
     pub snapshot_bytes: u64,
     /// WAL records replayed during recovery.
     pub wal_replayed: u64,
     /// Snapshot files rejected during recovery (failed checksum,
-    /// truncation, bad magic) before a valid one was found.
+    /// truncation, bad magic, or an overlay snapshot whose full
+    /// snapshot is missing, corrupt or another one) before a valid one
+    /// was found.
     pub snapshots_corrupt: u64,
     /// Crash recoveries performed (0 on a fresh start, 1 when this
     /// service was rebuilt from durable state).
@@ -166,7 +181,6 @@ impl From<std::io::Error> for DurabilityError {
 /// vertex order, so the same engine state always encodes to the same
 /// bytes.
 pub fn snapshot_of(engine: &DistributedEngine, last_seq: u64) -> SnapshotData {
-    let ranges = engine.partition().ranges().iter().map(|r| (r.start, r.end)).collect();
     let mut partitions = Vec::with_capacity(engine.num_machines());
     let mut scratch = Vec::new();
     for (m, shard) in engine.shards().iter().enumerate() {
@@ -177,29 +191,61 @@ pub fn snapshot_of(engine: &DistributedEngine, last_seq: u64) -> SnapshotData {
                 base_rows.push_row(v, &scratch);
             }
         }
-        let mut delta_inserts = WeightedRows::new();
-        let mut delta_deletes = Vec::new();
-        if let Some(d) = engine.delta(m) {
-            let mut rows: Vec<_> = d.rows().collect();
-            rows.sort_by_key(|&(v, _)| v);
-            for (v, row) in rows {
-                if !row.inserts().is_empty() {
-                    delta_inserts.push_row(v, row.inserts());
-                }
-                if !row.deletes().is_empty() {
-                    delta_deletes.push((v, row.deletes().to_vec()));
-                }
-            }
-        }
-        partitions.push(PartitionData { base_rows, delta_inserts, delta_deletes });
+        let OverlayRows { inserts, deletes } = overlay_rows(engine, m);
+        partitions.push(PartitionData {
+            base_rows,
+            delta_inserts: inserts,
+            delta_deletes: deletes,
+        });
     }
     SnapshotData {
         epoch: engine.graph_epoch(),
         last_seq,
         num_vertices: engine.num_vertices(),
-        ranges,
+        ranges: ranges_of(engine),
         partitions,
     }
+}
+
+/// Captures `engine`'s delta overlays as an overlay snapshot covering
+/// WAL records up to and including `last_seq`, resting on `base` — the
+/// full snapshot `engine`'s base rows are on disk as. Rows are emitted
+/// in vertex order, as [`snapshot_of`] emits them.
+pub fn overlay_snapshot_of(
+    engine: &DistributedEngine,
+    last_seq: u64,
+    base: SnapshotRef,
+) -> OverlaySnapshot {
+    OverlaySnapshot {
+        epoch: engine.graph_epoch(),
+        last_seq,
+        num_vertices: engine.num_vertices(),
+        ranges: ranges_of(engine),
+        base,
+        partitions: (0..engine.num_machines()).map(|m| overlay_rows(engine, m)).collect(),
+    }
+}
+
+fn ranges_of(engine: &DistributedEngine) -> Vec<(u64, u64)> {
+    engine.partition().ranges().iter().map(|r| (r.start, r.end)).collect()
+}
+
+/// Machine `m`'s live overlay rows, sources ascending.
+fn overlay_rows(engine: &DistributedEngine, m: usize) -> OverlayRows {
+    let mut out = OverlayRows::default();
+    if let Some(d) = engine.delta(m) {
+        let mut rows: Vec<_> = d.rows().collect();
+        rows.sort_by_key(|&(v, _)| v);
+        for (v, row) in rows {
+            if !row.inserts().is_empty() {
+                out.inserts.push_row(v, row.inserts());
+            }
+            if !row.deletes().is_empty() {
+                out.deletes.push((v, row.deletes().to_vec()));
+            }
+        }
+    }
+    out
 }
 
 /// Rebuilds an engine value from decoded snapshot data. The snapshot's
@@ -243,7 +289,12 @@ pub fn engine_from_snapshot(snap: &SnapshotData, mut config: EngineConfig) -> Di
 
 /// One valid snapshot file found during the recovery scan.
 struct ScannedSnapshot {
+    /// Its state — for an overlay snapshot, over its full snapshot's
+    /// base rows.
     data: SnapshotData,
+    /// The full snapshot holding those base rows (the file itself when
+    /// it is a full one).
+    full: SnapshotRef,
 }
 
 /// Result of scanning a data directory for durable state.
@@ -291,7 +342,8 @@ pub(crate) fn scan_for_start(dir: &Path) -> Result<ScanResult, DurabilityError> 
 }
 
 /// Scans `dir`: decodes the WAL's valid prefix and finds the newest
-/// snapshot whose every frame checksums. Corrupt snapshots are
+/// snapshot whose every frame checksums — for an overlay snapshot, and
+/// every frame of the full snapshot it names. Corrupt snapshots are
 /// counted and skipped — never partially read. `*.tmp` files (writes
 /// that never reached their rename) are ignored entirely.
 fn scan_dir(dir: &Path) -> Result<ScanResult, DurabilityError> {
@@ -308,13 +360,12 @@ fn scan_dir(dir: &Path) -> Result<ScanResult, DurabilityError> {
     let mut snapshot = None;
     for (_, path) in snaps {
         scanned += 1;
-        let bytes = fs::read(&path)?;
-        match decode_snapshot(&bytes) {
-            Ok(data) => {
-                snapshot = Some(ScannedSnapshot { data });
+        match load_snapshot(dir, &path)? {
+            Some(found) => {
+                snapshot = Some(found);
                 break;
             }
-            Err(_) => corrupt += 1,
+            None => corrupt += 1,
         }
     }
     let wal_path = dir.join(WAL_FILE);
@@ -335,6 +386,35 @@ fn scan_dir(dir: &Path) -> Result<ScanResult, DurabilityError> {
     })
 }
 
+/// Reads the snapshot file at `path` whole: a full snapshot as it is,
+/// an overlay snapshot over the base rows of the full snapshot it
+/// names, which must be on disk, decode, and match the reference.
+/// `None` when either file fails.
+fn load_snapshot(dir: &Path, path: &Path) -> Result<Option<ScannedSnapshot>, DurabilityError> {
+    let bytes = fs::read(path)?;
+    let Ok(header) = decode_snapshot_header(&bytes) else { return Ok(None) };
+    let Some(base) = header.base else {
+        let found = decode_snapshot(&bytes).ok().zip(full_snapshot_ref(&bytes).ok());
+        return Ok(found.map(|(data, full)| ScannedSnapshot { data, full }));
+    };
+    let Ok(overlay) = decode_overlay_snapshot(&bytes) else { return Ok(None) };
+    drop(bytes);
+    let full_bytes = match fs::read(snapshot_path(dir, base.epoch)) {
+        Ok(b) => b,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    Ok(overlay.over(&full_bytes).ok().map(|data| ScannedSnapshot { data, full: base }))
+}
+
+/// The full snapshot an engine value's base graph is on disk as: the
+/// base (named weakly, see [`BaseId`]) and the file.
+#[derive(Clone, Debug)]
+pub(crate) struct BaseOnDisk {
+    base: BaseId,
+    file: SnapshotRef,
+}
+
 /// The durable state recovery rebuilt, ready to start a service from.
 pub(crate) struct RecoveredState {
     /// The rebuilt engine: newest valid snapshot plus replayed WAL
@@ -346,6 +426,9 @@ pub(crate) struct RecoveredState {
     pub pending: Vec<EdgeUpdate>,
     /// What happened, for stats and logs.
     pub outcome: RecoveryOutcome,
+    /// The full snapshot whose base rows recovery loaded — still
+    /// `engine`'s base unless a replayed commit folded.
+    pub base_on_disk: Option<BaseOnDisk>,
 }
 
 /// Scans `dir` and rebuilds the newest recoverable state: newest valid
@@ -374,6 +457,8 @@ pub(crate) fn recover(
         Some(s) => (engine_from_snapshot(&s.data, engine_config), s.data.last_seq),
         None => (bootstrap(), 0),
     };
+    let base_on_disk =
+        scan.snapshot.as_ref().map(|s| BaseOnDisk { base: engine.base_id(), file: s.full });
     if scan.snapshot.is_none() && engine.graph_epoch() != 0 {
         return Err(DurabilityError::Inconsistent(format!(
             "bootstrap engine is at epoch {} (expected 0): WAL replay from \
@@ -404,17 +489,21 @@ pub(crate) fn recover(
     }
     outcome.pending_restored = pending.len();
     outcome.epoch = engine.graph_epoch();
-    Ok((RecoveredState { engine, pending, outcome }, scan))
+    Ok((RecoveredState { engine, pending, outcome, base_on_disk }, scan))
 }
 
 /// One snapshot write, taken from the plane under its mutex and run
 /// without it: the engine value the commit just published, the WAL
-/// sequence number it covers, where the file goes, and the fault
-/// decisions already drawn for it (so the thread that runs the job
-/// cannot reorder the fault schedule against the WAL appends).
+/// sequence number it covers, which kind of file it writes, where the
+/// file goes, and the fault decisions already drawn for it (so the
+/// thread that runs the job cannot reorder the fault schedule against
+/// the WAL appends).
 pub(crate) struct SnapshotJob {
     engine: Arc<DistributedEngine>,
     last_seq: u64,
+    /// The full snapshot `engine`'s base is on disk as: `Some` writes an
+    /// overlay snapshot resting on it, `None` a full snapshot.
+    base: Option<SnapshotRef>,
     dir: PathBuf,
     keep_snapshots: usize,
     /// Snapshot epoch pruning must leave alone.
@@ -435,6 +524,9 @@ pub(crate) struct SnapshotOutcome {
     /// injection, exactly the crash window between write and rename, or
     /// a failed write — recovery falls back to an older snapshot).
     pub(crate) renamed: bool,
+    /// For a full snapshot: the base it wrote and the file, booked by
+    /// [`DurabilityPlane::finish_snapshot`] when `renamed`.
+    pub(crate) full: Option<BaseOnDisk>,
     /// Capturing and encoding the engine value.
     pub(crate) encode: Duration,
     /// Temp-file write, fsync, rename and prune.
@@ -446,15 +538,27 @@ pub(crate) struct SnapshotOutcome {
 impl SnapshotJob {
     /// Encode, (maybe) mangle, write to `.tmp`, sync, atomic rename,
     /// prune old snapshots. Takes no lock and touches no counter; the
-    /// engine value is released when this returns.
+    /// engine value and the encoded bytes are released when this
+    /// returns.
     pub(crate) fn run(self) -> SnapshotOutcome {
         let started = Instant::now();
-        let mut bytes = encode_snapshot(&snapshot_of(&self.engine, self.last_seq));
+        let (mut bytes, full) = match self.base {
+            Some(base) => {
+                let overlay = overlay_snapshot_of(&self.engine, self.last_seq, base);
+                (encode_overlay_snapshot(&overlay), None)
+            }
+            None => {
+                let bytes = encode_snapshot(&snapshot_of(&self.engine, self.last_seq));
+                let file = full_snapshot_ref(&bytes).expect("a fresh encoding has its frames");
+                (bytes, Some(BaseOnDisk { base: self.engine.base_id(), file }))
+            }
+        };
         self.ticket.write.apply(&mut bytes);
         let mut out = SnapshotOutcome {
             epoch: self.engine.graph_epoch(),
             bytes: 0,
             renamed: false,
+            full,
             encode: started.elapsed(),
             write: Duration::ZERO,
             error: None,
@@ -477,7 +581,8 @@ impl SnapshotJob {
         if !self.ticket.rename_lost {
             fs::rename(&tmp_path, &final_path)?;
             out.renamed = true;
-            prune(&self.dir, self.keep_snapshots, self.keep_epoch)?;
+            let pinned = [self.keep_epoch, self.base.map(|b| b.epoch)];
+            prune(&self.dir, self.keep_snapshots, pinned.iter().flatten().copied())?;
         }
         Ok(())
     }
@@ -485,14 +590,20 @@ impl SnapshotJob {
 
 /// Removes all but the newest `keep` snapshot files, plus any stale
 /// `.tmp` leftovers (one job is in flight at a time, so no `.tmp` seen
-/// here belongs to a live write). The snapshot of epoch `anchor` — the
-/// one recovery loaded — stays whatever its age: retention goes by
-/// file name, a write that landed corrupted counts like a good one,
-/// and `keep` of those in a row would otherwise push out the last
-/// snapshot known to decode. When that one lies past a hole in the WAL
-/// (the log was torn and serving went on) nothing older can stand in
-/// for it.
-fn prune(dir: &Path, keep: usize, anchor: Option<u64>) -> Result<(), DurabilityError> {
+/// here belongs to a live write). The snapshots of the `pinned` epochs
+/// stay whatever their age: the one recovery loaded, and the full
+/// snapshot the job that prunes rests on. Retention goes by file name,
+/// a write that landed corrupted counts like a good one, and `keep` of
+/// those in a row would otherwise push out the last snapshot known to
+/// decode; when that one lies past a hole in the WAL (the log was torn
+/// and serving went on) nothing older can stand in for it. Every full
+/// snapshot a retained overlay snapshot rests on is retained too — its
+/// header frame names it.
+fn prune(
+    dir: &Path,
+    keep: usize,
+    pinned: impl IntoIterator<Item = u64>,
+) -> Result<(), DurabilityError> {
     let mut snaps: Vec<(u64, PathBuf)> = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -505,12 +616,31 @@ fn prune(dir: &Path, keep: usize, anchor: Option<u64>) -> Result<(), DurabilityE
         }
     }
     snaps.sort_by_key(|&(epoch, _)| std::cmp::Reverse(epoch));
-    for (epoch, path) in snaps.into_iter().skip(keep.max(1)) {
-        if Some(epoch) != anchor {
+    let mut retained: Vec<u64> = snaps.iter().take(keep.max(1)).map(|&(e, _)| e).collect();
+    retained.extend(pinned);
+    let bases: Vec<u64> = snaps
+        .iter()
+        .filter(|(epoch, _)| retained.contains(epoch))
+        .filter_map(|(_, path)| read_header(path)?.base.map(|b| b.epoch))
+        .collect();
+    retained.extend(bases);
+    for (epoch, path) in snaps {
+        if !retained.contains(&epoch) {
             let _ = fs::remove_file(path);
         }
     }
     Ok(())
+}
+
+/// The header frame of the snapshot file at `path`, read alone; `None`
+/// when it cannot be read or does not decode.
+fn read_header(path: &Path) -> Option<SnapshotHeader> {
+    let mut f = File::open(path).ok()?;
+    let mut frame = vec![0u8; 8];
+    f.read_exact(&mut frame).ok()?;
+    let len = u32::from_le_bytes(frame[..4].try_into().expect("a four-byte length"));
+    f.take(u64::from(len)).read_to_end(&mut frame).ok()?;
+    decode_snapshot_header(&frame).ok()
 }
 
 /// The live durability plane of one running service: the open WAL,
@@ -540,9 +670,14 @@ pub(crate) struct DurabilityPlane {
     /// finds this set skips its snapshot and the next commit retries.
     snapshot_in_flight: Option<u64>,
     /// Epoch of the snapshot recovery loaded, if any: the one file this
-    /// process knows to be valid. Pruning never removes it — see
-    /// [`prune`].
+    /// process knows to be valid. Pruning never removes it, nor the
+    /// full snapshot it rests on — see [`prune`].
     recovered_snapshot_epoch: Option<u64>,
+    /// The full snapshot on disk of the base last written whole (or
+    /// loaded by recovery). A job over an engine value with that base
+    /// writes an overlay snapshot resting on it; any other writes a
+    /// full one.
+    base_on_disk: Option<BaseOnDisk>,
     /// The thread running — or that last ran — a handed-off job.
     writer: Option<JoinHandle<()>>,
 }
@@ -599,6 +734,7 @@ impl DurabilityPlane {
             },
             snapshot_in_flight: None,
             recovered_snapshot_epoch: scan.snapshot.as_ref().map(|s| s.data.epoch),
+            base_on_disk: None,
             writer: None,
         })
     }
@@ -608,10 +744,15 @@ impl DurabilityPlane {
         self.stats
     }
 
-    /// Adds recovery-time replay counts (recovery happens before the
-    /// plane exists, so the outcome is folded in afterwards).
-    pub(crate) fn note_recovery(&mut self, outcome: &RecoveryOutcome) {
-        self.stats.wal_replayed += outcome.wal_records_replayed;
+    /// Adds recovery-time replay counts and books the full snapshot
+    /// whose base rows recovery loaded (recovery happens before the
+    /// plane exists, so its state is folded in afterwards). Unless a
+    /// replayed commit folded, the recovered engine still scans that
+    /// base, so the start-up checkpoint can rest an overlay snapshot on
+    /// it.
+    pub(crate) fn note_recovery(&mut self, state: &RecoveredState) {
+        self.stats.wal_replayed += state.outcome.wal_records_replayed;
+        self.base_on_disk = state.base_on_disk.clone();
     }
 
     /// Appends one record to the WAL through the fault injector and
@@ -641,12 +782,17 @@ impl DurabilityPlane {
     }
 
     /// Logs an epoch-commit fence and syncs the WAL (group commit: the
-    /// sync covers every update record logged before it).
-    pub(crate) fn append_commit(&mut self, epoch: u64) -> Result<(u64, u64), DurabilityError> {
-        let r = self.append(WalRecord::Commit { seq: self.next_seq, epoch })?;
-        self.last_committed_seq = r.0;
+    /// sync covers every update record logged before it). Returns
+    /// `(seq, bytes_appended, sync_wall_time)`.
+    pub(crate) fn append_commit(
+        &mut self,
+        epoch: u64,
+    ) -> Result<(u64, u64, Duration), DurabilityError> {
+        let (seq, bytes) = self.append(WalRecord::Commit { seq: self.next_seq, epoch })?;
+        self.last_committed_seq = seq;
+        let started = Instant::now();
         self.wal.sync_all()?;
-        Ok(r)
+        Ok((seq, bytes, started.elapsed()))
     }
 
     /// Counts one commit towards the snapshot cadence and, when that
@@ -693,7 +839,10 @@ impl DurabilityPlane {
     }
 
     /// One job in flight and no queue: `None` while an earlier job has
-    /// not been booked.
+    /// not been booked. The job writes an overlay snapshot when
+    /// `engine`'s base is on disk as a booked full snapshot, a full
+    /// snapshot otherwise — at start-up, after a fold or a degradation,
+    /// and after a full write that failed or lost its rename.
     pub(crate) fn take_snapshot_job(
         &mut self,
         engine: &Arc<DistributedEngine>,
@@ -703,9 +852,11 @@ impl DurabilityPlane {
             return None;
         }
         self.snapshot_in_flight = Some(self.commits_since_snapshot);
+        let base = self.base_on_disk.as_ref().filter(|b| b.base.is_base_of(engine));
         Some(SnapshotJob {
             engine: Arc::clone(engine),
             last_seq: self.last_committed_seq,
+            base: base.map(|b| b.file),
             dir: self.cfg.dir.clone(),
             keep_snapshots: self.cfg.keep_snapshots,
             keep_epoch: self.recovered_snapshot_epoch,
@@ -714,13 +865,15 @@ impl DurabilityPlane {
     }
 
     /// Books a finished job: byte and snapshot counters, the newest
-    /// snapshot epoch and the cadence reset move together, and the
-    /// plane accepts the next job. The cadence restarts from the
-    /// snapshotted epoch — commits that landed while the file was being
-    /// written still count towards the next snapshot, so the replay a
-    /// restart faces stays bounded by the cadence, not by the cadence
-    /// plus a write. A failed or rename-lost write resets nothing — the
-    /// WAL alone recovers the epoch, and the next commit retries.
+    /// snapshot epoch, the cadence reset and — for a full snapshot —
+    /// the base it puts on disk move together, and the plane accepts
+    /// the next job. The cadence restarts from the snapshotted epoch —
+    /// commits that landed while the file was being written still count
+    /// towards the next snapshot, so the replay a restart faces stays
+    /// bounded by the cadence, not by the cadence plus a write. A failed
+    /// or rename-lost write resets nothing and books no base — the WAL
+    /// alone recovers the epoch, and the next commit retries (a full
+    /// one, when the lost write was full).
     pub(crate) fn finish_snapshot(&mut self, out: &SnapshotOutcome) {
         let at_take = self.snapshot_in_flight.take().unwrap_or(0);
         self.stats.snapshot_bytes += out.bytes;
@@ -728,6 +881,10 @@ impl DurabilityPlane {
             self.stats.snapshots_written += 1;
             self.stats.last_snapshot_epoch = out.epoch;
             self.commits_since_snapshot -= at_take;
+            if let Some(full) = &out.full {
+                self.stats.full_snapshots_written += 1;
+                self.base_on_disk = Some(full.clone());
+            }
         }
     }
 
@@ -739,7 +896,9 @@ impl DurabilityPlane {
     /// file this process knows to be valid — *is* this checkpoint:
     /// writing it again would only push it through the fault injector.
     /// The ticket is drawn and discarded all the same, as for a commit
-    /// that is not due, so every later roll falls where it fell.
+    /// that is not due, so every later roll falls where it fell. After
+    /// a replay that did not fold, the checkpoint is an overlay
+    /// snapshot over the full snapshot recovery loaded the base from.
     pub(crate) fn checkpoint(
         &mut self,
         engine: &Arc<DistributedEngine>,
@@ -1108,10 +1267,17 @@ mod tests {
     fn snapshots_that_landed_corrupted_do_not_evict_the_one_recovery_loaded() {
         // The log loses everything up to the epoch-1 fence but serving
         // went on and snapshotted epoch 1: from here on that snapshot is
-        // the only bridge over the hole in the WAL.
+        // the only bridge over the hole in the WAL. Epoch 1 folds, so
+        // that snapshot is a full one and epoch 0's is the next to go;
+        // `an_overlay_anchor_keeps_its_full_snapshot` runs the other
+        // kind.
         let (dir, mut plane, e0) = Scratch::open("anchor", 1);
-        let e1 = commit(&mut plane, &e0, 2);
+        let updates = [EdgeUpdate::insert(0, 2)];
+        plane.append_updates(&updates).unwrap();
+        plane.append_commit(1).unwrap();
+        let e1 = Arc::new(e0.with_updates(&updates, 0).0);
         plane.checkpoint(&e1).unwrap();
+        assert_eq!(plane.stats().full_snapshots_written, 2, "a fold puts a new base on disk");
         drop(plane);
         File::create(dir.dir.join(WAL_FILE)).unwrap();
 
@@ -1138,6 +1304,40 @@ mod tests {
         let out = dir.recover_expecting(&engine);
         assert_eq!(out.snapshots_corrupt, keep as usize);
         assert_eq!(out.wal_records_replayed, 2 * keep);
+    }
+
+    #[test]
+    fn an_overlay_anchor_keeps_its_full_snapshot() {
+        // As above, but epoch 1 is an overlay snapshot over epoch 0's
+        // full one: the bridge is the pair, and pruning keeps both
+        // while the corrupted writes — a full one, then overlays resting
+        // on it — pile up past them.
+        let (dir, mut plane, e0) = Scratch::open("anchor-overlay", 1);
+        let e1 = commit(&mut plane, &e0, 2);
+        plane.checkpoint(&e1).unwrap();
+        assert_eq!(plane.stats().full_snapshots_written, 1, "epoch 1 rests on epoch 0");
+        drop(plane);
+        File::create(dir.dir.join(WAL_FILE)).unwrap();
+
+        let (state, scan) = recover(&dir.dir, *e0.config(), usize::MAX, test_engine).unwrap();
+        assert_eq!(state.outcome.epoch, 1);
+        let cfg = DurabilityConfig::new(&dir.dir).snapshot_every(1);
+        let keep = cfg.keep_snapshots as u64;
+        let mut plane = DurabilityPlane::open(cfg, &scan, None, true).unwrap();
+        let mut engine = Arc::new(state.engine);
+        for round in 0..2 * keep {
+            engine = commit(&mut plane, &engine, 1 + round % 3);
+            let mut job = plane.snapshot_job_at_commit(&engine).unwrap();
+            job.ticket.write = WriteFault::Flip(0x5EED + round);
+            plane.finish_snapshot(&job.run());
+        }
+        drop(plane);
+        assert!(dir.has_snapshot(1) && dir.has_snapshot(0), "the anchor or its base was pruned");
+        assert!(dir.has_snapshot(2), "the full snapshot the retained overlays rest on was pruned");
+        assert!(!dir.has_snapshot(3), "older overlay snapshots are not kept");
+        let out = dir.recover_expecting(&engine);
+        assert_eq!(out.snapshots_corrupt, keep as usize + 1, "the newest three and their base");
+        assert_eq!(out.wal_records_replayed, 4 * keep);
     }
 
     #[test]

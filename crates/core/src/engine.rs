@@ -35,7 +35,7 @@ use cgraph_comm::{
 use cgraph_graph::delta::{DeltaOverlay, EdgeUpdate};
 use cgraph_graph::{Csc, Edge, EdgeList, LaneMask, LaneWidth, VertexId, MAX_LANES};
 use cgraph_obs::{log2_edges, Counter, Histogram, TraceCtx, Tracer, COORD, LOG_LATENCY_EDGES_SECS};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Messages exchanged between machines.
@@ -516,6 +516,21 @@ struct BaseGraph {
     out_degrees: Vec<u32>,
 }
 
+/// Names the base graph of an engine value without keeping its shards
+/// alive — for a holder that must later ask "is this still that value's
+/// base?" (the durability plane, about the full snapshot it last
+/// wrote). The weak reference keeps the allocation's address from being
+/// reused while it lives, so the answer cannot alias a newer base.
+#[derive(Clone, Debug)]
+pub(crate) struct BaseId(Weak<BaseGraph>);
+
+impl BaseId {
+    /// True when `engine` scans the base this names.
+    pub(crate) fn is_base_of(&self, engine: &DistributedEngine) -> bool {
+        std::ptr::eq(self.0.as_ptr(), Arc::as_ptr(&engine.base))
+    }
+}
+
 /// The C-Graph distributed engine.
 ///
 /// An engine value is an immutable *snapshot* of the graph at one
@@ -675,6 +690,12 @@ impl DistributedEngine {
         &self.base.shards
     }
 
+    /// Names this value's base graph, shared by every epoch until the
+    /// next fold or repartitioning.
+    pub(crate) fn base_id(&self) -> BaseId {
+        BaseId(Arc::downgrade(&self.base))
+    }
+
     /// Base out-degree of any vertex (duplicate edges counted), the
     /// one degree array every machine of this engine reads.
     #[inline]
@@ -695,10 +716,21 @@ impl DistributedEngine {
     /// base edges only, so a reader would silently compute over a
     /// graph older than `graph_epoch()`.
     pub fn in_edges(&self) -> &[Csc] {
+        self.refuse_live_overlay();
+        self.derived_in_edges()
+    }
+
+    /// The entry check of every reader of [`DistributedEngine::in_edges`],
+    /// made before it runs whether or not it gets to read them.
+    fn refuse_live_overlay(&self) {
         assert!(
             !self.has_delta(),
             "GAS and partition-centric programs read base edges only; fold the delta overlay first (commit past the fold threshold)"
         );
+    }
+
+    /// [`DistributedEngine::in_edges`] past its entry check.
+    fn derived_in_edges(&self) -> &[Csc] {
         self.in_edges.get_or_init(|| {
             #[cfg(test)]
             self.in_edge_derivations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -1849,7 +1881,9 @@ impl DistributedEngine {
     // ------------------------------------------------------------------
 
     /// Runs a partition-centric program to global termination and
-    /// returns each partition's output.
+    /// returns each partition's output. The in-edge view is derived by
+    /// the first [`PartitionCtx::in_neighbors`] call, so a program that
+    /// only reads out-edges (SSSP, BFS) never pays for it.
     ///
     /// # Panics
     ///
@@ -1861,11 +1895,15 @@ impl DistributedEngine {
         F: Fn(usize) -> P + Sync,
         P::Out: Send,
     {
-        let in_edges = self.in_edges();
+        // Refused at entry, not at the first in-edge read: a program
+        // that reads out-edges only would otherwise answer for the base
+        // graph while an overlay is live.
+        self.refuse_live_overlay();
         let (outs, _traffic) = self.cluster().run::<EngineMsg, P::Out, _>(|h| {
             let shard = &self.shards()[h.id()];
             let mut program = factory(h.id());
-            let mut ctx = PartitionCtx::new(shard, &in_edges[h.id()], &self.partition);
+            let in_edges = || &self.derived_in_edges()[h.id()];
+            let mut ctx = PartitionCtx::new(shard, &in_edges, &self.partition);
             program.init(&mut ctx);
             loop {
                 // Flush staged sends, grouped by owner.
@@ -2513,6 +2551,70 @@ mod tests {
         // The next epoch's value starts underived.
         let (next, _) = e.with_updates(&[], usize::MAX);
         assert_eq!(in_edge_derivations(&next), 0);
+    }
+
+    #[test]
+    fn out_edge_programs_derive_no_in_edges() {
+        use crate::vcm::{VertexProgram, VertexScope};
+        // SSSP's shape: a partition-centric relaxation over weighted
+        // out-edges, ring weights all 1.
+        struct Relax(Vec<f32>, u64);
+        impl PartitionProgram for Relax {
+            type Out = Vec<f32>;
+            fn init(&mut self, ctx: &mut PartitionCtx<'_>) {
+                self.1 = ctx.local_vertices().next().unwrap();
+                self.0 =
+                    ctx.local_vertices().map(|v| if v == 0 { 0.0 } else { f32::MAX }).collect();
+                let seeds: Vec<(VertexId, f32)> =
+                    if ctx.is_local_vertex(0) { ctx.out_neighbors_weighted(0) } else { Vec::new() };
+                for (t, w) in seeds {
+                    ctx.send_to(t, u64::from(w.to_bits()));
+                }
+                ctx.vote_to_halt();
+            }
+            fn compute(&mut self, ctx: &mut PartitionCtx<'_>, incoming: &[(VertexId, u64)]) {
+                for &(v, bits) in incoming {
+                    let d = f32::from_bits(bits as u32);
+                    let slot = &mut self.0[(v - self.1) as usize];
+                    if d < *slot {
+                        *slot = d;
+                        for (t, w) in ctx.out_neighbors_weighted(v) {
+                            ctx.send_to(t, u64::from((d + w).to_bits()));
+                        }
+                    }
+                }
+                ctx.vote_to_halt();
+            }
+            fn finish(self, _: &PartitionCtx<'_>) -> Vec<f32> {
+                self.0
+            }
+        }
+        // BFS as a vertex program (`run_vertex_program`).
+        struct Bfs;
+        impl VertexProgram for Bfs {
+            type Value = u64;
+            fn init(&self, _: VertexId) -> u64 {
+                u64::MAX
+            }
+            fn compute(&self, s: &mut VertexScope<'_, '_>, v: VertexId, d: &mut u64, m: &[u64]) {
+                let proposal =
+                    if s.superstep() == 1 && v == 0 { Some(0) } else { m.iter().min().copied() };
+                if let Some(p) = proposal.filter(|&p| p < *d) {
+                    *d = p;
+                    for t in s.out_neighbors(v) {
+                        s.send_to(t, p + 1);
+                    }
+                }
+                s.vote_to_halt();
+            }
+        }
+        let e = engine(&ring(30), 3);
+        let dist: Vec<f32> = e.run_program(|_| Relax(Vec::new(), 0)).concat();
+        assert_eq!(dist[29], 29.0);
+        assert_eq!(in_edge_derivations(&e), 0, "SSSP reads out-edges only");
+        let depths = e.run_vertex_program(&Bfs);
+        assert_eq!(depths[17], 17);
+        assert_eq!(in_edge_derivations(&e), 0, "BFS reads out-edges only");
     }
 
     #[test]

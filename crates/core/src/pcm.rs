@@ -30,8 +30,8 @@ use cgraph_graph::{Csc, VertexId};
 /// Per-superstep context handed to [`PartitionProgram::compute`].
 pub struct PartitionCtx<'a> {
     shard: &'a Shard,
-    /// In-edges of the local vertices.
-    in_edges: &'a Csc,
+    /// In-edges of the local vertices, derived by the first call.
+    in_edges: &'a (dyn Fn() -> &'a Csc + 'a),
     partition: &'a RangePartition,
     superstep: u64,
     halted: bool,
@@ -42,7 +42,11 @@ pub struct PartitionCtx<'a> {
 
 impl<'a> PartitionCtx<'a> {
     /// Creates a context (engine-internal).
-    pub(crate) fn new(shard: &'a Shard, in_edges: &'a Csc, partition: &'a RangePartition) -> Self {
+    pub(crate) fn new(
+        shard: &'a Shard,
+        in_edges: &'a (dyn Fn() -> &'a Csc + 'a),
+        partition: &'a RangePartition,
+    ) -> Self {
         Self { shard, in_edges, partition, superstep: 0, halted: false, outbox: Vec::new() }
     }
 
@@ -116,9 +120,10 @@ impl<'a> PartitionCtx<'a> {
         self.shard.out_neighbors_weighted(v)
     }
 
-    /// In-neighbours of a local vertex, sources ascending.
+    /// In-neighbours of a local vertex, sources ascending. The first
+    /// call of a run derives the engine's in-edge view.
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.in_edges.in_neighbors(v)
+        (self.in_edges)().in_neighbors(v)
     }
 
     /// The underlying shard (for edge-set level access).
@@ -194,6 +199,7 @@ mod tests {
     fn listing1_predicates() {
         let (part, shards) = ctx_fixture();
         let in_edges = Csc::default();
+        let in_edges = || &in_edges;
         let ctx = PartitionCtx::new(&shards[0], &in_edges, &part);
         assert!(ctx.if_has_vertex(9));
         assert!(!ctx.if_has_vertex(10));
@@ -211,6 +217,7 @@ mod tests {
     fn outbox_and_halt_lifecycle() {
         let (part, shards) = ctx_fixture();
         let in_edges = Csc::default();
+        let in_edges = || &in_edges;
         let mut ctx = PartitionCtx::new(&shards[0], &in_edges, &part);
         ctx.send_to(7, 99);
         ctx.vote_to_halt();

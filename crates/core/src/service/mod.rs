@@ -104,8 +104,9 @@
 //! batch (it is the one thread that forms and runs batches, so the
 //! group is quiesced), the buffered updates become a
 //! new engine snapshot via [`DistributedEngine::with_updates`]
-//! (delta-overlay publish, or a full CSR/CSC fold past
-//! [`MutationConfig::fold_threshold`]), the graph epoch advances, and
+//! (delta-overlay publish, or a fold past
+//! [`MutationConfig::fold_threshold`] that rebuilds every shard's
+//! out-edge tiles), the graph epoch advances, and
 //! stale cache entries are fenced with
 //! [`cgraph_cache::ResultCache::invalidate_before`]. Batches already
 //! dispatched finish against their admission-epoch snapshot — every
@@ -273,7 +274,7 @@ pub struct MutationConfig {
     /// only on explicit request.
     pub commit_threshold: Option<usize>,
     /// Delta-overlay entry count above which a commit folds the
-    /// overlay into fresh base CSR/CSC edge-sets instead of publishing
+    /// overlay into fresh base out-edge tiles instead of publishing
     /// the overlay next to the base (see
     /// [`DistributedEngine::with_updates`]).
     pub fold_threshold: usize,
@@ -549,8 +550,8 @@ pub struct ServiceStats {
     /// calls, threshold-triggered commits, and
     /// [`QueryService::invalidate_cache`] bumps.
     pub epoch_commits: u64,
-    /// Commits that folded the delta overlay into fresh base CSR/CSC
-    /// edge-sets (subset of `epoch_commits`).
+    /// Commits that folded the delta overlay into fresh base out-edge
+    /// tiles (subset of `epoch_commits`).
     pub epoch_folds: u64,
     /// Edge updates buffered but not yet committed.
     pub pending_updates: u64,

@@ -78,6 +78,7 @@ pub(super) struct ServiceObs {
     pub(super) durability_wal_records: Arc<Counter>,
     pub(super) durability_wal_bytes: Arc<Counter>,
     pub(super) durability_snapshots_written: Arc<Counter>,
+    pub(super) durability_full_snapshots_written: Arc<Counter>,
     pub(super) durability_snapshot_bytes: Arc<Counter>,
     pub(super) durability_wal_replayed: Arc<Counter>,
     pub(super) durability_snapshots_corrupt: Arc<Counter>,
@@ -85,6 +86,7 @@ pub(super) struct ServiceObs {
     pub(super) durability_last_snapshot_epoch: Arc<Gauge>,
     pub(super) durability_snapshot_seconds_encode: Arc<Histogram>,
     pub(super) durability_snapshot_seconds_write: Arc<Histogram>,
+    pub(super) durability_wal_sync_seconds: Arc<Histogram>,
     pub(super) router_queries_routed: Arc<Counter>,
     pub(super) router_locality: Arc<Counter>,
     pub(super) router_heat_steered: Arc<Counter>,
@@ -329,6 +331,11 @@ impl ServiceObs {
                 "cgraph_durability_snapshots_total",
                 "Epoch snapshots that reached their final name on disk.",
             ),
+            durability_full_snapshots_written: m.counter(
+                "cgraph_durability_full_snapshots_total",
+                "Full epoch snapshots (base rows included) among those that reached their \
+                 final name; the rest are overlay snapshots.",
+            ),
             durability_snapshot_bytes: m.counter(
                 "cgraph_durability_snapshot_bytes_total",
                 "Bytes of encoded snapshot data written.",
@@ -351,6 +358,12 @@ impl ServiceObs {
             ),
             durability_snapshot_seconds_encode: snapshot_seconds(m, "encode"),
             durability_snapshot_seconds_write: snapshot_seconds(m, "write"),
+            durability_wal_sync_seconds: m.histogram(
+                "cgraph_durability_wal_sync_seconds",
+                "Wall time of the fsync behind each epoch commit's WAL fence, one sample \
+                 per commit.",
+                &LOG_LATENCY_EDGES_SECS,
+            ),
             router_queries_routed: m.counter(
                 "cgraph_router_queries_routed_total",
                 "Queries steered to a replica by the serving-tier router.",
@@ -377,6 +390,7 @@ impl ServiceObs {
         self.durability_wal_records.add(d.wal_records);
         self.durability_wal_bytes.add(d.wal_bytes);
         self.durability_snapshots_written.add(d.snapshots_written);
+        self.durability_full_snapshots_written.add(d.full_snapshots_written);
         self.durability_snapshot_bytes.add(d.snapshot_bytes);
         self.durability_wal_replayed.add(d.wal_replayed);
         self.durability_snapshots_corrupt.add(d.snapshots_corrupt);

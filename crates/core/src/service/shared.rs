@@ -477,7 +477,7 @@ pub(super) fn open_recovered(
     let mut plane =
         DurabilityPlane::open(dcfg, &scan, disk_faults(config), state.outcome.recovered)
             .map_err(|e| ServiceError::Durability(e.to_string()))?;
-    plane.note_recovery(&state.outcome);
+    plane.note_recovery(&state);
     // Checkpoint the recovered (or fresh) state right away: the next
     // restart resumes from here instead of replaying the whole WAL,
     // and a fresh directory gets its base snapshot. (Nothing is written
@@ -549,10 +549,11 @@ fn take_commit_request(
     let mut wal_seq = None;
     if let Some(dm) = &core.durability {
         match lock(dm).append_commit(next_epoch) {
-            Ok((seq, bytes)) => {
+            Ok((seq, bytes, sync)) => {
                 wal_seq = Some(seq);
                 core.obs.durability_wal_records.inc();
                 core.obs.durability_wal_bytes.add(bytes);
+                core.obs.durability_wal_sync_seconds.observe_duration(sync);
             }
             // The in-memory commit still proceeds: durability degrades
             // (this epoch may replay short after a crash) but serving
@@ -619,7 +620,9 @@ pub(super) fn run_commit(core: &Arc<SharedCore>, ctx: &mut ExecCtx) {
         o.instant("wal_commit", seq_now, 0, seq);
     }
     // Snapshot cadence: every `snapshot_every`-th commit persists the
-    // whole new engine value, bounding how much WAL a restart replays.
+    // new engine value — whole when its base is not on disk yet, else
+    // its overlays over the full snapshot that holds the base —
+    // bounding how much WAL a restart replays.
     // The commit only takes the job — the value it just published and
     // the fault decisions — and the plane's writer thread encodes and
     // writes it beside the next batches. A busy writer, a failed or a
@@ -665,6 +668,7 @@ fn publish_snapshot(core: &SharedCore, out: &SnapshotOutcome) {
     o.durability_snapshot_bytes.add(out.bytes);
     if out.renamed {
         o.durability_snapshots_written.inc();
+        o.durability_full_snapshots_written.add(u64::from(out.full.is_some()));
         o.durability_last_snapshot_epoch.set(out.epoch as i64);
         o.instant("snapshot_write", core.batch_seq.load(Ordering::SeqCst), 0, out.epoch);
     }

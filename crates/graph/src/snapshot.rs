@@ -22,9 +22,12 @@
 //!
 //! # Snapshot layout
 //!
-//! One snapshot file is a header frame, one frame per partition, and a
+//! A snapshot file comes in two kinds, told apart by the tag of its
+//! header frame. Each is a header frame, one frame per partition, and a
 //! terminal `END` frame (so truncation *between* frames is detectable
-//! too — a snapshot without its END frame is torn and rejected whole):
+//! too — a snapshot without its END frame is torn and rejected whole).
+//!
+//! A **full** snapshot holds the whole engine value:
 //!
 //! ```text
 //! frame 0   : HEADER  magic, version, epoch, last WAL seq covered,
@@ -32,6 +35,24 @@
 //! frame 1..p: PARTITION  base out-adjacency rows + delta-overlay rows
 //! frame p+1 : END
 //! ```
+//!
+//! An **overlay** snapshot holds only the delta overlays, and names the
+//! full snapshot whose base rows it rests on:
+//!
+//! ```text
+//! frame 0   : OVERLAY_HEADER  magic, version, epoch, last WAL seq
+//!             covered, num_vertices, partition ranges, then the base
+//!             reference: the full snapshot's epoch, its last WAL seq
+//!             and its digest
+//! frame 1..p: OVERLAY_PARTITION  delta-overlay rows
+//! frame p+1 : END
+//! ```
+//!
+//! The digest ([`SnapshotRef::digest`]) is the CRC-32 of the full
+//! snapshot's frame checksums in file order, so it covers every byte of
+//! that file: a full snapshot rewritten under the same name — same
+//! epoch, even the same sequence number, other rows — does not match a
+//! reference taken to the old one ([`OverlaySnapshot::over`]).
 //!
 //! # WAL records
 //!
@@ -54,6 +75,8 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CGSNAP01";
 const TAG_HEADER: u8 = 1;
 const TAG_PARTITION: u8 = 2;
 const TAG_END: u8 = 3;
+const TAG_OVERLAY_HEADER: u8 = 4;
+const TAG_OVERLAY_PARTITION: u8 = 5;
 
 const TAG_WAL_UPDATES: u8 = 1;
 const TAG_WAL_COMMIT: u8 = 2;
@@ -324,6 +347,94 @@ pub struct SnapshotData {
     pub partitions: Vec<PartitionData>,
 }
 
+/// Names one full snapshot by its content: what an overlay snapshot
+/// carries to say which base rows it rests on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SnapshotRef {
+    /// The full snapshot's epoch (its file is named after it).
+    pub epoch: u64,
+    /// The full snapshot's covered WAL sequence number.
+    pub last_seq: u64,
+    /// CRC-32 of the full snapshot's frame checksums, header first.
+    pub digest: u32,
+}
+
+/// One partition's live delta-overlay rows, as an overlay snapshot
+/// persists them.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct OverlayRows {
+    /// Insert rows: `(source, sorted [(dst, weight)])`.
+    pub inserts: WeightedRows,
+    /// Delete rows: `(source, sorted [dst])`.
+    pub deletes: Vec<(VertexId, Vec<VertexId>)>,
+}
+
+/// A decoded overlay snapshot: one epoch's delta overlays over the base
+/// rows of the full snapshot `base` names.
+#[derive(Clone, Debug, PartialEq)]
+pub struct OverlaySnapshot {
+    /// The committed graph epoch this snapshot captures.
+    pub epoch: u64,
+    /// Highest WAL sequence number whose effects the snapshot contains.
+    pub last_seq: u64,
+    /// Total vertices in the graph.
+    pub num_vertices: u64,
+    /// Contiguous `[start, end)` vertex range of each partition.
+    pub ranges: Vec<(u64, u64)>,
+    /// The full snapshot whose base rows these overlays apply to.
+    pub base: SnapshotRef,
+    /// Per-partition overlay rows, one entry per range.
+    pub partitions: Vec<OverlayRows>,
+}
+
+/// What a snapshot file's header frame says: enough to tell the two
+/// kinds apart, and — for an overlay snapshot — which full snapshot it
+/// rests on, without reading past the first frame.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SnapshotHeader {
+    /// The epoch the file captures.
+    pub epoch: u64,
+    /// The WAL sequence number it covers.
+    pub last_seq: u64,
+    /// Total vertices in the graph.
+    pub num_vertices: u64,
+    /// Contiguous `[start, end)` vertex range of each partition.
+    pub ranges: Vec<(u64, u64)>,
+    /// `None` for a full snapshot; the full snapshot an overlay
+    /// snapshot rests on otherwise.
+    pub base: Option<SnapshotRef>,
+}
+
+impl OverlaySnapshot {
+    /// The snapshot this overlay snapshot makes over `full_bytes` — the
+    /// encoded full snapshot it names: that file's base rows under this
+    /// file's overlays, epoch and covered sequence number. Fails when
+    /// `full_bytes` does not decode, or is not the snapshot `base`
+    /// names (another epoch, sequence number or digest), or disagrees
+    /// on the vertex count or the partitioning.
+    pub fn over(self, full_bytes: &[u8]) -> Result<SnapshotData, CodecError> {
+        let mut full = decode_snapshot(full_bytes)?;
+        if full_snapshot_ref(full_bytes)? != self.base {
+            return Err(CodecError::Malformed(format!(
+                "overlay snapshot of epoch {} rests on another full snapshot of epoch {}",
+                self.epoch, self.base.epoch
+            )));
+        }
+        if full.num_vertices != self.num_vertices || full.ranges != self.ranges {
+            return Err(CodecError::Malformed(
+                "overlay snapshot and its full snapshot partition the graph differently".into(),
+            ));
+        }
+        for (part, rows) in full.partitions.iter_mut().zip(self.partitions) {
+            part.delta_inserts = rows.inserts;
+            part.delta_deletes = rows.deletes;
+        }
+        full.epoch = self.epoch;
+        full.last_seq = self.last_seq;
+        Ok(full)
+    }
+}
+
 fn encode_weighted_rows(out: &mut Vec<u8>, rows: &WeightedRows) {
     out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
     for (src, edges) in rows.iter() {
@@ -360,64 +471,79 @@ fn decode_weighted_rows(r: &mut Reader<'_>) -> Result<WeightedRows, CodecError> 
     Ok(rows)
 }
 
-/// Encodes `snap` into its on-disk byte representation (header frame,
-/// partition frames, END frame). The buffer is sized once from the row
-/// counts and every frame is written in place.
-pub fn encode_snapshot(snap: &SnapshotData) -> Vec<u8> {
-    let header_len = 1 + 8 + 4 + 8 + 8 + 8 + 4 + 16 * snap.ranges.len();
-    let part_len = |p: &PartitionData| {
-        let deletes: usize = p.delta_deletes.iter().map(|(_, d)| 12 + 8 * d.len()).sum();
-        1 + 4 + p.base_rows.encoded_len() + p.delta_inserts.encoded_len() + 8 + deletes
-    };
-    let total =
-        (8 + header_len) + snap.partitions.iter().map(|p| 8 + part_len(p)).sum::<usize>() + (8 + 1);
-    let mut out = Vec::with_capacity(total);
-    write_frame_with(&mut out, |header| {
-        header.push(TAG_HEADER);
-        header.extend_from_slice(&SNAPSHOT_MAGIC);
-        header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        header.extend_from_slice(&snap.epoch.to_le_bytes());
-        header.extend_from_slice(&snap.last_seq.to_le_bytes());
-        header.extend_from_slice(&snap.num_vertices.to_le_bytes());
-        header.extend_from_slice(&(snap.ranges.len() as u32).to_le_bytes());
-        for &(start, end) in &snap.ranges {
-            header.extend_from_slice(&start.to_le_bytes());
-            header.extend_from_slice(&end.to_le_bytes());
-        }
-    });
-    for (i, part) in snap.partitions.iter().enumerate() {
-        write_frame_with(&mut out, |body| {
-            body.push(TAG_PARTITION);
-            body.extend_from_slice(&(i as u32).to_le_bytes());
-            encode_weighted_rows(body, &part.base_rows);
-            encode_weighted_rows(body, &part.delta_inserts);
-            body.extend_from_slice(&(part.delta_deletes.len() as u64).to_le_bytes());
-            for (src, dels) in &part.delta_deletes {
-                body.extend_from_slice(&src.to_le_bytes());
-                body.extend_from_slice(&(dels.len() as u32).to_le_bytes());
-                for d in dels {
-                    body.extend_from_slice(&d.to_le_bytes());
-                }
-            }
-        });
-    }
-    write_frame(&mut out, &[TAG_END]);
-    debug_assert_eq!(out.len(), total, "encode_snapshot mis-sized its buffer");
-    out
+/// Bytes [`encode_deletes`] writes for `deletes`.
+fn deletes_len(deletes: &[(VertexId, Vec<VertexId>)]) -> usize {
+    8 + deletes.iter().map(|(_, d)| 12 + 8 * d.len()).sum::<usize>()
 }
 
-/// Decodes and fully validates a snapshot buffer. Every frame must
-/// checksum, the header must carry the current magic/version, every
-/// declared partition must be present, and the END frame must close
-/// the file — anything less is an error, so a torn or bit-flipped
-/// snapshot is rejected whole and recovery falls back to an older one.
-pub fn decode_snapshot(data: &[u8]) -> Result<SnapshotData, CodecError> {
-    let mut pos = 0usize;
-    let header = read_frame(data, &mut pos).ok_or(CodecError::Corrupt(0))?;
-    let mut r = Reader::new(header);
-    if r.u8()? != TAG_HEADER {
-        return Err(CodecError::Malformed("first frame is not a snapshot header".into()));
+fn encode_deletes(out: &mut Vec<u8>, deletes: &[(VertexId, Vec<VertexId>)]) {
+    out.extend_from_slice(&(deletes.len() as u64).to_le_bytes());
+    for (src, dels) in deletes {
+        out.extend_from_slice(&src.to_le_bytes());
+        out.extend_from_slice(&(dels.len() as u32).to_le_bytes());
+        for d in dels {
+            out.extend_from_slice(&d.to_le_bytes());
+        }
     }
+}
+
+fn decode_deletes(r: &mut Reader<'_>) -> Result<Vec<(VertexId, Vec<VertexId>)>, CodecError> {
+    let nd = r.u64()? as usize;
+    let mut deletes = Vec::with_capacity(nd.min(1 << 20));
+    for _ in 0..nd {
+        let src = r.u64()?;
+        let k = r.u32()? as usize;
+        let mut dels = Vec::with_capacity(k.min(1 << 20));
+        for _ in 0..k {
+            dels.push(r.u64()?);
+        }
+        deletes.push((src, dels));
+    }
+    Ok(deletes)
+}
+
+/// Bytes [`encode_header`] writes for `p` partitions.
+fn header_len(p: usize, base: Option<&SnapshotRef>) -> usize {
+    1 + 8 + 4 + 8 + 8 + 8 + 4 + 16 * p + base.map_or(0, |_| 8 + 8 + 4)
+}
+
+/// The header frame's payload: the full kind without `base`, the
+/// overlay kind with it.
+fn encode_header(
+    out: &mut Vec<u8>,
+    epoch: u64,
+    last_seq: u64,
+    num_vertices: u64,
+    ranges: &[(u64, u64)],
+    base: Option<&SnapshotRef>,
+) {
+    out.push(if base.is_some() { TAG_OVERLAY_HEADER } else { TAG_HEADER });
+    out.extend_from_slice(&SNAPSHOT_MAGIC);
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&last_seq.to_le_bytes());
+    out.extend_from_slice(&num_vertices.to_le_bytes());
+    out.extend_from_slice(&(ranges.len() as u32).to_le_bytes());
+    for &(start, end) in ranges {
+        out.extend_from_slice(&start.to_le_bytes());
+        out.extend_from_slice(&end.to_le_bytes());
+    }
+    if let Some(b) = base {
+        out.extend_from_slice(&b.epoch.to_le_bytes());
+        out.extend_from_slice(&b.last_seq.to_le_bytes());
+        out.extend_from_slice(&b.digest.to_le_bytes());
+    }
+}
+
+/// Reads and checks the header frame at `*pos`, advancing past it.
+fn read_header(data: &[u8], pos: &mut usize) -> Result<SnapshotHeader, CodecError> {
+    let frame = read_frame(data, pos).ok_or(CodecError::Corrupt(0))?;
+    let mut r = Reader::new(frame);
+    let overlay = match r.u8()? {
+        TAG_HEADER => false,
+        TAG_OVERLAY_HEADER => true,
+        _ => return Err(CodecError::Malformed("first frame is not a snapshot header".into())),
+    };
     if r.bytes(8)? != SNAPSHOT_MAGIC {
         return Err(CodecError::Malformed("bad snapshot magic".into()));
     }
@@ -431,23 +557,71 @@ pub fn decode_snapshot(data: &[u8]) -> Result<SnapshotData, CodecError> {
     let last_seq = r.u64()?;
     let num_vertices = r.u64()?;
     let p = r.u32()? as usize;
-    let mut ranges = Vec::with_capacity(p);
+    let mut ranges = Vec::with_capacity(p.min(1 << 16));
     for _ in 0..p {
         let start = r.u64()?;
         let end = r.u64()?;
         ranges.push((start, end));
     }
+    let base = if overlay {
+        Some(SnapshotRef { epoch: r.u64()?, last_seq: r.u64()?, digest: r.u32()? })
+    } else {
+        None
+    };
     if !r.done() {
         return Err(CodecError::Malformed("trailing bytes in snapshot header".into()));
     }
+    Ok(SnapshotHeader { epoch, last_seq, num_vertices, ranges, base })
+}
 
-    let mut partitions: Vec<PartitionData> = Vec::with_capacity(p);
+/// Decodes the header frame that opens `data` — a whole snapshot file,
+/// or just its first frame — without reading any further frame.
+pub fn decode_snapshot_header(data: &[u8]) -> Result<SnapshotHeader, CodecError> {
+    read_header(data, &mut 0)
+}
+
+/// The reference an overlay snapshot resting on the full snapshot
+/// encoded in `data` carries: its epoch, its covered sequence number and
+/// the CRC-32 of its frame checksums in file order. Reads every frame
+/// header but checks no payload — decode the file for that.
+pub fn full_snapshot_ref(data: &[u8]) -> Result<SnapshotRef, CodecError> {
+    let header = decode_snapshot_header(data)?;
+    if header.base.is_some() {
+        return Err(CodecError::Malformed("an overlay snapshot is no full snapshot".into()));
+    }
+    let mut crcs = Vec::new();
+    let mut pos = 0usize;
+    while pos < data.len() {
+        if data.len() - pos < 8 {
+            return Err(CodecError::Corrupt(pos));
+        }
+        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
+        crcs.extend_from_slice(&data[pos + 4..pos + 8]);
+        pos = pos.saturating_add(8 + len);
+    }
+    if pos != data.len() {
+        return Err(CodecError::Corrupt(data.len()));
+    }
+    Ok(SnapshotRef { epoch: header.epoch, last_seq: header.last_seq, digest: crc32(&crcs) })
+}
+
+/// Reads the `p` partition frames tagged `tag` that follow a header at
+/// `*pos`, then the END frame. Frames must come in partition order and
+/// every payload must be consumed whole.
+fn decode_partitions<T>(
+    data: &[u8],
+    mut pos: usize,
+    p: usize,
+    tag: u8,
+    mut body: impl FnMut(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let mut partitions: Vec<T> = Vec::with_capacity(p.min(1 << 16));
     loop {
         let at = pos;
         let frame = read_frame(data, &mut pos).ok_or(CodecError::Corrupt(at))?;
         let mut r = Reader::new(frame);
         match r.u8()? {
-            TAG_PARTITION => {
+            t if t == tag => {
                 let id = r.u32()? as usize;
                 if id != partitions.len() {
                     return Err(CodecError::Malformed(format!(
@@ -455,23 +629,11 @@ pub fn decode_snapshot(data: &[u8]) -> Result<SnapshotData, CodecError> {
                         partitions.len()
                     )));
                 }
-                let base_rows = decode_weighted_rows(&mut r)?;
-                let delta_inserts = decode_weighted_rows(&mut r)?;
-                let nd = r.u64()? as usize;
-                let mut delta_deletes = Vec::with_capacity(nd.min(1 << 20));
-                for _ in 0..nd {
-                    let src = r.u64()?;
-                    let k = r.u32()? as usize;
-                    let mut dels = Vec::with_capacity(k.min(1 << 20));
-                    for _ in 0..k {
-                        dels.push(r.u64()?);
-                    }
-                    delta_deletes.push((src, dels));
-                }
+                let part = body(&mut r)?;
                 if !r.done() {
                     return Err(CodecError::Malformed("trailing bytes in partition frame".into()));
                 }
-                partitions.push(PartitionData { base_rows, delta_inserts, delta_deletes });
+                partitions.push(part);
             }
             TAG_END => {
                 if partitions.len() != p {
@@ -480,13 +642,110 @@ pub fn decode_snapshot(data: &[u8]) -> Result<SnapshotData, CodecError> {
                         partitions.len()
                     )));
                 }
-                return Ok(SnapshotData { epoch, last_seq, num_vertices, ranges, partitions });
+                return Ok(partitions);
             }
             other => {
                 return Err(CodecError::Malformed(format!("unknown snapshot frame tag {other}")))
             }
         }
     }
+}
+
+/// Encodes `snap` into its on-disk byte representation (header frame,
+/// partition frames, END frame). The buffer is sized once from the row
+/// counts and every frame is written in place.
+pub fn encode_snapshot(snap: &SnapshotData) -> Vec<u8> {
+    let part_len = |p: &PartitionData| {
+        1 + 4
+            + p.base_rows.encoded_len()
+            + p.delta_inserts.encoded_len()
+            + deletes_len(&p.delta_deletes)
+    };
+    let total = (8 + header_len(snap.ranges.len(), None))
+        + snap.partitions.iter().map(|p| 8 + part_len(p)).sum::<usize>()
+        + (8 + 1);
+    let mut out = Vec::with_capacity(total);
+    write_frame_with(&mut out, |header| {
+        encode_header(header, snap.epoch, snap.last_seq, snap.num_vertices, &snap.ranges, None);
+    });
+    for (i, part) in snap.partitions.iter().enumerate() {
+        write_frame_with(&mut out, |body| {
+            body.push(TAG_PARTITION);
+            body.extend_from_slice(&(i as u32).to_le_bytes());
+            encode_weighted_rows(body, &part.base_rows);
+            encode_weighted_rows(body, &part.delta_inserts);
+            encode_deletes(body, &part.delta_deletes);
+        });
+    }
+    write_frame(&mut out, &[TAG_END]);
+    debug_assert_eq!(out.len(), total, "encode_snapshot mis-sized its buffer");
+    out
+}
+
+/// Decodes and fully validates a full snapshot buffer. Every frame must
+/// checksum, the header must carry the current magic/version, every
+/// declared partition must be present, and the END frame must close
+/// the file — anything less is an error, so a torn or bit-flipped
+/// snapshot is rejected whole and recovery falls back to an older one.
+/// An overlay snapshot is an error here too: it holds no base rows.
+pub fn decode_snapshot(data: &[u8]) -> Result<SnapshotData, CodecError> {
+    let mut pos = 0usize;
+    let header = read_header(data, &mut pos)?;
+    if header.base.is_some() {
+        return Err(CodecError::Malformed("an overlay snapshot holds no base rows".into()));
+    }
+    let partitions = decode_partitions(data, pos, header.ranges.len(), TAG_PARTITION, |r| {
+        Ok(PartitionData {
+            base_rows: decode_weighted_rows(r)?,
+            delta_inserts: decode_weighted_rows(r)?,
+            delta_deletes: decode_deletes(r)?,
+        })
+    })?;
+    let SnapshotHeader { epoch, last_seq, num_vertices, ranges, .. } = header;
+    Ok(SnapshotData { epoch, last_seq, num_vertices, ranges, partitions })
+}
+
+/// Encodes an overlay snapshot (overlay header frame, one overlay frame
+/// per partition, END frame), sized once like [`encode_snapshot`].
+pub fn encode_overlay_snapshot(snap: &OverlaySnapshot) -> Vec<u8> {
+    let part_len = |p: &OverlayRows| 1 + 4 + p.inserts.encoded_len() + deletes_len(&p.deletes);
+    let total = (8 + header_len(snap.ranges.len(), Some(&snap.base)))
+        + snap.partitions.iter().map(|p| 8 + part_len(p)).sum::<usize>()
+        + (8 + 1);
+    let mut out = Vec::with_capacity(total);
+    write_frame_with(&mut out, |header| {
+        let (epoch, seq, n) = (snap.epoch, snap.last_seq, snap.num_vertices);
+        encode_header(header, epoch, seq, n, &snap.ranges, Some(&snap.base));
+    });
+    for (i, part) in snap.partitions.iter().enumerate() {
+        write_frame_with(&mut out, |body| {
+            body.push(TAG_OVERLAY_PARTITION);
+            body.extend_from_slice(&(i as u32).to_le_bytes());
+            encode_weighted_rows(body, &part.inserts);
+            encode_deletes(body, &part.deletes);
+        });
+    }
+    write_frame(&mut out, &[TAG_END]);
+    debug_assert_eq!(out.len(), total, "encode_overlay_snapshot mis-sized its buffer");
+    out
+}
+
+/// Decodes and fully validates an overlay snapshot buffer, under the
+/// same rules as [`decode_snapshot`]. A full snapshot is an error here.
+/// Whether the full snapshot it names is intact is
+/// [`OverlaySnapshot::over`]'s question.
+pub fn decode_overlay_snapshot(data: &[u8]) -> Result<OverlaySnapshot, CodecError> {
+    let mut pos = 0usize;
+    let header = read_header(data, &mut pos)?;
+    let Some(base) = header.base else {
+        return Err(CodecError::Malformed("a full snapshot is no overlay snapshot".into()));
+    };
+    let partitions =
+        decode_partitions(data, pos, header.ranges.len(), TAG_OVERLAY_PARTITION, |r| {
+            Ok(OverlayRows { inserts: decode_weighted_rows(r)?, deletes: decode_deletes(r)? })
+        })?;
+    let SnapshotHeader { epoch, last_seq, num_vertices, ranges, .. } = header;
+    Ok(OverlaySnapshot { epoch, last_seq, num_vertices, ranges, base, partitions })
 }
 
 // ---------------------------------------------------------------------
@@ -905,6 +1164,89 @@ mod tests {
                 Ok(d) => assert_eq!(d, snap, "bit {bit} silently changed the snapshot"),
             }
         }
+    }
+
+    /// An overlay snapshot resting on `sample_snapshot()`'s encoding.
+    fn sample_overlay(full: &[u8]) -> OverlaySnapshot {
+        OverlaySnapshot {
+            epoch: 9,
+            last_seq: 47,
+            num_vertices: 10,
+            ranges: vec![(0, 4), (4, 10)],
+            base: full_snapshot_ref(full).unwrap(),
+            partitions: vec![
+                OverlayRows { inserts: rows(&[(2, &[(5, 1.5)])]), deletes: vec![(3, vec![9])] },
+                OverlayRows::default(),
+            ],
+        }
+    }
+
+    #[test]
+    fn overlay_snapshot_round_trips_and_rests_on_its_full_snapshot() {
+        let full = encode_snapshot(&sample_snapshot());
+        let overlay = sample_overlay(&full);
+        let bytes = encode_overlay_snapshot(&overlay);
+        assert_eq!(decode_overlay_snapshot(&bytes).unwrap(), overlay);
+        let header = decode_snapshot_header(&bytes).unwrap();
+        assert_eq!((header.epoch, header.base), (9, Some(overlay.base)));
+        assert_eq!(decode_snapshot_header(&full).unwrap().base, None);
+        // Neither decoder takes the other kind.
+        assert!(decode_snapshot(&bytes).is_err());
+        assert!(decode_overlay_snapshot(&full).is_err());
+        assert!(full_snapshot_ref(&bytes).is_err());
+        // Over its full snapshot: the base rows stay, the overlays,
+        // epoch and covered sequence number are the overlay file's.
+        let merged = overlay.clone().over(&full).unwrap();
+        let mut expect = sample_snapshot();
+        expect.epoch = 9;
+        expect.last_seq = 47;
+        for (part, rows) in expect.partitions.iter_mut().zip(&overlay.partitions) {
+            part.delta_inserts = rows.inserts.clone();
+            part.delta_deletes = rows.deletes.clone();
+        }
+        assert_eq!(merged, expect);
+    }
+
+    #[test]
+    fn overlay_snapshot_rejects_any_truncation_and_bit_flip() {
+        let full = encode_snapshot(&sample_snapshot());
+        let overlay = sample_overlay(&full);
+        let bytes = encode_overlay_snapshot(&overlay);
+        for cut in 0..bytes.len() {
+            assert!(decode_overlay_snapshot(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut b = bytes.clone();
+            b[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(d) = decode_overlay_snapshot(&b) {
+                assert_eq!(d, overlay, "bit {bit} silently changed the overlay snapshot");
+            }
+        }
+    }
+
+    #[test]
+    fn overlay_snapshot_does_not_rest_on_a_rewritten_full_snapshot() {
+        let full = encode_snapshot(&sample_snapshot());
+        let overlay = sample_overlay(&full);
+        // Same name, same epoch, same covered sequence number — other
+        // rows: the header frame is byte-identical, the digest is not.
+        let mut other = sample_snapshot();
+        other.partitions[1].base_rows = rows(&[(4, &[(1, 1.0)])]);
+        let rewritten = encode_snapshot(&other);
+        let (a, b) = (full_snapshot_ref(&full).unwrap(), full_snapshot_ref(&rewritten).unwrap());
+        assert_eq!((a.epoch, a.last_seq), (b.epoch, b.last_seq));
+        assert_ne!(a.digest, b.digest);
+        assert!(overlay.clone().over(&rewritten).is_err());
+        // Nor on a torn or bit-flipped copy of the right one.
+        assert!(overlay.clone().over(&full[..full.len() - 1]).is_err());
+        let mut flipped = full.clone();
+        flipped[full.len() / 2] ^= 0x10;
+        assert!(overlay.clone().over(&flipped).is_err());
+        // Nor on a full snapshot that partitions the graph otherwise.
+        let mut moved = overlay.clone();
+        moved.ranges = vec![(0, 5), (5, 10)];
+        assert!(moved.over(&full).is_err());
+        assert!(overlay.over(&full).is_ok());
     }
 
     #[test]

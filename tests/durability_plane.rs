@@ -16,6 +16,7 @@
 //! commits (taken but never run, temp file never renamed, skipped
 //! because the writer was busy).
 
+use cgraph::graph::snapshot::{decode_snapshot_header, SnapshotRef};
 use cgraph::prelude::*;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
@@ -1175,4 +1176,351 @@ proptest! {
         }
         svc.shutdown();
     }
+}
+
+/// The full snapshot the snapshot file at `path` rests on — `None` for a
+/// full snapshot itself (read from its header frame).
+fn rests_on(path: &Path) -> Option<SnapshotRef> {
+    decode_snapshot_header(&fs::read(path).unwrap()).expect("a readable header").base
+}
+
+/// A durable config with its own fold threshold and retention.
+fn durable_config_with(dir: &Path, every: u64, fold: usize, keep: usize) -> ServiceConfig {
+    ServiceConfig {
+        mutation: MutationConfig { fold_threshold: fold, ..Default::default() },
+        durability: Some(DurabilityConfig {
+            keep_snapshots: keep,
+            ..DurabilityConfig::new(dir).snapshot_every(every)
+        }),
+        ..durable_config(dir, every)
+    }
+}
+
+/// Runs `rounds` commits of `batch_len` updates, waiting after each for
+/// the snapshot job it made due (cadence 1), so which files exist does
+/// not depend on the disk's speed.
+fn settled_rounds(
+    svc: &QueryService,
+    n: u64,
+    model: &mut BTreeSet<(u64, u64)>,
+    history: &mut Vec<BTreeSet<(u64, u64)>>,
+    rng: &mut Rng,
+    rounds: usize,
+    batch_len: usize,
+) {
+    for _ in 0..rounds {
+        let before = svc.stats().snapshot_bytes;
+        run_rounds(svc, n, model, history, rng, 1, batch_len);
+        settle_snapshot(svc, before);
+    }
+}
+
+/// Asks a few queries of a recovered service and holds them to the
+/// model at the epoch it must have recovered.
+fn check_recovered(svc: &QueryService, history: &[BTreeSet<(u64, u64)>], n: u64, epoch: usize) {
+    for q in 0..4 {
+        let src = (q * 5 + 2) % n;
+        let r = svc.query(KhopQuery::single(q as usize, src, 3)).unwrap();
+        assert_eq!(r.epoch as usize, epoch);
+        check(history, n, src, 3, &r);
+    }
+}
+
+/// `(start, end)` of every frame of an encoded snapshot.
+fn frames(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        out.push((at, at + 8 + len));
+        at += 8 + len;
+    }
+    out
+}
+
+/// Overlay snapshots rest on a full snapshot: damage that one — cut at
+/// every frame boundary, or one byte flipped in each frame — and every
+/// overlay snapshot over it is rejected with it. Recovery counts each
+/// file once, falls back to the base graph and the whole WAL, and still
+/// reaches the last fenced epoch.
+#[test]
+fn a_damaged_full_snapshot_rejects_the_overlays_resting_on_it() {
+    const N: u64 = 28;
+    const ROUNDS: usize = 5;
+    let tmp = TempDir::new("base-damage");
+    let base = seed_edges(N, 50, 0xBA5E);
+    let edges = edge_list(N, &base);
+    let mut history = vec![base.clone()];
+    let mut model = base;
+    let mut rng = Rng(0xD1CE);
+    let (svc, _) =
+        QueryService::open_or_recover(&edges, EngineConfig::new(2), durable_config(tmp.path(), 1))
+            .unwrap();
+    settled_rounds(&svc, N, &mut model, &mut history, &mut rng, ROUNDS, 8);
+    svc.shutdown();
+    drop(svc);
+    let names = snapshot_names(tmp.path());
+    assert_eq!(
+        names,
+        [
+            "snap-0000000000000000.cgs",
+            "snap-0000000000000003.cgs",
+            "snap-0000000000000004.cgs",
+            "snap-0000000000000005.cgs"
+        ],
+        "three retained overlay snapshots and the full one they rest on"
+    );
+    let files = snapshot_files(tmp.path());
+    let full = fs::read(&files[0]).unwrap();
+    assert_eq!(rests_on(&files[0]), None);
+    for overlay in &files[1..] {
+        assert_eq!(rests_on(overlay).map(|r| r.epoch), Some(0));
+    }
+
+    let recover = |tag: String, doctored: &[u8]| {
+        let scratch = TempDir::new(&tag);
+        copy_dir_with_wal_prefix(tmp.path(), scratch.path(), usize::MAX);
+        fs::write(scratch.path().join(&names[0]), doctored).unwrap();
+        let (svc, out) = QueryService::open_or_recover(
+            &edges,
+            EngineConfig::new(2),
+            durable_config(scratch.path(), 1),
+        )
+        .unwrap_or_else(|e| panic!("{tag}: recovery must survive: {e}"));
+        assert_eq!(out.epoch as usize, ROUNDS, "{tag}: an epoch was lost");
+        assert_eq!(out.snapshots_corrupt, names.len(), "{tag}: each rejected file counts once");
+        assert_eq!(out.wal_records_replayed, 2 * ROUNDS as u64, "{tag}: the whole WAL replays");
+        check_recovered(&svc, &history, N, ROUNDS);
+        svc.shutdown();
+    };
+    let bounds = frames(&full);
+    assert_eq!(bounds.len(), 2 + 2, "header, two partitions, END");
+    for &(start, end) in &bounds {
+        recover(format!("cut-{start}"), &full[..start]);
+        let mut flipped = full.clone();
+        flipped[start + 8 + (end - start - 8) / 2] ^= 0x40;
+        recover(format!("flip-{start}"), &flipped);
+    }
+}
+
+/// A full snapshot whose rename is lost puts no base on disk: the next
+/// due snapshot is full again, and no overlay snapshot ever rests on the
+/// lost file. Seeds are scanned for runs in which the full snapshot
+/// after the fold lost its rename; every run must recover.
+#[test]
+fn a_lost_full_write_makes_the_next_snapshot_full() {
+    const N: u64 = 26;
+    const ROUNDS: usize = 5;
+    let base = seed_edges(N, 40, 0x1057);
+    let edges = edge_list(N, &base);
+    let mut lost_then_full = 0;
+    for seed in 0..40u64 {
+        let tmp = TempDir::new("lost-full");
+        let mut history = vec![base.clone()];
+        let mut model = base.clone();
+        let mut rng = Rng(0xF011 + seed);
+        // Fold threshold 4: the first commit's 8 updates fold, the
+        // single-update commits after it stay overlays.
+        let cfg = ServiceConfig {
+            fault_plan: Some(FaultPlan::new(seed).with_rename_lost(0.5)),
+            ..durable_config_with(tmp.path(), 1, 4, 8)
+        };
+        let (svc, _) = QueryService::open_or_recover(&edges, EngineConfig::new(2), cfg).unwrap();
+        let mut landed = Vec::new();
+        for round in 0..ROUNDS {
+            let before = svc.stats();
+            let len = if round == 0 { 8 } else { 1 };
+            settled_rounds(&svc, N, &mut model, &mut history, &mut rng, 1, len);
+            landed.push(svc.stats().snapshots_written > before.snapshots_written);
+        }
+        assert_eq!(svc.stats().epoch_folds, 1, "seed {seed}: the first commit folds, only it");
+        svc.shutdown();
+        drop(svc);
+        // Epoch 1 (the fold) lost its rename; the next snapshot that
+        // landed must be a full one.
+        let files = snapshot_files(tmp.path());
+        let kind = |epoch: u64| {
+            let name = format!("snap-{epoch:016x}.cgs");
+            files.iter().find(|p| p.ends_with(&name)).map(|p| rests_on(p))
+        };
+        if !landed[0] {
+            assert_eq!(kind(1), None, "seed {seed}");
+            if let Some(first) = (2..=ROUNDS as u64).find(|&e| landed[e as usize - 1]) {
+                assert_eq!(kind(first), Some(None), "seed {seed}: epoch {first} must be full");
+                lost_then_full += 1;
+            }
+        }
+        // No overlay snapshot rests on a file that is not on disk or is
+        // not full, nor on the pre-fold base.
+        for p in &files {
+            if let Some(r) = rests_on(p) {
+                assert!(r.epoch >= 1, "seed {seed}: {p:?} rests on the pre-fold base");
+                let full = snapshot_files(tmp.path())
+                    .into_iter()
+                    .find(|q| q.ends_with(format!("snap-{:016x}.cgs", r.epoch)))
+                    .unwrap_or_else(|| panic!("seed {seed}: {p:?} rests on a missing file"));
+                assert_eq!(rests_on(&full), None, "seed {seed}");
+            }
+        }
+        let (svc, out) = QueryService::open_or_recover(
+            &edges,
+            EngineConfig::new(2),
+            durable_config_with(tmp.path(), 1, 4, 8),
+        )
+        .unwrap();
+        assert_eq!((out.epoch as usize, out.snapshots_corrupt), (ROUNDS, 0), "seed {seed}");
+        check_recovered(&svc, &history, N, ROUNDS);
+        svc.shutdown();
+    }
+    assert!(lost_then_full >= 3, "only {lost_then_full} seeds lost the post-fold full write");
+}
+
+/// Pruning at `keep_snapshots = 1` keeps the newest snapshot — after
+/// twenty commits an overlay one — and the full snapshot it rests on,
+/// however old; the pair recovers the tip without replaying anything.
+#[test]
+fn pruning_keeps_the_full_snapshot_a_retained_overlay_rests_on() {
+    const N: u64 = 24;
+    const ROUNDS: usize = 20;
+    let tmp = TempDir::new("prune-base");
+    let base = seed_edges(N, 40, 0x9B0E);
+    let edges = edge_list(N, &base);
+    let mut history = vec![base.clone()];
+    let mut model = base.clone();
+    let mut rng = Rng(0x4EE9);
+    let cfg = durable_config_with(tmp.path(), 1, MutationConfig::default().fold_threshold, 1);
+    let (svc, _) =
+        QueryService::open_or_recover(&edges, EngineConfig::new(2), cfg.clone()).unwrap();
+    settled_rounds(&svc, N, &mut model, &mut history, &mut rng, ROUNDS, 3);
+    svc.shutdown();
+    assert_eq!(svc.stats().snapshots_written, 1 + ROUNDS as u64);
+    drop(svc);
+    assert_eq!(
+        snapshot_names(tmp.path()),
+        ["snap-0000000000000000.cgs", "snap-0000000000000014.cgs"]
+    );
+    let files = snapshot_files(tmp.path());
+    assert_eq!(rests_on(&files[1]).map(|r| r.epoch), Some(0));
+    let (svc, out) = QueryService::open_or_recover(&edges, EngineConfig::new(2), cfg).unwrap();
+    assert_eq!((out.epoch as usize, out.wal_records_replayed), (ROUNDS, 0));
+    check_recovered(&svc, &history, N, ROUNDS);
+    svc.shutdown();
+    drop(svc);
+
+    // Right after a fold the newest `keep` snapshots are the new full
+    // one and overlay snapshots over the old base: that base stays too,
+    // so a damaged new full snapshot falls back to the overlay before
+    // it, not to the base graph.
+    let tmp = TempDir::new("prune-fold");
+    let mut history = vec![base.clone()];
+    let mut model = base.clone();
+    let cfg = durable_config_with(tmp.path(), 1, 4, 3);
+    let (svc, _) =
+        QueryService::open_or_recover(&edges, EngineConfig::new(2), cfg.clone()).unwrap();
+    settled_rounds(&svc, N, &mut model, &mut history, &mut rng, 2, 1);
+    settled_rounds(&svc, N, &mut model, &mut history, &mut rng, 1, 8);
+    svc.shutdown();
+    assert_eq!(svc.stats().epoch_folds, 1, "only the third commit folds");
+    drop(svc);
+    let files = snapshot_files(tmp.path());
+    let kinds: Vec<_> = files.iter().map(|p| rests_on(p).map(|r| r.epoch)).collect();
+    assert_eq!(kinds, [None, Some(0), Some(0), None], "F0, O1, O2 over it, F3");
+    flip_byte(&files[3]);
+    let (svc, out) = QueryService::open_or_recover(&edges, EngineConfig::new(2), cfg).unwrap();
+    assert_eq!(out.snapshots_corrupt, 1, "only the damaged full snapshot");
+    assert_eq!((out.epoch, out.wal_records_replayed), (3, 2), "epoch 3 replays over O2");
+    check_recovered(&svc, &history, N, 3);
+    svc.shutdown();
+}
+
+/// A restart at an overlay-snapshot tip writes nothing — the pair on
+/// disk is already this epoch's checkpoint. A restart that replayed
+/// commits without folding checkpoints an overlay snapshot over the full
+/// one recovery loaded its base from.
+#[test]
+fn restart_checkpoints_write_overlays_over_the_recovered_base() {
+    const N: u64 = 32;
+    let tmp = TempDir::new("overlay-tip");
+    let base = seed_edges(N, 60, 0x0E1A);
+    let edges = edge_list(N, &base);
+    let mut history = vec![base.clone()];
+    let mut model = base;
+    let mut rng = Rng(0x7199);
+    let open = |every: u64| {
+        QueryService::open_or_recover(
+            &edges,
+            EngineConfig::new(2),
+            durable_config(tmp.path(), every),
+        )
+        .unwrap()
+    };
+    // Cadence 1: the clean stop leaves an overlay snapshot at the tip.
+    let (svc, _) = open(1);
+    settled_rounds(&svc, N, &mut model, &mut history, &mut rng, 3, 4);
+    svc.shutdown();
+    drop(svc);
+    let tip = snapshot_files(tmp.path()).pop().unwrap();
+    assert!(tip.ends_with("snap-0000000000000003.cgs"));
+    assert_eq!(rests_on(&tip).map(|r| r.epoch), Some(0));
+
+    let (svc, out) = open(1);
+    assert_eq!((out.epoch, out.wal_records_replayed, out.snapshots_corrupt), (3, 0, 0));
+    svc.shutdown();
+    let s = svc.stats();
+    drop(svc);
+    assert_eq!((s.snapshots_written, s.snapshot_bytes), (0, 0), "{s:?}");
+    assert_eq!(s.last_snapshot_epoch, 3);
+
+    // Two more commits past the cadence stay in the WAL; the restart
+    // replays them (no fold) and its checkpoint rests on epoch 0 again.
+    let (svc, _) = open(100);
+    run_rounds(&svc, N, &mut model, &mut history, &mut rng, 2, 4);
+    svc.shutdown();
+    drop(svc);
+    let (svc, out) = open(100);
+    assert_eq!((out.epoch, out.wal_records_replayed), (5, 4));
+    check_recovered(&svc, &history, N, 5);
+    svc.shutdown();
+    let s = svc.stats();
+    drop(svc);
+    assert_eq!(s.snapshots_written, 1);
+    let tip = snapshot_files(tmp.path()).pop().unwrap();
+    assert!(tip.ends_with("snap-0000000000000005.cgs"));
+    assert_eq!(rests_on(&tip).map(|r| r.epoch), Some(0), "the checkpoint is an overlay snapshot");
+    assert_eq!(s.snapshot_bytes, fs::metadata(&tip).unwrap().len());
+    let (svc, out) = open(100);
+    assert_eq!((out.epoch, out.wal_records_replayed), (5, 0));
+    check_recovered(&svc, &history, N, 5);
+    svc.shutdown();
+}
+
+/// The overlay snapshot format on TINY: the bytes an overlay snapshot
+/// over the pinned full snapshot encodes to (digest recorded when the
+/// format was introduced), and the engine value the pair restores.
+#[test]
+fn tiny_overlay_snapshot_bytes_are_pinned() {
+    use cgraph::core::durability::{engine_from_snapshot, overlay_snapshot_of, snapshot_of};
+    use cgraph::graph::snapshot::{
+        decode_overlay_snapshot, encode_overlay_snapshot, encode_snapshot, full_snapshot_ref,
+    };
+    let engine = DistributedEngine::new(&Dataset::Tiny.generate(), EngineConfig::new(2));
+    let full = encode_snapshot(&snapshot_of(&engine, 0));
+    let base = full_snapshot_ref(&full).unwrap();
+    assert_eq!((base.epoch, base.last_seq), (0, 0));
+    let (engine, folded) = engine.with_updates(
+        &[EdgeUpdate::insert(1, 2), EdgeUpdate::insert(1, 0), EdgeUpdate::delete(0, 1)],
+        usize::MAX,
+    );
+    assert!(!folded);
+    let overlay = overlay_snapshot_of(&engine, 7, base);
+    let bytes = encode_overlay_snapshot(&overlay);
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes), base.digest),
+        (224, 0x9c30_29db_fc7f_829b, 0x72e0_9516),
+        "overlay snapshot bytes moved"
+    );
+    let decoded = decode_overlay_snapshot(&bytes).expect("own encoding decodes");
+    assert_eq!(decoded, overlay);
+    let restored = engine_from_snapshot(&decoded.over(&full).unwrap(), *engine.config());
+    assert_eq!(snapshot_of(&restored, 7), snapshot_of(&engine, 7));
 }

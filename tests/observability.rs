@@ -590,6 +590,13 @@ fn durable_stream_books_snapshots_in_registry_and_stats_together() {
         // with everything up to 0.2 s.
         assert!(h.buckets[0].0 <= 1e-6 && h.buckets.len() > 20, "{phase}: {:?}", h.buckets);
     }
+    // One WAL fence fsync per commit, on the same log-spaced edges.
+    let sync = &snap.histograms["cgraph_durability_wal_sync_seconds"];
+    assert_eq!(sync.count, COMMITS);
+    assert!(sync.buckets[0].0 <= 1e-6 && sync.buckets.len() > 20, "{:?}", sync.buckets);
+    // Nothing folded: the start-up snapshot is the one full snapshot,
+    // every commit's rests on it.
+    assert_eq!(snap.counters["cgraph_durability_full_snapshots_total"], 1);
     let log = TraceSink::render(&obs.trace.drain());
     assert_eq!(log.matches(" instant snapshot_write ").count(), COMMITS as usize, "{log}");
     assert_eq!(log.matches(" instant wal_commit ").count(), COMMITS as usize, "{log}");
