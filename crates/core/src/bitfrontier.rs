@@ -792,10 +792,12 @@ mod tests {
         }
         overlay.apply(&EdgeUpdate::delete(8, 9));
         overlay.apply(&EdgeUpdate::delete(28, 9));
-        let mut want: Vec<u64> = (0..n)
-            .flat_map(|v| overlay.merge_row(v, &[((v + 1) % n, 1.0), ((v + 13) % n, 1.0)]))
-            .map(|(t, _)| t)
-            .collect();
+        let effective = |v: u64| {
+            let mut base = vec![((v + 1) % n, 1.0), ((v + 13) % n, 1.0)];
+            base.sort_by_key(|e| e.0);
+            overlay.row(v).map_or(base.clone(), |r| r.merge(base).collect())
+        };
+        let mut want: Vec<u64> = (0..n).flat_map(effective).map(|(t, _)| t).collect();
         want.sort_unstable();
         want.dedup();
         assert!(!want.contains(&9) && want.len() as u64 == n - 1);

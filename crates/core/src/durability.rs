@@ -9,8 +9,8 @@
 //!   it is buffered anywhere (write-ahead ordering), and every epoch
 //!   commit appends a `Commit` fence naming the epoch it published;
 //! * at a configurable commit cadence the engine value is written as a
-//!   **snapshot** (temp file + atomic rename, every frame
-//!   CRC-checksummed, see [`cgraph_graph::snapshot`]). The first
+//!   **snapshot** (temp file + atomic rename + directory fsync, every
+//!   frame CRC-checksummed, see [`cgraph_graph::snapshot`]). The first
 //!   snapshot over a base graph — at start-up, after a fold or a
 //!   degradation — is a *full* one: base adjacency, live delta
 //!   overlays, partition boundaries, epoch. Every later one over the
@@ -50,7 +50,7 @@ use cgraph_graph::snapshot::{
     SnapshotTicket, WalRecord, WeightedRows,
 };
 use cgraph_graph::types::VertexRange;
-use cgraph_graph::{DeltaOverlay, Edge, EdgeUpdate};
+use cgraph_graph::{DeltaOverlay, EdgeUpdate, SortedRows};
 use std::fs::{self, File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
@@ -258,13 +258,25 @@ pub fn engine_from_snapshot(snap: &SnapshotData, mut config: EngineConfig) -> Di
         snap.ranges.iter().map(|&(s, e)| VertexRange::new(s, e)).collect(),
     );
     assert_eq!(partition.num_vertices(), snap.num_vertices);
-    // Each machine's shard is built from its own persisted rows.
-    let machine_edges = snap.partitions.iter().map(|part| {
-        let mut edges = Vec::with_capacity(part.base_rows.iter().map(|(_, r)| r.len()).sum());
-        for (src, row) in part.base_rows.iter() {
-            edges.extend(row.iter().map(|&(dst, w)| Edge::weighted(src, dst, w)));
+    // Each machine's shard is built from its own persisted rows, which
+    // are stored sorted: one row per vertex that has out-edges, sources
+    // ascending within the machine's range (`decode_snapshot` checks).
+    let machine_rows = (0..snap.ranges.len()).map(|m| {
+        let (start, end) = snap.ranges[m];
+        let persisted = &snap.partitions[m].base_rows;
+        let mut rows =
+            SortedRows::with_capacity(VertexRange::new(start, end), persisted.num_edges());
+        let mut persisted = persisted.iter().peekable();
+        for v in start..end {
+            if let Some((_, row)) = persisted.next_if(|&(src, _)| src == v) {
+                for &(t, w) in row {
+                    rows.push(t, w);
+                }
+            }
+            rows.end_row();
         }
-        edges
+        assert!(persisted.next().is_none(), "a persisted row outside machine {m}'s range");
+        rows
     });
     // DeltaRow state is rebuilt by replaying the persisted rows through
     // the overlay's own `apply` (deletes and inserts of one row are
@@ -284,7 +296,7 @@ pub fn engine_from_snapshot(snap: &SnapshotData, mut config: EngineConfig) -> Di
             }
         }
     }
-    DistributedEngine::restored(machine_edges, partition, overlays, snap.epoch, config)
+    DistributedEngine::restored(machine_rows, partition, overlays, snap.epoch, config)
 }
 
 /// One valid snapshot file found during the recovery scan.
@@ -529,7 +541,7 @@ pub(crate) struct SnapshotOutcome {
     pub(crate) full: Option<BaseOnDisk>,
     /// Capturing and encoding the engine value.
     pub(crate) encode: Duration,
-    /// Temp-file write, fsync, rename and prune.
+    /// Temp-file write, fsync, rename, directory fsync and prune.
     pub(crate) write: Duration,
     /// The I/O failure that cut the job short, if any.
     pub(crate) error: Option<DurabilityError>,
@@ -537,9 +549,9 @@ pub(crate) struct SnapshotOutcome {
 
 impl SnapshotJob {
     /// Encode, (maybe) mangle, write to `.tmp`, sync, atomic rename,
-    /// prune old snapshots. Takes no lock and touches no counter; the
-    /// engine value and the encoded bytes are released when this
-    /// returns.
+    /// sync the directory, prune old snapshots. Takes no lock and
+    /// touches no counter; the engine value and the encoded bytes are
+    /// released when this returns.
     pub(crate) fn run(self) -> SnapshotOutcome {
         let started = Instant::now();
         let (mut bytes, full) = match self.base {
@@ -580,12 +592,20 @@ impl SnapshotJob {
         out.bytes = bytes.len() as u64;
         if !self.ticket.rename_lost {
             fs::rename(&tmp_path, &final_path)?;
+            // The rename is durable once the directory is: until then a
+            // power loss can undo it, so the job is not booked before.
+            sync_dir(&self.dir)?;
             out.renamed = true;
             let pinned = [self.keep_epoch, self.base.map(|b| b.epoch)];
             prune(&self.dir, self.keep_snapshots, pinned.iter().flatten().copied())?;
         }
         Ok(())
     }
+}
+
+/// Fsyncs directory `dir`, making the renames and unlinks in it durable.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Removes all but the newest `keep` snapshot files, plus any stale
@@ -598,19 +618,20 @@ impl SnapshotJob {
 /// decode; when that one lies past a hole in the WAL (the log was torn
 /// and serving went on) nothing older can stand in for it. Every full
 /// snapshot a retained overlay snapshot rests on is retained too — its
-/// header frame names it.
+/// header frame names it. The directory is fsynced after any unlink.
 fn prune(
     dir: &Path,
     keep: usize,
     pinned: impl IntoIterator<Item = u64>,
 ) -> Result<(), DurabilityError> {
     let mut snaps: Vec<(u64, PathBuf)> = Vec::new();
+    let mut removed = false;
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if name.ends_with(".tmp") {
-            let _ = fs::remove_file(entry.path());
+            removed |= fs::remove_file(entry.path()).is_ok();
         } else if let Some(epoch) = snapshot_epoch(&name) {
             snaps.push((epoch, entry.path()));
         }
@@ -626,8 +647,11 @@ fn prune(
     retained.extend(bases);
     for (epoch, path) in snaps {
         if !retained.contains(&epoch) {
-            let _ = fs::remove_file(path);
+            removed |= fs::remove_file(path).is_ok();
         }
+    }
+    if removed {
+        sync_dir(dir)?;
     }
     Ok(())
 }
@@ -1024,8 +1048,8 @@ mod tests {
                 let m = e.partition().owner(v);
                 let shard = &e.shards()[m];
                 let base = shard.out_neighbors_weighted(v);
-                match e.delta(m) {
-                    Some(d) => d.merge_row(v, &base),
+                match e.delta(m).and_then(|d| d.row(v)) {
+                    Some(r) => r.merge(base).collect(),
                     None => base,
                 }
             };

@@ -25,7 +25,7 @@ use crate::gas::Gas;
 use crate::partition::RangePartition;
 use crate::pcm::{PartitionCtx, PartitionProgram};
 use crate::recovery::{PartitionSnapshot, RecoveryConfig, RecoveryReport, RecoveryStore};
-use crate::shard::{edges_by_owner, Shard};
+use crate::shard::Shard;
 use crate::traverse::{QueueTraversal, ValueMode};
 use cgraph_comm::chaos::{ChaosRun, FaultPlan};
 use cgraph_comm::cluster::TrafficReport;
@@ -33,7 +33,7 @@ use cgraph_comm::{
     BarrierPoisoned, Cluster, ClusterError, CommHandle, MachineObs, PersistentCluster, WireSize,
 };
 use cgraph_graph::delta::{DeltaOverlay, EdgeUpdate};
-use cgraph_graph::{Csc, Edge, EdgeList, LaneMask, LaneWidth, VertexId, MAX_LANES};
+use cgraph_graph::{Csc, Edge, EdgeList, LaneMask, LaneWidth, SortedRows, VertexId, MAX_LANES};
 use cgraph_obs::{log2_edges, Counter, Histogram, TraceCtx, Tracer, COORD, LOG_LATENCY_EDGES_SECS};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -516,6 +516,59 @@ struct BaseGraph {
     out_degrees: Vec<u32>,
 }
 
+impl BaseGraph {
+    /// Builds machine `m`'s shard from the `m`-th item of `rows`, one
+    /// machine at a time, each machine's rows dropped once its shard is
+    /// built (ingest, restore).
+    fn build(
+        partition: &RangePartition,
+        config: EngineConfig,
+        rows: impl IntoIterator<Item = SortedRows>,
+    ) -> Self {
+        let machine = |(m, own): (usize, SortedRows)| Self::machine(partition, config, m, &own);
+        Self::assemble(rows.into_iter().enumerate().map(machine).collect())
+    }
+
+    /// [`BaseGraph::build`] from `rows(m)`, each machine on a scoped
+    /// thread of its own (a fold: the commit waits for it and the
+    /// machine threads are parked).
+    fn build_parallel(
+        partition: &RangePartition,
+        config: EngineConfig,
+        rows: impl Fn(usize) -> SortedRows + Sync,
+    ) -> Self {
+        let rows = &rows;
+        Self::assemble(std::thread::scope(|scope| {
+            let running: Vec<_> = (0..config.num_machines)
+                .map(|m| scope.spawn(move || Self::machine(partition, config, m, &rows(m))))
+                .collect();
+            running
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        }))
+    }
+
+    /// Machine `m`'s shard and its local vertices' out-degrees.
+    fn machine(
+        partition: &RangePartition,
+        config: EngineConfig,
+        m: usize,
+        rows: &SortedRows,
+    ) -> (Shard, Vec<u32>) {
+        assert_eq!(partition.num_partitions(), config.num_machines, "partitions ≠ machines");
+        let degrees = rows.span().iter().map(|v| rows.degree(v) as u32).collect();
+        (Shard::from_rows(m, partition, rows, config.edge_set_policy), degrees)
+    }
+
+    /// The base of every machine's shard and degrees, in machine order
+    /// — partition ranges are contiguous and in that order too.
+    fn assemble(built: Vec<(Shard, Vec<u32>)>) -> Self {
+        let out_degrees = built.iter().flat_map(|(_, d)| d).copied().collect();
+        Self { shards: built.into_iter().map(|(s, _)| s).collect(), out_degrees }
+    }
+}
+
 /// Names the base graph of an engine value without keeping its shards
 /// alive — for a holder that must later ask "is this still that value's
 /// base?" (the durability plane, about the full snapshot it last
@@ -584,20 +637,22 @@ impl DistributedEngine {
         config: EngineConfig,
     ) -> Self {
         assert_eq!(partition.num_vertices(), edges.num_vertices());
-        let rows = edges_by_owner(&partition, edges.edges());
         let deltas = (0..config.num_machines).map(|_| Arc::default()).collect();
-        Self::from_rows(partition, rows, deltas, 0, config)
+        let rows = SortedRows::group(partition.ranges(), edges.edges());
+        let base = BaseGraph::build(&partition, config, rows);
+        Self::assemble(partition, Arc::new(base), deltas, 0, config)
     }
 
     /// Rebuilds an engine value from durable state: each machine's base
-    /// out-edges (`machine_edges[m]` for machine `m`), the partition
+    /// out-rows (the `m`-th item of `machine_rows` for machine `m`,
+    /// dropped as soon as its shard is built), the partition
     /// boundaries and per-machine delta overlays live at snapshot time,
     /// and the epoch the snapshot captured. This is the recovery-path
     /// twin of [`DistributedEngine::with_partition`] — same shard
     /// build, but the epoch counter and overlays resume where the
     /// crashed process left them instead of starting from zero.
     pub fn restored(
-        machine_edges: impl IntoIterator<Item = Vec<Edge>>,
+        machine_rows: impl IntoIterator<Item = SortedRows>,
         partition: RangePartition,
         deltas: Vec<DeltaOverlay>,
         graph_epoch: u64,
@@ -605,34 +660,8 @@ impl DistributedEngine {
     ) -> Self {
         assert_eq!(deltas.len(), config.num_machines, "one overlay per machine");
         let deltas = deltas.into_iter().map(PublishedDelta::new).collect();
-        Self::from_rows(partition, machine_edges, deltas, graph_epoch, config)
-    }
-
-    /// Builds machine `m`'s shard from the `m`-th item of `rows` — its
-    /// own out-edges, dropped as soon as its shard is built — counting
-    /// every vertex's out-degree on the way, then the value.
-    fn from_rows(
-        partition: RangePartition,
-        rows: impl IntoIterator<Item = Vec<Edge>>,
-        deltas: Vec<Arc<PublishedDelta>>,
-        graph_epoch: u64,
-        config: EngineConfig,
-    ) -> Self {
-        assert_eq!(
-            partition.num_partitions(),
-            config.num_machines,
-            "partition count must match machine count"
-        );
-        let mut out_degrees = vec![0u32; partition.num_vertices() as usize];
-        let mut shards = Vec::with_capacity(config.num_machines);
-        for (m, own) in rows.into_iter().enumerate() {
-            for e in &own {
-                out_degrees[e.src as usize] += 1;
-            }
-            shards.push(Shard::build(m, &partition, &own, config.edge_set_policy));
-        }
-        let base = Arc::new(BaseGraph { shards, out_degrees });
-        Self::assemble(partition, base, deltas, graph_epoch, config)
+        let base = BaseGraph::build(&partition, config, machine_rows);
+        Self::assemble(partition, Arc::new(base), deltas, graph_epoch, config)
     }
 
     /// The one place an engine value is put together, so no
@@ -734,10 +763,14 @@ impl DistributedEngine {
         self.in_edges.get_or_init(|| {
             #[cfg(test)]
             self.in_edge_derivations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            // Tiles hold a pair's duplicates in input order, the order
+            // the CSC keeps.
             let mut local_dst = vec![Vec::new(); self.num_machines()];
-            for m in 0..self.num_machines() {
-                for e in self.merged_rows(m, &DeltaOverlay::new()) {
-                    local_dst[self.partition.owner(e.dst)].push(e);
+            for set in self.shards().iter().flat_map(|s| s.out_sets().sets()) {
+                for (v, targets, weights) in set.iter_rows() {
+                    for (&t, &w) in targets.iter().zip(weights) {
+                        local_dst[self.partition.owner(t)].push(Edge::weighted(v, t, w));
+                    }
                 }
             }
             let n = self.num_vertices();
@@ -810,9 +843,9 @@ impl DistributedEngine {
     /// untouched (an `Arc` clone) and only the overlays change — the
     /// cheap publish path. Above the threshold the commit *folds*:
     /// every partition's shard is rebuilt from its own effective rows
-    /// ([`DeltaOverlay::merge_row`]) and the new engine starts
-    /// delta-free. Returns the new engine and whether a
-    /// fold happened. Either way the logical graph is identical —
+    /// ([`Shard::effective_rows`]), each machine's on a scoped thread,
+    /// and the new engine starts delta-free. Returns the new engine and
+    /// whether a fold happened. Either way the logical graph is identical —
     /// `(base ∖ deletes) ∪ inserts` — so query answers never depend on
     /// which side of the threshold a commit landed.
     ///
@@ -837,15 +870,12 @@ impl DistributedEngine {
         }
         let total: usize = deltas.iter().map(DeltaOverlay::len).sum();
         if total > fold_threshold {
-            let rows = (0..self.num_machines()).map(|m| self.merged_rows(m, &deltas[m]));
+            let rows = |m: usize| self.shards()[m].effective_rows(&deltas[m]);
+            let base = BaseGraph::build_parallel(&self.partition, self.config, rows);
             let fresh = (0..self.num_machines()).map(|_| Arc::default()).collect();
-            let folded = Self::from_rows(
-                self.partition.clone(),
-                rows,
-                fresh,
-                self.graph_epoch + 1,
-                self.config,
-            );
+            let epoch = self.graph_epoch + 1;
+            let folded =
+                Self::assemble(self.partition.clone(), Arc::new(base), fresh, epoch, self.config);
             (folded, true)
         } else {
             (self.sharing_base(deltas.into_iter().map(PublishedDelta::new).collect()), false)
@@ -856,20 +886,6 @@ impl DistributedEngine {
     fn sharing_base(&self, deltas: Vec<Arc<PublishedDelta>>) -> DistributedEngine {
         let base = Arc::clone(&self.base);
         Self::assemble(self.partition.clone(), base, deltas, self.graph_epoch + 1, self.config)
-    }
-
-    /// Machine `m`'s effective out-edges — its base rows merged with
-    /// `delta` ([`DeltaOverlay::merge_row`]), rows in vertex order.
-    fn merged_rows(&self, m: usize, delta: &DeltaOverlay) -> Vec<Edge> {
-        let shard = &self.shards()[m];
-        let mut edges = Vec::with_capacity(shard.num_out_edges());
-        let mut row = Vec::new();
-        for v in shard.local_range().iter() {
-            shard.out_neighbors_weighted_into(v, &mut row);
-            edges
-                .extend(delta.merge_row(v, &row).into_iter().map(|(t, w)| Edge::weighted(v, t, w)));
-        }
-        edges
     }
 
     /// Engine configuration.
@@ -1412,13 +1428,14 @@ impl DistributedEngine {
     /// never the epoch.
     pub fn repartitioned(&self, num_machines: usize) -> DistributedEngine {
         assert!(num_machines >= 1, "cannot degrade below one machine");
-        let mut edges: EdgeList = self
-            .deltas
-            .iter()
-            .enumerate()
-            .flat_map(|(m, d)| self.merged_rows(m, &d.overlay))
-            .collect();
+        let mut edges =
+            EdgeList::with_capacity(self.shards().iter().map(Shard::num_out_edges).sum());
         edges.set_num_vertices(self.num_vertices());
+        for (shard, d) in self.shards().iter().zip(&self.deltas) {
+            for e in shard.effective_rows(&d.overlay).edges() {
+                edges.push(e);
+            }
+        }
         let mut e = DistributedEngine::new(&edges, EngineConfig { num_machines, ..self.config });
         e.graph_epoch = self.graph_epoch;
         e

@@ -71,6 +71,7 @@ pub(super) struct ServiceObs {
     pub(super) mutation_edges_deleted: Arc<Counter>,
     pub(super) mutation_commits: Arc<Counter>,
     pub(super) mutation_folds: Arc<Counter>,
+    pub(super) mutation_fold_seconds: Arc<Histogram>,
     pub(super) mutation_pending: Arc<Gauge>,
     mutation_delta_entries: Arc<Gauge>,
     mutation_delta_bytes: Arc<Gauge>,
@@ -302,6 +303,13 @@ impl ServiceObs {
             mutation_folds: m.counter(
                 "cgraph_mutation_folds_total",
                 "Commits that folded the delta overlay into fresh base edge-sets.",
+            ),
+            mutation_fold_seconds: m.histogram(
+                "cgraph_mutation_fold_seconds",
+                "Per fold, wall: rebuilding every machine's shard from its rows merged with \
+                 the overlay, on the dispatcher inside the commit (the machines' shards are \
+                 built in parallel).",
+                &LOG_LATENCY_EDGES_SECS,
             ),
             mutation_pending: m.gauge(
                 "cgraph_mutation_pending_updates",

@@ -581,8 +581,12 @@ pub(super) fn run_commit(core: &Arc<SharedCore>, ctx: &mut ExecCtx) {
     let started = Instant::now();
     let gate = lock(&core.stats_gate);
     let (updates, waiters, wal_seq) = take_commit_request(core, ctx.serving.epoch() + 1);
+    let derive = Instant::now();
     let (engine, folded) =
         ctx.serving.engine.with_updates(&updates, core.config.mutation.fold_threshold);
+    if folded {
+        core.obs.mutation_fold_seconds.observe_duration(derive.elapsed());
+    }
     let new_epoch = engine.graph_epoch();
     publish(core, ctx, Serving::build(&core.config, &core.obs, Arc::new(engine)));
     // Fence every replica's cache: entries of epochs before

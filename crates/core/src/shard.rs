@@ -11,6 +11,17 @@
 //! into, so the scan addresses remote destinations by position rather
 //! than by lookup.
 //!
+//! Every shard is built by [`Shard::from_rows`] from its local
+//! vertices' [`SortedRows`] — one target-sorted run per vertex — in the
+//! edge-set build's two passes (count the cells, then place each
+//! tile's runs; see [`cgraph_graph::edge_set`]). No tile is sorted: the
+//! runs already are. Ingest groups an edge list into every machine's
+//! rows in one count and one scatter ([`SortedRows::group`]); a fold
+//! streams them out of the old shard's tiles, merging the overlay into
+//! the rows it touches ([`Shard::effective_rows`]); a restore reads
+//! them off a snapshot. Slots and the boundary come from the rows'
+//! targets in one more pass.
+//!
 //! In-edges (CSC over local destinations, for GAS gathers) are read
 //! only by GAS and partition-centric programs, so the engine derives
 //! them from all shards' out-edges when such a program first runs;
@@ -18,7 +29,7 @@
 
 use crate::partition::RangePartition;
 use cgraph_graph::types::{PartitionId, VertexRange};
-use cgraph_graph::{ConsolidationPolicy, Edge, EdgeSetGraph, VertexId};
+use cgraph_graph::{ConsolidationPolicy, DeltaOverlay, Edge, EdgeSetGraph, SortedRows, VertexId};
 
 /// One machine's shard: local vertex range plus its out-edges.
 #[derive(Debug)]
@@ -40,18 +51,30 @@ pub struct Shard {
 
 impl Shard {
     /// Builds the shard for partition `id` from its own out-edges:
-    /// `edges` holds exactly the edges whose source is local to `id`,
-    /// in the order the tiles should see them (duplicates of one
-    /// `(src, dst)` pair keep that order).
+    /// the edges of `edges` whose source is local to `id` (the rest are
+    /// skipped), grouped into rows in input order — duplicates of one
+    /// `(src, dst)` pair keep that order.
     pub fn build(
         id: PartitionId,
         partition: &RangePartition,
         edges: &[Edge],
         policy: ConsolidationPolicy,
     ) -> Self {
+        Self::from_rows(id, partition, &SortedRows::group(&[partition.range(id)], edges)[0], policy)
+    }
+
+    /// Builds the shard for partition `id` from `rows`, the out-rows of
+    /// every local vertex.
+    pub fn from_rows(
+        id: PartitionId,
+        partition: &RangePartition,
+        rows: &SortedRows,
+        policy: ConsolidationPolicy,
+    ) -> Self {
         let local = partition.range(id);
+        assert_eq!(rows.span(), local, "rows of another partition");
         let n = partition.num_vertices();
-        let out_sets = EdgeSetGraph::build(edges, local, VertexRange::new(0, n), policy);
+        let out_sets = EdgeSetGraph::from_rows(rows, VertexRange::new(0, n), policy);
 
         // Slot numbering in O(n + edges): mark the remote targets, then
         // one ascending pass ranks them (which also yields `boundary`
@@ -60,8 +83,8 @@ impl Shard {
         const UNUSED: u32 = u32::MAX;
         const MARKED: u32 = 0;
         let mut slot_of = vec![UNUSED; n as usize];
-        for e in edges {
-            slot_of[e.dst as usize] = MARKED;
+        for &t in rows.targets() {
+            slot_of[t as usize] = MARKED;
         }
         let num_local = local.len() as u32;
         let mut boundary: Vec<VertexId> = Vec::new();
@@ -81,6 +104,37 @@ impl Shard {
             .collect();
 
         Self { id, local, out_sets, boundary, slots }
+    }
+
+    /// The out-rows of every local vertex as `delta` leaves them — the
+    /// rows a fold rebuilds this shard's successor from. A row `delta`
+    /// does not touch is copied out of the tiles run by run (a stripe's
+    /// tiles are in column order, so their runs concatenate sorted); a
+    /// touched row is merged on the way ([`DeltaRow::merge`](cgraph_graph::DeltaRow::merge)).
+    pub fn effective_rows(&self, delta: &DeltaOverlay) -> SortedRows {
+        let sets = self.out_sets.sets();
+        let room = self.num_out_edges() + delta.num_inserts();
+        let mut rows = SortedRows::with_capacity(self.local, room);
+        let mut stripe = 0; // first tile whose rows do not end before `v`
+        for v in self.local.iter() {
+            while sets.get(stripe).is_some_and(|s| s.row_range.end <= v) {
+                stripe += 1;
+            }
+            let runs = sets[stripe..].iter().take_while(|s| s.row_range.contains(v)).map(|s| {
+                let (_, targets, weights) = s.raw_parts();
+                let span = s.row_span(v);
+                (&targets[span.clone()], &weights[span])
+            });
+            match delta.row(v) {
+                None => runs.for_each(|(targets, weights)| rows.extend(targets, weights)),
+                Some(row) => {
+                    let base = runs.flat_map(|(t, w)| t.iter().copied().zip(w.iter().copied()));
+                    row.merge(base).for_each(|(t, w)| rows.push(t, w));
+                }
+            }
+            rows.end_row();
+        }
+        rows
     }
 
     /// Partition ID of this shard.
@@ -205,31 +259,16 @@ impl Shard {
     }
 }
 
-/// Splits `edges` by the owner of their source: entry `m` holds
-/// partition `m`'s out-edges in input order. One pass to size the
-/// buckets, one to fill them.
-pub fn edges_by_owner(partition: &RangePartition, edges: &[Edge]) -> Vec<Vec<Edge>> {
-    let mut counts = vec![0usize; partition.num_partitions()];
-    for e in edges {
-        counts[partition.owner(e.src)] += 1;
-    }
-    let mut buckets: Vec<Vec<Edge>> = counts.into_iter().map(Vec::with_capacity).collect();
-    for e in edges {
-        buckets[partition.owner(e.src)].push(*e);
-    }
-    buckets
-}
-
 /// Builds all `p` shards for a graph from its global edge list — the
-/// one-call entry for tests; the engine builds each shard from its own
-/// rows ([`edges_by_owner`] at ingest).
+/// one-call entry for tests; the list is grouped into every machine's
+/// rows at once ([`SortedRows::group`]).
 pub fn build_shards(
     partition: &RangePartition,
     edges: &[Edge],
     policy: ConsolidationPolicy,
 ) -> Vec<Shard> {
-    let own = edges_by_owner(partition, edges);
-    own.iter().enumerate().map(|(m, edges)| Shard::build(m, partition, edges, policy)).collect()
+    let rows = SortedRows::group(partition.ranges(), edges);
+    rows.iter().enumerate().map(|(m, rows)| Shard::from_rows(m, partition, rows, policy)).collect()
 }
 
 #[cfg(test)]

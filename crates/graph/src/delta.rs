@@ -22,8 +22,8 @@
 //!    `graph_epoch` is bumped.
 //! 3. **Fold.** When the resident overlay outgrows a configured
 //!    threshold, the commit instead rebuilds fresh edge-sets
-//!    per partition from the effective adjacency (see
-//!    [`DeltaOverlay::merge_row`]) and starts over with an empty
+//!    per partition from the effective adjacency (each touched row
+//!    merged by [`DeltaRow::merge`]) and starts over with an empty
 //!    overlay. A fold changes the physical layout, never the logical
 //!    graph — answers at a given epoch are identical whichever side of
 //!    the threshold the commit landed on.
@@ -203,6 +203,48 @@ impl DeltaRow {
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.deletes.is_empty()
     }
+
+    /// The effective out-row of this row's source: `base` (sorted by
+    /// destination, duplicates in stored order) without deleted or
+    /// re-inserted destinations, merged by destination with the insert
+    /// row. The surviving base destinations and the inserted ones are
+    /// disjoint, so the merge is a plain walk — base duplicates keep
+    /// their order and nothing is collected on the way.
+    pub fn merge<'a, I>(&'a self, base: I) -> impl Iterator<Item = (VertexId, Weight)> + 'a
+    where
+        I: IntoIterator<Item = (VertexId, Weight)>,
+        I::IntoIter: 'a,
+    {
+        let mut base = base.into_iter().peekable();
+        let (mut ins, mut del) = (0, 0);
+        std::iter::from_fn(move || loop {
+            let next_insert = self.inserts.get(ins).copied();
+            let Some(&(t, w)) = base.peek() else {
+                ins += 1;
+                return next_insert;
+            };
+            while self.deletes.get(del).is_some_and(|&d| d < t) {
+                del += 1;
+            }
+            let dropped = self.deletes.get(del) == Some(&t);
+            match next_insert {
+                Some(e) if e.0 == t => {
+                    base.next(); // superseded by the insert, emitted in turn
+                }
+                Some(e) if e.0 < t => {
+                    ins += 1;
+                    return Some(e);
+                }
+                _ if dropped => {
+                    base.next();
+                }
+                _ => {
+                    base.next();
+                    return Some((t, w));
+                }
+            }
+        })
+    }
 }
 
 /// One partition's resident adjacency delta: a [`DeltaRow`] per source
@@ -298,28 +340,6 @@ impl DeltaOverlay {
     pub fn size_bytes(&self) -> usize {
         self.rows.values().map(|r| 48 + r.inserts.len() * 12 + r.deletes.len() * 8).sum::<usize>()
     }
-
-    /// The *effective* out-adjacency of source `v`: `base` (sorted by
-    /// destination, as stored in the shard) with deleted and
-    /// re-inserted destinations filtered out, then the insert row
-    /// appended. This is the fold primitive: rebuilding every
-    /// partition's edge-sets from `merge_row` output produces the
-    /// logical graph the overlay was presenting.
-    pub fn merge_row(&self, v: VertexId, base: &[(VertexId, Weight)]) -> Vec<(VertexId, Weight)> {
-        match self.row(v) {
-            None => base.to_vec(),
-            Some(row) => {
-                let mut out: Vec<(VertexId, Weight)> = base
-                    .iter()
-                    .filter(|&&(t, _)| !row.is_deleted(t) && !row.overrides(t))
-                    .copied()
-                    .collect();
-                out.extend_from_slice(row.inserts());
-                out.sort_unstable_by_key(|e| e.0);
-                out
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -373,16 +393,31 @@ mod tests {
     }
 
     #[test]
-    fn merge_row_filters_and_appends() {
+    fn merge_filters_and_appends() {
         let mut d = DeltaOverlay::new();
         d.apply(&EdgeUpdate::delete(0, 2));
         d.apply(&EdgeUpdate::insert_weighted(0, 5, 3.0));
         d.apply(&EdgeUpdate::insert_weighted(0, 1, 7.0)); // overrides base weight
         let base = vec![(1u64, 1.0f32), (2, 1.0), (3, 1.0)];
-        let merged = d.merge_row(0, &base);
+        let merged: Vec<_> = d.row(0).unwrap().merge(base).collect();
         assert_eq!(merged, vec![(1, 7.0), (3, 1.0), (5, 3.0)]);
-        // Untouched sources pass through unchanged.
-        assert_eq!(d.merge_row(9, &base), base);
+        // Untouched sources have no row to merge.
+        assert!(d.row(9).is_none());
+    }
+
+    #[test]
+    fn merge_keeps_duplicate_order_and_drops_every_copy() {
+        let mut d = DeltaOverlay::new();
+        d.apply(&EdgeUpdate::delete(0, 2)); // a duplicated base edge
+        d.apply(&EdgeUpdate::insert_weighted(0, 4, 9.0)); // re-weights both copies of 4
+        d.apply(&EdgeUpdate::insert_weighted(0, 0, 5.0));
+        d.apply(&EdgeUpdate::insert_weighted(0, 7, 6.0));
+        let base = [(1u64, 1.0f32), (1, 2.0), (2, 3.0), (2, 4.0), (4, 5.0), (4, 6.0), (5, 7.0)];
+        let merged: Vec<_> = d.row(0).unwrap().merge(base).collect();
+        assert_eq!(merged, vec![(0, 5.0), (1, 1.0), (1, 2.0), (4, 9.0), (5, 7.0), (7, 6.0)]);
+        // Past the last base edge the inserts still come out.
+        let merged: Vec<_> = d.row(0).unwrap().merge([(1, 1.0)]).collect();
+        assert_eq!(merged, vec![(0, 5.0), (1, 1.0), (4, 9.0), (7, 6.0)]);
     }
 
     #[test]

@@ -20,8 +20,29 @@
 //! vertically". [`ConsolidationPolicy`] controls the threshold; the
 //! build performs a horizontal pass (within a stripe) and then a
 //! vertical pass (across stripes, same column range).
+//!
+//! # Two passes over sorted rows
+//!
+//! The build follows the paper's two scans ("we first obtain vertex
+//! degrees … we scan the edge list again and allocate each edge to an
+//! edge-set") over [`SortedRows`]: one run of `(target, weight)` per
+//! source vertex, sorted by target, duplicates in input order.
+//!
+//! 1. **Count.** The degrees fix the grid. A row's share of one column
+//!    range is a contiguous run of its sorted targets, found with
+//!    `partition_point`, so counting every cell costs a few binary
+//!    searches per row. Consolidation decides on those counts alone.
+//! 2. **Place.** Each surviving tile allocates its `row_offsets`,
+//!    `targets` and `weights` at their exact size and copies each of its
+//!    rows' runs in, row by row.
+//!
+//! A tile needs no sort: its rows are visited in vertex order and each
+//! run is already sorted by target with duplicates in input order —
+//! exactly what a stable `(src, dst)` sort of the tile's edges yields.
+//! No per-cell copy of the edges is made.
 
 use crate::edge::Edge;
+use crate::rows::SortedRows;
 use crate::types::{VertexId, VertexRange, Weight};
 
 /// One edge-set tile: a CSR over `row_range × col_range`.
@@ -40,23 +61,6 @@ pub struct EdgeSet {
 }
 
 impl EdgeSet {
-    fn build(row_range: VertexRange, col_range: VertexRange, mut edges: Vec<Edge>) -> Self {
-        // Stable: duplicate `(src, dst)` edges keep input order, as in
-        // a CSC built from the input (the engine derives one from tiles).
-        edges.sort_by_key(|a| (a.src, a.dst));
-        let nrows = row_range.len() as usize;
-        let mut row_offsets = vec![0u32; nrows + 1];
-        for e in &edges {
-            row_offsets[row_range.to_local(e.src) as usize + 1] += 1;
-        }
-        for r in 0..nrows {
-            row_offsets[r + 1] += row_offsets[r];
-        }
-        let targets = edges.iter().map(|e| e.dst).collect();
-        let weights = edges.iter().map(|e| e.weight).collect();
-        Self { row_range, col_range, row_offsets, targets, weights }
-    }
-
     /// Number of edges in the tile.
     #[inline]
     pub fn num_edges(&self) -> usize {
@@ -223,7 +227,8 @@ fn split_even(span: VertexRange, k: usize) -> Vec<VertexRange> {
 
 impl EdgeSetGraph {
     /// Builds the blocked representation for edges whose sources fall
-    /// in `row_span` and destinations in `col_span`.
+    /// in `row_span` and destinations in `col_span`: groups them into
+    /// [`SortedRows`], then [`EdgeSetGraph::from_rows`].
     ///
     /// Panics (debug) if an edge endpoint lies outside its span.
     pub fn build(
@@ -232,45 +237,49 @@ impl EdgeSetGraph {
         col_span: VertexRange,
         policy: ConsolidationPolicy,
     ) -> Self {
-        // 1. Row degrees ("we first obtain vertex degrees …").
-        let nrows = row_span.len() as usize;
-        let mut deg = vec![0u64; nrows];
-        for e in edges {
-            debug_assert!(row_span.contains(e.src) && col_span.contains(e.dst));
-            deg[row_span.to_local(e.src) as usize] += 1;
-        }
+        let rows = &SortedRows::group(&[row_span], edges)[0];
+        debug_assert_eq!(rows.num_edges(), edges.len(), "an edge source outside {row_span:?}");
+        Self::from_rows(rows, col_span, policy)
+    }
+
+    /// Builds the blocked representation of `rows` (every vertex of
+    /// their span must have its row), whose targets fall in
+    /// `col_span`, in the two passes the module docs describe.
+    pub fn from_rows(
+        rows: &SortedRows,
+        col_span: VertexRange,
+        policy: ConsolidationPolicy,
+    ) -> Self {
+        assert!(rows.is_complete(), "rows end before {:?} does", rows.span());
+        // 1. Row degrees ("we first obtain vertex degrees …") are the
+        //    rows' lengths.
+        let (row_span, num_edges) = (rows.span(), rows.num_edges());
         // 2. The policy's tile size fixes the grid: `side × side` tiles
         //    of about `target` edges each, `side = ⌈√(E / target)⌉` —
         //    stripes of even degree mass, columns of even width.
         let target = (policy.target_edges_per_set as u64).max(1);
-        let tiles = (edges.len() as u64).div_ceil(target).max(1);
+        let tiles = (num_edges as u64).div_ceil(target).max(1);
         let root = tiles.isqrt();
         let side = (root + u64::from(root * root < tiles)) as usize;
-        let row_ranges = split_by_mass(row_span, |v| deg[row_span.to_local(v) as usize], side);
+        let row_ranges = split_by_mass(row_span, |v| rows.degree(v) as u64, side);
         let col_ranges = split_even(col_span, side);
-        let layout =
-            EdgeSetLayout { row_ranges: row_ranges.clone(), col_ranges: col_ranges.clone() };
 
-        // 3. Bucket edges into grid cells ("we scan the edge list again
-        //    and allocate each edge to an edge-set").
-        let col_of = |d: VertexId| -> usize {
-            // Column ranges are even-by-count: O(1) lookup.
-            let n = col_span.len();
-            let k = col_ranges.len() as u64;
-            let base = n / k;
-            let rem = n % k;
-            let off = d - col_span.start;
-            let boundary = rem * (base + 1);
-            if off < boundary {
-                (off / (base + 1)) as usize
-            } else {
-                (rem + (off - boundary) / base.max(1)) as usize
+        // 3. Count each cell ("we scan the edge list again and allocate
+        //    each edge to an edge-set"): a row's share of a column range
+        //    is one run of its sorted targets.
+        let ncols = col_ranges.len();
+        let mut cells = vec![0usize; row_ranges.len() * ncols];
+        for (ri, row) in row_ranges.iter().enumerate() {
+            for v in row.iter() {
+                let mut rest = rows.row(v).0;
+                while let Some(&t) = rest.first() {
+                    debug_assert!(col_span.contains(t), "target {t} outside {col_span:?}");
+                    let ci = col_ranges.partition_point(|c| c.end <= t);
+                    let run = rest.partition_point(|&x| x < col_ranges[ci].end);
+                    cells[ri * ncols + ci] += run;
+                    rest = &rest[run..];
+                }
             }
-        };
-        let row_of = |s: VertexId| -> usize { row_ranges.partition_point(|r| r.end <= s) };
-        let mut cells: Vec<Vec<Edge>> = vec![Vec::new(); row_ranges.len() * col_ranges.len()];
-        for &e in edges {
-            cells[row_of(e.src) * col_ranges.len() + col_of(e.dst)].push(e);
         }
 
         // 4. Consolidate horizontally within each stripe.
@@ -278,21 +287,21 @@ impl EdgeSetGraph {
         struct ProtoSet {
             row: VertexRange,
             cols: (usize, usize), // inclusive col index range
-            edges: Vec<Edge>,
+            edges: usize,
         }
         let mut protos: Vec<Vec<ProtoSet>> = Vec::with_capacity(row_ranges.len());
         for (ri, row) in row_ranges.iter().enumerate() {
             let mut stripe: Vec<ProtoSet> = Vec::new();
-            for ci in 0..col_ranges.len() {
-                let edges = std::mem::take(&mut cells[ri * col_ranges.len() + ci]);
+            for ci in 0..ncols {
+                let edges = cells[ri * ncols + ci];
                 let merge = policy.horizontal
                     && !stripe.is_empty()
-                    && (edges.len() < policy.min_edges_per_set
-                        || stripe.last().unwrap().edges.len() < policy.min_edges_per_set);
+                    && (edges < policy.min_edges_per_set
+                        || stripe.last().unwrap().edges < policy.min_edges_per_set);
                 if merge {
                     let last = stripe.last_mut().unwrap();
                     last.cols.1 = ci;
-                    last.edges.extend(edges);
+                    last.edges += edges;
                 } else {
                     stripe.push(ProtoSet { row: *row, cols: (ci, ci), edges });
                 }
@@ -308,15 +317,15 @@ impl EdgeSetGraph {
                 let prev = &mut head[ri - 1];
                 let cur = &mut tail[0];
                 if prev.len() == 1 && cur.len() == 1 {
-                    let small = prev[0].edges.len() < policy.min_edges_per_set
-                        || cur[0].edges.len() < policy.min_edges_per_set;
+                    let small = prev[0].edges < policy.min_edges_per_set
+                        || cur[0].edges < policy.min_edges_per_set;
                     let aligned =
                         prev[0].cols == cur[0].cols && prev[0].row.end == cur[0].row.start;
                     if small && aligned {
                         let mut merged = prev.pop().unwrap();
                         let top = cur.remove(0);
                         merged.row = VertexRange::new(merged.row.start, top.row.end);
-                        merged.edges.extend(top.edges);
+                        merged.edges += top.edges;
                         cur.push(merged);
                     }
                 }
@@ -324,18 +333,27 @@ impl EdgeSetGraph {
             protos.retain(|s| !s.is_empty());
         }
 
-        // 6. Materialise tiles (row-major).
+        // 6. Place each tile's runs (row-major), exactly sized.
         let mut sets = Vec::new();
-        for stripe in protos {
-            for p in stripe {
-                if p.edges.is_empty() {
-                    continue;
-                }
-                let col = VertexRange::new(col_ranges[p.cols.0].start, col_ranges[p.cols.1].end);
-                sets.push(EdgeSet::build(p.row, col, p.edges));
+        for p in protos.into_iter().flatten().filter(|p| p.edges > 0) {
+            let col = VertexRange::new(col_ranges[p.cols.0].start, col_ranges[p.cols.1].end);
+            let mut row_offsets = Vec::with_capacity(p.row.len() as usize + 1);
+            let mut targets = Vec::with_capacity(p.edges);
+            let mut weights = Vec::with_capacity(p.edges);
+            row_offsets.push(0);
+            for v in p.row.iter() {
+                let (ts, ws) = rows.row(v);
+                let lo = ts.partition_point(|&x| x < col.start);
+                let hi = lo + ts[lo..].partition_point(|&x| x < col.end);
+                targets.extend_from_slice(&ts[lo..hi]);
+                weights.extend_from_slice(&ws[lo..hi]);
+                row_offsets.push(targets.len() as u32);
             }
+            debug_assert_eq!(targets.len(), p.edges);
+            sets.push(EdgeSet { row_range: p.row, col_range: col, row_offsets, targets, weights });
         }
-        Self { sets, layout, num_edges: edges.len() }
+        let layout = EdgeSetLayout { row_ranges, col_ranges };
+        Self { sets, layout, num_edges }
     }
 
     /// Builds with one tile per graph — flat CSR equivalent.

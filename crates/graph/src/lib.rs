@@ -33,6 +33,7 @@ pub mod edge;
 pub mod edge_set;
 pub mod labels;
 pub mod props;
+pub mod rows;
 pub mod snapshot;
 pub mod stats;
 pub mod types;
@@ -46,6 +47,7 @@ pub use edge::{Edge, EdgeList};
 pub use edge_set::{ConsolidationPolicy, EdgeSet, EdgeSetGraph, EdgeSetLayout};
 pub use labels::{LevelProfile, MAX_EXACT_LEVEL};
 pub use props::{EdgeProps, VertexProps};
+pub use rows::SortedRows;
 pub use snapshot::{
     decode_snapshot, decode_wal, encode_snapshot, encode_wal_record, CodecError, DiskFaults,
     PartitionData, SnapshotData, SnapshotTicket, WalRecord, WeightedRows,

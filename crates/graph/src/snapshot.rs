@@ -294,6 +294,11 @@ impl WeightedRows {
         self.srcs.is_empty()
     }
 
+    /// Edges over all rows.
+    pub fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
     /// Appends `src`'s row.
     pub fn push_row(&mut self, src: VertexId, row: &[(VertexId, Weight)]) {
         self.edges.extend_from_slice(row);
@@ -701,6 +706,18 @@ pub fn decode_snapshot(data: &[u8]) -> Result<SnapshotData, CodecError> {
             delta_deletes: decode_deletes(r)?,
         })
     })?;
+    // A restore walks each partition's base rows once, in vertex order
+    // over its own range.
+    for (m, (part, &(start, end))) in partitions.iter().zip(&header.ranges).enumerate() {
+        let srcs = &part.base_rows.srcs;
+        let outside =
+            srcs.first().is_some_and(|&s| s < start) || srcs.last().is_some_and(|&s| s >= end);
+        if outside || srcs.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(CodecError::Malformed(format!(
+                "partition {m}'s base rows are not ascending sources of {start}..{end}"
+            )));
+        }
+    }
     let SnapshotHeader { epoch, last_seq, num_vertices, ranges, .. } = header;
     Ok(SnapshotData { epoch, last_seq, num_vertices, ranges, partitions })
 }
@@ -1135,6 +1152,21 @@ mod tests {
         let snap = sample_snapshot();
         let bytes = encode_snapshot(&snap);
         assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
+    }
+
+    #[test]
+    fn snapshot_rejects_base_rows_a_restore_cannot_walk() {
+        let a: &[(VertexId, Weight)] = &[(1, 1.0)];
+        // Out of order, a repeated source, a source of the other range.
+        for bad in [rows(&[(3, a), (0, a)]), rows(&[(0, a), (0, a)]), rows(&[(0, a), (5, a)])] {
+            let mut snap = sample_snapshot();
+            snap.partitions[0].base_rows = bad;
+            let err = decode_snapshot(&encode_snapshot(&snap)).unwrap_err();
+            assert!(
+                matches!(err, CodecError::Malformed(ref m) if m.contains("partition 0")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

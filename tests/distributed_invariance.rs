@@ -3,7 +3,8 @@
 //! performance knobs, never semantics.
 
 use cgraph::prelude::*;
-use cgraph_graph::ConsolidationPolicy;
+use cgraph_core::shard::Shard;
+use cgraph_graph::{ConsolidationPolicy, EdgeSet};
 
 fn test_graph(seed: u64) -> EdgeList {
     let raw = cgraph::gen::graph500(9, 8, seed);
@@ -205,4 +206,280 @@ fn programs_refuse_a_live_overlay() {
     let (folded, did_fold) = overlaid.with_updates(&[], 0);
     assert!(did_fold);
     assert_eq!(components(&folded), 1);
+}
+
+/// One tile as a scan reads it: its ranges, offsets, targets, weight
+/// bits and the slot of every edge.
+#[derive(Debug, PartialEq)]
+struct TileFields {
+    ranges: [u64; 4],
+    offsets: Vec<u32>,
+    targets: Vec<u64>,
+    weight_bits: Vec<u32>,
+    slots: Vec<u32>,
+}
+
+/// Every field of one shard that a scan, a snapshot or a GAS run
+/// reads: its tiles, then the boundary and the out-degree of every
+/// local vertex.
+#[derive(Debug, PartialEq)]
+struct ShardFields {
+    tiles: Vec<TileFields>,
+    boundary: Vec<u64>,
+    out_degree: Vec<u32>,
+}
+
+fn shard_fields(e: &DistributedEngine) -> Vec<ShardFields> {
+    let tile = |s: &Shard, i: usize, t: &EdgeSet| {
+        let (offsets, targets, weights) = t.raw_parts();
+        TileFields {
+            ranges: [t.row_range.start, t.row_range.end, t.col_range.start, t.col_range.end],
+            offsets: offsets.to_vec(),
+            targets: targets.to_vec(),
+            weight_bits: weights.iter().map(|w| w.to_bits()).collect(),
+            slots: s.tile_slots(i).to_vec(),
+        }
+    };
+    e.shards()
+        .iter()
+        .map(|s| ShardFields {
+            tiles: s.out_sets().sets().iter().enumerate().map(|(i, t)| tile(s, i, t)).collect(),
+            boundary: s.boundary_vertices().to_vec(),
+            out_degree: s.local_range().iter().map(|v| e.out_degree(v)).collect(),
+        })
+        .collect()
+}
+
+/// Asserts `got == want`, naming the first shard, tile and field that
+/// differ rather than printing whole shards.
+fn assert_same_shards(got: &[ShardFields], want: &[ShardFields], at: &str) {
+    assert_eq!(got.len(), want.len(), "{at}: shard count");
+    for (m, (a, b)) in got.iter().zip(want).enumerate() {
+        assert_eq!(a.boundary, b.boundary, "{at} shard {m}: boundary");
+        assert_eq!(a.out_degree, b.out_degree, "{at} shard {m}: out-degrees");
+        assert_eq!(a.tiles.len(), b.tiles.len(), "{at} shard {m}: tile count");
+        for (i, (x, y)) in a.tiles.iter().zip(&b.tiles).enumerate() {
+            let at = format!("{at} shard {m} tile {i}");
+            assert_eq!(x.ranges, y.ranges, "{at}: ranges");
+            assert_eq!(x.offsets, y.offsets, "{at}: offsets");
+            assert_eq!(x.targets, y.targets, "{at}: targets");
+            assert_eq!(x.weight_bits, y.weight_bits, "{at}: weight bits");
+            assert_eq!(x.slots, y.slots, "{at}: slots");
+        }
+    }
+}
+
+/// FNV-1a over the little-endian words of one shard's fields.
+fn shard_digest(s: &ShardFields) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u64| {
+        for byte in word.to_le_bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    fold(s.tiles.len() as u64);
+    for t in &s.tiles {
+        t.ranges.into_iter().for_each(&mut fold);
+        fold(t.offsets.len() as u64);
+        fold(t.targets.len() as u64);
+        t.offsets.iter().map(|&o| u64::from(o)).for_each(&mut fold);
+        t.targets.iter().copied().for_each(&mut fold);
+        t.weight_bits.iter().map(|&w| u64::from(w)).for_each(&mut fold);
+        t.slots.iter().map(|&s| u64::from(s)).for_each(&mut fold);
+    }
+    fold(s.boundary.len() as u64);
+    s.boundary.iter().copied().for_each(&mut fold);
+    s.out_degree.iter().map(|&d| u64::from(d)).for_each(&mut fold);
+    digest
+}
+
+/// The shard layout did not move: on TINY, a weighted R-MAT with
+/// duplicate edges and a scale-12 R-MAT, at p ∈ {1, 2, 3} under the
+/// default policy and `grid(256)`, every shard hashes to the digest
+/// recorded from the builder at commit 099b67a (edges copied into
+/// per-cell vectors, each tile stable-sorted), before the two-pass
+/// build from sorted rows replaced it.
+#[test]
+fn shard_layout_is_pinned() {
+    let mut rmat12 = cgraph::gen::graph500(12, 8, 49);
+    for (i, e) in rmat12.edges_mut().iter_mut().enumerate() {
+        e.weight = (i % 97) as f32 * 0.25;
+    }
+    let graphs =
+        [("TINY", Dataset::Tiny.generate()), ("rmat48", weighted_rmat(48)), ("rmat12", rmat12)];
+    const PINNED: &[(&str, &[u64])] = &[
+        ("TINY p=1 default", &[0x9763_b9c3_a4ed_3d12]),
+        ("TINY p=1 grid256", &[0x747f_7f20_293f_bfd7]),
+        ("TINY p=2 default", &[0x4a54_f6f5_c9e3_1acd, 0x9922_592a_0c39_f28d]),
+        ("TINY p=2 grid256", &[0xa0b1_b26b_f154_2899, 0xa5a4_95cb_d69e_d495]),
+        (
+            "TINY p=3 default",
+            &[0x1052_1d34_1094_5562, 0x1103_afff_2597_4498, 0xdffb_6aa0_efb5_0f05],
+        ),
+        (
+            "TINY p=3 grid256",
+            &[0xc0d3_516f_a051_0e06, 0x55a2_2230_172c_7aad, 0xc719_fe8d_c23b_fbec],
+        ),
+        ("rmat48 p=1 default", &[0x8c26_0f5d_db7a_d6ff]),
+        ("rmat48 p=1 grid256", &[0xacf4_ee3c_1033_2b34]),
+        ("rmat48 p=2 default", &[0x5a9b_7de2_2038_9822, 0xda55_d4a3_8473_9809]),
+        ("rmat48 p=2 grid256", &[0x9990_f355_129a_6a97, 0xef2b_0a4d_6e56_4f0e]),
+        (
+            "rmat48 p=3 default",
+            &[0x4a24_0e67_d35c_1523, 0x58c8_773e_a6a1_7ab6, 0x2f72_60bf_ac45_58ca],
+        ),
+        (
+            "rmat48 p=3 grid256",
+            &[0x410e_54bf_3f6b_a369, 0x61c4_e9d1_5a1f_bd3d, 0xd5ee_f5b9_b6f5_8579],
+        ),
+        ("rmat12 p=1 default", &[0xc8d4_2f7c_d9f0_f6b4]),
+        ("rmat12 p=1 grid256", &[0xba30_c0f3_e7d3_d360]),
+        ("rmat12 p=2 default", &[0xf09c_7984_db59_369f, 0x6a93_b61c_7ea8_2d2b]),
+        ("rmat12 p=2 grid256", &[0x3b8a_6353_55c2_34fe, 0x4f5d_a66b_a950_27d1]),
+        (
+            "rmat12 p=3 default",
+            &[0x9822_cd6b_20f7_790d, 0x4b19_3526_0757_a032, 0x171f_0616_ab53_090d],
+        ),
+        (
+            "rmat12 p=3 grid256",
+            &[0x747c_f4d8_2812_2e1c, 0xefa9_dce0_5497_963d, 0xf169_1c29_978e_df76],
+        ),
+    ];
+    let mut pinned = PINNED.iter();
+    for (name, g) in &graphs {
+        for p in [1usize, 2, 3] {
+            for (pname, policy) in [
+                ("default", ConsolidationPolicy::default()),
+                ("grid256", ConsolidationPolicy::grid(256)),
+            ] {
+                let e =
+                    DistributedEngine::new(g, EngineConfig::new(p).with_edge_set_policy(policy));
+                let digests: Vec<u64> = shard_fields(&e).iter().map(shard_digest).collect();
+                let at = format!("{name} p={p} {pname}");
+                let &(want_at, want) = pinned.next().expect("one pinned row per case");
+                assert_eq!(at, want_at);
+                assert_eq!(digests, want, "{at}: shard layout moved off the recorded one");
+            }
+        }
+    }
+    assert!(pinned.next().is_none());
+}
+
+/// Deterministic xorshift stream for the seeded update batches.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+}
+
+/// The edge list `updates` leave of `g` under the overlay's rules: a
+/// pair's last update wins, a delete drops every copy of the pair, an
+/// insert replaces every copy with one edge of its weight. Surviving
+/// base edges keep their input order; inserts follow.
+fn effective_edges(g: &EdgeList, updates: &[EdgeUpdate]) -> EdgeList {
+    let mut last = std::collections::BTreeMap::new();
+    for u in updates {
+        last.insert((u.src(), u.dst()), *u);
+    }
+    let mut out = EdgeList::with_num_vertices(g.num_vertices());
+    for e in g.edges() {
+        if !last.contains_key(&(e.src, e.dst)) {
+            out.push(*e);
+        }
+    }
+    for u in last.values() {
+        if let EdgeUpdate::Insert { src, dst, weight } = *u {
+            out.push(Edge::weighted(src, dst, weight));
+        }
+    }
+    out
+}
+
+/// A fold of updates builds the shards ingest builds from the edge
+/// list those updates leave: for seeded batches — one of them folding
+/// over a live overlay — and for an emptied stripe, a deleted
+/// duplicate edge and a re-weighted base edge, `with_updates(U, 0)`
+/// equals `with_partition` over the effective edges field by field.
+#[test]
+fn fold_of_updates_is_ingest_of_the_effective_edges() {
+    let g = weighted_rmat(48);
+    let n = g.num_vertices();
+    let pair_count = |s: u64, t: u64| g.edges().iter().filter(|e| e.src == s && e.dst == t).count();
+    let duplicate = g.edges().iter().find(|e| pair_count(e.src, e.dst) >= 2).copied().unwrap();
+    for p in [1usize, 3] {
+        for policy in [ConsolidationPolicy::default(), ConsolidationPolicy::grid(256)] {
+            let config = EngineConfig::new(p).with_edge_set_policy(policy);
+            let ingested = DistributedEngine::new(&g, config);
+            // Machine 0 loses every out-edge and its first vertex gains
+            // 300: all its degree mass sits in one vertex, so under
+            // `grid(256)` the stripes after the first hold no edge and
+            // have no tile.
+            let first = ingested.partition().range(0);
+            let emptied: Vec<EdgeUpdate> = g
+                .edges()
+                .iter()
+                .filter(|e| first.contains(e.src))
+                .map(|e| EdgeUpdate::delete(e.src, e.dst))
+                .chain((0..300).map(|t| EdgeUpdate::insert_weighted(first.start, t, t as f32)))
+                .collect();
+            let mut rng = Rng(0x9e37_79b9_7f4a_7c15 ^ p as u64);
+            let mut seeded = |len: usize| -> Vec<EdgeUpdate> {
+                (0..len)
+                    .map(|i| {
+                        let base = g.edges()[rng.below(g.len() as u64) as usize];
+                        let (s, t) = (rng.below(n), rng.below(n));
+                        match rng.below(4) {
+                            0 => EdgeUpdate::delete(base.src, base.dst),
+                            1 => EdgeUpdate::insert_weighted(base.src, base.dst, 1e3 + i as f32),
+                            2 => EdgeUpdate::delete(s, t),
+                            _ => EdgeUpdate::insert_weighted(s, t, 2e3 + i as f32),
+                        }
+                    })
+                    .collect()
+            };
+            let (batch_a, batch_b, batch_c) = (seeded(300), seeded(40), seeded(60));
+            let cases: [(&str, Vec<EdgeUpdate>, Vec<EdgeUpdate>); 5] = [
+                ("seeded", vec![], batch_a),
+                ("seeded over an overlay", batch_b, batch_c),
+                ("emptied stripe", vec![], emptied),
+                (
+                    "deleted duplicate",
+                    vec![],
+                    vec![EdgeUpdate::delete(duplicate.src, duplicate.dst)],
+                ),
+                (
+                    "re-weighted duplicate",
+                    vec![],
+                    vec![EdgeUpdate::insert_weighted(duplicate.src, duplicate.dst, -7.5)],
+                ),
+            ];
+            for (name, overlay, folding) in cases {
+                let at = format!("{name} p={p} {policy:?}");
+                let (overlaid, did_fold) = ingested.with_updates(&overlay, usize::MAX);
+                assert!(!did_fold, "{at}");
+                let (folded, did_fold) = overlaid.with_updates(&folding, 0);
+                assert!(did_fold, "{at}");
+                let all: Vec<EdgeUpdate> = overlay.iter().chain(&folding).copied().collect();
+                let rebuilt = DistributedEngine::with_partition(
+                    &effective_edges(&g, &all),
+                    ingested.partition().clone(),
+                    config,
+                );
+                assert_same_shards(&shard_fields(&folded), &shard_fields(&rebuilt), &at);
+                if name == "emptied stripe" && policy.target_edges_per_set == 256 {
+                    let shard = &folded.shards()[0];
+                    let stripes = &shard.out_sets().layout().row_ranges;
+                    let tiled = |r: &cgraph_graph::types::VertexRange| {
+                        shard.out_sets().sets().iter().any(|t| t.row_range == *r)
+                    };
+                    assert!(stripes.iter().any(|r| !tiled(r)), "{at}: no stripe was emptied");
+                }
+            }
+        }
+    }
 }

@@ -123,6 +123,7 @@ fn assert_registry_matches_stats(snap: &Snapshot, stats: &ServiceStats) {
     assert_eq!(c("cgraph_durability_wal_replayed_total"), stats.wal_replayed);
     assert_eq!(c("cgraph_durability_snapshots_corrupt_total"), stats.snapshots_corrupt);
     assert_eq!(c("cgraph_durability_recoveries_total"), stats.durable_recoveries);
+    assert_eq!(snap.histograms["cgraph_mutation_fold_seconds"].count, stats.epoch_folds);
     assert_eq!(
         snap.gauges["cgraph_durability_last_snapshot_epoch"],
         stats.last_snapshot_epoch as i64
@@ -648,8 +649,52 @@ fn observability_doc_catalogues_every_registered_metric() {
         .map(str::to_string)
         .collect();
 
+    // Registered at start-up, whether or not anything ever folds.
+    assert!(registered.contains("cgraph_mutation_fold_seconds"), "{registered:?}");
     let missing: Vec<_> = registered.difference(&documented).collect();
     assert!(missing.is_empty(), "metrics registered but not in OBSERVABILITY.md: {missing:?}");
     let stale: Vec<_> = documented.difference(&registered).collect();
     assert!(stale.is_empty(), "metrics documented but never registered: {stale:?}");
+}
+
+#[test]
+fn fold_seconds_are_observed_once_per_fold_and_never_on_a_hit() {
+    // Fold threshold 1: a commit leaving more than one overlay entry
+    // folds, a commit of one update does not.
+    let obs = Obs::shared();
+    let service = QueryService::start(
+        Arc::new(DistributedEngine::new(&test_graph(40), EngineConfig::new(2))),
+        ServiceConfig {
+            obs: Some(Arc::clone(&obs)),
+            query_plane: QueryPlaneConfig {
+                cache_capacity_bytes: Some(1 << 20),
+                ..Default::default()
+            },
+            mutation: MutationConfig { fold_threshold: 1, ..Default::default() },
+            ..Default::default()
+        },
+    );
+    let folds = || {
+        parse_text(&obs.metrics.render_text()).unwrap().histograms["cgraph_mutation_fold_seconds"]
+            .clone()
+    };
+    service.apply_updates([EdgeUpdate::insert(0, 20)].into_iter().collect()).unwrap();
+    service.commit_epoch().unwrap();
+    assert_eq!(folds().count, 0, "an overlay publish is not a fold");
+    for round in 0..3u64 {
+        let batch = [EdgeUpdate::insert(1, 21 + round), EdgeUpdate::delete(2, 3)];
+        service.apply_updates(batch.into_iter().collect()).unwrap();
+        service.commit_epoch().unwrap();
+    }
+    let after_commits = folds();
+    assert_eq!(after_commits.count, 3);
+    assert_eq!(after_commits.count, service.stats().epoch_folds);
+    assert!(after_commits.sum > 0.0);
+    // A miss and then hits of the same query: no fold is observed.
+    for id in 0..5 {
+        service.query(KhopQuery::single(id, 0, 2)).unwrap();
+    }
+    assert!(service.stats().cache_hits > 0);
+    assert_eq!(folds().count, 3);
+    service.shutdown();
 }

@@ -355,7 +355,7 @@ proptest! {
         retired in prop::collection::vec(0usize..512, 0..300),
     ) {
         // The scan's emission contract, against a reference built from
-        // `Shard::out_neighbors_weighted` + `DeltaOverlay::merge_row`
+        // `Shard::out_neighbors_weighted` + `DeltaRow::merge`
         // (what a fold would materialise): every remote destination
         // of a live frontier row comes out exactly once, with its lanes
         // ORed, in ascending vertex order — base edges to boundary
@@ -435,7 +435,10 @@ proptest! {
                         u64::from(delta.and_then(|d| d.row(v)).is_some_and(|r| !r.inserts().is_empty()));
                     // The effective adjacency, by the fold primitive.
                     let base = shard.out_neighbors_weighted(v);
-                    let merged = delta.map_or(base.clone(), |d| d.merge_row(v, &base));
+                    let merged: Vec<_> = match delta.and_then(|d| d.row(v)) {
+                        Some(r) => r.merge(base).collect(),
+                        None => base,
+                    };
                     for (t, _) in merged.into_iter().filter(|e| !shard.is_local(e.0)) {
                         expect
                             .entry(t)
