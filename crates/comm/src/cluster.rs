@@ -1,10 +1,11 @@
-//! The simulated cluster: `p` machine threads with all-to-all channels.
+//! One job's fabric: `p` machine endpoints with all-to-all channels.
 //!
-//! [`Cluster::run`] is the entry point: it spawns one scoped thread per
-//! machine, hands each a [`CommHandle`], and joins them, returning every
-//! machine's result. Each machine owns its shard exclusively — the
-//! paper's "each processing unit computes on its own subgraph shard" —
-//! and all cross-machine traffic goes through the handles.
+//! A job reaches the machines through
+//! [`PersistentCluster::submit`](crate::PersistentCluster::submit), which
+//! builds a fresh fabric per job and hands every machine a
+//! [`CommHandle`]. Each machine owns its shard exclusively — the paper's
+//! "each processing unit computes on its own subgraph shard" — and all
+//! cross-machine traffic goes through the handles.
 
 use crate::async_rt::TerminationDetector;
 use crate::barrier::{BarrierPoisoned, ReduceBarrier, Reduction};
@@ -314,7 +315,8 @@ impl<M> Drop for CommHandle<M> {
     }
 }
 
-/// Aggregated per-machine traffic report returned by [`Cluster::run`].
+/// Aggregated per-machine traffic report of one job, returned by
+/// [`PersistentCluster::submit`](crate::PersistentCluster::submit).
 #[derive(Debug, Clone)]
 pub struct TrafficReport {
     /// Per-machine (msgs_sent, bytes_sent, sim_net_ns).
@@ -350,8 +352,8 @@ impl TrafficReport {
 /// One job's communication fabric: the per-machine handles plus the
 /// shared pieces a supervisor needs to keep hold of (the barrier and
 /// termination detector for poisoning on machine failure, the traffic
-/// counters for reporting). Built fresh per run/job so a poisoned
-/// fabric never leaks into the next batch.
+/// counters for reporting). Built fresh per job so a poisoned fabric
+/// never leaks into the next batch.
 pub(crate) struct Fabric<M> {
     pub(crate) handles: Vec<CommHandle<M>>,
     pub(crate) barrier: Arc<ReduceBarrier>,
@@ -365,18 +367,6 @@ pub(crate) struct Fabric<M> {
 }
 
 impl<M: WireSize> Fabric<M> {
-    pub(crate) fn build(p: usize, model: NetModel) -> Self {
-        Self::build_with_chaos(p, model, None)
-    }
-
-    pub(crate) fn build_with_chaos(
-        p: usize,
-        model: NetModel,
-        chaos: Option<Arc<ChaosJob>>,
-    ) -> Self {
-        Self::build_instrumented(p, model, chaos, None)
-    }
-
     /// Builds a fabric whose handles carry observability bundles. The
     /// caller supplies *pre-registered* per-machine cores (one per
     /// machine, index = machine id) so fabric construction never takes
@@ -421,100 +411,25 @@ impl<M: WireSize> Fabric<M> {
     }
 }
 
-/// A factory for machine handles plus the scoped-thread driver.
-///
-/// ```
-/// use cgraph_comm::Cluster;
-/// let cluster = Cluster::new(3);
-/// // Each machine sends its id to machine 0 and all-reduces a sum.
-/// let (sums, traffic) = cluster.run::<u64, u64, _>(|h| {
-///     if h.id() != 0 {
-///         h.send(0, h.id() as u64);
-///     }
-///     h.barrier();
-///     let received: u64 = h.drain().iter().map(|e| e.payload).sum();
-///     h.barrier_sum(received)
-/// });
-/// assert_eq!(sums, vec![3, 3, 3]); // 1 + 2, agreed everywhere
-/// assert_eq!(traffic.total_msgs(), 2);
-/// ```
-pub struct Cluster {
-    p: usize,
-    model: NetModel,
-}
-
-impl Cluster {
-    /// Creates a cluster of `p` machines with the default (10 GbE-like)
-    /// network model.
-    pub fn new(p: usize) -> Self {
-        Self::with_model(p, NetModel::default())
-    }
-
-    /// Creates a cluster with an explicit network model.
-    pub fn with_model(p: usize, model: NetModel) -> Self {
-        assert!(p > 0, "cluster needs at least one machine");
-        Self { p, model }
-    }
-
-    /// Number of machines.
-    pub fn num_machines(&self) -> usize {
-        self.p
-    }
-
-    /// Builds the all-to-all fabric and returns one handle per machine.
-    /// Most callers use [`Cluster::run`] instead.
-    pub fn handles<M: WireSize>(&self) -> Vec<CommHandle<M>> {
-        Fabric::build(self.p, self.model).handles
-    }
-
-    /// Spawns one thread per machine running `worker(handle)`, joins
-    /// them all, and returns `(per-machine results, traffic report)`.
-    ///
-    /// A panic on any machine propagates to the caller after all
-    /// threads are joined (scoped threads guarantee no leaks).
-    pub fn run<M, R, F>(&self, worker: F) -> (Vec<R>, TrafficReport)
-    where
-        M: WireSize + Send + 'static,
-        R: Send,
-        F: Fn(CommHandle<M>) -> R + Sync,
-    {
-        let fabric = Fabric::<M>::build(self.p, self.model);
-        let stats = fabric.stats;
-        let results = std::thread::scope(|s| {
-            let joins: Vec<_> = fabric
-                .handles
-                .into_iter()
-                .map(|h| {
-                    let worker = &worker;
-                    s.spawn(move || worker(h))
-                })
-                .collect();
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("machine thread panicked"))
-                .collect::<Vec<R>>()
-        });
-        (results, TrafficReport::from_stats(&stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::PersistentCluster;
 
     #[test]
     fn ring_pass_sums() {
         // Each machine sends its id to the next; everyone receives one
         // message after a barrier.
-        let cluster = Cluster::new(4);
-        let (results, report) = cluster.run::<u64, u64, _>(|h| {
-            let next = (h.id() + 1) % h.num_machines();
-            h.send(next, h.id() as u64);
-            h.barrier();
-            let got = h.drain();
-            assert_eq!(got.len(), 1);
-            got[0].payload
-        });
+        let cluster = PersistentCluster::new(4);
+        let (results, report) = cluster
+            .submit::<u64, u64, _>(|h| {
+                let next = (h.id() + 1) % h.num_machines();
+                h.send(next, h.id() as u64);
+                h.barrier();
+                let got = h.drain();
+                assert_eq!(got.len(), 1);
+                got[0].payload
+            })
+            .unwrap();
         let mut sorted = results.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
@@ -524,40 +439,45 @@ mod tests {
 
     #[test]
     fn self_send_costs_no_network() {
-        let cluster = Cluster::new(1);
-        let (_, report) = cluster.run::<u64, (), _>(|h| {
-            h.send(0, 99);
-            let got = h.drain();
-            assert_eq!(got[0].payload, 99);
-        });
+        let cluster = PersistentCluster::new(1);
+        let (_, report) = cluster
+            .submit::<u64, (), _>(|h| {
+                h.send(0, 99);
+                let got = h.drain();
+                assert_eq!(got[0].payload, 99);
+            })
+            .unwrap();
         assert_eq!(report.total_msgs(), 0); // self-sends not billed
     }
 
     #[test]
     fn barrier_sum_agrees_everywhere() {
-        let cluster = Cluster::new(3);
-        let (results, _) = cluster.run::<(), u64, _>(|h| h.barrier_sum(h.id() as u64 + 1));
+        let cluster = PersistentCluster::new(3);
+        let (results, _) =
+            cluster.submit::<(), u64, _>(|h| h.barrier_sum(h.id() as u64 + 1)).unwrap();
         assert_eq!(results, vec![6, 6, 6]);
     }
 
     #[test]
     fn multi_superstep_message_flow() {
         // 3 supersteps; each machine forwards an accumulating token.
-        let cluster = Cluster::new(3);
-        let (results, _) = cluster.run::<u64, u64, _>(|h| {
-            let mut acc = 0u64;
-            let mut token = h.id() as u64;
-            for _ in 0..3 {
-                h.send((h.id() + 1) % 3, token);
-                h.barrier();
-                let msgs = h.drain();
-                assert_eq!(msgs.len(), 1);
-                token = msgs[0].payload + 1;
-                acc += token;
-                h.barrier();
-            }
-            acc
-        });
+        let cluster = PersistentCluster::new(3);
+        let (results, _) = cluster
+            .submit::<u64, u64, _>(|h| {
+                let mut acc = 0u64;
+                let mut token = h.id() as u64;
+                for _ in 0..3 {
+                    h.send((h.id() + 1) % 3, token);
+                    h.barrier();
+                    let msgs = h.drain();
+                    assert_eq!(msgs.len(), 1);
+                    token = msgs[0].payload + 1;
+                    acc += token;
+                    h.barrier();
+                }
+                acc
+            })
+            .unwrap();
         // Tokens rotate and increment once per hop; after 3 supersteps
         // every machine has accumulated 9 (worked out by hand).
         assert_eq!(results, vec![9, 9, 9]);
@@ -565,46 +485,35 @@ mod tests {
 
     #[test]
     fn async_quiescence_across_machines() {
-        let cluster = Cluster::new(3);
-        let (results, _) = cluster.run::<u64, u64, _>(|h| {
-            // machine 0 seeds a countdown token
-            if h.id() == 0 {
-                h.send(1, 20);
-            }
-            let mut processed = 0u64;
-            loop {
-                match h.try_recv() {
-                    Some(env) => {
-                        h.set_idle(false);
-                        if env.payload > 0 {
-                            h.send((h.id() + 1) % 3, env.payload - 1);
+        let cluster = PersistentCluster::new(3);
+        let (results, _) = cluster
+            .submit::<u64, u64, _>(|h| {
+                // machine 0 seeds a countdown token
+                if h.id() == 0 {
+                    h.send(1, 20);
+                }
+                let mut processed = 0u64;
+                loop {
+                    match h.try_recv() {
+                        Some(env) => {
+                            h.set_idle(false);
+                            if env.payload > 0 {
+                                h.send((h.id() + 1) % 3, env.payload - 1);
+                            }
+                            processed += 1;
+                            h.message_processed();
                         }
-                        processed += 1;
-                        h.message_processed();
-                    }
-                    None => {
-                        h.set_idle(true);
-                        if h.quiescent() {
-                            return processed;
+                        None => {
+                            h.set_idle(true);
+                            if h.quiescent() {
+                                return processed;
+                            }
+                            std::thread::yield_now();
                         }
-                        std::thread::yield_now();
                     }
                 }
-            }
-        });
+            })
+            .unwrap();
         assert_eq!(results.iter().sum::<u64>(), 21);
-    }
-
-    #[test]
-    #[should_panic(expected = "machine thread panicked")]
-    fn worker_panic_propagates() {
-        let cluster = Cluster::new(2);
-        cluster.run::<(), (), _>(|h| {
-            if h.id() == 1 {
-                panic!("boom");
-            }
-            // Machine 0 must not deadlock waiting on a barrier here —
-            // it simply returns.
-        });
     }
 }

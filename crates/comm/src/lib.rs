@@ -9,20 +9,20 @@
 //!
 //! Provided pieces:
 //!
-//! * [`cluster::Cluster`] / [`cluster::CommHandle`] — spawn `p` machine
-//!   threads, each holding a handle that can send to any peer and drain
-//!   its own inbox.
+//! * [`persistent::PersistentCluster`] / [`cluster::CommHandle`] — the
+//!   one machine runtime: `p` machine threads, each job handed to every
+//!   machine as a [`CommHandle`] that can send to any peer and drain its
+//!   own inbox. Each job gets a fresh fabric; a machine panic poisons
+//!   the job's barrier and detector, so the job fails with a typed
+//!   [`ClusterError`] instead of hanging its peers, and the threads
+//!   park again for the next job. The query service keeps one for its
+//!   lifetime; a one-shot engine call makes one per call.
 //! * [`barrier::ReduceBarrier`] — a sense-reversing barrier that also
 //!   all-reduces a `u64` contribution (used for superstep termination:
 //!   "the visited vertices are synchronized after each iteration").
 //! * [`async_rt::TerminationDetector`] — message-credit quiescence
 //!   detection for the asynchronous update mode (§3.3 supports both
 //!   synchronous and asynchronous communication).
-//! * [`persistent::PersistentCluster`] — the serving-path variant:
-//!   machine threads are spawned once and park between jobs, each job
-//!   getting a fresh fabric; machine panics poison the job's barrier
-//!   and detector so the batch fails cleanly while the cluster
-//!   survives for the next one.
 //! * [`netmodel::NetModel`] / [`netmodel::NetStats`] — an analytic
 //!   latency/bandwidth model that *accounts* simulated network time per
 //!   message without sleeping, so wall-clock benches stay meaningful
@@ -57,7 +57,7 @@ pub mod persistent;
 pub use async_rt::TerminationDetector;
 pub use barrier::{BarrierPoisoned, ReduceBarrier, Reduction, REDUCE_WORDS};
 pub use chaos::{ChaosRun, CrashFault, FaultPlan, SlowLink};
-pub use cluster::{Cluster, CommHandle};
+pub use cluster::CommHandle;
 pub use cputime::thread_cpu_time;
 pub use message::{Envelope, WireSize};
 pub use netmodel::{NetModel, NetStats};

@@ -1,14 +1,14 @@
-//! A reusable cluster: long-lived machine threads serving many jobs.
+//! The machine runtime: long-lived machine threads serving many jobs.
 //!
-//! [`Cluster::run`](crate::cluster::Cluster::run) spawns and joins `p`
-//! OS threads per call — fine for one-shot batch experiments, but a
-//! streaming query service dispatches thousands of small batches and
-//! cannot pay thread creation/teardown per batch. A
-//! [`PersistentCluster`] spawns the machine threads **once**; between
-//! jobs they park on their job channel, and each submitted job gets a
-//! fresh communication fabric (channels, barrier, termination
+//! A [`PersistentCluster`] spawns its `p` machine threads **once**;
+//! between jobs they park on their job channel, and each submitted job
+//! gets a fresh communication fabric (channels, barrier, termination
 //! detector) so state — including poison from a failed job — never
-//! leaks across batches.
+//! leaks across jobs. It is the one way a job reaches the machines: the
+//! streaming query service keeps one for its lifetime and dispatches
+//! thousands of small batches to it, and a one-shot engine call (a
+//! GAS run, a partition program, a queue traversal) makes one, submits
+//! one job and drops it, which joins the threads.
 //!
 //! Failure containment: each machine runs its job under
 //! `catch_unwind`. The first machine to observe a panic poisons the

@@ -15,9 +15,13 @@
 //! * [`DistributedEngine::run_program`] — arbitrary partition-centric
 //!   programs (Listing 1).
 //!
-//! Every run spins a [`Cluster`] of `p` machine threads; shards are
-//! shared immutably, all mutable state is thread-local, and traffic is
-//! exchanged through the inbox/outbox fabric of Fig. 4/5.
+//! Every job runs on a [`PersistentCluster`] of `p` machine threads:
+//! the service's long-lived one, or a one-shot cluster a call makes for
+//! its one job, whose threads are joined when the call returns. Either
+//! way a machine that panics fails the job instead of hanging its peers
+//! at a barrier. Shards are shared immutably, all mutable state is
+//! thread-local, and traffic is exchanged through the inbox/outbox
+//! fabric of Fig. 4/5.
 
 use crate::bitfrontier::{AdvanceResult, BitFrontier, FrontierBatch, OverlayScan};
 use crate::config::{EngineConfig, UpdateMode};
@@ -26,11 +30,11 @@ use crate::partition::RangePartition;
 use crate::pcm::{PartitionCtx, PartitionProgram};
 use crate::recovery::{PartitionSnapshot, RecoveryConfig, RecoveryReport, RecoveryStore};
 use crate::shard::Shard;
-use crate::traverse::{QueueTraversal, ValueMode};
+use crate::traverse::{level_counts, QueueTraversal, ValueMode};
 use cgraph_comm::chaos::{ChaosRun, FaultPlan};
 use cgraph_comm::cluster::TrafficReport;
 use cgraph_comm::{
-    BarrierPoisoned, Cluster, ClusterError, CommHandle, MachineObs, PersistentCluster, WireSize,
+    BarrierPoisoned, ClusterError, CommHandle, MachineObs, PersistentCluster, WireSize,
 };
 use cgraph_graph::delta::{DeltaOverlay, EdgeUpdate};
 use cgraph_graph::{Csc, Edge, EdgeList, LaneMask, LaneWidth, SortedRows, VertexId, MAX_LANES};
@@ -742,20 +746,15 @@ impl DistributedEngine {
     /// # Panics
     ///
     /// Panics on an engine with a live delta overlay: the view holds
-    /// base edges only, so a reader would silently compute over a
-    /// graph older than `graph_epoch()`.
+    /// this value's base edges only, so a reader would silently compute
+    /// over a graph older than `graph_epoch()`. (GAS runs and programs
+    /// on such an engine run on its folded value instead.)
     pub fn in_edges(&self) -> &[Csc] {
-        self.refuse_live_overlay();
-        self.derived_in_edges()
-    }
-
-    /// The entry check of every reader of [`DistributedEngine::in_edges`],
-    /// made before it runs whether or not it gets to read them.
-    fn refuse_live_overlay(&self) {
         assert!(
             !self.has_delta(),
-            "GAS and partition-centric programs read base edges only; fold the delta overlay first (commit past the fold threshold)"
+            "the in-edge view holds base edges only; fold the delta overlay first (commit past the fold threshold)"
         );
+        self.derived_in_edges()
     }
 
     /// [`DistributedEngine::in_edges`] past its entry check.
@@ -911,8 +910,29 @@ impl DistributedEngine {
             + self.base.out_degrees.len() * std::mem::size_of::<u32>()
     }
 
-    fn cluster(&self) -> Cluster {
-        Cluster::with_model(self.config.num_machines, self.config.net_model)
+    /// This value folded: the same logical graph and partition, every
+    /// overlay merged into fresh base shards.
+    fn folded(&self) -> DistributedEngine {
+        self.with_updates(&[], 0).0
+    }
+
+    /// A cluster of this engine's width and network model for one job:
+    /// its machine threads are joined when it drops.
+    fn one_shot_cluster(&self) -> PersistentCluster {
+        PersistentCluster::with_model(self.config.num_machines, self.config.net_model)
+    }
+
+    /// Runs `worker` on every machine of a one-shot cluster and returns
+    /// every machine's result and the job's traffic. A machine that
+    /// panics poisons the job's barrier, so its peers fail instead of
+    /// waiting for it, and the panic is raised here, naming the machine
+    /// and its message. (Without a chaos plan a job on a fresh cluster
+    /// fails in no other way.)
+    fn run_one_shot<R: Send>(
+        &self,
+        worker: impl Fn(CommHandle<EngineMsg>) -> R + Sync,
+    ) -> (Vec<R>, TrafficReport) {
+        self.one_shot_cluster().submit(worker).unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ------------------------------------------------------------------
@@ -928,23 +948,26 @@ impl DistributedEngine {
     /// state is sized at the narrowest supported width
     /// `W ∈ {64, 128, 256, 512}` that fits the lane count.
     ///
-    /// Fails with a shape [`EngineError`] — without running anything —
+    /// Runs on a one-shot cluster, whose thread spawn and join count in
+    /// `exec_time`.
+    ///
+    /// Fails with a shape [`EngineError`] — without running a batch —
     /// when the lane count is out of range, `sources` and `ks`
-    /// disagree, or a source lies outside the vertex range.
+    /// disagree, or a source lies outside the vertex range, and with
+    /// [`EngineError::Cluster`] when a machine dies mid-batch.
     pub fn run_traversal_batch(
         &self,
         sources: &[VertexId],
         ks: &[u32],
     ) -> Result<BatchResult, EngineError> {
-        let lanes = self.check_batch(None, sources, ks)?;
         let start = Instant::now();
-        let (outs, traffic) =
-            self.cluster().run::<EngineMsg, _, _>(|h| self.batch_worker(sources, ks, None, h));
-        Ok(self.stitch_batch(outs, traffic, lanes, start.elapsed()))
+        let mut result = self.run_traversal_batch_on(&self.one_shot_cluster(), sources, ks)?;
+        result.exec_time = start.elapsed();
+        Ok(result)
     }
 
     /// [`DistributedEngine::run_traversal_batch`] on a caller-provided
-    /// [`PersistentCluster`] instead of per-batch spawned threads.
+    /// [`PersistentCluster`], whose machine threads outlive the batch.
     ///
     /// Errors instead of panicking when a machine dies mid-batch, so a
     /// caller can fail the affected queries and keep the cluster.
@@ -954,7 +977,7 @@ impl DistributedEngine {
         sources: &[VertexId],
         ks: &[u32],
     ) -> Result<BatchResult, EngineError> {
-        let lanes = self.check_batch(Some(cluster), sources, ks)?;
+        let lanes = self.check_batch(cluster, sources, ks)?;
         let start = Instant::now();
         let (outs, traffic) =
             cluster.submit::<EngineMsg, _, _>(|h| self.batch_worker(sources, ks, None, h))?;
@@ -963,13 +986,13 @@ impl DistributedEngine {
 
     /// Validates a batch before any machine thread runs — lane count in
     /// `1..=MAX_LANES`, matching hop budgets, every source inside the
-    /// vertex range, and `cluster` (when the caller brings one) as wide
-    /// as the engine — and returns the lane count. An out-of-range
-    /// source would seed no shard while the stitched result still
-    /// counted it at level 0, so it is a hard error here.
+    /// vertex range, and `cluster` as wide as the engine — and returns
+    /// the lane count. An out-of-range source would seed no shard while
+    /// the stitched result still counted it at level 0, so it is a hard
+    /// error here.
     fn check_batch(
         &self,
-        cluster: Option<&PersistentCluster>,
+        cluster: &PersistentCluster,
         sources: &[VertexId],
         ks: &[u32],
     ) -> Result<usize, EngineError> {
@@ -986,10 +1009,10 @@ impl DistributedEngine {
                 return Err(EngineError::SourceOutOfRange { lane, source: src, num_vertices: n });
             }
         }
-        if let Some(c) = cluster.filter(|c| c.num_machines() != self.config.num_machines) {
+        if cluster.num_machines() != self.config.num_machines {
             return Err(EngineError::InvalidConfig(format!(
                 "cluster has {} machines but the engine is partitioned over {}",
-                c.num_machines(),
+                cluster.num_machines(),
                 self.config.num_machines
             )));
         }
@@ -1246,7 +1269,7 @@ impl DistributedEngine {
         recovery: &RecoveryConfig,
         fault: Option<FaultInjection<'_>>,
     ) -> Result<(BatchResult, RecoveryReport), EngineError> {
-        let lanes = self.check_batch(Some(cluster), sources, ks)?;
+        let lanes = self.check_batch(cluster, sources, ks)?;
         if recovery.checkpoint_interval == 0 {
             return Err(EngineError::InvalidConfig(
                 "recovery.checkpoint_interval must be > 0 \
@@ -1473,7 +1496,7 @@ impl DistributedEngine {
             peak_entries: usize,
         }
         let start = Instant::now();
-        let (outs, traffic) = self.cluster().run::<EngineMsg, MachineOut, _>(|h| {
+        let (outs, traffic) = self.run_one_shot(|h| {
             let shard = &self.shards()[h.id()];
             let delta = self.delta(h.id());
             let mut qt = QueueTraversal::new(shard, k, value_mode);
@@ -1519,19 +1542,9 @@ impl DistributedEngine {
             MachineOut { visited: qt.visited_count(), per_level, supersteps, peak_entries }
         });
         let exec_time = start.elapsed();
-        let levels = outs.iter().map(|o| o.per_level.len()).max().unwrap_or(0);
-        let mut per_level = vec![0u64; levels];
-        for o in &outs {
-            for (i, &c) in o.per_level.iter().enumerate() {
-                per_level[i] += c;
-            }
-        }
-        while per_level.len() > 1 && *per_level.last().unwrap() == 0 {
-            per_level.pop();
-        }
         SingleResult {
             visited: outs.iter().map(|o| o.visited).sum(),
-            per_level,
+            per_level: sum_levels(outs.iter().map(|o| &o.per_level[..])),
             supersteps: outs[0].supersteps,
             exec_time,
             traffic,
@@ -1546,12 +1559,11 @@ impl DistributedEngine {
     /// supersteps.
     fn run_single_queue_async(&self, sources: &[VertexId], k: u32) -> SingleResult {
         struct MachineOut {
-            visited: u64,
             tasks: u64,
             per_level: Vec<u64>,
         }
         let start = Instant::now();
-        let (outs, traffic) = self.cluster().run::<EngineMsg, MachineOut, _>(|h| {
+        let (outs, traffic) = self.run_one_shot(|h| {
             let shard = &self.shards()[h.id()];
             let delta = self.delta(h.id());
             let base = shard.local_range().start;
@@ -1572,37 +1584,22 @@ impl DistributedEngine {
                     tasks += 1;
                     if d < k {
                         let nd = d + 1;
+                        // Base out-edges the overlay keeps, then its inserts.
                         let drow = delta.and_then(|dl| dl.row(v));
-                        let dels = drow.map(|r| r.deletes()).filter(|s| !s.is_empty());
-                        for set in shard.out_sets().sets() {
-                            for &t in set.neighbors(v) {
-                                if let Some(dels) = dels {
-                                    if dels.binary_search(&t).is_ok() {
-                                        continue;
-                                    }
+                        let deleted = |t: &VertexId| {
+                            drow.is_some_and(|r| r.deletes().binary_search(t).is_ok())
+                        };
+                        let kept = shard.out_sets().sets().iter().flat_map(|set| set.neighbors(v));
+                        let inserted = drow.into_iter().flat_map(|r| r.inserts()).map(|(t, _)| t);
+                        for &t in kept.filter(|t| !deleted(t)).chain(inserted) {
+                            if shard.is_local(t) {
+                                let l = (t - base) as usize;
+                                if nd < depth[l] {
+                                    depth[l] = nd;
+                                    queue.push((t, nd));
                                 }
-                                if shard.is_local(t) {
-                                    let l = (t - base) as usize;
-                                    if nd < depth[l] {
-                                        depth[l] = nd;
-                                        queue.push((t, nd));
-                                    }
-                                } else {
-                                    h.send(self.partition.owner(t), EngineMsg::Task(vec![(t, nd)]));
-                                }
-                            }
-                        }
-                        if let Some(drow) = drow {
-                            for &(t, _) in drow.inserts() {
-                                if shard.is_local(t) {
-                                    let l = (t - base) as usize;
-                                    if nd < depth[l] {
-                                        depth[l] = nd;
-                                        queue.push((t, nd));
-                                    }
-                                } else {
-                                    h.send(self.partition.owner(t), EngineMsg::Task(vec![(t, nd)]));
-                                }
+                            } else {
+                                h.send(self.partition.owner(t), EngineMsg::Task(vec![(t, nd)]));
                             }
                         }
                     }
@@ -1635,158 +1632,13 @@ impl DistributedEngine {
                     }
                 }
             }
-            let mut per_level = vec![0u64; k.saturating_add(1).min(1_000_000) as usize];
-            let mut visited = 0u64;
-            for &d in &depth {
-                if d != u32::MAX {
-                    visited += 1;
-                    if (d as usize) < per_level.len() {
-                        per_level[d as usize] += 1;
-                    }
-                }
-            }
-            MachineOut { visited, tasks, per_level }
+            MachineOut { tasks, per_level: level_counts(&depth) }
         });
         let exec_time = start.elapsed();
-        let levels = outs.iter().map(|o| o.per_level.len()).max().unwrap_or(0);
-        let mut per_level = vec![0u64; levels];
-        for o in &outs {
-            for (i, &c) in o.per_level.iter().enumerate() {
-                per_level[i] += c;
-            }
-        }
-        while per_level.len() > 1 && *per_level.last().unwrap() == 0 {
-            per_level.pop();
-        }
         SingleResult {
-            visited: outs.iter().map(|o| o.visited).sum(),
-            per_level,
+            visited: outs.iter().flat_map(|o| &o.per_level).sum(),
+            per_level: sum_levels(outs.iter().map(|o| &o.per_level[..])),
             supersteps: outs.iter().map(|o| o.tasks).sum(),
-            exec_time,
-            traffic,
-            peak_value_entries: 0,
-        }
-    }
-
-    /// Queue-based k-hop with **local chaining**: within one superstep
-    /// each machine expands its local queue *transitively* (not just
-    /// one level), so a superstep is only needed when the traversal
-    /// crosses a partition boundary. This is the property that makes
-    /// the partition-centric model "generally require fewer supersteps
-    /// to converge compared to the vertex-centric model" (§3.3).
-    ///
-    /// Local chaining can first reach a vertex via a longer local path
-    /// than its true distance, so depths are label-correcting: an
-    /// improvement re-expands the vertex. Results (visited set and
-    /// per-level counts) are exactly those of the level-synchronous
-    /// path.
-    pub fn run_single_queue_chained(&self, sources: &[VertexId], k: u32) -> SingleResult {
-        struct MachineOut {
-            depth: Vec<u32>,
-            supersteps: u64,
-        }
-        let start = Instant::now();
-        let (outs, traffic) = self.cluster().run::<EngineMsg, MachineOut, _>(|h| {
-            let shard = &self.shards()[h.id()];
-            let delta = self.delta(h.id());
-            let base = shard.local_range().start;
-            let mut depth = vec![u32::MAX; shard.num_local()];
-            let mut queue: Vec<(u64, u32)> = Vec::new();
-            for &s in sources {
-                if shard.is_local(s) {
-                    depth[(s - base) as usize] = 0;
-                    queue.push((s, 0));
-                }
-            }
-            let mut outbox: Vec<Vec<(u64, u32)>> =
-                (0..h.num_machines()).map(|_| Vec::new()).collect();
-            let mut supersteps = 0u64;
-            loop {
-                // Drain the local queue transitively (the chain).
-                while let Some((v, d)) = queue.pop() {
-                    if d > depth[(v - base) as usize] || d >= k {
-                        continue; // stale or budget exhausted
-                    }
-                    let nd = d + 1;
-                    let drow = delta.and_then(|dl| dl.row(v));
-                    let dels = drow.map(|r| r.deletes()).filter(|s| !s.is_empty());
-                    for set in shard.out_sets().sets() {
-                        for &t in set.neighbors(v) {
-                            if let Some(dels) = dels {
-                                if dels.binary_search(&t).is_ok() {
-                                    continue;
-                                }
-                            }
-                            if shard.is_local(t) {
-                                let l = (t - base) as usize;
-                                if nd < depth[l] {
-                                    depth[l] = nd;
-                                    queue.push((t, nd));
-                                }
-                            } else {
-                                outbox[self.partition.owner(t)].push((t, nd));
-                            }
-                        }
-                    }
-                    if let Some(drow) = drow {
-                        for &(t, _) in drow.inserts() {
-                            if shard.is_local(t) {
-                                let l = (t - base) as usize;
-                                if nd < depth[l] {
-                                    depth[l] = nd;
-                                    queue.push((t, nd));
-                                }
-                            } else {
-                                outbox[self.partition.owner(t)].push((t, nd));
-                            }
-                        }
-                    }
-                }
-                // Exchange boundary tasks; superstep boundary.
-                let mut sent = 0u64;
-                for (m, buf) in outbox.iter_mut().enumerate() {
-                    if !buf.is_empty() {
-                        sent += buf.len() as u64;
-                        h.send(m, EngineMsg::Task(std::mem::take(buf)));
-                    }
-                }
-                h.barrier();
-                for env in h.drain() {
-                    if let EngineMsg::Task(batch) = env.payload {
-                        for (v, d) in batch {
-                            let l = (v - base) as usize;
-                            if d < depth[l] {
-                                depth[l] = d;
-                                queue.push((v, d));
-                            }
-                        }
-                    }
-                }
-                supersteps += 1;
-                if h.barrier_sum(sent + queue.len() as u64) == 0 {
-                    break;
-                }
-            }
-            MachineOut { depth, supersteps }
-        });
-        let exec_time = start.elapsed();
-        let mut per_level = vec![0u64; 1];
-        let mut visited = 0u64;
-        for o in &outs {
-            for &d in &o.depth {
-                if d != u32::MAX {
-                    visited += 1;
-                    if d as usize >= per_level.len() {
-                        per_level.resize(d as usize + 1, 0);
-                    }
-                    per_level[d as usize] += 1;
-                }
-            }
-        }
-        SingleResult {
-            visited,
-            per_level,
-            supersteps: outs[0].supersteps,
             exec_time,
             traffic,
             peak_value_entries: 0,
@@ -1800,16 +1652,17 @@ impl DistributedEngine {
     /// Runs `iterations` of a GAS program (e.g. [`crate::gas::PageRank`])
     /// over the partitioned graph, gathering over
     /// [`DistributedEngine::in_edges`] (derived before the clock starts).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an engine with a live delta overlay
-    /// ([`DistributedEngine::in_edges`]).
+    /// On an engine with a live delta overlay it runs on the folded
+    /// value (one fold per call, also before the clock starts), so the
+    /// values are those of `graph_epoch()`.
     pub fn run_gas<G: Gas>(&self, gas: &G, iterations: u32) -> GasResult {
+        if self.has_delta() {
+            return self.folded().run_gas(gas, iterations);
+        }
         let in_edges = self.in_edges();
         let n = self.partition.num_vertices();
         let start = Instant::now();
-        let (outs, traffic) = self.cluster().run::<EngineMsg, (Vec<f64>, Duration), _>(|h| {
+        let (outs, traffic) = self.run_one_shot(|h| {
             let cpu0 = cgraph_comm::thread_cpu_time();
             let shard = &self.shards()[h.id()];
             let local = shard.local_range();
@@ -1818,29 +1671,24 @@ impl DistributedEngine {
             // iteration (the "local read" synchronisation of §3.3).
             let mut values: Vec<f64> = local.iter().map(|v| gas.init(v, n)).collect();
             let mut scatter = vec![0.0f64; n as usize];
-
-            // Broadcast initial scatter values.
-            let publish =
-                |h: &cgraph_comm::CommHandle<EngineMsg>, values: &[f64], scatter: &mut Vec<f64>| {
-                    let pairs: Vec<(u64, u64)> = values
-                        .iter()
-                        .enumerate()
-                        .map(|(l, &val)| {
-                            let v = base + l as u64;
-                            let s = gas.scatter(v, val, self.out_degree(v));
-                            (v, s.to_bits())
-                        })
-                        .collect();
-                    for (v, bits) in &pairs {
-                        scatter[*v as usize] = f64::from_bits(*bits);
-                    }
-                    for m in 0..h.num_machines() {
-                        if m != h.id() {
-                            h.send(m, EngineMsg::Ranks(pairs.clone()));
-                        }
-                    }
-                };
-            let absorb = |h: &cgraph_comm::CommHandle<EngineMsg>, scatter: &mut Vec<f64>| {
+            // Broadcast this machine's scatter values, then absorb every
+            // peer's once all have sent.
+            let exchange = |values: &[f64], scatter: &mut [f64]| {
+                let pairs: Vec<(u64, u64)> = values
+                    .iter()
+                    .enumerate()
+                    .map(|(l, &val)| {
+                        let v = base + l as u64;
+                        (v, gas.scatter(v, val, self.out_degree(v)).to_bits())
+                    })
+                    .collect();
+                for &(v, bits) in &pairs {
+                    scatter[v as usize] = f64::from_bits(bits);
+                }
+                for m in (0..h.num_machines()).filter(|&m| m != h.id()) {
+                    h.send(m, EngineMsg::Ranks(pairs.clone()));
+                }
+                h.barrier();
                 for env in h.drain() {
                     if let EngineMsg::Ranks(batch) = env.payload {
                         for (v, bits) in batch {
@@ -1848,12 +1696,9 @@ impl DistributedEngine {
                         }
                     }
                 }
+                h.barrier();
             };
-
-            publish(&h, &values, &mut scatter);
-            h.barrier();
-            absorb(&h, &mut scatter);
-            h.barrier();
+            exchange(&values, &mut scatter);
 
             for _ in 0..iterations {
                 // Gather + apply over local vertices. Sequential per
@@ -1873,10 +1718,7 @@ impl DistributedEngine {
                     })
                     .collect();
                 values = new_values;
-                publish(&h, &values, &mut scatter);
-                h.barrier();
-                absorb(&h, &mut scatter);
-                h.barrier();
+                exchange(&values, &mut scatter);
             }
             (values, cgraph_comm::thread_cpu_time() - cpu0)
         });
@@ -1900,23 +1742,20 @@ impl DistributedEngine {
     /// Runs a partition-centric program to global termination and
     /// returns each partition's output. The in-edge view is derived by
     /// the first [`PartitionCtx::in_neighbors`] call, so a program that
-    /// only reads out-edges (SSSP, BFS) never pays for it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an engine with a live delta overlay
-    /// ([`DistributedEngine::in_edges`]).
+    /// only reads out-edges (SSSP, BFS) never pays for it. On an engine
+    /// with a live delta overlay the program runs on the folded value
+    /// (one fold per call; the partition is the same), so it answers
+    /// for `graph_epoch()` and not for the base.
     pub fn run_program<P, F>(&self, factory: F) -> Vec<P::Out>
     where
         P: PartitionProgram,
         F: Fn(usize) -> P + Sync,
         P::Out: Send,
     {
-        // Refused at entry, not at the first in-edge read: a program
-        // that reads out-edges only would otherwise answer for the base
-        // graph while an overlay is live.
-        self.refuse_live_overlay();
-        let (outs, _traffic) = self.cluster().run::<EngineMsg, P::Out, _>(|h| {
+        if self.has_delta() {
+            return self.folded().run_program(factory);
+        }
+        let (outs, _traffic) = self.run_one_shot(|h| {
             let shard = &self.shards()[h.id()];
             let mut program = factory(h.id());
             let in_edges = || &self.derived_in_edges()[h.id()];
@@ -1963,6 +1802,24 @@ impl DistributedEngine {
         });
         outs
     }
+}
+
+/// Per-level counts summed over machines, trailing empty levels
+/// trimmed (level 0, the sources, always stays).
+fn sum_levels<'a>(machines: impl Iterator<Item = &'a [u64]>) -> Vec<u64> {
+    let mut per_level = vec![0u64; 1];
+    for levels in machines {
+        if levels.len() > per_level.len() {
+            per_level.resize(levels.len(), 0);
+        }
+        for (sum, &c) in per_level.iter_mut().zip(levels) {
+            *sum += c;
+        }
+    }
+    while per_level.len() > 1 && per_level.last() == Some(&0) {
+        per_level.pop();
+    }
+    per_level
 }
 
 #[cfg(test)]
@@ -2024,10 +1881,40 @@ mod tests {
         let sync_e = DistributedEngine::new(&g, EngineConfig::new(3));
         let async_e = DistributedEngine::new(&g, EngineConfig::new(3).asynchronous());
         for src in [0u64, 3, 50] {
-            let s = sync_e.run_single_queue(&[src], 4, ValueMode::TwoLevel);
-            let a = async_e.run_single_queue(&[src], 4, ValueMode::TwoLevel);
-            assert_eq!(s.visited, a.visited, "src {src}");
-            assert_eq!(s.per_level, a.per_level, "src {src}");
+            for k in [4, u32::MAX] {
+                let s = sync_e.run_single_queue(&[src], k, ValueMode::TwoLevel);
+                let a = async_e.run_single_queue(&[src], k, ValueMode::TwoLevel);
+                assert_eq!(s.visited, a.visited, "src {src} k {k}");
+                assert_eq!(s.per_level, a.per_level, "src {src} k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn queue_traversals_read_the_live_overlay() {
+        let g = cgraph_gen::graph500(8, 6, 5);
+        let mut b = cgraph_graph::GraphBuilder::new();
+        b.add_edge_list(&g);
+        let g = b.build().edges;
+        let n = g.num_vertices();
+        let deletes = g.edges().iter().step_by(7).map(|x| EdgeUpdate::delete(x.src, x.dst));
+        let inserts = (1..40u64).map(|i| EdgeUpdate::insert(i * 5 % n, i * 11 % n));
+        let updates: Vec<EdgeUpdate> = deletes.chain(inserts).collect();
+        for (mode, config) in
+            [("sync", EngineConfig::new(3)), ("async", EngineConfig::new(3).asynchronous())]
+        {
+            let (overlaid, _) =
+                DistributedEngine::new(&g, config).with_updates(&updates, usize::MAX);
+            let (folded, did_fold) = overlaid.with_updates(&[], 0);
+            assert!(overlaid.has_delta() && did_fold);
+            for src in [0u64, 3, 50] {
+                for k in [2, u32::MAX] {
+                    let a = overlaid.run_single_queue(&[src], k, ValueMode::TwoLevel);
+                    let b = folded.run_single_queue(&[src], k, ValueMode::TwoLevel);
+                    assert_eq!(a.visited, b.visited, "{mode} src {src} k {k}");
+                    assert_eq!(a.per_level, b.per_level, "{mode} src {src} k {k}");
+                }
+            }
         }
     }
 
@@ -2073,6 +1960,20 @@ mod tests {
         assert!(r.traffic.total_msgs() > 0, "ring BFS must cross machines");
     }
 
+    /// The visited count, per-level counts and supersteps of a
+    /// [`ChainedKhop`](crate::traverse::ChainedKhop) run.
+    struct Chained {
+        visited: u64,
+        per_level: Vec<u64>,
+        supersteps: u64,
+    }
+
+    fn run_chained(e: &DistributedEngine, sources: &[VertexId], k: u32) -> Chained {
+        let outs = e.run_program(|_| crate::traverse::ChainedKhop::new(sources, k));
+        let per_level = sum_levels(outs.iter().map(|o| &o.per_level[..]));
+        Chained { visited: per_level.iter().sum(), per_level, supersteps: outs[0].supersteps }
+    }
+
     #[test]
     fn chained_matches_level_synchronous() {
         let g = cgraph_gen::graph500(9, 8, 44);
@@ -2083,7 +1984,7 @@ mod tests {
         for src in [0u64, 9, 77] {
             for k in [1u32, 3, u32::MAX] {
                 let level = e.run_single_queue(&[src], k, ValueMode::TwoLevel);
-                let chained = e.run_single_queue_chained(&[src], k);
+                let chained = run_chained(&e, &[src], k);
                 assert_eq!(chained.visited, level.visited, "src {src} k {k}");
                 assert_eq!(chained.per_level, level.per_level, "src {src} k {k}");
             }
@@ -2099,7 +2000,7 @@ mod tests {
         let g: EdgeList = (0..200u64).map(|v| (v, (v + 1) % 200)).collect();
         let e = engine(&g, 2);
         let level = e.run_single_queue(&[0], u32::MAX, ValueMode::TwoLevel);
-        let chained = e.run_single_queue_chained(&[0], u32::MAX);
+        let chained = run_chained(&e, &[0], u32::MAX);
         assert_eq!(level.visited, chained.visited);
         assert!(
             chained.supersteps * 10 < level.supersteps,

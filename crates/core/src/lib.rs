@@ -16,8 +16,9 @@
 //! * [`bitfrontier`] — the MS-BFS style bit-packed concurrent traversal
 //!   state (§3.5, Fig. 6),
 //! * [`engine`] — the distributed engine: synchronous supersteps and
-//!   asynchronous free-running execution over a
-//!   [`cgraph_comm::Cluster`],
+//!   asynchronous free-running execution on a
+//!   [`cgraph_comm::PersistentCluster`] — the service's, or a one-shot
+//!   one per call,
 //! * [`gas`] — the Gather-Apply-Scatter interface of Listing 3 and the
 //!   iterative-computation driver (PageRank),
 //! * [`scheduler`] — the concurrent-query front end: batches queries

@@ -126,8 +126,10 @@ impl<'a> PartitionCtx<'a> {
         (self.in_edges)().in_neighbors(v)
     }
 
-    /// The underlying shard (for edge-set level access).
-    pub fn shard(&self) -> &Shard {
+    /// The underlying shard (for edge-set level access). It outlives
+    /// the borrow of the context, so a program can scan it while
+    /// staging messages.
+    pub fn shard(&self) -> &'a Shard {
         self.shard
     }
 

@@ -232,11 +232,12 @@ impl<'e> QueryScheduler<'e> {
             let sources: Vec<u64> = chunk.iter().map(|&i| traversals[i].1).collect();
             let ks: Vec<u32> = chunk.iter().map(|&i| traversals[i].2).collect();
             // Precondition: query sources lie inside the vertex range
-            // and chunks respect MAX_LANES, so shape errors are bugs.
+            // and chunks respect MAX_LANES, so shape errors are bugs; so
+            // is a machine panic, which the one-shot cluster returns.
             let br = self
                 .engine
                 .run_traversal_batch(&sources, &ks)
-                .expect("scheduler batches are shape-valid");
+                .expect("a shape-valid batch fails only when a machine panics");
             let (batch_dur, batch_end) = if self.config.use_sim_time {
                 let d = br.sim_exec_time();
                 sim_clock += d;

@@ -13,7 +13,12 @@
 //! Remote neighbours are emitted to the engine ("boundary vertices will
 //! be sent to a remote task queue", Listing 2 caption), which routes
 //! them to the owning shard's [`QueueTraversal::absorb`].
+//!
+//! [`ChainedKhop`] is the same traversal as a partition program: each
+//! superstep chases local chains to their end, so only a partition
+//! boundary costs a superstep.
 
+use crate::pcm::{PartitionCtx, PartitionProgram};
 use crate::shard::Shard;
 use cgraph_graph::delta::DeltaOverlay;
 use cgraph_graph::props::SparseLevelProps;
@@ -209,6 +214,120 @@ impl QueueTraversal {
         self.depth += 1;
         self.cur.len()
     }
+}
+
+/// Queue-based k-hop with **local chaining**, a partition program for
+/// [`DistributedEngine::run_program`](crate::engine::DistributedEngine::run_program):
+/// within one superstep each partition expands its local queue
+/// *transitively*, so a superstep is only needed where the traversal
+/// crosses a partition boundary — why the partition-centric model
+/// "generally requires fewer supersteps to converge" (§3.3). Chaining
+/// can first reach a vertex by a longer local path than its distance,
+/// so depths are label-correcting (an improvement re-expands the
+/// vertex); the final depths are those of the level-synchronous queue.
+pub struct ChainedKhop<'s> {
+    sources: &'s [VertexId],
+    k: u32,
+    base: VertexId,
+    /// Best depth per local vertex (`u32::MAX` = unreached).
+    depth: Vec<u32>,
+    /// Local `(vertex, depth)` tasks left to expand.
+    queue: Vec<(VertexId, u32)>,
+    supersteps: u64,
+}
+
+/// One partition's output of a [`ChainedKhop`] run.
+#[derive(Clone, Debug)]
+pub struct ChainedLevels {
+    /// Local vertices first reached per hop (`[0]` counts the local
+    /// sources).
+    pub per_level: Vec<u64>,
+    /// Superstep barriers the run passed, the final empty one included;
+    /// every partition counts the same.
+    pub supersteps: u64,
+}
+
+impl<'s> ChainedKhop<'s> {
+    /// A `k`-hop traversal (`u32::MAX` = full BFS) from `sources`; give
+    /// every partition the same arguments.
+    pub fn new(sources: &'s [VertexId], k: u32) -> Self {
+        Self { sources, k, base: 0, depth: Vec::new(), queue: Vec::new(), supersteps: 0 }
+    }
+
+    /// Queues local `v` at depth `d` when `d` improves on its best.
+    fn relax(&mut self, v: VertexId, d: u32) {
+        let best = &mut self.depth[(v - self.base) as usize];
+        if d < *best {
+            *best = d;
+            self.queue.push((v, d));
+        }
+    }
+
+    /// Drains the local queue transitively (the chain), staging every
+    /// remote target for its owner, then waits for messages.
+    fn chase(&mut self, ctx: &mut PartitionCtx<'_>) {
+        let shard = ctx.shard();
+        while let Some((v, d)) = self.queue.pop() {
+            if d > self.depth[(v - self.base) as usize] || d >= self.k {
+                continue; // stale or budget exhausted
+            }
+            for set in shard.out_sets().sets() {
+                for &t in set.neighbors(v) {
+                    if shard.is_local(t) {
+                        self.relax(t, d + 1);
+                    } else {
+                        ctx.send_to(t, u64::from(d + 1));
+                    }
+                }
+            }
+        }
+        ctx.vote_to_halt();
+    }
+}
+
+impl PartitionProgram for ChainedKhop<'_> {
+    type Out = ChainedLevels;
+
+    fn init(&mut self, ctx: &mut PartitionCtx<'_>) {
+        let shard = ctx.shard();
+        self.base = shard.local_range().start;
+        self.depth = vec![u32::MAX; shard.num_local()];
+        for &s in self.sources {
+            if shard.is_local(s) {
+                self.relax(s, 0);
+            }
+        }
+        self.chase(ctx);
+    }
+
+    fn compute(&mut self, ctx: &mut PartitionCtx<'_>, incoming: &[(VertexId, u64)]) {
+        for &(v, d) in incoming {
+            self.relax(v, d as u32);
+        }
+        self.chase(ctx);
+    }
+
+    fn finish(self, _ctx: &PartitionCtx<'_>) -> ChainedLevels {
+        ChainedLevels { per_level: level_counts(&self.depth), supersteps: self.supersteps }
+    }
+
+    /// Counts supersteps: the engine delivers the aggregate to every
+    /// partition once per superstep barrier, halted or not.
+    fn receive_aggregate(&mut self, _aggregate: u64) {
+        self.supersteps += 1;
+    }
+}
+
+/// Vertices per depth (`u32::MAX` = unreached), sized by the deepest
+/// vertex reached, not by the hop budget: a BFS holds as many levels as
+/// it found.
+pub(crate) fn level_counts(depth: &[u32]) -> Vec<u64> {
+    let reached = depth.iter().filter(|&&d| d != u32::MAX);
+    let mut per_level = vec![0u64; reached.clone().max().map_or(0, |&d| d as usize + 1)];
+    for &d in reached {
+        per_level[d as usize] += 1;
+    }
+    per_level
 }
 
 #[cfg(test)]

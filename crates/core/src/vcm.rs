@@ -15,8 +15,8 @@
 //! the partition-centric model "generally requires fewer supersteps to
 //! converge compared to the vertex-centric model": a partition program
 //! can chase local chains within one superstep (see
-//! [`crate::traverse`]), while a vertex program needs one superstep
-//! per hop.
+//! [`crate::traverse::ChainedKhop`]), while a vertex program needs one
+//! superstep per hop.
 
 use crate::engine::DistributedEngine;
 use crate::pcm::{PartitionCtx, PartitionProgram};

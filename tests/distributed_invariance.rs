@@ -5,6 +5,7 @@
 use cgraph::prelude::*;
 use cgraph_core::shard::Shard;
 use cgraph_graph::{ConsolidationPolicy, EdgeSet};
+use proptest::prelude::*;
 
 fn test_graph(seed: u64) -> EdgeList {
     let raw = cgraph::gen::graph500(9, 8, seed);
@@ -99,7 +100,13 @@ fn hop_plot_invariant_to_machines() {
 /// Raw R-MAT (duplicate `(src, dst)` pairs kept) with a distinct
 /// weight per edge, so the order duplicates are kept in is observable.
 fn weighted_rmat(seed: u64) -> EdgeList {
-    let mut g = cgraph::gen::graph500(9, 16, seed);
+    weighted_rmat_at(9, 16, seed)
+}
+
+/// [`weighted_rmat`] at `2^scale` vertices and `edge_factor` edges per
+/// vertex.
+fn weighted_rmat_at(scale: u32, edge_factor: usize, seed: u64) -> EdgeList {
+    let mut g = cgraph::gen::graph500(scale, edge_factor, seed);
     for (i, e) in g.edges_mut().iter_mut().enumerate() {
         e.weight = 0.5 + i as f32;
     }
@@ -183,7 +190,7 @@ fn one_shard_three_ways() {
 }
 
 #[test]
-fn programs_refuse_a_live_overlay() {
+fn programs_answer_for_a_live_overlay() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     // Two rings, 0..5 and 5..10; an overlay edge joins them.
     let g: EdgeList = (0..10u64).map(|v| (v, if v % 5 == 4 { v - 4 } else { v + 1 })).collect();
@@ -197,15 +204,18 @@ fn programs_refuse_a_live_overlay() {
     assert_eq!(components(&base), 2);
     let (overlaid, did_fold) = base.with_updates(&[EdgeUpdate::insert(2, 7)], usize::MAX);
     assert!(!did_fold && overlaid.has_delta());
-    let refused = catch_unwind(AssertUnwindSafe(|| components(&overlaid)));
-    let message = refused.expect_err("WCC over a live overlay answers for the base graph");
-    let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
-    assert!(message.contains("fold the delta overlay first"), "{message}");
-    assert!(catch_unwind(AssertUnwindSafe(|| pagerank(&overlaid, 2))).is_err());
-    // Folded, the same logical graph answers: one component.
+    // WCC over the live overlay answers for its epoch: one component.
+    assert_eq!(components(&overlaid), 1);
     let (folded, did_fold) = overlaid.with_updates(&[], 0);
     assert!(did_fold);
     assert_eq!(components(&folded), 1);
+    let bits = |r: Vec<f64>| r.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(bits(pagerank(&overlaid, 2)), bits(pagerank(&folded, 2)));
+    // The in-edge view itself still holds base edges only: refused.
+    let refused = catch_unwind(AssertUnwindSafe(|| overlaid.in_edges().len()));
+    let message = refused.expect_err("the in-edge view of a live overlay is the base's");
+    let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert!(message.contains("fold the delta overlay first"), "{message}");
 }
 
 /// One tile as a scan reads it: its ranges, offsets, targets, weight
@@ -481,5 +491,62 @@ fn fold_of_updates_is_ingest_of_the_effective_edges() {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// WCC, k-core, SSSP and PageRank on an engine with a live overlay
+    /// answer for its epoch: bit for bit what an engine ingested from
+    /// the edge list the updates leave, over the same partition, answers.
+    #[test]
+    fn analytics_on_a_live_overlay_are_those_of_its_effective_graph(
+        seed in 0u64..1_000,
+        p in 1usize..4,
+        batches in prop::collection::vec(
+            prop::collection::vec((0u64..4, 0u64..1_000_000, 0u64..1_000_000), 1..40),
+            1..4,
+        ),
+    ) {
+        let g = weighted_rmat_at(7, 8, seed);
+        let n = g.num_vertices();
+        let mut engine = DistributedEngine::new(&g, EngineConfig::new(p));
+        let mut all = Vec::new();
+        for batch in &batches {
+            // Deletes and re-weightings of base edges (duplicates
+            // included) beside updates of arbitrary pairs; weights stay
+            // positive for SSSP.
+            let updates: Vec<EdgeUpdate> = batch
+                .iter()
+                .map(|&(kind, a, b)| {
+                    let base = g.edges()[(a % g.len() as u64) as usize];
+                    let weight = 1.0 + (b % 97) as f32;
+                    match kind {
+                        0 => EdgeUpdate::delete(base.src, base.dst),
+                        1 => EdgeUpdate::insert_weighted(base.src, base.dst, weight),
+                        2 => EdgeUpdate::delete(a % n, b % n),
+                        _ => EdgeUpdate::insert_weighted(a % n, b % n, weight),
+                    }
+                })
+                .collect();
+            let (next, did_fold) = engine.with_updates(&updates, usize::MAX);
+            prop_assert!(!did_fold);
+            engine = next;
+            all.extend(updates);
+        }
+        prop_assert!(engine.has_delta());
+        let rebuilt = DistributedEngine::with_partition(
+            &effective_edges(&g, &all),
+            engine.partition().clone(),
+            *engine.config(),
+        );
+        prop_assert_eq!(weakly_connected_components(&engine), weakly_connected_components(&rebuilt));
+        prop_assert_eq!(kcore_decomposition(&engine), kcore_decomposition(&rebuilt));
+        let f32_bits = |d: Vec<f32>| d.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let source = seed % n;
+        prop_assert_eq!(f32_bits(sssp(&engine, source)), f32_bits(sssp(&rebuilt, source)));
+        let f64_bits = |r: Vec<f64>| r.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(f64_bits(pagerank(&engine, 10)), f64_bits(pagerank(&rebuilt, 10)));
     }
 }

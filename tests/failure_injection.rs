@@ -4,9 +4,10 @@
 
 mod common;
 
+use cgraph::core::pcm::{PartitionCtx, PartitionProgram};
 use cgraph::core::{BatchResult, EngineError, FaultInjection};
 use cgraph::prelude::*;
-use cgraph_comm::{Cluster, ClusterError, PersistentCluster};
+use cgraph_comm::{ClusterError, PersistentCluster};
 use common::reference_khop_levels;
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,20 +33,53 @@ fn assert_matches_reference(
     }
 }
 
+/// Partition 0 panics in its first superstep; every other partition
+/// halts at once and waits for it at the next superstep barrier (or
+/// reaches that barrier after the panic).
+struct PanicsOnPartitionZero;
+
+impl PartitionProgram for PanicsOnPartitionZero {
+    type Out = ();
+
+    fn init(&mut self, ctx: &mut PartitionCtx<'_>) {
+        if ctx.partition_id() != 0 {
+            ctx.vote_to_halt();
+        }
+    }
+
+    fn compute(&mut self, _ctx: &mut PartitionCtx<'_>, _incoming: &[(VertexId, u64)]) {
+        panic!("injected fault");
+    }
+
+    fn finish(self, _ctx: &PartitionCtx<'_>) {}
+}
+
 #[test]
 fn machine_panic_propagates_not_hangs() {
-    // A panicking machine must surface as a panic in the driver, not a
-    // deadlock (the other machine never reaches a barrier here).
-    let result = std::panic::catch_unwind(|| {
-        let cluster = Cluster::new(2);
-        cluster.run::<(), (), _>(|h| {
-            if h.id() == 0 {
-                panic!("injected fault");
-            }
-            // Machine 1 does independent work and returns.
+    // A machine that panics while its peers wait at a superstep barrier
+    // must surface as a panic in the caller that names it, not as a
+    // deadlock. The wait is bounded so a regression fails here instead
+    // of hanging the suite.
+    for p in [2usize, 3] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let g: EdgeList = (0..30u64).map(|v| (v, (v + 1) % 30)).collect();
+            let e = DistributedEngine::new(&g, EngineConfig::new(p));
+            let run = std::panic::AssertUnwindSafe(|| e.run_program(|_| PanicsOnPartitionZero));
+            let outcome = std::panic::catch_unwind(run)
+                .map_err(|payload| payload.downcast_ref::<String>().cloned().unwrap_or_default());
+            let _ = tx.send(outcome);
         });
-    });
-    assert!(result.is_err(), "driver must observe the machine panic");
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("p={p}: the caller hung on a panicked machine"));
+        caller.join().expect("the caller caught the panic");
+        let message = outcome.expect_err("machine 0's panic must reach the caller");
+        assert!(
+            message.contains("machine 0") && message.contains("injected fault"),
+            "p={p}: {message}"
+        );
+    }
 }
 
 #[test]
