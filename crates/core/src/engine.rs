@@ -1,19 +1,17 @@
 //! The distributed engine: shards + cluster + superstep drivers (§3.3).
 //!
 //! [`DistributedEngine`] owns the partitioned graph (one [`Shard`] per
-//! simulated machine) and exposes the execution paths of the paper:
+//! simulated machine) and runs every job on one of three machine loops:
 //!
-//! * [`DistributedEngine::run_traversal_batch`] — the optimized
-//!   concurrent path: up to [`MAX_LANES`] k-hop traversals as bit
-//!   lanes over the shared edge-set scan (§3.5), at a runtime batch
-//!   width `W ∈ {64, 128, 256, 512}`,
-//! * [`DistributedEngine::run_single_queue`] — the queue-based
-//!   `Traverse` of Listing 2, one query at a time, in synchronous or
-//!   asynchronous mode (§3.3),
-//! * [`DistributedEngine::run_gas`] — iterative computation via the
-//!   GAS interface of Listing 3 (PageRank),
-//! * [`DistributedEngine::run_program`] — arbitrary partition-centric
-//!   programs (Listing 1).
+//! * the lane batch ([`DistributedEngine::run_traversal_batch`], the
+//!   service's path): up to [`MAX_LANES`] k-hop traversals as bit lanes
+//!   over the shared edge-set scan (§3.5), batch width 64–512;
+//! * the BSP driver of partition programs (Listing 1,
+//!   [`DistributedEngine::run_program`]). The sync queue of Listing 2
+//!   ([`crate::traverse::QueueKhop`]), the chained queue, GAS
+//!   ([`crate::gas::GasProgram`], Listing 3) and vertex programs run on it;
+//! * the async queue ([`DistributedEngine::run_single_queue`] in
+//!   [`UpdateMode::Async`]), the one job that ends on quiescence (§3.3).
 //!
 //! Every job runs on a [`PersistentCluster`] of `p` machine threads:
 //! the service's long-lived one, or a one-shot cluster a call makes for
@@ -25,12 +23,12 @@
 
 use crate::bitfrontier::{AdvanceResult, BitFrontier, FrontierBatch, OverlayScan};
 use crate::config::{EngineConfig, UpdateMode};
-use crate::gas::Gas;
+use crate::gas::{Gas, GasProgram};
 use crate::partition::RangePartition;
 use crate::pcm::{PartitionCtx, PartitionProgram};
 use crate::recovery::{PartitionSnapshot, RecoveryConfig, RecoveryReport, RecoveryStore};
 use crate::shard::Shard;
-use crate::traverse::{level_counts, QueueTraversal, ValueMode};
+use crate::traverse::{level_counts, KhopLevels, QueueKhop, ValueMode};
 use cgraph_comm::chaos::{ChaosRun, FaultPlan};
 use cgraph_comm::cluster::TrafficReport;
 use cgraph_comm::{
@@ -49,12 +47,9 @@ pub enum EngineMsg {
     /// bit-frontier path, at the batch's own width (every machine runs
     /// the same batch). Shared with the sender's recovery log.
     Frontier(Arc<FrontierBatch>),
-    /// Batched remote tasks `(global dst, depth)` — queue-based path.
-    Task(Vec<(u64, u32)>),
-    /// Partition-centric messages `(dst vertex, payload word)`.
+    /// Word messages `(key vertex, payload)`: a partition program's
+    /// staged sends, and the async queue's `(vertex, depth)` tasks.
     Pcm(Vec<(u64, u64)>),
-    /// Scatter-value broadcast `(vertex, f64 bits)` — GAS path.
-    Ranks(Vec<(u64, u64)>),
 }
 
 impl WireSize for EngineMsg {
@@ -62,9 +57,7 @@ impl WireSize for EngineMsg {
         match self {
             // 8-byte vertex id + W/8 mask bytes per entry.
             EngineMsg::Frontier(b) => b.len() * (8 + 8 * b.stride()),
-            EngineMsg::Task(v) => v.len() * 12,
             EngineMsg::Pcm(v) => v.len() * 16,
-            EngineMsg::Ranks(v) => v.len() * 16,
         }
     }
 }
@@ -1469,275 +1462,136 @@ impl DistributedEngine {
     // ------------------------------------------------------------------
 
     /// Runs one k-hop query through the queue-based `Traverse` path,
-    /// honouring [`EngineConfig::mode`] (sync supersteps or async
-    /// free-running).
+    /// honouring [`EngineConfig::mode`]: sync runs [`QueueKhop`] on the
+    /// BSP driver, one superstep per level (over the folded value of an
+    /// engine with a live overlay, folded before the clock starts);
+    /// async runs free to quiescence over the base and the overlay.
     pub fn run_single_queue(
         &self,
         sources: &[VertexId],
         k: u32,
         value_mode: ValueMode,
     ) -> SingleResult {
-        match self.config.mode {
-            UpdateMode::Sync => self.run_single_queue_sync(sources, k, value_mode),
-            UpdateMode::Async => self.run_single_queue_async(sources, k),
-        }
-    }
-
-    fn run_single_queue_sync(
-        &self,
-        sources: &[VertexId],
-        k: u32,
-        value_mode: ValueMode,
-    ) -> SingleResult {
-        struct MachineOut {
-            visited: u64,
-            per_level: Vec<u64>,
-            supersteps: u64,
-            peak_entries: usize,
+        let sync = self.config.mode == UpdateMode::Sync;
+        if sync && self.has_delta() {
+            return self.folded().run_single_queue(sources, k, value_mode);
         }
         let start = Instant::now();
-        let (outs, traffic) = self.run_one_shot(|h| {
-            let shard = &self.shards()[h.id()];
-            let delta = self.delta(h.id());
-            let mut qt = QueueTraversal::new(shard, k, value_mode);
-            let mut seeded = 0u64;
-            for &s in sources {
-                if shard.is_local(s) {
-                    qt.seed(s);
-                    seeded += 1;
-                }
-            }
-            let mut per_level = vec![seeded];
-            let mut peak_entries = qt.live_value_entries();
-            let mut outbox: Vec<Vec<(u64, u32)>> =
-                (0..h.num_machines()).map(|_| Vec::new()).collect();
-            let mut supersteps = 0u64;
-            loop {
-                let mut new_local = qt.step(shard, delta, |v, d| {
-                    outbox[self.partition.owner(v)].push((v, d));
-                });
-                for (m, buf) in outbox.iter_mut().enumerate() {
-                    if !buf.is_empty() {
-                        h.send(m, EngineMsg::Task(std::mem::take(buf)));
-                    }
-                }
-                h.barrier();
-                for env in h.drain() {
-                    if let EngineMsg::Task(batch) = env.payload {
-                        for (v, d) in batch {
-                            if qt.absorb(v, d) {
-                                new_local += 1;
-                            }
-                        }
-                    }
-                }
-                per_level.push(new_local);
-                let qsize = qt.advance_level() as u64;
-                peak_entries = peak_entries.max(qt.live_value_entries());
-                supersteps += 1;
-                if h.barrier_sum(qsize) == 0 {
-                    break;
-                }
-            }
-            MachineOut { visited: qt.visited_count(), per_level, supersteps, peak_entries }
-        });
-        let exec_time = start.elapsed();
-        SingleResult {
-            visited: outs.iter().map(|o| o.visited).sum(),
-            per_level: sum_levels(outs.iter().map(|o| &o.per_level[..])),
-            supersteps: outs[0].supersteps,
-            exec_time,
-            traffic,
-            peak_value_entries: outs.iter().map(|o| o.peak_entries).max().unwrap_or(0),
-        }
-    }
-
-    /// Asynchronous k-hop: label-correcting expansion with eager sends
-    /// and quiescence-based termination. Depths may be improved after a
-    /// first visit (a vertex reached at depth 3 and later at depth 2 is
-    /// re-expanded), which keeps the reachable set exact without
-    /// supersteps.
-    fn run_single_queue_async(&self, sources: &[VertexId], k: u32) -> SingleResult {
-        struct MachineOut {
-            tasks: u64,
-            per_level: Vec<u64>,
-        }
-        let start = Instant::now();
-        let (outs, traffic) = self.run_one_shot(|h| {
-            let shard = &self.shards()[h.id()];
-            let delta = self.delta(h.id());
-            let base = shard.local_range().start;
-            let n_local = shard.num_local();
-            let mut depth = vec![u32::MAX; n_local];
-            let mut queue: Vec<(u64, u32)> = Vec::new();
-            for &s in sources {
-                if shard.is_local(s) {
-                    depth[(s - base) as usize] = 0;
-                    queue.push((s, 0));
-                }
-            }
-            let mut tasks = 0u64;
-            loop {
-                // Prefer local work.
-                if let Some((v, d)) = queue.pop() {
-                    h.set_idle(false);
-                    tasks += 1;
-                    if d < k {
-                        let nd = d + 1;
-                        // Base out-edges the overlay keeps, then its inserts.
-                        let drow = delta.and_then(|dl| dl.row(v));
-                        let deleted = |t: &VertexId| {
-                            drow.is_some_and(|r| r.deletes().binary_search(t).is_ok())
-                        };
-                        let kept = shard.out_sets().sets().iter().flat_map(|set| set.neighbors(v));
-                        let inserted = drow.into_iter().flat_map(|r| r.inserts()).map(|(t, _)| t);
-                        for &t in kept.filter(|t| !deleted(t)).chain(inserted) {
-                            if shard.is_local(t) {
-                                let l = (t - base) as usize;
-                                if nd < depth[l] {
-                                    depth[l] = nd;
-                                    queue.push((t, nd));
-                                }
-                            } else {
-                                h.send(self.partition.owner(t), EngineMsg::Task(vec![(t, nd)]));
-                            }
-                        }
-                    }
-                    continue;
-                }
-                // Queue empty: poll the inbox.
-                match h.try_recv() {
-                    Some(env) => {
-                        // Mark busy *before* acknowledging, so the
-                        // cluster can't look quiescent while the work
-                        // this message carries is still in our queue.
-                        h.set_idle(false);
-                        if let EngineMsg::Task(batch) = env.payload {
-                            for (v, d) in batch {
-                                let l = (v - base) as usize;
-                                if d < depth[l] {
-                                    depth[l] = d;
-                                    queue.push((v, d));
-                                }
-                            }
-                        }
-                        h.message_processed();
-                    }
-                    None => {
-                        h.set_idle(true);
-                        if h.quiescent() {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            MachineOut { tasks, per_level: level_counts(&depth) }
-        });
+        let (outs, traffic) = if sync {
+            let (outs, traffic, _) =
+                self.run_bsp(|m| QueueKhop::new(&self.shards()[m], sources, k, value_mode));
+            (outs, traffic)
+        } else {
+            self.run_one_shot(|h| self.async_queue(h, sources, k))
+        };
         let exec_time = start.elapsed();
         SingleResult {
             visited: outs.iter().flat_map(|o| &o.per_level).sum(),
             per_level: sum_levels(outs.iter().map(|o| &o.per_level[..])),
-            supersteps: outs.iter().map(|o| o.tasks).sum(),
+            // Sync: the levels closed, every barrier but the last, which
+            // found every queue empty. Async: the tasks processed.
+            supersteps: if sync {
+                outs[0].supersteps - 1
+            } else {
+                outs.iter().map(|o| o.supersteps).sum()
+            },
             exec_time,
             traffic,
-            peak_value_entries: 0,
+            peak_value_entries: outs.iter().map(|o| o.peak_value_entries).max().unwrap_or(0),
         }
     }
 
+    /// One machine of the asynchronous k-hop: label-correcting
+    /// expansion with eager sends, ended by quiescence. A depth improved
+    /// after a first visit re-expands its vertex, which keeps the
+    /// reachable set exact without supersteps. Counts tasks as supersteps.
+    fn async_queue(&self, h: CommHandle<EngineMsg>, sources: &[VertexId], k: u32) -> KhopLevels {
+        let shard = &self.shards()[h.id()];
+        let delta = self.delta(h.id());
+        let base = shard.local_range().start;
+        let mut depth = vec![u32::MAX; shard.num_local()];
+        let mut queue: Vec<(VertexId, u32)> = Vec::new();
+        // Queues local `v` at depth `d` when `d` improves on its best.
+        let relax = |depth: &mut [u32], queue: &mut Vec<_>, v: VertexId, d: u32| {
+            let best = &mut depth[(v - base) as usize];
+            if d < *best {
+                *best = d;
+                queue.push((v, d));
+            }
+        };
+        for &s in sources.iter().filter(|&&s| shard.is_local(s)) {
+            relax(&mut depth, &mut queue, s, 0);
+        }
+        let mut tasks = 0u64;
+        loop {
+            // Prefer local work.
+            if let Some((v, d)) = queue.pop() {
+                h.set_idle(false);
+                tasks += 1;
+                if d < k {
+                    // Base out-edges the overlay keeps, then its inserts.
+                    let drow = delta.and_then(|dl| dl.row(v));
+                    let deleted =
+                        |t: &VertexId| drow.is_some_and(|r| r.deletes().binary_search(t).is_ok());
+                    let kept = shard.out_sets().sets().iter().flat_map(|set| set.neighbors(v));
+                    let inserted = drow.into_iter().flat_map(|r| r.inserts()).map(|(t, _)| t);
+                    for &t in kept.filter(|t| !deleted(t)).chain(inserted) {
+                        if shard.is_local(t) {
+                            relax(&mut depth, &mut queue, t, d + 1);
+                        } else {
+                            let task = vec![(t, u64::from(d + 1))];
+                            h.send(self.partition.owner(t), EngineMsg::Pcm(task));
+                        }
+                    }
+                }
+                continue;
+            }
+            // Queue empty: poll the inbox.
+            match h.try_recv() {
+                Some(env) => {
+                    // Mark busy *before* acknowledging, so the cluster
+                    // can't look quiescent while the work this message
+                    // carries is still in our queue.
+                    h.set_idle(false);
+                    if let EngineMsg::Pcm(batch) = env.payload {
+                        for (v, d) in batch {
+                            relax(&mut depth, &mut queue, v, d as u32);
+                        }
+                    }
+                    h.message_processed();
+                }
+                None => {
+                    h.set_idle(true);
+                    if h.quiescent() {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            }
+        }
+        KhopLevels { per_level: level_counts(&depth), supersteps: tasks, peak_value_entries: 0 }
+    }
+
     // ------------------------------------------------------------------
-    // GAS iterative computation (Listing 3)
+    // Partition-centric programs (Listing 1) and GAS (Listing 3)
     // ------------------------------------------------------------------
 
     /// Runs `iterations` of a GAS program (e.g. [`crate::gas::PageRank`])
-    /// over the partitioned graph, gathering over
+    /// as a [`GasProgram`] on the BSP driver, gathering over
     /// [`DistributedEngine::in_edges`] (derived before the clock starts).
     /// On an engine with a live delta overlay it runs on the folded
-    /// value (one fold per call, also before the clock starts), so the
-    /// values are those of `graph_epoch()`.
+    /// value (folded before the clock starts): the values of its epoch.
     pub fn run_gas<G: Gas>(&self, gas: &G, iterations: u32) -> GasResult {
         if self.has_delta() {
             return self.folded().run_gas(gas, iterations);
         }
-        let in_edges = self.in_edges();
-        let n = self.partition.num_vertices();
+        self.in_edges();
         let start = Instant::now();
-        let (outs, traffic) = self.run_one_shot(|h| {
-            let cpu0 = cgraph_comm::thread_cpu_time();
-            let shard = &self.shards()[h.id()];
-            let local = shard.local_range();
-            let base = local.start;
-            // Local vertex values + a global scatter view refreshed per
-            // iteration (the "local read" synchronisation of §3.3).
-            let mut values: Vec<f64> = local.iter().map(|v| gas.init(v, n)).collect();
-            let mut scatter = vec![0.0f64; n as usize];
-            // Broadcast this machine's scatter values, then absorb every
-            // peer's once all have sent.
-            let exchange = |values: &[f64], scatter: &mut [f64]| {
-                let pairs: Vec<(u64, u64)> = values
-                    .iter()
-                    .enumerate()
-                    .map(|(l, &val)| {
-                        let v = base + l as u64;
-                        (v, gas.scatter(v, val, self.out_degree(v)).to_bits())
-                    })
-                    .collect();
-                for &(v, bits) in &pairs {
-                    scatter[v as usize] = f64::from_bits(bits);
-                }
-                for m in (0..h.num_machines()).filter(|&m| m != h.id()) {
-                    h.send(m, EngineMsg::Ranks(pairs.clone()));
-                }
-                h.barrier();
-                for env in h.drain() {
-                    if let EngineMsg::Ranks(batch) = env.payload {
-                        for (v, bits) in batch {
-                            scatter[v as usize] = f64::from_bits(bits);
-                        }
-                    }
-                }
-                h.barrier();
-            };
-            exchange(&values, &mut scatter);
-
-            for _ in 0..iterations {
-                // Gather + apply over local vertices. Sequential per
-                // machine: the machine thread *is* the processing unit,
-                // which keeps per-thread CPU accounting exact (a shared
-                // rayon pool would let machines steal each other's work
-                // and corrupt the busy-time metric).
-                let in_edges = &in_edges[h.id()];
-                let new_values: Vec<f64> = (0..values.len())
-                    .map(|l| {
-                        let v = base + l as u64;
-                        let mut sum = 0.0;
-                        for (src, w) in in_edges.in_neighbors_weighted(v) {
-                            sum = gas.gather(sum, scatter[src as usize], w);
-                        }
-                        gas.apply(v, sum)
-                    })
-                    .collect();
-                values = new_values;
-                exchange(&values, &mut scatter);
-            }
-            (values, cgraph_comm::thread_cpu_time() - cpu0)
-        });
+        let (outs, traffic, per_machine_busy) = self.run_bsp(|_| GasProgram::new(gas, iterations));
         let exec_time = start.elapsed();
-        let mut values = vec![0.0f64; n as usize];
-        let mut per_machine_busy = Vec::with_capacity(outs.len());
-        for (i, (local_vals, busy)) in outs.into_iter().enumerate() {
-            let range = self.partition.range(i);
-            for (l, v) in local_vals.into_iter().enumerate() {
-                values[(range.start + l as u64) as usize] = v;
-            }
-            per_machine_busy.push(busy);
-        }
-        GasResult { values, iterations, exec_time, per_machine_busy, traffic }
+        // Partitions own contiguous ranges, in partition order.
+        GasResult { values: outs.concat(), iterations, exec_time, per_machine_busy, traffic }
     }
-
-    // ------------------------------------------------------------------
-    // Partition-centric programs (Listing 1)
-    // ------------------------------------------------------------------
 
     /// Runs a partition-centric program to global termination and
     /// returns each partition's output. The in-edge view is derived by
@@ -1755,38 +1609,54 @@ impl DistributedEngine {
         if self.has_delta() {
             return self.folded().run_program(factory);
         }
-        let (outs, _traffic) = self.run_one_shot(|h| {
-            let shard = &self.shards()[h.id()];
+        self.run_bsp(factory).0
+    }
+
+    /// The BSP driver: runs `factory(m)` on every machine `m` of a
+    /// one-shot cluster until a superstep has no active partition and
+    /// sends nothing. The superstep count advances at every barrier on
+    /// every partition, halted or not. Callers fold a live overlay.
+    /// Returns each partition's output, the job's traffic, and each
+    /// machine's thread CPU time (compute and messages, not barriers).
+    fn run_bsp<P, F>(&self, factory: F) -> (Vec<P::Out>, TrafficReport, Vec<Duration>)
+    where
+        P: PartitionProgram,
+        F: Fn(usize) -> P + Sync,
+        P::Out: Send,
+    {
+        debug_assert!(!self.has_delta(), "programs run over base edges only");
+        let (outs, traffic) = self.run_one_shot(|h| {
+            let cpu0 = cgraph_comm::thread_cpu_time();
             let mut program = factory(h.id());
             let in_edges = || &self.derived_in_edges()[h.id()];
-            let mut ctx = PartitionCtx::new(shard, &in_edges, &self.partition);
+            let shard = &self.shards()[h.id()];
+            let mut ctx =
+                PartitionCtx::new(shard, &in_edges, &self.partition, &self.base.out_degrees);
             program.init(&mut ctx);
+            let mut incoming: Vec<(VertexId, u64)> = Vec::new();
             loop {
-                // Flush staged sends, grouped by owner.
-                let staged = ctx.take_outbox();
-                let sent = staged.len() as u64;
-                let mut per_owner: Vec<Vec<(u64, u64)>> =
-                    (0..h.num_machines()).map(|_| Vec::new()).collect();
-                for (v, msg) in staged {
-                    per_owner[self.partition.owner(v)].push((v, msg));
-                }
-                for (m, buf) in per_owner.into_iter().enumerate() {
+                let mut sent = 0;
+                for (m, buf) in ctx.take_outbox().into_iter().enumerate() {
                     if !buf.is_empty() {
+                        sent += buf.len() as u64;
                         h.send(m, EngineMsg::Pcm(buf));
                     }
                 }
-                let active = u64::from(!ctx.halted());
-                let total = h.barrier_sum(sent + active);
-                // Pregel-style aggregator: one extra reduce per
-                // superstep, delivered before the next compute.
-                let aggregate = h.barrier_sum(program.aggregate_contribution());
-                program.receive_aggregate(aggregate);
-                let mut incoming: Vec<(VertexId, u64)> = Vec::new();
+                let total = h.barrier_sum(sent + u64::from(!ctx.halted()));
+                // Every send of the superstep is in its inbox now. The
+                // aggregator's barrier below also keeps each machine's
+                // next sends out of a peer's inbox until it has drained.
+                incoming.clear();
                 for env in h.drain() {
                     if let EngineMsg::Pcm(batch) = env.payload {
                         incoming.extend(batch);
                     }
                 }
+                // Pregel-style aggregator: one extra reduce per
+                // superstep, delivered before the next compute.
+                let aggregate = h.barrier_sum(program.aggregate_contribution());
+                program.receive_aggregate(aggregate);
+                ctx.advance_superstep();
                 if total == 0 {
                     break;
                 }
@@ -1794,13 +1664,13 @@ impl DistributedEngine {
                     ctx.un_halt();
                 }
                 if !ctx.halted() {
-                    ctx.advance_superstep();
                     program.compute(&mut ctx, &incoming);
                 }
             }
-            program.finish(&ctx)
+            (program.finish(&ctx), cgraph_comm::thread_cpu_time() - cpu0)
         });
-        outs
+        let (outs, busy) = outs.into_iter().unzip();
+        (outs, traffic, busy)
     }
 }
 

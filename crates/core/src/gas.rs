@@ -2,13 +2,13 @@
 //!
 //! "The Update function is an implementation of the Gather-Apply-
 //! Scatter (GAS) model by providing a vertex-programming interface."
-//! The engine evaluates GAS programs over the CSC in-edge view so the
-//! gather phase reads only local edges ("our implementation does not
-//! generate additional traffic in the gather phase since all edges of
-//! a vertex are local"); the scatter values of local vertices are then
-//! broadcast to the other partitions once per iteration — the *local
-//! read* synchronisation of §3.3.
+//! [`GasProgram`] runs one on the engine's BSP driver: the gather reads
+//! the CSC in-edge view of the local vertices only ("our implementation
+//! does not generate additional traffic in the gather phase since all
+//! edges of a vertex are local"); local scatter values are sent to the
+//! other partitions once per gather, the *local read* sync of §3.3.
 
+use crate::pcm::{PartitionCtx, PartitionProgram};
 use cgraph_graph::VertexId;
 
 /// A vertex program in the GAS model over `f64` vertex values.
@@ -100,6 +100,79 @@ impl Gas for WeightedDiffusion {
         } else {
             value / out_degree as f64
         }
+    }
+}
+
+/// Listing 3's `Update` on Listing 1's API, one superstep per
+/// iteration: write the scatter values peers shared, gather each local
+/// vertex's in-edges in the CSC's order (sources ascending), apply, and
+/// share again — but not after the last iteration, which no gather
+/// reads. Outputs the local values in vertex order.
+pub struct GasProgram<'g, G> {
+    gas: &'g G,
+    iterations: u32,
+    base: VertexId,
+    values: Vec<f64>,
+    /// Scatter value of every vertex, from the last share.
+    scatter: Vec<f64>,
+}
+
+impl<'g, G: Gas> GasProgram<'g, G> {
+    /// `iterations` rounds of `gas`; give every partition the same.
+    pub fn new(gas: &'g G, iterations: u32) -> Self {
+        Self { gas, iterations, base: 0, values: Vec::new(), scatter: Vec::new() }
+    }
+
+    /// Shares the local scatter values with every peer for the next
+    /// gather, or votes to halt after the last iteration.
+    fn share_or_halt(&mut self, ctx: &mut PartitionCtx<'_>) {
+        if ctx.superstep() >= u64::from(self.iterations) {
+            ctx.vote_to_halt();
+            return;
+        }
+        let base = self.base;
+        let local = &mut self.scatter[base as usize..][..self.values.len()];
+        for ((scatter, &value), v) in local.iter_mut().zip(&self.values).zip(base..) {
+            *scatter = self.gas.scatter(v, value, ctx.out_degree(v));
+        }
+        let me = ctx.partition_id();
+        for m in (0..ctx.num_partitions()).filter(|&m| m != me) {
+            let shared = local.iter().zip(base..).map(|(scatter, v)| (v, scatter.to_bits()));
+            ctx.send_to_partition(m, shared);
+        }
+    }
+}
+
+impl<G: Gas> PartitionProgram for GasProgram<'_, G> {
+    type Out = Vec<f64>;
+
+    fn init(&mut self, ctx: &mut PartitionCtx<'_>) {
+        let n = ctx.num_all_vertices();
+        self.base = ctx.shard().local_range().start;
+        self.values = ctx.local_vertices().map(|v| self.gas.init(v, n)).collect();
+        self.scatter = vec![0.0; n as usize];
+        self.share_or_halt(ctx);
+    }
+
+    /// Gather + apply over the local vertices, sequential per machine:
+    /// the machine thread *is* the processing unit, which keeps
+    /// per-thread CPU accounting exact.
+    fn compute(&mut self, ctx: &mut PartitionCtx<'_>, incoming: &[(VertexId, u64)]) {
+        for &(u, bits) in incoming {
+            self.scatter[u as usize] = f64::from_bits(bits);
+        }
+        let (gas, scatter, in_edges) = (self.gas, &self.scatter, ctx.in_edges());
+        for (value, v) in self.values.iter_mut().zip(self.base..) {
+            let sum = in_edges
+                .in_neighbors_weighted(v)
+                .fold(0.0, |sum, (u, w)| gas.gather(sum, scatter[u as usize], w));
+            *value = gas.apply(v, sum);
+        }
+        self.share_or_halt(ctx);
+    }
+
+    fn finish(self, _ctx: &PartitionCtx<'_>) -> Vec<f64> {
+        self.values
     }
 }
 

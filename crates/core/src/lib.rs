@@ -11,16 +11,16 @@
 //!   are derived by the engine for GAS and partition programs),
 //! * [`pcm`] — the partition-centric programming abstraction of
 //!   Listing 1 (`compute`/`sendTo`/`voteToHalt`/…, §3.4),
-//! * [`traverse`] — the queue-based `Traverse` engine of Listing 2 with
-//!   dynamic (two-level) vertex-value allocation (§3.3),
+//! * [`traverse`] — the queue-based `Traverse` of Listing 2 (two-level
+//!   vertex values, §3.3) and its partition programs,
 //! * [`bitfrontier`] — the MS-BFS style bit-packed concurrent traversal
 //!   state (§3.5, Fig. 6),
-//! * [`engine`] — the distributed engine: synchronous supersteps and
-//!   asynchronous free-running execution on a
+//! * [`engine`] — the distributed engine: three machine loops (the lane
+//!   batch, the BSP driver of partition programs, the async queue) on a
 //!   [`cgraph_comm::PersistentCluster`] — the service's, or a one-shot
 //!   one per call,
-//! * [`gas`] — the Gather-Apply-Scatter interface of Listing 3 and the
-//!   iterative-computation driver (PageRank),
+//! * [`gas`] — the Gather-Apply-Scatter interface of Listing 3 and its
+//!   partition program (PageRank),
 //! * [`scheduler`] — the concurrent-query front end: batches queries
 //!   into lane groups up to 512 wide, shares subgraph traversals
 //!   inside a batch, and enforces a memory budget (§3.3, §3.5),

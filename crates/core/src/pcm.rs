@@ -9,6 +9,7 @@
 //! |----------------------------|----------------------------------------|
 //! | `void abstract compute()`  | [`PartitionProgram::compute`]          |
 //! | `sendTo(V, M)`             | [`PartitionCtx::send_to`]              |
+//! | (send to a partition)      | [`PartitionCtx::send_to_partition`]    |
 //! | `voteTohalt()`             | [`PartitionCtx::vote_to_halt`]         |
 //! | `ifHasVertex(V)`           | [`PartitionCtx::if_has_vertex`]        |
 //! | `isLocalVertex(V)`         | [`PartitionCtx::is_local_vertex`]      |
@@ -18,10 +19,11 @@
 //! | `getAllVertices()`         | [`PartitionCtx::num_all_vertices`]     |
 //! | `barrier()`                | implicit between supersteps (sync mode)|
 //!
-//! Programs run under [`crate::engine::DistributedEngine::run_program`],
-//! which drives supersteps, routes messages by vertex ownership, and
-//! detects global termination (all partitions halted ∧ no messages in
-//! flight).
+//! Programs run on the engine's BSP driver
+//! ([`crate::engine::DistributedEngine::run_program`]), which counts
+//! supersteps at the barrier, delivers staged messages, and detects
+//! global termination (all partitions halted ∧ no messages in flight).
+//! The sync and chained queues, GAS and vertex programs run on it too.
 
 use crate::partition::RangePartition;
 use crate::shard::Shard;
@@ -33,11 +35,11 @@ pub struct PartitionCtx<'a> {
     /// In-edges of the local vertices, derived by the first call.
     in_edges: &'a (dyn Fn() -> &'a Csc + 'a),
     partition: &'a RangePartition,
+    out_degrees: &'a [u32],
     superstep: u64,
     halted: bool,
-    /// Messages staged this superstep: `(destination vertex, payload)`.
-    /// The engine routes each to the destination's owner partition.
-    outbox: Vec<(VertexId, u64)>,
+    /// Messages staged this superstep, per destination partition.
+    outbox: Vec<Vec<(VertexId, u64)>>,
 }
 
 impl<'a> PartitionCtx<'a> {
@@ -46,8 +48,10 @@ impl<'a> PartitionCtx<'a> {
         shard: &'a Shard,
         in_edges: &'a (dyn Fn() -> &'a Csc + 'a),
         partition: &'a RangePartition,
+        out_degrees: &'a [u32],
     ) -> Self {
-        Self { shard, in_edges, partition, superstep: 0, halted: false, outbox: Vec::new() }
+        let outbox = vec![Vec::new(); partition.num_partitions()];
+        Self { shard, in_edges, partition, out_degrees, superstep: 0, halted: false, outbox }
     }
 
     /// This partition's ID.
@@ -60,7 +64,9 @@ impl<'a> PartitionCtx<'a> {
         self.partition.num_partitions()
     }
 
-    /// Current superstep number (0 during `init`).
+    /// The superstep: the barrier count, on every partition — 0 during
+    /// `init`, `s` in the compute after the `s`-th barrier (also on a
+    /// partition woken after sitting supersteps out), all in `finish`.
     pub fn superstep(&self) -> u64 {
         self.superstep
     }
@@ -70,7 +76,13 @@ impl<'a> PartitionCtx<'a> {
     /// owning partition.
     pub fn send_to(&mut self, destination: VertexId, msg: u64) {
         debug_assert!(self.if_has_vertex(destination));
-        self.outbox.push((destination, msg));
+        self.outbox[self.partition.owner(destination)].push((destination, msg));
+    }
+
+    /// Stages every `(key, msg)` of `msgs` for partition `m`, whoever
+    /// owns `key` (values shared with a reader); delivered next superstep.
+    pub fn send_to_partition(&mut self, m: usize, msgs: impl IntoIterator<Item = (VertexId, u64)>) {
+        self.outbox[m].extend(msgs);
     }
 
     /// `voteTohalt()` — this partition is done unless messages arrive.
@@ -122,8 +134,18 @@ impl<'a> PartitionCtx<'a> {
 
     /// In-neighbours of a local vertex, sources ascending. The first
     /// call of a run derives the engine's in-edge view.
-    pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        (self.in_edges)().in_neighbors(v)
+    pub fn in_neighbors(&self, v: VertexId) -> &'a [VertexId] {
+        self.in_edges().in_neighbors(v)
+    }
+
+    /// The in-edges of the local vertices; see `in_neighbors`.
+    pub fn in_edges(&self) -> &'a Csc {
+        (self.in_edges)()
+    }
+
+    /// Base out-degree of any vertex (duplicate edges counted).
+    pub fn out_degree(&self, v: VertexId) -> u32 {
+        self.out_degrees[v as usize]
     }
 
     /// The underlying shard (for edge-set level access). It outlives
@@ -143,8 +165,8 @@ impl<'a> PartitionCtx<'a> {
         self.halted = false;
     }
 
-    pub(crate) fn take_outbox(&mut self) -> Vec<(VertexId, u64)> {
-        std::mem::take(&mut self.outbox)
+    pub(crate) fn take_outbox(&mut self) -> Vec<Vec<(VertexId, u64)>> {
+        std::mem::replace(&mut self.outbox, vec![Vec::new(); self.partition.num_partitions()])
     }
 
     pub(crate) fn advance_superstep(&mut self) {
@@ -181,7 +203,8 @@ pub trait PartitionProgram {
     }
 
     /// Receives the global aggregate (sum of every partition's
-    /// contribution) after each superstep barrier. Default: ignored.
+    /// contribution) after each superstep barrier, on every partition,
+    /// halted or not. Default: ignored.
     fn receive_aggregate(&mut self, _aggregate: u64) {}
 }
 
@@ -202,7 +225,7 @@ mod tests {
         let (part, shards) = ctx_fixture();
         let in_edges = Csc::default();
         let in_edges = || &in_edges;
-        let ctx = PartitionCtx::new(&shards[0], &in_edges, &part);
+        let ctx = PartitionCtx::new(&shards[0], &in_edges, &part, &[]);
         assert!(ctx.if_has_vertex(9));
         assert!(!ctx.if_has_vertex(10));
         assert!(ctx.is_local_vertex(0));
@@ -220,12 +243,15 @@ mod tests {
         let (part, shards) = ctx_fixture();
         let in_edges = Csc::default();
         let in_edges = || &in_edges;
-        let mut ctx = PartitionCtx::new(&shards[0], &in_edges, &part);
+        let mut ctx = PartitionCtx::new(&shards[0], &in_edges, &part, &[]);
         ctx.send_to(7, 99);
+        ctx.send_to_partition(1, [(2, 5)]);
+        ctx.send_to(3, 4);
         ctx.vote_to_halt();
         assert!(ctx.halted());
-        assert_eq!(ctx.take_outbox(), vec![(7, 99)]);
-        assert!(ctx.take_outbox().is_empty());
+        // Routed by owner; a partition-addressed send goes where it says.
+        assert_eq!(ctx.take_outbox(), vec![vec![(3, 4)], vec![(7, 99), (2, 5)]]);
+        assert!(ctx.take_outbox().iter().all(Vec::is_empty));
         ctx.un_halt();
         assert!(!ctx.halted());
     }

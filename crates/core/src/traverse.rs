@@ -10,17 +10,17 @@
 //! shows why the two-level window matters for hundreds of concurrent
 //! queries.
 //!
-//! Remote neighbours are emitted to the engine ("boundary vertices will
+//! Remote neighbours are emitted to the caller ("boundary vertices will
 //! be sent to a remote task queue", Listing 2 caption), which routes
 //! them to the owning shard's [`QueueTraversal::absorb`].
 //!
-//! [`ChainedKhop`] is the same traversal as a partition program: each
-//! superstep chases local chains to their end, so only a partition
-//! boundary costs a superstep.
+//! [`QueueKhop`] (one superstep per level, the engine's sync queue) and
+//! [`ChainedKhop`] (local chains chased to their end, so only a
+//! partition boundary costs a superstep) are partition programs on the
+//! engine's BSP driver; they read base edges of a folded value.
 
 use crate::pcm::{PartitionCtx, PartitionProgram};
 use crate::shard::Shard;
-use cgraph_graph::delta::DeltaOverlay;
 use cgraph_graph::props::SparseLevelProps;
 use cgraph_graph::{Bitmap, VertexId};
 
@@ -125,17 +125,7 @@ impl QueueTraversal {
     /// body): visits unvisited neighbours, queueing local ones and
     /// emitting `(vertex, depth)` for boundary ones. Does nothing if
     /// `depth >= k` ("if (s.hops < k)").
-    ///
-    /// When a [`DeltaOverlay`] is present, base neighbours whose edge
-    /// the overlay deletes are skipped and the overlay's inserted edges
-    /// of each task vertex are visited as well — the queue engine's
-    /// view of the overlay-published snapshot.
-    pub fn step(
-        &mut self,
-        shard: &Shard,
-        delta: Option<&DeltaOverlay>,
-        mut remote: impl FnMut(VertexId, u32),
-    ) -> u64 {
+    pub fn step(&mut self, shard: &Shard, mut remote: impl FnMut(VertexId, u32)) -> u64 {
         if self.depth >= self.k {
             self.cur.clear();
             return 0;
@@ -151,39 +141,13 @@ impl QueueTraversal {
         let next_depth = self.depth + 1;
         let cur = std::mem::take(&mut self.cur);
         for s in cur {
-            let drow = delta.and_then(|d| d.row(s));
-            let dels = drow.map(|r| r.deletes()).filter(|d| !d.is_empty());
             for set in shard.out_sets().sets() {
                 for &t in set.neighbors(s) {
-                    if let Some(dels) = dels {
-                        if dels.binary_search(&t).is_ok() {
-                            continue;
-                        }
-                    }
                     if shard.is_local(t) {
-                        let l = (t - self.base) as usize;
-                        if !self.visited.set(l) {
-                            self.record_value(t, next_depth);
-                            self.next.push(t);
-                            discovered += 1;
-                        }
+                        discovered += u64::from(self.absorb(t, next_depth));
                     } else {
                         // Listing 2 marks boundary neighbours visited at
                         // the owner; we forward and let the owner dedup.
-                        remote(t, next_depth);
-                    }
-                }
-            }
-            if let Some(drow) = drow {
-                for &(t, _) in drow.inserts() {
-                    if shard.is_local(t) {
-                        let l = (t - self.base) as usize;
-                        if !self.visited.set(l) {
-                            self.record_value(t, next_depth);
-                            self.next.push(t);
-                            discovered += 1;
-                        }
-                    } else {
                         remote(t, next_depth);
                     }
                 }
@@ -192,9 +156,9 @@ impl QueueTraversal {
         discovered
     }
 
-    /// Accepts a remote task `(v, depth)` for a locally-owned vertex.
-    /// Returns true when the vertex was fresh (visited for the first
-    /// time).
+    /// Queues locally-owned `v` at `depth` for the next level unless it
+    /// was visited (a remote task, or a local neighbour `step` found).
+    /// Returns true when the vertex was fresh.
     pub fn absorb(&mut self, v: VertexId, depth: u32) -> bool {
         let l = (v - self.base) as usize;
         if !self.visited.set(l) {
@@ -216,6 +180,91 @@ impl QueueTraversal {
     }
 }
 
+/// One partition's output of a [`QueueKhop`] or [`ChainedKhop`] run,
+/// or one machine's of the async queue.
+#[derive(Clone, Debug)]
+pub struct KhopLevels {
+    /// Local vertices first reached per hop (`[0]` counts the local
+    /// sources).
+    pub per_level: Vec<u64>,
+    /// Superstep barriers the run passed, the final empty one included
+    /// (the async queue: tasks the machine processed).
+    pub supersteps: u64,
+    /// Peak live vertex-value entries on this partition.
+    pub peak_value_entries: usize,
+}
+
+/// The level-synchronous `Traverse` of Listing 2 as a partition
+/// program: superstep `s` absorbs the level-`s` vertices peers found,
+/// closes level `s` and expands it, staging remote targets for their
+/// owners. A partition with an empty queue halts until a message wakes
+/// it; levels are indexed by superstep, so it stays aligned.
+pub struct QueueKhop<'s> {
+    sources: &'s [VertexId],
+    queue: QueueTraversal,
+    per_level: Vec<u64>,
+    /// Local vertices the last expansion found.
+    found: u64,
+    peak_value_entries: usize,
+}
+
+impl<'s> QueueKhop<'s> {
+    /// A `k`-hop traversal (`u32::MAX` = full BFS) from `sources` on
+    /// `shard`; give every partition the same `sources`, `k`, `mode`.
+    pub fn new(shard: &Shard, sources: &'s [VertexId], k: u32, mode: ValueMode) -> Self {
+        let queue = QueueTraversal::new(shard, k, mode);
+        Self { sources, queue, per_level: Vec::new(), found: 0, peak_value_entries: 0 }
+    }
+
+    /// Expands the current level, staging boundary targets.
+    fn expand(&mut self, ctx: &mut PartitionCtx<'_>) {
+        self.found = self.queue.step(ctx.shard(), |v, d| ctx.send_to(v, u64::from(d)));
+    }
+}
+
+impl PartitionProgram for QueueKhop<'_> {
+    type Out = KhopLevels;
+
+    /// Seeds level 0 and expands it. No partition halts here, so every
+    /// partition closes level 1 in superstep 1.
+    fn init(&mut self, ctx: &mut PartitionCtx<'_>) {
+        for &s in self.sources.iter().filter(|&&s| ctx.is_local_vertex(s)) {
+            self.queue.seed(s);
+        }
+        self.per_level.push(self.queue.visited_count());
+        self.peak_value_entries = self.queue.live_value_entries();
+        self.expand(ctx);
+    }
+
+    fn compute(&mut self, ctx: &mut PartitionCtx<'_>, incoming: &[(VertexId, u64)]) {
+        let level = ctx.superstep();
+        // Levels this partition sat out were empty here: close each and
+        // slide the value window, as their expansions would have.
+        while u64::from(self.queue.depth()) + 1 < level {
+            self.queue.advance_level();
+            self.queue.step(ctx.shard(), |_, _| unreachable!("an empty level reaches nothing"));
+        }
+        let fresh: u64 =
+            incoming.iter().map(|&(v, d)| u64::from(self.queue.absorb(v, d as u32))).sum();
+        self.per_level.resize(level as usize + 1, 0);
+        self.per_level[level as usize] = self.found + fresh;
+        let queued = self.queue.advance_level();
+        self.peak_value_entries = self.peak_value_entries.max(self.queue.live_value_entries());
+        self.expand(ctx);
+        if queued == 0 {
+            ctx.vote_to_halt();
+        }
+    }
+
+    fn finish(self, ctx: &PartitionCtx<'_>) -> KhopLevels {
+        KhopLevels {
+            per_level: self.per_level,
+            supersteps: ctx.superstep(),
+            peak_value_entries: self.peak_value_entries,
+        }
+    }
+}
+
 /// Queue-based k-hop with **local chaining**, a partition program for
 /// [`DistributedEngine::run_program`](crate::engine::DistributedEngine::run_program):
 /// within one superstep each partition expands its local queue
@@ -233,25 +282,13 @@ pub struct ChainedKhop<'s> {
     depth: Vec<u32>,
     /// Local `(vertex, depth)` tasks left to expand.
     queue: Vec<(VertexId, u32)>,
-    supersteps: u64,
-}
-
-/// One partition's output of a [`ChainedKhop`] run.
-#[derive(Clone, Debug)]
-pub struct ChainedLevels {
-    /// Local vertices first reached per hop (`[0]` counts the local
-    /// sources).
-    pub per_level: Vec<u64>,
-    /// Superstep barriers the run passed, the final empty one included;
-    /// every partition counts the same.
-    pub supersteps: u64,
 }
 
 impl<'s> ChainedKhop<'s> {
     /// A `k`-hop traversal (`u32::MAX` = full BFS) from `sources`; give
     /// every partition the same arguments.
     pub fn new(sources: &'s [VertexId], k: u32) -> Self {
-        Self { sources, k, base: 0, depth: Vec::new(), queue: Vec::new(), supersteps: 0 }
+        Self { sources, k, base: 0, depth: Vec::new(), queue: Vec::new() }
     }
 
     /// Queues local `v` at depth `d` when `d` improves on its best.
@@ -286,7 +323,7 @@ impl<'s> ChainedKhop<'s> {
 }
 
 impl PartitionProgram for ChainedKhop<'_> {
-    type Out = ChainedLevels;
+    type Out = KhopLevels;
 
     fn init(&mut self, ctx: &mut PartitionCtx<'_>) {
         let shard = ctx.shard();
@@ -307,14 +344,12 @@ impl PartitionProgram for ChainedKhop<'_> {
         self.chase(ctx);
     }
 
-    fn finish(self, _ctx: &PartitionCtx<'_>) -> ChainedLevels {
-        ChainedLevels { per_level: level_counts(&self.depth), supersteps: self.supersteps }
-    }
-
-    /// Counts supersteps: the engine delivers the aggregate to every
-    /// partition once per superstep barrier, halted or not.
-    fn receive_aggregate(&mut self, _aggregate: u64) {
-        self.supersteps += 1;
+    fn finish(self, ctx: &PartitionCtx<'_>) -> KhopLevels {
+        KhopLevels {
+            peak_value_entries: self.depth.len(), // one depth per local vertex
+            per_level: level_counts(&self.depth),
+            supersteps: ctx.superstep(),
+        }
     }
 }
 
@@ -354,7 +389,7 @@ mod tests {
         t.seed(0);
         let mut total = 1u64;
         loop {
-            total += t.step(&shard, None, |_, _| unreachable!());
+            total += t.step(&shard, |_, _| unreachable!());
             if t.advance_level() == 0 {
                 break;
             }
@@ -369,9 +404,9 @@ mod tests {
         let shard = single_shard(&g);
         let mut t = QueueTraversal::new(&shard, 10, ValueMode::TwoLevel);
         t.seed(0);
-        t.step(&shard, None, |_, _| {});
+        t.step(&shard, |_, _| {});
         t.advance_level(); // depth 1; levels held: {0}, {1}
-        t.step(&shard, None, |_, _| {});
+        t.step(&shard, |_, _| {});
         t.advance_level(); // depth 2; levels held: {1}, {2}
         assert_eq!(t.value(0), None, "level-0 value must be dropped");
         assert_eq!(t.value(1), Some(1));
@@ -386,7 +421,7 @@ mod tests {
         let mut t = QueueTraversal::new(&shard, 10, ValueMode::Full);
         t.seed(0);
         for _ in 0..4 {
-            t.step(&shard, None, |_, _| {});
+            t.step(&shard, |_, _| {});
             t.advance_level();
         }
         assert_eq!(t.value(0), Some(0));
@@ -403,9 +438,9 @@ mod tests {
         let mut t = QueueTraversal::new(&shard, 3, ValueMode::TwoLevel);
         t.seed(0);
         let mut remote = Vec::new();
-        t.step(&shard, None, |v, d| remote.push((v, d)));
+        t.step(&shard, |v, d| remote.push((v, d)));
         t.advance_level();
-        t.step(&shard, None, |v, d| remote.push((v, d)));
+        t.step(&shard, |v, d| remote.push((v, d)));
         assert_eq!(remote, vec![(7, 2)]);
     }
 
@@ -420,7 +455,7 @@ mod tests {
         assert!(!t.absorb(5, 1), "second delivery must be deduplicated");
         assert_eq!(t.advance_level(), 1);
         let mut found = 0;
-        t.step(&shard, None, |_, _| {});
+        t.step(&shard, |_, _| {});
         found += t.advance_level();
         assert_eq!(found, 1); // vertex 6
     }
@@ -444,7 +479,7 @@ mod tests {
         t.seed(0);
         let mut levels = 0;
         loop {
-            t.step(&shard, None, |_, _| {});
+            t.step(&shard, |_, _| {});
             if t.advance_level() == 0 {
                 break;
             }

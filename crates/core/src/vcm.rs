@@ -43,7 +43,8 @@ impl VertexScope<'_, '_> {
         self.halt = true;
     }
 
-    /// Current superstep (1-based; vertices are first computed at 1).
+    /// The superstep: the barrier count, on every partition (1-based;
+    /// vertices are first computed at 1).
     pub fn superstep(&self) -> u64 {
         self.ctx.superstep()
     }
@@ -196,19 +197,16 @@ impl DistributedEngine {
     /// Runs a Pregel-style vertex program to global termination and
     /// returns every vertex's final value, indexed by global ID.
     pub fn run_vertex_program<P: VertexProgram>(&self, program: &P) -> Vec<P::Value> {
-        let outs = self.run_program(|_| VcmAdapter {
+        // Partitions own contiguous ranges, in partition order.
+        self.run_program(|_| VcmAdapter {
             program,
             values: Vec::new(),
             active: Bitmap::new(0),
             base: 0,
             aggregate: 0,
             contribution: 0,
-        });
-        let mut values: Vec<P::Value> = Vec::with_capacity(self.num_vertices() as usize);
-        for local in outs {
-            values.extend(local);
-        }
-        values
+        })
+        .concat()
     }
 }
 

@@ -3,6 +3,7 @@
 //! performance knobs, never semantics.
 
 use cgraph::prelude::*;
+use cgraph_core::pcm::{PartitionCtx, PartitionProgram};
 use cgraph_core::shard::Shard;
 use cgraph_graph::{ConsolidationPolicy, EdgeSet};
 use proptest::prelude::*;
@@ -95,6 +96,108 @@ fn hop_plot_invariant_to_machines() {
     let hp2 = hop_plot(&DistributedEngine::new(&edges, EngineConfig::new(2)), 16, 9);
     let hp4 = hop_plot(&DistributedEngine::new(&edges, EngineConfig::new(4)), 16, 9);
     assert_eq!(hp2.pairs_within, hp4.pairs_within);
+}
+
+/// The superstep a program reads is the barrier count, on every
+/// partition: partition 1 halts in `init`, partition 0 computes in
+/// supersteps 1–3 and messages partition 1 in superstep 3, so partition
+/// 1 computes in superstep 4 and reads 4.
+#[test]
+fn a_woken_partition_reads_the_barrier_count() {
+    struct Probe(Vec<u64>);
+    impl PartitionProgram for Probe {
+        type Out = Vec<u64>;
+        fn init(&mut self, ctx: &mut PartitionCtx<'_>) {
+            if ctx.partition_id() == 1 {
+                ctx.vote_to_halt();
+            }
+        }
+        fn compute(&mut self, ctx: &mut PartitionCtx<'_>, _: &[(VertexId, u64)]) {
+            self.0.push(ctx.superstep());
+            if ctx.partition_id() == 0 && ctx.superstep() == 3 {
+                // The last vertex belongs to the last partition.
+                ctx.send_to(ctx.num_all_vertices() - 1, 0);
+            }
+            if ctx.partition_id() == 1 || ctx.superstep() == 3 {
+                ctx.vote_to_halt();
+            }
+        }
+        fn finish(self, _: &PartitionCtx<'_>) -> Vec<u64> {
+            self.0
+        }
+    }
+    let ring: EdgeList = (0..10u64).map(|v| (v, (v + 1) % 10)).collect();
+    let e = DistributedEngine::new(&ring, EngineConfig::new(2));
+    assert_eq!(e.run_program(|_| Probe(Vec::new())), vec![vec![1, 2, 3], vec![4]]);
+}
+
+/// A message is read in the superstep after the one that sent it, never
+/// earlier: every partition messages every remote vertex in each of 300
+/// supersteps, stamping the superstep it sends in.
+#[test]
+fn a_message_is_read_in_the_superstep_after_its_send() {
+    struct Stamp(u64);
+    impl PartitionProgram for Stamp {
+        type Out = u64;
+        fn init(&mut self, ctx: &mut PartitionCtx<'_>) {
+            self.compute(ctx, &[]);
+        }
+        fn compute(&mut self, ctx: &mut PartitionCtx<'_>, incoming: &[(VertexId, u64)]) {
+            let now = ctx.superstep();
+            self.0 += incoming.iter().filter(|&&(_, sent)| sent + 1 != now).count() as u64;
+            if now == 300 {
+                return ctx.vote_to_halt();
+            }
+            for v in 0..ctx.num_all_vertices() {
+                if !ctx.is_local_vertex(v) {
+                    ctx.send_to(v, now);
+                }
+            }
+        }
+        fn finish(self, _: &PartitionCtx<'_>) -> u64 {
+            self.0
+        }
+    }
+    let ring: EdgeList = (0..40u64).map(|v| (v, (v + 1) % 40)).collect();
+    for p in [2, 4] {
+        let e = DistributedEngine::new(&ring, EngineConfig::new(p));
+        assert_eq!(e.run_program(|_| Stamp(0)), vec![0; p], "p {p}: messages read early");
+    }
+}
+
+/// Traffic is pinned exactly. A GAS run sends each machine's scatter
+/// values to every peer once per gather: `iterations · n · (p − 1)`
+/// pairs of 16 bytes (the values after the last iteration are not
+/// sent). The sync queue sends one message per machine pair and level
+/// that has boundary work, on a static graph and on a live overlay.
+#[test]
+fn traffic_is_pinned_exactly() {
+    let ring: EdgeList = (0..12u64).map(|v| (v, (v + 1) % 12)).collect();
+    for p in [1u64, 2, 3, 4] {
+        let e = DistributedEngine::new(&ring, EngineConfig::new(p as usize));
+        for iterations in [0u64, 1, 4] {
+            let r = e.run_gas(&PageRank::default(), iterations as u32);
+            assert_eq!(r.traffic.total_bytes(), iterations * 12 * (p - 1) * 16, "p {p}");
+            assert!(r.values.iter().all(|&x| x == 1.0), "ring ranks stay 1.0");
+        }
+    }
+    let g = test_graph(35);
+    let n = g.num_vertices();
+    let deletes = g.edges().iter().step_by(5).map(|e| EdgeUpdate::delete(e.src, e.dst));
+    let inserts = (1..=60u64).map(|i| EdgeUpdate::insert(i * 7 % n, i * 13 % n));
+    let updates: Vec<EdgeUpdate> = deletes.chain(inserts).collect();
+    let mut got = Vec::new();
+    for p in [2usize, 3] {
+        let base = DistributedEngine::new(&g, EngineConfig::new(p));
+        let (overlaid, _) = base.with_updates(&updates, usize::MAX);
+        for e in [&base, &overlaid] {
+            for (src, k) in [(0u64, 3u32), (77, 2), (300, u32::MAX)] {
+                got.push(e.run_single_queue(&[src], k, ValueMode::TwoLevel).traffic.total_msgs());
+            }
+        }
+    }
+    // Recorded from the level-synchronous superstep loop.
+    assert_eq!(got, [5, 0, 7, 5, 1, 9, 14, 0, 18, 14, 2, 25]);
 }
 
 /// Raw R-MAT (duplicate `(src, dst)` pairs kept) with a distinct
