@@ -9,12 +9,13 @@
 //!
 //! 1. **Scan**: list the rows with a non-zero `frontier` row once, then
 //!    for every tile walk its share of that list and OR each row into
-//!    `next[slot]` for each out-edge, where the shard's slot table
-//!    ([`Shard::tile_slots`]) numbers local targets first and boundary
-//!    (remote) targets after them; then walk the boundary rows once and
-//!    emit `(t, row)` for each touched remote target. Shared neighbours
-//!    of shared frontiers cost a single pass — the "one traversal on
-//!    these two vertices" sharing of Fig. 3b. A published delta overlay
+//!    `next[slot]` for each out-edge, where a tile's columns are the
+//!    shard's slots ([`Shard::target_of`]), numbering local targets
+//!    first and boundary (remote) targets after them; then walk the
+//!    boundary rows once and emit `(t, row)` for each touched remote
+//!    target. Shared neighbours of shared frontiers cost a single
+//!    pass — the "one traversal on these two vertices" sharing of
+//!    Fig. 3b. A published delta overlay
 //!    is read in its [`OverlayScan`] form — source-ordered lists with
 //!    every inserted target already resolved to its slot — walked with
 //!    cursors beside the live rows, so an overlay row costs what a base
@@ -187,7 +188,8 @@ impl<T> RowLists<T> {
 /// inserted edges, each inserted target beside its accumulator slot
 /// (resolved once, here, rather than by a boundary search per scan;
 /// a target without one is spilled), and the rows that delete base
-/// edges, each with those targets ascending. Slots belong to the shard,
+/// edges, each with the slots of those targets ascending — the scan
+/// compares a tile's columns against them. Slots belong to the shard,
 /// so a form is only meaningful beside the shard it was derived
 /// against; the engine derives it once per published overlay value, on
 /// the first scan that needs it.
@@ -198,8 +200,8 @@ pub struct OverlayScan {
     inserts: RowLists<u32>,
     /// … and the target itself, aligned with `inserts.items`.
     insert_targets: Vec<VertexId>,
-    /// Per row that deletes base edges, their targets, ascending.
-    deletes: RowLists<VertexId>,
+    /// Per row that deletes base edges, their slots, ascending.
+    deletes: RowLists<u32>,
 }
 
 impl OverlayScan {
@@ -216,6 +218,7 @@ impl OverlayScan {
         let mut form =
             Self { inserts: RowLists::new(), insert_targets: Vec::new(), deletes: RowLists::new() };
         let tiles = shard.out_sets().sets();
+        let mut slots = Vec::new();
         for (v, row) in rows {
             let l = shard.to_local(v);
             if !row.inserts().is_empty() {
@@ -225,15 +228,20 @@ impl OverlayScan {
             }
             // A delete may name an edge the base does not have (one
             // the overlay itself inserted earlier, or none at all); only
-            // a deleted base edge changes what the tile walk reads.
-            let mut hits = row
-                .deletes()
-                .iter()
-                .copied()
-                .filter(|t| tiles.iter().any(|s| s.neighbors(v).binary_search(t).is_ok()))
-                .peekable();
-            if hits.peek().is_some() {
-                form.deletes.push(l, hits);
+            // a deleted base edge changes what the tile walk reads. A
+            // tile row's columns are in target order, so its targets are
+            // searched through the slots.
+            let base_edge = |t: VertexId| {
+                tiles
+                    .iter()
+                    .any(|s| s.columns(v).binary_search_by_key(&t, |&c| shard.target_of(c)).is_ok())
+            };
+            slots.clear();
+            let slot = |t: VertexId| shard.slot_of(t).expect("a base edge's target has a slot");
+            slots.extend(row.deletes().iter().copied().filter(|&t| base_edge(t)).map(slot));
+            if !slots.is_empty() {
+                slots.sort_unstable();
+                form.deletes.push(l, slots.iter().copied());
             }
         }
         form
@@ -449,9 +457,8 @@ impl BitFrontier {
         let (next, _) = self.next.words_mut().as_chunks_mut::<S>();
         let deletes = &overlay.deletes;
         let mut scanned = 0u64;
-        for (tile, set) in shard.out_sets().sets().iter().enumerate() {
-            let slots = shard.tile_slots(tile);
-            let (offsets, targets, _) = set.raw_parts();
+        for set in shard.out_sets().sets() {
+            let (offsets, slots, _) = set.raw_parts();
             // The tile's rows as local row numbers, and its share of
             // the live list.
             let first = (set.row_range.start - base) as usize;
@@ -475,8 +482,8 @@ impl BitFrontier {
                 }
                 if deletes.rows.get(d) == Some(&l) {
                     let dels = &deletes.items[deletes.span(d)];
-                    for (t, &slot) in targets[span.clone()].iter().zip(&slots[span]) {
-                        if dels.binary_search(t).is_err() {
+                    for &slot in &slots[span] {
+                        if dels.binary_search(&slot).is_err() {
                             or_words(&mut next[slot as usize], &row);
                         }
                     }
@@ -833,9 +840,6 @@ mod tests {
         let lists = |l: &RowLists<u32>| -> Vec<(u32, Vec<u32>)> {
             (0..l.rows.len()).map(|i| (l.rows[i], l.items[l.span(i)].to_vec())).collect()
         };
-        let delete_lists = |l: &RowLists<VertexId>| -> Vec<(u32, Vec<VertexId>)> {
-            (0..l.rows.len()).map(|i| (l.rows[i], l.items[l.span(i)].to_vec())).collect()
-        };
 
         // splitmix64: a seeded insert / delete / re-insert churn over a
         // small key space, so pairs collide and cancel often; half the
@@ -878,21 +882,21 @@ mod tests {
                 .collect();
             let want_targets: Vec<VertexId> =
                 rows.iter().flat_map(|(_, r)| r.inserts().iter().map(|&(t, _)| t)).collect();
-            // Only deletes of base edges are listed.
-            let want_deletes: Vec<(u32, Vec<VertexId>)> = rows
+            // Only deletes of base edges are listed, by slot, ascending.
+            let want_deletes: Vec<(u32, Vec<u32>)> = rows
                 .iter()
                 .map(|&(v, r)| {
-                    (
-                        shard.to_local(v),
-                        r.deletes().iter().copied().filter(|&t| base(v, t)).collect(),
-                    )
+                    let dels = r.deletes().iter().filter(|&&t| base(v, t));
+                    let mut slots: Vec<u32> = dels.map(|&t| shard.slot_of(t).unwrap()).collect();
+                    slots.sort_unstable();
+                    (shard.to_local(v), slots)
                 })
-                .filter(|(_, dels): &(u32, Vec<VertexId>)| !dels.is_empty())
+                .filter(|(_, dels)| !dels.is_empty())
                 .collect();
             unlisted |= rows.iter().any(|&(v, r)| r.deletes().iter().any(|&t| !base(v, t)));
             assert_eq!(lists(&form.inserts), want_inserts, "after step {step}: {u:?}");
             assert_eq!(form.insert_targets, want_targets, "after step {step}: {u:?}");
-            assert_eq!(delete_lists(&form.deletes), want_deletes, "after step {step}: {u:?}");
+            assert_eq!(lists(&form.deletes), want_deletes, "after step {step}: {u:?}");
             spilled |= form.inserts.items.contains(&NO_SLOT);
             boundary |= form.inserts.items.iter().any(|&s| s >= 24 && s != NO_SLOT);
         }

@@ -755,12 +755,12 @@ impl DistributedEngine {
         self.in_edges.get_or_init(|| {
             #[cfg(test)]
             self.in_edge_derivations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // Tiles hold a pair's duplicates in input order, the order
+            // Rows hold a pair's duplicates in input order, the order
             // the CSC keeps.
             let mut local_dst = vec![Vec::new(); self.num_machines()];
-            for set in self.shards().iter().flat_map(|s| s.out_sets().sets()) {
-                for (v, targets, weights) in set.iter_rows() {
-                    for (&t, &w) in targets.iter().zip(weights) {
+            for shard in self.shards() {
+                for v in shard.local_range().iter() {
+                    for (t, w) in shard.row(v) {
                         local_dst[self.partition.owner(t)].push(Edge::weighted(v, t, w));
                     }
                 }
@@ -1533,9 +1533,9 @@ impl DistributedEngine {
                     let drow = delta.and_then(|dl| dl.row(v));
                     let deleted =
                         |t: &VertexId| drow.is_some_and(|r| r.deletes().binary_search(t).is_ok());
-                    let kept = shard.out_sets().sets().iter().flat_map(|set| set.neighbors(v));
-                    let inserted = drow.into_iter().flat_map(|r| r.inserts()).map(|(t, _)| t);
-                    for &t in kept.filter(|t| !deleted(t)).chain(inserted) {
+                    let kept = shard.row(v).map(|(t, _)| t);
+                    let inserted = drow.into_iter().flat_map(|r| r.inserts()).map(|&(t, _)| t);
+                    for t in kept.filter(|t| !deleted(t)).chain(inserted) {
                         if shard.is_local(t) {
                             relax(&mut depth, &mut queue, t, d + 1);
                         } else {

@@ -5,11 +5,14 @@
 //! edges as well as the property of the subgraph." A shard here holds
 //! what a traversal scans: its local vertices' out-edges in the
 //! edge-set blocked layout. Boundary vertices — remote vertices
-//! reachable by a local out-edge — are precomputed, and every out-edge
-//! carries a *slot*: the position of its target in the dense
-//! `local ++ boundary` numbering the bit-frontier scan accumulates
-//! into, so the scan addresses remote destinations by position rather
-//! than by lookup.
+//! reachable by a local out-edge — are precomputed, and each out-edge
+//! is stored once, as a 4-byte *slot*: the position of its target in
+//! the dense `local ++ boundary` numbering the bit-frontier scan
+//! accumulates into, so the scan addresses remote destinations by
+//! position rather than by lookup. The slot is the tile's column; the
+//! target is derived from it where something reads one
+//! ([`Shard::target_of`], [`Shard::row`]). A tile keeps a weight column
+//! only when one of its weights is not 1.0.
 //!
 //! Every shard is built by [`Shard::from_rows`] from its local
 //! vertices' [`SortedRows`] — one target-sorted run per vertex — in the
@@ -17,10 +20,10 @@
 //! tile's runs; see [`cgraph_graph::edge_set`]). No tile is sorted: the
 //! runs already are. Ingest groups an edge list into every machine's
 //! rows in one count and one scatter ([`SortedRows::group`]); a fold
-//! streams them out of the old shard's tiles, merging the overlay into
+//! streams them out of the old shard's rows, merging the overlay into
 //! the rows it touches ([`Shard::effective_rows`]); a restore reads
-//! them off a snapshot. Slots and the boundary come from the rows'
-//! targets in one more pass.
+//! them off a snapshot. The slots and the boundary come from the rows'
+//! targets in one pass before the tiles are placed.
 //!
 //! In-edges (CSC over local destinations, for GAS gathers) are read
 //! only by GAS and partition-centric programs, so the engine derives
@@ -28,8 +31,10 @@
 //! the out-degree array is kept once per engine, not per shard.
 
 use crate::partition::RangePartition;
-use cgraph_graph::types::{PartitionId, VertexRange};
-use cgraph_graph::{ConsolidationPolicy, DeltaOverlay, Edge, EdgeSetGraph, SortedRows, VertexId};
+use cgraph_graph::types::{PartitionId, VertexRange, Weight};
+use cgraph_graph::{
+    ConsolidationPolicy, DeltaOverlay, Edge, EdgeSet, EdgeSetGraph, SortedRows, VertexId,
+};
 
 /// One machine's shard: local vertex range plus its out-edges.
 #[derive(Debug)]
@@ -37,16 +42,14 @@ pub struct Shard {
     id: PartitionId,
     local: VertexRange,
     /// Out-edges of local vertices, edge-set blocked (rows = local
-    /// range, cols = all vertices).
+    /// range, cols = all vertices). A tile's column is the edge's
+    /// accumulator slot: `t - local.start` for a local target `t`,
+    /// `num_local + rank of t in boundary` for a remote one.
     out_sets: EdgeSetGraph,
     /// Sorted global IDs of boundary vertices: remote endpoints of
     /// local out-edges. Partitions are vertex ranges, so each owner's
     /// boundary vertices are one contiguous run, in partition order.
     boundary: Vec<VertexId>,
-    /// Per tile of `out_sets`, one accumulator slot per edge, aligned
-    /// with the tile's target array: `t - local.start` for a local
-    /// target `t`, `num_local + rank of t in boundary` for a remote one.
-    slots: Vec<Vec<u32>>,
 }
 
 impl Shard {
@@ -74,12 +77,11 @@ impl Shard {
         let local = partition.range(id);
         assert_eq!(rows.span(), local, "rows of another partition");
         let n = partition.num_vertices();
-        let out_sets = EdgeSetGraph::from_rows(rows, VertexRange::new(0, n), policy);
 
         // Slot numbering in O(n + edges): mark the remote targets, then
         // one ascending pass ranks them (which also yields `boundary`
         // sorted and deduplicated) and numbers the local range.
-        assert!(n <= u64::from(u32::MAX), "slot table addresses vertices by u32");
+        assert!(n <= u64::from(u32::MAX), "slots address vertices by u32");
         const UNUSED: u32 = u32::MAX;
         const MARKED: u32 = 0;
         let mut slot_of = vec![UNUSED; n as usize];
@@ -97,40 +99,48 @@ impl Shard {
                 boundary.push(v);
             }
         }
-        let slots = out_sets
-            .sets()
-            .iter()
-            .map(|set| set.raw_parts().1.iter().map(|&t| slot_of[t as usize]).collect())
-            .collect();
+        let out_sets =
+            EdgeSetGraph::from_rows(rows, VertexRange::new(0, n), policy, |t| slot_of[t as usize]);
 
-        Self { id, local, out_sets, boundary, slots }
+        Self { id, local, out_sets, boundary }
+    }
+
+    /// The out-row of local vertex `v` as `(target, weight)`, in target
+    /// order, duplicates in their input order — the row the shard was
+    /// built from. The row's tiles are one stripe's, found by a binary
+    /// search and read in column order, so their runs concatenate
+    /// sorted; each slot is turned back into its target.
+    pub fn row(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
+        self.stripe(v).flat_map(move |s| {
+            let span = s.row_span(v);
+            let slots = &s.raw_parts().1[span.clone()];
+            slots.iter().zip(span).map(move |(&slot, i)| (self.target_of(slot), s.weight(i)))
+        })
+    }
+
+    /// The tiles holding local vertex `v`'s row: one stripe's, in
+    /// column order.
+    fn stripe(&self, v: VertexId) -> impl Iterator<Item = &EdgeSet> + '_ {
+        debug_assert!(self.is_local(v), "{v} is not local to shard {}", self.id);
+        let sets = self.out_sets.sets();
+        let first = sets.partition_point(|s| s.row_range.end <= v);
+        sets[first..].iter().take_while(move |s| s.row_range.contains(v))
     }
 
     /// The out-rows of every local vertex as `delta` leaves them — the
     /// rows a fold rebuilds this shard's successor from. A row `delta`
-    /// does not touch is copied out of the tiles run by run (a stripe's
-    /// tiles are in column order, so their runs concatenate sorted); a
-    /// touched row is merged on the way ([`DeltaRow::merge`](cgraph_graph::DeltaRow::merge)).
+    /// does not touch is read as it is
+    /// ([`Shard::out_neighbors_weighted_into`]); a touched row is merged
+    /// on the way ([`DeltaRow::merge`](cgraph_graph::DeltaRow::merge)).
     pub fn effective_rows(&self, delta: &DeltaOverlay) -> SortedRows {
-        let sets = self.out_sets.sets();
         let room = self.num_out_edges() + delta.num_inserts();
         let mut rows = SortedRows::with_capacity(self.local, room);
-        let mut stripe = 0; // first tile whose rows do not end before `v`
+        let mut base = Vec::new();
         for v in self.local.iter() {
-            while sets.get(stripe).is_some_and(|s| s.row_range.end <= v) {
-                stripe += 1;
-            }
-            let runs = sets[stripe..].iter().take_while(|s| s.row_range.contains(v)).map(|s| {
-                let (_, targets, weights) = s.raw_parts();
-                let span = s.row_span(v);
-                (&targets[span.clone()], &weights[span])
-            });
+            self.out_neighbors_weighted_into(v, &mut base);
             match delta.row(v) {
-                None => runs.for_each(|(targets, weights)| rows.extend(targets, weights)),
-                Some(row) => {
-                    let base = runs.flat_map(|(t, w)| t.iter().copied().zip(w.iter().copied()));
-                    row.merge(base).for_each(|(t, w)| rows.push(t, w));
-                }
+                None => base.iter().for_each(|&(t, w)| rows.push(t, w)),
+                Some(row) => row.merge(base.iter().copied()).for_each(|(t, w)| rows.push(t, w)),
             }
             rows.end_row();
         }
@@ -198,14 +208,24 @@ impl Shard {
         self.num_local() + self.boundary.len()
     }
 
-    /// Accumulator slots of tile `tile`'s edges, aligned with its target
-    /// array (index both by [`EdgeSet::row_span`](cgraph_graph::EdgeSet::row_span)):
-    /// a slot below [`Shard::num_local`] is the local vertex
-    /// `local_range().start + slot`, any other is
+    /// The vertex accumulator slot `slot` stands for — a tile column:
+    /// below [`Shard::num_local`] the local vertex
+    /// `local_range().start + slot`, any other
     /// `boundary_vertices()[slot - num_local()]`.
     #[inline]
-    pub fn tile_slots(&self, tile: usize) -> &[u32] {
-        &self.slots[tile]
+    pub fn target_of(&self, slot: u32) -> VertexId {
+        // Without a branch: a row's local and remote slots interleave
+        // unpredictably, so a local slot reads (and drops) a boundary
+        // entry rather than jumping past the load.
+        let num_local = self.local.len() as u32;
+        let remote = slot >= num_local;
+        let rank = if remote { slot - num_local } else { 0 };
+        let boundary = self.boundary.get(rank as usize).copied().unwrap_or_default();
+        if remote {
+            boundary
+        } else {
+            self.local.start + u64::from(slot)
+        }
     }
 
     /// The accumulator slot of vertex `v`, or `None` when `v` is remote
@@ -224,11 +244,10 @@ impl Shard {
         self.out_sets.num_edges()
     }
 
-    /// Out-neighbours of a local vertex (collected across tiles; hot
-    /// loops iterate tiles directly instead).
+    /// Out-neighbours of a local vertex, in target order (collected
+    /// from [`Shard::row`]; hot loops iterate tiles directly instead).
     pub fn out_neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        debug_assert!(self.is_local(v));
-        self.out_sets.out_neighbors(v)
+        self.row(v).map(|(t, _)| t).collect()
     }
 
     /// Out-neighbours of a local vertex with edge weights.
@@ -241,21 +260,24 @@ impl Shard {
     /// [`Shard::out_neighbors_weighted`] into a caller-owned buffer
     /// (cleared first), for walks over every local vertex.
     pub fn out_neighbors_weighted_into(&self, v: VertexId, out: &mut Vec<(VertexId, f32)>) {
-        debug_assert!(self.is_local(v));
         out.clear();
-        for s in self.out_sets.sets() {
+        // Run by run, so each extend knows its length.
+        for s in self.stripe(v) {
             let span = s.row_span(v);
-            let (_, targets, weights) = s.raw_parts();
-            out.extend(targets[span.clone()].iter().copied().zip(weights[span].iter().copied()));
+            let (_, slots, weights) = s.raw_parts();
+            let targets = slots[span.clone()].iter().map(|&slot| self.target_of(slot));
+            if weights.is_empty() {
+                out.extend(targets.map(|t| (t, 1.0)));
+            } else {
+                out.extend(targets.zip(weights[span].iter().copied()));
+            }
         }
-        out.sort_unstable_by_key(|a| a.0);
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint in bytes: the sum of the tiles' arrays and the
+    /// boundary.
     pub fn size_bytes(&self) -> usize {
-        self.out_sets.size_bytes()
-            + self.boundary.len() * 8
-            + self.slots.iter().map(|s| s.len() * 4).sum::<usize>()
+        self.out_sets.size_bytes() + self.boundary.len() * std::mem::size_of::<VertexId>()
     }
 }
 
@@ -295,28 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_rows_collect_across_tiles_in_target_order() {
-        let mut g = ring(24);
-        for v in (0..24).step_by(3) {
-            g.push(Edge::weighted(v, (v * 7 + 5) % 24, 0.5 + v as f32));
-        }
-        let part = RangePartition::from_edges(24, g.edges(), 3);
-        // A fine grid, so rows span several tiles and the sort matters.
-        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::grid(4));
-        let mut row = vec![(99, 9.0)]; // stale content must not survive
-        for s in &shards {
-            for v in s.local_range().iter() {
-                let mut expected: Vec<(VertexId, f32)> =
-                    g.edges().iter().filter(|e| e.src == v).map(|e| (e.dst, e.weight)).collect();
-                expected.sort_unstable_by_key(|a| a.0);
-                s.out_neighbors_weighted_into(v, &mut row);
-                assert_eq!(row, expected, "vertex {v}");
-                assert_eq!(s.out_neighbors_weighted(v), expected, "vertex {v}");
-            }
-        }
-    }
-
-    #[test]
     fn boundary_vertices_are_remote_neighbors() {
         let g = ring(10);
         let part = RangePartition::by_vertices(10, 2);
@@ -327,54 +327,6 @@ mod tests {
         assert!(!shards[0].is_boundary(3));
         // shard 1 = [5,10): remote neighbour is 0 (from vertex 9)
         assert_eq!(shards[1].boundary_vertices(), &[0]);
-    }
-
-    #[test]
-    fn slots_round_trip_to_targets_and_owner_runs_tile_boundary() {
-        // A ring with chords, so every shard reaches several owners.
-        let n = 40u64;
-        let g: EdgeList = (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v * 7 + 3) % n)]).collect();
-        let part = RangePartition::by_vertices(n, 4);
-        let shards = build_shards(&part, g.edges(), ConsolidationPolicy::grid(8));
-        for s in &shards {
-            let base = s.local_range().start;
-            assert_eq!(s.num_slots(), s.num_local() + s.boundary_vertices().len());
-            let mut edges = 0;
-            for (tile, set) in s.out_sets().sets().iter().enumerate() {
-                let slots = s.tile_slots(tile);
-                assert_eq!(slots.len(), set.num_edges());
-                for v in set.row_range.iter() {
-                    let span = set.row_span(v);
-                    for (&t, &slot) in set.neighbors(v).iter().zip(&slots[span]) {
-                        let slot = slot as usize;
-                        let back = if slot < s.num_local() {
-                            base + slot as u64
-                        } else {
-                            s.boundary_vertices()[slot - s.num_local()]
-                        };
-                        assert_eq!(back, t, "shard {} edge {v}->{t}", s.id());
-                        assert_eq!(s.slot_of(t), Some(slot as u32));
-                        edges += 1;
-                    }
-                }
-            }
-            assert_eq!(edges, s.num_out_edges());
-            // The exchange buckets emissions with an owner cursor that
-            // only moves forward: each owner's boundary vertices must be
-            // one contiguous run, runs in partition order, none local.
-            let owners: Vec<usize> = s.boundary_vertices().iter().map(|&v| part.owner(v)).collect();
-            assert!(owners.windows(2).all(|w| w[0] <= w[1]), "owner runs out of order");
-            assert!(!owners.contains(&s.id()), "a local vertex is never boundary");
-            assert!(owners.len() > 1, "test graph must cross partitions");
-        }
-        // A remote vertex no base edge reaches has no slot.
-        let lone: EdgeList = [(0u64, 1u64)].into_iter().collect();
-        let mut lone = lone;
-        lone.set_num_vertices(10);
-        let part = RangePartition::by_vertices(10, 2);
-        let s = Shard::build(0, &part, lone.edges(), ConsolidationPolicy::default());
-        assert_eq!(s.slot_of(1), Some(1));
-        assert_eq!(s.slot_of(7), None);
     }
 
     #[test]

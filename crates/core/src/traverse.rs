@@ -141,15 +141,13 @@ impl QueueTraversal {
         let next_depth = self.depth + 1;
         let cur = std::mem::take(&mut self.cur);
         for s in cur {
-            for set in shard.out_sets().sets() {
-                for &t in set.neighbors(s) {
-                    if shard.is_local(t) {
-                        discovered += u64::from(self.absorb(t, next_depth));
-                    } else {
-                        // Listing 2 marks boundary neighbours visited at
-                        // the owner; we forward and let the owner dedup.
-                        remote(t, next_depth);
-                    }
+            for (t, _) in shard.row(s) {
+                if shard.is_local(t) {
+                    discovered += u64::from(self.absorb(t, next_depth));
+                } else {
+                    // Listing 2 marks boundary neighbours visited at the
+                    // owner; we forward and let the owner dedup.
+                    remote(t, next_depth);
                 }
             }
         }
@@ -308,13 +306,11 @@ impl<'s> ChainedKhop<'s> {
             if d > self.depth[(v - self.base) as usize] || d >= self.k {
                 continue; // stale or budget exhausted
             }
-            for set in shard.out_sets().sets() {
-                for &t in set.neighbors(v) {
-                    if shard.is_local(t) {
-                        self.relax(t, d + 1);
-                    } else {
-                        ctx.send_to(t, u64::from(d + 1));
-                    }
+            for (t, _) in shard.row(v) {
+                if shard.is_local(t) {
+                    self.relax(t, d + 1);
+                } else {
+                    ctx.send_to(t, u64::from(d + 1));
                 }
             }
         }

@@ -32,17 +32,26 @@
 //!    range is a contiguous run of its sorted targets, found with
 //!    `partition_point`, so counting every cell costs a few binary
 //!    searches per row. Consolidation decides on those counts alone.
-//! 2. **Place.** Each surviving tile allocates its `row_offsets`,
-//!    `targets` and `weights` at their exact size and copies each of its
-//!    rows' runs in, row by row.
+//! 2. **Place.** Each surviving tile allocates its `row_offsets` and
+//!    `columns` at their exact size and copies each of its rows' runs
+//!    in, row by row, each target mapped to its column.
 //!
 //! A tile needs no sort: its rows are visited in vertex order and each
 //! run is already sorted by target with duplicates in input order —
 //! exactly what a stable `(src, dst)` sort of the tile's edges yields.
 //! No per-cell copy of the edges is made.
+//!
+//! # One column per edge
+//!
+//! A tile stores each edge once, as a 4-byte *column* its owner
+//! defines: [`EdgeSetGraph::from_rows`] takes the map from target to
+//! column. A standalone graph ([`EdgeSetGraph::build`]) uses the target
+//! itself; a shard uses the target's accumulator slot and derives the
+//! target back from it. A tile keeps a weight column only when one of
+//! its weights is not 1.0.
 
 use crate::edge::Edge;
-use crate::rows::SortedRows;
+use crate::rows::{extend_weights, SortedRows};
 use crate::types::{VertexId, VertexRange, Weight};
 
 /// One edge-set tile: a CSR over `row_range × col_range`.
@@ -52,11 +61,14 @@ pub struct EdgeSet {
     pub row_range: VertexRange,
     /// Destination vertices covered (global IDs).
     pub col_range: VertexRange,
-    /// `row_offsets[r]..row_offsets[r+1]` indexes `targets` for local
+    /// `row_offsets[r]..row_offsets[r+1]` indexes `columns` for local
     /// row `r` (`row_range.start + r` globally).
     row_offsets: Vec<u32>,
-    /// Destination vertices, **global** IDs, sorted per row.
-    targets: Vec<VertexId>,
+    /// One column per edge, rows in target order: what the target maps
+    /// to under the map the tile was built with.
+    columns: Vec<u32>,
+    /// Aligned with `columns`, or empty when every weight of the tile
+    /// is 1.0.
     weights: Vec<Weight>,
 }
 
@@ -64,13 +76,11 @@ impl EdgeSet {
     /// Number of edges in the tile.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.targets.len()
+        self.columns.len()
     }
 
     /// The index range of global source `v`'s edges in this tile's edge
-    /// arrays (empty if `v` is outside the row range) — for callers that
-    /// keep per-edge data aligned with the tile, like the shard's slot
-    /// table.
+    /// arrays (empty if `v` is outside the row range).
     #[inline]
     pub fn row_span(&self, v: VertexId) -> std::ops::Range<usize> {
         if !self.row_range.contains(v) {
@@ -80,41 +90,42 @@ impl EdgeSet {
         self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize
     }
 
-    /// Out-neighbours of global source `v` that land in this tile's
-    /// column range. Empty if `v` is outside the row range.
+    /// The columns of global source `v`'s edges that land in this
+    /// tile's column range, in target order. Empty if `v` is outside
+    /// the row range.
     #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        &self.targets[self.row_span(v)]
+    pub fn columns(&self, v: VertexId) -> &[u32] {
+        &self.columns[self.row_span(v)]
     }
 
-    /// Weights aligned with [`EdgeSet::neighbors`].
+    /// The weight of the tile's `i`-th edge (an index of
+    /// [`EdgeSet::row_span`]).
     #[inline]
-    pub fn neighbor_weights(&self, v: VertexId) -> &[Weight] {
-        &self.weights[self.row_span(v)]
+    pub fn weight(&self, i: usize) -> Weight {
+        debug_assert!(i < self.columns.len());
+        self.weights.get(i).copied().unwrap_or(1.0)
     }
 
-    /// Iterates `(local_row, neighbors, weights)` for non-empty rows.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (VertexId, &[VertexId], &[Weight])> + '_ {
+    /// Iterates `(source, columns)` for non-empty rows, `source` a
+    /// global ID.
+    pub fn iter_rows(&self) -> impl Iterator<Item = (VertexId, &[u32])> + '_ {
         (0..self.row_range.len() as usize).filter_map(move |r| {
             let a = self.row_offsets[r] as usize;
             let b = self.row_offsets[r + 1] as usize;
-            if a == b {
-                None
-            } else {
-                Some((self.row_range.to_global(r as u32), &self.targets[a..b], &self.weights[a..b]))
-            }
+            (a != b).then(|| (self.row_range.to_global(r as u32), &self.columns[a..b]))
         })
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint in bytes: the sum of the tile's arrays.
     pub fn size_bytes(&self) -> usize {
-        self.row_offsets.len() * 4 + self.targets.len() * 8 + self.weights.len() * 4
+        (self.row_offsets.len() + self.columns.len() + self.weights.len()) * 4
     }
 
-    /// The raw storage arrays `(row_offsets, targets, weights)` — what
-    /// the bit-frontier scan indexes by local row.
-    pub fn raw_parts(&self) -> (&[u32], &[VertexId], &[Weight]) {
-        (&self.row_offsets, &self.targets, &self.weights)
+    /// The raw storage arrays `(row_offsets, columns, weights)` — what
+    /// the bit-frontier scan indexes by local row. `weights` is empty
+    /// when every weight of the tile is 1.0.
+    pub fn raw_parts(&self) -> (&[u32], &[u32], &[Weight]) {
+        (&self.row_offsets, &self.columns, &self.weights)
     }
 }
 
@@ -228,27 +239,32 @@ fn split_even(span: VertexRange, k: usize) -> Vec<VertexRange> {
 impl EdgeSetGraph {
     /// Builds the blocked representation for edges whose sources fall
     /// in `row_span` and destinations in `col_span`: groups them into
-    /// [`SortedRows`], then [`EdgeSetGraph::from_rows`].
+    /// [`SortedRows`], then [`EdgeSetGraph::from_rows`] with each
+    /// target its own column.
     ///
-    /// Panics (debug) if an edge endpoint lies outside its span.
+    /// Panics if `col_span` reaches past `u32::MAX`; (debug) if an edge
+    /// endpoint lies outside its span.
     pub fn build(
         edges: &[Edge],
         row_span: VertexRange,
         col_span: VertexRange,
         policy: ConsolidationPolicy,
     ) -> Self {
+        assert!(col_span.end <= u64::from(u32::MAX), "columns address vertices by u32");
         let rows = &SortedRows::group(&[row_span], edges)[0];
         debug_assert_eq!(rows.num_edges(), edges.len(), "an edge source outside {row_span:?}");
-        Self::from_rows(rows, col_span, policy)
+        Self::from_rows(rows, col_span, policy, |t| t as u32)
     }
 
     /// Builds the blocked representation of `rows` (every vertex of
     /// their span must have its row), whose targets fall in
-    /// `col_span`, in the two passes the module docs describe.
+    /// `col_span`, in the two passes the module docs describe; each
+    /// edge is stored as `column(target)`.
     pub fn from_rows(
         rows: &SortedRows,
         col_span: VertexRange,
         policy: ConsolidationPolicy,
+        column: impl Fn(VertexId) -> u32,
     ) -> Self {
         assert!(rows.is_complete(), "rows end before {:?} does", rows.span());
         // 1. Row degrees ("we first obtain vertex degrees …") are the
@@ -333,24 +349,27 @@ impl EdgeSetGraph {
             protos.retain(|s| !s.is_empty());
         }
 
-        // 6. Place each tile's runs (row-major), exactly sized.
+        // 6. Place each tile's runs (row-major), exactly sized; a weight
+        //    column starts at the tile's first weight that is not 1.0.
         let mut sets = Vec::new();
         for p in protos.into_iter().flatten().filter(|p| p.edges > 0) {
             let col = VertexRange::new(col_ranges[p.cols.0].start, col_ranges[p.cols.1].end);
             let mut row_offsets = Vec::with_capacity(p.row.len() as usize + 1);
-            let mut targets = Vec::with_capacity(p.edges);
-            let mut weights = Vec::with_capacity(p.edges);
+            let mut columns = Vec::with_capacity(p.edges);
+            let mut weights = Vec::new();
             row_offsets.push(0);
             for v in p.row.iter() {
                 let (ts, ws) = rows.row(v);
                 let lo = ts.partition_point(|&x| x < col.start);
                 let hi = lo + ts[lo..].partition_point(|&x| x < col.end);
-                targets.extend_from_slice(&ts[lo..hi]);
-                weights.extend_from_slice(&ws[lo..hi]);
-                row_offsets.push(targets.len() as u32);
+                if !ws.is_empty() {
+                    extend_weights(&mut weights, columns.len(), p.edges, &ws[lo..hi]);
+                }
+                columns.extend(ts[lo..hi].iter().map(|&t| column(t)));
+                row_offsets.push(columns.len() as u32);
             }
-            debug_assert_eq!(targets.len(), p.edges);
-            sets.push(EdgeSet { row_range: p.row, col_range: col, row_offsets, targets, weights });
+            debug_assert_eq!(columns.len(), p.edges);
+            sets.push(EdgeSet { row_range: p.row, col_range: col, row_offsets, columns, weights });
         }
         let layout = EdgeSetLayout { row_ranges, col_ranges };
         Self { sets, layout, num_edges }
@@ -380,16 +399,16 @@ impl EdgeSetGraph {
         self.num_edges
     }
 
-    /// Collects the out-neighbours of `v` across all tiles (test /
+    /// Collects the columns of `v`'s edges across all tiles, sorted —
+    /// its out-neighbours in a graph from [`EdgeSetGraph::build`] (test /
     /// debugging aid — engine loops iterate tiles directly).
-    pub fn out_neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> =
-            self.sets.iter().flat_map(|s| s.neighbors(v).iter().copied()).collect();
+    pub fn out_columns(&self, v: VertexId) -> Vec<u32> {
+        let mut out: Vec<u32> = self.sets.iter().flat_map(|s| s.columns(v)).copied().collect();
         out.sort_unstable();
         out
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint in bytes: the sum of the tiles' arrays.
     pub fn size_bytes(&self) -> usize {
         self.sets.iter().map(|s| s.size_bytes()).sum()
     }
@@ -413,8 +432,8 @@ mod tests {
         let (l, span) = edges(6, &[(0, 1), (0, 5), (2, 3), (5, 0)]);
         let g = EdgeSetGraph::flat(l.edges(), span, span);
         assert_eq!(g.sets().len(), 1);
-        assert_eq!(g.out_neighbors(0), vec![1, 5]);
-        assert_eq!(g.out_neighbors(5), vec![0]);
+        assert_eq!(g.out_columns(0), vec![1, 5]);
+        assert_eq!(g.out_columns(5), vec![0]);
         assert_eq!(g.num_edges(), 4);
     }
 
@@ -433,7 +452,7 @@ mod tests {
         // Per-vertex adjacency identical to flat.
         let flat = EdgeSetGraph::flat(l.edges(), span, span);
         for v in 0..32u64 {
-            assert_eq!(g.out_neighbors(v), flat.out_neighbors(v), "vertex {v}");
+            assert_eq!(g.out_columns(v), flat.out_columns(v), "vertex {v}");
         }
     }
 
@@ -442,10 +461,10 @@ mod tests {
         let (l, span) = edges(64, &(0..64u64).map(|v| (v, (v * 17 + 3) % 64)).collect::<Vec<_>>());
         let g = EdgeSetGraph::build(l.edges(), span, span, ConsolidationPolicy::grid(8));
         for s in g.sets() {
-            for (src, ts, _) in s.iter_rows() {
+            for (src, ts) in s.iter_rows() {
                 assert!(s.row_range.contains(src));
                 for &t in ts {
-                    assert!(s.col_range.contains(t), "{t} outside {:?}", s.col_range);
+                    assert!(s.col_range.contains(t.into()), "{t} outside {:?}", s.col_range);
                 }
             }
         }
@@ -476,7 +495,7 @@ mod tests {
         );
         // Still lossless.
         for v in 0..256u64 {
-            assert_eq!(consolidated.out_neighbors(v), grid.out_neighbors(v));
+            assert_eq!(consolidated.out_columns(v), grid.out_columns(v));
         }
     }
 
@@ -495,15 +514,15 @@ mod tests {
             ConsolidationPolicy::default(),
         );
         assert_eq!(g.num_edges(), 8);
-        assert_eq!(g.out_neighbors(4), vec![9, 13]);
-        assert!(g.out_neighbors(0).is_empty());
+        assert_eq!(g.out_columns(4), vec![9, 13]);
+        assert!(g.out_columns(0).is_empty());
     }
 
     #[test]
     fn empty_rows_skipped_in_iter() {
         let (l, span) = edges(8, &[(0, 1)]);
         let g = EdgeSetGraph::flat(l.edges(), span, span);
-        let rows: Vec<_> = g.sets()[0].iter_rows().map(|(v, _, _)| v).collect();
+        let rows: Vec<_> = g.sets()[0].iter_rows().map(|(v, _)| v).collect();
         assert_eq!(rows, vec![0]);
     }
 

@@ -6,6 +6,10 @@
 //! tiles without sorting anything. Ingest groups an edge list into it,
 //! a fold streams an old shard's tiles and overlay into it, a restore
 //! fills it from a snapshot's rows.
+//!
+//! A weight column is kept only where some weight is not 1.0 (the
+//! rule a tile follows too): rows of an unweighted graph cost their
+//! targets alone, 8 bytes an edge.
 
 use crate::edge::Edge;
 use crate::types::{VertexId, VertexRange, Weight};
@@ -19,7 +23,29 @@ pub struct SortedRows {
     span: VertexRange,
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
+    /// Aligned with `targets`, or empty while every weight is 1.0.
     weights: Vec<Weight>,
+}
+
+/// Appends `run` to `column`, the weights of the `len` edges before it
+/// — a column left empty while all of those are 1.0. It starts, filled
+/// with 1.0 up to `len` and with room for `capacity` weights, at the
+/// first weight that is not.
+pub(crate) fn extend_weights(
+    column: &mut Vec<Weight>,
+    len: usize,
+    capacity: usize,
+    run: &[Weight],
+) {
+    if column.is_empty() {
+        if run.iter().all(|&w| w == 1.0) {
+            return;
+        }
+        column.reserve_exact(capacity.max(len + run.len()));
+        column.resize(len, 1.0);
+    }
+    debug_assert_eq!(column.len(), len, "a weight column out of step with its edges");
+    column.extend_from_slice(run);
 }
 
 impl SortedRows {
@@ -29,20 +55,16 @@ impl SortedRows {
     pub fn with_capacity(span: VertexRange, edges: usize) -> Self {
         let mut offsets = Vec::with_capacity(span.len() as usize + 1);
         offsets.push(0);
-        Self {
-            span,
-            offsets,
-            targets: Vec::with_capacity(edges),
-            weights: Vec::with_capacity(edges),
-        }
+        Self { span, offsets, targets: Vec::with_capacity(edges), weights: Vec::new() }
     }
 
     /// Groups `edges` into the rows of each of `spans` (ascending and
-    /// disjoint): one pass counts each source's edges, a second scatters
-    /// every edge into its span's arrays in input order, and only a row
-    /// that arrived out of target order is stably sorted. Edges whose
-    /// source lies in no span are skipped. The list is read twice
-    /// however many spans there are.
+    /// disjoint): one pass counts each source's edges (and notes the
+    /// spans that need a weight column), a second scatters every edge
+    /// into its span's arrays in input order, and only a row that
+    /// arrived out of target order is stably sorted. Edges whose source
+    /// lies in no span are skipped. The list is read twice however many
+    /// spans there are.
     pub fn group(spans: &[VertexRange], edges: &[Edge]) -> Vec<Self> {
         debug_assert!(spans.windows(2).all(|w| w[0].end <= w[1].start), "spans out of order");
         // The span owning `v` and `v`'s row in it; the last span found is
@@ -64,25 +86,32 @@ impl SortedRows {
                 weights: Vec::new(),
             })
             .collect();
+        let mut weighted = vec![false; groups.len()];
         for e in edges {
             if let Some((i, r)) = owner(e.src) {
                 groups[i].offsets[r + 1] += 1;
+                weighted[i] |= e.weight != 1.0;
             }
         }
         let mut cursors = Vec::with_capacity(groups.len());
-        for g in &mut groups {
+        for (g, &weighted) in groups.iter_mut().zip(&weighted) {
             let rows = g.offsets.len() - 1;
             for r in 0..rows {
                 g.offsets[r + 1] += g.offsets[r];
             }
             cursors.push(g.offsets[..rows].to_vec());
-            (g.targets, g.weights) = (vec![0; g.offsets[rows]], vec![0.0; g.offsets[rows]]);
+            g.targets = vec![0; g.offsets[rows]];
+            if weighted {
+                g.weights = vec![0.0; g.offsets[rows]];
+            }
         }
         for e in edges {
             if let Some((i, r)) = owner(e.src) {
                 let at = &mut cursors[i][r];
                 groups[i].targets[*at] = e.dst;
-                groups[i].weights[*at] = e.weight;
+                if weighted[i] {
+                    groups[i].weights[*at] = e.weight;
+                }
                 *at += 1;
             }
         }
@@ -99,15 +128,11 @@ impl SortedRows {
     /// Appends one edge to the open row.
     #[inline]
     pub fn push(&mut self, target: VertexId, weight: Weight) {
+        if weight != 1.0 || !self.weights.is_empty() {
+            let (len, capacity) = (self.targets.len(), self.targets.capacity());
+            extend_weights(&mut self.weights, len, capacity, &[weight]);
+        }
         self.targets.push(target);
-        self.weights.push(weight);
-    }
-
-    /// Appends a run of edges to the open row.
-    #[inline]
-    pub fn extend(&mut self, targets: &[VertexId], weights: &[Weight]) {
-        self.targets.extend_from_slice(targets);
-        self.weights.extend_from_slice(weights);
     }
 
     /// Closes the open row (the next vertex's row opens), stably sorting
@@ -126,6 +151,11 @@ impl SortedRows {
     fn sort_row(&mut self, r: usize, scratch: &mut Vec<(VertexId, Weight)>) {
         let span = self.offsets[r]..self.offsets[r + 1];
         if self.targets[span.clone()].is_sorted() {
+            return;
+        }
+        if self.weights.is_empty() {
+            // Duplicates of an unweighted row are indistinguishable.
+            self.targets[span].sort_unstable();
             return;
         }
         scratch.clear();
@@ -160,12 +190,13 @@ impl SortedRows {
         self.row(v).0.len()
     }
 
-    /// Targets and weights of global source `v`'s row.
+    /// Targets and weights of global source `v`'s row; the weights are
+    /// empty when the rows carry no weight column (every weight 1.0).
     #[inline]
     pub fn row(&self, v: VertexId) -> (&[VertexId], &[Weight]) {
         let r = self.span.to_local(v) as usize;
         let span = self.offsets[r]..self.offsets[r + 1];
-        (&self.targets[span.clone()], &self.weights[span])
+        (&self.targets[span.clone()], self.weights.get(span).unwrap_or_default())
     }
 
     /// Every target of every row, rows in vertex order.
@@ -174,10 +205,19 @@ impl SortedRows {
         &self.targets
     }
 
+    /// The weight column aligned with [`SortedRows::targets`], empty
+    /// when every weight is 1.0.
+    #[inline]
+    pub fn weights(&self) -> &[Weight] {
+        &self.weights
+    }
+
     /// Every edge, rows in vertex order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.span.iter().zip(self.offsets.windows(2)).flat_map(move |(v, run)| {
-            (run[0]..run[1]).map(move |i| Edge::weighted(v, self.targets[i], self.weights[i]))
+            (run[0]..run[1]).map(move |i| {
+                Edge::weighted(v, self.targets[i], self.weights.get(i).copied().unwrap_or(1.0))
+            })
         })
     }
 

@@ -5,7 +5,7 @@
 use cgraph::prelude::*;
 use cgraph_core::pcm::{PartitionCtx, PartitionProgram};
 use cgraph_core::shard::Shard;
-use cgraph_graph::{ConsolidationPolicy, EdgeSet};
+use cgraph_graph::{ConsolidationPolicy, DeltaOverlay, EdgeSet};
 use proptest::prelude::*;
 
 fn test_graph(seed: u64) -> EdgeList {
@@ -216,6 +216,16 @@ fn weighted_rmat_at(scale: u32, edge_factor: usize, seed: u64) -> EdgeList {
     g
 }
 
+/// A scale-12 R-MAT with duplicate edges whose weights `(i % 97) × 0.25`
+/// mix 1.0 with other values inside one tile.
+fn mixed_rmat12() -> EdgeList {
+    let mut g = cgraph::gen::graph500(12, 8, 49);
+    for (i, e) in g.edges_mut().iter_mut().enumerate() {
+        e.weight = (i % 97) as f32 * 0.25;
+    }
+    g
+}
+
 /// The same logical graph through a fold: insert, then delete, a pair
 /// that is not an edge, with a fold threshold of 0.
 fn folded_unchanged(e: &DistributedEngine, g: &EdgeList) -> DistributedEngine {
@@ -280,11 +290,13 @@ fn one_shard_three_ways() {
                     assert_eq!(ta.len(), tb.len(), "{at}: tile count");
                     for (i, (x, y)) in ta.iter().zip(tb).enumerate() {
                         assert_eq!((x.row_range, x.col_range), (y.row_range, y.col_range), "{at}");
-                        let ((xo, xt, xw), (yo, yt, yw)) = (x.raw_parts(), y.raw_parts());
-                        assert_eq!((xo, xt), (yo, yt), "{at} tile {i}: offsets or targets");
+                        // With the boundaries equal, equal slots are equal
+                        // targets; a weight column is kept by all three
+                        // builds or by none.
+                        let ((xo, xs, xw), (yo, ys, yw)) = (x.raw_parts(), y.raw_parts());
+                        assert_eq!((xo, xs), (yo, ys), "{at} tile {i}: offsets or slots");
                         let bits = |w: &[f32]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
                         assert_eq!(bits(xw), bits(yw), "{at} tile {i}: weights");
-                        assert_eq!(a.tile_slots(i), b.tile_slots(i), "{at} tile {i}: slots");
                     }
                 }
             }
@@ -321,8 +333,9 @@ fn programs_answer_for_a_live_overlay() {
     assert!(message.contains("fold the delta overlay first"), "{message}");
 }
 
-/// One tile as a scan reads it: its ranges, offsets, targets, weight
-/// bits and the slot of every edge.
+/// One tile as a scan reads it: its ranges, offsets, and per edge its
+/// target (derived from its slot), weight bits (1.0 where the tile keeps
+/// no weight column) and slot.
 #[derive(Debug, PartialEq)]
 struct TileFields {
     ranges: [u64; 4],
@@ -343,20 +356,20 @@ struct ShardFields {
 }
 
 fn shard_fields(e: &DistributedEngine) -> Vec<ShardFields> {
-    let tile = |s: &Shard, i: usize, t: &EdgeSet| {
-        let (offsets, targets, weights) = t.raw_parts();
+    let tile = |s: &Shard, t: &EdgeSet| {
+        let (offsets, slots, _) = t.raw_parts();
         TileFields {
             ranges: [t.row_range.start, t.row_range.end, t.col_range.start, t.col_range.end],
             offsets: offsets.to_vec(),
-            targets: targets.to_vec(),
-            weight_bits: weights.iter().map(|w| w.to_bits()).collect(),
-            slots: s.tile_slots(i).to_vec(),
+            targets: slots.iter().map(|&slot| s.target_of(slot)).collect(),
+            weight_bits: (0..t.num_edges()).map(|i| t.weight(i).to_bits()).collect(),
+            slots: slots.to_vec(),
         }
     };
     e.shards()
         .iter()
         .map(|s| ShardFields {
-            tiles: s.out_sets().sets().iter().enumerate().map(|(i, t)| tile(s, i, t)).collect(),
+            tiles: s.out_sets().sets().iter().map(|t| tile(s, t)).collect(),
             boundary: s.boundary_vertices().to_vec(),
             out_degree: s.local_range().iter().map(|v| e.out_degree(v)).collect(),
         })
@@ -414,12 +427,11 @@ fn shard_digest(s: &ShardFields) -> u64 {
 /// build from sorted rows replaced it.
 #[test]
 fn shard_layout_is_pinned() {
-    let mut rmat12 = cgraph::gen::graph500(12, 8, 49);
-    for (i, e) in rmat12.edges_mut().iter_mut().enumerate() {
-        e.weight = (i % 97) as f32 * 0.25;
-    }
-    let graphs =
-        [("TINY", Dataset::Tiny.generate()), ("rmat48", weighted_rmat(48)), ("rmat12", rmat12)];
+    let graphs = [
+        ("TINY", Dataset::Tiny.generate()),
+        ("rmat48", weighted_rmat(48)),
+        ("rmat12", mixed_rmat12()),
+    ];
     const PINNED: &[(&str, &[u64])] = &[
         ("TINY p=1 default", &[0x9763_b9c3_a4ed_3d12]),
         ("TINY p=1 grid256", &[0x747f_7f20_293f_bfd7]),
@@ -476,6 +488,196 @@ fn shard_layout_is_pinned() {
         }
     }
     assert!(pinned.next().is_none());
+}
+
+/// The sequential reference of a shard row: per source, its edges of
+/// `g` as `(target, weight bits)`, stably sorted by target (duplicates
+/// keep their input order).
+fn reference_rows(g: &EdgeList) -> Vec<Vec<(u64, u32)>> {
+    let mut rows = vec![Vec::new(); g.num_vertices() as usize];
+    for e in g.edges() {
+        rows[e.src as usize].push((e.dst, e.weight.to_bits()));
+    }
+    for row in &mut rows {
+        row.sort_by_key(|&(t, _)| t);
+    }
+    rows
+}
+
+/// Every shard reads back the rows it was built from: on TINY, a
+/// weighted R-MAT and a mixed-weight one, at p ∈ {1, 2, 3} under the
+/// default policy and `grid(256)` (rows spanning several tiles), each
+/// local vertex's derived `(target, weight)` row is the edge list's row
+/// stably sorted by target; the boundary is the sorted set of remote
+/// targets, each owner's run contiguous and in partition order; every
+/// tile column is a slot that round-trips through `slot_of`, and a
+/// remote vertex no base edge reaches has none. With a live overlay,
+/// `effective_rows` is the reference of the edges the updates leave.
+#[test]
+fn shard_rows_are_the_reference_rows() {
+    let graphs = [
+        ("TINY", Dataset::Tiny.generate()),
+        ("rmat48", weighted_rmat(48)),
+        ("rmat12", mixed_rmat12()),
+    ];
+    for (name, g) in &graphs {
+        let n = g.num_vertices();
+        let reference = reference_rows(g);
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let updates: Vec<EdgeUpdate> = (0..200)
+            .map(|i| {
+                let base = g.edges()[rng.below(g.len() as u64) as usize];
+                let (s, t) = (rng.below(n), rng.below(n));
+                match rng.below(4) {
+                    0 => EdgeUpdate::delete(base.src, base.dst),
+                    1 => EdgeUpdate::insert_weighted(base.src, base.dst, 0.5 + i as f32),
+                    2 => EdgeUpdate::insert(s, t),
+                    _ => EdgeUpdate::delete(s, t),
+                }
+            })
+            .collect();
+        let updated = reference_rows(&effective_edges(g, &updates));
+        for p in [1usize, 2, 3] {
+            for policy in [ConsolidationPolicy::default(), ConsolidationPolicy::grid(256)] {
+                let e =
+                    DistributedEngine::new(g, EngineConfig::new(p).with_edge_set_policy(policy));
+                let (overlaid, did_fold) = e.with_updates(&updates, usize::MAX);
+                assert!(!did_fold);
+                let mut scratch = vec![(u64::MAX, 9.0)]; // stale content must not survive
+                for s in e.shards() {
+                    let at = format!("{name} p={p} {policy:?} shard {}", s.id());
+                    let bits = |row: &[(u64, f32)]| -> Vec<(u64, u32)> {
+                        row.iter().map(|&(t, w)| (t, w.to_bits())).collect()
+                    };
+                    let mut remote = Vec::new();
+                    for v in s.local_range().iter() {
+                        let want = &reference[v as usize];
+                        let row: Vec<(u64, f32)> = s.row(v).collect();
+                        assert_eq!(&bits(&row), want, "{at}: row of {v}");
+                        s.out_neighbors_weighted_into(v, &mut scratch);
+                        assert_eq!(scratch, row, "{at}: weighted neighbours of {v}");
+                        let targets: Vec<u64> = want.iter().map(|&(t, _)| t).collect();
+                        assert_eq!(s.out_neighbors(v), targets, "{at}: neighbours of {v}");
+                        remote.extend(targets.into_iter().filter(|&t| !s.is_local(t)));
+                    }
+                    remote.sort_unstable();
+                    remote.dedup();
+                    assert_eq!(s.boundary_vertices(), remote, "{at}: boundary");
+                    let owners: Vec<usize> =
+                        remote.iter().map(|&v| e.partition().owner(v)).collect();
+                    assert!(owners.windows(2).all(|w| w[0] <= w[1]), "{at}: owner runs");
+                    assert!(!owners.contains(&s.id()), "{at}: a local vertex is boundary");
+                    assert_eq!(s.num_slots(), s.num_local() + remote.len(), "{at}");
+                    let mut edges = 0;
+                    for tile in s.out_sets().sets() {
+                        for &slot in tile.raw_parts().1 {
+                            assert!((slot as usize) < s.num_slots(), "{at}: slot {slot}");
+                            assert_eq!(s.slot_of(s.target_of(slot)), Some(slot), "{at}");
+                            edges += 1;
+                        }
+                    }
+                    assert_eq!(edges, s.num_out_edges(), "{at}");
+                    if let Some(unreached) = (0..n).find(|&v| !s.is_local(v) && !s.is_boundary(v)) {
+                        assert_eq!(s.slot_of(unreached), None, "{at}");
+                    }
+                    // The rows a fold of the live overlay reads.
+                    let empty = DeltaOverlay::new();
+                    let delta = overlaid.delta(s.id()).unwrap_or(&empty);
+                    let effective: Vec<(u64, u64, u32)> = overlaid.shards()[s.id()]
+                        .effective_rows(delta)
+                        .edges()
+                        .map(|x| (x.src, x.dst, x.weight.to_bits()))
+                        .collect();
+                    let want: Vec<(u64, u64, u32)> = s
+                        .local_range()
+                        .iter()
+                        .flat_map(|v| updated[v as usize].iter().map(move |&(t, w)| (v, t, w)))
+                        .collect();
+                    assert_eq!(effective, want, "{at}: effective rows");
+                }
+            }
+        }
+    }
+}
+
+/// A shard costs its arrays and no more: `size_bytes` is the sum of
+/// every tile's offsets, columns and weights and of the boundary, 4
+/// bytes an edge on an unweighted graph, whose rows and tiles carry no
+/// weight column at ingest or after a fold. One edge of weight ≠ 1.0
+/// gives its own tile, and only that one, a column, and its row answers
+/// the weight bit-exactly.
+#[test]
+fn a_weight_column_only_where_a_weight_is_not_one() {
+    use cgraph_graph::SortedRows;
+    let tiny = Dataset::Tiny.generate();
+    let footprint = |s: &Shard| -> usize {
+        let arrays = s.out_sets().sets().iter().map(|t| {
+            let (offsets, slots, weights) = t.raw_parts();
+            4 * (offsets.len() + slots.len() + weights.len())
+        });
+        arrays.sum::<usize>() + 8 * s.boundary_vertices().len()
+    };
+    let columns = |e: &DistributedEngine| -> Vec<(usize, usize)> {
+        let tiles = e.shards().iter().flat_map(|s| s.out_sets().sets().iter().map(|t| (s.id(), t)));
+        tiles
+            .enumerate()
+            .filter(|(_, (_, t))| !t.raw_parts().2.is_empty())
+            .map(|(i, (m, _))| (m, i))
+            .collect()
+    };
+    for p in [1usize, 2, 3] {
+        for policy in [ConsolidationPolicy::default(), ConsolidationPolicy::grid(256)] {
+            let at = format!("p={p} {policy:?}");
+            let config = EngineConfig::new(p).with_edge_set_policy(policy);
+            let e = DistributedEngine::new(&tiny, config);
+            let rows = SortedRows::group(e.partition().ranges(), tiny.edges());
+            assert!(rows.iter().all(|r| r.weights().is_empty()), "{at}: rows weighted");
+            let (folded, did_fold) =
+                e.with_updates(&[EdgeUpdate::insert(0, 1), EdgeUpdate::delete(1, 2)], 0);
+            assert!(did_fold);
+            for e in [&e, &folded] {
+                assert_eq!(columns(e), vec![], "{at}: a weight column on an unweighted graph");
+                let mut sum = 0;
+                for s in e.shards() {
+                    assert_eq!(s.size_bytes(), footprint(s), "{at} shard {}", s.id());
+                    let offsets: usize =
+                        s.out_sets().sets().iter().map(|t| t.raw_parts().0.len()).sum();
+                    let boundary = 8 * s.boundary_vertices().len();
+                    assert_eq!(s.size_bytes(), 4 * (s.num_out_edges() + offsets) + boundary);
+                    sum += s.size_bytes();
+                }
+                assert_eq!(e.shard_bytes(), sum + 4 * tiny.num_vertices() as usize, "{at}");
+            }
+
+            // One edge re-weighted: a column in its tile only.
+            let mut one = tiny.clone();
+            let k = one.len() / 2;
+            one.edges_mut()[k].weight = 0.1;
+            let edge = one.edges()[k];
+            let e = DistributedEngine::new(&one, config);
+            let m = e.partition().owner(edge.src);
+            let rows = SortedRows::group(e.partition().ranges(), one.edges());
+            let weighted: Vec<bool> = rows.iter().map(|r| !r.weights().is_empty()).collect();
+            assert_eq!(weighted, (0..p).map(|i| i == m).collect::<Vec<_>>(), "{at}: rows");
+            let shard = &e.shards()[m];
+            let holder = shard
+                .out_sets()
+                .sets()
+                .iter()
+                .position(|t| t.row_range.contains(edge.src) && t.col_range.contains(edge.dst))
+                .unwrap();
+            let first = e.shards()[..m].iter().map(|s| s.out_sets().sets().len()).sum::<usize>();
+            assert_eq!(columns(&e), vec![(m, first + holder)], "{at}");
+            assert_eq!(
+                shard.out_sets().sets()[holder].raw_parts().2.len(),
+                shard.out_sets().sets()[holder].num_edges()
+            );
+            assert_eq!(shard.size_bytes(), footprint(shard), "{at}");
+            let row: Vec<(u64, u32)> = shard.row(edge.src).map(|(t, w)| (t, w.to_bits())).collect();
+            assert_eq!(row, reference_rows(&one)[edge.src as usize], "{at}");
+            assert!(row.contains(&(edge.dst, 0.1f32.to_bits())), "{at}");
+        }
+    }
 }
 
 /// Deterministic xorshift stream for the seeded update batches.

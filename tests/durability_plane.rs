@@ -922,6 +922,48 @@ fn tiny_snapshot_bytes_are_pinned() {
     assert_eq!(snapshot_of(&restored, 7), snap);
 }
 
+/// The snapshot bytes of a weighted graph did not move: a scale-12
+/// R-MAT with duplicate edges whose weights `(i % 97) × 0.25` mix 1.0
+/// with other values inside one tile, at p = 2, with and without a live
+/// overlay (a weighted insert among them). Digests recorded from the
+/// shard that stored a target and a weight beside every edge.
+#[test]
+fn weighted_snapshot_bytes_are_pinned() {
+    use cgraph::core::durability::{engine_from_snapshot, snapshot_of};
+    use cgraph::graph::snapshot::{decode_snapshot, encode_snapshot};
+    let mut rmat12 = cgraph::gen::graph500(12, 8, 49);
+    for (i, e) in rmat12.edges_mut().iter_mut().enumerate() {
+        e.weight = (i % 97) as f32 * 0.25;
+    }
+    let engine = DistributedEngine::new(&rmat12, EngineConfig::new(2));
+    let bytes = encode_snapshot(&snapshot_of(&engine, 0));
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (423_932, 0x5b2b_fee4_d9b8_3552),
+        "weighted snapshot bytes moved"
+    );
+    let (engine, folded) = engine.with_updates(
+        &[
+            EdgeUpdate::insert(1, 2),
+            EdgeUpdate::insert_weighted(3, 4000, 2.5),
+            EdgeUpdate::delete(0, rmat12.edges().iter().find(|e| e.src == 0).unwrap().dst),
+        ],
+        usize::MAX,
+    );
+    assert!(!folded, "the overlay rows are part of what is pinned");
+    let snap = snapshot_of(&engine, 7);
+    let bytes = encode_snapshot(&snap);
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (424_000, 0x663f_1497_c9f3_bd61),
+        "weighted snapshot bytes with an overlay moved"
+    );
+    let decoded = decode_snapshot(&bytes).expect("own encoding decodes");
+    assert_eq!(decoded, snap);
+    let restored = engine_from_snapshot(&decoded, *engine.config());
+    assert_eq!(snapshot_of(&restored, 7), snap);
+}
+
 /// The crash windows a snapshot job on its own thread opens, each left
 /// on disk as the crash would leave it and recovered against the
 /// scratch-rebuild model: the restart lands on the last fenced epoch

@@ -158,7 +158,7 @@ proptest! {
             edges.edges(), span, span, ConsolidationPolicy::grid(target));
         let flat = EdgeSetGraph::flat(edges.edges(), span, span);
         for v in 0..edges.num_vertices() {
-            prop_assert_eq!(blocked.out_neighbors(v), flat.out_neighbors(v));
+            prop_assert_eq!(blocked.out_columns(v), flat.out_columns(v));
         }
         let total: usize = blocked.sets().iter().map(|s| s.num_edges()).sum();
         prop_assert_eq!(total, edges.len());
@@ -429,7 +429,7 @@ proptest! {
                         .out_sets()
                         .sets()
                         .iter()
-                        .filter(|set| !set.neighbors(v).is_empty())
+                        .filter(|set| !set.row_span(v).is_empty())
                         .count() as u64;
                     expect_scanned +=
                         u64::from(delta.and_then(|d| d.row(v)).is_some_and(|r| !r.inserts().is_empty()));
