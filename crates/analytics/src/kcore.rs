@@ -127,8 +127,7 @@ impl PartitionProgram for KCoreProgram {
 }
 
 /// Exact coreness of every vertex (over the undirected view of the
-/// graph). Reads the engine's in-edge view, so the engine must carry
-/// no live delta overlay.
+/// graph) at the engine's `graph_epoch()`, live overlay included.
 pub fn kcore_decomposition(engine: &DistributedEngine) -> Vec<u32> {
     let outs = engine.run_program(|_| KCoreProgram {
         bound: Vec::new(),

@@ -4,8 +4,7 @@
 //! vertex adopts the minimum label among itself and its (in + out)
 //! neighbours, and boundary improvements travel by `sendTo`. At the
 //! fixed point two vertices share a label iff they are weakly
-//! connected. Reads the engine's in-edge view, so the engine must
-//! carry no live delta overlay.
+//! connected, at the engine's `graph_epoch()`, live overlay included.
 
 use cgraph_core::engine::DistributedEngine;
 use cgraph_core::pcm::{PartitionCtx, PartitionProgram};

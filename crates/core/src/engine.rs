@@ -505,12 +505,20 @@ impl PublishedDelta {
     }
 }
 
-/// The base graph an engine value scans: one shard per machine and
-/// the out-degree of every vertex, kept once (GAS scatter divides by
-/// it; the index ranks boundary vertices by it).
-struct BaseGraph {
-    shards: Vec<Shard>,
-    out_degrees: Vec<u32>,
+/// An engine value's graph: one shard per machine, the out-degree of
+/// every vertex, kept once (GAS scatter divides by it; the index ranks
+/// boundary vertices by the base's), and the in-edge CSC derived from
+/// the shards on first use. The base of a value is one; its view
+/// ([`DistributedEngine::view`]) is another.
+#[derive(Default)]
+pub(crate) struct BaseGraph {
+    pub(crate) shards: Vec<Shard>,
+    pub(crate) out_degrees: Vec<u32>,
+    /// Per machine, a CSC of the edges into its vertices.
+    csc: OnceLock<Vec<Csc>>,
+    /// Derivations of `csc` (at most one; unit tests read it).
+    #[cfg(test)]
+    csc_derivations: std::sync::atomic::AtomicU32,
 }
 
 impl BaseGraph {
@@ -562,7 +570,27 @@ impl BaseGraph {
     /// — partition ranges are contiguous and in that order too.
     fn assemble(built: Vec<(Shard, Vec<u32>)>) -> Self {
         let out_degrees = built.iter().flat_map(|(_, d)| d).copied().collect();
-        Self { shards: built.into_iter().map(|(s, _)| s).collect(), out_degrees }
+        Self { shards: built.into_iter().map(|(s, _)| s).collect(), out_degrees, ..Self::default() }
+    }
+
+    /// Per machine `m`, a CSC of the edges into `m`'s vertices, derived
+    /// from every shard's rows on first use — sources ascending,
+    /// duplicates in the rows' order, which is the input's — and kept
+    /// for this graph's life.
+    pub(crate) fn in_edges(&self, partition: &RangePartition) -> &[Csc] {
+        self.csc.get_or_init(|| {
+            #[cfg(test)]
+            self.csc_derivations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let mut local_dst = vec![Vec::new(); self.shards.len()];
+            for shard in &self.shards {
+                for v in shard.local_range().iter() {
+                    for (t, w) in shard.row(v) {
+                        local_dst[partition.owner(t)].push(Edge::weighted(v, t, w));
+                    }
+                }
+            }
+            local_dst.iter().map(|edges| Csc::from_edges(partition.num_vertices(), edges)).collect()
+        })
     }
 }
 
@@ -601,11 +629,12 @@ pub struct DistributedEngine {
     /// Snapshot epoch: 0 at ingestion, +1 per committed mutation batch.
     graph_epoch: u64,
     config: EngineConfig,
-    /// The view [`DistributedEngine::in_edges`] derives on first use.
-    in_edges: OnceLock<Vec<Csc>>,
-    /// Derivations of `in_edges` (at most one; unit tests read it).
+    /// The effective graph of a value with a live overlay, built by the
+    /// first job that reads it ([`DistributedEngine::view`]).
+    view: OnceLock<Arc<BaseGraph>>,
+    /// Builds of `view` (at most one; unit tests read it).
     #[cfg(test)]
-    in_edge_derivations: std::sync::atomic::AtomicU32,
+    view_builds: std::sync::atomic::AtomicU32,
     /// Registered engine-layer metric handles, keyed by the identity of
     /// the [`Obs`](cgraph_obs::Obs) they were registered against (a
     /// service installs exactly one, so this is a one-entry cache that
@@ -676,9 +705,9 @@ impl DistributedEngine {
             deltas,
             graph_epoch,
             config,
-            in_edges: OnceLock::new(),
+            view: OnceLock::new(),
             #[cfg(test)]
-            in_edge_derivations: Default::default(),
+            view_builds: Default::default(),
             obs_handles: Mutex::new(None),
         }
     }
@@ -709,9 +738,10 @@ impl DistributedEngine {
         &self.partition
     }
 
-    /// The per-machine shards (the *base* snapshot — callers reading
-    /// shards directly, like the QL executor and the k-core analytics,
-    /// see base edges only and should run against a delta-free engine).
+    /// The per-machine base shards: what the lane batch scans beside
+    /// each machine's overlay ([`DistributedEngine::delta`]), and what a
+    /// snapshot writes. Base edges only; programs, the queues and GAS
+    /// read [`DistributedEngine::in_edges`]'s graph, the view.
     pub fn shards(&self) -> &[Shard] {
         &self.base.shards
     }
@@ -723,51 +753,39 @@ impl DistributedEngine {
     }
 
     /// Base out-degree of any vertex (duplicate edges counted), the
-    /// one degree array every machine of this engine reads.
+    /// degree the boundary index ranks by. Programs read the view's
+    /// ([`PartitionCtx::out_degree`]).
     #[inline]
     pub fn out_degree(&self, v: VertexId) -> u32 {
         self.base.out_degrees[v as usize]
     }
 
-    /// Per machine `m`, a CSC of the edges into `m`'s vertices
-    /// (`in_edges()[m].in_neighbors(v)` is meaningful for `v` local to
-    /// `m` only). Derived from every shard's base rows on first
-    /// use — sources ascending, duplicates in input order — and kept
-    /// for this value's life. GAS and partition-centric programs read
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an engine with a live delta overlay: the view holds
-    /// this value's base edges only, so a reader would silently compute
-    /// over a graph older than `graph_epoch()`. (GAS runs and programs
-    /// on such an engine run on its folded value instead.)
-    pub fn in_edges(&self) -> &[Csc] {
-        assert!(
-            !self.has_delta(),
-            "the in-edge view holds base edges only; fold the delta overlay first (commit past the fold threshold)"
-        );
-        self.derived_in_edges()
+    /// The graph of `graph_epoch()` — `(base ∖ deletes) ∪ inserts` — as
+    /// shards, degrees and an in-edge CSC: the base when no machine has
+    /// an overlay, else built once by the first job that asks, with the
+    /// fold's builder (a scoped thread per machine), and shared by an
+    /// empty commit. Programs, both queues and GAS read it; the lane
+    /// batch, a snapshot and a degrade read base and overlays.
+    pub(crate) fn view(&self) -> &Arc<BaseGraph> {
+        if !self.has_delta() {
+            return &self.base;
+        }
+        self.view.get_or_init(|| {
+            #[cfg(test)]
+            self.view_builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let rows = |m: usize| self.shards()[m].effective_rows(&self.deltas[m].overlay);
+            Arc::new(BaseGraph::build_parallel(&self.partition, self.config, rows))
+        })
     }
 
-    /// [`DistributedEngine::in_edges`] past its entry check.
-    fn derived_in_edges(&self) -> &[Csc] {
-        self.in_edges.get_or_init(|| {
-            #[cfg(test)]
-            self.in_edge_derivations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // Rows hold a pair's duplicates in input order, the order
-            // the CSC keeps.
-            let mut local_dst = vec![Vec::new(); self.num_machines()];
-            for shard in self.shards() {
-                for v in shard.local_range().iter() {
-                    for (t, w) in shard.row(v) {
-                        local_dst[self.partition.owner(t)].push(Edge::weighted(v, t, w));
-                    }
-                }
-            }
-            let n = self.num_vertices();
-            local_dst.iter().map(|edges| Csc::from_edges(n, edges)).collect()
-        })
+    /// Per machine `m`, a CSC of the edges into `m`'s vertices
+    /// (`in_edges()[m].in_neighbors(v)` is meaningful for `v` local to
+    /// `m` only) over the graph of `graph_epoch()`, overlays included.
+    /// Derived from the view's rows on first use — sources ascending,
+    /// duplicates in input order — and kept for the view's life. GAS and
+    /// partition-centric programs read it.
+    pub fn in_edges(&self) -> &[Csc] {
+        self.view().in_edges(&self.partition)
     }
 
     /// The snapshot epoch this engine value publishes.
@@ -833,13 +851,13 @@ impl DistributedEngine {
     /// While the combined per-machine overlays stay at or below
     /// `fold_threshold` total entries, the base shards are shared
     /// untouched (an `Arc` clone) and only the overlays change — the
-    /// cheap publish path. Above the threshold the commit *folds*:
-    /// every partition's shard is rebuilt from its own effective rows
-    /// ([`Shard::effective_rows`]), each machine's on a scoped thread,
-    /// and the new engine starts delta-free. Returns the new engine and
-    /// whether a fold happened. Either way the logical graph is identical —
-    /// `(base ∖ deletes) ∪ inserts` — so query answers never depend on
-    /// which side of the threshold a commit landed.
+    /// cheap publish path. Above the threshold the commit *folds*: the
+    /// next value's view — each machine's shard rebuilt from its
+    /// effective rows ([`Shard::effective_rows`]) on a scoped thread —
+    /// becomes the base of a delta-free engine. Returns the new engine
+    /// and whether a fold happened. Either way the logical graph is
+    /// identical — `(base ∖ deletes) ∪ inserts` — so query answers never
+    /// depend on which side of the threshold a commit landed.
     ///
     /// # Panics
     ///
@@ -850,9 +868,13 @@ impl DistributedEngine {
         updates: &[EdgeUpdate],
         fold_threshold: usize,
     ) -> (DistributedEngine, bool) {
-        if updates.is_empty() && self.delta_entries() <= fold_threshold {
-            // Empty commit (epoch fence): share base and overlays alike.
-            return (self.sharing_base(self.deltas.clone()), false);
+        if updates.is_empty() {
+            // An epoch fence: share base, overlays and view alike.
+            let next = self.sharing_base(self.deltas.clone());
+            if let Some(view) = self.view.get() {
+                next.view.get_or_init(|| Arc::clone(view));
+            }
+            return next.fold_above(fold_threshold);
         }
         let n = self.num_vertices();
         let mut deltas: Vec<DeltaOverlay> = self.deltas.iter().map(|d| d.overlay.clone()).collect();
@@ -860,18 +882,20 @@ impl DistributedEngine {
             assert!(u.src() < n && u.dst() < n, "edge update {u:?} outside vertex range 0..{n}");
             deltas[self.partition.owner(u.src())].apply(u);
         }
-        let total: usize = deltas.iter().map(DeltaOverlay::len).sum();
-        if total > fold_threshold {
-            let rows = |m: usize| self.shards()[m].effective_rows(&deltas[m]);
-            let base = BaseGraph::build_parallel(&self.partition, self.config, rows);
-            let fresh = (0..self.num_machines()).map(|_| Arc::default()).collect();
-            let epoch = self.graph_epoch + 1;
-            let folded =
-                Self::assemble(self.partition.clone(), Arc::new(base), fresh, epoch, self.config);
-            (folded, true)
-        } else {
-            (self.sharing_base(deltas.into_iter().map(PublishedDelta::new).collect()), false)
+        self.sharing_base(deltas.into_iter().map(PublishedDelta::new).collect())
+            .fold_above(fold_threshold)
+    }
+
+    /// This value as published, or — past `fold_threshold` overlay
+    /// entries — folded: its view promoted to the base of a delta-free
+    /// value at the same epoch. Says whether it folded.
+    fn fold_above(self, fold_threshold: usize) -> (DistributedEngine, bool) {
+        if self.delta_entries() <= fold_threshold {
+            return (self, false);
         }
+        let fresh = (0..self.num_machines()).map(|_| Arc::default()).collect();
+        let base = Arc::clone(self.view());
+        (Self::assemble(self.partition, base, fresh, self.graph_epoch, self.config), true)
     }
 
     /// The next epoch's value over this value's base and `deltas`.
@@ -896,17 +920,11 @@ impl DistributedEngine {
     }
 
     /// Total shard memory (bytes) — the "cached subgraph shard" cost:
-    /// every shard plus the one degree array. An in-edge view derived
-    /// for a GAS or partition-centric run is not counted.
+    /// every base shard plus the one degree array. Neither the view of a
+    /// value with an overlay nor an in-edge CSC is counted.
     pub fn shard_bytes(&self) -> usize {
         self.shards().iter().map(Shard::size_bytes).sum::<usize>()
             + self.base.out_degrees.len() * std::mem::size_of::<u32>()
-    }
-
-    /// This value folded: the same logical graph and partition, every
-    /// overlay merged into fresh base shards.
-    fn folded(&self) -> DistributedEngine {
-        self.with_updates(&[], 0).0
     }
 
     /// A cluster of this engine's width and network model for one job:
@@ -1461,11 +1479,10 @@ impl DistributedEngine {
     // Queue-based traversal (Listing 2)
     // ------------------------------------------------------------------
 
-    /// Runs one k-hop query through the queue-based `Traverse` path,
-    /// honouring [`EngineConfig::mode`]: sync runs [`QueueKhop`] on the
-    /// BSP driver, one superstep per level (over the folded value of an
-    /// engine with a live overlay, folded before the clock starts);
-    /// async runs free to quiescence over the base and the overlay.
+    /// Runs one k-hop query through the queue-based `Traverse` path over
+    /// the view (built before the clock starts), honouring
+    /// [`EngineConfig::mode`]: sync runs [`QueueKhop`] on the BSP driver,
+    /// one superstep per level; async runs free to quiescence.
     pub fn run_single_queue(
         &self,
         sources: &[VertexId],
@@ -1473,13 +1490,11 @@ impl DistributedEngine {
         value_mode: ValueMode,
     ) -> SingleResult {
         let sync = self.config.mode == UpdateMode::Sync;
-        if sync && self.has_delta() {
-            return self.folded().run_single_queue(sources, k, value_mode);
-        }
+        let view = self.view();
         let start = Instant::now();
         let (outs, traffic) = if sync {
             let (outs, traffic, _) =
-                self.run_bsp(|m| QueueKhop::new(&self.shards()[m], sources, k, value_mode));
+                self.run_bsp(|m| QueueKhop::new(&view.shards[m], sources, k, value_mode));
             (outs, traffic)
         } else {
             self.run_one_shot(|h| self.async_queue(h, sources, k))
@@ -1506,8 +1521,7 @@ impl DistributedEngine {
     /// after a first visit re-expands its vertex, which keeps the
     /// reachable set exact without supersteps. Counts tasks as supersteps.
     fn async_queue(&self, h: CommHandle<EngineMsg>, sources: &[VertexId], k: u32) -> KhopLevels {
-        let shard = &self.shards()[h.id()];
-        let delta = self.delta(h.id());
+        let shard = &self.view().shards[h.id()];
         let base = shard.local_range().start;
         let mut depth = vec![u32::MAX; shard.num_local()];
         let mut queue: Vec<(VertexId, u32)> = Vec::new();
@@ -1529,13 +1543,7 @@ impl DistributedEngine {
                 h.set_idle(false);
                 tasks += 1;
                 if d < k {
-                    // Base out-edges the overlay keeps, then its inserts.
-                    let drow = delta.and_then(|dl| dl.row(v));
-                    let deleted =
-                        |t: &VertexId| drow.is_some_and(|r| r.deletes().binary_search(t).is_ok());
-                    let kept = shard.row(v).map(|(t, _)| t);
-                    let inserted = drow.into_iter().flat_map(|r| r.inserts()).map(|&(t, _)| t);
-                    for t in kept.filter(|t| !deleted(t)).chain(inserted) {
+                    for (t, _) in shard.row(v) {
                         if shard.is_local(t) {
                             relax(&mut depth, &mut queue, t, d + 1);
                         } else {
@@ -1578,13 +1586,10 @@ impl DistributedEngine {
 
     /// Runs `iterations` of a GAS program (e.g. [`crate::gas::PageRank`])
     /// as a [`GasProgram`] on the BSP driver, gathering over
-    /// [`DistributedEngine::in_edges`] (derived before the clock starts).
-    /// On an engine with a live delta overlay it runs on the folded
-    /// value (folded before the clock starts): the values of its epoch.
+    /// [`DistributedEngine::in_edges`] and scattering by the view's
+    /// degrees (both derived before the clock starts): the values of
+    /// `graph_epoch()`.
     pub fn run_gas<G: Gas>(&self, gas: &G, iterations: u32) -> GasResult {
-        if self.has_delta() {
-            return self.folded().run_gas(gas, iterations);
-        }
         self.in_edges();
         let start = Instant::now();
         let (outs, traffic, per_machine_busy) = self.run_bsp(|_| GasProgram::new(gas, iterations));
@@ -1593,29 +1598,24 @@ impl DistributedEngine {
         GasResult { values: outs.concat(), iterations, exec_time, per_machine_busy, traffic }
     }
 
-    /// Runs a partition-centric program to global termination and
-    /// returns each partition's output. The in-edge view is derived by
-    /// the first [`PartitionCtx::in_neighbors`] call, so a program that
-    /// only reads out-edges (SSSP, BFS) never pays for it. On an engine
-    /// with a live delta overlay the program runs on the folded value
-    /// (one fold per call; the partition is the same), so it answers
-    /// for `graph_epoch()` and not for the base.
+    /// Runs a partition-centric program over the view to global
+    /// termination, so it answers for `graph_epoch()`, and returns each
+    /// partition's output. The in-edge CSC is derived by the first
+    /// [`PartitionCtx::in_neighbors`] call, so a program that only reads
+    /// out-edges (SSSP, BFS) never pays for it.
     pub fn run_program<P, F>(&self, factory: F) -> Vec<P::Out>
     where
         P: PartitionProgram,
         F: Fn(usize) -> P + Sync,
         P::Out: Send,
     {
-        if self.has_delta() {
-            return self.folded().run_program(factory);
-        }
         self.run_bsp(factory).0
     }
 
-    /// The BSP driver: runs `factory(m)` on every machine `m` of a
-    /// one-shot cluster until a superstep has no active partition and
-    /// sends nothing. The superstep count advances at every barrier on
-    /// every partition, halted or not. Callers fold a live overlay.
+    /// The BSP driver: runs `factory(m)` over machine `m`'s part of the
+    /// view on every machine `m` of a one-shot cluster until a superstep
+    /// has no active partition and sends nothing. The superstep count
+    /// advances at every barrier on every partition, halted or not.
     /// Returns each partition's output, the job's traffic, and each
     /// machine's thread CPU time (compute and messages, not barriers).
     fn run_bsp<P, F>(&self, factory: F) -> (Vec<P::Out>, TrafficReport, Vec<Duration>)
@@ -1624,14 +1624,11 @@ impl DistributedEngine {
         F: Fn(usize) -> P + Sync,
         P::Out: Send,
     {
-        debug_assert!(!self.has_delta(), "programs run over base edges only");
+        let view = self.view();
         let (outs, traffic) = self.run_one_shot(|h| {
             let cpu0 = cgraph_comm::thread_cpu_time();
             let mut program = factory(h.id());
-            let in_edges = || &self.derived_in_edges()[h.id()];
-            let shard = &self.shards()[h.id()];
-            let mut ctx =
-                PartitionCtx::new(shard, &in_edges, &self.partition, &self.base.out_degrees);
+            let mut ctx = PartitionCtx::new(view, h.id(), &self.partition);
             program.init(&mut ctx);
             let mut incoming: Vec<(VertexId, u64)> = Vec::new();
             loop {
@@ -2231,54 +2228,15 @@ mod tests {
         g
     }
 
-    /// The in-edge view equals a CSC built from the input's edges into
-    /// each machine's range, weights and duplicate order included.
-    fn assert_in_edges_match_input(e: &DistributedEngine, g: &EdgeList) {
-        let n = g.num_vertices();
-        for (m, csc) in e.in_edges().iter().enumerate() {
-            let range = e.partition().range(m);
-            let into: Vec<Edge> =
-                g.edges().iter().copied().filter(|x| range.contains(x.dst)).collect();
-            let reference = Csc::from_edges(n, &into);
-            for v in range.iter() {
-                assert_eq!(csc.in_neighbors(v), reference.in_neighbors(v), "m={m} v={v}");
-                assert!(
-                    csc.in_neighbors_weighted(v).eq(reference.in_neighbors_weighted(v)),
-                    "m={m} v={v}: weights or duplicate order differ"
-                );
-            }
-        }
-    }
-
-    /// Derivations of `e`'s in-edge view so far (0 or 1).
+    /// Derivations of the in-edge CSC of `e`'s view so far (0 or 1),
+    /// read without building the view.
     fn in_edge_derivations(e: &DistributedEngine) -> u32 {
-        e.in_edge_derivations.load(std::sync::atomic::Ordering::Relaxed)
+        e.view.get().unwrap_or(&e.base).csc_derivations.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    #[test]
-    fn in_edges_are_derived_from_the_shards_as_the_input_orders_them() {
-        let g = weighted_rmat();
-        // The fixture must hold a duplicated pair into a long in-list
-        // (where a sort's choice of order for equal keys shows).
-        let mut pairs: Vec<(u64, u64)> = g.edges().iter().map(|x| (x.dst, x.src)).collect();
-        pairs.sort_unstable();
-        let in_degree = |d: u64| pairs.iter().filter(|p| p.0 == d).count();
-        assert!(pairs.windows(2).any(|w| w[0] == w[1] && in_degree(w[0].0) > 32));
-        for p in [1usize, 2, 4] {
-            for policy in [ConsolidationPolicy::default(), ConsolidationPolicy::grid(256)] {
-                let e =
-                    DistributedEngine::new(&g, EngineConfig::new(p).with_edge_set_policy(policy));
-                assert_in_edges_match_input(&e, &g);
-                // A fold that leaves the logical graph as it was.
-                let non_edge = (0..g.num_vertices())
-                    .find(|&t| !g.edges().iter().any(|x| x.src == 0 && x.dst == t))
-                    .unwrap();
-                let churn = [EdgeUpdate::insert(0, non_edge), EdgeUpdate::delete(0, non_edge)];
-                let (folded, did_fold) = e.with_updates(&churn, 0);
-                assert!(did_fold);
-                assert_in_edges_match_input(&folded, &g);
-            }
-        }
+    /// Builds of `e`'s view so far (0 or 1).
+    fn view_builds(e: &DistributedEngine) -> u32 {
+        e.view_builds.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     #[test]
@@ -2294,6 +2252,20 @@ mod tests {
             &crate::durability::snapshot_of(&overlaid, 0),
             EngineConfig::new(3),
         );
+        // The serving path on the overlaid value: lane batches three
+        // ways, and what a boundary index build reads (base boundary
+        // vertices ranked by base degree, then lane batches).
+        let cluster = PersistentCluster::new(3);
+        overlaid.run_traversal_batch(&[0, 7, 19], &[3, 3, u32::MAX]).unwrap();
+        overlaid.run_traversal_batch_on(&cluster, &[1, 2], &[2, 4]).unwrap();
+        let recovery = RecoveryConfig::default();
+        overlaid.run_traversal_batch_recoverable(&cluster, &[3], &[5], &recovery, None).unwrap();
+        let mut boundary: Vec<VertexId> =
+            overlaid.shards().iter().flat_map(|s| s.boundary_vertices().iter().copied()).collect();
+        boundary.sort_by_key(|&v| (std::cmp::Reverse(overlaid.out_degree(v)), v));
+        boundary.truncate(MAX_LANES);
+        overlaid.run_traversal_batch(&boundary, &vec![3; boundary.len()]).unwrap();
+        cluster.shutdown();
         for (name, x) in [
             ("ingest", &e),
             ("overlay", &overlaid),
@@ -2302,12 +2274,20 @@ mod tests {
             ("repartitioned", &degraded),
             ("restored", &restored),
         ] {
-            assert_eq!(in_edge_derivations(x), 0, "{name}");
+            assert_eq!((view_builds(x), in_edge_derivations(x)), (0, 0), "{name}");
         }
-        // Traversals never ask for them either.
+        // Traversals on the base value never ask for them either.
         e.run_traversal_batch(&[0, 7, 19], &[3, 3, u32::MAX]).unwrap();
         e.run_single_queue(&[5], 4, ValueMode::TwoLevel);
-        assert_eq!(in_edge_derivations(&e), 0);
+        assert_eq!((view_builds(&e), in_edge_derivations(&e)), (0, 0));
+        // Every analytic job on the overlaid value reads one view and
+        // one CSC: GAS twice, a program, the sync and the async queue.
+        overlaid.run_gas(&PageRank::default(), 2);
+        overlaid.run_gas(&PageRank::default(), 2);
+        overlaid.run_program(|_| crate::traverse::ChainedKhop::new(&[5], 3));
+        overlaid.run_single_queue(&[5], 3, ValueMode::TwoLevel);
+        overlaid.run_one_shot(|h| overlaid.async_queue(h, &[5], 3));
+        assert_eq!((view_builds(&overlaid), in_edge_derivations(&overlaid)), (1, 1));
     }
 
     #[test]
@@ -2336,9 +2316,16 @@ mod tests {
         let sums = e.run_program(|_| InDegreeSum(0));
         assert_eq!(sums.iter().sum::<u64>(), 30);
         assert_eq!(in_edge_derivations(&e), 1);
-        // The next epoch's value starts underived.
+        // An empty commit over the same base reads the same CSC, and
+        // one over an overlaid value the same view.
         let (next, _) = e.with_updates(&[], usize::MAX);
-        assert_eq!(in_edge_derivations(&next), 0);
+        assert!(std::ptr::eq(next.in_edges(), e.in_edges()));
+        assert_eq!(in_edge_derivations(&next), 1);
+        let (overlaid, _) = e.with_updates(&[EdgeUpdate::insert(3, 9)], usize::MAX);
+        overlaid.run_program(|_| InDegreeSum(0));
+        let (fenced, _) = overlaid.with_updates(&[], usize::MAX);
+        assert!(std::ptr::eq(fenced.in_edges(), overlaid.in_edges()));
+        assert_eq!((view_builds(&fenced), in_edge_derivations(&fenced)), (0, 1));
     }
 
     #[test]
@@ -2419,6 +2406,7 @@ mod tests {
         let (overlaid, _) = e.with_updates(&[EdgeUpdate::insert(1, 4)], usize::MAX);
         assert!(Arc::ptr_eq(&e.base, &overlaid.base));
         assert_eq!(overlaid.out_degree(1), 1, "base degrees while the insert is an overlay");
+        assert_eq!(overlaid.view().out_degrees[1], 2, "programs read the view's");
         let (folded, _) = overlaid.with_updates(&[], 0);
         assert_eq!(folded.out_degree(1), 2);
     }

@@ -2,8 +2,9 @@
 //!
 //! "The Update function is an implementation of the Gather-Apply-
 //! Scatter (GAS) model by providing a vertex-programming interface."
-//! [`GasProgram`] runs one on the engine's BSP driver: the gather reads
-//! the CSC in-edge view of the local vertices only ("our implementation
+//! [`GasProgram`] runs one on the engine's BSP driver, over the engine
+//! value's view (the graph of its epoch): the gather reads the view's
+//! CSC of the local vertices' in-edges only ("our implementation
 //! does not generate additional traffic in the gather phase since all
 //! edges of a vertex are local"); local scatter values are sent to the
 //! other partitions once per gather, the *local read* sync of §3.3.

@@ -23,19 +23,21 @@
 //! ([`crate::engine::DistributedEngine::run_program`]), which counts
 //! supersteps at the barrier, delivers staged messages, and detects
 //! global termination (all partitions halted ∧ no messages in flight).
-//! The sync and chained queues, GAS and vertex programs run on it too.
+//! The sync and chained queues, GAS and vertex programs run on it too,
+//! all over the engine value's view: the graph of its epoch, overlays
+//! included.
 
+use crate::engine::BaseGraph;
 use crate::partition::RangePartition;
 use crate::shard::Shard;
 use cgraph_graph::{Csc, VertexId};
 
 /// Per-superstep context handed to [`PartitionProgram::compute`].
 pub struct PartitionCtx<'a> {
-    shard: &'a Shard,
-    /// In-edges of the local vertices, derived by the first call.
-    in_edges: &'a (dyn Fn() -> &'a Csc + 'a),
+    /// The engine value's view; this partition reads part `id` of it.
+    view: &'a BaseGraph,
+    id: usize,
     partition: &'a RangePartition,
-    out_degrees: &'a [u32],
     superstep: u64,
     halted: bool,
     /// Messages staged this superstep, per destination partition.
@@ -44,19 +46,14 @@ pub struct PartitionCtx<'a> {
 
 impl<'a> PartitionCtx<'a> {
     /// Creates a context (engine-internal).
-    pub(crate) fn new(
-        shard: &'a Shard,
-        in_edges: &'a (dyn Fn() -> &'a Csc + 'a),
-        partition: &'a RangePartition,
-        out_degrees: &'a [u32],
-    ) -> Self {
+    pub(crate) fn new(view: &'a BaseGraph, id: usize, partition: &'a RangePartition) -> Self {
         let outbox = vec![Vec::new(); partition.num_partitions()];
-        Self { shard, in_edges, partition, out_degrees, superstep: 0, halted: false, outbox }
+        Self { view, id, partition, superstep: 0, halted: false, outbox }
     }
 
     /// This partition's ID.
     pub fn partition_id(&self) -> usize {
-        self.shard.id()
+        self.id
     }
 
     /// Number of partitions in the cluster.
@@ -97,23 +94,23 @@ impl<'a> PartitionCtx<'a> {
 
     /// `isLocalVertex(V)`.
     pub fn is_local_vertex(&self, v: VertexId) -> bool {
-        self.shard.is_local(v)
+        self.shard().is_local(v)
     }
 
     /// `isBoundaryVertex(V)` — a remote vertex adjacent to this
     /// partition.
     pub fn is_boundary_vertex(&self, v: VertexId) -> bool {
-        self.shard.is_boundary(v)
+        self.shard().is_boundary(v)
     }
 
     /// `getLocalVertices()`.
     pub fn local_vertices(&self) -> impl Iterator<Item = VertexId> {
-        self.shard.local_range().iter()
+        self.shard().local_range().iter()
     }
 
     /// `getBoundaryVertices()`.
     pub fn boundary_vertices(&self) -> &[VertexId] {
-        self.shard.boundary_vertices()
+        self.shard().boundary_vertices()
     }
 
     /// `getAllVertices()` — the global vertex count.
@@ -123,36 +120,37 @@ impl<'a> PartitionCtx<'a> {
 
     /// Out-neighbours of a local vertex (traversal building block).
     pub fn out_neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        self.shard.out_neighbors(v)
+        self.shard().out_neighbors(v)
     }
 
     /// Out-neighbours of a local vertex with edge weights (weighted
     /// traversals, e.g. SSSP under SDN-style distance constraints).
     pub fn out_neighbors_weighted(&self, v: VertexId) -> Vec<(VertexId, f32)> {
-        self.shard.out_neighbors_weighted(v)
+        self.shard().out_neighbors_weighted(v)
     }
 
     /// In-neighbours of a local vertex, sources ascending. The first
-    /// call of a run derives the engine's in-edge view.
+    /// call on any partition derives the view's in-edge CSC.
     pub fn in_neighbors(&self, v: VertexId) -> &'a [VertexId] {
         self.in_edges().in_neighbors(v)
     }
 
     /// The in-edges of the local vertices; see `in_neighbors`.
     pub fn in_edges(&self) -> &'a Csc {
-        (self.in_edges)()
+        &self.view.in_edges(self.partition)[self.id]
     }
 
-    /// Base out-degree of any vertex (duplicate edges counted).
+    /// Out-degree of any vertex in the view (duplicate edges counted):
+    /// the degree of the graph the program runs over.
     pub fn out_degree(&self, v: VertexId) -> u32 {
-        self.out_degrees[v as usize]
+        self.view.out_degrees[v as usize]
     }
 
-    /// The underlying shard (for edge-set level access). It outlives
-    /// the borrow of the context, so a program can scan it while
-    /// staging messages.
+    /// This partition's shard of the view (for edge-set level access).
+    /// It outlives the borrow of the context, so a program can scan it
+    /// while staging messages.
     pub fn shard(&self) -> &'a Shard {
-        self.shard
+        &self.view.shards[self.id]
     }
 
     // --- engine-side accessors -------------------------------------
@@ -211,21 +209,19 @@ pub trait PartitionProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgraph_graph::{ConsolidationPolicy, EdgeList};
+    use crate::{DistributedEngine, EngineConfig};
+    use cgraph_graph::EdgeList;
 
-    fn ctx_fixture() -> (RangePartition, Vec<Shard>) {
+    fn ctx_fixture() -> DistributedEngine {
         let g: EdgeList = (0..10u64).map(|v| (v, (v + 1) % 10)).collect();
         let part = RangePartition::by_vertices(10, 2);
-        let shards = crate::shard::build_shards(&part, g.edges(), ConsolidationPolicy::default());
-        (part, shards)
+        DistributedEngine::with_partition(&g, part, EngineConfig::new(2))
     }
 
     #[test]
     fn listing1_predicates() {
-        let (part, shards) = ctx_fixture();
-        let in_edges = Csc::default();
-        let in_edges = || &in_edges;
-        let ctx = PartitionCtx::new(&shards[0], &in_edges, &part, &[]);
+        let e = ctx_fixture();
+        let ctx = PartitionCtx::new(e.view(), 0, e.partition());
         assert!(ctx.if_has_vertex(9));
         assert!(!ctx.if_has_vertex(10));
         assert!(ctx.is_local_vertex(0));
@@ -240,10 +236,8 @@ mod tests {
 
     #[test]
     fn outbox_and_halt_lifecycle() {
-        let (part, shards) = ctx_fixture();
-        let in_edges = Csc::default();
-        let in_edges = || &in_edges;
-        let mut ctx = PartitionCtx::new(&shards[0], &in_edges, &part, &[]);
+        let e = ctx_fixture();
+        let mut ctx = PartitionCtx::new(e.view(), 0, e.partition());
         ctx.send_to(7, 99);
         ctx.send_to_partition(1, [(2, 5)]);
         ctx.send_to(3, 4);

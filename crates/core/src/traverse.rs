@@ -17,7 +17,8 @@
 //! [`QueueKhop`] (one superstep per level, the engine's sync queue) and
 //! [`ChainedKhop`] (local chains chased to their end, so only a
 //! partition boundary costs a superstep) are partition programs on the
-//! engine's BSP driver; they read base edges of a folded value.
+//! engine's BSP driver; they read the engine value's view, the graph of
+//! its epoch, through [`PartitionCtx::shard`].
 
 use crate::pcm::{PartitionCtx, PartitionProgram};
 use crate::shard::Shard;

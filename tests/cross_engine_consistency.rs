@@ -3,7 +3,8 @@
 //! traversal, the asynchronous traversal, the Titan baseline and the
 //! Gemini baseline are five independent implementations of the same
 //! semantics. The queue traversals and the GAS engine are also held to
-//! sequential references: a queue BFS and Listing 3 run in one loop.
+//! sequential references: a queue BFS and Listing 3 run in one loop,
+//! and the in-edge view to a CSC of the edges a value holds.
 
 mod common;
 
@@ -11,6 +12,7 @@ use cgraph::prelude::*;
 use cgraph_baselines::{GeminiEngine, TitanDb};
 use cgraph_core::traverse::{ChainedKhop, ValueMode};
 use cgraph_core::RangePartition;
+use cgraph_graph::{ConsolidationPolicy, Csc};
 use common::reference_khop_levels;
 
 fn test_graph(seed: u64) -> EdgeList {
@@ -307,4 +309,79 @@ fn sync_queue_supersteps_and_value_peaks_are_pinned() {
         (2, 0, ALL, TwoLevel, 5, 4), (2, 0, ALL, Full, 5, 10),
     ];
     assert_eq!(got, want);
+}
+
+// ---------------------------------------------------------------------
+// The in-edge view against a CSC of the edge list
+// ---------------------------------------------------------------------
+
+/// Raw R-MAT (duplicate `(src, dst)` pairs kept) with a distinct weight
+/// per edge, so the order of duplicates is observable.
+fn weighted_rmat() -> EdgeList {
+    let mut g = cgraph::gen::graph500(9, 16, 5);
+    for (i, e) in g.edges_mut().iter_mut().enumerate() {
+        e.weight = 0.5 + i as f32;
+    }
+    g
+}
+
+/// Machine by machine, `e.in_edges()` is the CSC of `g`'s edges into
+/// that machine's range: the same sources, the same weight bits and
+/// duplicates in the same order.
+fn assert_in_edges_are_the_csc_of(e: &DistributedEngine, g: &EdgeList, at: &str) {
+    let n = g.num_vertices();
+    for (m, csc) in e.in_edges().iter().enumerate() {
+        let range = e.partition().range(m);
+        let into: Vec<Edge> = g.edges().iter().copied().filter(|x| range.contains(x.dst)).collect();
+        let reference = Csc::from_edges(n, &into);
+        let bits = |c: &Csc, v| -> Vec<(u64, u32)> {
+            c.in_neighbors_weighted(v).map(|(s, w)| (s, w.to_bits())).collect()
+        };
+        for v in range.iter() {
+            assert_eq!(bits(csc, v), bits(&reference, v), "{at} machine {m} vertex {v}");
+        }
+    }
+}
+
+/// The in-edge view of an ingested value, of a fold that leaves the
+/// graph as it was, and of a live overlay, against `Csc::from_edges` of
+/// the edges each value holds.
+#[test]
+fn in_edges_are_derived_from_the_shards_as_the_input_orders_them() {
+    let g = weighted_rmat();
+    let n = g.num_vertices();
+    // Duplicated pairs `(dst, src)` into long in-lists, where a sort's
+    // choice of order for equal keys shows: one is deleted, one
+    // re-weighted and the rest keep their duplicates.
+    let mut pairs: Vec<(u64, u64)> = g.edges().iter().map(|x| (x.dst, x.src)).collect();
+    pairs.sort_unstable();
+    let in_degree = |d: u64| pairs.iter().filter(|p| p.0 == d).count();
+    let mut duplicated: Vec<(u64, u64)> =
+        pairs.windows(2).filter(|w| w[0] == w[1] && in_degree(w[0].0) > 32).map(|w| w[0]).collect();
+    duplicated.dedup();
+    assert!(duplicated.len() >= 3, "the fixture holds duplicated pairs into long in-lists");
+    let [(deleted_dst, deleted_src), (reweighted_dst, reweighted_src)] =
+        [duplicated[0], duplicated[duplicated.len() / 2]];
+    let mut updates = vec![
+        EdgeUpdate::delete(deleted_src, deleted_dst),
+        EdgeUpdate::insert_weighted(reweighted_src, reweighted_dst, 7.25),
+    ];
+    let inserts = (1..=20u64).map(|i| EdgeUpdate::insert_weighted(i * 7 % n, i * 13 % n, i as f32));
+    updates.extend(inserts);
+    let effective = effective_edges(&g, &updates);
+    let non_edge = (0..n).find(|&t| !g.edges().iter().any(|x| x.src == 0 && x.dst == t)).unwrap();
+    let unchanged = [EdgeUpdate::insert(0, non_edge), EdgeUpdate::delete(0, non_edge)];
+    for p in [1usize, 2, 4] {
+        for policy in [ConsolidationPolicy::default(), ConsolidationPolicy::grid(256)] {
+            let at = format!("p {p} {policy:?}");
+            let e = DistributedEngine::new(&g, EngineConfig::new(p).with_edge_set_policy(policy));
+            assert_in_edges_are_the_csc_of(&e, &g, &format!("ingest {at}"));
+            let (folded, did_fold) = e.with_updates(&unchanged, 0);
+            assert!(did_fold);
+            assert_in_edges_are_the_csc_of(&folded, &g, &format!("fold {at}"));
+            let (overlaid, did_fold) = e.with_updates(&updates, usize::MAX);
+            assert!(!did_fold && overlaid.has_delta());
+            assert_in_edges_are_the_csc_of(&overlaid, &effective, &format!("live overlay {at}"));
+        }
+    }
 }
