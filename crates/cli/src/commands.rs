@@ -103,8 +103,9 @@ pub fn query(args: Args) -> Result<(), String> {
     let path = args.require(0, "graph file")?;
     let machines: usize = args.flag_parse("-p", 3)?;
     let edges = load_graph(path)?;
-    let engine = build_engine(&edges, machines);
-    let session = Session::new(&engine);
+    let group =
+        ServiceGroup::start(Arc::new(build_engine(&edges, machines)), GroupConfig::default());
+    let session = Session::new(&group);
 
     let program = {
         let inline = args.flag_all("-e");
@@ -123,6 +124,7 @@ pub fn query(args: Args) -> Result<(), String> {
         return Err("no statements given (use -e or stdin)".into());
     }
     let answers = session.execute_batch(queries);
+    group.shutdown();
     for a in &answers {
         println!("[{}] {}  ({:?})", a.index, a.output, a.response_time);
     }

@@ -363,6 +363,14 @@ impl ServiceGroup {
         self.core.graph_epoch()
     }
 
+    /// The engine value now serving: the graph of
+    /// [`ServiceGroup::graph_epoch`], overlays included. Programs and
+    /// GAS run on it answer for that epoch; a later commit publishes a
+    /// new value and leaves this one as it is.
+    pub fn engine(&self) -> Arc<DistributedEngine> {
+        Arc::clone(&self.core.serving().engine)
+    }
+
     /// Commits the (possibly empty) update buffer, fencing **every**
     /// replica's cache; see [`QueryService::invalidate_cache`].
     pub fn invalidate_cache(&self) -> u64 {

@@ -53,14 +53,6 @@ pub enum Query {
     Stats,
 }
 
-impl Query {
-    /// True when the statement is a local traversal that can share a
-    /// bit-frontier batch with other such statements.
-    pub fn is_traversal(&self) -> bool {
-        matches!(self, Query::Khop { .. } | Query::Bfs { .. } | Query::Reachable { .. })
-    }
-}
-
 /// The result of one executed statement.
 #[derive(Clone, Debug, PartialEq)]
 pub enum QueryOutput {
@@ -147,15 +139,6 @@ impl std::fmt::Display for QueryOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn traversal_classification() {
-        assert!(Query::Khop { source: 0, k: 3, list_levels: 0 }.is_traversal());
-        assert!(Query::Bfs { source: 0 }.is_traversal());
-        assert!(Query::Reachable { source: 0, target: 1, k: 2 }.is_traversal());
-        assert!(!Query::PageRank { iterations: 5 }.is_traversal());
-        assert!(!Query::Stats.is_traversal());
-    }
 
     #[test]
     fn display_formats() {

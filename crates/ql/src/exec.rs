@@ -1,27 +1,31 @@
-//! Planner + executor: maps statements onto engine paths.
+//! Executor: a session is one more client of a [`ServiceGroup`].
 //!
-//! Traversal statements (KHOP/BFS) submitted in the same wave share
-//! bit-frontier batches of up to [`MAX_LANES`] lanes — the paper's
-//! concurrent query path, at the engine's own width limit — while
-//! analytic statements (PAGERANK, COMPONENTS, …) run on the GAS /
-//! partition-centric engines. Response times are measured from wave
-//! submission, so a client sees exactly what a multi-user deployment
-//! would.
+//! Traversal statements (KHOP/BFS) become tickets on the group's
+//! serving path, which forms them into shared lane batches beside
+//! every other client's traversals — the paper's concurrent query
+//! path — and answers each for the epoch it was admitted to, through
+//! the group's cache and index. Analytic statements (PAGERANK,
+//! COMPONENTS, …) run on the engine value serving when the wave
+//! begins ([`ServiceGroup::engine`]), so they read one epoch. Response
+//! times are measured from wave submission, so a client sees exactly
+//! what a multi-user deployment would.
 
 use crate::ast::{Answer, Query, QueryOutput};
 use cgraph_core::engine::DistributedEngine;
-use cgraph_graph::MAX_LANES;
+use cgraph_core::pcm::{PartitionCtx, PartitionProgram};
+use cgraph_core::{KhopQuery, QueryTicket, ServiceGroup};
+use cgraph_graph::VertexId;
 use std::time::Instant;
 
-/// A query session bound to one engine instance.
-pub struct Session<'e> {
-    engine: &'e DistributedEngine,
+/// A query session: a client of one service group.
+pub struct Session<'g> {
+    group: &'g ServiceGroup,
 }
 
-impl<'e> Session<'e> {
-    /// Opens a session over `engine`.
-    pub fn new(engine: &'e DistributedEngine) -> Self {
-        Self { engine }
+impl<'g> Session<'g> {
+    /// Opens a session on `group`.
+    pub fn new(group: &'g ServiceGroup) -> Self {
+        Self { group }
     }
 
     /// Executes a single statement.
@@ -41,160 +45,141 @@ impl<'e> Session<'e> {
     }
 
     /// Executes a wave of statements submitted simultaneously.
-    /// Traversals are packed into shared batches (in submission
-    /// order); other statements run afterwards, in order. Statements
-    /// naming vertices outside the graph are answered with
+    /// Traversals are submitted to the group first, in program order;
+    /// then every statement is answered in order, a traversal by
+    /// redeeming its ticket. Statements naming vertices outside the
+    /// graph, and traversals the group refuses, are answered with
     /// [`QueryOutput::Error`] instead of being executed.
     pub fn execute_batch(&self, queries: Vec<Query>) -> Vec<Answer> {
         let submit = Instant::now();
-        let mut answers: Vec<Option<Answer>> = (0..queries.len()).map(|_| None).collect();
-
-        // Validate vertex operands up front.
-        let n = self.engine.num_vertices();
-        for (i, q) in queries.iter().enumerate() {
-            if let Some(&bad) = Self::vertex_operands(q).iter().find(|&&v| v >= n) {
-                answers[i] = Some(Answer {
-                    index: i,
-                    query: q.clone(),
-                    output: QueryOutput::Error(format!(
-                        "vertex {bad} does not exist (graph has {n} vertices)"
-                    )),
-                    response_time: submit.elapsed(),
-                });
-            }
-        }
-
-        // Plan: batch KHOP/BFS as shared bit-frontier lanes. REACHABLE
-        // needs a per-vertex depth, which the counting batch does not
-        // produce, so it runs in the analytic phase (hop-exact).
-        let mut traversal_idx: Vec<usize> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            if matches!(q, Query::Khop { .. } | Query::Bfs { .. }) && answers[i].is_none() {
-                traversal_idx.push(i);
-            }
-        }
-
-        // Shared batched execution of traversals.
-        for chunk in traversal_idx.chunks(MAX_LANES) {
-            let sources: Vec<u64> = chunk
-                .iter()
-                .map(|&i| match &queries[i] {
-                    Query::Khop { source, .. } | Query::Bfs { source } => *source,
-                    _ => unreachable!("planner filtered traversals"),
-                })
-                .collect();
-            let ks: Vec<u32> = chunk
-                .iter()
-                .map(|&i| match &queries[i] {
-                    Query::Khop { k, .. } => *k,
-                    Query::Bfs { .. } => u32::MAX,
-                    _ => unreachable!(),
-                })
-                .collect();
-            let br = self.engine.run_traversal_batch(&sources, &ks).unwrap();
-            let elapsed = submit.elapsed();
-            for (lane, &i) in chunk.iter().enumerate() {
-                let visited = br.per_lane_visited[lane];
-                let output = match &queries[i] {
-                    Query::Khop { list_levels, .. } => {
-                        // The batch's rows run as deep as its deepest
-                        // lane: trim this lane's own trailing zero
-                        // levels, so what it lists does not depend on
-                        // what else is in the wave.
-                        let mut levels: Vec<u64> =
-                            br.per_level.iter().map(|row| row[lane]).collect();
-                        while levels.last() == Some(&0) {
-                            levels.pop();
+        let engine = self.group.engine();
+        let n = engine.num_vertices();
+        // `Ok(None)`: an analytic statement, run below.
+        let pending: Vec<Result<Option<QueryTicket>, String>> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                if let Some(&bad) = Self::vertex_operands(q).iter().find(|&&v| v >= n) {
+                    return Err(format!("vertex {bad} does not exist (graph has {n} vertices)"));
+                }
+                let traversal = match q {
+                    Query::Khop { source, k, .. } => KhopQuery::single(i, *source, *k),
+                    Query::Bfs { source } => KhopQuery::bfs(i, *source),
+                    _ => return Ok(None),
+                };
+                self.group.submit(traversal).map(Some).map_err(|e| e.to_string())
+            })
+            .collect();
+        queries
+            .into_iter()
+            .zip(pending)
+            .enumerate()
+            .map(|(index, (query, pending))| {
+                let output = match pending {
+                    Err(msg) => QueryOutput::Error(msg),
+                    Ok(Some(ticket)) => match ticket.wait() {
+                        Ok(mut r) => {
+                            // The service trims a lane's trailing zero
+                            // levels, so what it lists does not depend
+                            // on what else is in the wave.
+                            let list = match query {
+                                Query::Khop { list_levels, .. } => list_levels,
+                                _ => 0,
+                            };
+                            r.per_level.truncate(list);
+                            QueryOutput::Reach { visited: r.visited, levels: r.per_level }
                         }
-                        levels.truncate(*list_levels);
-                        QueryOutput::Reach { visited, levels }
-                    }
-                    Query::Bfs { .. } => QueryOutput::Reach { visited, levels: vec![] },
-                    _ => unreachable!(),
+                        Err(e) => QueryOutput::Error(e.to_string()),
+                    },
+                    Ok(None) => run_analytic(&engine, &query),
                 };
-                answers[i] = Some(Answer {
-                    index: i,
-                    query: queries[i].clone(),
-                    output,
-                    response_time: elapsed,
-                });
-            }
-        }
+                Answer { index, query, output, response_time: submit.elapsed() }
+            })
+            .collect()
+    }
+}
 
-        // Analytics, serially after the wave of traversals.
-        for (i, q) in queries.iter().enumerate() {
-            if answers[i].is_some() {
-                continue;
-            }
-            let output = self.run_analytic(q);
-            answers[i] = Some(Answer {
-                index: i,
-                query: q.clone(),
-                output,
-                response_time: submit.elapsed(),
-            });
+fn reachable(engine: &DistributedEngine, source: u64, target: u64, k: u32) -> bool {
+    if source == target {
+        return true;
+    }
+    // Hop-exact membership, independent of edge weights: BFS depths via
+    // the vertex-centric program, then compare to k.
+    let depths = engine.run_vertex_program(&cgraph_analytics::VcBfs { source });
+    depths[target as usize] <= k as u64
+}
+
+/// STATS over the engine value's view: each partition's edge count and
+/// largest out-degree, read in `init`, so the run is one superstep.
+#[derive(Default)]
+struct DegreeSummary {
+    edges: u64,
+    max_degree: u64,
+}
+
+impl PartitionProgram for DegreeSummary {
+    type Out = Self;
+
+    fn init(&mut self, ctx: &mut PartitionCtx<'_>) {
+        for v in ctx.local_vertices() {
+            let d = ctx.out_degree(v) as u64;
+            self.edges += d;
+            self.max_degree = self.max_degree.max(d);
         }
-        answers.into_iter().map(|a| a.expect("every query answered")).collect()
+        ctx.vote_to_halt();
     }
 
-    fn reachable(&self, source: u64, target: u64, k: u32) -> bool {
-        if source == target {
-            return true;
-        }
-        // Hop-exact membership, independent of edge weights: BFS
-        // depths via the vertex-centric program, then compare to k.
-        let depths = self.engine.run_vertex_program(&cgraph_analytics::VcBfs { source });
-        depths[target as usize] <= k as u64
-    }
+    fn compute(&mut self, _: &mut PartitionCtx<'_>, _: &[(VertexId, u64)]) {}
 
-    fn run_analytic(&self, q: &Query) -> QueryOutput {
-        match q {
-            Query::Reachable { source, target, k } => {
-                QueryOutput::Bool(self.reachable(*source, *target, *k))
-            }
-            Query::Sssp { source, bound } => {
-                let dist = match bound {
-                    Some(b) => cgraph_analytics::sssp_within(self.engine, *source, *b),
-                    None => cgraph_analytics::sssp(self.engine, *source),
-                };
-                let finite: Vec<f32> = dist.into_iter().filter(|d| d.is_finite()).collect();
-                QueryOutput::Distances {
-                    reachable: finite.len() as u64 - 1, // exclude the source
-                    max_distance: finite.iter().copied().fold(0.0, f32::max),
-                }
-            }
-            Query::PageRank { iterations } => {
-                let ranks = cgraph_analytics::pagerank(self.engine, *iterations);
-                let mut indexed: Vec<(u64, f64)> =
-                    ranks.into_iter().enumerate().map(|(v, r)| (v as u64, r)).collect();
-                indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-                indexed.truncate(10);
-                QueryOutput::Ranking(indexed)
-            }
-            Query::Components => {
-                let labels = cgraph_analytics::weakly_connected_components(self.engine);
-                let mut uniq = labels;
-                uniq.sort_unstable();
-                uniq.dedup();
-                QueryOutput::Count(uniq.len() as u64)
-            }
-            Query::KCore { k } => {
-                let core = cgraph_analytics::kcore_decomposition(self.engine);
-                QueryOutput::Count(core.iter().filter(|&&c| c >= *k).count() as u64)
-            }
-            Query::Stats => {
-                let max_degree = (0..self.engine.num_vertices())
-                    .map(|v| self.engine.out_degree(v) as u64)
-                    .max()
-                    .unwrap_or(0);
-                QueryOutput::Summary {
-                    vertices: self.engine.num_vertices(),
-                    edges: self.engine.shards().iter().map(|s| s.num_out_edges() as u64).sum(),
-                    max_degree,
-                }
-            }
-            _ => unreachable!("traversals handled in the batch phase"),
+    fn finish(self, _: &PartitionCtx<'_>) -> Self {
+        self
+    }
+}
+
+fn run_analytic(engine: &DistributedEngine, q: &Query) -> QueryOutput {
+    match q {
+        Query::Reachable { source, target, k } => {
+            QueryOutput::Bool(reachable(engine, *source, *target, *k))
         }
+        Query::Sssp { source, bound } => {
+            let dist = match bound {
+                Some(b) => cgraph_analytics::sssp_within(engine, *source, *b),
+                None => cgraph_analytics::sssp(engine, *source),
+            };
+            let finite: Vec<f32> = dist.into_iter().filter(|d| d.is_finite()).collect();
+            QueryOutput::Distances {
+                reachable: finite.len() as u64 - 1, // exclude the source
+                max_distance: finite.iter().copied().fold(0.0, f32::max),
+            }
+        }
+        Query::PageRank { iterations } => {
+            let ranks = cgraph_analytics::pagerank(engine, *iterations);
+            let mut indexed: Vec<(u64, f64)> =
+                ranks.into_iter().enumerate().map(|(v, r)| (v as u64, r)).collect();
+            indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            indexed.truncate(10);
+            QueryOutput::Ranking(indexed)
+        }
+        Query::Components => {
+            let labels = cgraph_analytics::weakly_connected_components(engine);
+            let mut uniq = labels;
+            uniq.sort_unstable();
+            uniq.dedup();
+            QueryOutput::Count(uniq.len() as u64)
+        }
+        Query::KCore { k } => {
+            let core = cgraph_analytics::kcore_decomposition(engine);
+            QueryOutput::Count(core.iter().filter(|&&c| c >= *k).count() as u64)
+        }
+        Query::Stats => {
+            let parts = engine.run_program(|_| DegreeSummary::default());
+            QueryOutput::Summary {
+                vertices: engine.num_vertices(),
+                edges: parts.iter().map(|p| p.edges).sum(),
+                max_degree: parts.iter().map(|p| p.max_degree).max().unwrap_or(0),
+            }
+        }
+        Query::Khop { .. } | Query::Bfs { .. } => unreachable!("traversals are tickets"),
     }
 }
 
@@ -203,16 +188,22 @@ mod tests {
     use super::*;
     use crate::parser::{parse, parse_program};
     use cgraph_core::config::EngineConfig;
+    use cgraph_core::GroupConfig;
     use cgraph_graph::EdgeList;
+    use std::sync::Arc;
 
-    fn ring_engine(n: u64) -> DistributedEngine {
-        let g: EdgeList = (0..n).map(|v| (v, (v + 1) % n)).collect();
-        DistributedEngine::new(&g, EngineConfig::new(2))
+    fn group(g: &EdgeList, machines: usize) -> ServiceGroup {
+        let engine = DistributedEngine::new(g, EngineConfig::new(machines));
+        ServiceGroup::start(Arc::new(engine), GroupConfig::default())
+    }
+
+    fn ring_group(n: u64) -> ServiceGroup {
+        group(&(0..n).map(|v| (v, (v + 1) % n)).collect(), 2)
     }
 
     #[test]
     fn khop_statement() {
-        let e = ring_engine(20);
+        let e = ring_group(20);
         let s = Session::new(&e);
         let a = s.execute(parse("KHOP 0 3").unwrap());
         assert_eq!(a.output, QueryOutput::Reach { visited: 4, levels: vec![] });
@@ -220,7 +211,7 @@ mod tests {
 
     #[test]
     fn khop_with_levels() {
-        let e = ring_engine(20);
+        let e = ring_group(20);
         let s = Session::new(&e);
         let a = s.execute(parse("KHOP 0 3 LIST 3").unwrap());
         assert_eq!(a.output, QueryOutput::Reach { visited: 4, levels: vec![1, 1, 1] });
@@ -228,7 +219,7 @@ mod tests {
 
     #[test]
     fn reachable_statement() {
-        let e = ring_engine(10);
+        let e = ring_group(10);
         let s = Session::new(&e);
         assert_eq!(s.execute(parse("REACHABLE 0 3 3").unwrap()).output, QueryOutput::Bool(true));
         assert_eq!(s.execute(parse("REACHABLE 0 4 3").unwrap()).output, QueryOutput::Bool(false));
@@ -241,7 +232,7 @@ mod tests {
         // though its weighted distance exceeds k.
         let mut g = EdgeList::new();
         g.push(cgraph_graph::Edge::weighted(0, 1, 5.0));
-        let e = DistributedEngine::new(&g, EngineConfig::new(1));
+        let e = group(&g, 1);
         let s = Session::new(&e);
         assert_eq!(
             s.execute(parse("REACHABLE 0 1 1").unwrap()).output,
@@ -252,7 +243,7 @@ mod tests {
 
     #[test]
     fn out_of_range_vertex_rejected_cleanly() {
-        let e = ring_engine(8);
+        let e = ring_group(8);
         let s = Session::new(&e);
         let a = s.execute(parse("KHOP 99 2").unwrap());
         assert!(matches!(a.output, QueryOutput::Error(_)), "{:?}", a.output);
@@ -271,7 +262,7 @@ KHOP 0 1
 
     #[test]
     fn mixed_program_wave() {
-        let e = ring_engine(16);
+        let e = ring_group(16);
         let s = Session::new(&e);
         let program = "
             KHOP 0 2
@@ -292,8 +283,33 @@ KHOP 0 1
     }
 
     #[test]
+    fn stats_answers_for_the_epoch_not_the_base() {
+        // Five out-edges of vertex 0 inserted into a 20-vertex ring: one
+        // group publishes them as a live overlay, the other folds them
+        // into the base. STATS reads the graph of the epoch either way.
+        let ring: EdgeList = (0..20u64).map(|v| (v, (v + 1) % 20)).collect();
+        let mut folding = GroupConfig::default();
+        folding.service.mutation.fold_threshold = 0;
+        for (config, folds) in [(GroupConfig::default(), 0), (folding, 1)] {
+            let engine = DistributedEngine::new(&ring, EngineConfig::new(2));
+            let g = ServiceGroup::start(Arc::new(engine), config);
+            let mut batch = cgraph_core::UpdateBatch::new();
+            for t in 2..7 {
+                batch.insert(0, t);
+            }
+            g.apply_updates(batch).unwrap();
+            g.commit_epoch().unwrap();
+            assert_eq!(g.stats().epoch_folds, folds);
+            let s = Session::new(&g);
+            let answers = s.execute_batch(parse_program("STATS\nKHOP 0 1").unwrap());
+            assert_eq!(answers[0].output.to_string(), "20 vertices, 25 edges, max out-degree 6");
+            assert_eq!(answers[1].output.to_string(), "7 vertices reachable");
+        }
+    }
+
+    #[test]
     fn large_wave_spans_batches() {
-        let e = ring_engine(200);
+        let e = ring_group(200);
         let s = Session::new(&e);
         let queries: Vec<Query> =
             (0..100).map(|i| parse(&format!("KHOP {i} 2")).unwrap()).collect();
@@ -305,7 +321,7 @@ KHOP 0 1
 
     #[test]
     fn sssp_and_kcore_statements() {
-        let e = ring_engine(8);
+        let e = ring_group(8);
         let s = Session::new(&e);
         let a = s.execute(parse("SSSP 0").unwrap());
         assert_eq!(a.output, QueryOutput::Distances { reachable: 7, max_distance: 7.0 });
@@ -321,7 +337,7 @@ KHOP 0 1
     fn pagerank_statement_ranks_hub() {
         let mut g: EdgeList = (1..=5u64).map(|v| (v, 0u64)).collect();
         g.push_pair(0, 1);
-        let e = DistributedEngine::new(&g, EngineConfig::new(2));
+        let e = group(&g, 2);
         let s = Session::new(&e);
         // Enough iterations to get past the star's rank oscillation.
         let a = s.execute(parse("PAGERANK 50").unwrap());

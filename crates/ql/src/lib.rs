@@ -4,10 +4,10 @@
 //! and high-level algorithms" serving *multi-user* workloads: "several
 //! users can send out query requests simultaneously" (§1–2). This
 //! crate is that user-facing surface: a line-oriented query language,
-//! a parser, and a session that plans each statement onto the right
-//! engine path — batched bit-frontier traversals for reachability
-//! queries, GAS for iterative computation, partition-centric programs
-//! for the rest.
+//! a parser, and a session that is one more client of a
+//! [`cgraph_core::ServiceGroup`] — reachability queries go through the
+//! group's serving path, analytics (GAS, partition-centric programs)
+//! run on the engine value it is serving.
 //!
 //! ## Language
 //!
@@ -24,9 +24,10 @@
 //! ```
 //!
 //! Multiple statements submitted together ([`Session::execute_batch`])
-//! are treated as one concurrent wave: reachability queries are packed
-//! into shared bit-frontier batches (up to the engine's 512 lanes
-//! each) exactly like the paper's concurrent query workload.
+//! are treated as one concurrent wave: its reachability queries are
+//! submitted to the group together, which packs them into shared
+//! bit-frontier batches beside other clients' queries, exactly like the
+//! paper's concurrent query workload.
 
 #![warn(missing_docs)]
 

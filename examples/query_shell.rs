@@ -1,5 +1,7 @@
-//! Interactive query shell over a C-Graph engine — the multi-user
-//! database surface of the paper's §2, as a REPL.
+//! Interactive query shell over a C-Graph service group — the
+//! multi-user database surface of the paper's §2, as a REPL. The shell
+//! is one client of the group: its KHOP/BFS statements are tickets on
+//! the serving path, its analytics read the engine value now serving.
 //!
 //! Run with: `cargo run --release --example query_shell`
 //! Then type statements such as:
@@ -15,12 +17,14 @@
 //! KCORE 8
 //! ```
 //!
-//! Pipe a file of statements to execute them as one concurrent wave:
+//! Pipe a file of statements to execute them as one concurrent wave
+//! (its traversals submitted together, so the group batches them):
 //! `cat queries.txt | cargo run --release --example query_shell`
 
 use cgraph::prelude::*;
 use cgraph_ql::{parse_program, Session};
 use std::io::{BufRead, IsTerminal, Write};
+use std::sync::Arc;
 
 fn main() {
     let raw = cgraph::gen::graph500(12, 16, 3);
@@ -28,7 +32,8 @@ fn main() {
     b.add_edge_list(&raw);
     let edges = b.build().edges;
     let engine = DistributedEngine::new(&edges, EngineConfig::new(3));
-    let session = Session::new(&engine);
+    let group = ServiceGroup::start(Arc::new(engine), GroupConfig::default());
+    let session = Session::new(&group);
     eprintln!(
         "cgraph shell: {} vertices, {} edges on 3 machines — type HELP or a statement",
         edges.num_vertices(),
@@ -83,8 +88,10 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("parse error: {e}");
+                group.shutdown();
                 std::process::exit(1);
             }
         }
     }
+    group.shutdown();
 }
